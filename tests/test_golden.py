@@ -1,0 +1,52 @@
+"""Behaviour lock: pinned sha256 of the CLI output bytes.
+
+`report` covers every section on each bundled model (m4 is the only pin on
+the 3x3 substructure and product paths); `validate` on the corrupted
+fixtures covers fail-path witnesses and checked counts.  A change that
+moves any of these bytes must say why in CHANGES.md and re-pin the hash
+there; a hash is never regenerated silently.
+"""
+
+import hashlib
+
+import pytest
+
+from compbase.cli import main
+from conftest import FIXTURES_DIR, MODELS_DIR
+
+CONFIG = ["--samples", "8", "--seed", "0"]
+
+REPORT_SHA256 = {
+    "m1": "d801e4087fb8ecb7657739098da7cc64f331644e2fd761c9027dd86e70fef615",
+    "m2": "ab5eabf6f0162a59afc2406265607053f8551684fa748fe76f688ddca088b55c",
+    "m3": "5323bf212ebf2c02c213f0b5a13d63398aee8e0c61d44d53e64dcf804b2511e2",
+    "m4": "8becaa90130378c9cd4346c3c9b651798dfd6f4c60d67536cb1fa4b65d969874",
+    "m5": "34baa5e45da6c1b8b8670da85018887067eed62e02e5678f3111e3aeb5de1dbc",
+}
+
+VALIDATE_SHA256 = {
+    "corrupt_focus_outside_interval": "77a98a053b6a60730fb992e7fa51ecb4a1d4565d85a95bac951ab72f7ef2b17a",
+    "corrupt_missing_closure": "4b7ff4160d95f25a979b3f79715745824dca0d79ed002f431903d41789a8b617",
+    "corrupt_nonnormal_foci": "e7ca0933c82ec0537f16115b88d68e3bcae0d3f301effd0716819334a502c56b",
+    "corrupt_swapped_foci": "bdad7322e186b2a9a3990bb7f5ba02751405beb25fe2b0de7c95fcbdc97579ae",
+}
+
+
+def _sha256_of_run(capsys, *argv) -> tuple[int, str]:
+    code = main([str(a) for a in argv] + CONFIG)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(capsys, name):
+    code, digest = _sha256_of_run(capsys, "report", MODELS_DIR / f"{name}.json")
+    assert code == 0
+    assert digest == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("stem", sorted(VALIDATE_SHA256))
+def test_corrupt_validate_bytes_pinned(capsys, stem):
+    code, digest = _sha256_of_run(capsys, "validate", FIXTURES_DIR / f"{stem}.json")
+    assert code == 1
+    assert digest == VALIDATE_SHA256[stem]
