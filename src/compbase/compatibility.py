@@ -7,6 +7,12 @@ equivalence itself is what the sweeps check.  On top of compatibility sit
 the meet of compatible foci, the image and commutant substructures with
 their restricted bases, morphisms between based groups, and the direct
 product decomposition induced by a single focus.
+
+Every law here is one function that picks its universe of cases once and
+hands it to reporting.law: the interval, a height box or the declared foci
+(their pairs or triples) when the structure is finite or the base declared,
+seeded samples otherwise.  The theorem sweeps decide (pass) only on
+declared bases of finite structures and are certified everywhere else.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from typing import Any, Optional
 from . import linalg, matrix_model
 from .compression import (
     CompressionBase,
+    _effects_below,
+    _is_effect,
     kernel_complement_check,
 )
 from .config import CheckConfig
@@ -38,15 +46,11 @@ from .models import (
     identity_endo,
     zero_endo,
 )
-from .reporting import CERTIFIED, FAIL, PASS, CheckResult, Clause, Report
+from .reporting import FAIL, CheckResult, Clause, Report, Sample, law
 
 
 class MeetUndefinedError(ValueError):
     """Raised when a meet is requested for incompatible foci."""
-
-
-def _is_effect(structure, x) -> bool:
-    return structure.is_positive(x) and structure.leq(x, structure.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -156,79 +160,49 @@ def compat_battery(
     qp = compose(jq, jp)
     r = jp.apply(q)
 
-    conds = [
-        ("commute", endo_equal(structure, pq, qp)),
-        ("jp_q_eq_jq_p", r == jq.apply(p)),
-        ("jp_q_le_q", structure.leq(r, q)),
-    ]
-
     if structure.finite:
         algebra = EffectAlgebra(structure)
-        sub = SubEffectAlgebra(algebra, frozenset(base.foci))
-        conds.append(("mackey_in_interval", is_mackey_compatible(algebra, p, q)))
-        conds.append(
-            ("mackey_in_base", is_mackey_compatible(algebra, p, q, within=sub))
-        )
-        conds.append(
-            (
-                "exists_common_focus",
-                any(endo_equal(structure, pq, base.j(s)) for s in base.foci),
-            )
+        in_interval = is_mackey_compatible(algebra, p, q)
+        in_base = is_mackey_compatible(
+            algebra, p, q, within=SubEffectAlgebra(algebra, frozenset(base.foci))
         )
     else:
         e = p - r
         f = q - r
-        witnessed = (
-            _is_effect(structure, r)
-            and _is_effect(structure, e)
-            and _is_effect(structure, f)
-            and structure.leq(e + f + r, structure.unit)
-        )
-        conds.append(("mackey_in_interval", witnessed))
+        in_interval = all(_is_effect(structure, x) for x in (r, e, f))
+        in_interval = in_interval and structure.leq(e + f + r, structure.unit)
         if base.intensional:
-            conds.append(
-                (
-                    "mackey_in_base",
-                    witnessed
-                    and all(base.contains_focus(x) for x in (r, e, f)),
-                )
-            )
-            conds.append(
-                (
-                    "exists_common_focus",
-                    base.contains_focus(r)
-                    and endo_equal(
-                        structure, pq, conjugation_endo(structure.carrier, r)
-                    ),
-                )
-            )
+            in_base = in_interval and all(base.contains_focus(x) for x in (r, e, f))
         else:
-            conds.append(("mackey_in_base", _mackey_in_declared(base, p, q)))
-            conds.append(
-                (
-                    "exists_common_focus",
-                    any(endo_equal(structure, pq, base.j(s)) for s in base.foci),
-                )
-            )
-
-    conds.append(("jp_q_in_base", base.contains_focus(r)))
-    conds.append(("q_in_commutant", in_commutant(base, p, q)))
-    return CompatReport(p, q, tuple(conds))
+            in_base = _mackey_in_declared(base, p, q)
+    if base.intensional:
+        jr = conjugation_endo(structure.carrier, r)
+        common = base.contains_focus(r) and endo_equal(structure, pq, jr)
+    else:
+        common = any(endo_equal(structure, pq, base.j(s)) for s in base.foci)
+    conds = (
+        ("commute", endo_equal(structure, pq, qp)),
+        ("jp_q_eq_jq_p", r == jq.apply(p)),
+        ("jp_q_le_q", structure.leq(r, q)),
+        ("mackey_in_interval", in_interval),
+        ("mackey_in_base", in_base),
+        ("exists_common_focus", common),
+        ("jp_q_in_base", base.contains_focus(r)),
+        ("q_in_commutant", in_commutant(base, p, q)),
+    )
+    return CompatReport(p, q, conds)
 
 
 def _mackey_in_declared(base: CompressionBase, p, q) -> bool:
-    structure = base.structure
-    unit = structure.unit
-    for d in base.foci:
-        if (
-            structure.leq(d, p)
-            and structure.leq(d, q)
-            and base.contains_focus(p - d)
-            and base.contains_focus(q - d)
-            and structure.leq(p + q - d, unit)
-        ):
-            return True
-    return False
+    leq = base.structure.leq
+    return any(
+        leq(d, p)
+        and leq(d, q)
+        and base.contains_focus(p - d)
+        and base.contains_focus(q - d)
+        and leq(p + q - d, base.structure.unit)
+        for d in base.foci
+    )
 
 
 def meet(base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None):
@@ -255,17 +229,10 @@ def meet(base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None):
     if not (structure.leq(r, p) and structure.leq(r, q)):
         raise RuntimeError("meet law violated: value is not a lower bound")
 
-    if structure.finite:
-        for e in structure.interval():
-            if structure.leq(e, p) and structure.leq(e, q) and not structure.leq(e, r):
-                raise RuntimeError("meet law violated: not the greatest lower bound")
-    else:
-        rng = cfg.rng("meet")
-        dim = structure.carrier.dim
-        for _ in range(cfg.spot):
-            e = conjugate(p, matrix_model.draw_effect(dim, rng))
-            if structure.leq(e, q) and not structure.leq(e, r):
-                raise RuntimeError("meet law violated: not the greatest lower bound")
+    below_p = _effects_below(structure, p, cfg, cfg.rng("meet"))
+    glb = law("meet_glb", below_p, lambda e: not structure.leq(e, q) or structure.leq(e, r))
+    if not glb.ok:
+        raise RuntimeError("meet law violated: not the greatest lower bound")
     if not base.contains_focus(r):
         raise RuntimeError("meet law violated: value escapes the base")
     left = compose(base.j(p), base.j(q))
@@ -323,29 +290,27 @@ class Substructure:
         return self.parent.leq(a, b)
 
     def interval(self):
-        return tuple(
-            e
-            for e in self.parent.interval()
-            if self.is_member(e) and self.parent.leq(e, self.unit)
-        )
+        return self._band(self.parent.interval(), 0, 1)
 
     def positive_universe(self, n: int):
-        top = self.unit.scale(n)
-        return tuple(
-            g
-            for g in self.parent.positive_universe(n)
-            if self.is_member(g) and self.parent.leq(g, top)
-        )
+        return self._band(self.parent.positive_universe(n), 0, n)
 
     def signed_universe(self, n: int):
-        top = self.unit.scale(n)
-        bot = self.unit.scale(-n)
+        return self._band(self.parent.signed_universe(n), -n, n)
+
+    def _band(self, cases, lo: int, hi: int) -> tuple:
+        """Members of the parent's universe between lo*unit and hi*unit.
+
+        The parent's universe already has a lower bound of 0 where lo is 0.
+        """
+
+        top = self.unit.scale(hi)
+        bot = self.unit.scale(lo)
+        leq = self.parent.leq
         return tuple(
             g
-            for g in self.parent.signed_universe(n)
-            if self.is_member(g)
-            and self.parent.leq(g, top)
-            and self.parent.leq(bot, g)
+            for g in cases
+            if self.is_member(g) and leq(g, top) and (lo == 0 or leq(bot, g))
         )
 
 
@@ -411,21 +376,20 @@ def substructure_report(
     from .compression import validate_compression_base
 
     parent = base.structure
-    rep = Report(title=f"{kind} substructure")
-    idem = endo_equal(parent, compose(sub.projector, sub.projector), sub.projector)
-    rep.add(Clause("projector_idempotent", PASS if idem else FAIL, checked=1))
-    rep.add(_interval_characterization_clause(base, sub, cfg))
-
+    clauses = [
+        law(
+            "projector_idempotent",
+            (sub.projector,),
+            lambda pr: endo_equal(parent, compose(pr, pr), pr),
+            witness=lambda pr: None,
+        ),
+        _interval_characterization_clause(base, sub, cfg),
+    ]
     rbase = restricted_base(base, sub)
-    witness = next((q for q in rbase.foci if not sub.is_member(q)), None)
-    rep.add(
-        Clause(
-            "restricted_foci_members",
-            PASS if witness is None else FAIL,
-            checked=len(rbase.foci),
-            witness=None if witness is None else {"focus": witness},
-        )
+    clauses.append(
+        law("restricted_foci_members", rbase.foci, sub.is_member, witness="focus")
     )
+    rep = Report(f"{kind} substructure", clauses)
     rep.extend(validate_unital_group(sub, cfg))
     rep.extend(validate_compression_base(rbase, cfg))
     return sub, rbase, rep
@@ -434,121 +398,91 @@ def substructure_report(
 def _interval_characterization_clause(
     base: CompressionBase, sub: Substructure, cfg: CheckConfig
 ) -> Clause:
+    """The substructure's effects, described from the parent's interval.
+
+    Image: membership coincides with lying below v.  Commutant: sums of an
+    effect below v and one below u - v are members, and every member effect
+    splits that way under J_v and J_{u-v}.
+    """
+
     parent = base.structure
-    unit = parent.unit
     v = sub.v
+    finite = parent.finite
+    if not finite:
+        dim = parent.carrier.dim
+        rng = cfg.rng(f"substructure:{sub.kind}")
 
     if sub.kind == "image":
-        if parent.finite:
-            witness = next(
-                (
-                    e
-                    for e in parent.interval()
-                    if sub.is_member(e) != parent.leq(e, v)
-                ),
-                None,
-            )
-            return Clause(
-                "interval_characterization",
-                PASS if witness is None else FAIL,
-                checked=len(parent.interval()),
-                witness=None if witness is None else {"effect": witness},
-                note="membership in the image coincides with lying below v",
-            )
-        rng = cfg.rng("substructure:image")
-        dim = parent.carrier.dim
-        witness = None
-        for i in range(cfg.spot):
-            e = matrix_model.draw_effect(dim, rng)
-            if i % 2:
-                e = conjugate(v, e)
-            if sub.is_member(e) != parent.leq(e, v):
-                witness = {"effect": e}
-                break
-        return Clause(
+
+        def effects():
+            for i in range(cfg.spot):
+                e = matrix_model.draw_effect(dim, rng)
+                yield conjugate(v, e) if i % 2 else e
+
+        note = "membership in the image coincides with lying below v"
+        return law(
             "interval_characterization",
-            CERTIFIED if witness is None else FAIL,
-            checked=cfg.spot,
-            witness=witness,
-            note="membership in the image coincides with lying below v; sampled",
+            parent.interval() if finite else effects(),
+            lambda e: sub.is_member(e) == parent.leq(e, v),
+            witness="effect",
+            checked=len(parent.interval()) if finite else cfg.spot,
+            note=note if finite else note + "; sampled",
         )
 
-    comp = unit - v
-    if parent.finite:
+    comp = parent.unit - v
+    jv = base.j(v)
+    jc = base.j(comp)
+
+    def splits(e) -> bool:
+        x = jv.apply(e)
+        y = jc.apply(e)
+        return (
+            _is_effect(parent, x)
+            and _is_effect(parent, y)
+            and parent.leq(x, v)
+            and parent.leq(y, comp)
+            and x + y == e
+        )
+
+    note = "commutant effects are exactly sums from below v and below u - v"
+    if finite:
         interval = parent.interval()
         los = [e for e in interval if parent.leq(e, v)]
         his = [e for e in interval if parent.leq(e, comp)]
-        checked = 0
-        for e1, e2 in itertools.product(los, his):
-            checked += 1
-            if not sub.is_member(e1 + e2):
-                return Clause(
-                    "interval_characterization",
-                    FAIL,
-                    checked=checked,
-                    witness={"e1": e1, "e2": e2},
-                )
-        jv = base.j(v)
-        jc = base.j(comp)
-        for e in interval:
-            checked += 1
-            if not sub.is_member(e):
-                continue
-            x = jv.apply(e)
-            y = jc.apply(e)
-            good = (
-                _is_effect(parent, x)
-                and _is_effect(parent, y)
-                and parent.leq(x, v)
-                and parent.leq(y, comp)
-                and x + y == e
-            )
-            if not good:
-                return Clause(
-                    "interval_characterization",
-                    FAIL,
-                    checked=checked,
-                    witness={"effect": e},
-                )
-        return Clause(
-            "interval_characterization",
-            PASS,
-            checked=checked,
-            note="commutant effects are exactly sums from below v and below u - v",
-        )
 
-    rng = cfg.rng("substructure:commutant")
-    dim = parent.carrier.dim
-    jv = base.j(v)
-    jc = base.j(comp)
-    witness = None
-    for i in range(cfg.spot):
-        a = matrix_model.draw_effect(dim, rng)
-        b = matrix_model.draw_effect(dim, rng)
+        def holds(case):
+            if len(case) == 2:
+                return sub.is_member(case[0] + case[1]) or {"e1": case[0], "e2": case[1]}
+            e = case[0]
+            return not sub.is_member(e) or splits(e) or {"effect": e}
+
+        cases = itertools.chain(itertools.product(los, his), zip(interval))
+        clause = law("interval_characterization", cases, holds, note=note)
+        if not clause.ok:
+            clause.note = ""
+        return clause
+
+    def holds(case):
+        i, a, b = case
         g = conjugate(v, a) + conjugate(comp, b)
         if not (sub.is_member(g) and _is_effect(parent, g)):
-            witness = {"effect": g, "direction": "sum_not_member"}
-            break
+            return {"effect": g, "direction": "sum_not_member"}
         e = conjugate(v, b) + conjugate(comp, a) if i % 2 else g
-        if sub.is_member(e) and _is_effect(parent, e):
-            x = jv.apply(e)
-            y = jc.apply(e)
-            good = (
-                parent.leq(x, v)
-                and parent.leq(y, comp)
-                and _is_effect(parent, x)
-                and _is_effect(parent, y)
-                and x + y == e
-            )
-            if not good:
-                witness = {"effect": e, "direction": "member_does_not_split"}
-                break
-    return Clause(
+        if sub.is_member(e) and _is_effect(parent, e) and not splits(e):
+            return {"effect": e, "direction": "member_does_not_split"}
+        return True
+
+    def effect_pairs():
+        for i in range(cfg.spot):
+            a = matrix_model.draw_effect(dim, rng)
+            yield i, a, matrix_model.draw_effect(dim, rng)
+
+    return law(
         "interval_characterization",
-        CERTIFIED if witness is None else FAIL,
+        effect_pairs(),
+        holds,
         checked=cfg.spot,
-        witness=witness,
-        note="commutant effects are exactly sums from below v and below u - v; sampled",
+        note=note + "; sampled",
     )
 
 
@@ -573,86 +507,50 @@ def morphism_report(
     """
 
     cfg = cfg or CheckConfig()
-    rep = Report(title="morphism laws")
     n = cfg.height_bound
-
     if src_structure.finite:
-        box = src_structure.positive_universe(n)
-        witness = next(
-            (g for g in box if not tgt_structure.is_positive(phi.apply(g))), None
-        )
-        rep.add(
-            Clause(
-                prefix + "order_preserving",
-                PASS if witness is None else FAIL,
-                checked=len(box),
-                witness=None if witness is None else {"positive": witness},
-                note=f"checked on the height-{n} positive box",
-            )
-        )
+        positives = src_structure.positive_universe(n)
+        note = f"checked on the height-{n} positive box"
     else:
         rng = cfg.rng("morphism:" + prefix)
         dim = src_structure.carrier.dim
-        witness = None
-        for _ in range(cfg.spot):
-            g = src_structure.project(matrix_model.draw_positive(dim, rng, n))
-            if not tgt_structure.is_positive(phi.apply(g)):
-                witness = {"positive": g}
-                break
-        rep.add(
-            Clause(
-                prefix + "order_preserving",
-                CERTIFIED if witness is None else FAIL,
-                checked=cfg.spot,
-                witness=witness,
-                note="sampled positives of the source",
-            )
+        positives = Sample(
+            cfg.spot, lambda: src_structure.project(matrix_model.draw_positive(dim, rng, n))
         )
-
-    unit_ok = phi.apply(src_structure.unit) == tgt_structure.unit
-    rep.add(
-        Clause(
+        note = "sampled positives of the source"
+    clauses = [
+        law(
+            prefix + "order_preserving",
+            positives,
+            lambda g: tgt_structure.is_positive(phi.apply(g)),
+            witness="positive",
+            note=note,
+        ),
+        law(
             prefix + "preserves_unit",
-            PASS if unit_ok else FAIL,
-            checked=1,
-            witness=None if unit_ok else {"image": phi.apply(src_structure.unit)},
-        )
-    )
-
+            (src_structure.unit,),
+            lambda u: phi.apply(u) == tgt_structure.unit,
+            witness=lambda u: {"image": phi.apply(u)},
+        ),
+    ]
     if src_base.foci is None:
         raise NotEnumerableError("morphism focus checks need a declared focus list")
-    witness = next(
-        (q for q in src_base.foci if not tgt_base.contains_focus(phi.apply(q))),
-        None,
-    )
-    rep.add(
-        Clause(
-            prefix + "foci_to_foci",
-            PASS if witness is None else FAIL,
-            checked=len(src_base.foci),
-            witness=None if witness is None else {"focus": witness},
-        )
-    )
 
-    witness = None
-    for q in src_base.foci:
-        img = phi.apply(q)
-        if not tgt_base.contains_focus(img):
-            continue
-        left = compose(tgt_base.j(img), phi)
-        right = compose(phi, src_base.j(q))
-        if not endo_equal(src_structure, left, right):
-            witness = {"focus": q}
-            break
-    rep.add(
-        Clause(
-            prefix + "intertwines_compressions",
-            PASS if witness is None else FAIL,
-            checked=len(src_base.foci),
-            witness=witness,
-        )
-    )
-    return rep
+    def to_focus(q) -> bool:
+        return tgt_base.contains_focus(phi.apply(q))
+
+    def intertwines(q) -> bool:
+        if not to_focus(q):
+            return True
+        left = compose(tgt_base.j(phi.apply(q)), phi)
+        return endo_equal(src_structure, left, compose(phi, src_base.j(q)))
+
+    foci = src_base.foci
+    clauses += [
+        law(prefix + "foci_to_foci", foci, to_focus, witness="focus"),
+        law(prefix + "intertwines_compressions", foci, intertwines, witness="focus"),
+    ]
+    return Report("morphism laws", clauses)
 
 
 def direct_product_report(
@@ -685,176 +583,72 @@ def direct_product_report(
     )
 
     n = cfg.height_bound
-    if structure.finite:
-        box_c = sub_c.signed_universe(n)
-        box_h = sub_h.signed_universe(n)
-        box_k = sub_k.signed_universe(n)
+    finite = structure.finite
+    if finite:
+        box_h, box_k, box_c = (s.signed_universe(n) for s in (sub_h, sub_k, sub_c))
+        pairs = itertools.product(box_h, box_k)
 
-        witness = next(
-            (h for h in box_h if not (sub_c.is_member(h) and eta.apply(h) == h)), None
-        )
-        rep.add(
-            Clause(
-                "eta_fixes_image",
-                PASS if witness is None else FAIL,
-                checked=len(box_h),
-                witness=None if witness is None else {"element": witness},
-                note="image elements lie in the commutant and are fixed, so the map is onto",
-            )
-        )
-        witness = next(
-            (k for k in box_k if not (sub_c.is_member(k) and kappa.apply(k) == k)),
-            None,
-        )
-        rep.add(
-            Clause(
-                "kappa_fixes_image",
-                PASS if witness is None else FAIL,
-                checked=len(box_k),
-                witness=None if witness is None else {"element": witness},
-            )
-        )
+        def elements():
+            return box_c
 
-        witness = next(
-            (g for g in box_c if eta.apply(g) + kappa.apply(g) != g), None
-        )
-        rep.add(
-            Clause(
-                "pairing_recovers_element",
-                PASS if witness is None else FAIL,
-                checked=len(box_c),
-                witness=None if witness is None else {"element": witness},
-                note="adding the two components inverts the pairing",
-            )
-        )
+    else:
+        rng = cfg.rng("product")
+        dim = structure.carrier.dim
 
-        witness = None
-        checked = 0
-        for h, k in itertools.product(box_h, box_k):
-            checked += 1
-            s = h + k
-            if not (
-                sub_c.is_member(s) and eta.apply(s) == h and kappa.apply(s) == k
-            ):
-                witness = {"h": h, "k": k}
-                break
-        rep.add(
-            Clause(
-                "pairing_surjective",
-                PASS if witness is None else FAIL,
-                checked=checked,
-                witness=witness,
-                note="every component pair is realized by its sum",
-            )
-        )
+        def signed(s):
+            return conjugate(s, matrix_model.draw_signed(dim, rng, n))
 
-        witness = next(
-            (
-                g
-                for g in box_c
-                if structure.is_positive(g)
-                != (
-                    structure.is_positive(eta.apply(g))
-                    and structure.is_positive(kappa.apply(g))
-                )
-            ),
-            None,
-        )
-        rep.add(
-            Clause(
-                "order_componentwise",
-                PASS if witness is None else FAIL,
-                checked=len(box_c),
-                witness=None if witness is None else {"element": witness},
-            )
-        )
-        return rep
+        def elements():
+            draw = matrix_model.draw_signed
+            return Sample(cfg.spot, lambda: sub_c.project(draw(dim, rng, n)))
 
-    rng = cfg.rng("product")
-    dim = structure.carrier.dim
-    spot = cfg.spot
+        box_h = Sample(cfg.spot, lambda: signed(v))
+        box_k = Sample(cfg.spot, lambda: signed(comp))
+        pairs = Sample(cfg.spot, lambda: (signed(v), signed(comp)))
 
-    witness = None
-    for _ in range(spot):
-        h = conjugate(v, matrix_model.draw_signed(dim, rng, n))
-        if not (sub_c.is_member(h) and eta.apply(h) == h):
-            witness = {"element": h}
-            break
-    rep.add(
-        Clause(
-            "eta_fixes_image",
-            CERTIFIED if witness is None else FAIL,
-            checked=spot,
-            witness=witness,
-            note="sampled image elements lie in the commutant and are fixed",
-        )
-    )
-    witness = None
-    for _ in range(spot):
-        k = conjugate(comp, matrix_model.draw_signed(dim, rng, n))
-        if not (sub_c.is_member(k) and kappa.apply(k) == k):
-            witness = {"element": k}
-            break
-    rep.add(
-        Clause(
-            "kappa_fixes_image",
-            CERTIFIED if witness is None else FAIL,
-            checked=spot,
-            witness=witness,
-        )
-    )
+    def fixes(j, x) -> bool:
+        return sub_c.is_member(x) and j.apply(x) == x
 
-    witness = None
-    for _ in range(spot):
-        g = sub_c.project(matrix_model.draw_signed(dim, rng, n))
-        if eta.apply(g) + kappa.apply(g) != g:
-            witness = {"element": g}
-            break
-    rep.add(
-        Clause(
-            "pairing_recovers_element",
-            CERTIFIED if witness is None else FAIL,
-            checked=spot,
-            witness=witness,
-        )
-    )
-
-    witness = None
-    for _ in range(spot):
-        h = conjugate(v, matrix_model.draw_signed(dim, rng, n))
-        k = conjugate(comp, matrix_model.draw_signed(dim, rng, n))
+    def realized(hk) -> bool:
+        h, k = hk
         s = h + k
-        if not (sub_c.is_member(s) and eta.apply(s) == h and kappa.apply(s) == k):
-            witness = {"h": h, "k": k}
-            break
-    rep.add(
-        Clause(
-            "pairing_surjective",
-            CERTIFIED if witness is None else FAIL,
-            checked=spot,
-            witness=witness,
-            note="sampled component pairs are realized by their sums",
-        )
-    )
+        return sub_c.is_member(s) and eta.apply(s) == h and kappa.apply(s) == k
 
-    witness = None
-    for _ in range(spot):
-        g = sub_c.project(matrix_model.draw_signed(dim, rng, n))
-        if structure.is_positive(g) != (
-            structure.is_positive(eta.apply(g))
-            and structure.is_positive(kappa.apply(g))
-        ):
-            witness = {"element": g}
-            break
-    rep.add(
-        Clause(
-            "order_componentwise",
-            CERTIFIED if witness is None else FAIL,
-            checked=spot,
-            witness=witness,
-        )
-    )
+    def componentwise(g) -> bool:
+        pos = structure.is_positive
+        return pos(g) == (pos(eta.apply(g)) and pos(kappa.apply(g)))
+
+    rep.clauses += [
+        law(
+            "eta_fixes_image",
+            box_h,
+            lambda h: fixes(eta, h),
+            witness="element",
+            note="image elements lie in the commutant and are fixed, so the map is onto"
+            if finite
+            else "sampled image elements lie in the commutant and are fixed",
+        ),
+        law("kappa_fixes_image", box_k, lambda k: fixes(kappa, k), witness="element"),
+        law(
+            "pairing_recovers_element",
+            elements(),
+            lambda g: eta.apply(g) + kappa.apply(g) == g,
+            witness="element",
+            note="adding the two components inverts the pairing" if finite else "",
+        ),
+        law(
+            "pairing_surjective",
+            pairs,
+            realized,
+            witness=("h", "k"),
+            note="every component pair is realized by its sum"
+            if finite
+            else "sampled component pairs are realized by their sums",
+        ),
+        law("order_componentwise", elements(), componentwise, witness="element"),
+    ]
     return rep
+
 
 # ---------------------------------------------------------------------------
 # the orthomodular poset of foci
@@ -863,337 +657,247 @@ def direct_product_report(
 def omp_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Report:
     """Orthomodular poset laws for the foci of a base.
 
-    Declared bases get exhaustive focus loops, with the interval-quantified
+    Declared bases quantify over their foci, with the interval-quantified
     clauses (sharpness and principality) swept exhaustively on finite
     structures and sampled on the matrix model.  An intensional base is
-    checked entirely on sampled projections.
+    checked entirely on sampled projections.  The sampled clauses of one
+    report draw, in order, from one stream.
     """
 
     cfg = cfg or CheckConfig()
+    rng = cfg.rng("omp" if base.foci is None else "omp:interval")
+    laws = (
+        _omp_bounded,
+        _omp_orthocomplement,
+        _omp_orthogonal_join,
+        _omp_orthomodular,
+        _omp_sharp,
+        _omp_principal,
+    )
+    return Report("orthomodular poset laws", [check(base, cfg, rng) for check in laws])
+
+
+def _omp_cases(base: CompressionBase, cfg: CheckConfig, exhaustive, draw):
+    """exhaustive(foci) on a declared base; sampled draw() cases otherwise."""
+
     if base.foci is not None:
-        return _omp_declared(base, cfg)
-    return _omp_sampled(base, cfg)
+        return exhaustive(base.foci)
+    return Sample(max(cfg.spot, cfg.samples // 4), draw)
 
 
-def _omp_declared(base: CompressionBase, cfg: CheckConfig) -> Report:
+def _omp_bounded(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    structure = base.structure
+    dim = structure.carrier.dim
+    declared = base.foci is not None
+    foci = _omp_cases(base, cfg, tuple, lambda: matrix_model.draw_projection(dim, rng))
+    clause = law(
+        "omp_bounded",
+        foci,
+        lambda p: _is_effect(structure, p),
+        witness=None if declared else "p",
+        note="" if declared else "sampled projections are effects; zero and unit are foci",
+    )
+    bounded = base.contains_focus(structure.zero) and base.contains_focus(structure.unit)
+    if clause.ok and not bounded:
+        clause.status = FAIL
+        clause.witness = {"missing": "zero or unit"}
+    return clause
+
+
+def _omp_orthocomplement(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    """u - p is a focus with u - (u - p) = p, and q <= p gives u - p <= u - q.
+
+    Declared foci are paired with every focus below them, and the clause
+    reports |F| involutions plus |F|^2 ordered pairs; the sampled universe
+    draws nested pairs.
+    """
+
+    structure = base.structure
+    unit = structure.unit
+    leq = structure.leq
+    dim = structure.carrier.dim
+
+    def holds(pq):
+        p, q = pq
+        c = unit - p
+        if not (base.contains_focus(c) and unit - c == p):
+            return {"p": p}
+        return leq(unit - p, unit - q)
+
+    pairs = _omp_cases(
+        base,
+        cfg,
+        lambda foci: itertools.product(foci, repeat=2),
+        lambda: matrix_model.draw_nested_projections(dim, rng),
+    )
+    declared = base.foci is not None
+    n = len(base.foci) if declared else 0
+    return law(
+        "omp_orthocomplement",
+        pairs,
+        holds,
+        (lambda pq: leq(pq[1], pq[0])) if declared else None,
+        witness=("p", "q"),
+        checked=n + n**2 if declared else None,
+        note="involutive and order reversing" + ("" if declared else "; sampled"),
+    )
+
+
+def _omp_orthogonal_join(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    """An orthogonal sum p + q is a focus and the least upper bound of p, q.
+
+    Declared foci are all tried as upper bounds; the sampled universe draws
+    p, q in one frame and, once p + q is known to be a focus above them, a
+    cover from the same frame.
+    """
+
     structure = base.structure
     leq = structure.leq
-    unit = structure.unit
-    zero = structure.zero
-    foci = base.foci
-    rep = Report(title="orthomodular poset laws")
-
-    bounds_ok = base.contains_focus(zero) and base.contains_focus(unit)
-    witness = next((p for p in foci if not _is_effect(structure, p)), None)
-    if not bounds_ok and witness is None:
-        witness = {"missing": "zero or unit"}
-    rep.add(
-        Clause(
-            "omp_bounded",
-            PASS if bounds_ok and witness is None else FAIL,
-            checked=len(foci),
-            witness=witness,
-        )
-    )
-
-    witness = None
-    for p in foci:
-        c = unit - p
-        if not base.contains_focus(c) or unit - c != p:
-            witness = {"p": p}
-            break
-    if witness is None:
-        for p, q in itertools.product(foci, repeat=2):
-            if leq(p, q) and not leq(unit - q, unit - p):
-                witness = {"p": p, "q": q}
-                break
-    rep.add(
-        Clause(
-            "omp_orthocomplement",
-            PASS if witness is None else FAIL,
-            checked=len(foci) + len(foci) ** 2,
-            witness=witness,
-            note="involutive and order reversing",
-        )
-    )
-
-    witness = None
-    checked = 0
-    for p, q in itertools.product(foci, repeat=2):
-        if not leq(p + q, unit):
-            continue
-        checked += 1
-        s = p + q
-        if not (base.contains_focus(s) and leq(p, s) and leq(q, s)):
-            witness = {"p": p, "q": q}
-            break
-        bad = next(
-            (r for r in foci if leq(p, r) and leq(q, r) and not leq(s, r)), None
-        )
-        if bad is not None:
-            witness = {"p": p, "q": q, "upper_bound": bad}
-            break
-    rep.add(
-        Clause(
-            "omp_orthogonal_join",
-            PASS if witness is None else FAIL,
-            checked=checked,
-            witness=witness,
-            note="orthogonal sums are least upper bounds in the base",
-        )
-    )
-
-    witness = None
-    checked = 0
-    for p, q in itertools.product(foci, repeat=2):
-        if not leq(p, q):
-            continue
-        checked += 1
-        d = q - p
-        if not base.contains_focus(d):
-            witness = {"p": p, "q": q}
-            break
-        bad = next(
-            (r for r in foci if leq(p, r) and leq(d, r) and not leq(q, r)), None
-        )
-        if bad is not None:
-            witness = {"p": p, "q": q, "upper_bound": bad}
-            break
-    rep.add(
-        Clause(
-            "omp_orthomodular",
-            PASS if witness is None else FAIL,
-            checked=checked,
-            witness=witness,
-            note="below q, the difference q - p rejoins p to give q",
-        )
-    )
-
-    if structure.finite:
-        interval = structure.interval()
-        witness = None
-        checked = 0
-        for p in foci:
-            comp = unit - p
-            for e in interval:
-                checked += 1
-                if leq(e, p) and leq(e, comp) and e != zero:
-                    witness = {"p": p, "effect": e}
-                    break
-            if witness is not None:
-                break
-        rep.add(
-            Clause(
-                "omp_sharp",
-                PASS if witness is None else FAIL,
-                checked=checked,
-                witness=witness,
-                note="no nonzero effect sits below both p and its complement",
-            )
-        )
-
-        witness = None
-        checked = 0
-        for p in foci:
-            for e, f in itertools.product(interval, repeat=2):
-                if not (leq(e, p) and leq(f, p) and leq(e + f, unit)):
-                    continue
-                checked += 1
-                if not leq(e + f, p):
-                    witness = {"p": p, "e": e, "f": f}
-                    break
-            if witness is not None:
-                break
-        rep.add(
-            Clause(
-                "omp_principal",
-                PASS if witness is None else FAIL,
-                checked=checked,
-                witness=witness,
-                note="defined sums of effects below p stay below p",
-            )
-        )
-        return rep
-
-    rng = cfg.rng("omp:interval")
     dim = structure.carrier.dim
-    witness = None
-    checked = 0
-    for p in foci:
-        comp = unit - p
-        for _ in range(cfg.spot):
-            e = conjugate(p, matrix_model.draw_effect(dim, rng))
-            checked += 1
-            if leq(e, comp) and e != zero:
-                witness = {"p": p, "effect": e}
-                break
-        if witness is not None:
-            break
-    rep.add(
-        Clause(
-            "omp_sharp",
-            CERTIFIED if witness is None else FAIL,
-            checked=checked,
-            witness=witness,
-            note="no nonzero effect sits below both p and its complement; sampled",
-        )
-    )
 
-    witness = None
-    checked = 0
-    for p in foci:
-        for _ in range(cfg.spot):
-            e = conjugate(p, matrix_model.draw_effect(dim, rng))
-            f = conjugate(p, matrix_model.draw_effect(dim, rng))
-            if not leq(e + f, unit):
-                continue
-            checked += 1
-            if not leq(e + f, p):
-                witness = {"p": p, "e": e, "f": f}
-                break
-        if witness is not None:
-            break
-    rep.add(
-        Clause(
-            "omp_principal",
-            CERTIFIED if witness is None else FAIL,
-            checked=checked,
-            witness=witness,
-            note="defined sums of effects below p stay below p; sampled",
-        )
-    )
-    return rep
-
-
-def _omp_sampled(base: CompressionBase, cfg: CheckConfig) -> Report:
-    structure = base.structure
-    leq = structure.leq
-    unit = structure.unit
-    zero = structure.zero
-    dim = structure.carrier.dim
-    rng = cfg.rng("omp")
-    budget = max(cfg.spot, cfg.samples // 4)
-    rep = Report(title="orthomodular poset laws")
-
-    ok = base.contains_focus(zero) and base.contains_focus(unit)
-    witness = None
-    for _ in range(budget):
-        p = matrix_model.draw_projection(dim, rng)
-        if not _is_effect(structure, p):
-            witness = {"p": p}
-            break
-    rep.add(
-        Clause(
-            "omp_bounded",
-            CERTIFIED if ok and witness is None else FAIL,
-            checked=budget,
-            witness=witness if witness is not None else (None if ok else {"missing": "zero or unit"}),
-            note="sampled projections are effects; zero and unit are foci",
-        )
-    )
-
-    witness = None
-    for _ in range(budget):
-        p, q = matrix_model.draw_nested_projections(dim, rng)
-        c = unit - p
-        if not base.contains_focus(c) or unit - c != p:
-            witness = {"p": p}
-            break
-        if not leq(unit - p, unit - q):
-            witness = {"p": p, "q": q}
-            break
-    rep.add(
-        Clause(
-            "omp_orthocomplement",
-            CERTIFIED if witness is None else FAIL,
-            checked=budget,
-            witness=witness,
-            note="involutive and order reversing; sampled",
-        )
-    )
-
-    witness = None
-    for _ in range(budget):
+    def frame_pair():
         frame = matrix_model.cayley_orthogonal(dim, rng)
         slots = [rng.randint(0, 2) for _ in range(dim)]
         p = matrix_model.projection_from_mask(frame, [s == 0 for s in slots])
         q = matrix_model.projection_from_mask(frame, [s == 1 for s in slots])
-        s_sum = p + q
-        if not (base.contains_focus(s_sum) and leq(p, s_sum) and leq(q, s_sum)):
-            witness = {"p": p, "q": q}
-            break
-        cover = matrix_model.projection_from_mask(
-            frame, [s in (0, 1) or rng.randint(0, 1) for s in slots]
+        return p, q, frame, slots
+
+    def upper_bounds(case):
+        if base.foci is not None:
+            return base.foci
+        frame, slots = case[2:]
+        bits = [s in (0, 1) or rng.randint(0, 1) for s in slots]
+        return (matrix_model.projection_from_mask(frame, bits),)
+
+    def holds(case):
+        p, q = case[:2]
+        s = p + q
+        if not (base.contains_focus(s) and leq(p, s) and leq(q, s)):
+            return {"p": p, "q": q}
+        bad = next(
+            (r for r in upper_bounds(case) if leq(p, r) and leq(q, r) and not leq(s, r)),
+            None,
         )
-        if leq(p, cover) and leq(q, cover) and not leq(s_sum, cover):
-            witness = {"p": p, "q": q, "upper_bound": cover}
-            break
-    rep.add(
-        Clause(
-            "omp_orthogonal_join",
-            CERTIFIED if witness is None else FAIL,
-            checked=budget,
-            witness=witness,
-            note="orthogonal sums are least upper bounds; sampled frames",
-        )
+        return bad is None or {"p": p, "q": q, "upper_bound": bad}
+
+    cases = _omp_cases(base, cfg, lambda foci: itertools.product(foci, repeat=2), frame_pair)
+    declared = base.foci is not None
+    return law(
+        "omp_orthogonal_join",
+        cases,
+        holds,
+        (lambda case: leq(case[0] + case[1], structure.unit)) if declared else None,
+        note="orthogonal sums are least upper bounds in the base"
+        if declared
+        else "orthogonal sums are least upper bounds; sampled frames",
     )
 
-    witness = None
-    for _ in range(budget):
-        p_big, p_small = matrix_model.draw_nested_projections(dim, rng)
-        d = p_big - p_small
+
+def _omp_orthomodular(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    """For p <= q the difference q - p is a focus that rejoins p to give q."""
+
+    leq = base.structure.leq
+    dim = base.structure.carrier.dim
+    upper_bounds = base.foci or ()
+
+    def holds(pq):
+        p, q = pq
+        d = q - p
         if not base.contains_focus(d):
-            witness = {"p": p_small, "q": p_big}
-            break
-    rep.add(
-        Clause(
-            "omp_orthomodular",
-            CERTIFIED if witness is None else FAIL,
-            checked=budget,
-            witness=witness,
-            note="differences of nested projections are projections; sampled",
-        )
+            return False
+        bad = next((r for r in upper_bounds if leq(p, r) and leq(d, r) and not leq(q, r)), None)
+        return bad is None or {"p": p, "q": q, "upper_bound": bad}
+
+    pairs = _omp_cases(
+        base,
+        cfg,
+        lambda foci: itertools.product(foci, repeat=2),
+        lambda: matrix_model.draw_nested_projections(dim, rng)[::-1],
+    )
+    declared = base.foci is not None
+    return law(
+        "omp_orthomodular",
+        pairs,
+        holds,
+        (lambda pq: leq(*pq)) if declared else None,
+        witness=("p", "q"),
+        note="below q, the difference q - p rejoins p to give q"
+        if declared
+        else "differences of nested projections are projections; sampled",
     )
 
-    witness = None
-    for _ in range(budget):
-        p = matrix_model.draw_projection(dim, rng)
-        e = conjugate(p, matrix_model.draw_effect(dim, rng))
-        if leq(e, unit - p) and e != zero:
-            witness = {"p": p, "effect": e}
-            break
-    rep.add(
-        Clause(
-            "omp_sharp",
-            CERTIFIED if witness is None else FAIL,
-            checked=budget,
-            witness=witness,
-            note="no nonzero effect sits below both p and its complement; sampled",
-        )
+
+def _omp_focus_cases(base: CompressionBase, cfg: CheckConfig, rng, exhaustive, sample):
+    """(p, x) cases for a law quantified over foci p and elements x below p.
+
+    Finite structures pair every focus with every x of the exhaustive
+    universe (x below p is then part of the law); declared matrix foci get
+    spot samples x = sample(p) each; an intensional base draws projections
+    with one sample each.
+    """
+
+    def focus_cases(foci):
+        if base.structure.finite:
+            return itertools.product(foci, exhaustive())
+        return ((p, sample(p)) for p in foci for _ in range(cfg.spot))
+
+    def projection_and_sample():
+        p = matrix_model.draw_projection(base.structure.carrier.dim, rng)
+        return p, sample(p)
+
+    return _omp_cases(base, cfg, focus_cases, projection_and_sample)
+
+
+def _omp_sharp(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    structure = base.structure
+    leq = structure.leq
+    finite = structure.finite
+
+    def sample(p):
+        return conjugate(p, matrix_model.draw_effect(structure.carrier.dim, rng))
+
+    def holds(pe) -> bool:
+        p, e = pe
+        below_p = leq(e, p) if finite else True
+        return not (below_p and leq(e, structure.unit - p) and e != structure.zero)
+
+    cases = _omp_focus_cases(base, cfg, rng, structure.interval, sample)
+    note = "no nonzero effect sits below both p and its complement"
+    return law(
+        "omp_sharp",
+        cases,
+        holds,
+        witness=("p", "effect"),
+        note=note if finite else note + "; sampled",
     )
 
-    witness = None
-    checked = 0
-    for _ in range(budget):
-        p = matrix_model.draw_projection(dim, rng)
-        e = conjugate(p, matrix_model.draw_effect(dim, rng))
-        f = conjugate(p, matrix_model.draw_effect(dim, rng))
-        if not leq(e + f, unit):
-            continue
-        checked += 1
-        if not leq(e + f, p):
-            witness = {"p": p, "e": e, "f": f}
-            break
-    rep.add(
-        Clause(
-            "omp_principal",
-            CERTIFIED if witness is None else FAIL,
-            checked=checked,
-            witness=witness,
-            note="defined sums of effects below p stay below p; sampled",
-        )
+
+def _omp_principal(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    structure = base.structure
+    leq = structure.leq
+    finite = structure.finite
+
+    def sample(p):
+        dim = structure.carrier.dim
+        return tuple(conjugate(p, matrix_model.draw_effect(dim, rng)) for _ in range(2))
+
+    def defined_below(pef) -> bool:
+        p, (e, f) = pef
+        below_p = leq(e, p) and leq(f, p) if finite else True
+        return below_p and leq(e + f, structure.unit)
+
+    def effect_pairs():
+        return itertools.product(structure.interval(), repeat=2)
+
+    note = "defined sums of effects below p stay below p"
+    return law(
+        "omp_principal",
+        _omp_focus_cases(base, cfg, rng, effect_pairs, sample),
+        lambda pef: leq(pef[1][0] + pef[1][1], pef[0]),
+        defined_below,
+        witness=lambda pef: {"p": pef[0], "e": pef[1][0], "f": pef[1][1]},
+        note=note if finite else note + "; sampled",
     )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -1238,7 +942,6 @@ def theorem_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> 
     """
 
     cfg = cfg or CheckConfig()
-    structure = base.structure
     rep = Report(title="compression base theorems")
     rep.add(_zero_unit_clause(base))
     rep.add(_family_shape_clause(base, cfg))
@@ -1254,68 +957,51 @@ def theorem_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> 
 def _zero_unit_clause(base: CompressionBase) -> Clause:
     structure = base.structure
     carrier = structure.carrier
-    ok = base.contains_focus(structure.zero) and base.contains_focus(structure.unit)
-    if ok:
-        ok = endo_equal(structure, base.j(structure.zero), zero_endo(carrier))
-        witness = None if ok else {"focus": structure.zero}
-        if ok and not endo_equal(structure, base.j(structure.unit), identity_endo(carrier)):
-            ok = False
-            witness = {"focus": structure.unit}
-    else:
-        witness = {"missing": "zero or unit focus"}
-    return Clause(
+    bounded = base.contains_focus(structure.zero) and base.contains_focus(structure.unit)
+
+    def carries(focus_map):
+        if not bounded:
+            return {"missing": "zero or unit focus"}
+        return endo_equal(structure, base.j(focus_map[0]), focus_map[1])
+
+    return law(
         "zero_and_unit_maps",
-        PASS if ok else FAIL,
-        checked=2,
-        witness=None if ok else witness,
+        ((structure.zero, zero_endo(carrier)), (structure.unit, identity_endo(carrier))),
+        carries,
+        witness=lambda focus_map: {"focus": focus_map[0]},
         note="the zero focus carries the zero map, the unit focus the identity",
     )
+
+
+def _exact(base: CompressionBase) -> bool:
+    """Theorem sweeps decide their law only on declared finite bases."""
+
+    return base.structure.finite and base.foci is not None
 
 
 def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     """Idempotence, focus fixing, and complement killing for each member."""
 
     structure = base.structure
-    foci = _focus_stream(base, cfg, "theorem:family")
-    checked = 0
-    witness = None
-    for p in foci:
+
+    def shaped(p):
         j = base.j(p)
-        checked += 1
         if not endo_equal(structure, compose(j, j), j):
-            witness = {"focus": p, "law": "idempotent"}
-            break
+            return {"focus": p, "law": "idempotent"}
         if j.apply(p) != p:
-            witness = {"focus": p, "law": "fixes_focus"}
-            break
-        comp = structure.unit - p
-        if structure.finite:
-            bad = next(
-                (
-                    e
-                    for e in structure.interval()
-                    if structure.leq(e, comp) and j.apply(e) != structure.zero
-                ),
-                None,
-            )
-        else:
-            rng = cfg.rng("theorem:family:kill")
-            dim = structure.carrier.dim
-            bad = None
-            for _ in range(cfg.spot):
-                e = conjugate(comp, matrix_model.draw_effect(dim, rng))
-                if j.apply(e) != structure.zero:
-                    bad = e
-                    break
-        if bad is not None:
-            witness = {"focus": p, "law": "kills_complement", "effect": bad}
-            break
-    exact = structure.finite and base.foci is not None
-    return Clause(
+            return {"focus": p, "law": "fixes_focus"}
+        below = _effects_below(
+            structure, structure.unit - p, cfg, cfg.rng("theorem:family:kill")
+        )
+        bad = next((e for e in below if j.apply(e) != structure.zero), None)
+        return bad is None or {"focus": p, "law": "kills_complement", "effect": bad}
+
+    return law(
         "family_shape",
-        (PASS if exact else CERTIFIED) if witness is None else FAIL,
-        checked=checked,
-        witness=witness,
+        _focus_stream(base, cfg, "theorem:family"),
+        shaped,
+        exact=_exact(base),
+        tally=True,
         note="each member is idempotent, fixes its focus, kills below the complement",
     )
 
@@ -1325,53 +1011,51 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
     foci = _focus_stream(base, cfg, "theorem:kernel")
     budget = max(1, ceil(max(cfg.samples, 1) / max(len(foci), 1)))
     checked = 0
-    witness = None
-    for p in foci:
+
+    def exchanges(p):
+        nonlocal checked
         comp = base.complement(p)
         if not base.contains_focus(comp):
-            witness = {"focus": p, "reason": "complement escapes the base"}
-            break
+            return {"focus": p, "reason": "complement escapes the base"}
         res = kernel_complement_check(
             structure, base.j(p), base.j(comp), cfg, budget=budget
         )
         checked += res.checked
-        if not res.ok:
-            witness = {"focus": p, "witness": res.witness}
-            break
-    return Clause(
+        return res.ok or {"focus": p, "witness": res.witness}
+
+    clause = law(
         "kernel_complement_fixpoint",
-        (PASS if structure.finite else CERTIFIED) if witness is None else FAIL,
-        checked=checked,
-        witness=witness,
+        foci,
+        exchanges,
+        exact=_exact(base),
         note="J_p kills a positive exactly when J_{u-p} fixes it",
     )
+    clause.checked = checked
+    return clause
 
 
 def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
-    pairs = _pair_stream(base, cfg, "theorem:absorption")
-    checked = 0
-    witness = None
-    for p, q in pairs:
+
+    def conditions(pq) -> tuple:
+        p, q = pq
         jp = base.j(p)
         jq = base.j(q)
-        conds = (
+        return (
             structure.leq(q, p),
             endo_equal(structure, compose(jp, jq), jq),
             jp.apply(q) == q,
             endo_equal(structure, compose(jq, jp), jq),
             jq.apply(p) == q,
         )
-        checked += 1
-        if len(set(conds)) != 1:
-            witness = {"p": p, "q": q, "conditions": list(conds)}
-            break
-    exact = structure.finite and base.foci is not None
-    return Clause(
+
+    return law(
         "absorption_equivalences",
-        (PASS if exact else CERTIFIED) if witness is None else FAIL,
-        checked=checked,
-        witness=witness,
+        _pair_stream(base, cfg, "theorem:absorption"),
+        lambda pq: len(set(conditions(pq))) == 1,
+        witness=lambda pq: {"p": pq[0], "q": pq[1], "conditions": list(conditions(pq))},
+        exact=_exact(base),
+        tally=True,
         note="five conditions equivalent to q below p agree on every pair",
     )
 
@@ -1379,126 +1063,91 @@ def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
     foci = _focus_stream(base, cfg, "theorem:commutant")
-    checked = 0
-    witness = None
     if structure.finite:
-        box = structure.signed_universe(cfg.height_bound)
-        for p in foci:
-            for g in box:
-                res = commutant_absorption_check(base, p, g)
-                checked += 1
-                if not res.ok:
-                    witness = res.witness
-                    break
-            if witness is not None:
-                break
-        status = PASS if witness is None else FAIL
+        cases = itertools.product(foci, structure.signed_universe(cfg.height_bound))
     else:
         rng = cfg.rng("theorem:commutant:g")
         dim = structure.carrier.dim
         n = cfg.height_bound
         budget = max(1, ceil(max(cfg.samples, 1) / max(len(foci), 1)))
-        for p in foci:
+
+        def split(p, draw):
             comp = structure.unit - p
+            return conjugate(p, draw(dim, rng, n)) + conjugate(comp, draw(dim, rng, n))
+
+        def elements(p):
             for i in range(budget):
-                kind = i % 3
-                if kind == 0:
-                    g = matrix_model.draw_signed(dim, rng, n)
-                elif kind == 1:
-                    g = conjugate(p, matrix_model.draw_signed(dim, rng, n)) + conjugate(
-                        comp, matrix_model.draw_signed(dim, rng, n)
-                    )
+                if i % 3 == 0:
+                    yield matrix_model.draw_signed(dim, rng, n)
+                elif i % 3 == 1:
+                    yield split(p, matrix_model.draw_signed)
                 else:
-                    g = conjugate(p, matrix_model.draw_positive(dim, rng, n)) + conjugate(
-                        comp, matrix_model.draw_positive(dim, rng, n)
-                    )
-                res = commutant_absorption_check(base, p, g)
-                checked += 1
-                if not res.ok:
-                    witness = res.witness
-                    break
-            if witness is not None:
-                break
-        status = CERTIFIED if witness is None else FAIL
-    return Clause(
+                    yield split(p, matrix_model.draw_positive)
+
+        cases = ((p, g) for p in foci for g in elements(p))
+    return law(
         "commutant_absorption",
-        status,
-        checked=checked,
-        witness=witness,
+        cases,
+        lambda pg: commutant_absorption_check(base, *pg).witness or True,
         note="domination implies compatibility; compatible positives are dominated",
     )
 
 
 def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
-    structure = base.structure
-    pairs = _pair_stream(base, cfg, "theorem:battery")
-    checked = 0
-    witness = None
+    declared = base.foci is not None
     seen: dict = {}
-    for p, q in pairs:
+
+    def agrees(pq):
+        p, q = pq
         battery = compat_battery(base, p, q, cfg)
-        checked += 1
         if not battery.agree:
-            witness = {"p": p, "q": q, "conditions": battery.values}
-            break
-        if base.foci is not None:
-            seen[(p, q)] = battery.compatible
-        else:
-            back = compat_battery(base, q, p, cfg)
-            if back.compatible != battery.compatible:
-                witness = {"p": p, "q": q, "reason": "asymmetric"}
-                break
-    if witness is None and base.foci is not None:
-        for (p, q), value in seen.items():
-            if seen.get((q, p)) != value:
-                witness = {"p": p, "q": q, "reason": "asymmetric"}
-                break
-    exact = structure.finite and base.foci is not None
-    return Clause(
+            return {"p": p, "q": q, "conditions": battery.values}
+        if declared:
+            seen[pq] = battery.compatible
+            return True
+        return compat_battery(base, q, p, cfg).compatible == battery.compatible
+
+    clause = law(
         "battery_agreement",
-        (PASS if exact else CERTIFIED) if witness is None else FAIL,
-        checked=checked,
-        witness=witness,
+        _pair_stream(base, cfg, "theorem:battery"),
+        agrees,
+        witness=lambda pq: {"p": pq[0], "q": pq[1], "reason": "asymmetric"},
+        exact=_exact(base),
+        tally=True,
         note="all eight compatibility conditions agree, symmetrically",
     )
+    if clause.ok and declared:
+        mirror = next(((p, q) for (p, q), v in seen.items() if seen.get((q, p)) != v), None)
+        if mirror is not None:
+            clause.status = FAIL
+            clause.witness = {"p": mirror[0], "q": mirror[1], "reason": "asymmetric"}
+    return clause
 
 
 def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
     pairs = _pair_stream(base, cfg, "theorem:meet")
-    if base.foci is None:
+    if base.foci is not None:
+        lower_bounds = base.foci
+    else:
         pairs = pairs[: max(cfg.spot, cfg.samples // 4)]
-    checked = 0
-    witness = None
-    for p, q in pairs:
-        battery = compat_battery(base, p, q, cfg)
-        if not battery.compatible:
-            continue
-        checked += 1
+        lower_bounds = ()
+
+    def meets(pq):
+        p, q = pq
         try:
             r = meet(base, p, q, cfg)
         except (MeetUndefinedError, RuntimeError) as exc:
-            witness = {"p": p, "q": q, "error": str(exc)}
-            break
-        if base.foci is not None:
-            bad = next(
-                (
-                    s
-                    for s in base.foci
-                    if structure.leq(s, p)
-                    and structure.leq(s, q)
-                    and not structure.leq(s, r)
-                ),
-                None,
-            )
-            if bad is not None:
-                witness = {"p": p, "q": q, "lower_bound": bad}
-                break
-    exact = structure.finite and base.foci is not None
-    return Clause(
+            return {"p": p, "q": q, "error": str(exc)}
+        leq = structure.leq
+        bad = next((s for s in lower_bounds if leq(s, p) and leq(s, q) and not leq(s, r)), None)
+        return bad is None or {"p": p, "q": q, "lower_bound": bad}
+
+    return law(
         "compatible_meet",
-        (PASS if exact else CERTIFIED) if witness is None else FAIL,
-        checked=checked,
-        witness=witness,
+        pairs,
+        meets,
+        lambda pq: compat_battery(base, *pq, cfg).compatible,
+        exact=_exact(base),
         note="compatible pairs have J_p(q) as greatest lower bound",
     )

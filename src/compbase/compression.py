@@ -6,10 +6,12 @@ retraction is a compression when J(e) = 0 forces e <= u - p for effects e.
 A compression base assigns a compression to each member of a sub-effect
 algebra of foci, subject to a normality condition and a composition law.
 
-Finite lattice models are checked exhaustively.  On the matrix model the
-maps are conjugations g -> p g p; the facts that hold analytically for that
-form are recorded as certified and spot checked on seeded samples, while
-genuinely refutable claims are searched for counterexamples.
+Each law is stated once, as a law() over a universe of cases chosen from
+the structure: the exhaustive interval, height box or declared foci of a
+finite model, or seeded samples on the matrix model, whose maps are
+conjugations g -> p g p.  An exhaustive universe decides its law (pass); a
+sampled one spot checks a fact that holds analytically for that form
+(certified) or searches a refutable claim for a counterexample.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .models import (
     identity_endo,
     zero_endo,
 )
-from .reporting import CERTIFIED, FAIL, PASS, CheckResult, Clause, Report
+from .reporting import CERTIFIED, PASS, CheckResult, Clause, Report, Sample, law
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +57,7 @@ class RetractionCertificate:
     structure: Any
     endo: Endomorphism
     focus: Any
-    checks: tuple[tuple[str, CheckResult], ...]
+    checks: tuple[tuple[str, Clause], ...]
 
     @property
     def valid(self) -> bool:
@@ -63,8 +65,8 @@ class RetractionCertificate:
 
     def report(self) -> Report:
         rep = Report(title="retraction laws")
-        for name, res in self.checks:
-            rep.add(res.as_clause(name))
+        for _, clause in self.checks:
+            rep.add(clause)
         return rep
 
     def jsonable(self):
@@ -82,227 +84,135 @@ def retraction_certificate(
     cfg: Optional[CheckConfig] = None,
     declared_focus=None,
 ) -> RetractionCertificate:
+    """Check the retraction laws of one map; the clauses become its checks.
+
+    Finite structures sweep the interval, which generates the positives;
+    on the matrix model the map must be conjugation by a stored projection
+    and the order and fixing laws are spot checked on samples.
+    """
+
     cfg = cfg or CheckConfig()
-    if structure.finite:
-        checks = _retraction_checks_finite(structure, endo)
-    else:
-        checks = _retraction_checks_matrix(structure, endo, cfg)
+    finite = structure.finite
     focus = endo.apply(structure.unit)
+    clauses = [] if finite else _conjugator_clauses(structure, endo)
+    clauses.append(Clause("additive", CERTIFIED, note="map is linear by representation"))
+    if finite:
+        positives = structure.interval()
+        below = _effects_below(structure, focus, cfg, None)
+        notes = ("checked on the interval, which generates the positives", "")
+    else:
+        rng = cfg.rng("retraction")
+        dim = structure.carrier.dim
+        positives = Sample(
+            cfg.spot, lambda: matrix_model.draw_positive(dim, rng, cfg.height_bound)
+        )
+        below = _effects_below(structure, endo.conjugator, cfg, rng)
+        notes = (
+            "conjugation preserves psd; spot checked",
+            "effects below a projection are fixed by its conjugation; spot checked",
+        )
+    clauses += [
+        law(
+            "order_preserving",
+            positives,
+            lambda g: structure.is_positive(endo.apply(g)),
+            witness="effect" if finite else "positive",
+            note=notes[0],
+        ),
+        law(
+            "focus_in_interval",
+            (focus,),
+            lambda f: (not finite or structure.is_member(f)) and _is_effect(structure, f),
+            witness="focus",
+        ),
+        law(
+            "fixes_below_focus",
+            below,
+            lambda e: endo.apply(e) == e,
+            witness="effect",
+            checked=len(positives),
+            note=notes[1],
+        ),
+    ]
     if declared_focus is not None:
-        checks.append(
-            (
+        clauses.append(
+            law(
                 "declared_focus_matches",
-                CheckResult(
-                    focus == declared_focus,
-                    witness=None
-                    if focus == declared_focus
-                    else {"declared": declared_focus, "actual": focus},
-                    checked=1,
-                ),
+                (focus,),
+                lambda f: f == declared_focus,
+                witness=lambda f: {"declared": declared_focus, "actual": f},
             )
         )
-    return RetractionCertificate(structure, endo, focus, tuple(checks))
+    checks = tuple((c.name, c) for c in clauses)
+    return RetractionCertificate(structure, endo, focus, checks)
 
 
-def _retraction_checks_finite(structure, endo: Endomorphism):
-    interval = structure.interval()
-    focus = endo.apply(structure.unit)
-    checks = [
-        (
-            "additive",
-            CheckResult(True, certified=True, note="map is linear by representation"),
-        )
-    ]
-
-    witness = next(
-        (e for e in interval if not structure.is_positive(endo.apply(e))), None
-    )
-    checks.append(
-        (
-            "order_preserving",
-            CheckResult(
-                witness is None,
-                witness=None if witness is None else {"effect": witness},
-                checked=len(interval),
-                note="checked on the interval, which generates the positives",
-            ),
-        )
-    )
-
-    focus_ok = (
-        structure.is_member(focus)
-        and structure.is_positive(focus)
-        and structure.leq(focus, structure.unit)
-    )
-    checks.append(
-        (
-            "focus_in_interval",
-            CheckResult(
-                focus_ok,
-                witness=None if focus_ok else {"focus": focus},
-                checked=1,
-            ),
-        )
-    )
-
-    witness = next(
-        (
-            e
-            for e in interval
-            if structure.leq(e, focus) and endo.apply(e) != e
-        ),
-        None,
-    )
-    checks.append(
-        (
-            "fixes_below_focus",
-            CheckResult(
-                witness is None,
-                witness=None if witness is None else {"effect": witness},
-                checked=len(interval),
-            ),
-        )
-    )
-    return checks
-
-
-def _retraction_checks_matrix(structure, endo: Endomorphism, cfg: CheckConfig):
+def _conjugator_clauses(structure, endo: Endomorphism) -> list:
     p = endo.conjugator
     if p is None:
         raise ValueError(
             "matrix-model retraction checks need the conjugation form of the map"
         )
-    carrier = structure.carrier
-    dim = carrier.dim
-    rng = cfg.rng("retraction")
-    spot = cfg.spot
-    unit = structure.unit
-
-    checks = [
-        (
-            "conjugator_idempotent",
-            CheckResult(
-                matrix_model.is_projection(p),
-                witness=None if matrix_model.is_projection(p) else {"conjugator": p},
-                checked=1,
-            ),
-        ),
-        (
+    return [
+        law("conjugator_idempotent", (p,), matrix_model.is_projection, witness="conjugator"),
+        law(
             "matrix_matches_conjugator",
-            CheckResult(
-                endo.matrix == conjugation_endo(carrier, p).matrix,
-                checked=1,
-                note="stored matrix agrees with conjugation by the stored projection",
-            ),
-        ),
-        (
-            "additive",
-            CheckResult(True, certified=True, note="map is linear by representation"),
+            (endo.matrix,),
+            lambda m: m == conjugation_endo(structure.carrier, p).matrix,
+            witness=lambda m: None,
+            note="stored matrix agrees with conjugation by the stored projection",
         ),
     ]
 
-    witness = None
-    for _ in range(spot):
-        g = matrix_model.draw_positive(dim, rng, cfg.height_bound)
-        if not structure.is_positive(endo.apply(g)):
-            witness = {"positive": g}
-            break
-    checks.append(
-        (
-            "order_preserving",
-            CheckResult(
-                witness is None,
-                witness=witness,
-                checked=spot,
-                certified=witness is None,
-                note="conjugation preserves psd; spot checked",
-            ),
-        )
-    )
 
-    focus = endo.apply(unit)
-    focus_ok = structure.is_positive(focus) and structure.leq(focus, unit)
-    checks.append(
-        (
-            "focus_in_interval",
-            CheckResult(
-                focus_ok,
-                witness=None if focus_ok else {"focus": focus},
-                checked=1,
-            ),
-        )
-    )
+def _is_effect(structure, x) -> bool:
+    return structure.is_positive(x) and structure.leq(x, structure.unit)
 
-    witness = None
-    for _ in range(spot):
-        e = conjugate(p, matrix_model.draw_effect(dim, rng))
-        if endo.apply(e) != e:
-            witness = {"effect": e}
-            break
-    checks.append(
-        (
-            "fixes_below_focus",
-            CheckResult(
-                witness is None,
-                witness=witness,
-                checked=spot,
-                certified=witness is None,
-                note="effects below a projection are fixed by its conjugation; spot checked",
-            ),
-        )
-    )
-    return checks
+
+def _effects_below(structure, p, cfg: CheckConfig, rng):
+    """Effects below p: filtered from the interval, or cfg.spot samples p e p."""
+
+    if structure.finite:
+        return [e for e in structure.interval() if structure.leq(e, p)]
+    dim = structure.carrier.dim
+    return Sample(cfg.spot, lambda: conjugate(p, matrix_model.draw_effect(dim, rng)))
 
 
 def is_compression(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> CheckResult:
-    """Does J(e) = 0 force e <= u - focus, for effects e?"""
+    """Does J(e) = 0 force e <= u - focus, for effects e?
+
+    Finite structures sweep the interval.  The matrix universe alternates
+    effects supported under u - p, which must be killed, with generic ones.
+    """
 
     cfg = cfg or CheckConfig()
     unit = structure.unit
-    focus = endo.apply(unit)
-    comp = unit - focus
+    comp = unit - endo.apply(unit)
+
+    def holds(case) -> bool:
+        e, in_kernel = case
+        killed = endo.apply(e) == structure.zero
+        if in_kernel:
+            return killed and structure.leq(e, comp)
+        return not killed or structure.leq(e, comp)
 
     if structure.finite:
-        interval = structure.interval()
-        witness = next(
-            (
-                e
-                for e in interval
-                if endo.apply(e) == structure.zero and not structure.leq(e, comp)
-            ),
-            None,
-        )
-        return CheckResult(
-            witness is None,
-            witness=None if witness is None else {"effect": witness},
-            checked=len(interval),
-        )
+        cases, note = [(e, False) for e in structure.interval()], ""
+    else:
+        if endo.conjugator is None:
+            raise ValueError("matrix-model compression check needs the conjugation form")
+        dim = structure.carrier.dim
+        rng = cfg.rng("compression")
 
-    p = endo.conjugator
-    if p is None:
-        raise ValueError("matrix-model compression check needs the conjugation form")
-    dim = structure.carrier.dim
-    rng = cfg.rng("compression")
-    witness = None
-    checked = 0
-    for _ in range(cfg.spot):
-        # Effects supported under u - p are exactly the kernel of the map.
-        e = conjugate(comp, matrix_model.draw_effect(dim, rng))
-        checked += 1
-        if endo.apply(e) != structure.zero or not structure.leq(e, comp):
-            witness = {"effect": e}
-            break
-        e = structure.project(matrix_model.draw_effect(dim, rng))
-        checked += 1
-        if endo.apply(e) == structure.zero and not structure.leq(e, comp):
-            witness = {"effect": e}
-            break
-    return CheckResult(
-        witness is None,
-        witness=witness,
-        checked=checked,
-        certified=witness is None,
-        note="p e p = 0 forces e below u - p for effects; spot checked",
+        def kernel_then_generic():
+            for _ in range(cfg.spot):
+                yield conjugate(comp, matrix_model.draw_effect(dim, rng)), True
+                yield structure.project(matrix_model.draw_effect(dim, rng)), False
+
+        cases = kernel_then_generic()
+        note = "p e p = 0 forces e below u - p for effects; spot checked"
+    return CheckResult.of(
+        law("compression", cases, holds, witness=lambda c: {"effect": c[0]}, note=note)
     )
 
 
@@ -311,29 +221,21 @@ def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) 
 
     cfg = cfg or CheckConfig()
     if structure.finite:
-        interval = structure.interval()
-        witness = next(
-            (e for e in interval if not structure.leq(endo.apply(e), e)), None
+        probes, note = structure.interval(), ""
+    else:
+        dim = structure.carrier.dim
+        rng = cfg.rng("direct")
+        probes = list(_direct_probes(dim))
+        probes += [matrix_model.draw_effect(dim, rng) for _ in range(cfg.samples)]
+        note = "searched basis-aligned and sampled effects for a violation"
+    return CheckResult.of(
+        law(
+            "direct",
+            probes,
+            lambda e: structure.leq(endo.apply(e), e),
+            witness="effect",
+            note=note,
         )
-        return CheckResult(
-            witness is None,
-            witness=None if witness is None else {"effect": witness},
-            checked=len(interval),
-        )
-
-    dim = structure.carrier.dim
-    rng = cfg.rng("direct")
-    probes = list(_direct_probes(dim))
-    for _ in range(cfg.samples):
-        probes.append(matrix_model.draw_effect(dim, rng))
-    witness = next(
-        (e for e in probes if not structure.leq(endo.apply(e), e)), None
-    )
-    return CheckResult(
-        witness is None,
-        witness=None if witness is None else {"effect": witness},
-        checked=len(probes),
-        note="searched basis-aligned and sampled effects for a violation",
     )
 
 
@@ -377,24 +279,18 @@ def kernel_complement_check(
     cfg = cfg or CheckConfig()
     zero = structure.zero
 
-    def holds(g) -> Optional[str]:
+    def holds(g):
         jg = j.apply(g)
         kg = j_comp.apply(g)
         if (kg == g) != (jg == zero):
-            return "fixed_by_complement_vs_killed"
+            return {"positive": g, "direction": "fixed_by_complement_vs_killed"}
         if (kg == zero) != (jg == g):
-            return "killed_by_complement_vs_fixed"
-        return None
+            return {"positive": g, "direction": "killed_by_complement_vs_fixed"}
+        return True
 
     if structure.finite:
         box = structure.positive_universe(cfg.height_bound)
-        for g in box:
-            side = holds(g)
-            if side is not None:
-                return CheckResult(
-                    False, witness={"positive": g, "direction": side}, checked=len(box)
-                )
-        return CheckResult(True, checked=len(box))
+        return CheckResult.of(law("kernel_complement", box, holds))
 
     p = j.conjugator
     q = j_comp.conjugator
@@ -402,29 +298,21 @@ def kernel_complement_check(
         raise ValueError("matrix-model kernel checks need conjugation forms")
     dim = structure.carrier.dim
     rng = cfg.rng("kernel_complement")
-    n = budget if budget is not None else cfg.spot
-    analytic = p + q == structure.unit
-    checked = 0
-    for i in range(n):
-        raw = matrix_model.draw_positive(dim, rng, cfg.height_bound)
-        if i % 3 == 1:
-            g = conjugate(q, raw)
-        elif i % 3 == 2:
-            g = conjugate(p, raw)
-        else:
-            g = structure.project(raw)
-        checked += 1
-        side = holds(g)
-        if side is not None:
-            return CheckResult(
-                False, witness={"positive": g, "direction": side}, checked=checked
-            )
-    return CheckResult(
-        True,
-        checked=checked,
-        certified=analytic,
-        note="kernel and range of complementary conjugations exchange; sampled",
-    )
+
+    def positives():
+        for i in range(budget if budget is not None else cfg.spot):
+            raw = matrix_model.draw_positive(dim, rng, cfg.height_bound)
+            if i % 3 == 1:
+                yield conjugate(q, raw)
+            elif i % 3 == 2:
+                yield conjugate(p, raw)
+            else:
+                yield structure.project(raw)
+
+    res = law("kernel_complement", positives(), holds, exact=p + q != structure.unit)
+    if res.ok:
+        res.note = "kernel and range of complementary conjugations exchange; sampled"
+    return CheckResult.of(res)
 
 
 # ---------------------------------------------------------------------------
@@ -497,73 +385,44 @@ def compressible_group_report(
     """
 
     cfg = cfg or CheckConfig()
-    rep = Report(title="compressible group laws")
     certs = enumerate_retractions(model, cfg)
-    rep.add(
+    seen: set = set()
+
+    def first_with_focus(c) -> bool:
+        fresh = c.focus not in seen
+        seen.add(c.focus)
+        return fresh
+
+    def compressive(c):
+        res = is_compression(model, c.endo, cfg)
+        return res.ok or {"focus": c.focus, "witness": res.witness}
+
+    def has_partner(c) -> bool:
+        return any(kernel_complement_check(model, c.endo, d.endo, cfg).ok for d in certs)
+
+    def at_focus(c):
+        return {"focus": c.focus}
+
+    clauses = [
         Clause(
             "retraction_census",
             PASS,
             checked=len(certs),
             note=f"{len(certs)} retractions",
             items=[{"focus": c.focus, "matrix": c.endo} for c in certs],
-        )
-    )
-
-    by_focus: dict = {}
-    collision = None
-    for c in certs:
-        if c.focus in by_focus and collision is None:
-            collision = {"focus": c.focus}
-        by_focus.setdefault(c.focus, c)
-    rep.add(
-        Clause(
-            "unique_retraction_per_focus",
-            PASS if collision is None else FAIL,
-            checked=len(certs),
-            witness=collision,
-        )
-    )
-
-    witness = None
-    for c in certs:
-        res = is_compression(model, c.endo, cfg)
-        if not res.ok:
-            witness = {"focus": c.focus, "witness": res.witness}
-            break
-    rep.add(
-        Clause(
-            "every_retraction_compressive",
-            PASS if witness is None else FAIL,
-            checked=len(certs),
-            witness=witness,
-        )
-    )
-
-    witness = None
-    checked = 0
-    for c in certs:
-        partner = next(
-            (
-                d
-                for d in certs
-                if kernel_complement_check(model, c.endo, d.endo, cfg).ok
-            ),
-            None,
-        )
-        checked += 1
-        if partner is None:
-            witness = {"focus": c.focus}
-            break
-    rep.add(
-        Clause(
+        ),
+        law("unique_retraction_per_focus", certs, first_with_focus, witness=at_focus),
+        law("every_retraction_compressive", certs, compressive),
+        law(
             "complementary_retraction_exists",
-            PASS if witness is None else FAIL,
-            checked=checked,
-            witness=witness,
+            certs,
+            has_partner,
+            witness=at_focus,
+            tally=True,
             note=f"kernel exchange swept on the height-{cfg.height_bound} positive box",
-        )
-    )
-    return rep
+        ),
+    ]
+    return Report("compressible group laws", clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -689,24 +548,22 @@ def validate_compression_base(
 def _intensional_closure_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     dim = base.structure.carrier.dim
     rng = cfg.rng("base:closure")
-    witness = None
-    for _ in range(cfg.spot):
+
+    def orthogonal_pair():
         frame = matrix_model.cayley_orthogonal(dim, rng)
         bits_p = [rng.randint(0, 1) for _ in range(dim)]
         bits_q = [0 if bp else rng.randint(0, 1) for bp in bits_p]
-        p = matrix_model.projection_from_mask(frame, bits_p)
-        q = matrix_model.projection_from_mask(frame, bits_q)
-        if not (
-            base.contains_focus(base.complement(p))
-            and base.contains_focus(p + q)
-        ):
-            witness = {"p": p, "q": q}
-            break
-    return Clause(
+        return tuple(matrix_model.projection_from_mask(frame, b) for b in (bits_p, bits_q))
+
+    def closed(pq) -> bool:
+        p, q = pq
+        return base.contains_focus(base.complement(p)) and base.contains_focus(p + q)
+
+    return law(
         "foci_sub_effect_algebra",
-        CERTIFIED if witness is None else FAIL,
-        checked=cfg.spot,
-        witness=witness,
+        Sample(cfg.spot, orthogonal_pair),
+        closed,
+        witness=("p", "q"),
         note="projections close under orthosupplement and orthogonal sum; spot checked",
     )
 
@@ -723,150 +580,120 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
     dim = structure.carrier.dim
     rng = cfg.rng("base:normality")
-    unit = structure.unit
+    pool = None if base.intensional else list(base.foci)
 
-    def members():
-        if base.intensional:
-            while True:
-                yield matrix_model.draw_projection(dim, rng)
-        else:
-            pool = list(base.foci)
-            while True:
-                yield pool[rng.randrange(len(pool))]
+    def member():
+        if pool is None:
+            return matrix_model.draw_projection(dim, rng)
+        return pool[rng.randrange(len(pool))]
 
-    gen = members()
-    checked = 0
-    witness = None
-    budget = max(cfg.samples, 1)
-    for i in range(budget):
-        m1 = next(gen)
-        m2 = next(gen)
-        if i % 5 == 0:
-            # Premise holds with d a focus whenever m1 <= m2; the condition
-            # must then confirm membership rather than refute it.
-            d = m1
-        elif i % 2 == 0:
-            # Candidate pinched below m1; escapes the base unless forced back.
-            d = conjugate(m1, matrix_model.draw_effect(dim, rng))
-        else:
-            d = conjugate(m1, conjugate(m2, matrix_model.draw_effect(dim, rng)))
+    def triples():
+        for i in range(max(cfg.samples, 1)):
+            m1 = member()
+            m2 = member()
+            if i % 5 == 0:
+                # Premise holds with d a focus whenever m1 <= m2; the condition
+                # must then confirm membership rather than refute it.
+                d = m1
+            elif i % 2 == 0:
+                # Candidate pinched below m1; escapes the base unless forced back.
+                d = conjugate(m1, matrix_model.draw_effect(dim, rng))
+            else:
+                d = conjugate(m1, conjugate(m2, matrix_model.draw_effect(dim, rng)))
+            yield d, m1, m2
+
+    def premise(case) -> bool:
+        d, m1, m2 = case
         e = m1 - d
         f = m2 - d
-        if not (structure.is_positive(e) and structure.is_positive(f)):
-            continue
-        if not structure.leq(e + f + d, unit):
-            continue
-        checked += 1
-        if not base.contains_focus(d):
-            witness = {"d": d, "m1": m1, "m2": m2}
-            break
-    return Clause(
+        return (
+            structure.is_positive(e)
+            and structure.is_positive(f)
+            and structure.leq(e + f + d, structure.unit)
+        )
+
+    clause = law(
         "foci_normal_subalgebra",
-        (CERTIFIED if witness is None else FAIL),
-        checked=checked,
-        witness=witness,
-        note="randomized search over premise-satisfying triples found no escape"
-        if witness is None
-        else "normality violated",
+        triples(),
+        lambda case: base.contains_focus(case[0]),
+        premise,
+        witness=("d", "m1", "m2"),
+        note="randomized search over premise-satisfying triples found no escape",
     )
+    if not clause.ok:
+        clause.note = "normality violated"
+    return clause
 
 
 def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
 
-    def examine(p):
+    def compression_at(p):
         cert = retraction_certificate(structure, base.j(p), cfg, declared_focus=p)
-        if not cert.valid:
-            bad = next(name for name, res in cert.checks if not res.ok)
-            return {"focus": p, "check": bad, "witness": dict(cert.checks)[bad].witness}
+        bad = next((c for _, c in cert.checks if not c.ok), None)
+        if bad is not None:
+            return {"focus": p, "check": bad.name, "witness": bad.witness}
         comp = is_compression(structure, base.j(p), cfg)
-        if not comp.ok:
-            return {"focus": p, "check": "compression", "witness": comp.witness}
-        return None
+        return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
 
     if base.intensional:
         dim = structure.carrier.dim
         rng = cfg.rng("base:family")
-        witness = None
-        for _ in range(cfg.spot):
-            p = matrix_model.draw_projection(dim, rng)
-            witness = examine(p)
-            if witness is not None:
-                break
-        return Clause(
-            "family_member_compression",
-            CERTIFIED if witness is None else FAIL,
-            checked=cfg.spot,
-            witness=witness,
-            note="conjugation by a projection is a compression with that focus; sampled",
-        )
-
-    witness = None
-    for p in base.foci:
-        witness = examine(p)
-        if witness is not None:
-            break
-    return Clause(
-        "family_member_compression",
-        PASS if witness is None else FAIL,
-        checked=len(base.foci),
-        witness=witness,
-    )
+        foci = Sample(cfg.spot, lambda: matrix_model.draw_projection(dim, rng))
+        note = "conjugation by a projection is a compression with that focus; sampled"
+    else:
+        foci, note = base.foci, ""
+    return law("family_member_compression", foci, compression_at, note=note)
 
 
 def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+    """J_{p+r} after J_{q+r} is J_r for orthogonal p, q, r.
+
+    Declared bases sweep every focus triple with p + q + r below the unit
+    and list the first triples checked; an intensional base samples
+    orthogonal triples of projections in random frames.
+    """
+
     structure = base.structure
-    leq = structure.leq
-    unit = structure.unit
+    rows: list = []
+
+    def holds(pqr):
+        p, q, r = pqr
+        if not (base.contains_focus(p + r) and base.contains_focus(q + r)):
+            return {"p": p, "q": q, "r": r, "reason": "sum escapes the base"}
+        ok = _composition_holds(base, structure, p, q, r)
+        rows.append({"p": p, "q": q, "r": r, "ok": ok})
+        return ok
 
     if base.intensional:
         dim = structure.carrier.dim
         rng = cfg.rng("base:composition")
-        witness = None
-        checked = 0
-        for _ in range(cfg.spot):
+
+        def orthogonal_triple():
             frame = matrix_model.cayley_orthogonal(dim, rng)
             slots = [rng.randint(0, 2) for _ in range(dim)]
             masks = [[1 if s == k else 0 for s in slots] for k in range(3)]
-            p, q, r = (matrix_model.projection_from_mask(frame, m) for m in masks)
-            checked += 1
-            if not _composition_holds(base, structure, p, q, r):
-                witness = {"p": p, "q": q, "r": r}
-                break
-        return Clause(
+            return tuple(matrix_model.projection_from_mask(frame, m) for m in masks)
+
+        return law(
             "composition_law",
-            CERTIFIED if witness is None else FAIL,
-            checked=checked,
-            witness=witness,
+            Sample(cfg.spot, orthogonal_triple),
+            holds,
+            witness=("p", "q", "r"),
+            tally=True,
             note="sampled orthogonal triples in random frames",
         )
 
-    items: list | None = []
-    witness = None
-    checked = 0
-    for p, q, r in itertools.product(base.foci, repeat=3):
-        if not leq(p + q + r, unit):
-            continue
-        checked += 1
-        if not (base.contains_focus(p + r) and base.contains_focus(q + r)):
-            witness = {"p": p, "q": q, "r": r, "reason": "sum escapes the base"}
-            break
-        ok = _composition_holds(base, structure, p, q, r)
-        if items is not None:
-            items.append({"p": p, "q": q, "r": r, "ok": ok})
-            if len(items) > 24:
-                items = None
-        if not ok:
-            witness = {"p": p, "q": q, "r": r}
-            break
-    return Clause(
+    clause = law(
         "composition_law",
-        PASS if witness is None else FAIL,
-        checked=checked,
-        witness=witness,
-        items=items,
+        itertools.product(base.foci, repeat=3),
+        holds,
+        lambda pqr: structure.leq(pqr[0] + pqr[1] + pqr[2], structure.unit),
+        witness=("p", "q", "r"),
         note="all focus triples with p + q + r below the unit",
     )
+    clause.items = rows if len(rows) <= 24 else None
+    return clause
 
 
 def _composition_holds(base: CompressionBase, structure, p, q, r) -> bool:
@@ -900,15 +727,8 @@ def direct_compression_base(
 
     algebra = EffectAlgebra(model)
     central = center(algebra)
-    witness = next((c.focus for c in direct if c.focus not in central), None)
-    rep.add(
-        Clause(
-            "direct_foci_central",
-            PASS if witness is None else FAIL,
-            checked=len(direct),
-            witness=None if witness is None else {"focus": witness},
-        )
-    )
+    foci = [c.focus for c in direct]
+    rep.add(law("direct_foci_central", foci, lambda p: p in central, witness="focus"))
 
     base = base_from_family(model, [(c.focus, c.endo) for c in direct])
     rep.extend(validate_compression_base(base, cfg))

@@ -2,10 +2,12 @@
 
 Two carriers are supported. A lattice-cone model is Z^dim ordered by an
 integer constraint cone (g >= 0 iff every cone row pairs nonnegatively with
-g); its unit interval is enumerated exactly by interval propagation over the
-defining inequalities. A matrix model is the space of symmetric rational
-d x d matrices ordered by positive semidefiniteness, with the identity as
-order unit; its interval is infinite and sweeps fall back to seeded samplers.
+g); its unit interval and height boxes are enumerated exactly inside a
+coordinate box bounded by inverting independent cone rows and tightened by
+interval propagation over the defining inequalities. A matrix model is the
+space of symmetric rational d x d matrices ordered by positive
+semidefiniteness, with the identity as order unit; its interval is infinite
+and sweeps fall back to seeded samplers.
 
 Endomorphisms are stored uniformly as exact rational matrices acting on a
 vectorization of the carrier, so composition is matrix product and map
@@ -25,7 +27,7 @@ from typing import ClassVar
 from . import linalg, matrix_model
 from .config import CheckConfig
 from .elements import SymMat, Vec, conjugate
-from .reporting import CERTIFIED, FAIL, PASS, Clause, Report
+from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, law
 
 
 class NotEnumerableError(ValueError):
@@ -47,17 +49,19 @@ def _dot(row, coords) -> int:
 def integer_points(rows, rhs, dim: int) -> list[tuple[int, ...]]:
     """All integer points x with row_i . x >= rhs_i, in lexicographic order.
 
-    Box bounds per coordinate are derived by exact interval propagation over
-    the inequalities. If some coordinate never acquires both bounds the
-    solution set is (or cannot be shown to be) finite and
+    Box bounds per coordinate are seeded from two-sided constraints (see
+    _seed_box) and tightened by exact interval propagation over the
+    inequalities. If some coordinate never acquires both bounds the
+    solution set is (or cannot be shown to be) infinite and
     UnboundedIntervalError is raised.
     """
     for r, b in zip(rows, rhs):
         if not any(r) and b > 0:
             return []
     cons = [(tuple(r), b) for r, b in zip(rows, rhs) if any(r)]
-    lo: list[int | None] = [None] * dim
-    hi: list[int | None] = [None] * dim
+    lo, hi = _seed_box(cons, dim)
+    if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
+        return []
     for _ in range(_PROPAGATION_ROUNDS):
         changed = False
         for a, b in cons:
@@ -103,6 +107,40 @@ def integer_points(rows, rhs, dim: int) -> list[tuple[int, ...]]:
         if all(_dot(a, pt) >= b for a, b in cons):
             out.append(pt)
     return out
+
+
+def _seed_box(cons, dim: int) -> tuple[list, list]:
+    """Coordinate bounds implied by dim independent bands lo <= a . x <= hi.
+
+    A band is a row a constrained from both sides (a . x >= lo and
+    -a . x >= -hi).  For a matrix A of dim independent band rows, x is
+    A^-1 y with each y_i in [lo_i, hi_i], so x_j lies between the sums of
+    the smaller and of the larger products (A^-1)_ji * y_i.  Propagation
+    alone never starts when every row has two or more nonzero entries;
+    these bounds give it a start.  Fewer than dim independent bands (a cone
+    that is not pointed) leave every bound open.
+    """
+    floor: dict = {}
+    for a, b in cons:
+        floor[a] = max(b, floor.get(a, b))
+    bands: list = []
+    for a in floor:
+        neg = tuple(-x for x in a)
+        cand = bands + [a]
+        if neg in floor and linalg.rank(linalg.mat(cand)) == len(cand):
+            bands.append(a)
+        if len(bands) == dim:
+            break
+    if len(bands) < dim:
+        return [None] * dim, [None] * dim
+    inv = linalg.invert(linalg.mat(bands))
+    ranges = [(floor[a], -floor[tuple(-x for x in a)]) for a in bands]
+    lo, hi = [], []
+    for row in inv:
+        ends = [(c * y_lo, c * y_hi) for c, (y_lo, y_hi) in zip(row, ranges)]
+        lo.append(math.ceil(sum(min(e) for e in ends)))
+        hi.append(math.floor(sum(max(e) for e in ends)))
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -151,13 +189,13 @@ class LatticeConeModel:
         return self.is_positive(b - a)
 
     def interval(self) -> tuple[Vec, ...]:
-        return _lattice_interval(self)
+        return _lattice_interval(self, 0, 1)
 
     def positive_universe(self, n: int) -> tuple[Vec, ...]:
-        return _lattice_positive_universe(self, n)
+        return _lattice_interval(self, 0, n)
 
     def signed_universe(self, n: int) -> tuple[Vec, ...]:
-        return _lattice_signed_universe(self, n)
+        return _lattice_interval(self, -n, n)
 
     # endomorphisms act on the coordinates themselves
     @property
@@ -177,38 +215,19 @@ class LatticeConeModel:
 
 
 @lru_cache(maxsize=None)
-def _lattice_interval(model: LatticeConeModel) -> tuple[Vec, ...]:
+def _lattice_interval(model: LatticeConeModel, lo: int, hi: int) -> tuple[Vec, ...]:
+    """Points x with lo * (row . u) <= row . x <= hi * (row . u) for every cone row.
+
+    (0, 1) is the unit interval, (0, n) the positive height-n box and
+    (-n, n) the signed one.
+    """
     rows, rhs = [], []
     for row in model.cone_rows:
+        at_unit = _dot(row, model.unit.coords)
         rows.append(row)
-        rhs.append(0)
+        rhs.append(lo * at_unit)
         rows.append(tuple(-a for a in row))
-        rhs.append(-_dot(row, model.unit.coords))
-    return tuple(Vec(p) for p in integer_points(rows, rhs, model.dim))
-
-
-@lru_cache(maxsize=None)
-def _lattice_positive_universe(model: LatticeConeModel, n: int) -> tuple[Vec, ...]:
-    top = model.unit.scale(n)
-    rows, rhs = [], []
-    for row in model.cone_rows:
-        rows.append(row)
-        rhs.append(0)
-        rows.append(tuple(-a for a in row))
-        rhs.append(-_dot(row, top.coords))
-    return tuple(Vec(p) for p in integer_points(rows, rhs, model.dim))
-
-
-@lru_cache(maxsize=None)
-def _lattice_signed_universe(model: LatticeConeModel, n: int) -> tuple[Vec, ...]:
-    top = model.unit.scale(n)
-    rows, rhs = [], []
-    for row in model.cone_rows:
-        bound = _dot(row, top.coords)
-        rows.append(row)
-        rhs.append(-bound)
-        rows.append(tuple(-a for a in row))
-        rhs.append(-bound)
+        rhs.append(-hi * at_unit)
     return tuple(Vec(p) for p in integer_points(rows, rhs, model.dim))
 
 
@@ -449,17 +468,7 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
             )
         )
 
-    unit_ok = structure.is_positive(structure.unit) and (
-        not structure.unit.is_zero() or structure.is_trivial
-    )
-    rep.add(
-        Clause(
-            "unit_positive_nonzero",
-            PASS if unit_ok else FAIL,
-            checked=1,
-            witness=None if unit_ok else {"unit": structure.unit},
-        )
-    )
+    rep.add(_unit_clause(structure))
 
     try:
         interval = structure.interval()
@@ -492,6 +501,15 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
         )
     )
     return rep
+
+
+def _unit_clause(structure) -> Clause:
+    return law(
+        "unit_positive_nonzero",
+        (structure.unit,),
+        lambda u: structure.is_positive(u) and (not u.is_zero() or structure.is_trivial),
+        witness="unit",
+    )
 
 
 def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
@@ -539,19 +557,12 @@ def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
 
 def _directedness_bounded(structure, n: int, rep: Report) -> None:
     top = structure.unit.scale(n)
-    witness = None
-    box = structure.signed_universe(n)
-    for g in box:
-        bound = top - g
-        if not (structure.is_positive(bound) and structure.is_member(bound)):
-            witness = {"element": g}
-            break
     rep.add(
-        Clause(
+        law(
             "unit_order_unit",
-            PASS if witness is None else FAIL,
-            checked=len(box),
-            witness=witness,
+            structure.signed_universe(n),
+            lambda g: structure.is_positive(top - g) and structure.is_member(top - g),
+            witness="element",
             note=f"checked on the signed height-{n} box",
         )
     )
@@ -579,98 +590,60 @@ def _sumset_covers(structure, bound: int):
 
 
 def _validate_matrix(structure, cfg: CheckConfig) -> Report:
-    rep = Report(title="unital group axioms")
     rng = cfg.rng()
     dim = structure.carrier.dim
     spot = cfg.spot
     n = cfg.height_bound
 
-    ti_witness = None
-    for _ in range(spot):
-        a = structure.project(matrix_model.draw_signed(dim, rng, n))
-        b = a + structure.project(matrix_model.draw_positive(dim, rng, n))
-        k = structure.project(matrix_model.draw_signed(dim, rng, n))
-        if not structure.leq(a + k, b + k):
-            ti_witness = {"a": a, "b": b, "k": k}
-            break
-    rep.add(
-        Clause(
-            "order_translation_invariant",
-            CERTIFIED if ti_witness is None else FAIL,
-            checked=spot,
-            witness=ti_witness,
-            note="operator order is translation invariant; spot checked on samples",
-        )
-    )
+    def sample(draw, *args):
+        return structure.project(draw(dim, rng, *args))
 
-    anti_witness = None
-    for _ in range(spot):
-        g = structure.project(matrix_model.draw_positive(dim, rng, n))
-        if not g.is_zero() and structure.is_positive(-g):
-            anti_witness = {"g": g}
-            break
-    rep.add(
-        Clause(
-            "order_antisymmetric",
-            CERTIFIED if anti_witness is None else FAIL,
-            checked=spot,
-            witness=anti_witness,
-            note="psd and negative-psd forces zero; spot checked on samples",
-        )
-    )
+    def ordered_triple():
+        a = sample(matrix_model.draw_signed, n)
+        b = a + sample(matrix_model.draw_positive, n)
+        return a, b, sample(matrix_model.draw_signed, n)
 
-    unit_ok = structure.is_positive(structure.unit) and (
-        not structure.unit.is_zero() or structure.is_trivial
-    )
-    rep.add(
-        Clause(
-            "unit_positive_nonzero",
-            PASS if unit_ok else FAIL,
-            checked=1,
-            witness=None if unit_ok else {"unit": structure.unit},
-        )
-    )
+    def dominated(g) -> bool:
+        unit = structure.unit
+        return any(structure.is_positive(unit.scale(k) - g) for k in range(4 * n + 1))
 
-    int_witness = None
-    for _ in range(spot):
-        e = structure.project(matrix_model.draw_effect(dim, rng))
-        if not (structure.is_positive(e) and structure.leq(e, structure.unit)):
-            int_witness = {"effect": e}
-            break
-    rep.add(
-        Clause(
-            "interval_sampled",
-            CERTIFIED if int_witness is None else FAIL,
-            checked=spot,
-            witness=int_witness,
-            note="interval is not enumerable; sampled effects sit inside [0, unit]",
-        )
+    return Report(
+        "unital group axioms",
+        [
+            law(
+                "order_translation_invariant",
+                Sample(spot, ordered_triple),
+                lambda abk: structure.leq(abk[0] + abk[2], abk[1] + abk[2]),
+                witness=("a", "b", "k"),
+                note="operator order is translation invariant; spot checked on samples",
+            ),
+            law(
+                "order_antisymmetric",
+                Sample(spot, lambda: sample(matrix_model.draw_positive, n)),
+                lambda g: g.is_zero() or not structure.is_positive(-g),
+                witness="g",
+                note="psd and negative-psd forces zero; spot checked on samples",
+            ),
+            _unit_clause(structure),
+            law(
+                "interval_sampled",
+                Sample(spot, lambda: sample(matrix_model.draw_effect)),
+                lambda e: structure.is_positive(e) and structure.leq(e, structure.unit),
+                witness="effect",
+                note="interval is not enumerable; sampled effects sit inside [0, unit]",
+            ),
+            law(
+                "unit_order_unit",
+                Sample(spot, lambda: sample(matrix_model.draw_signed, n)),
+                dominated,
+                witness="element",
+                note="a multiple of the unit dominates every sample",
+            ),
+            Clause(
+                "interval_generates_positives",
+                CERTIFIED,
+                checked=spot,
+                note="positive samples are built as sums of interval elements",
+            ),
+        ],
     )
-
-    ou_witness = None
-    for _ in range(spot):
-        g = structure.project(matrix_model.draw_signed(dim, rng, n))
-        if not any(
-            structure.is_positive(structure.unit.scale(k) - g) for k in range(4 * n + 1)
-        ):
-            ou_witness = {"element": g}
-            break
-    rep.add(
-        Clause(
-            "unit_order_unit",
-            CERTIFIED if ou_witness is None else FAIL,
-            checked=spot,
-            witness=ou_witness,
-            note="a multiple of the unit dominates every sample",
-        )
-    )
-
-    rep.add(
-        Clause(
-            "interval_generates_positives",
-            CERTIFIED,
-            checked=spot,
-            note="positive samples are built as sums of interval elements",
-        )
-    )
-    return rep

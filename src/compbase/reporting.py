@@ -1,9 +1,10 @@
-"""Structured check results and their JSON / table renderings.
+"""Structured check results, the law helper, and JSON / table renderings.
 
 Every verification entry point returns a Report: an ordered list of named
 clauses, each pass / fail / certified, with a counterexample witness on
-failure. Reports serialize to JSON with sorted keys and no volatile content,
-so identical configurations produce byte-identical output.
+failure.  Most clauses come from law(), which states one law over one
+universe of cases.  Reports serialize to JSON with sorted keys and no
+volatile content, so identical configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from types import GeneratorType
+from typing import Any, Callable, Iterable, Optional
 
 from .elements import SymMat, Vec
 
@@ -39,6 +41,10 @@ class CheckResult:
         status = FAIL if not self.ok else (CERTIFIED if self.certified else PASS)
         return Clause(name, status, checked=self.checked, witness=self.witness, note=self.note)
 
+    @classmethod
+    def of(cls, clause: "Clause") -> "CheckResult":
+        return cls(clause.ok, clause.witness, clause.checked, clause.note, clause.status == CERTIFIED)
+
 
 @dataclass
 class Clause:
@@ -52,6 +58,89 @@ class Clause:
     @property
     def ok(self) -> bool:
         return self.status != FAIL
+
+
+class Sample:
+    """A sampled universe: n cases, each made by draw() only when reached.
+
+    Iterate it once; a second pass would draw fresh cases.
+    """
+
+    def __init__(self, n: int, draw: Callable[[], Any]):
+        self.n = n
+        self.draw = draw
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return (self.draw() for _ in range(self.n))
+
+
+
+def law(
+    name: str,
+    universe: Iterable,
+    holds: Callable[[Any], Any],
+    premise: Optional[Callable[[Any], bool]] = None,
+    *,
+    witness: Any = None,
+    exact: Optional[bool] = None,
+    checked: Optional[int] = None,
+    tally: bool = False,
+    note: str = "",
+) -> Clause:
+    """State one law over one universe of cases and report it as a clause.
+
+    A universe is exhaustive (a tuple, list or itertools product over a
+    finite set: the interval, a height box, the declared foci or their
+    pairs and triples) or sampled (a Sample, or a generator, drawing from
+    a seeded stream).  Cases are taken one at a time and the search stops
+    at the first witness, so a sampled universe draws nothing after it and
+    a stream it shares with later laws is left where the search stopped.
+
+    Cases that fail the premise are skipped and not counted.  holds(case)
+    answers True, False, or the witness itself (for laws that can fail in
+    more than one way).  On False the witness is made from the case: the
+    case itself by default, {witness: case} for a key, dict(zip(witness,
+    case)) for a tuple of keys, or witness(case) for a callable.
+
+    The status is fail when a witness turns up, else pass on an exhaustive
+    universe and certified on a sampled one; exact overrides that choice.
+    checked is the budget searched: the universe's length when it has one
+    and no premise filters it, else (or with tally) the cases that met the
+    premise up to and including the witness; a fixed count overrides both.
+    """
+
+    if exact is None:
+        exact = not isinstance(universe, (Sample, GeneratorType))
+    seen = 0
+    failed = False
+    found = None
+    for case in universe:
+        if premise is not None and not premise(case):
+            continue
+        seen += 1
+        verdict = holds(case)
+        if verdict is True:
+            continue
+        failed = True
+        if verdict is not False:
+            found = verdict
+        elif callable(witness):
+            found = witness(case)
+        elif isinstance(witness, str):
+            found = {witness: case}
+        elif isinstance(witness, tuple):
+            found = dict(zip(witness, case))
+        else:
+            found = case
+        break
+    if checked is None:
+        sized = premise is None and not tally and hasattr(universe, "__len__")
+        checked = len(universe) if sized else seen
+    status = FAIL if failed else (PASS if exact else CERTIFIED)
+    return Clause(name, status, checked=checked, witness=found, note=note)
 
 
 @dataclass

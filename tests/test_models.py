@@ -1,5 +1,6 @@
 """Carrier models: interval enumeration, order axioms, endomorphisms."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from compbase import (
     validate_unital_group,
     zero_endo,
 )
+from compbase.cli import main
 from compbase.models import integer_points
 from conftest import LATTICE, MATRIX
 
@@ -72,6 +74,54 @@ def test_unbounded_cone_interval_raises():
     model = LatticeConeModel(2, ((1, 0),), Vec((1, 1)))
     with pytest.raises(NotEnumerableError):
         model.interval()
+
+
+def test_interval_of_cone_without_axis_aligned_row():
+    # Every cone row has two nonzero entries, so bound propagation alone
+    # never starts; the box comes from inverting the two independent rows.
+    model = LatticeConeModel(2, ((1, -2), (-1, 3)), Vec((5, 2)))
+    expected = (Vec((0, 0)), Vec((2, 1)), Vec((3, 1)), Vec((5, 2)))
+    assert model.interval() == expected
+    assert tuple(sorted(model.interval(), key=lambda v: v.coords)) == tuple(
+        brute_interval(model)
+    )
+
+
+def test_validate_cone_without_axis_aligned_row(tmp_path):
+    path = tmp_path / "skew.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kind": "lattice_cone",
+                "dim": 2,
+                "cone_rows": [[1, -2], [-1, 3]],
+                "unit": [5, 2],
+                "compressions": [
+                    {"focus": [0, 0], "matrix": [[0, 0], [0, 0]]},
+                    {"focus": [5, 2], "matrix": [[1, 0], [0, 1]]},
+                ],
+            }
+        )
+    )
+    out = tmp_path / "report.json"
+    assert main(["validate", str(path), "--samples", "8", "--output", str(out)]) == 0
+
+
+def test_seeded_box_keeps_propagated_universes(bundled):
+    # Seeding only tightens the starting box, so the enumerated lists agree
+    # with an independent scan on every bundled cone and height.
+    for name in LATTICE:
+        model, _ = bundled[name]
+        for n in (1, 2):
+            box = 4 * n + 2
+            scan = [
+                Vec(pt)
+                for pt in product(range(-box, box + 1), repeat=model.dim)
+                if model.leq(Vec(pt), model.unit.scale(n))
+                and model.leq(model.unit.scale(-n), Vec(pt))
+            ]
+            got = model.signed_universe(n)
+            assert sorted(got, key=lambda v: v.coords) == sorted(scan, key=lambda v: v.coords)
 
 
 def test_matrix_interval_not_enumerable():
