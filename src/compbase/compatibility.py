@@ -18,7 +18,7 @@ declared bases of finite structures and are certified everywhere else.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, isqrt
 from typing import Any, Optional
 
@@ -46,7 +46,7 @@ from .models import (
     identity_endo,
     zero_endo,
 )
-from .reporting import FAIL, CheckResult, Clause, Report, Sample, law
+from .reporting import FAIL, Clause, Report, Sample, law
 
 
 class MeetUndefinedError(ValueError):
@@ -68,26 +68,27 @@ def in_commutant(base: CompressionBase, p, g) -> bool:
     return base.j(p).apply(g) + base.j(comp).apply(g) == g
 
 
-def commutant_absorption_check(base: CompressionBase, p, g) -> CheckResult:
+def commutant_absorption_check(base: CompressionBase, p, g) -> Clause:
     """One-element check of the two absorption implications.
 
     J_p(g) <= g forces g compatible with p; and a positive g compatible
     with p forces J_p(g) <= g.
     """
 
+    return law("commutant_absorption", ((p, g),), lambda pg: _absorbs(base, *pg))
+
+
+def _absorbs(base: CompressionBase, p, g):
+    """True, or the witness of the first absorption implication g breaks."""
+
     structure = base.structure
     below = structure.leq(base.j(p).apply(g), g)
     member = in_commutant(base, p, g)
     if below and not member:
-        return CheckResult(
-            False, witness={"p": p, "g": g, "direction": "dominated_but_incompatible"}
-        )
+        return {"p": p, "g": g, "direction": "dominated_but_incompatible"}
     if structure.is_positive(g) and member and not below:
-        return CheckResult(
-            False,
-            witness={"p": p, "g": g, "direction": "compatible_positive_not_dominated"},
-        )
-    return CheckResult(True, checked=1)
+        return {"p": p, "g": g, "direction": "compatible_positive_not_dominated"}
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +253,8 @@ class Substructure:
     kind "image" is the range of one compression, with its focus as unit;
     kind "commutant" is the set of elements compatible with a focus, with
     the ambient unit.  Both support the same sweep protocol as a model, so
-    every validation can be re-run inside them.
+    every validation can be re-run inside them.  Each universe is cut from
+    the parent's once and kept for the life of the substructure.
     """
 
     parent: Any
@@ -260,6 +262,7 @@ class Substructure:
     v: Any
     unit: Any
     projector: Endomorphism
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def finite(self) -> bool:
@@ -290,28 +293,35 @@ class Substructure:
         return self.parent.leq(a, b)
 
     def interval(self):
-        return self._band(self.parent.interval(), 0, 1)
+        return self._band(0, 1)
 
     def positive_universe(self, n: int):
-        return self._band(self.parent.positive_universe(n), 0, n)
+        return self._band(0, n)
 
     def signed_universe(self, n: int):
-        return self._band(self.parent.signed_universe(n), -n, n)
+        return self._band(-n, n)
 
-    def _band(self, cases, lo: int, hi: int) -> tuple:
+    def _band(self, lo: int, hi: int) -> tuple:
         """Members of the parent's universe between lo*unit and hi*unit.
 
-        The parent's universe already has a lower bound of 0 where lo is 0.
+        The universe is the parent's interval (0, 1), positive box (0, n) or
+        signed box (-n, n); the first two already have a lower bound of 0.
         """
 
-        top = self.unit.scale(hi)
-        bot = self.unit.scale(lo)
-        leq = self.parent.leq
-        return tuple(
-            g
-            for g in cases
-            if self.is_member(g) and leq(g, top) and (lo == 0 or leq(bot, g))
-        )
+        if (lo, hi) not in self._bands:
+            if lo < 0:
+                cases = self.parent.signed_universe(hi)
+            else:
+                cases = self.parent.interval() if hi == 1 else self.parent.positive_universe(hi)
+            top = self.unit.scale(hi)
+            bot = self.unit.scale(lo)
+            leq = self.parent.leq
+            self._bands[lo, hi] = tuple(
+                g
+                for g in cases
+                if self.is_member(g) and leq(g, top) and (lo == 0 or leq(bot, g))
+            )
+        return self._bands[lo, hi]
 
 
 def image_substructure(base: CompressionBase, v) -> Substructure:
@@ -913,13 +923,15 @@ def _focus_stream(base: CompressionBase, cfg: CheckConfig, tag: str) -> tuple:
     return tuple(matrix_model.draw_projection(dim, rng) for _ in range(count))
 
 
-def _pair_stream(base: CompressionBase, cfg: CheckConfig, tag: str) -> tuple:
+def _pair_stream(base: CompressionBase, cfg: CheckConfig, tag: str, count: int) -> tuple:
+    """Declared focus pairs, or count sampled pairs cycling through three kinds."""
+
     if base.foci is not None:
         return tuple(itertools.product(base.foci, repeat=2))
     rng = cfg.rng(tag)
     dim = base.structure.carrier.dim
     pairs = []
-    for i in range(max(cfg.samples, 1)):
+    for i in range(count):
         kind = i % 3
         if kind == 0:
             pairs.append(matrix_model.draw_projection_pair(dim, rng, commuting=True))
@@ -983,6 +995,7 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     """Idempotence, focus fixing, and complement killing for each member."""
 
     structure = base.structure
+    kill = cfg.rng("theorem:family:kill")
 
     def shaped(p):
         j = base.j(p)
@@ -990,9 +1003,7 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
             return {"focus": p, "law": "idempotent"}
         if j.apply(p) != p:
             return {"focus": p, "law": "fixes_focus"}
-        below = _effects_below(
-            structure, structure.unit - p, cfg, cfg.rng("theorem:family:kill")
-        )
+        below = _effects_below(structure, structure.unit - p, cfg, kill)
         bad = next((e for e in below if j.apply(e) != structure.zero), None)
         return bad is None or {"focus": p, "law": "kills_complement", "effect": bad}
 
@@ -1051,7 +1062,7 @@ def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     return law(
         "absorption_equivalences",
-        _pair_stream(base, cfg, "theorem:absorption"),
+        _pair_stream(base, cfg, "theorem:absorption", max(cfg.samples, 1)),
         lambda pq: len(set(conditions(pq))) == 1,
         witness=lambda pq: {"p": pq[0], "q": pq[1], "conditions": list(conditions(pq))},
         exact=_exact(base),
@@ -1088,7 +1099,7 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
     return law(
         "commutant_absorption",
         cases,
-        lambda pg: commutant_absorption_check(base, *pg).witness or True,
+        lambda pg: _absorbs(base, *pg),
         note="domination implies compatibility; compatible positives are dominated",
     )
 
@@ -1109,7 +1120,7 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     clause = law(
         "battery_agreement",
-        _pair_stream(base, cfg, "theorem:battery"),
+        _pair_stream(base, cfg, "theorem:battery", max(cfg.samples, 1)),
         agrees,
         witness=lambda pq: {"p": pq[0], "q": pq[1], "reason": "asymmetric"},
         exact=_exact(base),
@@ -1126,12 +1137,9 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
 def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
-    pairs = _pair_stream(base, cfg, "theorem:meet")
-    if base.foci is not None:
-        lower_bounds = base.foci
-    else:
-        pairs = pairs[: max(cfg.spot, cfg.samples // 4)]
-        lower_bounds = ()
+    count = min(max(cfg.samples, 1), max(cfg.spot, cfg.samples // 4))
+    pairs = _pair_stream(base, cfg, "theorem:meet", count)
+    lower_bounds = base.foci or ()
 
     def meets(pq):
         p, q = pq

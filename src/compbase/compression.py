@@ -43,7 +43,7 @@ from .models import (
     identity_endo,
     zero_endo,
 )
-from .reporting import CERTIFIED, PASS, CheckResult, Clause, Report, Sample, law
+from .reporting import CERTIFIED, PASS, Clause, Report, Sample, law
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +62,6 @@ class RetractionCertificate:
     @property
     def valid(self) -> bool:
         return all(res.ok for _, res in self.checks)
-
-    def report(self) -> Report:
-        rep = Report(title="retraction laws")
-        for _, clause in self.checks:
-            rep.add(clause)
-        return rep
 
     def jsonable(self):
         return {
@@ -178,7 +172,7 @@ def _effects_below(structure, p, cfg: CheckConfig, rng):
     return Sample(cfg.spot, lambda: conjugate(p, matrix_model.draw_effect(dim, rng)))
 
 
-def is_compression(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> CheckResult:
+def is_compression(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> Clause:
     """Does J(e) = 0 force e <= u - focus, for effects e?
 
     Finite structures sweep the interval.  The matrix universe alternates
@@ -211,12 +205,10 @@ def is_compression(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = N
 
         cases = kernel_then_generic()
         note = "p e p = 0 forces e below u - p for effects; spot checked"
-    return CheckResult.of(
-        law("compression", cases, holds, witness=lambda c: {"effect": c[0]}, note=note)
-    )
+    return law("compression", cases, holds, witness=lambda c: {"effect": c[0]}, note=note)
 
 
-def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> CheckResult:
+def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> Clause:
     """Does J(e) <= e hold for every effect e?"""
 
     cfg = cfg or CheckConfig()
@@ -228,14 +220,12 @@ def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) 
         probes = list(_direct_probes(dim))
         probes += [matrix_model.draw_effect(dim, rng) for _ in range(cfg.samples)]
         note = "searched basis-aligned and sampled effects for a violation"
-    return CheckResult.of(
-        law(
-            "direct",
-            probes,
-            lambda e: structure.leq(endo.apply(e), e),
-            witness="effect",
-            note=note,
-        )
+    return law(
+        "direct",
+        probes,
+        lambda e: structure.leq(endo.apply(e), e),
+        witness="effect",
+        note=note,
     )
 
 
@@ -267,7 +257,7 @@ def kernel_complement_check(
     j_comp: Endomorphism,
     cfg: Optional[CheckConfig] = None,
     budget: Optional[int] = None,
-) -> CheckResult:
+) -> Clause:
     """Mutual kernel/fixed-point exchange between complementary maps.
 
     For positive g: J'(g) = g exactly when J(g) = 0, and J'(g) = 0 exactly
@@ -290,7 +280,7 @@ def kernel_complement_check(
 
     if structure.finite:
         box = structure.positive_universe(cfg.height_bound)
-        return CheckResult.of(law("kernel_complement", box, holds))
+        return law("kernel_complement", box, holds)
 
     p = j.conjugator
     q = j_comp.conjugator
@@ -309,10 +299,10 @@ def kernel_complement_check(
             else:
                 yield structure.project(raw)
 
-    res = law("kernel_complement", positives(), holds, exact=p + q != structure.unit)
-    if res.ok:
-        res.note = "kernel and range of complementary conjugations exchange; sampled"
-    return CheckResult.of(res)
+    clause = law("kernel_complement", positives(), holds, exact=p + q != structure.unit)
+    if clause.ok:
+        clause.note = "kernel and range of complementary conjugations exchange; sampled"
+    return clause
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +424,18 @@ class CompressionBase:
     """A family of compressions indexed by a sub-effect algebra of foci.
 
     Declared bases carry an explicit focus list and a map from focus to
-    endomorphism.  An intensional base on the matrix model takes every
-    projection as a focus, with conjugation as the assigned map.
+    endomorphism.  An intensional base, one without a focus list, takes
+    every projection of the matrix model as a focus, with conjugation as
+    the assigned map.
     """
 
     structure: Any
     foci: Optional[tuple]
     family: Optional[dict]
-    intensional: bool = False
+
+    @property
+    def intensional(self) -> bool:
+        return self.foci is None
 
     @property
     def unit(self):
@@ -496,7 +490,7 @@ def base_from_projections(model: MatrixModel, projections) -> CompressionBase:
 def projection_base(model: MatrixModel) -> CompressionBase:
     """Intensional base: every projection, mapped to its conjugation."""
 
-    return CompressionBase(model, None, None, intensional=True)
+    return CompressionBase(model, None, None)
 
 
 def trivial_base(structure) -> CompressionBase:
@@ -528,15 +522,10 @@ def validate_compression_base(
     if base.intensional:
         rep.add(_intensional_closure_clause(base, cfg))
     else:
-        rep.add(
-            is_sub_effect_algebra(algebra, base.foci).as_clause(
-                "foci_sub_effect_algebra"
-            )
-        )
+        rep.add(is_sub_effect_algebra(algebra, base.foci))
 
     if structure.finite:
-        sub = SubEffectAlgebra(algebra, frozenset(base.foci))
-        rep.add(is_normal_subalgebra(algebra, sub).as_clause("foci_normal_subalgebra"))
+        rep.add(is_normal_subalgebra(algebra, SubEffectAlgebra(algebra, frozenset(base.foci))))
     else:
         rep.add(_matrix_normality_clause(base, cfg))
 

@@ -9,11 +9,12 @@ condition used by compression bases, and the center.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .models import NotEnumerableError
-from .reporting import CheckResult
+from .reporting import FAIL, PASS, Clause, law
 
 
 class MembershipError(ValueError):
@@ -172,50 +173,44 @@ def is_mackey_compatible(
     return len(mackey_decompositions(algebra, e, f, within=within)) > 0
 
 
-def is_sub_effect_algebra(algebra: EffectAlgebra, members: Iterable) -> CheckResult:
+def is_sub_effect_algebra(algebra: EffectAlgebra, members: Iterable) -> Clause:
     """Check that a finite set of effects is closed under the algebra laws.
 
     Required: every member is an effect, 0 and u belong, orthosupplements
-    stay inside, and defined partial sums of members stay inside.
+    stay inside, and defined partial sums of members stay inside.  The
+    membership of 0 and u is not counted in checked.
     """
 
     mset = frozenset(members)
     ordered = sorted(mset, key=lambda m: m.sort_key())
     checked = 0
 
+    def fail(**witness) -> Clause:
+        return Clause("foci_sub_effect_algebra", FAIL, checked=checked, witness=witness)
+
     for m in ordered:
         checked += 1
         if not algebra.contains(m):
-            return CheckResult(
-                False, witness={"check": "member_is_effect", "element": m}, checked=checked
-            )
+            return fail(check="member_is_effect", element=m)
     if algebra.zero not in mset:
-        return CheckResult(False, witness={"check": "contains_zero"}, checked=checked)
+        return fail(check="contains_zero")
     if algebra.unit not in mset:
-        return CheckResult(False, witness={"check": "contains_unit"}, checked=checked)
+        return fail(check="contains_unit")
     for m in ordered:
         checked += 1
         comp = algebra.unit - m
         if comp not in mset:
-            return CheckResult(
-                False,
-                witness={"check": "orthosupplement_closed", "element": m, "missing": comp},
-                checked=checked,
-            )
+            return fail(check="orthosupplement_closed", element=m, missing=comp)
     for a in ordered:
         for b in ordered:
             checked += 1
             s = algebra.oplus(a, b)
             if s is not None and s not in mset:
-                return CheckResult(
-                    False,
-                    witness={"check": "partial_sum_closed", "e": a, "f": b, "missing": s},
-                    checked=checked,
-                )
-    return CheckResult(True, checked=checked)
+                return fail(check="partial_sum_closed", e=a, f=b, missing=s)
+    return Clause("foci_sub_effect_algebra", PASS, checked=checked)
 
 
-def is_normal_subalgebra(algebra: EffectAlgebra, sub: SubEffectAlgebra) -> CheckResult:
+def is_normal_subalgebra(algebra: EffectAlgebra, sub: SubEffectAlgebra) -> Clause:
     """Exhaustive normality check over an enumerable interval.
 
     Normality: whenever e + f + d <= u with e + d and f + d both in the
@@ -228,36 +223,25 @@ def is_normal_subalgebra(algebra: EffectAlgebra, sub: SubEffectAlgebra) -> Check
     if elements is None:
         raise NotEnumerableError("normality scan requires an enumerable interval")
     leq = algebra.structure.leq
-    unit = algebra.unit
     members = sub.sorted_members()
     contains = algebra.contains
-    checked = 0
 
-    for d in elements:
-        if d in sub.members:
-            continue
-        # e + d in P means e = p - d for some member p with d <= p.
-        firsts = []
-        for p in members:
-            if leq(d, p):
-                firsts.append(p - d)
-        for e in firsts:
-            if not contains(e):
+    def candidates():
+        for d in elements:
+            if d in sub.members:
                 continue
-            for q in members:
-                if not leq(d, q):
-                    continue
-                f = q - d
-                if not contains(f):
-                    continue
-                checked += 1
-                if leq(e + f + d, unit):
-                    return CheckResult(
-                        False,
-                        witness={"e": e, "f": f, "d": d},
-                        checked=checked,
-                    )
-    return CheckResult(True, checked=checked)
+            # e + d in P means e = p - d for some member p with d <= p.
+            effects = [p - d for p in members if leq(d, p) and contains(p - d)]
+            for e, f in itertools.product(effects, repeat=2):
+                yield e, f, d
+
+    return law(
+        "foci_normal_subalgebra",
+        candidates(),
+        lambda efd: not leq(efd[0] + efd[1] + efd[2], algebra.unit),
+        witness=("e", "f", "d"),
+        exact=True,
+    )
 
 
 def center(algebra: EffectAlgebra) -> SubEffectAlgebra:

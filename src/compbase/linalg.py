@@ -60,13 +60,6 @@ def mat_vec(m, v) -> tuple[Fraction, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def is_symmetric(m) -> bool:
-    n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
-    )
-
-
 def rank(m) -> int:
     """Rank over Q, by plain Gaussian elimination on a working copy."""
     work = [list(row) for row in m]

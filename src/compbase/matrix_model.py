@@ -15,6 +15,8 @@ from fractions import Fraction
 from . import linalg
 from .elements import SymMat
 
+# numerators and denominators of the Cayley generators and effect
+# eigenvalues are drawn up to this bound
 DEFAULT_BOUND = 16
 
 
@@ -23,12 +25,14 @@ def is_projection(p: SymMat) -> bool:
     return linalg.mat_mul(p.rows, p.rows) == p.rows
 
 
-def cayley_orthogonal(dim: int, rng: random.Random, bound: int = DEFAULT_BOUND):
+def cayley_orthogonal(dim: int, rng: random.Random):
     """Rational orthogonal matrix (I - S)(I + S)^-1 for random antisymmetric S."""
     s = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            x = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            x = Fraction(
+                rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND), rng.randint(1, DEFAULT_BOUND)
+            )
             s[i][j] = x
             s[j][i] = -x
     s = tuple(tuple(row) for row in s)
@@ -50,13 +54,8 @@ def projection_from_mask(q, bits) -> SymMat:
     return SymMat(m)
 
 
-def draw_projection(
-    dim: int,
-    rng: random.Random,
-    bound: int = DEFAULT_BOUND,
-    rank: int | None = None,
-) -> SymMat:
-    q = cayley_orthogonal(dim, rng, bound)
+def draw_projection(dim: int, rng: random.Random, rank: int | None = None) -> SymMat:
+    q = cayley_orthogonal(dim, rng)
     if rank is None:
         bits = [rng.randint(0, 1) for _ in range(dim)]
     else:
@@ -65,36 +64,31 @@ def draw_projection(
 
 
 def draw_projection_pair(
-    dim: int,
-    rng: random.Random,
-    commuting: bool,
-    bound: int = DEFAULT_BOUND,
+    dim: int, rng: random.Random, commuting: bool
 ) -> tuple[SymMat, SymMat]:
     """A pair of projections; commuting=True shares one orthogonal frame."""
     if commuting:
-        q = cayley_orthogonal(dim, rng, bound)
+        q = cayley_orthogonal(dim, rng)
         bits_p = [rng.randint(0, 1) for _ in range(dim)]
         bits_q = [rng.randint(0, 1) for _ in range(dim)]
         return projection_from_mask(q, bits_p), projection_from_mask(q, bits_q)
-    return draw_projection(dim, rng, bound), draw_projection(dim, rng, bound)
+    return draw_projection(dim, rng), draw_projection(dim, rng)
 
 
-def draw_nested_projections(
-    dim: int, rng: random.Random, bound: int = DEFAULT_BOUND
-) -> tuple[SymMat, SymMat]:
+def draw_nested_projections(dim: int, rng: random.Random) -> tuple[SymMat, SymMat]:
     """(p, q) with q <= p, built from nested masks in a shared frame."""
-    q_frame = cayley_orthogonal(dim, rng, bound)
+    q_frame = cayley_orthogonal(dim, rng)
     bits_p = [rng.randint(0, 1) for _ in range(dim)]
     bits_q = [b if rng.randint(0, 1) else 0 for b in bits_p]
     return projection_from_mask(q_frame, bits_p), projection_from_mask(q_frame, bits_q)
 
 
-def draw_effect(dim: int, rng: random.Random, bound: int = DEFAULT_BOUND) -> SymMat:
+def draw_effect(dim: int, rng: random.Random) -> SymMat:
     """Random element of the unit interval: q^T D q with diagonal D in [0,1]."""
-    q = cayley_orthogonal(dim, rng, bound)
+    q = cayley_orthogonal(dim, rng)
     diag = []
     for _ in range(dim):
-        den = rng.randint(1, bound)
+        den = rng.randint(1, DEFAULT_BOUND)
         diag.append(Fraction(rng.randint(0, den), den))
     d = tuple(
         tuple(diag[i] if i == j else Fraction(0) for j in range(dim))
@@ -103,27 +97,23 @@ def draw_effect(dim: int, rng: random.Random, bound: int = DEFAULT_BOUND) -> Sym
     return SymMat(linalg.mat_mul(linalg.transpose(q), linalg.mat_mul(d, q)))
 
 
-def draw_positive(
-    dim: int, rng: random.Random, height: int, bound: int = DEFAULT_BOUND
-) -> SymMat:
+def draw_positive(dim: int, rng: random.Random, height: int) -> SymMat:
     """Sum of at most `height` random effects; lies between 0 and height*unit."""
     total = SymMat.zero(dim)
     for _ in range(rng.randint(0, height)):
-        total = total + draw_effect(dim, rng, bound)
+        total = total + draw_effect(dim, rng)
     return total
 
 
-def draw_signed(
-    dim: int, rng: random.Random, height: int, bound: int = DEFAULT_BOUND
-) -> SymMat:
-    return draw_positive(dim, rng, height, bound) - draw_positive(dim, rng, height, bound)
+def draw_signed(dim: int, rng: random.Random, height: int) -> SymMat:
+    return draw_positive(dim, rng, height) - draw_positive(dim, rng, height)
 
 
-def random_effect(dim: int, seed: int = 0, bound: int = DEFAULT_BOUND) -> SymMat:
+def random_effect(dim: int, seed: int = 0) -> SymMat:
     """Single-shot deterministic effect sample for a given seed."""
-    return draw_effect(dim, random.Random(seed), bound)
+    return draw_effect(dim, random.Random(seed))
 
 
-def random_projection(dim: int, seed: int = 0, bound: int = DEFAULT_BOUND) -> SymMat:
+def random_projection(dim: int, seed: int = 0) -> SymMat:
     """Single-shot deterministic projection sample for a given seed."""
-    return draw_projection(dim, random.Random(seed), bound)
+    return draw_projection(dim, random.Random(seed))

@@ -180,8 +180,6 @@ class LatticeConeModel:
     def is_member(self, g) -> bool:
         return isinstance(g, Vec) and g.dim == self.dim
 
-    contains = is_member
-
     def is_positive(self, g: Vec) -> bool:
         return all(_dot(row, g.coords) >= 0 for row in self.cone_rows)
 
@@ -260,8 +258,6 @@ class MatrixModel:
 
     def is_member(self, g) -> bool:
         return isinstance(g, SymMat) and g.dim == self.dim
-
-    contains = is_member
 
     def is_positive(self, g: SymMat) -> bool:
         return linalg.is_psd(g.rows)
@@ -344,16 +340,9 @@ class Endomorphism:
         )
 
     def jsonable(self):
-        out = {"matrix": [[_frac_json(x) for x in row] for row in self.matrix]}
-        if self.conjugator is not None:
-            out["conjugator"] = [
-                [_frac_json(x) for x in row] for row in self.conjugator.rows
-            ]
-        return out
-
-
-def _frac_json(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        if self.conjugator is None:
+            return {"matrix": self.matrix}
+        return {"matrix": self.matrix, "conjugator": self.conjugator}
 
 
 def endo_from_int_matrix(model: LatticeConeModel, rows) -> Endomorphism:
@@ -444,11 +433,11 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
         )
         r = linalg.rank(linalg.mat(structure.cone_rows)) if structure.cone_rows else 0
         rep.add(
-            Clause(
+            law(
                 "order_antisymmetric",
-                PASS if r == structure.dim else FAIL,
-                checked=1,
-                witness=None if r == structure.dim else {"cone_rank": r, "dim": structure.dim},
+                (r,),
+                lambda rank: rank == structure.dim,
+                witness=lambda rank: {"cone_rank": rank, "dim": structure.dim},
                 note="cone is pointed iff the constraint rows have full rank",
             )
         )
@@ -490,13 +479,13 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
         _directedness_bounded(structure, n, rep)
 
     gen_bound = n if top_level else 2 * n
-    ok, missing, count = _sumset_covers(structure, gen_bound)
+    reach = _interval_sums(structure, gen_bound)
     rep.add(
-        Clause(
+        law(
             "interval_generates_positives",
-            PASS if ok else FAIL,
-            checked=count,
-            witness=None if ok else {"positive": missing},
+            structure.positive_universe(gen_bound),
+            reach.__contains__,
+            witness="positive",
             note=f"every positive below {gen_bound}*unit is a sum of interval elements",
         )
     )
@@ -528,28 +517,21 @@ def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
             if index == 1:
                 break
     rep.add(
-        Clause(
+        law(
             "interval_generates_group",
-            PASS if index == 1 else FAIL,
+            (index,),
+            lambda i: i == 1,
+            witness="lattice_index",
             checked=len(nonzero),
-            witness=None if index == 1 else {"lattice_index": index},
             note="interval elements must span the full integer lattice",
         )
     )
-    bad_row = next(
-        (
-            row
-            for row in model.cone_rows
-            if any(row) and _dot(row, model.unit.coords) <= 0
-        ),
-        None,
-    )
     rep.add(
-        Clause(
+        law(
             "unit_order_unit",
-            PASS if bad_row is None else FAIL,
-            checked=len(model.cone_rows),
-            witness=None if bad_row is None else {"cone_row": list(bad_row)},
+            model.cone_rows,
+            lambda row: not any(row) or _dot(row, model.unit.coords) > 0,
+            witness=lambda row: {"cone_row": list(row)},
             note="each nonzero cone row must pair strictly positively with the unit",
         )
     )
@@ -568,9 +550,8 @@ def _directedness_bounded(structure, n: int, rep: Report) -> None:
     )
 
 
-def _sumset_covers(structure, bound: int):
-    """Is every positive below bound*unit a sum of interval elements?"""
-    positives = structure.positive_universe(bound)
+def _interval_sums(structure, bound: int) -> set:
+    """Every sum of interval elements that stays below bound*unit."""
     interval = [e for e in structure.interval() if not e.is_zero()]
     top = structure.unit.scale(bound)
     reach = {structure.zero}
@@ -585,8 +566,7 @@ def _sumset_covers(structure, bound: int):
                 reach.add(t)
                 nxt.append(t)
         frontier = nxt
-    missing = next((g for g in positives if g not in reach), None)
-    return missing is None, missing, len(positives)
+    return reach
 
 
 def _validate_matrix(structure, cfg: CheckConfig) -> Report:

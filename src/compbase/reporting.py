@@ -1,9 +1,10 @@
 """Structured check results, the law helper, and JSON / table renderings.
 
-Every verification entry point returns a Report: an ordered list of named
-clauses, each pass / fail / certified, with a counterexample witness on
-failure.  Most clauses come from law(), which states one law over one
-universe of cases.  Reports serialize to JSON with sorted keys and no
+A Clause is the one verdict type: a named pass / fail / certified status
+with the number of cases checked and a counterexample witness on failure.
+Single checks return one Clause; every verification entry point returns a
+Report, an ordered list of them.  Most clauses come from law(), which
+states one law over one universe of cases.  Reports serialize to JSON with sorted keys and no
 volatile content, so identical configurations produce byte-identical output.
 """
 
@@ -21,29 +22,6 @@ from .elements import SymMat, Vec
 PASS = "pass"
 FAIL = "fail"
 CERTIFIED = "certified"
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one boolean check, with a counterexample on failure.
-
-    certified marks checks that hold analytically for the structure at hand
-    and were only spot checked numerically.
-    """
-
-    ok: bool
-    witness: Any = None
-    checked: int = 0
-    note: str = ""
-    certified: bool = False
-
-    def as_clause(self, name: str) -> "Clause":
-        status = FAIL if not self.ok else (CERTIFIED if self.certified else PASS)
-        return Clause(name, status, checked=self.checked, witness=self.witness, note=self.note)
-
-    @classmethod
-    def of(cls, clause: "Clause") -> "CheckResult":
-        return cls(clause.ok, clause.witness, clause.checked, clause.note, clause.status == CERTIFIED)
 
 
 @dataclass

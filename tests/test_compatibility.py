@@ -84,6 +84,15 @@ def test_commutant_membership(bundled):
     assert commutant_absorption_check(base, DIAG0, HPLUS).ok
 
 
+def test_substructure_universes_are_cut_once(bundled):
+    _, base = bundled["m1"]
+    for sub in (image_substructure(base, Vec((1, 0))), commutant_substructure(base, Vec((1, 0)))):
+        assert sub.interval() is sub.interval()
+        assert sub.positive_universe(2) is sub.positive_universe(2)
+        assert sub.signed_universe(2) is sub.signed_universe(2)
+        assert sub.positive_universe(2) != sub.signed_universe(2)
+
+
 def test_meet_of_nested_foci(bundled, fast_cfg):
     _, base = bundled["m1"]
     assert meet(base, Vec((1, 0)), Vec((1, 1)), fast_cfg) == Vec((1, 0))

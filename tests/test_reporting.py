@@ -1,10 +1,26 @@
-"""The law helper: status, checked counts, witnesses and lazy universes."""
+"""The law helper and the Clause verdict: status, checked counts, witnesses,
+lazy universes, and the single checks that return one clause."""
 
 import random
 
 import pytest
 
+from compbase import (
+    Clause,
+    EffectAlgebra,
+    SubEffectAlgebra,
+    Vec,
+    commutant_absorption_check,
+    endo_from_int_matrix,
+    is_compression,
+    is_direct,
+    is_normal_subalgebra,
+    is_sub_effect_algebra,
+    kernel_complement_check,
+    load_model,
+)
 from compbase.reporting import CERTIFIED, FAIL, PASS, Sample, law
+from conftest import FIXTURES_DIR
 
 
 def test_exhaustive_universe_passes():
@@ -95,3 +111,60 @@ def test_sampled_universe_shares_its_stream_with_the_next_law():
     b = law("b", Sample(3, rng.random), lambda x: False, witness=lambda x: x)
     assert first is not None and a.witness == first
     assert b.witness == second[0]
+
+
+def test_check_functions_return_named_clauses(bundled, fast_cfg):
+    """Each single check returns a Clause under its report name."""
+
+    m1, base1 = bundled["m1"]
+    collapse = endo_from_int_matrix(m1, [[0, 1], [0, 1]])
+    jp = base1.j(Vec((1, 0)))
+    closure_model, closure_base = load_model(FIXTURES_DIR / "corrupt_missing_closure.json")
+    closure_algebra = EffectAlgebra(closure_model)
+    normal_model, normal_base = load_model(FIXTURES_DIR / "corrupt_nonnormal_foci.json")
+    normal_algebra = EffectAlgebra(normal_model)
+    shifted_model, shifted_base = load_model(
+        FIXTURES_DIR / "corrupt_focus_outside_interval.json"
+    )
+    cases = [
+        (
+            is_compression(m1, collapse, fast_cfg),
+            "compression",
+            {"effect": Vec((1, 0))},
+            4,
+        ),
+        (is_direct(m1, collapse, fast_cfg), "direct", {"effect": Vec((0, 1))}, 4),
+        (
+            kernel_complement_check(m1, jp, jp, fast_cfg),
+            "kernel_complement",
+            {"positive": Vec((0, 1)), "direction": "fixed_by_complement_vs_killed"},
+            16,
+        ),
+        (
+            commutant_absorption_check(shifted_base, Vec((0, 1)), Vec((0, 1))),
+            "commutant_absorption",
+            {"p": Vec((0, 1)), "g": Vec((0, 1)), "direction": "dominated_but_incompatible"},
+            1,
+        ),
+        (
+            is_sub_effect_algebra(closure_algebra, closure_base.foci),
+            "foci_sub_effect_algebra",
+            {"check": "orthosupplement_closed", "element": Vec((1, 0)), "missing": Vec((0, 1))},
+            5,
+        ),
+        (
+            is_normal_subalgebra(
+                normal_algebra, SubEffectAlgebra(normal_algebra, frozenset(normal_base.foci))
+            ),
+            "foci_normal_subalgebra",
+            {"e": Vec((0, 0, 1, 0)), "f": Vec((1, 0, 0, 0)), "d": Vec((0, 0, 0, 1))},
+            2,
+        ),
+    ]
+    for clause, name, witness, checked in cases:
+        assert isinstance(clause, Clause)
+        assert (clause.name, clause.status) == (name, FAIL)
+        assert (clause.witness, clause.checked) == (witness, checked)
+    # the same checks pass, under the same names, on a valid base
+    assert is_sub_effect_algebra(EffectAlgebra(m1), base1.foci).name == "foci_sub_effect_algebra"
+    assert commutant_absorption_check(base1, Vec((0, 1)), Vec((0, 1))).status == PASS
