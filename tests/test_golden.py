@@ -2,7 +2,9 @@
 
 `report` covers every section on each bundled model (m4 is the only pin on
 the 3x3 substructure and product paths); `validate` on the corrupted
-fixtures covers fail-path witnesses and checked counts.  A change that
+fixtures covers fail-path witnesses and checked counts; `theorems` on m3 at
+a larger sample budget covers the larger denominators that the small
+budget never reaches.  A change that
 moves any of these bytes must say why in CHANGES.md and re-pin the hash
 there; a hash is never regenerated silently.
 """
@@ -32,8 +34,12 @@ VALIDATE_SHA256 = {
 }
 
 
-def _sha256_of_run(capsys, *argv) -> tuple[int, str]:
-    code = main([str(a) for a in argv] + CONFIG)
+# theorems models/m3.json --samples 64 --seed 0
+THEOREMS_M3_64_SHA256 = "50b0d74c922707115d01f5ddec6c890f5ccbe7065ce2c61e8b07aa03dc09d771"
+
+
+def _sha256_of_run(capsys, *argv, config=CONFIG) -> tuple[int, str]:
+    code = main([str(a) for a in argv] + config)
     out = capsys.readouterr().out
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
@@ -50,3 +56,11 @@ def test_corrupt_validate_bytes_pinned(capsys, stem):
     code, digest = _sha256_of_run(capsys, "validate", FIXTURES_DIR / f"{stem}.json")
     assert code == 1
     assert digest == VALIDATE_SHA256[stem]
+
+
+def test_theorems_m3_larger_budget_bytes_pinned(capsys):
+    code, digest = _sha256_of_run(
+        capsys, "theorems", MODELS_DIR / "m3.json", config=["--samples", "64", "--seed", "0"]
+    )
+    assert code == 0
+    assert digest == THEOREMS_M3_64_SHA256
