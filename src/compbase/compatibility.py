@@ -215,7 +215,6 @@ def meet(base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None):
     """
 
     cfg = cfg or CheckConfig()
-    structure = base.structure
     battery = compat_battery(base, p, q, cfg)
     if not battery.compatible:
         if battery.agree:
@@ -223,7 +222,12 @@ def meet(base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None):
         raise MeetUndefinedError(
             "battery conditions disagree; the base does not satisfy its laws"
         )
+    return _checked_meet(base, p, q, cfg)
 
+
+def _checked_meet(base: CompressionBase, p, q, cfg: CheckConfig):
+    """J_p(q) for a battery-compatible pair; a violated meet law raises RuntimeError."""
+    structure = base.structure
     r = base.j(p).apply(q)
     if r != base.j(q).apply(p):
         raise RuntimeError("meet law violated: the two one-sided values differ")
@@ -1144,8 +1148,8 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     def meets(pq):
         p, q = pq
         try:
-            r = meet(base, p, q, cfg)
-        except (MeetUndefinedError, RuntimeError) as exc:
+            r = _checked_meet(base, p, q, cfg)
+        except RuntimeError as exc:
             return {"p": p, "q": q, "error": str(exc)}
         leq = structure.leq
         bad = next((s for s in lower_bounds if leq(s, p) and leq(s, q) and not leq(s, r)), None)

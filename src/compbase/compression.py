@@ -217,14 +217,15 @@ def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) 
     else:
         dim = structure.carrier.dim
         rng = cfg.rng("direct")
-        probes = list(_direct_probes(dim))
-        probes += [matrix_model.draw_effect(dim, rng) for _ in range(cfg.samples)]
+        samples = (matrix_model.draw_effect(dim, rng) for _ in range(cfg.samples))
+        probes = itertools.chain(_direct_probes(dim), samples)
         note = "searched basis-aligned and sampled effects for a violation"
     return law(
         "direct",
         probes,
         lambda e: structure.leq(endo.apply(e), e),
         witness="effect",
+        exact=structure.finite,
         note=note,
     )
 

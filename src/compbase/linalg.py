@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuple-of-tuples with fractions.Fraction entries;
-vectors are flat tuples of Fraction. Plain ints are coerced on entry.
-Nothing in this module (or anywhere else in the package) touches floats.
+Fractions are the interface and integers the arithmetic.  Matrices are
+immutable tuple-of-tuples with fractions.Fraction entries; vectors are flat
+tuples of Fraction; int entries are accepted wherever a Fraction is.  The
+kernels (products, elimination, the PSD test) scale each row to integer
+numerators over one denominator, compute on ints, and build a Fraction
+only for each entry they return.  Nothing in this module (or anywhere
+else in the package) touches floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
-
-Mat = "tuple[tuple[Fraction, ...], ...]"
-Row = "tuple[Fraction, ...]"
 
 
 def mat(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -49,38 +52,66 @@ def mat_scale(k, m):
     return tuple(tuple(k * x for x in row) for row in m)
 
 
+def _int_rows(rows):
+    """Each row as (integer numerators, the lcm of its denominators); ints pass through."""
+    out = []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*[d for _, d in ratios])
+        out.append(([n * (den // d) for n, d in ratios], den))
+    return out
+
+
 def mat_mul(a, b):
-    bt = transpose(b)
+    cols = _int_rows(transpose(b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(Fraction(sum(map(mul, row, col)), da * db) for col, db in cols)
+        for row, da in _int_rows(a)
     )
 
 
 def mat_vec(m, v) -> tuple[Fraction, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    ((col, dv),) = _int_rows((v,))
+    return tuple(Fraction(sum(map(mul, row, col)), dm * dv) for row, dm in _int_rows(m))
+
+
+def _bareiss(a, ncols: int, jordan: bool = False) -> tuple[int, int, int]:
+    """Fraction-free elimination of the integer rows `a`, in place (Bareiss 1968).
+
+    Pivots on the first `ncols` columns left to right, skipping a column
+    with no nonzero entry at or below the current row.  Each step replaces
+    row i by (p * a[i] - a[i][c] * a[r]) // prev, with p the new pivot and
+    prev the last one; the division is exact.  Rows below the pivot are
+    cleared, and with `jordan` the rows above too (Gauss-Jordan), which
+    leaves the last pivot on every pivot row's diagonal.  Returns the rank,
+    the sign of the row permutation and the last pivot.
+    """
+    n = len(a)
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        row = a[r]
+        p = row[c]
+        for i in range(0 if jordan else r + 1, n):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+        r += 1
+    return r, sign, prev
 
 
 def rank(m) -> int:
-    """Rank over Q, by plain Gaussian elimination on a working copy."""
-    work = [list(row) for row in m]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over Q, by fraction-free elimination of the scaled integer rows."""
+    work = [row for row, _ in _int_rows(m)]
+    return _bareiss(work, len(work[0]) if work else 0)[0]
 
 
 class SingularMatrixError(ValueError):
@@ -88,21 +119,20 @@ class SingularMatrixError(ValueError):
 
 
 def invert(m):
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
+    """Exact inverse of a square rational matrix.
+
+    With m = diag(1/d) N for integer N, fraction-free Gauss-Jordan takes
+    [N | I] to [D*I | D*N^-1], and m^-1 = N^-1 diag(d).
+    """
     n = len(m)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return tuple(tuple(row[n:]) for row in work)
+    rows = _int_rows(m)
+    work = [row + [int(i == j) for j in range(n)] for i, (row, _) in enumerate(rows)]
+    r, _, det = _bareiss(work, n, jordan=True)
+    if r < n:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(
+        tuple(Fraction(x * d, det) for x, (_, d) in zip(row[n:], rows)) for row in work
+    )
 
 
 def solve(m, rhs) -> tuple[Fraction, ...]:
@@ -113,48 +143,35 @@ def solve(m, rhs) -> tuple[Fraction, ...]:
 def is_psd(m) -> bool:
     """Exact positive-semidefiniteness test for a symmetric rational matrix.
 
-    Symmetric Gaussian elimination pivoting on nonzero diagonal entries. The
-    matrix is PSD iff no pivot is ever negative and, once no nonzero diagonal
-    entry remains, the active residual is entirely zero (a symmetric PSD
-    matrix with a zero diagonal entry has no off-diagonal coupling there).
+    Symmetric Gaussian elimination pivoting on nonzero diagonal entries, run
+    on the integer matrix L*m for L the lcm of all denominators.  The matrix
+    is PSD iff no pivot is ever negative and, once no nonzero diagonal entry
+    remains, the residual is entirely zero (a symmetric PSD matrix with a
+    zero diagonal entry has no off-diagonal coupling there).  Each step
+    keeps d times the Schur complement, d the positive pivot, divided by
+    its gcd: positive scalings keep every sign.
     """
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    while active:
-        piv = next((i for i in active if a[i][i] != 0), None)
+    rows = _int_rows(m)
+    den = lcm(*(k for _, k in rows))
+    a = [[x * (den // k) for x in row] for row, k in rows]
+    while a:
+        piv = next((i for i, row in enumerate(a) if row[i]), None)
         if piv is None:
-            return all(a[i][j] == 0 for i in active for j in active)
-        d = a[piv][piv]
+            return not any(map(any, a))
+        top = a.pop(piv)
+        d = top.pop(piv)
         if d < 0:
             return False
-        active.remove(piv)
-        for i in active:
-            f = a[i][piv]
-            if f:
-                for j in active:
-                    a[i][j] -= f * a[piv][j] / d
+        col = [row.pop(piv) for row in a]
+        a = [[d * x - f * y for x, y in zip(row, top)] for row, f in zip(a, col)]
+        g = gcd(*(x for row in a for x in row)) or 1
+        a = [[x // g for x in row] for row in a]
     return True
 
 
 def int_det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
     n = len(m)
-    if n == 0:
-        return 1
     a = [[int(x) for x in row] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r, sign, last = _bareiss(a, n)
+    return sign * last if r == n else 0

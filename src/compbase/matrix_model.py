@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .elements import SymMat
@@ -26,18 +27,23 @@ def is_projection(p: SymMat) -> bool:
 
 
 def cayley_orthogonal(dim: int, rng: random.Random):
-    """Rational orthogonal matrix (I - S)(I + S)^-1 for random antisymmetric S."""
-    s = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            x = Fraction(
-                rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND), rng.randint(1, DEFAULT_BOUND)
-            )
-            s[i][j] = x
-            s[j][i] = -x
-    s = tuple(tuple(row) for row in s)
-    eye = linalg.identity(dim)
-    return linalg.mat_mul(linalg.mat_sub(eye, s), linalg.invert(linalg.mat_add(eye, s)))
+    """Rational orthogonal matrix (I - S)(I + S)^-1 for random antisymmetric S.
+
+    With D the lcm of the generators' denominators, A = D*S is an integer
+    matrix and the frame is (D*I - A)(D*I + A)^-1, which linalg computes
+    on ints; D*I - A is the transpose of D*I + A.
+    """
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    gens = [
+        (rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND), rng.randint(1, DEFAULT_BOUND))
+        for _ in pairs
+    ]
+    den = lcm(*(q for _, q in gens))
+    plus = [[den * (i == j) for j in range(dim)] for i in range(dim)]
+    for (i, j), (p, q) in zip(pairs, gens):
+        plus[i][j] = p * (den // q)
+        plus[j][i] = -plus[i][j]
+    return linalg.mat_mul(linalg.transpose(plus), linalg.invert(plus))
 
 
 def _mask(dim: int, bits) -> tuple[tuple[Fraction, ...], ...]:

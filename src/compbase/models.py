@@ -200,8 +200,8 @@ class LatticeConeModel:
     def vec_dim(self) -> int:
         return self.dim
 
-    def vectorize(self, g: Vec) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in g.coords)
+    def vectorize(self, g: Vec) -> tuple[int, ...]:
+        return g.coords
 
     def devectorize(self, v) -> Vec:
         coords = []

@@ -111,6 +111,27 @@ def test_meet_undefined_for_incompatible_pair(bundled, fast_cfg):
         meet(base, DIAG0, HPLUS, fast_cfg)
 
 
+@pytest.mark.parametrize("name", ["m1", "m3"])
+def test_meet_clause_runs_the_battery_once_per_pair(name, bundled, fast_cfg, monkeypatch):
+    from collections import Counter
+
+    from compbase import compatibility
+
+    calls = Counter()
+    real_battery = compatibility.compat_battery
+
+    def counted_battery(base, p, q, cfg=None):
+        calls[p, q] += 1
+        return real_battery(base, p, q, cfg)
+
+    monkeypatch.setattr(compatibility, "compat_battery", counted_battery)
+    _, base = bundled[name]
+    clause = compatibility._meet_clause(base, fast_cfg)
+    assert clause.ok
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(base.foci) ** 2
+
+
 def test_image_substructure_shape(bundled, fast_cfg):
     model, base = bundled["m1"]
     v = Vec((1, 0))

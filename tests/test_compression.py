@@ -186,6 +186,28 @@ def test_hadamard_conjugation_is_not_direct(fast_cfg):
     assert not model.leq(j.apply(e), e)
 
 
+def test_matrix_directness_is_sampled_and_stops_at_its_witness(monkeypatch):
+    from compbase import matrix_model
+
+    draws = []
+    real_draw = matrix_model.draw_effect
+
+    def counted_draw(dim, rng):
+        draws.append(dim)
+        return real_draw(dim, rng)
+
+    monkeypatch.setattr(matrix_model, "draw_effect", counted_draw)
+    model = MatrixModel(2)
+    cfg = CheckConfig(samples=50)
+    # 2 basis-aligned probes, 2 off-diagonal ones, then the 50 samples
+    res = is_direct(model, conjugation_endo(model, model.unit), cfg)
+    assert (res.status, res.checked, len(draws)) == ("certified", 54, 50)
+    draws.clear()
+    hplus = SymMat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+    res = is_direct(model, conjugation_endo(model, hplus), cfg)
+    assert (res.status, res.checked, len(draws)) == ("fail", 1, 0)
+
+
 def test_only_trivial_matrix_conjugations_are_direct(bundled, fast_cfg):
     # directness forces the focus central, and the matrix model has a
     # trivial center, so exactly the conjugations by 0 and the unit survive

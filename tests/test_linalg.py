@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from compbase import linalg
@@ -112,3 +114,90 @@ def test_psd_edge_cases():
     assert not linalg.is_psd(linalg.mat([[0, 1], [1, 0]]))
     # Semidefinite but singular: the rank-one projection direction (1, 1).
     assert linalg.is_psd(linalg.mat([["1/2", "1/2"], ["1/2", "1/2"]]))
+
+
+# Kernels against sympy: mixed int and Fraction entries, zero rows, and rows
+# that repeat a multiple of the one above, so singular and rank-deficient
+# cases turn up often.
+
+DIMS = st.sampled_from([1, 2, 3, 4, 6])
+entries = st.one_of(st.integers(min_value=-6, max_value=6), rationals)
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    nrows = nrows or draw(DIMS)
+    ncols = ncols or draw(DIMS)
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["entries"] * 4 + ["zero", "multiple"]))
+        if kind == "zero":
+            rows.append(tuple(draw(st.sampled_from([0, Fraction(0)])) for _ in range(ncols)))
+        elif kind == "multiple" and rows:
+            k = draw(rationals)
+            rows.append(tuple(k * x for x in rows[-1]))
+        else:
+            rows.append(tuple(draw(entries) for _ in range(ncols)))
+    return tuple(rows)
+
+
+def to_sympy(m):
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m]
+    )
+
+
+def from_sympy(m):
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows)
+    )
+
+
+def assert_fraction_matrix(got, expected):
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_mat_mul_matches_sympy(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(nrows=len(a[0])))
+    assert_fraction_matrix(linalg.mat_mul(a, b), from_sympy(to_sympy(a) * to_sympy(b)))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_mat_vec_matches_sympy(data):
+    m = data.draw(matrices())
+    (v,) = data.draw(matrices(nrows=1, ncols=len(m[0])))
+    expected = from_sympy(to_sympy(m) * to_sympy([v]).T)
+    assert_fraction_matrix((linalg.mat_vec(m, v),), (tuple(row[0] for row in expected),))
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_sympy(m):
+    assert linalg.rank(m) == to_sympy(m).rank()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_invert_matches_sympy(data):
+    n = data.draw(DIMS)
+    m = data.draw(matrices(nrows=n, ncols=n))
+    sm = to_sympy(m)
+    if sm.det() == 0:
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(m)
+    else:
+        assert_fraction_matrix(linalg.invert(m), from_sympy(sm.inv()))
+
+
+@given(matrices(ncols=4), rationals)
+@settings(max_examples=150, deadline=None)
+def test_is_psd_matches_minor_oracle_dim4(b, shift):
+    """Gram matrices B^T B shifted by a multiple of I: PSD or not near the edge."""
+    gram = linalg.mat_mul(linalg.transpose(b), b)
+    m = linalg.mat_add(gram, linalg.mat_scale(shift, linalg.identity(4)))
+    assert linalg.is_psd(m) == psd_by_principal_minors(m)
