@@ -14,7 +14,7 @@ Every command loads a model file, re-validates it, and exits 0 only when
 every checked law holds.  Exit code 1 means a mathematical violation (the
 output names the failing clause and carries a witness); exit code 2 means
 the input could not be used at all (missing file, schema violation, bad
-element syntax).  The two are never conflated: a corrupted family is a
+element syntax, an --output path that cannot be written).  The two are never conflated: a corrupted family is a
 finding, a corrupted file is a usage error.
 
 Output is JSON by default (sorted keys, exact rationals, no volatile
@@ -23,8 +23,8 @@ aligned table with --table.  The seed comes from --seed, falling back to
 the COMPBASE_SEED environment variable, then 0.
 
 Elements on the command line: comma-separated integers for lattice models
-("1,0"), row-major comma-separated rationals for matrix models
-("1/2,1/2,1/2,1/2").
+("1,0"), row-major comma-separated integers or "a/b" rationals for matrix
+models ("1/2,1/2,1/2,1/2").
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .compatibility import (
@@ -48,7 +47,7 @@ from .compression import (
 )
 from .config import CheckConfig
 from .effect_algebra import EffectAlgebra, SubEffectAlgebra, mackey_decompositions
-from .elements import SymMat, Vec
+from .elements import SymMat, Vec, parse_rational
 from .modelfile import ModelFormatError, load_model
 from .models import NotEnumerableError, validate_unital_group
 from .reporting import jsonable, render_json, render_table
@@ -82,16 +81,11 @@ def _parse_element(model, text: str):
             f"{text!r}: expected {want} row-major entries for dim {model.dim}"
         )
     try:
-        entries = [Fraction(p) for p in parts]
+        entries = [parse_rational(p) for p in parts]
+        return SymMat.from_rows(
+            entries[i * model.dim : (i + 1) * model.dim] for i in range(model.dim)
+        )
     except (ValueError, ZeroDivisionError) as exc:
-        raise ElementSyntaxError(f"{text!r}: {exc}") from None
-    rows = tuple(
-        tuple(entries[i * model.dim + j] for j in range(model.dim))
-        for i in range(model.dim)
-    )
-    try:
-        return SymMat(rows)
-    except ValueError as exc:
         raise ElementSyntaxError(f"{text!r}: {exc}") from None
 
 
@@ -341,7 +335,11 @@ def main(argv=None) -> int:
     else:
         text = render_json(doc)
     if args.output is not None:
-        args.output.write_text(text)
+        try:
+            args.output.write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -222,11 +222,15 @@ def meet(base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None):
         raise MeetUndefinedError(
             "battery conditions disagree; the base does not satisfy its laws"
         )
-    return _checked_meet(base, p, q, cfg)
+    return _checked_meet(base, p, q, cfg, cfg.rng("meet"))
 
 
-def _checked_meet(base: CompressionBase, p, q, cfg: CheckConfig):
-    """J_p(q) for a battery-compatible pair; a violated meet law raises RuntimeError."""
+def _checked_meet(base: CompressionBase, p, q, cfg: CheckConfig, rng):
+    """J_p(q) for a battery-compatible pair; a violated meet law raises RuntimeError.
+
+    `rng` is the "meet" stream; a clause over many pairs opens it once and
+    passes it on, so each pair's greatest-lower-bound check sees new effects.
+    """
     structure = base.structure
     r = base.j(p).apply(q)
     if r != base.j(q).apply(p):
@@ -234,7 +238,7 @@ def _checked_meet(base: CompressionBase, p, q, cfg: CheckConfig):
     if not (structure.leq(r, p) and structure.leq(r, q)):
         raise RuntimeError("meet law violated: value is not a lower bound")
 
-    below_p = _effects_below(structure, p, cfg, cfg.rng("meet"))
+    below_p = _effects_below(structure, p, cfg, rng)
     glb = law("meet_glb", below_p, lambda e: not structure.leq(e, q) or structure.leq(e, r))
     if not glb.ok:
         raise RuntimeError("meet law violated: not the greatest lower bound")
@@ -344,7 +348,7 @@ def commutant_substructure(base: CompressionBase, v) -> Substructure:
     jv = base.j(v)
     jc = base.j(base.complement(v))
     projector = Endomorphism(
-        base.structure.carrier, linalg.mat_add(jv.matrix, jc.matrix)
+        base.structure.carrier, *linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
     )
     return Substructure(base.structure, "commutant", v, base.structure.unit, projector)
 
@@ -772,8 +776,8 @@ def _omp_orthogonal_join(base: CompressionBase, cfg: CheckConfig, rng) -> Clause
     def frame_pair():
         frame = matrix_model.cayley_orthogonal(dim, rng)
         slots = [rng.randint(0, 2) for _ in range(dim)]
-        p = matrix_model.projection_from_mask(frame, [s == 0 for s in slots])
-        q = matrix_model.projection_from_mask(frame, [s == 1 for s in slots])
+        p = matrix_model.frame_sandwich(frame, [s == 0 for s in slots])
+        q = matrix_model.frame_sandwich(frame, [s == 1 for s in slots])
         return p, q, frame, slots
 
     def upper_bounds(case):
@@ -781,7 +785,7 @@ def _omp_orthogonal_join(base: CompressionBase, cfg: CheckConfig, rng) -> Clause
             return base.foci
         frame, slots = case[2:]
         bits = [s in (0, 1) or rng.randint(0, 1) for s in slots]
-        return (matrix_model.projection_from_mask(frame, bits),)
+        return (matrix_model.frame_sandwich(frame, bits),)
 
     def holds(case):
         p, q = case[:2]
@@ -1144,11 +1148,12 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     count = min(max(cfg.samples, 1), max(cfg.spot, cfg.samples // 4))
     pairs = _pair_stream(base, cfg, "theorem:meet", count)
     lower_bounds = base.foci or ()
+    rng = cfg.rng("meet")
 
     def meets(pq):
         p, q = pq
         try:
-            r = _checked_meet(base, p, q, cfg)
+            r = _checked_meet(base, p, q, cfg, rng)
         except RuntimeError as exc:
             return {"p": p, "q": q, "error": str(exc)}
         leq = structure.leq

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
 
@@ -151,9 +150,9 @@ def _conjugator_clauses(structure, endo: Endomorphism) -> list:
         law("conjugator_idempotent", (p,), matrix_model.is_projection, witness="conjugator"),
         law(
             "matrix_matches_conjugator",
-            (endo.matrix,),
-            lambda m: m == conjugation_endo(structure.carrier, p).matrix,
-            witness=lambda m: None,
+            (endo,),
+            lambda e: endo_equal(structure.carrier, e, conjugation_endo(structure.carrier, p)),
+            witness=lambda e: None,
             note="stored matrix agrees with conjugation by the stored projection",
         ),
     ]
@@ -233,23 +232,15 @@ def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) 
 def _direct_probes(dim: int):
     """Deterministic effects that expose non-directness of conjugations."""
 
-    half = Fraction(1, 2)
     for i in range(dim):
-        yield SymMat.from_rows(
-            [
-                [Fraction(1) if i == r == c else Fraction(0) for c in range(dim)]
-                for r in range(dim)
-            ]
-        )
+        yield SymMat(tuple(tuple(int(i == r == c) for c in range(dim)) for r in range(dim)))
     for i in range(dim):
         for j in range(i + 1, dim):
-            for sign in (half, -half):
-                rows = [[Fraction(0)] * dim for _ in range(dim)]
-                rows[i][i] = half
-                rows[j][j] = half
-                rows[i][j] = sign
-                rows[j][i] = sign
-                yield SymMat.from_rows(rows)
+            for sign in (1, -1):
+                rows = [[0] * dim for _ in range(dim)]
+                rows[i][i] = rows[j][j] = 1
+                rows[i][j] = rows[j][i] = sign
+                yield SymMat(tuple(map(tuple, rows)), 2)
 
 
 def kernel_complement_check(
@@ -332,29 +323,23 @@ def enumerate_retractions(
         if e.is_zero():
             continue
         cand = basis + [e]
-        if linalg.rank(linalg.mat([v.coords for v in cand])) == len(cand):
+        if linalg.rank([v.coords for v in cand]) == len(cand):
             basis.append(e)
         if len(basis) == model.dim:
             break
     if len(basis) < model.dim:
         raise ValueError("interval does not span the rational carrier")
 
-    b_cols = tuple(
-        tuple(Fraction(basis[c].coords[r]) for c in range(model.dim))
-        for r in range(model.dim)
-    )
-    b_inv = linalg.invert(b_cols)
+    # the map sending basis column b_c to images[c] is phi B^-1 = phi adj(B) / det(B)
+    adj, det = linalg.invert(linalg.transpose([v.coords for v in basis]))
 
     seen = set()
     certs = []
     for images in itertools.product(interval, repeat=model.dim):
-        phi = tuple(
-            tuple(Fraction(images[c].coords[r]) for c in range(model.dim))
-            for r in range(model.dim)
-        )
-        m = linalg.mat_mul(phi, b_inv)
-        if any(x.denominator != 1 for row in m for x in row):
+        m = linalg.mat_mul(linalg.transpose([v.coords for v in images]), adj)
+        if any(x % det for row in m for x in row):
             continue
+        m = tuple(tuple(x // det for x in row) for row in m)
         if m in seen:
             continue
         seen.add(m)
@@ -543,7 +528,7 @@ def _intensional_closure_clause(base: CompressionBase, cfg: CheckConfig) -> Clau
         frame = matrix_model.cayley_orthogonal(dim, rng)
         bits_p = [rng.randint(0, 1) for _ in range(dim)]
         bits_q = [0 if bp else rng.randint(0, 1) for bp in bits_p]
-        return tuple(matrix_model.projection_from_mask(frame, b) for b in (bits_p, bits_q))
+        return tuple(matrix_model.frame_sandwich(frame, b) for b in (bits_p, bits_q))
 
     def closed(pq) -> bool:
         p, q = pq
@@ -663,7 +648,7 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
             frame = matrix_model.cayley_orthogonal(dim, rng)
             slots = [rng.randint(0, 2) for _ in range(dim)]
             masks = [[1 if s == k else 0 for s in slots] for k in range(3)]
-            return tuple(matrix_model.projection_from_mask(frame, m) for m in masks)
+            return tuple(matrix_model.frame_sandwich(frame, m) for m in masks)
 
         return law(
             "composition_law",

@@ -1,17 +1,39 @@
 """Group elements: integer lattice vectors and symmetric rational matrices.
 
-Both carriers are modelled by small frozen dataclasses with exact
-arithmetic. A Vec lives in Z^n; a SymMat lives in the real symmetric
-d x d matrices with rational entries. Symmetry is enforced at
-construction time, so a SymMat in hand is always actually symmetric.
+Both carriers are small frozen dataclasses with exact arithmetic. A Vec
+lives in Z^n. A SymMat is a symmetric rational d x d matrix stored as
+integer rows over one positive denominator in lowest terms, so `==` and
+`hash` are exact and the linalg kernels run on the stored ints. Input from
+outside goes through SymMat.from_rows, which checks shape and symmetry.
+Fractions appear only at the edges: parse_rational reads text, and
+SymMat.rows and sort_key give Fractions for JSON and ordering.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or an "a/b" string of integers; unlike Fraction(), no
+    decimals, exponents ("1e-3" asks for a 10^N denominator) or "1_000"."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f'{text!r} is not an integer or an "a/b" string of integers')
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
+
+
+def fraction_rows(num, den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Integer rows over one denominator as rows of Fractions, for JSON and display."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in num)
 
 
 @dataclass(frozen=True)
@@ -59,22 +81,35 @@ class Vec:
 
 @dataclass(frozen=True)
 class SymMat:
-    rows: tuple[tuple[Fraction, ...], ...]
+    """The symmetric matrix num / den, put in lowest terms with den > 0.
+
+    `num` (a tuple of int tuples) is trusted to be square and symmetric.
+    """
+
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("SymMat must be square")
-        if not all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        ):
-            raise ValueError("SymMat must be exactly symmetric")
+        if self.den != 1:
+            num, den = linalg.lowest_terms(self.num, self.den)
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", den)
 
     @staticmethod
     def from_rows(rows) -> "SymMat":
-        return SymMat(linalg.mat(rows))
+        """Checked constructor: ints, Fractions or "a/b" strings, square and symmetric."""
+        ratios = [
+            [(parse_rational(x) if isinstance(x, str) else x).as_integer_ratio() for x in row]
+            for row in rows
+        ]
+        n = len(ratios)
+        if any(len(r) != n for r in ratios):
+            raise ValueError("SymMat must be square")
+        den = lcm(*(d for row in ratios for _, d in row))
+        num = tuple(tuple(x * (den // d) for x, d in row) for row in ratios)
+        if any(num[i][j] != num[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("SymMat must be exactly symmetric")
+        return SymMat(num, den)
 
     @staticmethod
     def zero(dim: int) -> "SymMat":
@@ -86,24 +121,29 @@ class SymMat:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.num)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return fraction_rows(self.num, self.den)
 
     def __add__(self, other: "SymMat") -> "SymMat":
         self._check(other)
-        return SymMat(linalg.mat_add(self.rows, other.rows))
+        return SymMat(*linalg.combine(self.num, self.den, other.num, other.den))
 
     def __sub__(self, other: "SymMat") -> "SymMat":
         self._check(other)
-        return SymMat(linalg.mat_sub(self.rows, other.rows))
+        return SymMat(*linalg.combine(self.num, self.den, other.num, other.den, -1))
 
     def __neg__(self) -> "SymMat":
-        return SymMat(linalg.mat_scale(-1, self.rows))
+        return SymMat(tuple(tuple(-x for x in row) for row in self.num), self.den)
 
     def scale(self, k) -> "SymMat":
-        return SymMat(linalg.mat_scale(k, self.rows))
+        n, d = k.as_integer_ratio()
+        return SymMat(tuple(tuple(n * x for x in row) for row in self.num), self.den * d)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def sort_key(self):
         return tuple(x for row in self.rows for x in row)
@@ -117,8 +157,8 @@ class SymMat:
 
 def conjugate(p: SymMat, g: SymMat) -> SymMat:
     """p g p, the sandwich of g by p. Symmetric whenever p and g are."""
-    pg = linalg.mat_mul(p.rows, g.rows)
-    return SymMat(linalg.mat_mul(pg, p.rows))
+    pgp = linalg.mat_mul(linalg.mat_mul(p.num, g.num), p.num)
+    return SymMat(pgp, p.den * p.den * g.den)
 
 
 GroupElement = "Vec | SymMat"

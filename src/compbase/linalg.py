@@ -1,82 +1,65 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
-Fractions are the interface and integers the arithmetic.  Matrices are
-immutable tuple-of-tuples with fractions.Fraction entries; vectors are flat
-tuples of Fraction; int entries are accepted wherever a Fraction is.  The
-kernels (products, elimination, the PSD test) scale each row to integer
-numerators over one denominator, compute on ints, and build a Fraction
-only for each entry they return.  Nothing in this module (or anywhere
-else in the package) touches floats.
+A rational matrix is stored as integer rows over one positive denominator:
+the pair (rows, den) stands for rows / den, and `lowest_terms` puts it in
+the canonical form that `elements.SymMat` and `models.Endomorphism` keep,
+so equal matrices are equal tuples.  The kernels here take and return
+integer matrices only (immutable tuples of tuples of ints, vectors flat
+tuples); a caller divides by its denominators, which scale every kernel
+out exactly.  Nothing in this module (or anywhere else in the package)
+touches floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
-def mat(rows: Iterable[Iterable[object]]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def vec(entries: Iterable[object]) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in entries)
+def zeros(r: int, c: int) -> tuple[tuple[int, ...], ...]:
+    return ((0,) * c,) * r
 
 
-def identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def zeros(r: int, c: int) -> tuple[tuple[Fraction, ...], ...]:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(c)) for _ in range(r))
-
-
-def transpose(m) -> tuple[tuple[Fraction, ...], ...]:
+def transpose(m) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def lowest_terms(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """rows / den (int tuples) with den > 0 sharing no factor with all the entries."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = gcd(den, *(x for row in rows for x in row))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return rows, den
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def combine(a, da: int, b, db: int, k: int = 1):
+    """a/da + k * b/db as integer rows over lcm(da, db), not reduced."""
+    den = lcm(da, db)
+    fa, fb = den // da, k * (den // db)
+    rows = tuple(tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return rows, den
 
 
-def mat_scale(k, m):
-    k = Fraction(k)
-    return tuple(tuple(k * x for x in row) for row in m)
+def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    cols = transpose(b)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _int_rows(rows):
-    """Each row as (integer numerators, the lcm of its denominators); ints pass through."""
-    out = []
-    for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
-        den = lcm(*[d for _, d in ratios])
-        out.append(([n * (den // d) for n, d in ratios], den))
-    return out
-
-
-def mat_mul(a, b):
-    cols = _int_rows(transpose(b))
-    return tuple(
-        tuple(Fraction(sum(map(mul, row, col)), da * db) for col, db in cols)
-        for row, da in _int_rows(a)
-    )
-
-
-def mat_vec(m, v) -> tuple[Fraction, ...]:
-    ((col, dv),) = _int_rows((v,))
-    return tuple(Fraction(sum(map(mul, row, col)), dm * dv) for row, dm in _int_rows(m))
+def mat_vec(m, v) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _bareiss(a, ncols: int, jordan: bool = False) -> tuple[int, int, int]:
-    """Fraction-free elimination of the integer rows `a`, in place (Bareiss 1968).
+    """Elimination of the integer rows `a` in place, fraction-free (Bareiss 1968).
 
     Pivots on the first `ncols` columns left to right, skipping a column
     with no nonzero entry at or below the current row.  Each step replaces
@@ -109,8 +92,8 @@ def _bareiss(a, ncols: int, jordan: bool = False) -> tuple[int, int, int]:
 
 
 def rank(m) -> int:
-    """Rank over Q, by fraction-free elimination of the scaled integer rows."""
-    work = [row for row, _ in _int_rows(m)]
+    """Rank over Q, by fraction-free elimination."""
+    work = [list(row) for row in m]
     return _bareiss(work, len(work[0]) if work else 0)[0]
 
 
@@ -118,42 +101,32 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def invert(m):
-    """Exact inverse of a square rational matrix.
+def invert(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The adjugate and the determinant of a square integer matrix.
 
-    With m = diag(1/d) N for integer N, fraction-free Gauss-Jordan takes
-    [N | I] to [D*I | D*N^-1], and m^-1 = N^-1 diag(d).
+    m^-1 = adj / det.  Integer Gauss-Jordan takes [m | I] to
+    [p*I | p*m^-1] with p = sign * det, the last pivot.
     """
     n = len(m)
-    rows = _int_rows(m)
-    work = [row + [int(i == j) for j in range(n)] for i, (row, _) in enumerate(rows)]
-    r, _, det = _bareiss(work, n, jordan=True)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    r, sign, last = _bareiss(work, n, jordan=True)
     if r < n:
         raise SingularMatrixError("matrix is singular")
-    return tuple(
-        tuple(Fraction(x * d, det) for x, (_, d) in zip(row[n:], rows)) for row in work
-    )
-
-
-def solve(m, rhs) -> tuple[Fraction, ...]:
-    """Solve m x = rhs for square invertible m."""
-    return mat_vec(invert(m), rhs)
+    return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * last
 
 
 def is_psd(m) -> bool:
-    """Exact positive-semidefiniteness test for a symmetric rational matrix.
+    """Exact positive-semidefiniteness test for a symmetric integer matrix.
 
-    Symmetric Gaussian elimination pivoting on nonzero diagonal entries, run
-    on the integer matrix L*m for L the lcm of all denominators.  The matrix
-    is PSD iff no pivot is ever negative and, once no nonzero diagonal entry
-    remains, the residual is entirely zero (a symmetric PSD matrix with a
-    zero diagonal entry has no off-diagonal coupling there).  Each step
-    keeps d times the Schur complement, d the positive pivot, divided by
-    its gcd: positive scalings keep every sign.
+    Symmetric Gaussian elimination pivoting on nonzero diagonal entries.
+    The matrix is PSD iff no pivot is ever negative and, once no nonzero
+    diagonal entry remains, the residual is entirely zero (a symmetric PSD
+    matrix with a zero diagonal entry has no off-diagonal coupling there).
+    Each step keeps d times the Schur complement, d the positive pivot,
+    divided by its gcd: positive scalings keep every sign, so a rational
+    matrix is tested through its numerators over a positive denominator.
     """
-    rows = _int_rows(m)
-    den = lcm(*(k for _, k in rows))
-    a = [[x * (den // k) for x in row] for row, k in rows]
+    a = [list(row) for row in m]
     while a:
         piv = next((i for i, row in enumerate(a) if row[i]), None)
         if piv is None:

@@ -4,13 +4,13 @@ All randomness flows through an explicit random.Random instance, so every
 sweep is reproducible from its seed. Orthogonal matrices come from the
 Cayley transform of a rational antisymmetric matrix, which is exactly
 orthogonal in rational arithmetic; conjugating a 0/1 coordinate mask by one
-yields an exactly idempotent symmetric rational projection.
+yields an exactly idempotent symmetric rational projection.  A frame is
+(integer rows, denominator), and every product is taken on the integers.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -23,15 +23,18 @@ DEFAULT_BOUND = 16
 
 def is_projection(p: SymMat) -> bool:
     """Exact test: p is symmetric (by type) and p*p == p."""
-    return linalg.mat_mul(p.rows, p.rows) == p.rows
+    return linalg.mat_mul(p.num, p.num) == tuple(
+        tuple(p.den * x for x in row) for row in p.num
+    )
 
 
 def cayley_orthogonal(dim: int, rng: random.Random):
     """Rational orthogonal matrix (I - S)(I + S)^-1 for random antisymmetric S.
 
     With D the lcm of the generators' denominators, A = D*S is an integer
-    matrix and the frame is (D*I - A)(D*I + A)^-1, which linalg computes
-    on ints; D*I - A is the transpose of D*I + A.
+    matrix and the frame is (D*I - A)(D*I + A)^-1; D*I - A is the
+    transpose of D*I + A.  Returned as (integer rows, denominator) in
+    lowest terms.
     """
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     gens = [
@@ -43,21 +46,18 @@ def cayley_orthogonal(dim: int, rng: random.Random):
     for (i, j), (p, q) in zip(pairs, gens):
         plus[i][j] = p * (den // q)
         plus[j][i] = -plus[i][j]
-    return linalg.mat_mul(linalg.transpose(plus), linalg.invert(plus))
+    adj, det = linalg.invert(plus)
+    return linalg.lowest_terms(linalg.mat_mul(linalg.transpose(plus), adj), det)
 
 
-def _mask(dim: int, bits) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(Fraction(1 if (i == j and bits[i]) else 0) for j in range(dim))
-        for i in range(dim)
-    )
+def frame_sandwich(frame, diag, den: int = 1) -> SymMat:
+    """q^T diag(diag / den) q for an orthogonal frame q = (rows, d).
 
-
-def projection_from_mask(q, bits) -> SymMat:
-    """q^T diag(bits) q for orthogonal q; exactly idempotent and symmetric."""
-    dim = len(q)
-    m = linalg.mat_mul(linalg.transpose(q), linalg.mat_mul(_mask(dim, bits), q))
-    return SymMat(m)
+    Symmetric; for a 0/1 mask `diag` it is an exactly idempotent projection.
+    """
+    q, d = frame
+    scaled = tuple(tuple(k * x for x in row) for k, row in zip(diag, q))
+    return SymMat(linalg.mat_mul(linalg.transpose(q), scaled), d * d * den)
 
 
 def draw_projection(dim: int, rng: random.Random, rank: int | None = None) -> SymMat:
@@ -66,7 +66,7 @@ def draw_projection(dim: int, rng: random.Random, rank: int | None = None) -> Sy
         bits = [rng.randint(0, 1) for _ in range(dim)]
     else:
         bits = [1] * rank + [0] * (dim - rank)
-    return projection_from_mask(q, bits)
+    return frame_sandwich(q, bits)
 
 
 def draw_projection_pair(
@@ -77,7 +77,7 @@ def draw_projection_pair(
         q = cayley_orthogonal(dim, rng)
         bits_p = [rng.randint(0, 1) for _ in range(dim)]
         bits_q = [rng.randint(0, 1) for _ in range(dim)]
-        return projection_from_mask(q, bits_p), projection_from_mask(q, bits_q)
+        return frame_sandwich(q, bits_p), frame_sandwich(q, bits_q)
     return draw_projection(dim, rng), draw_projection(dim, rng)
 
 
@@ -86,21 +86,18 @@ def draw_nested_projections(dim: int, rng: random.Random) -> tuple[SymMat, SymMa
     q_frame = cayley_orthogonal(dim, rng)
     bits_p = [rng.randint(0, 1) for _ in range(dim)]
     bits_q = [b if rng.randint(0, 1) else 0 for b in bits_p]
-    return projection_from_mask(q_frame, bits_p), projection_from_mask(q_frame, bits_q)
+    return frame_sandwich(q_frame, bits_p), frame_sandwich(q_frame, bits_q)
 
 
 def draw_effect(dim: int, rng: random.Random) -> SymMat:
     """Random element of the unit interval: q^T D q with diagonal D in [0,1]."""
     q = cayley_orthogonal(dim, rng)
-    diag = []
+    ratios = []
     for _ in range(dim):
         den = rng.randint(1, DEFAULT_BOUND)
-        diag.append(Fraction(rng.randint(0, den), den))
-    d = tuple(
-        tuple(diag[i] if i == j else Fraction(0) for j in range(dim))
-        for i in range(dim)
-    )
-    return SymMat(linalg.mat_mul(linalg.transpose(q), linalg.mat_mul(d, q)))
+        ratios.append((rng.randint(0, den), den))
+    den = lcm(*(d for _, d in ratios))
+    return frame_sandwich(q, [n * (den // d) for n, d in ratios], den)
 
 
 def draw_positive(dim: int, rng: random.Random, height: int) -> SymMat:

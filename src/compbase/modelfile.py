@@ -24,8 +24,9 @@ matrix::
      "projections": [[[1, 0], [0, 0]],
                      [["1/2", "1/2"], ["1/2", "1/2"]], ...]}
 
-Matrix entries are integers or rationals written as "a/b" strings.  Floats
-are rejected outright: the whole point of the package is exact arithmetic,
+Matrix entries are integers or rationals written as "a/b" strings of
+integers (elements.parse_rational; no decimals, exponents or digit
+separators).  Floats are rejected outright: the whole point of the package is exact arithmetic,
 and 0.5 is not 1/2 once it has been through binary floating point.
 Symmetry is a shape requirement enforced at load time; idempotence of the
 listed projections is mathematics and is left to the validators.
@@ -34,11 +35,10 @@ listed projections is mathematics and is left to the validators.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .compression import CompressionBase, base_from_family, base_from_projections
-from .elements import SymMat, Vec
+from .elements import SymMat, Vec, parse_rational
 from .models import LatticeConeModel, MatrixModel, endo_from_int_matrix
 
 
@@ -74,16 +74,16 @@ def _int_matrix(value, dim: int, where: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_vector(row, dim, f"{where}[{i}]") for i, row in enumerate(value))
 
 
-def _rational(value, where: str) -> Fraction:
+def _rational(value, where: str):
     if isinstance(value, bool):
         raise _fail(where, f"expected a rational, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
         raise _fail(where, 'floats are not exact; write rationals as "a/b" strings')
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise _fail(where, f"bad rational {value!r} ({exc})") from None
     raise _fail(where, f"expected an integer or an \"a/b\" string, got {value!r}")
@@ -100,7 +100,7 @@ def _rational_matrix(value, dim: int, where: str) -> SymMat:
             tuple(_rational(v, f"{where}[{i}][{j}]") for j, v in enumerate(row))
         )
     try:
-        return SymMat(tuple(rows))
+        return SymMat.from_rows(rows)
     except ValueError as exc:
         raise _fail(where, str(exc)) from None
 

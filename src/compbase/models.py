@@ -9,24 +9,23 @@ space of symmetric rational d x d matrices ordered by positive
 semidefiniteness, with the identity as order unit; its interval is infinite
 and sweeps fall back to seeded samplers.
 
-Endomorphisms are stored uniformly as exact rational matrices acting on a
-vectorization of the carrier, so composition is matrix product and map
+Endomorphisms are stored uniformly as integer matrices over one
+denominator, acting on a vectorization of the carrier (integer entries
+over the element's denominator), so composition is matrix product and map
 equality on the matrix model is literal matrix equality.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import ClassVar
 
 from . import linalg, matrix_model
 from .config import CheckConfig
-from .elements import SymMat, Vec, conjugate
+from .elements import SymMat, Vec, fraction_rows
 from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, law
 
 
@@ -80,14 +79,13 @@ def integer_points(rows, rhs, dim: int) -> list[tuple[int, ...]]:
                     s += a[k] * cap
                 if not bounded:
                     continue
-                q = Fraction(b - s, a[j])
                 if a[j] > 0:
-                    nl = math.ceil(q)
+                    nl = -((s - b) // a[j])
                     if lo[j] is None or nl > lo[j]:
                         lo[j] = nl
                         changed = True
                 else:
-                    nh = math.floor(q)
+                    nh = (b - s) // a[j]
                     if hi[j] is None or nh < hi[j]:
                         hi[j] = nh
                         changed = True
@@ -115,7 +113,8 @@ def _seed_box(cons, dim: int) -> tuple[list, list]:
     A band is a row a constrained from both sides (a . x >= lo and
     -a . x >= -hi).  For a matrix A of dim independent band rows, x is
     A^-1 y with each y_i in [lo_i, hi_i], so x_j lies between the sums of
-    the smaller and of the larger products (A^-1)_ji * y_i.  Propagation
+    the smaller and of the larger products (A^-1)_ji * y_i, taken as
+    adj(A)_ji * y_i over det(A) made positive.  Propagation
     alone never starts when every row has two or more nonzero entries;
     these bounds give it a start.  Fewer than dim independent bands (a cone
     that is not pointed) leave every bound open.
@@ -127,19 +126,21 @@ def _seed_box(cons, dim: int) -> tuple[list, list]:
     for a in floor:
         neg = tuple(-x for x in a)
         cand = bands + [a]
-        if neg in floor and linalg.rank(linalg.mat(cand)) == len(cand):
+        if neg in floor and linalg.rank(cand) == len(cand):
             bands.append(a)
         if len(bands) == dim:
             break
     if len(bands) < dim:
         return [None] * dim, [None] * dim
-    inv = linalg.invert(linalg.mat(bands))
+    adj, det = linalg.invert(bands)
+    if det < 0:
+        adj, det = tuple(tuple(-c for c in row) for row in adj), -det
     ranges = [(floor[a], -floor[tuple(-x for x in a)]) for a in bands]
     lo, hi = [], []
-    for row in inv:
+    for row in adj:
         ends = [(c * y_lo, c * y_hi) for c, (y_lo, y_hi) in zip(row, ranges)]
-        lo.append(math.ceil(sum(min(e) for e in ends)))
-        hi.append(math.floor(sum(max(e) for e in ends)))
+        lo.append(-(-sum(min(e) for e in ends) // det))
+        hi.append(sum(max(e) for e in ends) // det)
     return lo, hi
 
 
@@ -200,16 +201,15 @@ class LatticeConeModel:
     def vec_dim(self) -> int:
         return self.dim
 
-    def vectorize(self, g: Vec) -> tuple[int, ...]:
-        return g.coords
+    def vectorize(self, g: Vec) -> tuple[tuple[int, ...], int]:
+        return g.coords, 1
 
-    def devectorize(self, v) -> Vec:
-        coords = []
-        for x in v:
-            if x.denominator != 1:
+    def devectorize(self, v, den: int = 1) -> Vec:
+        if den != 1:
+            if any(x % den for x in v):
                 raise ValueError("endomorphism does not preserve the integer lattice")
-            coords.append(int(x))
-        return Vec(tuple(coords))
+            v = tuple(x // den for x in v)
+        return Vec(v)
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +260,7 @@ class MatrixModel:
         return isinstance(g, SymMat) and g.dim == self.dim
 
     def is_positive(self, g: SymMat) -> bool:
-        return linalg.is_psd(g.rows)
+        return linalg.is_psd(g.num)
 
     def leq(self, a: SymMat, b: SymMat) -> bool:
         return self.is_positive(b - a)
@@ -284,15 +284,15 @@ class MatrixModel:
     def vec_dim(self) -> int:
         return self.dim * (self.dim + 1) // 2
 
-    def vectorize(self, g: SymMat) -> tuple[Fraction, ...]:
-        return tuple(g.rows[i][j] for i, j in self.sym_pairs)
+    def vectorize(self, g: SymMat) -> tuple[tuple[int, ...], int]:
+        return tuple(g.num[i][j] for i, j in self.sym_pairs), g.den
 
-    def devectorize(self, v) -> SymMat:
-        entries = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+    def devectorize(self, v, den: int = 1) -> SymMat:
+        entries = [[0] * self.dim for _ in range(self.dim)]
         for (i, j), x in zip(self.sym_pairs, v):
             entries[i][j] = x
             entries[j][i] = x
-        return SymMat(tuple(tuple(row) for row in entries))
+        return SymMat(tuple(map(tuple, entries)), den)
 
     def basis(self) -> tuple[SymMat, ...]:
         return _sym_basis(self.dim)
@@ -305,26 +305,25 @@ def _sym_pairs(dim: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _sym_basis(dim: int) -> tuple[SymMat, ...]:
-    out = []
-    for i, j in _sym_pairs(dim):
-        entries = [[Fraction(0)] * dim for _ in range(dim)]
-        entries[i][j] = Fraction(1)
-        entries[j][i] = Fraction(1)
-        out.append(SymMat(tuple(tuple(row) for row in entries)))
-    return tuple(out)
+    return tuple(
+        SymMat(tuple(tuple(int({r, c} == {i, j}) for c in range(dim)) for r in range(dim)))
+        for i, j in _sym_pairs(dim)
+    )
 
 
 @dataclass(frozen=True)
 class Endomorphism:
-    """Group endomorphism of a carrier, as a matrix on its vectorization.
+    """Group endomorphism of a carrier, as the matrix `matrix / den` on its vectorization.
 
-    For matrix carriers, an endomorphism arising as g -> p g p remembers its
-    conjugator; the analytic facts about such maps (order preservation,
-    the compression property) hinge on that form.
+    Stored in lowest terms with den > 0, as SymMat is; lattice maps have
+    den 1.  For matrix carriers, an endomorphism arising as g -> p g p
+    remembers its conjugator; the analytic facts about such maps (order
+    preservation, the compression property) hinge on that form.
     """
 
     carrier: "LatticeConeModel | MatrixModel"
-    matrix: tuple[tuple[Fraction, ...], ...]
+    matrix: tuple[tuple[int, ...], ...]
+    den: int = 1
     conjugator: SymMat | None = None
 
     def __post_init__(self) -> None:
@@ -333,52 +332,55 @@ class Endomorphism:
             raise ValueError(
                 f"endomorphism matrix must be {n}x{n} for this carrier"
             )
+        if self.den != 1:
+            matrix, den = linalg.lowest_terms(self.matrix, self.den)
+            object.__setattr__(self, "matrix", matrix)
+            object.__setattr__(self, "den", den)
 
     def apply(self, g):
-        return self.carrier.devectorize(
-            linalg.mat_vec(self.matrix, self.carrier.vectorize(g))
-        )
+        v, den = self.carrier.vectorize(g)
+        return self.carrier.devectorize(linalg.mat_vec(self.matrix, v), self.den * den)
 
     def jsonable(self):
-        if self.conjugator is None:
-            return {"matrix": self.matrix}
-        return {"matrix": self.matrix, "conjugator": self.conjugator}
+        out = {"matrix": fraction_rows(self.matrix, self.den)}
+        if self.conjugator is not None:
+            out["conjugator"] = self.conjugator
+        return out
 
 
 def endo_from_int_matrix(model: LatticeConeModel, rows) -> Endomorphism:
-    mat_rows = []
     for row in rows:
         if len(row) != model.dim or not all(isinstance(x, int) for x in row):
             raise ValueError(f"endomorphism row {row!r} does not match dim {model.dim}")
-        mat_rows.append(tuple(Fraction(x) for x in row))
-    return Endomorphism(model, tuple(mat_rows))
+    return Endomorphism(model, tuple(map(tuple, rows)))
 
 
 def identity_endo(carrier) -> Endomorphism:
     conj = carrier.unit if isinstance(carrier, MatrixModel) else None
-    return Endomorphism(carrier, linalg.identity(carrier.vec_dim), conj)
+    return Endomorphism(carrier, linalg.identity(carrier.vec_dim), conjugator=conj)
 
 
 def zero_endo(carrier) -> Endomorphism:
     conj = carrier.zero if isinstance(carrier, MatrixModel) else None
-    return Endomorphism(carrier, linalg.zeros(carrier.vec_dim, carrier.vec_dim), conj)
+    n = carrier.vec_dim
+    return Endomorphism(carrier, linalg.zeros(n, n), conjugator=conj)
 
 
 @lru_cache(maxsize=4096)
 def conjugation_endo(carrier: MatrixModel, p: SymMat) -> Endomorphism:
-    """The map g -> p g p as a matrix on the vectorized symmetric space."""
-    cols = [carrier.vectorize(conjugate(p, b)) for b in carrier.basis()]
-    matrix = tuple(
-        tuple(cols[c][r] for c in range(len(cols))) for r in range(len(cols))
-    )
-    return Endomorphism(carrier, matrix, p)
+    """The map g -> p g p: column k is P B_k P vectorized, over d^2 for p = P / d."""
+    cols = []
+    for b in carrier.basis():
+        pbp = linalg.mat_mul(linalg.mat_mul(p.num, b.num), p.num)
+        cols.append([pbp[i][j] for i, j in carrier.sym_pairs])
+    return Endomorphism(carrier, linalg.transpose(cols), p.den * p.den, p)
 
 
 def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """a after b (apply b first)."""
     if a.carrier != b.carrier:
         raise ValueError("cannot compose endomorphisms of different carriers")
-    return Endomorphism(a.carrier, linalg.mat_mul(a.matrix, b.matrix))
+    return Endomorphism(a.carrier, linalg.mat_mul(a.matrix, b.matrix), a.den * b.den)
 
 
 def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
@@ -393,11 +395,9 @@ def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
     if structure.finite:
         return all(a.apply(e) == b.apply(e) for e in structure.interval())
     projector = getattr(structure, "projector", None)
-    if projector is None:
-        return a.matrix == b.matrix
-    return linalg.mat_mul(a.matrix, projector.matrix) == linalg.mat_mul(
-        b.matrix, projector.matrix
-    )
+    if projector is not None:
+        a, b = compose(a, projector), compose(b, projector)
+    return a.matrix == b.matrix and a.den == b.den
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
                 note="cone orders are translation invariant by construction",
             )
         )
-        r = linalg.rank(linalg.mat(structure.cone_rows)) if structure.cone_rows else 0
+        r = linalg.rank(structure.cone_rows)
         rep.add(
             law(
                 "order_antisymmetric",

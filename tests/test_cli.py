@@ -232,6 +232,32 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["ok"] is True
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    code = main(["validate", str(MODELS_DIR / "m1.json"), "--output", str(target), *FAST])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1_000"])
+def test_matrix_element_grammar_is_integers_and_fractions(capsys, text):
+    m3 = str(MODELS_DIR / "m3.json")
+    assert main(["mackey", m3, f"{text},0,0,0", "1,0,0,0", *FAST]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["mackey", m3, "1/2,-1/2,-1/2,1/2", "1,0,0,0", *FAST]) == 0
+
+
+def test_model_file_exponent_entries_are_usage_errors(capsys, tmp_path):
+    doc = json.loads((MODELS_DIR / "m3.json").read_text())
+    doc["projections"][1] = [["1e0", "0e5"], ["0e5", "0e5"]]
+    path = tmp_path / "m3-exponents.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), *FAST]) == 2
+    assert "bad rational" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "compbase.cli", "validate", str(MODELS_DIR / "m1.json")],

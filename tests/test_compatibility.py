@@ -132,6 +132,26 @@ def test_meet_clause_runs_the_battery_once_per_pair(name, bundled, fast_cfg, mon
     assert len(calls) == len(base.foci) ** 2
 
 
+@pytest.mark.parametrize("name", ["m1", "m3"])
+def test_meet_clause_opens_one_meet_stream(name, bundled, fast_cfg, monkeypatch):
+    """Every pair's greatest-lower-bound check draws from one shared stream."""
+    from compbase import CheckConfig
+
+    tags = []
+    real_rng = CheckConfig.rng
+
+    def counted_rng(self, tag=""):
+        tags.append(tag)
+        return real_rng(self, tag)
+
+    monkeypatch.setattr(CheckConfig, "rng", counted_rng)
+    _, base = bundled[name]
+    rep = theorem_report(base, fast_cfg)
+    meets = [c for c in rep.clauses if c.name == "compatible_meet"]
+    assert len(meets) == 1 and meets[0].ok and meets[0].checked > 1
+    assert tags.count("meet") == 1
+
+
 def test_image_substructure_shape(bundled, fast_cfg):
     model, base = bundled["m1"]
     v = Vec((1, 0))

@@ -1,11 +1,12 @@
 """Vec and SymMat carriers: arithmetic, invariants, conjugation."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from compbase import SymMat, Vec, conjugate
+from compbase import MatrixModel, SymMat, Vec, conjugate, conjugation_endo, identity_endo
 
 coords = st.tuples(*[st.integers(-20, 20)] * 3)
 
@@ -92,3 +93,65 @@ def test_sort_keys_are_total_and_stable():
     assert sorted(vs, key=lambda v: v.sort_key())[0] == Vec((0, 0))
     ms = [SymMat.identity(2), SymMat.zero(2)]
     assert sorted(ms, key=lambda m: m.sort_key())[0] == SymMat.zero(2)
+
+
+# One matrix, one representation: integer rows over one denominator in
+# lowest terms, whichever route built it.
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def sym_fractions(draw, n=None):
+    n = n or draw(st.integers(1, 3))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(small)
+    return tuple(map(tuple, rows))
+
+
+def frac_mul(a, b):
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b))
+        for row in a
+    )
+
+
+def assert_same(x, y):
+    assert x == y
+    assert hash(x) == hash(y)
+    assert (x.num, x.den) == (y.num, y.den)
+    assert x.den > 0 and gcd(x.den, *(v for row in x.num for v in row)) == 1
+    assert all(type(v) is int for row in x.num for v in row)
+
+
+@given(sym_fractions())
+def test_from_rows_round_trips_exactly(rows):
+    m = SymMat.from_rows(rows)
+    assert m.rows == rows
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+    assert_same(m, SymMat.from_rows([[str(x) for x in row] for row in rows]))
+
+
+@given(st.data(), st.integers(1, 3), st.fractions(min_value=-5, max_value=5).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_every_route_gives_one_representation(data, n, k):
+    rows = data.draw(sym_fractions(n))
+    part = data.draw(sym_fractions(n))
+    m = SymMat.from_rows(rows)
+    rest = tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(rows, part))
+    assert_same(SymMat.from_rows(part) + SymMat.from_rows(rest), m)
+    assert_same(SymMat.from_rows(rows) - SymMat.zero(n), m)
+    assert_same(m.scale(k).scale(1 / k), m)
+    assert_same(-(-m), m)
+
+    model = MatrixModel(n)
+    assert_same(conjugate(model.unit, m), m)
+    assert_same(identity_endo(model).apply(m), m)
+    assert_same(model.devectorize(*model.vectorize(m)), m)
+
+    p = data.draw(sym_fractions(n))
+    expected = SymMat.from_rows(frac_mul(frac_mul(p, rows), p))
+    assert_same(conjugate(SymMat.from_rows(p), m), expected)
+    assert_same(conjugation_endo(model, SymMat.from_rows(p)).apply(m), expected)

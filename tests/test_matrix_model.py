@@ -13,8 +13,10 @@ def test_cayley_matrices_are_exactly_orthogonal():
     rng = random.Random(1)
     for dim in (2, 3, 4):
         for _ in range(10):
-            q = matrix_model.cayley_orthogonal(dim, rng)
-            assert linalg.mat_mul(linalg.transpose(q), q) == linalg.identity(dim)
+            q, d = matrix_model.cayley_orthogonal(dim, rng)
+            assert linalg.mat_mul(linalg.transpose(q), q) == tuple(
+                tuple(d * d * x for x in row) for row in linalg.identity(dim)
+            )
 
 
 def test_drawn_projections_are_exact_idempotents():
@@ -31,14 +33,14 @@ def test_projection_rank_control():
     rng = random.Random(3)
     for rank in range(4):
         p = matrix_model.draw_projection(3, rng, rank=rank)
-        assert linalg.rank(p.rows) == rank
+        assert linalg.rank(p.num) == rank
 
 
 def test_commuting_pairs_commute():
     rng = random.Random(4)
     for _ in range(10):
         p, q = matrix_model.draw_projection_pair(3, rng, commuting=True)
-        assert linalg.mat_mul(p.rows, q.rows) == linalg.mat_mul(q.rows, p.rows)
+        assert linalg.mat_mul(p.num, q.num) == linalg.mat_mul(q.num, p.num)
 
 
 def test_nested_pairs_are_nested():
@@ -47,7 +49,10 @@ def test_nested_pairs_are_nested():
     for _ in range(10):
         p, q = matrix_model.draw_nested_projections(3, rng)
         assert model.leq(q, p)
-        assert linalg.mat_mul(p.rows, q.rows) == q.rows
+        # p q = q, on the numerators over p.den * q.den
+        assert linalg.mat_mul(p.num, q.num) == tuple(
+            tuple(p.den * x for x in row) for row in q.num
+        )
 
 
 def test_effects_lie_in_the_unit_interval():

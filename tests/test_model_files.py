@@ -106,6 +106,14 @@ def test_bad_rational_string(tmp_path, m3_doc):
         load_model(write(tmp_path, m3_doc))
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1_000", "1/-2", " 1", "\u0661"])
+def test_rational_grammar_is_integers_and_fractions(tmp_path, m3_doc, text):
+    """Only integers and "a/b" strings of integers; Fraction() would take these."""
+    m3_doc["projections"][3][0][0] = text
+    with pytest.raises(ModelFormatError, match="bad rational"):
+        load_model(write(tmp_path, m3_doc))
+
+
 def test_asymmetric_projection_rejected(tmp_path, m3_doc):
     m3_doc["projections"][1] = [[1, 1], [0, 0]]
     with pytest.raises(ModelFormatError):
