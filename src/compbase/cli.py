@@ -24,7 +24,9 @@ the COMPBASE_SEED environment variable, then 0.
 
 Elements on the command line: comma-separated integers for lattice models
 ("1,0"), row-major comma-separated integers or "a/b" rationals for matrix
-models ("1/2,1/2,1/2,1/2").
+models ("1/2,1/2,1/2,1/2").  Every integer is optionally signed ASCII
+digits, the one grammar of elements.parse_integer and parse_rational: no
+"1_000", no digits of other scripts.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .compression import (
 )
 from .config import CheckConfig
 from .effect_algebra import EffectAlgebra, SubEffectAlgebra, mackey_decompositions
-from .elements import SymMat, Vec, parse_rational
+from .elements import SymMat, Vec, parse_integer, parse_rational
 from .modelfile import ModelFormatError, load_model
 from .models import NotEnumerableError, validate_unital_group
 from .reporting import jsonable, render_json, render_table
@@ -65,7 +67,7 @@ def _parse_element(model, text: str):
     parts = [p.strip() for p in text.split(",")]
     if model.kind == "lattice_cone":
         try:
-            coords = tuple(int(p) for p in parts)
+            coords = tuple(parse_integer(p) for p in parts)
         except ValueError:
             raise ElementSyntaxError(
                 f"{text!r}: lattice elements are comma-separated integers"

@@ -3,10 +3,21 @@
 Both carriers are small frozen dataclasses with exact arithmetic. A Vec
 lives in Z^n. A SymMat is a symmetric rational d x d matrix stored as
 integer rows over one positive denominator in lowest terms, so `==` and
-`hash` are exact and the linalg kernels run on the stored ints. Input from
-outside goes through SymMat.from_rows, which checks shape and symmetry.
-Fractions appear only at the edges: parse_rational reads text, and
-SymMat.rows and sort_key give Fractions for JSON and ordering.
+`hash` are exact and the linalg kernels run on the stored ints.
+
+Values are checked where they enter and trusted after that. Input from
+outside goes through the checking constructors: Vec(coords) raises
+TypeError on a coordinate that is not an int, and SymMat.from_rows checks
+shape and symmetry. Values the program computes from checked ones are
+built unchecked: Vec sums, differences, negations and int multiples go
+through _trusted_vec, as do the lattice points and map images of
+`models`, and the SymMat constructor trusts its rows. Arithmetic still
+raises ValueError on an operand that is not an element of the same kind
+and dimension, and Vec.scale raises TypeError on a multiplier that is not
+an int.
+
+Fractions appear only at the edges: parse_integer and parse_rational read
+text, and SymMat.rows and sort_key give Fractions for JSON and ordering.
 """
 
 from __future__ import annotations
@@ -15,10 +26,20 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, neg, sub
 
 from . import linalg
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
+
+
+def parse_integer(text: str) -> int:
+    """An optionally signed string of ASCII digits; unlike int(), no "1_000"
+    and no digits of other scripts."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -50,17 +71,19 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _trusted_vec(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _trusted_vec(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Vec":
-        return Vec(tuple(-a for a in self.coords))
+        return _trusted_vec(tuple(map(neg, self.coords)))
 
     def scale(self, k: int) -> "Vec":
-        return Vec(tuple(k * a for a in self.coords))
+        if not isinstance(k, int):
+            raise TypeError("Vec multiples must be by ints")
+        return _trusted_vec(tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -76,7 +99,14 @@ class Vec:
 
     @staticmethod
     def zero(dim: int) -> "Vec":
-        return Vec((0,) * dim)
+        return _trusted_vec((0,) * dim)
+
+
+def _trusted_vec(coords: tuple[int, ...]) -> Vec:
+    """The Vec of `coords` without the int check, for ints the program computed."""
+    v = object.__new__(Vec)
+    object.__setattr__(v, "coords", coords)
+    return v
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,13 @@ Endomorphisms are stored uniformly as integer matrices over one
 denominator, acting on a vectorization of the carrier (integer entries
 over the element's denominator), so composition is matrix product and map
 equality on the matrix model is literal matrix equality.
+
+The lattice path runs on the int tuples a Vec holds. Coordinates are
+checked where they enter (model files, the CLI, library calls to Vec);
+interval and box points, map images and the order test are computed on
+tuples and never re-checked: the cone test is one pass over the stored
+cone rows, leq tests the coordinate difference, and _interval_sums decides
+every member of a height box in one sweep ordered by weight.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul, sub
 from typing import ClassVar
 
 from . import linalg, matrix_model
 from .config import CheckConfig
-from .elements import SymMat, Vec, fraction_rows
+from .elements import SymMat, Vec, _trusted_vec, fraction_rows
 from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, law
 
 
@@ -42,7 +50,15 @@ _PROPAGATION_ROUNDS = 64
 
 
 def _dot(row, coords) -> int:
-    return sum(a * x for a, x in zip(row, coords))
+    return sum(map(mul, row, coords))
+
+
+def _in_cone(rows, coords) -> bool:
+    """row . coords >= 0 for every row, in one pass that stops at the first failure."""
+    for row in rows:
+        if sum(map(mul, row, coords)) < 0:
+            return False
+    return True
 
 
 def integer_points(rows, rhs, dim: int) -> list[tuple[int, ...]]:
@@ -182,10 +198,13 @@ class LatticeConeModel:
         return isinstance(g, Vec) and g.dim == self.dim
 
     def is_positive(self, g: Vec) -> bool:
-        return all(_dot(row, g.coords) >= 0 for row in self.cone_rows)
+        return _in_cone(self.cone_rows, g.coords)
 
     def leq(self, a: Vec, b: Vec) -> bool:
-        return self.is_positive(b - a)
+        """a <= b, tested on the coordinates of b - a without building a Vec."""
+        if len(a.coords) != len(b.coords):
+            raise ValueError(f"cannot compare {a!r} with {b!r}: dimensions differ")
+        return _in_cone(self.cone_rows, tuple(map(sub, b.coords, a.coords)))
 
     def interval(self) -> tuple[Vec, ...]:
         return _lattice_interval(self, 0, 1)
@@ -209,7 +228,7 @@ class LatticeConeModel:
             if any(x % den for x in v):
                 raise ValueError("endomorphism does not preserve the integer lattice")
             v = tuple(x // den for x in v)
-        return Vec(v)
+        return _trusted_vec(v)
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +245,7 @@ def _lattice_interval(model: LatticeConeModel, lo: int, hi: int) -> tuple[Vec, .
         rhs.append(lo * at_unit)
         rows.append(tuple(-a for a in row))
         rhs.append(-hi * at_unit)
-    return tuple(Vec(p) for p in integer_points(rows, rhs, model.dim))
+    return tuple(map(_trusted_vec, integer_points(rows, rhs, model.dim)))
 
 
 @dataclass(frozen=True)
@@ -479,12 +498,13 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
         _directedness_bounded(structure, n, rep)
 
     gen_bound = n if top_level else 2 * n
-    reach = _interval_sums(structure, gen_bound)
+    box = structure.positive_universe(gen_bound)
+    reach = _interval_sums(structure, box)
     rep.add(
         law(
             "interval_generates_positives",
-            structure.positive_universe(gen_bound),
-            reach.__contains__,
+            box,
+            lambda g: g.coords in reach,
             witness="positive",
             note=f"every positive below {gen_bound}*unit is a sum of interval elements",
         )
@@ -550,22 +570,30 @@ def _directedness_bounded(structure, n: int, rep: Report) -> None:
     )
 
 
-def _interval_sums(structure, bound: int) -> set:
-    """Every sum of interval elements that stays below bound*unit."""
-    interval = [e for e in structure.interval() if not e.is_zero()]
-    top = structure.unit.scale(bound)
-    reach = {structure.zero}
-    frontier = [structure.zero]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for e in interval:
-                t = s + e
-                if t in reach or not structure.leq(t, top):
-                    continue
-                reach.add(t)
-                nxt.append(t)
-        frontier = nxt
+def _interval_sums(structure, box) -> set:
+    """The coordinates of the members of `box` that are sums of interval elements.
+
+    `box` is the positive box {g : 0 <= g <= n*unit} of the structure, and
+    the sums are those of nonzero interval elements e, so each partial sum
+    is positive and below its total.  A positive g is such a sum iff g = 0,
+    or g - e is such a sum for some nonzero e in the interval.
+
+    One sweep over the box decides every g.  If g - e is a sum it is
+    positive, it lies below g and hence below n*unit, and it is in the
+    (sub)group, so it is in the box.  It also comes earlier once the box is
+    sorted by w . g, where w is the sum of the cone rows: w . e is the sum of
+    the row values row . e >= 0, and on a pointed cone (rows of full rank,
+    as every cone with a finite nonempty interval has) they are not all 0
+    for e != 0, so
+    w . (g - e) < w . g.  The sums below g are therefore all decided by the
+    time g is reached.
+    """
+    effects = [e.coords for e in structure.interval() if not e.is_zero()]
+    weight = [sum(col) for col in zip(*structure.carrier.cone_rows)]
+    reach: set = set()
+    for g in sorted((g.coords for g in box), key=lambda x: _dot(weight, x)):
+        if not any(g) or any(tuple(map(sub, g, e)) in reach for e in effects):
+            reach.add(g)
     return reach
 
 

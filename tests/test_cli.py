@@ -1,13 +1,14 @@
 """Command line contract: exit codes, JSON shape, determinism, rendering."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from compbase.cli import main
-from conftest import FIXTURES_DIR, MODELS_DIR
+from conftest import FIXTURES_DIR, MODELS_DIR, REPO
 
 FAST = ["--samples", "30", "--height-bound", "3"]
 
@@ -122,6 +123,14 @@ def test_mackey_bad_syntax_is_usage_error(capsys):
     assert main(["mackey", str(MODELS_DIR / "m1.json"), "1,0,0", "0,1"]) == 2
     # asymmetric matrix text is rejected before any mathematics runs
     assert main(["mackey", str(MODELS_DIR / "m3.json"), "1,1,0,1", "1,0,0,1"]) == 2
+
+
+@pytest.mark.parametrize("text", ["0_1,0", "\uff11,0", "\u0661,0", "1.0,0", "0x1,0"])
+def test_lattice_element_grammar_is_ascii_integers(capsys, text):
+    m1 = str(MODELS_DIR / "m1.json")
+    assert main(["mackey", m1, text, "0,1", *FAST]) == 2
+    assert "comma-separated integers" in capsys.readouterr().err
+    assert main(["mackey", m1, "+1, 0", "0,1", *FAST]) == 0
 
 
 def test_substructure_image(capsys):
@@ -259,10 +268,17 @@ def test_model_file_exponent_entries_are_usage_errors(capsys, tmp_path):
 
 
 def test_console_entry_point_runs():
+    # pytest's `pythonpath` setting reaches this process only, so the child
+    # gets the source tree on its own path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "compbase.cli", "validate", str(MODELS_DIR / "m1.json")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compbase import MatrixModel, SymMat, Vec, conjugate, conjugation_endo, identity_endo
+from compbase.elements import parse_integer
 
 coords = st.tuples(*[st.integers(-20, 20)] * 3)
 
@@ -36,6 +37,36 @@ def test_vec_rejects_non_int_coords():
 def test_vec_shape_mismatch():
     with pytest.raises(ValueError):
         Vec((1, 2)) + Vec((1, 2, 3))
+
+
+def test_vec_checks_input_but_trusts_its_own_arithmetic():
+    # the public constructor and the operands are checked ...
+    with pytest.raises(TypeError):
+        Vec((1, "2"))
+    with pytest.raises(ValueError):
+        Vec((1, 2)) - Vec((1, 2, 3))
+    for other in ((1, 2), SymMat.identity(2), 1):
+        with pytest.raises(ValueError):
+            Vec((1, 2)) + other
+        with pytest.raises(ValueError):
+            Vec((1, 2)) - other
+    with pytest.raises(TypeError):
+        Vec((1, 2)).scale(Fraction(1, 2))
+    # ... and the results are ordinary Vecs, equal and hashed as checked ones
+    results = [Vec((1, 2)) + Vec((2, 1)), Vec((4, 4)) - Vec((1, 1)), -Vec((-3, -3)),
+               Vec((1, 1)).scale(3)]
+    assert set(results) == {Vec((3, 3))}
+    assert all(type(r) is Vec and r.coords == (3, 3) for r in results)
+
+
+@pytest.mark.parametrize("text", ["1_000", "\uff11", "\u0663", "1.0", "1/2", "", "+"])
+def test_parse_integer_is_ascii_digits_only(text):
+    with pytest.raises(ValueError):
+        parse_integer(text)
+
+
+def test_parse_integer_reads_signed_ascii_digits():
+    assert [parse_integer(t) for t in ("0", "-7", "+12", "007")] == [0, -7, 12, 7]
 
 
 def test_vec_zero_predicate():

@@ -10,6 +10,7 @@ there; a hash is never regenerated silently.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -38,6 +39,60 @@ VALIDATE_SHA256 = {
 THEOREMS_M3_64_SHA256 = "50b0d74c922707115d01f5ddec6c890f5ccbe7065ce2c61e8b07aa03dc09d771"
 
 
+
+def _diag(*bits):
+    return [[b if i == j else 0 for j, _ in enumerate(bits)] for i, b in enumerate(bits)]
+
+
+# Z^2 and Z^3 under the standard cone, based on the projections onto blocks
+# of coordinates, and Z^2 under the m5 cone with its two coordinate foci.
+LATTICE_MODELS = {
+    "z2-std-3x5": {
+        "kind": "lattice_cone",
+        "dim": 2,
+        "cone_rows": _diag(1, 1),
+        "unit": [3, 5],
+        "compressions": [
+            {"focus": [0, 0], "matrix": _diag(0, 0)},
+            {"focus": [0, 5], "matrix": _diag(0, 1)},
+            {"focus": [3, 0], "matrix": _diag(1, 0)},
+            {"focus": [3, 5], "matrix": _diag(1, 1)},
+        ],
+    },
+    "z2-m5-5x-2": {
+        "kind": "lattice_cone",
+        "dim": 2,
+        "cone_rows": [[1, 0], [1, 1]],
+        "unit": [5, -2],
+        "compressions": [
+            {"focus": [0, 0], "matrix": [[0, 0], [0, 0]]},
+            {"focus": [5, -5], "matrix": [[1, 0], [-1, 0]]},
+            {"focus": [0, 3], "matrix": [[0, 0], [1, 1]]},
+            {"focus": [5, -2], "matrix": [[1, 0], [0, 1]]},
+        ],
+    },
+    "z3-std-1x1x1": {
+        "kind": "lattice_cone",
+        "dim": 3,
+        "cone_rows": _diag(1, 1, 1),
+        "unit": [1, 1, 1],
+        "compressions": [
+            {"focus": [0, 0, 0], "matrix": _diag(0, 0, 0)},
+            {"focus": [0, 1, 1], "matrix": _diag(0, 1, 1)},
+            {"focus": [1, 0, 0], "matrix": _diag(1, 0, 0)},
+            {"focus": [1, 1, 1], "matrix": _diag(1, 1, 1)},
+        ],
+    },
+}
+
+# report --seed 0 on each of LATTICE_MODELS
+LATTICE_REPORT_SHA256 = {
+    "z2-m5-5x-2": "52e8c4abc5e734bb0aaa4c35bf80368c5d2fcf50fa4e09ab4a5fac3d7e6e8aee",
+    "z2-std-3x5": "42f8cf41dbb43a33cdf9cf2c822ab4d49306f1e1b1eccf23d597304f107b2d10",
+    "z3-std-1x1x1": "a5527213694187f39e2adddb00f7afef99b0bd2af2d59c8e023590d952f15100",
+}
+
+
 def _sha256_of_run(capsys, *argv, config=CONFIG) -> tuple[int, str]:
     code = main([str(a) for a in argv] + config)
     out = capsys.readouterr().out
@@ -64,3 +119,12 @@ def test_theorems_m3_larger_budget_bytes_pinned(capsys):
     )
     assert code == 0
     assert digest == THEOREMS_M3_64_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_REPORT_SHA256))
+def test_lattice_report_bytes_pinned(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(LATTICE_MODELS[name]))
+    code, digest = _sha256_of_run(capsys, "report", path, config=["--seed", "0"])
+    assert code == 0
+    assert digest == LATTICE_REPORT_SHA256[name]

@@ -4,6 +4,7 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from compbase import (
     CheckConfig,
@@ -13,16 +14,18 @@ from compbase import (
     NotEnumerableError,
     SymMat,
     Vec,
+    commutant_substructure,
     compose,
     conjugation_endo,
     endo_equal,
     endo_from_int_matrix,
     identity_endo,
+    image_substructure,
     validate_unital_group,
     zero_endo,
 )
 from compbase.cli import main
-from compbase.models import integer_points
+from compbase.models import _interval_sums, integer_points
 from conftest import LATTICE, MATRIX
 
 
@@ -160,6 +163,13 @@ def test_nonpositive_unit_fails():
     assert "unit_positive_nonzero" in names
 
 
+def test_lattice_leq_rejects_mixed_dimensions(bundled):
+    model, _ = bundled["m1"]
+    assert model.leq(Vec((0, 0)), model.unit)
+    with pytest.raises(ValueError):
+        model.leq(Vec((0, 0)), Vec((1, 0, 0)))
+
+
 def test_lattice_endomorphism_apply_and_compose(bundled):
     model, _ = bundled["m1"]
     swap = endo_from_int_matrix(model, [[0, 1], [1, 0]])
@@ -202,3 +212,76 @@ def test_vectorize_devectorize_roundtrip():
     g = SymMat.from_rows([[1, 2, 0], [2, "1/3", -1], [0, -1, 5]])
     assert model.devectorize(*model.vectorize(g)) == g
     assert model.vec_dim == 6
+
+
+def breadth_first_sums(structure, bound: int) -> set:
+    """Every sum of nonzero interval elements that stays below bound*unit.
+
+    The reach set grown one summand at a time from 0: an independent oracle
+    for models._interval_sums, which decides the same set in one sweep.
+    """
+    interval = [e for e in structure.interval() if not e.is_zero()]
+    top = structure.unit.scale(bound)
+    reach = {structure.zero}
+    frontier = [structure.zero]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for e in interval:
+                t = s + e
+                if t in reach or not structure.leq(t, top):
+                    continue
+                reach.add(t)
+                nxt.append(t)
+        frontier = nxt
+    return reach
+
+
+def assert_one_sweep_matches_breadth_first(structure):
+    for bound in (1, 2):
+        box = structure.positive_universe(bound)
+        want = breadth_first_sums(structure, bound)
+        got = _interval_sums(structure, box)
+        assert [g.coords in got for g in box] == [g in want for g in box]
+        assert got <= {g.coords for g in box}
+
+
+@st.composite
+def seeded_cones(draw):
+    """Two or three cone rows in Z^2 and a unit.
+
+    The unit is adj(R) s for the first two rows R and some s > 0, so
+    R u = det(R) s: strictly inside the cone those two rows cut out.
+    """
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(entry, entry), min_size=2, max_size=3))
+    (a, b), (c, d) = rows[:2]
+    det = a * d - b * c
+    assume(det != 0)
+    s, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    sign = 1 if det > 0 else -1
+    return rows, (sign * (d * s - b * t), sign * (a * t - c * s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone=seeded_cones())
+@example(cone=([(1, -2), (-1, 3)], (5, 2)))
+@example(cone=([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], (0, 0, 2)))
+def test_interval_sums_match_breadth_first_on_cones(cone):
+    # the examples are a skewed Z^2 cone and the square-pyramid cone in Z^3
+    rows, unit = cone
+    model = LatticeConeModel(len(unit), tuple(rows), Vec(unit))
+    try:
+        interval = model.interval()
+    except NotEnumerableError:
+        assume(False)
+    assume(len(interval) <= 40)
+    assert_one_sweep_matches_breadth_first(model)
+
+
+@pytest.mark.parametrize("name", ["m1", "m5"])
+def test_interval_sums_match_breadth_first_on_substructures(name, bundled):
+    model, base = bundled[name]
+    for v in base.foci:
+        for build in (image_substructure, commutant_substructure):
+            assert_one_sweep_matches_breadth_first(build(base, v))
