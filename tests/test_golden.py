@@ -4,7 +4,8 @@
 the 3x3 substructure and product paths); `validate` on the corrupted
 fixtures covers fail-path witnesses and checked counts; `theorems` on m3 at
 a larger sample budget covers the larger denominators that the small
-budget never reaches.  A change that
+budget never reaches; `report` m3 and `theorems` m4 at seed 1 are the
+jobs of the matrix-report benchmark.  A change that
 moves any of these bytes must say why in CHANGES.md and re-pin the hash
 there; a hash is never regenerated silently.
 """
@@ -37,6 +38,13 @@ VALIDATE_SHA256 = {
 
 # theorems models/m3.json --samples 64 --seed 0
 THEOREMS_M3_64_SHA256 = "50b0d74c922707115d01f5ddec6c890f5ccbe7065ce2c61e8b07aa03dc09d771"
+
+# the two jobs of the matrix-report benchmark at --samples 8 --seed 1:
+# (command, model) -> sha256
+MATRIX_SEED1_SHA256 = {
+    ("report", "m3"): "02fbb7493d4cde79ed991367cfc51293c52f076ca882ed581bc64ce8091d0c8e",
+    ("theorems", "m4"): "72842f8211163cbea742c3c5552b507d01593c1b38f9f4d8a991032fc4b45b6d",
+}
 
 
 
@@ -119,6 +127,15 @@ def test_theorems_m3_larger_budget_bytes_pinned(capsys):
     )
     assert code == 0
     assert digest == THEOREMS_M3_64_SHA256
+
+
+@pytest.mark.parametrize("command,name", sorted(MATRIX_SEED1_SHA256))
+def test_matrix_seed1_bytes_pinned(capsys, command, name):
+    code, digest = _sha256_of_run(
+        capsys, command, MODELS_DIR / f"{name}.json", config=["--samples", "8", "--seed", "1"]
+    )
+    assert code == 0
+    assert digest == MATRIX_SEED1_SHA256[command, name]
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_REPORT_SHA256))
