@@ -24,9 +24,10 @@ the COMPBASE_SEED environment variable, then 0.
 
 Elements on the command line: comma-separated integers for lattice models
 ("1,0"), row-major comma-separated integers or "a/b" rationals for matrix
-models ("1/2,1/2,1/2,1/2").  Every integer is optionally signed ASCII
-digits, the one grammar of elements.parse_integer and parse_rational: no
-"1_000", no digits of other scripts.
+models ("1/2,1/2,1/2,1/2").  Every integer, in an element, in --seed,
+--samples and --height-bound and in COMPBASE_SEED, is optionally signed
+ASCII digits, the one grammar of elements.parse_integer and
+parse_rational: no "1_000", no spaces, no digits of other scripts.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ EXIT_USAGE = 2
 
 
 class ElementSyntaxError(ValueError):
-    """Command line text that does not parse as an element at all."""
+    """Command line text that does not parse as an element or an integer at all."""
 
 
 def _parse_element(model, text: str):
@@ -265,11 +266,12 @@ def _render_rows(doc: dict) -> str:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--height-bound", type=int, default=3, metavar="N",
+    # numbers are read by _config, in the grammar of elements.parse_integer
+    common.add_argument("--height-bound", default="3", metavar="N",
                         help="bound for the positive test universe (default 3)")
-    common.add_argument("--samples", type=int, default=1000, metavar="K",
+    common.add_argument("--samples", default="1000", metavar="K",
                         help="randomized samples per sweep on matrix models (default 1000)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", default=None,
                         help="RNG seed (default: COMPBASE_SEED or 0)")
     style = common.add_mutually_exclusive_group()
     style.add_argument("--json", action="store_true", help="JSON output (default)")
@@ -303,25 +305,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("COMPBASE_SEED", "0")
+def _integer_option(name: str, text: str) -> int:
     try:
-        return int(raw)
+        return parse_integer(text)
     except ValueError:
-        raise ElementSyntaxError(f"COMPBASE_SEED={raw!r} is not an integer") from None
+        raise ElementSyntaxError(f"{name}={text!r} is not an integer") from None
+
+
+def _config(args) -> CheckConfig:
+    seed, seed_name = args.seed, "--seed"
+    if seed is None:
+        seed, seed_name = os.environ.get("COMPBASE_SEED", "0"), "COMPBASE_SEED"
+    return CheckConfig(
+        height_bound=_integer_option("--height-bound", args.height_bound),
+        samples=_integer_option("--samples", args.samples),
+        seed=_integer_option(seed_name, seed),
+    )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = CheckConfig(
-            height_bound=args.height_bound,
-            samples=args.samples,
-            seed=_resolve_seed(args),
-        )
-    except (ValueError, ElementSyntaxError) as exc:
+        cfg = _config(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -20,6 +20,12 @@ interval and box points, map images and the order test are computed on
 tuples and never re-checked: the cone test is one pass over the stored
 cone rows, leq tests the coordinate difference, and _interval_sums decides
 every member of a height box in one sweep ordered by weight.
+
+The matrix order test MatrixModel.leq, and with it the order of every
+matrix substructure, is memoized on the exact (a, b) pair by a
+functools.lru_cache of matrix_model.CACHE_SIZE entries: the same declared
+foci are compared thousands of times per report.  Its body is is_psd of
+b - a, so the memo changes no answer.
 """
 
 from __future__ import annotations
@@ -282,7 +288,7 @@ class MatrixModel:
         return linalg.is_psd(g.num)
 
     def leq(self, a: SymMat, b: SymMat) -> bool:
-        return self.is_positive(b - a)
+        return _matrix_leq(a, b)
 
     def interval(self):
         raise NotEnumerableError(
@@ -315,6 +321,12 @@ class MatrixModel:
 
     def basis(self) -> tuple[SymMat, ...]:
         return _sym_basis(self.dim)
+
+
+@lru_cache(maxsize=matrix_model.CACHE_SIZE)
+def _matrix_leq(a: SymMat, b: SymMat) -> bool:
+    """a <= b in the positive-semidefinite order, keyed by the exact pair."""
+    return linalg.is_psd((b - a).num)
 
 
 @lru_cache(maxsize=None)

@@ -231,6 +231,36 @@ def test_seed_environment_fallback(capsys, monkeypatch):
     assert main(["validate", str(MODELS_DIR / "m1.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "option,text",
+    [
+        ("--seed", "1_0"),
+        ("--seed", "\u0663"),
+        ("--seed", " 3"),
+        ("--samples", "1_0"),
+        ("--samples", "\uff18"),
+        ("--height-bound", "2_0"),
+        ("--height-bound", "3.0"),
+    ],
+)
+def test_numeric_options_are_ascii_integers(capsys, option, text):
+    code = main(["validate", str(MODELS_DIR / "m1.json"), option, text])
+    assert code == 2
+    assert f"{option}={text!r} is not an integer" in capsys.readouterr().err
+
+
+def test_seed_environment_is_an_ascii_integer(capsys, monkeypatch):
+    for text in (" \u0663 ", "1_0", "3 "):
+        monkeypatch.setenv("COMPBASE_SEED", text)
+        assert main(["validate", str(MODELS_DIR / "m1.json")]) == 2
+        assert "COMPBASE_SEED=" in capsys.readouterr().err
+    monkeypatch.setenv("COMPBASE_SEED", "-4")
+    _, doc = run_json(
+        capsys, "validate", MODELS_DIR / "m1.json", "--samples", "+30", "--height-bound", "3"
+    )
+    assert doc["config"] == {"height_bound": 3, "samples": 30, "seed": -4}
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out = run(

@@ -1,8 +1,15 @@
-"""Seeded samplers: exactness, idempotence, order bounds, determinism."""
+"""Seeded samplers: exactness, idempotence, order bounds, determinism, and
+the memoized constructions and order test against their unmemoized forms."""
 
 import random
+from collections import Counter
+from math import lcm
 
-from compbase import MatrixModel, linalg, matrix_model
+from hypothesis import example, given, settings, strategies as st
+
+from compbase import CheckConfig, MatrixModel, SymMat, linalg, matrix_model, models
+from compbase.cli import main
+from conftest import MODELS_DIR
 
 
 def rngs():
@@ -88,3 +95,160 @@ def test_sampling_is_seed_deterministic():
 
 def test_distinct_seeds_usually_differ():
     assert matrix_model.random_effect(2, seed=1) != matrix_model.random_effect(2, seed=2)
+
+
+# ---------------------------------------------------------------------------
+# memoized samplers against the draw-and-build-in-one-pass oracles
+
+
+def oracle_cayley_orthogonal(dim, rng):
+    bound = matrix_model.DEFAULT_BOUND
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    gens = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in pairs]
+    den = lcm(*(q for _, q in gens))
+    plus = [[den * (i == j) for j in range(dim)] for i in range(dim)]
+    for (i, j), (p, q) in zip(pairs, gens):
+        plus[i][j] = p * (den // q)
+        plus[j][i] = -plus[i][j]
+    adj, det = linalg.invert(plus)
+    return linalg.lowest_terms(linalg.mat_mul(linalg.transpose(plus), adj), det)
+
+
+def oracle_draw_effect(dim, rng):
+    q = oracle_cayley_orthogonal(dim, rng)
+    ratios = []
+    for _ in range(dim):
+        den = rng.randint(1, matrix_model.DEFAULT_BOUND)
+        ratios.append((rng.randint(0, den), den))
+    den = lcm(*(d for _, d in ratios))
+    return matrix_model.frame_sandwich(q, [n * (den // d) for n, d in ratios], den)
+
+
+SAMPLERS = {
+    "cayley": (matrix_model.cayley_orthogonal, oracle_cayley_orthogonal),
+    "effect": (matrix_model.draw_effect, oracle_draw_effect),
+}
+MEMOS = (matrix_model._cayley_frame, matrix_model._effect)
+
+
+def flood_caches():
+    """More distinct draws than either cache holds: evicts every earlier entry."""
+    rng = random.Random(-1)
+    for _ in range(matrix_model.CACHE_SIZE + 1):
+        matrix_model.draw_effect(3, rng)
+    assert all(m.cache_info().currsize == matrix_model.CACHE_SIZE for m in MEMOS)
+
+
+SAMPLER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(sorted(SAMPLERS)), st.integers(1, 4)),
+        st.sampled_from([("reopen", 0), ("flood", 0)]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=5, bound=matrix_model.DEFAULT_BOUND,
+         ops=[("effect", 3), ("cayley", 3), ("flood", 0), ("reopen", 0),
+              ("effect", 3), ("cayley", 3), ("reopen", 0), ("effect", 3)])
+@given(
+    seed=st.integers(0, 2**32),
+    bound=st.sampled_from([1, 2, matrix_model.DEFAULT_BOUND]),
+    ops=SAMPLER_OPS,
+)
+def test_memoized_samplers_match_oracle_and_stream(seed, bound, ops):
+    # "reopen" restarts both streams, as every clause that opens a tagged
+    # stream again does, so later draws repeat earlier ones; small bounds
+    # make distinct draws share parts of their cache keys
+    default = matrix_model.DEFAULT_BOUND
+    matrix_model.DEFAULT_BOUND = bound
+    try:
+        memo_rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for name, dim in ops:
+            if name == "reopen":
+                memo_rng, oracle_rng = random.Random(seed), random.Random(seed)
+            elif name == "flood":
+                matrix_model.DEFAULT_BOUND = default
+                flood_caches()
+                matrix_model.DEFAULT_BOUND = bound
+            else:
+                memo, oracle = SAMPLERS[name]
+                assert memo(dim, memo_rng) == oracle(dim, oracle_rng)
+                assert memo_rng.getstate() == oracle_rng.getstate()
+    finally:
+        matrix_model.DEFAULT_BOUND = default
+
+
+# ---------------------------------------------------------------------------
+# the memoized matrix order test
+
+
+@st.composite
+def sym_mats(draw, dim):
+    upper = {(i, j): draw(st.integers(-4, 4)) for i in range(dim) for j in range(i, dim)}
+    num = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(dim)) for i in range(dim))
+    return SymMat(num, draw(st.integers(1, 6)))
+
+
+@st.composite
+def order_pairs(draw):
+    dim = draw(st.integers(1, 3))
+    a = draw(sym_mats(dim))
+    how = draw(st.sampled_from(["equal", "above", "below", "any"]))
+    if how == "equal":
+        return a, SymMat(a.num, a.den)
+    effect = matrix_model.draw_effect(dim, random.Random(draw(st.integers(0, 2**16))))
+    if how == "above":
+        return a, a + effect
+    if how == "below":
+        return a, a - effect
+    return a, draw(sym_mats(dim))
+
+
+def _diag(*entries):
+    return SymMat(tuple(tuple(x if i == j else 0 for j in range(len(entries)))
+                        for i, x in enumerate(entries)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(pair=(_diag(1, 0), _diag(0, 1)))
+@example(pair=(_diag(1, 2), _diag(1, 2)))
+@given(pair=order_pairs())
+def test_memoized_order_matches_is_psd(pair):
+    a, b = pair
+    model = MatrixModel(a.dim)
+    want = linalg.is_psd((b - a).num)
+    assert model.leq(a, b) is want
+    hits = models._matrix_leq.cache_info().hits
+    assert model.leq(a, b) is want
+    assert models._matrix_leq.cache_info().hits == hits + 1
+
+
+def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
+    """theorems m4 --samples 8 --seed 1: same draws and streams, fewer PSD tests.
+
+    Before the memos it ran is_psd 14,528 times; draw_effect (2,114 calls)
+    and CheckConfig.rng (56 streams) are as they were.
+    """
+    for memo in (*MEMOS, models._matrix_leq):
+        memo.cache_clear()
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "is_psd", counting("is_psd", linalg.is_psd))
+    monkeypatch.setattr(matrix_model, "draw_effect", counting("draw_effect", matrix_model.draw_effect))
+    monkeypatch.setattr(CheckConfig, "rng", counting("rng", CheckConfig.rng))
+    argv = ["theorems", str(MODELS_DIR / "m4.json"), "--samples", "8", "--seed", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts["draw_effect"] == 2114
+    assert counts["rng"] == 56
+    assert counts["is_psd"] <= 7000
