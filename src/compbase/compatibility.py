@@ -6,7 +6,10 @@ conditions that are provably equivalent for any compression base; the
 equivalence itself is what the sweeps check.  On top of compatibility sit
 the meet of compatible foci, the image and commutant substructures with
 their restricted bases, morphisms between based groups, and the direct
-product decomposition induced by a single focus.
+product decomposition induced by a single focus.  Each substructure and
+its restricted base are built once per base and kept on it, so the
+substructure and product sections of a report share them, and with them
+every universe cut from the parent.
 
 Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, a height box or the declared foci
@@ -262,7 +265,9 @@ class Substructure:
     kind "commutant" is the set of elements compatible with a focus, with
     the ambient unit.  Both support the same sweep protocol as a model, so
     every validation can be re-run inside them.  Each universe is cut from
-    the parent's once and kept for the life of the substructure.
+    the parent's once and kept for the life of the substructure, and
+    image_substructure and commutant_substructure build one substructure
+    per (kind, v) once per base.
     """
 
     parent: Any
@@ -337,7 +342,9 @@ def image_substructure(base: CompressionBase, v) -> Substructure:
 
     if not base.contains_focus(v):
         raise MembershipError("v is not a focus of this base")
-    return Substructure(base.structure, "image", v, v, base.j(v))
+    return _memoized(
+        base, ("image", v), lambda: Substructure(base.structure, "image", v, v, base.j(v))
+    )
 
 
 def commutant_substructure(base: CompressionBase, v) -> Substructure:
@@ -345,12 +352,16 @@ def commutant_substructure(base: CompressionBase, v) -> Substructure:
 
     if not base.contains_focus(v):
         raise MembershipError("v is not a focus of this base")
-    jv = base.j(v)
-    jc = base.j(base.complement(v))
-    projector = Endomorphism(
-        base.structure.carrier, *linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
-    )
-    return Substructure(base.structure, "commutant", v, base.structure.unit, projector)
+
+    def build():
+        jv = base.j(v)
+        jc = base.j(base.complement(v))
+        projector = Endomorphism(
+            base.structure.carrier, *linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
+        )
+        return Substructure(base.structure, "commutant", v, base.structure.unit, projector)
+
+    return _memoized(base, ("commutant", v), build)
 
 
 def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase:
@@ -365,11 +376,28 @@ def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase
         raise NotEnumerableError(
             "restricting a base needs a declared focus list"
         )
-    if sub.kind == "image":
-        keep = [q for q in base.foci if base.structure.leq(q, sub.v)]
-    else:
-        keep = [q for q in base.foci if in_commutant(base, sub.v, q)]
-    return CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
+
+    def build():
+        if sub.kind == "image":
+            keep = [q for q in base.foci if base.structure.leq(q, sub.v)]
+        else:
+            keep = [q for q in base.foci if in_commutant(base, sub.v, q)]
+        return CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
+
+    return _memoized(base, sub, build)
+
+
+def _memoized(base: CompressionBase, key, build):
+    """The entry of base._memo at key, built on first use.
+
+    Keys are (kind, v) for a substructure and the substructure itself for
+    its restricted base, so each is built, and each of its universes cut,
+    once per base.
+    """
+
+    if key not in base._memo:
+        base._memo[key] = build()
+    return base._memo[key]
 
 
 def substructure_report(

@@ -17,7 +17,7 @@ sampled one spot checks a fact that holds analytically for that form
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional
 
@@ -123,7 +123,6 @@ def retraction_certificate(
             below,
             lambda e: endo.apply(e) == e,
             witness="effect",
-            checked=len(positives),
             note=notes[1],
         ),
     ]
@@ -306,10 +305,25 @@ def enumerate_retractions(
 ) -> tuple[RetractionCertificate, ...]:
     """Every retraction of a finite lattice model, as checked certificates.
 
-    A retraction maps the interval into itself, so assigning interval
-    elements to a rational basis drawn from the interval covers all
-    candidates; assignments whose matrix leaves the integer lattice are
-    discarded, the rest are certified one by one.
+    The search runs focus by focus.  Let J be a retraction with focus
+    p = J(u).  J fixes every effect below p, so it fixes [0, p] and, being
+    linear, all of span[0, p].  J is additive and order preserving, so
+    0 <= e <= u gives 0 <= J(e) <= J(u) = p: J maps the interval into
+    [0, p].
+
+    So for each p in the interval, take a basis B0 of span[0, p] from
+    [0, p] and extend it with interval elements to a basis of Q^n.  A
+    candidate is the identity on B0 and sends each other basis vector to an
+    element of [0, p].  It is discarded unless its matrix is integral and
+    it sends u to p; every kept candidate is certified.  Each retraction
+    turns up exactly once: on one basis, distinct image tuples give
+    distinct maps, and maps found at distinct foci differ at u.  A focus
+    whose [0, p] spans Q^n has one candidate, the identity, which is kept
+    only at p = u.
+
+    The search tries, summed over the foci p, |[0, p]|^(n - rank [0, p])
+    candidates, where assigning interval elements to a whole basis would
+    try |E|^n.
     """
 
     cfg = cfg or CheckConfig()
@@ -317,37 +331,46 @@ def enumerate_retractions(
         cert = retraction_certificate(model, zero_endo(model), cfg)
         return (cert,)
 
-    interval = model.interval()
-    basis: list = []
-    for e in interval:
-        if e.is_zero():
-            continue
-        cand = basis + [e]
-        if linalg.rank([v.coords for v in cand]) == len(cand):
-            basis.append(e)
-        if len(basis) == model.dim:
-            break
-    if len(basis) < model.dim:
+    effects = model.interval()
+    spanning = [e.coords for e in effects]
+    if len(_extend_basis([], spanning, model.dim)) < model.dim:
         raise ValueError("interval does not span the rational carrier")
-
-    # the map sending basis column b_c to images[c] is phi B^-1 = phi adj(B) / det(B)
-    adj, det = linalg.invert(linalg.transpose([v.coords for v in basis]))
-
-    seen = set()
     certs = []
-    for images in itertools.product(interval, repeat=model.dim):
-        m = linalg.mat_mul(linalg.transpose([v.coords for v in images]), adj)
-        if any(x % det for row in m for x in row):
-            continue
-        m = tuple(tuple(x // det for x in row) for row in m)
-        if m in seen:
-            continue
-        seen.add(m)
-        cert = retraction_certificate(model, Endomorphism(model, m), cfg)
-        if cert.valid:
-            certs.append(cert)
+    for p in effects:
+        below = [e.coords for e in effects if model.leq(e, p)]
+        fixed = _extend_basis([], below, model.dim)
+        basis = _extend_basis(fixed, spanning, model.dim)
+        # with the images of the basis vectors as the columns of phi, the map
+        # is phi B^-1 = phi adj(B) / det(B), and it sends u to phi w / det(B)
+        # with w = adj(B) u
+        adj, det = linalg.invert(linalg.transpose(basis))
+        w = linalg.mat_vec(adj, model.unit.coords)
+        target = tuple(det * x for x in p.coords)
+        for free in itertools.product(below, repeat=model.dim - len(fixed)):
+            phi = linalg.transpose(fixed + list(free))
+            if linalg.mat_vec(phi, w) != target:
+                continue
+            m = linalg.mat_mul(phi, adj)
+            if any(x % det for row in m for x in row):
+                continue
+            m = tuple(tuple(x // det for x in row) for row in m)
+            cert = retraction_certificate(model, Endomorphism(model, m), cfg)
+            if cert.valid:
+                certs.append(cert)
     certs.sort(key=lambda c: (c.focus.sort_key(), c.endo.matrix))
     return tuple(certs)
+
+
+def _extend_basis(basis: list, vectors, dim: int) -> list:
+    """basis, extended by each of vectors in turn that is independent of it."""
+
+    for v in vectors:
+        if len(basis) == dim:
+            break
+        cand = basis + [v]
+        if linalg.rank(cand) == len(cand):
+            basis = cand
+    return basis
 
 
 def compressible_group_report(
@@ -412,12 +435,15 @@ class CompressionBase:
     Declared bases carry an explicit focus list and a map from focus to
     endomorphism.  An intensional base, one without a focus list, takes
     every projection of the matrix model as a focus, with conjugation as
-    the assigned map.
+    the assigned map.  _memo holds what the compatibility module builds
+    from the base once: its substructures by (kind, focus), and the
+    restricted base of each.
     """
 
     structure: Any
     foci: Optional[tuple]
     family: Optional[dict]
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def intensional(self) -> bool:

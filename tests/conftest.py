@@ -2,6 +2,8 @@ import pytest
 
 from pathlib import Path
 
+from hypothesis import assume, strategies as st
+
 from compbase import CheckConfig, load_model
 
 REPO = Path(__file__).resolve().parent.parent
@@ -23,3 +25,20 @@ def fast_cfg():
 def bundled():
     """name -> (model, declared base) for every bundled model file."""
     return {name: load_model(MODELS_DIR / f"{name}.json") for name in BUNDLED}
+
+
+@st.composite
+def seeded_cones(draw):
+    """Two or three cone rows in Z^2 and a unit.
+
+    The unit is adj(R) s for the first two rows R and some s > 0, so
+    R u = det(R) s: strictly inside the cone those two rows cut out.
+    """
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(entry, entry), min_size=2, max_size=3))
+    (a, b), (c, d) = rows[:2]
+    det = a * d - b * c
+    assume(det != 0)
+    s, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    sign = 1 if det > 0 else -1
+    return rows, (sign * (d * s - b * t), sign * (a * t - c * s))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from compbase import cli, compatibility, compression, models
+
 from compbase import (
     BATTERY_CONDITIONS,
     MeetUndefinedError,
@@ -24,6 +26,7 @@ from compbase import (
     trivial_base,
     zero_endo,
 )
+from conftest import MODELS_DIR
 
 DIAG0 = SymMat.from_rows([[1, 0], [0, 0]])
 DIAG1 = SymMat.from_rows([[0, 0], [0, 1]])
@@ -86,11 +89,51 @@ def test_commutant_membership(bundled):
 
 def test_substructure_universes_are_cut_once(bundled):
     _, base = bundled["m1"]
-    for sub in (image_substructure(base, Vec((1, 0))), commutant_substructure(base, Vec((1, 0)))):
+    for build in (image_substructure, commutant_substructure):
+        sub = build(base, Vec((1, 0)))
+        assert build(base, Vec((1, 0))) is sub
+        assert restricted_base(base, sub) is restricted_base(base, sub)
         assert sub.interval() is sub.interval()
         assert sub.positive_universe(2) is sub.positive_universe(2)
         assert sub.signed_universe(2) is sub.signed_universe(2)
         assert sub.positive_universe(2) != sub.signed_universe(2)
+
+
+@pytest.mark.parametrize("name", ["m1", "m5"])
+def test_report_builds_one_substructure_per_kind_and_focus(name, monkeypatch, capsys):
+    # the substructure and product sections of each focus share the image
+    # and commutant substructures; every validation still runs once per
+    # report section: the declared base, then each (focus, kind) substructure
+    built = []
+    real = compatibility.Substructure
+
+    def counted_substructure(*args, **kwargs):
+        sub = real(*args, **kwargs)
+        built.append((sub.kind, sub.v))
+        return sub
+
+    monkeypatch.setattr(compatibility, "Substructure", counted_substructure)
+    calls = {"unital": 0, "base": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    unital = counted("unital", models.validate_unital_group)
+    based = counted("base", compression.validate_compression_base)
+    monkeypatch.setattr(models, "validate_unital_group", unital)
+    monkeypatch.setattr(cli, "validate_unital_group", unital)
+    monkeypatch.setattr(compression, "validate_compression_base", based)
+    monkeypatch.setattr(cli, "validate_compression_base", based)
+
+    assert cli.main(["report", str(MODELS_DIR / f"{name}.json"), "--samples", "8"]) == 0
+    capsys.readouterr()
+    k = 4  # declared foci
+    assert len(set(built)) == len(built) == 2 * k
+    assert calls == {"unital": 1 + 2 * k, "base": 1 + 2 * k}
 
 
 def test_meet_of_nested_foci(bundled, fast_cfg):

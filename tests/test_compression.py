@@ -1,11 +1,17 @@
 """Retractions, compressions, and the compression-base laws."""
 
+import itertools
+import json
+
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from compbase import (
     CheckConfig,
     Endomorphism,
+    LatticeConeModel,
     MatrixModel,
+    NotEnumerableError,
     SymMat,
     Vec,
     base_from_family,
@@ -22,8 +28,11 @@ from compbase import (
     retraction_certificate,
     trivial_base,
     validate_compression_base,
+    zero_endo,
 )
-from conftest import FIXTURES_DIR, LATTICE
+from compbase import compression, linalg
+from compbase.cli import main
+from conftest import FIXTURES_DIR, LATTICE, seeded_cones
 
 
 def test_declared_compressions_are_retractions(bundled, fast_cfg):
@@ -32,6 +41,8 @@ def test_declared_compressions_are_retractions(bundled, fast_cfg):
         cert = retraction_certificate(model, base.j(p), fast_cfg, declared_focus=p)
         assert cert.valid
         assert cert.focus == p
+        below = [e for e in model.interval() if model.leq(e, p)]
+        assert dict(cert.checks)["fixes_below_focus"].checked == len(below)
 
 
 def test_swap_map_is_not_a_retraction(bundled, fast_cfg):
@@ -118,6 +129,134 @@ def test_retraction_counts(bundled, fast_cfg):
         certs = enumerate_retractions(model, fast_cfg)
         assert len(certs) == expected
         assert {c.focus for c in certs} == set(base.foci)
+
+
+def exhaustive_retractions(model, cfg):
+    """Every retraction, by assigning interval elements to a whole basis.
+
+    The |E|^dim search that enumerate_retractions replaced, kept as its
+    oracle: a retraction maps the interval into itself, so images drawn
+    from the interval for a basis drawn from the interval cover every
+    candidate; non-integral matrices are dropped, the rest certified.
+    """
+
+    if model.unit.is_zero():
+        return (retraction_certificate(model, zero_endo(model), cfg),)
+    interval = model.interval()
+    basis: list = []
+    for e in interval:
+        if e.is_zero():
+            continue
+        cand = basis + [e]
+        if linalg.rank([v.coords for v in cand]) == len(cand):
+            basis.append(e)
+        if len(basis) == model.dim:
+            break
+    if len(basis) < model.dim:
+        raise ValueError("interval does not span the rational carrier")
+    adj, det = linalg.invert(linalg.transpose([v.coords for v in basis]))
+    seen = set()
+    certs = []
+    for images in itertools.product(interval, repeat=model.dim):
+        m = linalg.mat_mul(linalg.transpose([v.coords for v in images]), adj)
+        if any(x % det for row in m for x in row):
+            continue
+        m = tuple(tuple(x // det for x in row) for row in m)
+        if m in seen:
+            continue
+        seen.add(m)
+        cert = retraction_certificate(model, Endomorphism(model, m), cfg)
+        if cert.valid:
+            certs.append(cert)
+    certs.sort(key=lambda c: (c.focus.sort_key(), c.endo.matrix))
+    return tuple(certs)
+
+
+def _census(enumerate_, model, cfg):
+    """(focus, matrix, check bits) per certificate, or the error raised."""
+
+    try:
+        certs = enumerate_(model, cfg)
+    except ValueError as exc:
+        return str(exc)
+    return [(c.focus, c.endo.matrix, tuple((n, r.ok) for n, r in c.checks)) for c in certs]
+
+
+@st.composite
+def z2_cones(draw):
+    """The standard cone, the m5 cone or a drawn cone in Z^2, with a unit."""
+
+    kind = draw(st.sampled_from(("standard", "m5", "drawn")))
+    if kind == "drawn":
+        return draw(seeded_cones())
+    s, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if kind == "standard":
+        return [(1, 0), (0, 1)], (s, t)
+    # row values (s, t) at the unit
+    return [(1, 0), (1, 1)], (s, t - s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cone=z2_cones())
+@example(cone=([(1, 0), (0, 1)], (1, 1)))  # m1
+@example(cone=([(1,)], (2,)))  # m2
+@example(cone=([(1, 0), (1, 1)], (1, 1)))  # m5
+@example(cone=([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 2, 2)))
+@example(cone=([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], (0, 0, 2)))
+@example(cone=([(-1, 2), (-2, 0)], (-3, 3)))
+@example(cone=([(0, 1), (1, 0), (0, -1)], (1, 1)))
+def test_focus_first_search_matches_exhaustive_oracle(cone):
+    # the examples: m1, m2, m5, Z^3, the square pyramid, a cone that is not
+    # a product of chains, and a unit outside its cone (an empty interval)
+    rows, unit = cone
+    model = LatticeConeModel(len(unit), tuple(rows), Vec(unit))
+    try:
+        interval = model.interval()
+    except NotEnumerableError:
+        assume(False)
+    assume(len(interval) <= 30)
+    cfg = CheckConfig(height_bound=2)
+    got = _census(enumerate_retractions, model, cfg)
+    assert got == _census(exhaustive_retractions, model, cfg)
+
+
+def _corner_model(unit) -> dict:
+    """The standard cone with `unit`, based on every block of coordinates."""
+
+    dim = len(unit)
+    compressions = []
+    for bits in itertools.product((0, 1), repeat=dim):
+        compressions.append(
+            {
+                "focus": [b * x for b, x in zip(bits, unit)],
+                "matrix": [[b if i == j else 0 for j in range(dim)] for i, b in enumerate(bits)],
+            }
+        )
+    cone = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return {"kind": "lattice_cone", "dim": dim, "cone_rows": cone, "unit": list(unit),
+            "compressions": compressions}
+
+
+@pytest.mark.parametrize("unit,retractions,budget", [((3, 3, 3), 8, 64), ((8, 8), 4, 32)])
+def test_retraction_search_certificate_budget(
+    unit, retractions, budget, monkeypatch, tmp_path, capsys
+):
+    # 2^dim declared foci each take one certificate in the family clause;
+    # the rest are the search's.  An |E|^dim search certifies thousands.
+    calls = []
+    real = compression.retraction_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(compression, "retraction_certificate", counted)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(_corner_model(unit)))
+    assert main(["retractions", str(path)]) == 0
+    census = json.loads(capsys.readouterr().out)["sections"]["04_compressible"]["clauses"][0]
+    assert census["checked"] == retractions
+    assert len(calls) <= budget
 
 
 @pytest.mark.parametrize("name", LATTICE)

@@ -4,7 +4,7 @@ import json
 from itertools import product
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings
 
 from compbase import (
     CheckConfig,
@@ -26,7 +26,7 @@ from compbase import (
 )
 from compbase.cli import main
 from compbase.models import _interval_sums, integer_points
-from conftest import LATTICE, MATRIX
+from conftest import LATTICE, MATRIX, seeded_cones
 
 
 def brute_interval(model, box=8):
@@ -244,23 +244,6 @@ def assert_one_sweep_matches_breadth_first(structure):
         got = _interval_sums(structure, box)
         assert [g.coords in got for g in box] == [g in want for g in box]
         assert got <= {g.coords for g in box}
-
-
-@st.composite
-def seeded_cones(draw):
-    """Two or three cone rows in Z^2 and a unit.
-
-    The unit is adj(R) s for the first two rows R and some s > 0, so
-    R u = det(R) s: strictly inside the cone those two rows cut out.
-    """
-    entry = st.integers(-3, 3)
-    rows = draw(st.lists(st.tuples(entry, entry), min_size=2, max_size=3))
-    (a, b), (c, d) = rows[:2]
-    det = a * d - b * c
-    assume(det != 0)
-    s, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    sign = 1 if det > 0 else -1
-    return rows, (sign * (d * s - b * t), sign * (a * t - c * s))
 
 
 @settings(max_examples=40, deadline=None)
