@@ -338,30 +338,35 @@ class Substructure:
 
 
 def image_substructure(base: CompressionBase, v) -> Substructure:
-    """The range of J_v, as a unital group with unit v."""
+    """The range of J_v, as a unital group with unit v; built once per base."""
 
     if not base.contains_focus(v):
         raise MembershipError("v is not a focus of this base")
-    return _memoized(
-        base, ("image", v), lambda: Substructure(base.structure, "image", v, v, base.j(v))
-    )
+    key = "image", v
+    if key not in base._memo:
+        base._memo[key] = Substructure(base.structure, "image", v, v, base.j(v))
+    return base._memo[key]
 
 
 def commutant_substructure(base: CompressionBase, v) -> Substructure:
-    """All elements compatible with v, as a unital group with the same unit."""
+    """All elements compatible with v, as a unital group with the same unit.
+
+    Built once per base.
+    """
 
     if not base.contains_focus(v):
         raise MembershipError("v is not a focus of this base")
-
-    def build():
+    key = "commutant", v
+    if key not in base._memo:
         jv = base.j(v)
         jc = base.j(base.complement(v))
         projector = Endomorphism(
             base.structure.carrier, *linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
         )
-        return Substructure(base.structure, "commutant", v, base.structure.unit, projector)
-
-    return _memoized(base, ("commutant", v), build)
+        base._memo[key] = Substructure(
+            base.structure, "commutant", v, base.structure.unit, projector
+        )
+    return base._memo[key]
 
 
 def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase:
@@ -369,35 +374,20 @@ def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase
 
     Image substructures keep the foci below v; commutant substructures keep
     the foci compatible with v.  The maps themselves are unchanged, only
-    re-read as maps of the substructure.
+    re-read as maps of the substructure.  Built once per (base, sub).
     """
 
     if base.foci is None:
         raise NotEnumerableError(
             "restricting a base needs a declared focus list"
         )
-
-    def build():
+    if sub not in base._memo:
         if sub.kind == "image":
             keep = [q for q in base.foci if base.structure.leq(q, sub.v)]
         else:
             keep = [q for q in base.foci if in_commutant(base, sub.v, q)]
-        return CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
-
-    return _memoized(base, sub, build)
-
-
-def _memoized(base: CompressionBase, key, build):
-    """The entry of base._memo at key, built on first use.
-
-    Keys are (kind, v) for a substructure and the substructure itself for
-    its restricted base, so each is built, and each of its universes cut,
-    once per base.
-    """
-
-    if key not in base._memo:
-        base._memo[key] = build()
-    return base._memo[key]
+        base._memo[sub] = CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
+    return base._memo[sub]
 
 
 def substructure_report(

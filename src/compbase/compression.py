@@ -436,8 +436,8 @@ class CompressionBase:
     endomorphism.  An intensional base, one without a focus list, takes
     every projection of the matrix model as a focus, with conjugation as
     the assigned map.  _memo holds what the compatibility module builds
-    from the base once: its substructures by (kind, focus), and the
-    restricted base of each.
+    from the base once: its substructures, keyed by (kind, focus), and
+    the restricted base of each, keyed by the substructure.
     """
 
     structure: Any
