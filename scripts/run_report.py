@@ -21,9 +21,10 @@ MODELS = sorted((REPO / "models").glob("m*.json"))
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=REPO / "reports")
-    ap.add_argument("--samples", type=int, default=200)
-    ap.add_argument("--height-bound", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=0)
+    # the numbers are passed on as text, for the CLI's integer grammar to read
+    ap.add_argument("--samples", default="200")
+    ap.add_argument("--height-bound", default="3")
+    ap.add_argument("--seed", default="0")
     args = ap.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -36,11 +37,11 @@ def main() -> int:
                 "report",
                 str(model),
                 "--samples",
-                str(args.samples),
+                args.samples,
                 "--height-bound",
-                str(args.height_bound),
+                args.height_bound,
                 "--seed",
-                str(args.seed),
+                args.seed,
                 "--output",
                 str(target),
             ]

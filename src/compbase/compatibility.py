@@ -1,7 +1,8 @@
 """Compatibility of foci, commutants, substructures, and products.
 
 An element g is compatible with a focus p when g splits as
-J_p(g) + J_{u-p}(g).  For two foci the battery below evaluates eight
+J_p(g) + J_{u-p}(g): when the projector J_p + J_{u-p} of the commutant
+substructure of p fixes g.  For two foci the battery below evaluates eight
 conditions that are provably equivalent for any compression base; the
 equivalence itself is what the sweeps check.  On top of compatibility sit
 the meet of compatible foci, the image and commutant substructures with
@@ -33,12 +34,7 @@ from .compression import (
     kernel_complement_check,
 )
 from .config import CheckConfig
-from .effect_algebra import (
-    EffectAlgebra,
-    MembershipError,
-    SubEffectAlgebra,
-    is_mackey_compatible,
-)
+from .effect_algebra import EffectAlgebra, MembershipError, is_mackey_compatible
 from .elements import conjugate
 from .models import (
     Endomorphism,
@@ -61,14 +57,10 @@ class MeetUndefinedError(ValueError):
 
 
 def in_commutant(base: CompressionBase, p, g) -> bool:
-    """Does g split as J_p(g) + J_{u-p}(g)?"""
+    """Does g split as J_p(g) + J_{u-p}(g), that is, is it fixed by the
+    projector J_p + J_{u-p} of the commutant substructure of p?"""
 
-    if not base.contains_focus(p):
-        raise MembershipError("p is not a focus of this base")
-    comp = base.complement(p)
-    if not base.contains_focus(comp):
-        raise MembershipError("the complement of p escapes the base")
-    return base.j(p).apply(g) + base.j(comp).apply(g) == g
+    return commutant_substructure(base, p).is_member(g)
 
 
 def commutant_absorption_check(base: CompressionBase, p, g) -> Clause:
@@ -145,14 +137,14 @@ def compat_battery(
 ) -> CompatReport:
     """Evaluate all eight compatibility conditions for the pair (p, q).
 
-    On finite structures every condition is decided exhaustively.  On the
-    matrix model the two Mackey conditions are decided through the
-    constructive witness r = J_p(q), e = p - r, f = q - r, and the
-    common-focus condition through the same candidate; the battery's use
-    is precisely that these routes must agree with the exact conditions.
+    mackey_in_interval searches the whole interval of a finite structure.
+    On the matrix model it, and on the intensional base mackey_in_base and
+    the common-focus condition too, are decided through the constructive
+    witness r = J_p(q), e = p - r, f = q - r; the battery's use is
+    precisely that these routes must agree with the exact conditions.  On
+    a declared base of either kind mackey_in_base searches the foci.
     """
 
-    cfg = cfg or CheckConfig()
     structure = base.structure
     for name, x in (("p", p), ("q", q)):
         if not base.contains_focus(x):
@@ -165,24 +157,18 @@ def compat_battery(
     r = jp.apply(q)
 
     if structure.finite:
-        algebra = EffectAlgebra(structure)
-        in_interval = is_mackey_compatible(algebra, p, q)
-        in_base = is_mackey_compatible(
-            algebra, p, q, within=SubEffectAlgebra(algebra, frozenset(base.foci))
-        )
+        in_interval = is_mackey_compatible(EffectAlgebra(structure), p, q)
     else:
         e = p - r
         f = q - r
         in_interval = all(_is_effect(structure, x) for x in (r, e, f))
         in_interval = in_interval and structure.leq(e + f + r, structure.unit)
-        if base.intensional:
-            in_base = in_interval and all(base.contains_focus(x) for x in (r, e, f))
-        else:
-            in_base = _mackey_in_declared(base, p, q)
     if base.intensional:
+        in_base = in_interval and all(base.contains_focus(x) for x in (r, p - r, q - r))
         jr = conjugation_endo(structure.carrier, r)
         common = base.contains_focus(r) and endo_equal(structure, pq, jr)
     else:
+        in_base = _mackey_in_declared(base, p, q)
         common = any(endo_equal(structure, pq, base.j(s)) for s in base.foci)
     conds = (
         ("commute", endo_equal(structure, pq, qp)),
@@ -198,6 +184,8 @@ def compat_battery(
 
 
 def _mackey_in_declared(base: CompressionBase, p, q) -> bool:
+    """Is there a Mackey triple (p - d, q - d, d) of p and q made of foci?"""
+
     leq = base.structure.leq
     return any(
         leq(d, p)
@@ -351,15 +339,18 @@ def image_substructure(base: CompressionBase, v) -> Substructure:
 def commutant_substructure(base: CompressionBase, v) -> Substructure:
     """All elements compatible with v, as a unital group with the same unit.
 
-    Built once per base.
+    Its projector is J_v + J_{u-v}.  Built once per base.
     """
 
-    if not base.contains_focus(v):
-        raise MembershipError("v is not a focus of this base")
     key = "commutant", v
     if key not in base._memo:
+        if not base.contains_focus(v):
+            raise MembershipError("v is not a focus of this base")
+        comp = base.complement(v)
+        if not base.contains_focus(comp):
+            raise MembershipError("the complement of v escapes the base")
         jv = base.j(v)
-        jc = base.j(base.complement(v))
+        jc = base.j(comp)
         projector = Endomorphism(
             base.structure.carrier, *linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
         )
@@ -385,7 +376,7 @@ def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase
         if sub.kind == "image":
             keep = [q for q in base.foci if base.structure.leq(q, sub.v)]
         else:
-            keep = [q for q in base.foci if in_commutant(base, sub.v, q)]
+            keep = [q for q in base.foci if sub.is_member(q)]
         base._memo[sub] = CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
     return base._memo[sub]
 

@@ -247,10 +247,20 @@ def is_normal_subalgebra(algebra: EffectAlgebra, sub: SubEffectAlgebra) -> Claus
 def center(algebra: EffectAlgebra) -> SubEffectAlgebra:
     """Central effects of an enumerable algebra.
 
-    c is central when every effect f splits uniquely as f = f1 + f2 with
-    f1 <= c and f2 <= u - c.  The result is validated as a normal
-    sub-effect algebra before it is returned; a failure there would mean
-    the characterization itself is broken, so it raises.
+    Greechie, Foulis and Pulmannova ("The center of an effect algebra",
+    Order 12, 1995): c is central, that is f -> (f1, f2) is an isomorphism
+    of E onto [0, c] x [0, u - c] where f = f1 + f2 with f1 <= c and
+    f2 <= u - c, exactly when (a) c and u - c are principal (e, f <= p and
+    e + f <= u give e + f <= p) and (b) every f has such a split.  The test
+    here is (a) and (b'): every f has exactly one split.  A central c has
+    (a), as effects below c map to (e, 0) and sums are componentwise, and
+    (b'), as a split f1 + f2 maps to (f1, 0) + (0, f2), the image of f; and
+    (a) with (b') gives (a) with (b).  Without (a), c = (-2, -1) would be
+    central on the cone [[-1, 2], [-2, 0]] with unit (-3, 3).
+
+    The result is validated as a normal sub-effect algebra before it is
+    returned; a failure there means the characterization is broken, so it
+    raises.
     """
 
     elements = algebra.elements
@@ -259,25 +269,19 @@ def center(algebra: EffectAlgebra) -> SubEffectAlgebra:
     leq = algebra.structure.leq
     unit = algebra.unit
 
-    central = []
-    for c in elements:
-        comp = unit - c
-        central_so_far = True
-        for f in elements:
-            splits = 0
-            for f1 in elements:
-                if not leq(f1, f):
-                    continue
-                f2 = f - f1
-                if leq(f1, c) and leq(f2, comp):
-                    splits += 1
-                    if splits > 1:
-                        break
-            if splits != 1:
-                central_so_far = False
-                break
-        if central_so_far:
-            central.append(c)
+    def principal(p) -> bool:
+        below = [e for e in elements if leq(e, p)]
+        return all(leq(e + f, p) or not leq(e + f, unit) for e in below for f in below)
+
+    def splits_once(c, f) -> bool:
+        splits = (f1 for f1 in elements if leq(f1, f) and leq(f1, c) and leq(f - f1, unit - c))
+        return len(list(itertools.islice(splits, 2))) == 1
+
+    central = [
+        c
+        for c in elements
+        if principal(c) and principal(unit - c) and all(splits_once(c, f) for f in elements)
+    ]
 
     sub = SubEffectAlgebra(algebra, frozenset(central))
     closure = is_sub_effect_algebra(algebra, sub.members)

@@ -12,7 +12,8 @@ and sweeps fall back to seeded samplers.
 Endomorphisms are stored uniformly as integer matrices over one
 denominator, acting on a vectorization of the carrier (integer entries
 over the element's denominator), so composition is matrix product and map
-equality on the matrix model is literal matrix equality.
+equality is literal matrix equality, on both kinds (on a substructure,
+after composing with its projector; see endo_equal).
 
 The lattice path runs on the int tuples a Vec holds. Coordinates are
 checked where they enter (model files, the CLI, library calls to Vec);
@@ -415,16 +416,17 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
 
 
 def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
-    """Map equality as seen from `structure`.
+    """Map equality on the group of `structure`, one rule for both kinds.
 
-    Finite structures compare extensionally on the unit interval, which
-    generates the carrier. On the matrix model the vectorized matrices are
-    compared directly; on a matrix substructure both maps are composed with
-    the canonical idempotent projector onto the substructure, which is onto,
-    so the comparison is still exact and complete.
+    Maps are matrices in lowest terms, so two maps agree on a model exactly
+    when their matrices are equal.  A substructure is the range of its
+    idempotent projector P, and a = b there exactly when aP = bP.  This
+    agrees with comparing the maps on the unit interval whenever the
+    interval spans the (sub)group: on a model that passes
+    validate_unital_group (interval_generates_group), and on the image or
+    commutant of a base of retractions, whose P maps the parent's interval
+    into the substructure's, onto a set that spans the substructure.
     """
-    if structure.finite:
-        return all(a.apply(e) == b.apply(e) for e in structure.interval())
     projector = getattr(structure, "projector", None)
     if projector is not None:
         a, b = compose(a, projector), compose(b, projector)
@@ -571,11 +573,13 @@ def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
 
 def _directedness_bounded(structure, n: int, rep: Report) -> None:
     top = structure.unit.scale(n)
+    # each g of the box is a member of a subgroup, so top - g is when top is
+    top_member = structure.is_member(top)
     rep.add(
         law(
             "unit_order_unit",
             structure.signed_universe(n),
-            lambda g: structure.is_positive(top - g) and structure.is_member(top - g),
+            lambda g: top_member and structure.is_positive(top - g),
             witness="element",
             note=f"checked on the signed height-{n} box",
         )

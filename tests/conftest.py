@@ -1,5 +1,6 @@
 import pytest
 
+from itertools import product
 from pathlib import Path
 
 from hypothesis import assume, strategies as st
@@ -42,3 +43,29 @@ def seeded_cones(draw):
     s, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     sign = 1 if det > 0 else -1
     return rows, (sign * (d * s - b * t), sign * (a * t - c * s))
+
+
+def interval_sweep_equal(structure, a, b):
+    """a and b agree on every element of the structure's unit interval.
+
+    The interval sweep that models.endo_equal replaced with one matrix
+    comparison on finite structures, kept as its oracle.
+    """
+    return all(a.apply(e) == b.apply(e) for e in structure.interval())
+
+
+def corner_model(unit) -> dict:
+    """The standard cone with `unit`, based on every block of coordinates."""
+
+    dim = len(unit)
+    compressions = []
+    for bits in product((0, 1), repeat=dim):
+        compressions.append(
+            {
+                "focus": [b * x for b, x in zip(bits, unit)],
+                "matrix": [[b if i == j else 0 for j in range(dim)] for i, b in enumerate(bits)],
+            }
+        )
+    cone = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return {"kind": "lattice_cone", "dim": dim, "cone_rows": cone, "unit": list(unit),
+            "compressions": compressions}

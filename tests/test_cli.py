@@ -297,18 +297,34 @@ def test_model_file_exponent_entries_are_usage_errors(capsys, tmp_path):
     assert "bad rational" in capsys.readouterr().err
 
 
-def test_console_entry_point_runs():
+def _child_env() -> dict:
     # pytest's `pythonpath` setting reaches this process only, so the child
     # gets the source tree on its own path
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "compbase.cli", "validate", str(MODELS_DIR / "m1.json")],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_run_report_script_reads_numbers_in_the_cli_grammar(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_report.py"),
+         "--seed", "1_0", "--out", str(tmp_path / "reports")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 2
+    assert "--seed='1_0' is not an integer" in proc.stderr

@@ -1,21 +1,30 @@
 """The compatibility battery, meets, substructures, morphisms, theorems."""
 
+import json
+import random
+
 import pytest
 
-from compbase import cli, compatibility, compression, models
+from compbase import cli, compatibility, compression, matrix_model, models
 
 from compbase import (
     BATTERY_CONDITIONS,
+    EffectAlgebra,
     MeetUndefinedError,
     MembershipError,
+    SubEffectAlgebra,
     SymMat,
     Vec,
     commutant_absorption_check,
     commutant_substructure,
     compat_battery,
+    compose,
+    conjugate,
     direct_product_report,
     image_substructure,
     in_commutant,
+    is_mackey_compatible,
+    load_model,
     meet,
     morphism_report,
     omp_report,
@@ -26,7 +35,7 @@ from compbase import (
     trivial_base,
     zero_endo,
 )
-from conftest import MODELS_DIR
+from conftest import FIXTURES_DIR, MODELS_DIR, corner_model, interval_sweep_equal
 
 DIAG0 = SymMat.from_rows([[1, 0], [0, 0]])
 DIAG1 = SymMat.from_rows([[0, 0], [0, 1]])
@@ -85,6 +94,103 @@ def test_commutant_membership(bundled):
     assert not in_commutant(base, DIAG0, HPLUS)
     assert commutant_absorption_check(base, DIAG0, DIAG1).ok
     assert commutant_absorption_check(base, DIAG0, HPLUS).ok
+
+
+def two_map_split(base, p, g) -> bool:
+    """g == J_p(g) + J_{u-p}(g), by applying the two maps.
+
+    The body in_commutant had before it became membership in the commutant
+    substructure, kept as its oracle.
+    """
+    comp = base.complement(p)
+    if not base.contains_focus(comp):
+        raise MembershipError("the complement of p escapes the base")
+    return base.j(p).apply(g) + base.j(comp).apply(g) == g
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except MembershipError as exc:
+        return type(exc)
+
+
+def _lattice_base(name, bundled, tmp_path):
+    if name == "z3":
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(corner_model((1, 1, 1))))
+        return load_model(path)
+    if name in bundled:
+        return bundled[name]
+    return load_model(FIXTURES_DIR / f"{name}.json")
+
+
+# the fixtures add foci whose commutant is proper, and one whose complement
+# is not a focus
+SPLIT_BASES = ("m1", "m5", "z3", "corrupt_focus_outside_interval", "corrupt_missing_closure")
+
+
+@pytest.mark.parametrize("name", SPLIT_BASES)
+def test_in_commutant_matches_two_map_split(name, bundled, tmp_path):
+    model, base = _lattice_base(name, bundled, tmp_path)
+    for p in base.foci:
+        for g in model.signed_universe(2):
+            want = outcome(two_map_split, base, p, g)
+            assert outcome(in_commutant, base, p, g) == want, (p, g)
+
+
+def test_in_commutant_matches_two_map_split_on_sampled_matrices(bundled):
+    model, base = bundled["m3"]
+    rng = random.Random(0)
+    seen = set()
+    for p in base.foci:
+        comp = model.unit - p
+        for i in range(20):
+            a, b = (matrix_model.draw_signed(model.dim, rng, 2) for _ in range(2))
+            g = a if i % 2 else conjugate(p, a) + conjugate(comp, b)
+            verdict = in_commutant(base, p, g)
+            assert verdict == two_map_split(base, p, g), (p, g)
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def old_battery_values(base, p, q) -> dict:
+    """compat_battery's eight values on a declared finite base, by the bodies
+    it had before: the interval sweep for map equality, a Mackey search
+    within the foci as a sub-effect algebra, and the two-map split."""
+    structure = base.structure
+    jp, jq = base.j(p), base.j(q)
+    pq = compose(jp, jq)
+    r = jp.apply(q)
+    algebra = EffectAlgebra(structure)
+    within = SubEffectAlgebra(algebra, frozenset(base.foci))
+    return {
+        "commute": interval_sweep_equal(structure, pq, compose(jq, jp)),
+        "jp_q_eq_jq_p": r == jq.apply(p),
+        "jp_q_le_q": structure.leq(r, q),
+        "mackey_in_interval": is_mackey_compatible(algebra, p, q),
+        "mackey_in_base": is_mackey_compatible(algebra, p, q, within=within),
+        "exists_common_focus": any(
+            interval_sweep_equal(structure, pq, base.j(s)) for s in base.foci
+        ),
+        "jp_q_in_base": base.contains_focus(r),
+        "q_in_commutant": two_map_split(base, p, q),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ("m1", "m5", "z3", "corrupt_focus_outside_interval", "corrupt_missing_closure",
+     "corrupt_nonnormal_foci", "corrupt_swapped_foci"),
+)
+def test_battery_matches_old_bodies_on_declared_pairs(name, bundled, tmp_path):
+    _, base = _lattice_base(name, bundled, tmp_path)
+    for p in base.foci:
+        for q in base.foci:
+            want = outcome(old_battery_values, base, p, q)
+            got = outcome(lambda: compat_battery(base, p, q).values)
+            assert got == want, (p, q)
 
 
 def test_substructure_universes_are_cut_once(bundled):

@@ -32,7 +32,7 @@ from compbase import (
 )
 from compbase import compression, linalg
 from compbase.cli import main
-from conftest import FIXTURES_DIR, LATTICE, seeded_cones
+from conftest import FIXTURES_DIR, LATTICE, corner_model, seeded_cones
 
 
 def test_declared_compressions_are_retractions(bundled, fast_cfg):
@@ -220,23 +220,6 @@ def test_focus_first_search_matches_exhaustive_oracle(cone):
     assert got == _census(exhaustive_retractions, model, cfg)
 
 
-def _corner_model(unit) -> dict:
-    """The standard cone with `unit`, based on every block of coordinates."""
-
-    dim = len(unit)
-    compressions = []
-    for bits in itertools.product((0, 1), repeat=dim):
-        compressions.append(
-            {
-                "focus": [b * x for b, x in zip(bits, unit)],
-                "matrix": [[b if i == j else 0 for j in range(dim)] for i, b in enumerate(bits)],
-            }
-        )
-    cone = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    return {"kind": "lattice_cone", "dim": dim, "cone_rows": cone, "unit": list(unit),
-            "compressions": compressions}
-
-
 @pytest.mark.parametrize("unit,retractions,budget", [((3, 3, 3), 8, 64), ((8, 8), 4, 32)])
 def test_retraction_search_certificate_budget(
     unit, retractions, budget, monkeypatch, tmp_path, capsys
@@ -252,7 +235,7 @@ def test_retraction_search_certificate_budget(
 
     monkeypatch.setattr(compression, "retraction_certificate", counted)
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps(_corner_model(unit)))
+    path.write_text(json.dumps(corner_model(unit)))
     assert main(["retractions", str(path)]) == 0
     census = json.loads(capsys.readouterr().out)["sections"]["04_compressible"]["clauses"][0]
     assert census["checked"] == retractions

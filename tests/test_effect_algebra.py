@@ -3,9 +3,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
 
 from compbase import (
+    CheckConfig,
     EffectAlgebra,
+    LatticeConeModel,
     MackeyTriple,
     MembershipError,
     NotEnumerableError,
@@ -13,13 +16,14 @@ from compbase import (
     SymMat,
     Vec,
     center,
+    direct_compression_base,
     is_mackey_compatible,
     is_normal_subalgebra,
     is_sub_effect_algebra,
     load_model,
     mackey_decompositions,
 )
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, seeded_cones
 
 
 def brute_mackey(algebra, e, f):
@@ -189,3 +193,65 @@ def test_center_sizes(bundled):
 def test_center_not_enumerable_on_matrix(bundled):
     with pytest.raises(NotEnumerableError):
         center(EffectAlgebra(bundled["m3"][0]))
+
+
+def central_by_product(algebra, c) -> bool:
+    """Whether f -> (f1, f2), the split f = f1 + f2 with f1 <= c and
+    f2 <= u - c, is an isomorphism of E onto [0, c] x [0, u - c].
+
+    The definition of a central element, checked directly: every pair of
+    the product sums to a distinct effect, every effect is such a sum, and
+    a sum of effects is defined exactly when the componentwise sums are.
+    """
+    leq, unit, elements = algebra.structure.leq, algebra.unit, algebra.elements
+    comp = unit - c
+    split = {}
+    for a in (e for e in elements if leq(e, c)):
+        for b in (e for e in elements if leq(e, comp)):
+            if a + b in split:
+                return False
+            split[a + b] = (a, b)
+    if set(split) != set(elements):
+        return False
+    for f, g in product(elements, repeat=2):
+        (af, bf), (ag, bg) = split[f], split[g]
+        if leq(f + g, unit) != (leq(af + ag, c) and leq(bf + bg, comp)):
+            return False
+    return True
+
+
+# a cone that is not a product of chains, where c = (-2, -1) splits every
+# effect uniquely but u - c is not principal, and the square pyramid
+NON_PRODUCT = [
+    (((-1, 2), (-2, 0)), (-3, 3)),
+    (((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)), (0, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("rows,unit", NON_PRODUCT)
+def test_center_of_non_product_cones_is_trivial(rows, unit):
+    model = LatticeConeModel(len(unit), rows, Vec(unit))
+    assert center(EffectAlgebra(model)).members == {model.zero, model.unit}
+    base, report = direct_compression_base(model, CheckConfig(height_bound=2))
+    assert report.ok, report.first_failure()
+    assert set(base.foci) == {model.zero, model.unit}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone=seeded_cones())
+@example(cone=([(1, 0), (0, 1)], (2, 3)))
+@example(cone=([(1, 0), (1, 1)], (1, 1)))  # m5
+@example(cone=([(-1, 2), (-2, 0)], (-3, 3)))
+@example(cone=([(2, 1), (1, 2)], (3, 1)))
+def test_center_matches_product_decomposition(cone):
+    rows, unit = cone
+    model = LatticeConeModel(2, tuple(rows), Vec(unit))
+    try:
+        interval = model.interval()
+    except NotEnumerableError:
+        assume(False)
+    # an empty interval (a unit outside its cone) has no zero to be central
+    assume(2 <= len(interval) <= 40)
+    algebra = EffectAlgebra(model)
+    got = center(algebra).members
+    assert got == {c for c in interval if central_by_product(algebra, c)}

@@ -14,6 +14,7 @@ from compbase import (
     NotEnumerableError,
     SymMat,
     Vec,
+    base_from_family,
     commutant_substructure,
     compose,
     conjugation_endo,
@@ -26,7 +27,7 @@ from compbase import (
 )
 from compbase.cli import main
 from compbase.models import _interval_sums, integer_points
-from conftest import LATTICE, MATRIX, seeded_cones
+from conftest import LATTICE, MATRIX, interval_sweep_equal, seeded_cones
 
 
 def brute_interval(model, box=8):
@@ -186,6 +187,38 @@ def test_endo_equal_is_extensional_on_finite_models(bundled):
     b = identity_endo(model)
     assert endo_equal(model, a, b)
     assert not endo_equal(model, a, zero_endo(model))
+
+
+@pytest.mark.parametrize("name", LATTICE)
+def test_endo_equal_matches_interval_sweep(name, bundled):
+    # the declared maps, their pairwise compositions and every substructure
+    # projector, compared on the model and inside each substructure
+    model, base = bundled[name]
+    subs = [
+        build(base, v) for v in base.foci for build in (image_substructure, commutant_substructure)
+    ]
+    declared = [base.j(p) for p in base.foci]
+    maps = declared + [compose(a, b) for a in declared for b in declared]
+    maps += [sub.projector for sub in subs]
+    seen = set()
+    for structure in (model, *subs):
+        for a in maps:
+            for b in maps:
+                verdict = endo_equal(structure, a, b)
+                assert verdict == interval_sweep_equal(structure, a, b), (structure, a, b)
+                seen.add((verdict, a.matrix == b.matrix))
+    # maps that differ on the model but agree on a substructure
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_image_of_a_map_that_moves_its_focus_fails_unit_order_unit():
+    # J_v(v) = (2, 0) != v, so no multiple of v is in the image substructure
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((2, 2)))
+    v = Vec((1, 1))
+    base = base_from_family(model, [(v, endo_from_int_matrix(model, [[1, 1], [0, 0]]))])
+    rep = validate_unital_group(image_substructure(base, v), CheckConfig(height_bound=2))
+    clause = next(c for c in rep.clauses if c.name == "unit_order_unit")
+    assert (clause.status, clause.checked, clause.witness) == ("fail", 5, {"element": Vec((-2, 0))})
 
 
 def test_lattice_endo_rejects_fractional_image():
