@@ -17,12 +17,15 @@ hands it to reporting.law: the interval, a height box or the declared foci
 (their pairs or triples) when the structure is finite or the base declared,
 seeded samples otherwise.  The theorem sweeps decide (pass) only on
 declared bases of finite structures and are certified everywhere else.
+
+A CompatReport is a frozen value (value.Value) compared by fields; a
+Substructure is frozen but compared and hashed by identity, as the key
+under which its restricted base is memoized.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import ceil, isqrt
 from typing import Any, Optional
 
@@ -46,6 +49,7 @@ from .models import (
     zero_endo,
 )
 from .reporting import FAIL, Clause, Report, Sample, law
+from .value import Value
 
 
 class MeetUndefinedError(ValueError):
@@ -102,13 +106,15 @@ BATTERY_CONDITIONS = (
 )
 
 
-@dataclass(frozen=True)
-class CompatReport:
+class CompatReport(Value):
     """Eight compatibility conditions for one ordered pair of foci."""
 
-    p: Any
-    q: Any
-    conditions: tuple[tuple[str, bool], ...]
+    __slots__ = ("p", "q", "conditions")
+
+    def __init__(self, p: Any, q: Any, conditions: tuple[tuple[str, bool], ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "conditions", conditions)
 
     @property
     def values(self) -> dict:
@@ -245,8 +251,7 @@ def _checked_meet(base: CompressionBase, p, q, cfg: CheckConfig, rng):
 # substructures
 
 
-@dataclass(frozen=True, eq=False)
-class Substructure:
+class Substructure(Value):
     """A unital subgroup of a model, cut out by an idempotent projector.
 
     kind "image" is the range of one compression, with its focus as unit;
@@ -255,15 +260,21 @@ class Substructure:
     every validation can be re-run inside them.  Each universe is cut from
     the parent's once and kept for the life of the substructure, and
     image_substructure and commutant_substructure build one substructure
-    per (kind, v) once per base.
+    per (kind, v) once per base.  A substructure is equal and hashed by
+    identity, since restricted bases are memoized under it.
     """
 
-    parent: Any
-    kind: str
-    v: Any
-    unit: Any
-    projector: Endomorphism
-    _bands: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("parent", "kind", "v", "unit", "projector", "_bands")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, parent: Any, kind: str, v: Any, unit: Any, projector: Endomorphism) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "projector", projector)
+        object.__setattr__(self, "_bands", {})
 
     @property
     def finite(self) -> bool:

@@ -12,12 +12,15 @@ finite model, or seeded samples on the matrix model, whose maps are
 conjugations g -> p g p.  An exhaustive universe decides its law (pass); a
 sampled one spot checks a fact that holds analytically for that form
 (certified) or searches a refutable claim for a counterexample.
+
+Certificates are frozen values (value.Value) compared by fields; a
+CompressionBase is frozen but compared and hashed by identity, since the
+compatibility module memoizes what it builds from a base on the base.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional
 
@@ -43,20 +46,25 @@ from .models import (
     zero_endo,
 )
 from .reporting import CERTIFIED, PASS, Clause, Report, Sample, law
+from .value import Value
 
 
 # ---------------------------------------------------------------------------
 # single-map checks
 
 
-@dataclass(frozen=True)
-class RetractionCertificate:
+class RetractionCertificate(Value):
     """Checked evidence that one endomorphism satisfies the retraction laws."""
 
-    structure: Any
-    endo: Endomorphism
-    focus: Any
-    checks: tuple[tuple[str, Clause], ...]
+    __slots__ = ("structure", "endo", "focus", "checks")
+
+    def __init__(
+        self, structure: Any, endo: Endomorphism, focus: Any, checks: tuple[tuple[str, Clause], ...]
+    ) -> None:
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "endo", endo)
+        object.__setattr__(self, "focus", focus)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def valid(self) -> bool:
@@ -428,8 +436,7 @@ def compressible_group_report(
 # compression bases
 
 
-@dataclass(frozen=True, eq=False)
-class CompressionBase:
+class CompressionBase(Value):
     """A family of compressions indexed by a sub-effect algebra of foci.
 
     Declared bases carry an explicit focus list and a map from focus to
@@ -437,13 +444,20 @@ class CompressionBase:
     every projection of the matrix model as a focus, with conjugation as
     the assigned map.  _memo holds what the compatibility module builds
     from the base once: its substructures, keyed by (kind, focus), and
-    the restricted base of each, keyed by the substructure.
+    the restricted base of each, keyed by the substructure.  A base is
+    equal and hashed by identity, as the keys of such memos must be, and
+    keeps a __dict__ for its cached properties.
     """
 
-    structure: Any
-    foci: Optional[tuple]
-    family: Optional[dict]
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("structure", "foci", "family", "_memo", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, structure: Any, foci: Optional[tuple], family: Optional[dict]) -> None:
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "foci", foci)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def intensional(self) -> bool:

@@ -1,14 +1,18 @@
-"""Shared knobs for exhaustive sweeps and randomized checks."""
+"""Shared knobs for exhaustive sweeps and randomized checks.
+
+CheckConfig is a frozen value (value.Value): equal configs are equal and
+hash alike, and a config cannot be changed once made.
+"""
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Value):
     """Bounds and seeding for every verification routine.
 
     height_bound caps the multiples of the unit used when sweeping bounded
@@ -17,15 +21,16 @@ class CheckConfig:
     reports, byte for byte.
     """
 
-    height_bound: int = 3
-    samples: int = 1000
-    seed: int = 0
+    __slots__ = ("height_bound", "samples", "seed")
 
-    def __post_init__(self) -> None:
-        if self.height_bound < 1:
+    def __init__(self, height_bound: int = 3, samples: int = 1000, seed: int = 0) -> None:
+        if height_bound < 1:
             raise ValueError("height_bound must be at least 1")
-        if self.samples < 0:
+        if samples < 0:
             raise ValueError("samples must be nonnegative")
+        object.__setattr__(self, "height_bound", height_bound)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
 
     def rng(self, tag: str = "") -> random.Random:
         """Deterministic stream for one named sweep.

@@ -4,32 +4,35 @@ The carrier is E = {e : 0 <= e <= u}.  The partial sum e (+) f is the group
 sum when it stays below the unit and is undefined otherwise; undefined is an
 ordinary value here (None), not an error.  On top of that partial operation
 the module builds Mackey decompositions, sub-effect algebras, the normality
-condition used by compression bases, and the center.
+condition used by compression bases, and the center.  The algebra, its
+sub-effect algebras and Mackey triples are frozen values (value.Value).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .models import NotEnumerableError
 from .reporting import FAIL, PASS, Clause, law
+from .value import Value
 
 
 class MembershipError(ValueError):
     """An argument lies outside the algebra it was claimed to belong to."""
 
 
-@dataclass(frozen=True)
-class EffectAlgebra:
+class EffectAlgebra(Value):
     """Interval [0, u] of a structure, with the partial sum.
 
     The structure can be a full model or a substructure view; everything
     here goes through its order and membership predicates.
     """
 
-    structure: Any
+    __slots__ = ("structure",)
+
+    def __init__(self, structure: Any) -> None:
+        object.__setattr__(self, "structure", structure)
 
     @property
     def unit(self):
@@ -78,32 +81,36 @@ class EffectAlgebra:
         return self.oplus(e, f) is not None
 
 
-@dataclass(frozen=True)
-class MackeyTriple:
+class MackeyTriple(Value):
     """Witness that e and f decompose as e = e1 + d, f = f1 + d.
 
     The triple certifies compatibility: e1, f1, d are effects and
     e1 + f1 + d stays below the unit.
     """
 
-    e1: Any
-    f1: Any
-    d: Any
+    __slots__ = ("e1", "f1", "d")
+
+    def __init__(self, e1: Any, f1: Any, d: Any) -> None:
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "d", d)
 
     def jsonable(self):
         return {"e1": self.e1, "f1": self.f1, "d": self.d}
 
 
-@dataclass(frozen=True)
-class SubEffectAlgebra:
+class SubEffectAlgebra(Value):
     """A subset of the effects, wrapped with its parent algebra.
 
     Construction does not validate closure; run is_sub_effect_algebra to
     certify the laws.
     """
 
-    algebra: EffectAlgebra
-    members: frozenset
+    __slots__ = ("algebra", "members")
+
+    def __init__(self, algebra: EffectAlgebra, members: frozenset) -> None:
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, e) -> bool:
         return e in self.members

@@ -1,6 +1,9 @@
 """Group elements: integer lattice vectors and symmetric rational matrices.
 
-Both carriers are small frozen dataclasses with exact arithmetic. A Vec
+Both carriers are small frozen values (value.Value) with exact
+arithmetic and hand-written __init__, __eq__ and __hash__, since they are
+built and compared in every hot loop: each hashes as the tuple of its
+fields and prints as Vec(coords=...) or SymMat(num=..., den=...). A Vec
 lives in Z^n. A SymMat is a symmetric rational d x d matrix stored as
 integer rows over one positive denominator in lowest terms, so `==` and
 `hash` are exact and the linalg kernels run on the stored ints.
@@ -23,12 +26,12 @@ text, and SymMat.rows and sort_key give Fractions for JSON and ordering.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, neg, sub
 
 from . import linalg
+from .value import Value
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
@@ -57,13 +60,21 @@ def fraction_rows(num, den: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(x, den) for x in row) for row in num)
 
 
-@dataclass(frozen=True)
-class Vec:
-    coords: tuple[int, ...]
+class Vec(Value):
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in self.coords):
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        if not all(isinstance(c, int) for c in coords):
             raise TypeError("Vec coordinates must be ints")
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @property
     def dim(self) -> int:
@@ -109,21 +120,27 @@ def _trusted_vec(coords: tuple[int, ...]) -> Vec:
     return v
 
 
-@dataclass(frozen=True)
-class SymMat:
+class SymMat(Value):
     """The symmetric matrix num / den, put in lowest terms with den > 0.
 
     `num` (a tuple of int tuples) is trusted to be square and symmetric.
     """
 
-    num: tuple[tuple[int, ...], ...]
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        if self.den != 1:
-            num, den = linalg.lowest_terms(self.num, self.den)
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
+    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1) -> None:
+        if den != 1:
+            num, den = linalg.lowest_terms(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.den == other.den and self.num == other.num
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     @staticmethod
     def from_rows(rows) -> "SymMat":

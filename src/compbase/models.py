@@ -27,21 +27,26 @@ matrix substructure, is memoized on the exact (a, b) pair by a
 functools.lru_cache of matrix_model.CACHE_SIZE entries: the same declared
 foci are compared thousands of times per report.  Its body is is_psd of
 b - a, so the memo changes no answer.
+
+Both model classes and Endomorphism are frozen values (value.Value):
+equal by fields and hashed as the tuple of them, which lets models and
+matrices key the lru_caches here.  A finite substructure's unit is tested
+as an order unit row by row against its projector before the bounded
+sweep (see _directedness_bounded).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul, sub
-from typing import ClassVar
 
 from . import linalg, matrix_model
 from .config import CheckConfig
 from .elements import SymMat, Vec, _trusted_vec, fraction_rows
 from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, law
+from .value import Value
 
 
 class NotEnumerableError(ValueError):
@@ -167,28 +172,24 @@ def _seed_box(cons, dim: int) -> tuple[list, list]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class LatticeConeModel:
-    dim: int
-    cone_rows: tuple[tuple[int, ...], ...]
-    unit: Vec
+class LatticeConeModel(Value):
+    __slots__ = ("dim", "cone_rows", "unit")
 
-    kind: ClassVar[str] = "lattice_cone"
-    finite: ClassVar[bool] = True
-    is_trivial: ClassVar[bool] = False
+    kind = "lattice_cone"
+    finite = True
+    is_trivial = False
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, cone_rows: tuple[tuple[int, ...], ...], unit: Vec) -> None:
+        if dim < 1:
             raise ValueError("dim must be at least 1")
-        for row in self.cone_rows:
-            if len(row) != self.dim or not all(isinstance(x, int) for x in row):
-                raise ValueError(
-                    f"cone row {row!r} does not match dim {self.dim}"
-                )
-        if self.unit.dim != self.dim:
-            raise ValueError(
-                f"unit has dim {self.unit.dim}, model has dim {self.dim}"
-            )
+        for row in cone_rows:
+            if len(row) != dim or not all(isinstance(x, int) for x in row):
+                raise ValueError(f"cone row {row!r} does not match dim {dim}")
+        if unit.dim != dim:
+            raise ValueError(f"unit has dim {unit.dim}, model has dim {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "cone_rows", cone_rows)
+        object.__setattr__(self, "unit", unit)
 
     @property
     def carrier(self) -> "LatticeConeModel":
@@ -255,17 +256,17 @@ def _lattice_interval(model: LatticeConeModel, lo: int, hi: int) -> tuple[Vec, .
     return tuple(map(_trusted_vec, integer_points(rows, rhs, model.dim)))
 
 
-@dataclass(frozen=True)
-class MatrixModel:
-    dim: int
+class MatrixModel(Value):
+    __slots__ = ("dim",)
 
-    kind: ClassVar[str] = "matrix"
-    finite: ClassVar[bool] = False
-    is_trivial: ClassVar[bool] = False
+    kind = "matrix"
+    finite = False
+    is_trivial = False
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int) -> None:
+        if dim < 1:
             raise ValueError("dim must be at least 1")
+        object.__setattr__(self, "dim", dim)
 
     @property
     def carrier(self) -> "MatrixModel":
@@ -343,8 +344,7 @@ def _sym_basis(dim: int) -> tuple[SymMat, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(Value):
     """Group endomorphism of a carrier, as the matrix `matrix / den` on its vectorization.
 
     Stored in lowest terms with den > 0, as SymMat is; lattice maps have
@@ -353,21 +353,24 @@ class Endomorphism:
     preservation, the compression property) hinge on that form.
     """
 
-    carrier: "LatticeConeModel | MatrixModel"
-    matrix: tuple[tuple[int, ...], ...]
-    den: int = 1
-    conjugator: SymMat | None = None
+    __slots__ = ("carrier", "matrix", "den", "conjugator")
 
-    def __post_init__(self) -> None:
-        n = self.carrier.vec_dim
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise ValueError(
-                f"endomorphism matrix must be {n}x{n} for this carrier"
-            )
-        if self.den != 1:
-            matrix, den = linalg.lowest_terms(self.matrix, self.den)
-            object.__setattr__(self, "matrix", matrix)
-            object.__setattr__(self, "den", den)
+    def __init__(
+        self,
+        carrier: "LatticeConeModel | MatrixModel",
+        matrix: tuple[tuple[int, ...], ...],
+        den: int = 1,
+        conjugator: SymMat | None = None,
+    ) -> None:
+        n = carrier.vec_dim
+        if len(matrix) != n or any(len(r) != n for r in matrix):
+            raise ValueError(f"endomorphism matrix must be {n}x{n} for this carrier")
+        if den != 1:
+            matrix, den = linalg.lowest_terms(matrix, den)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "conjugator", conjugator)
 
     def apply(self, g):
         v, den = self.carrier.vectorize(g)
@@ -572,6 +575,38 @@ def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
 
 
 def _directedness_bounded(structure, n: int, rep: Report) -> None:
+    """Directedness of a finite substructure: its unit must be an order unit.
+
+    The substructure H is the group of lattice points that its projector P
+    fixes, ordered by the model's cone rows r (g >= 0 iff r . g >= 0 for
+    every r).  u is an order unit of H when every g in H has a multiple
+    m*u with m*u - g >= 0, i.e. m (r . u) >= r . g for every row r.  A row
+    with r . u > 0 allows this for m large enough.  A row with r . u <= 0
+    forces r . g <= 0 for every g in H, and so, as H contains -g with g,
+    r . g = 0: the row must vanish on H.  For an idempotent P, H is the
+    set of lattice points of the rational subspace range(P) and spans it,
+    so r vanishes on H exactly when r . P = 0.  Hence u is an order unit
+    of H iff every cone row has r . u > 0 or r . P = 0; a row that fails
+    is the witness.  (A non-idempotent P fails projector_idempotent in the
+    same substructure report.)
+
+    When every row passes, the clause sweeps the signed height-n box as
+    it always has: n*u must be a member that dominates each element.  That
+    sweep alone cannot see a row with r . u = 0, since the box is cut out
+    by u itself.
+    """
+    unit = structure.unit.coords
+    cols = tuple(zip(*structure.projector.matrix))
+    rows = law(
+        "unit_order_unit",
+        structure.carrier.cone_rows,
+        lambda r: _dot(r, unit) > 0 or not any(_dot(r, c) for c in cols),
+        witness="cone_row",
+        note="a cone row vanishes at the unit but not on the subgroup",
+    )
+    if not rows.ok:
+        rep.add(rows)
+        return
     top = structure.unit.scale(n)
     # each g of the box is a member of a subgroup, so top - g is when top is
     top_member = structure.is_member(top)

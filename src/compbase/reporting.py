@@ -6,36 +6,61 @@ Single checks return one Clause; every verification entry point returns a
 Report, an ordered list of them.  Most clauses come from law(), which
 states one law over one universe of cases.  Reports serialize to JSON with sorted keys and no
 volatile content, so identical configurations produce byte-identical output.
+
+Clause and Report are mutable records (value.Record) that compare by
+fields.  Each gives its JSON object through a jsonable() method, as every
+serialized package class does: a Clause omits items when it has none.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
 
 from .elements import SymMat, Vec
+from .value import Record
 
 PASS = "pass"
 FAIL = "fail"
 CERTIFIED = "certified"
 
 
-@dataclass
-class Clause:
-    name: str
-    status: str
-    checked: int = 0
-    witness: Any = None
-    note: str = ""
-    items: Any = None
+class Clause(Record):
+    __slots__ = ("name", "status", "checked", "witness", "note", "items")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,
+        checked: int = 0,
+        witness: Any = None,
+        note: str = "",
+        items: Any = None,
+    ) -> None:
+        self.name = name
+        self.status = status
+        self.checked = checked
+        self.witness = witness
+        self.note = note
+        self.items = items
 
     @property
     def ok(self) -> bool:
         return self.status != FAIL
+
+    def jsonable(self) -> dict:
+        out = {
+            "name": self.name,
+            "status": self.status,
+            "checked": self.checked,
+            "witness": self.witness,
+            "note": self.note,
+        }
+        if self.items is not None:
+            out["items"] = self.items
+        return out
 
 
 class Sample:
@@ -121,10 +146,15 @@ def law(
     return Clause(name, status, checked=checked, witness=found, note=note)
 
 
-@dataclass
-class Report:
-    title: str
-    clauses: list[Clause] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("title", "clauses")
+
+    def __init__(self, title: str, clauses: list[Clause] | None = None) -> None:
+        self.title = title
+        self.clauses = [] if clauses is None else clauses
+
+    def jsonable(self) -> dict:
+        return {"title": self.title, "clauses": self.clauses}
 
     def add(self, clause: Clause) -> Clause:
         self.clauses.append(clause)
@@ -160,14 +190,6 @@ def jsonable(x: Any) -> Any:
         return [jsonable(v) for v in x]
     if isinstance(x, (set, frozenset)):
         return sorted((jsonable(v) for v in x), key=repr)
-    if dataclasses.is_dataclass(x):
-        out = {}
-        for f in dataclasses.fields(x):
-            v = getattr(x, f.name)
-            if f.name == "items" and v is None:
-                continue
-            out[f.name] = jsonable(v)
-        return out
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 

@@ -318,6 +318,17 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["ok"] is True
 
 
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # every CLI command is a fresh process, so each module the import pulls
+    # in is paid for on every run
+    probe = "import compbase.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_run_report_script_reads_numbers_in_the_cli_grammar(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_report.py"),

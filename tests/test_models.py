@@ -221,6 +221,17 @@ def test_image_of_a_map_that_moves_its_focus_fails_unit_order_unit():
     assert (clause.status, clause.checked, clause.witness) == ("fail", 5, {"element": Vec((-2, 0))})
 
 
+def test_image_whose_unit_is_not_an_order_unit_fails_unit_order_unit():
+    # J_(1,0) = identity: the image of (1,0) is all of Z^2, where no multiple
+    # of (1,0) dominates (0,1); the signed box cut by (1,0) cannot show it
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((1, 1)))
+    v = Vec((1, 0))
+    base = base_from_family(model, [(v, endo_from_int_matrix(model, [[1, 0], [0, 1]]))])
+    rep = validate_unital_group(image_substructure(base, v), CheckConfig(height_bound=3))
+    clause = next(c for c in rep.clauses if c.name == "unit_order_unit")
+    assert (clause.status, clause.witness) == ("fail", {"cone_row": (0, 1)})
+
+
 def test_lattice_endo_rejects_fractional_image():
     model = LatticeConeModel(1, ((1,),), Vec((2,)))
     halve = Endomorphism(model, ((1,),), den=2)
