@@ -194,6 +194,8 @@ def test_criterion_07_negative_controls(capsys):
         "corrupt_missing_closure": "foci_sub_effect_algebra",
         "corrupt_nonnormal_foci": "foci_normal_subalgebra",
         "corrupt_focus_outside_interval": "family_member_compression",
+        "corrupt_matrix_half_focus": "foci_normal_subalgebra",
+        "corrupt_matrix_missing_complement": "foci_sub_effect_algebra",
     }
     assert len(expected) >= 3
     for stem, clause in expected.items():

@@ -2,9 +2,10 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from compbase import (
     CheckConfig,
@@ -32,7 +33,7 @@ from compbase import (
 )
 from compbase import compression, linalg
 from compbase.cli import main
-from conftest import FIXTURES_DIR, LATTICE, corner_model, seeded_cones
+from conftest import FIXTURES_DIR, LATTICE, MODELS_DIR, corner_model, seeded_cones
 
 
 def test_declared_compressions_are_retractions(bundled, fast_cfg):
@@ -276,12 +277,51 @@ def test_fixture_bases_fail_their_intended_clause(fast_cfg):
         "corrupt_missing_closure": "foci_sub_effect_algebra",
         "corrupt_nonnormal_foci": "foci_normal_subalgebra",
         "corrupt_focus_outside_interval": "family_member_compression",
+        "corrupt_matrix_half_focus": "foci_normal_subalgebra",
+        "corrupt_matrix_missing_complement": "foci_sub_effect_algebra",
     }
     for stem, clause in expected.items():
         _, base = load_model(FIXTURES_DIR / f"{stem}.json")
         report = validate_compression_base(base, fast_cfg)
         assert not report.ok, stem
         assert report.first_failure().name == clause, stem
+
+
+@st.composite
+def matrix_family_mutants(draw):
+    """m3 or m4 with one non-trivial projection perturbed at one entry, or dropped.
+
+    A perturbation adds a nonzero rational at (i, j), and at (j, i) too off
+    the diagonal, so the file stays symmetric.
+    """
+    doc = json.loads((MODELS_DIR / draw(st.sampled_from(("m3.json", "m4.json")))).read_text())
+    dim = doc["dim"]
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    zero = [[0] * dim for _ in range(dim)]
+    inner = [k for k, p in enumerate(doc["projections"]) if p not in (eye, zero)]
+    k = draw(st.sampled_from(inner))
+    if draw(st.booleans()):
+        del doc["projections"][k]
+        return doc
+    i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    num = draw(st.integers(-4, 4).filter(bool))
+    delta = Fraction(num, draw(st.integers(1, 4)))
+    rows = doc["projections"][k]
+    for a, b in {(i, j), (j, i)}:
+        x = Fraction(rows[a][b]) + delta
+        rows[a][b] = x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return doc
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=matrix_family_mutants())
+def test_matrix_family_mutants_never_validate(tmp_path, doc):
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", str(path), "--samples", "8", "--output", str(tmp_path / "out.json")])
+    assert code in (1, 2)
 
 
 def test_duplicate_focus_rejected_by_family_constructor(bundled):

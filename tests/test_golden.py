@@ -30,6 +30,8 @@ REPORT_SHA256 = {
 
 VALIDATE_SHA256 = {
     "corrupt_focus_outside_interval": "77a98a053b6a60730fb992e7fa51ecb4a1d4565d85a95bac951ab72f7ef2b17a",
+    "corrupt_matrix_half_focus": "2bf46d27b71ef5249706e75322d7381423e324cffea5bef75e00ba1506b9dc86",
+    "corrupt_matrix_missing_complement": "2f76a24cd891c715dc4680de164265deb45b789c60e59f1bca1ae127b3d63c10",
     "corrupt_missing_closure": "4b7ff4160d95f25a979b3f79715745824dca0d79ed002f431903d41789a8b617",
     "corrupt_nonnormal_foci": "e7ca0933c82ec0537f16115b88d68e3bcae0d3f301effd0716819334a502c56b",
     "corrupt_swapped_foci": "bdad7322e186b2a9a3990bb7f5ba02751405beb25fe2b0de7c95fcbdc97579ae",
