@@ -152,7 +152,7 @@ def cmd_compat_table(args, model, base, cfg) -> tuple[dict, int]:
     if not doc["ok"]:
         return doc, EXIT_VIOLATION
     rows = [
-        compat_battery(base, p, q, cfg)
+        compat_battery(base, p, q)
         for p in base.foci
         for q in base.foci
     ]

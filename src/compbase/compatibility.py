@@ -138,9 +138,7 @@ class CompatReport(Value):
         }
 
 
-def compat_battery(
-    base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None
-) -> CompatReport:
+def compat_battery(base: CompressionBase, p, q) -> CompatReport:
     """Evaluate all eight compatibility conditions for the pair (p, q).
 
     mackey_in_interval searches the whole interval of a finite structure.
@@ -209,42 +207,52 @@ def meet(base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None):
     Returns r = J_p(q) after confirming it equals J_q(p), lies below both
     arguments, is the greatest lower bound among effects, and carries the
     composed compression.  Incompatible foci raise MeetUndefinedError.
+    No check here samples, so cfg is not read; it is accepted as by the
+    other entry points.
     """
 
-    cfg = cfg or CheckConfig()
-    battery = compat_battery(base, p, q, cfg)
+    battery = compat_battery(base, p, q)
     if not battery.compatible:
         if battery.agree:
             raise MeetUndefinedError("foci are not compatible")
         raise MeetUndefinedError(
             "battery conditions disagree; the base does not satisfy its laws"
         )
-    return _checked_meet(base, p, q, cfg, cfg.rng("meet"))
+    return _checked_meet(base, p, q)
 
 
-def _checked_meet(base: CompressionBase, p, q, cfg: CheckConfig, rng):
-    """J_p(q) for a battery-compatible pair; a violated meet law raises RuntimeError.
-
-    `rng` is the "meet" stream; a clause over many pairs opens it once and
-    passes it on, so each pair's greatest-lower-bound check sees new effects.
-    """
+def _checked_meet(base: CompressionBase, p, q):
+    """J_p(q) for a battery-compatible pair; a violated meet law raises RuntimeError."""
     structure = base.structure
     r = base.j(p).apply(q)
     if r != base.j(q).apply(p):
         raise RuntimeError("meet law violated: the two one-sided values differ")
     if not (structure.leq(r, p) and structure.leq(r, q)):
         raise RuntimeError("meet law violated: value is not a lower bound")
-
-    below_p = _effects_below(structure, p, cfg, rng)
-    glb = law("meet_glb", below_p, lambda e: not structure.leq(e, q) or structure.leq(e, r))
-    if not glb.ok:
-        raise RuntimeError("meet law violated: not the greatest lower bound")
+    if not _greatest_lower_bound(structure, p, q, r):
+        raise RuntimeError("meet law violated: not shown to be the greatest lower bound")
     if not base.contains_focus(r):
         raise RuntimeError("meet law violated: value escapes the base")
     left = compose(base.j(p), base.j(q))
     if not endo_equal(structure, left, base.j(r)):
         raise RuntimeError("meet law violated: composed map is not the meet's map")
     return r
+
+
+def _greatest_lower_bound(structure, p, q, r) -> bool:
+    """Is r, a lower bound of p and q, above every effect below both?
+
+    A finite structure sweeps its interval.  On a matrix structure the law
+    is derived when p is a projection and r = p q p, tested exactly (or
+    the same with p and q exchanged): an effect e below p has e = p e p (as
+    in retraction_certificate), and e <= q gives p e p <= p q p by
+    congruence, so e <= r.  Other matrix pairs are not shown to meet.
+    """
+
+    if structure.finite:
+        leq = structure.leq
+        return all(leq(e, r) for e in structure.interval() if leq(e, p) and leq(e, q))
+    return any(matrix_model.is_projection(a) and conjugate(a, b) == r for a, b in ((p, q), (q, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +345,20 @@ class Substructure(Value):
 
 
 def image_substructure(base: CompressionBase, v) -> Substructure:
-    """The range of J_v, as a unital group with unit v; built once per base."""
+    """The range of J_v, as a unital group with unit v; built once per declared base."""
 
     if not base.contains_focus(v):
         raise MembershipError("v is not a focus of this base")
     key = "image", v
     if key not in base._memo:
         base._memo[key] = Substructure(base.structure, "image", v, v, base.j(v))
-    return base._memo[key]
+    return _memo_result(base, key)
 
 
 def commutant_substructure(base: CompressionBase, v) -> Substructure:
     """All elements compatible with v, as a unital group with the same unit.
 
-    Its projector is J_v + J_{u-v}.  Built once per base.
+    Its projector is J_v + J_{u-v}.  Built once per declared base.
     """
 
     key = "commutant", v
@@ -368,7 +376,14 @@ def commutant_substructure(base: CompressionBase, v) -> Substructure:
         base._memo[key] = Substructure(
             base.structure, "commutant", v, base.structure.unit, projector
         )
-    return base._memo[key]
+    return _memo_result(base, key)
+
+
+def _memo_result(base: CompressionBase, key):
+    """The memo entry under key, kept only on a declared base: an intensional
+    base samples its foci, so keeping them would grow with the budget."""
+
+    return base._memo[key] if base.foci is not None else base._memo.pop(key)
 
 
 def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase:
@@ -1138,13 +1153,13 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     def agrees(pq):
         p, q = pq
-        battery = compat_battery(base, p, q, cfg)
+        battery = compat_battery(base, p, q)
         if not battery.agree:
             return {"p": p, "q": q, "conditions": battery.values}
         if declared:
             seen[pq] = battery.compatible
             return True
-        return compat_battery(base, q, p, cfg).compatible == battery.compatible
+        return compat_battery(base, q, p).compatible == battery.compatible
 
     clause = law(
         "battery_agreement",
@@ -1168,12 +1183,11 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     count = min(max(cfg.samples, 1), max(cfg.spot, cfg.samples // 4))
     pairs = _pair_stream(base, cfg, "theorem:meet", count)
     lower_bounds = base.foci or ()
-    rng = cfg.rng("meet")
 
     def meets(pq):
         p, q = pq
         try:
-            r = _checked_meet(base, p, q, cfg, rng)
+            r = _checked_meet(base, p, q)
         except RuntimeError as exc:
             return {"p": p, "q": q, "error": str(exc)}
         leq = structure.leq
@@ -1184,7 +1198,7 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         "compatible_meet",
         pairs,
         meets,
-        lambda pq: compat_battery(base, *pq, cfg).compatible,
-        exact=_exact(base),
+        lambda pq: compat_battery(base, *pq).compatible,
+        exact=base.foci is not None,
         note="compatible pairs have J_p(q) as greatest lower bound",
     )

@@ -11,7 +11,9 @@ the structure: the exhaustive interval, height box or declared foci of a
 finite model, or seeded samples on the matrix model, whose maps are
 conjugations g -> p g p.  An exhaustive universe decides its law (pass); a
 sampled one spot checks a fact that holds analytically for that form
-(certified) or searches a refutable claim for a counterexample.
+(certified) or searches a refutable claim for a counterexample.  A matrix
+base's per-focus laws and normality are derived exactly (pass) from
+exactly checked premises, so a declared matrix base draws no effects.
 
 Certificates are frozen values (value.Value) compared by fields; a
 CompressionBase is frozen but compared and hashed by identity, since the
@@ -45,7 +47,7 @@ from .models import (
     identity_endo,
     zero_endo,
 )
-from .reporting import CERTIFIED, PASS, Clause, Report, Sample, law
+from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, law
 from .value import Value
 
 
@@ -87,52 +89,48 @@ def retraction_certificate(
 ) -> RetractionCertificate:
     """Check the retraction laws of one map; the clauses become its checks.
 
-    Finite structures sweep the interval, which generates the positives;
-    on the matrix model the map must be conjugation by a stored projection
-    and the order and fixing laws are spot checked on samples.
+    Finite structures sweep the interval, which generates the positives.
+    On a matrix structure with unit v the map must be conjugation by a
+    stored p, and two laws are derived from the exact clauses that p is a
+    symmetric idempotent and that the map is g -> p g p.  order_preserving:
+    for g >= 0, p g p = p^T g p is a congruence of g, so it is >= 0.
+    fixes_below_focus: 0 <= e <= p v p gives 0 <= (I-p) e (I-p) <=
+    (I-p) p v p (I-p) = 0; with e = s^T s that is s (I-p) = 0, so e (I-p)
+    = 0 and e = e p = p e = p e p.
     """
 
     cfg = cfg or CheckConfig()
     finite = structure.finite
     focus = endo.apply(structure.unit)
-    clauses = [] if finite else _conjugator_clauses(structure, endo)
-    clauses.append(Clause("additive", CERTIFIED, note="map is linear by representation"))
     if finite:
-        positives = structure.interval()
-        below = _effects_below(structure, focus, cfg, None)
-        notes = ("checked on the interval, which generates the positives", "")
-    else:
-        rng = cfg.rng("retraction")
-        dim = structure.carrier.dim
-        positives = Sample(
-            cfg.spot, lambda: matrix_model.draw_positive(dim, rng, cfg.height_bound)
-        )
-        below = _effects_below(structure, endo.conjugator, cfg, rng)
-        notes = (
-            "conjugation preserves psd; spot checked",
-            "effects below a projection are fixed by its conjugation; spot checked",
-        )
-    clauses += [
-        law(
+        premises = []
+        order = law(
             "order_preserving",
-            positives,
+            structure.interval(),
             lambda g: structure.is_positive(endo.apply(g)),
-            witness="effect" if finite else "positive",
-            note=notes[0],
-        ),
+            witness="effect",
+            note="checked on the interval, which generates the positives",
+        )
+        fixes = law(
+            "fixes_below_focus",
+            _effects_below(structure, focus, cfg, None),
+            lambda e: endo.apply(e) == e,
+            witness="effect",
+        )
+    else:
+        premises = _conjugator_clauses(structure, endo)
+        order = _derived("order_preserving", premises[1:], "p g p is a congruence of g")
+        fixes = _derived("fixes_below_focus", premises, "(I-p) e (I-p) = 0 gives e = p e p")
+    clauses = premises + [
+        Clause("additive", CERTIFIED, note="map is linear by representation"),
+        order,
         law(
             "focus_in_interval",
             (focus,),
             lambda f: (not finite or structure.is_member(f)) and _is_effect(structure, f),
             witness="focus",
         ),
-        law(
-            "fixes_below_focus",
-            below,
-            lambda e: endo.apply(e) == e,
-            witness="effect",
-            note=notes[1],
-        ),
+        fixes,
     ]
     if declared_focus is not None:
         clauses.append(
@@ -165,6 +163,15 @@ def _conjugator_clauses(structure, endo: Endomorphism) -> list:
     ]
 
 
+def _derived(name: str, premises, note: str) -> Clause:
+    """A law derived from exact premises: pass, or fail on the first unmet one."""
+
+    unmet = next((c.name for c in premises if not c.ok), None)
+    if unmet is None:
+        return Clause(name, PASS, note=note)
+    return Clause(name, FAIL, witness={"premise": unmet}, note="not derived")
+
+
 def _is_effect(structure, x) -> bool:
     return structure.is_positive(x) and structure.leq(x, structure.unit)
 
@@ -181,37 +188,29 @@ def _effects_below(structure, p, cfg: CheckConfig, rng):
 def is_compression(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> Clause:
     """Does J(e) = 0 force e <= u - focus, for effects e?
 
-    Finite structures sweep the interval.  The matrix universe alternates
-    effects supported under u - p, which must be killed, with generic ones.
+    Finite structures sweep the interval.  On a matrix structure with unit
+    v the law is derived from the exact conjugator clauses and p v = p,
+    so v p = p and the focus p v p is p.  If 0 <= e <= v and p e p = 0,
+    then with e = s^T s, s p = 0, so e p = p e = 0 and e = (I-p) e (I-p)
+    <= (I-p) v (I-p) = v - p.
     """
 
-    cfg = cfg or CheckConfig()
     unit = structure.unit
-    comp = unit - endo.apply(unit)
-
-    def holds(case) -> bool:
-        e, in_kernel = case
-        killed = endo.apply(e) == structure.zero
-        if in_kernel:
-            return killed and structure.leq(e, comp)
-        return not killed or structure.leq(e, comp)
-
     if structure.finite:
-        cases, note = [(e, False) for e in structure.interval()], ""
-    else:
-        if endo.conjugator is None:
-            raise ValueError("matrix-model compression check needs the conjugation form")
-        dim = structure.carrier.dim
-        rng = cfg.rng("compression")
+        comp = unit - endo.apply(unit)
+        return law(
+            "compression",
+            structure.interval(),
+            lambda e: endo.apply(e) != structure.zero or structure.leq(e, comp),
+            witness="effect",
+        )
+    premises = _conjugator_clauses(structure, endo)
 
-        def kernel_then_generic():
-            for _ in range(cfg.spot):
-                yield conjugate(comp, matrix_model.draw_effect(dim, rng)), True
-                yield structure.project(matrix_model.draw_effect(dim, rng)), False
+    def pv_is_p(p) -> bool:
+        return matrix_model.commuting_product(p, unit) == p
 
-        cases = kernel_then_generic()
-        note = "p e p = 0 forces e below u - p for effects; spot checked"
-    return law("compression", cases, holds, witness=lambda c: {"effect": c[0]}, note=note)
+    premises.append(law("focus_below_unit", (endo.conjugator,), pv_is_p, witness="conjugator"))
+    return _derived("compression", premises, "p e p = 0 gives e = (I-p) e (I-p) <= v - p")
 
 
 def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> Clause:
@@ -442,9 +441,10 @@ class CompressionBase(Value):
     Declared bases carry an explicit focus list and a map from focus to
     endomorphism.  An intensional base, one without a focus list, takes
     every projection of the matrix model as a focus, with conjugation as
-    the assigned map.  _memo holds what the compatibility module builds
-    from the base once: its substructures, keyed by (kind, focus), and
-    the restricted base of each, keyed by the substructure.  A base is
+    the assigned map.  On a declared base, _memo holds what the
+    compatibility module builds from the base once: its substructures,
+    keyed by (kind, focus), and the restricted base of each, keyed by the
+    substructure; an intensional base keeps nothing there.  A base is
     equal and hashed by identity, as the keys of such memos must be, and
     keeps a __dict__ for its cached properties.
     """
@@ -584,57 +584,51 @@ def _intensional_closure_clause(base: CompressionBase, cfg: CheckConfig) -> Clau
 
 
 def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
-    """Randomized refutation search for the normality condition.
+    """Normality on a matrix structure, decided from products of commuting foci.
 
-    Samples members m1, m2 of the base and candidate effects d below both;
-    whenever m1 - d, m2 - d are effects with (m1 - d) + (m2 - d) + d below
-    the unit, the premises of normality hold with e + d = m1 and
-    f + d = m2, so d must itself be a focus.
+    Normality: effects d, e, f with foci m1 = e + d, m2 = f + d and
+    e + f + d <= v, the unit, force d to be a focus.  For projections m1,
+    m2 and v <= I, f <= I - m1 gives m1 f = 0 (as e below p v p is p e p
+    in retraction_certificate), likewise m2 e = 0, and d <= m1 gives
+    m1 d = d; so m1 m2 = d = (m1 m2)^T = m2 m1.  The only candidate d is
+    thus the product of two commuting foci.  A declared base sweeps its
+    focus pairs, failing on a product that is no focus but is a candidate,
+    and then needs every focus and the unit (so v <= I) to be projections.
+    The intensional base, whose foci are the projections, samples
+    commuting pairs.
     """
 
     structure = base.structure
-    dim = structure.carrier.dim
-    rng = cfg.rng("base:normality")
-    pool = None if base.intensional else list(base.foci)
-
-    def member():
-        if pool is None:
-            return matrix_model.draw_projection(dim, rng)
-        return pool[rng.randrange(len(pool))]
-
-    def triples():
-        for i in range(max(cfg.samples, 1)):
-            m1 = member()
-            m2 = member()
-            if i % 5 == 0:
-                # Premise holds with d a focus whenever m1 <= m2; the condition
-                # must then confirm membership rather than refute it.
-                d = m1
-            elif i % 2 == 0:
-                # Candidate pinched below m1; escapes the base unless forced back.
-                d = conjugate(m1, matrix_model.draw_effect(dim, rng))
-            else:
-                d = conjugate(m1, conjugate(m2, matrix_model.draw_effect(dim, rng)))
-            yield d, m1, m2
-
-    def premise(case) -> bool:
-        d, m1, m2 = case
-        e = m1 - d
-        f = m2 - d
-        return (
-            structure.is_positive(e)
-            and structure.is_positive(f)
-            and structure.leq(e + f + d, structure.unit)
+    leq = structure.leq
+    if base.intensional:
+        dim = structure.carrier.dim
+        rng = cfg.rng("base:normality")
+        pairs = Sample(
+            max(cfg.samples, 1), lambda: matrix_model.draw_projection_pair(dim, rng, True)
         )
+    else:
+        pairs = itertools.product(base.foci, repeat=2)
+
+    def holds(pair):
+        m1, m2 = pair
+        d = matrix_model.commuting_product(m1, m2)
+        if d is None or base.contains_focus(d):
+            return True
+        candidate = structure.is_positive(d) and leq(d, m1) and leq(d, m2)
+        return not (candidate and leq(m1 + m2 - d, structure.unit)) or {"d": d, "m1": m1, "m2": m2}
 
     clause = law(
         "foci_normal_subalgebra",
-        triples(),
-        lambda case: base.contains_focus(case[0]),
-        premise,
-        witness=("d", "m1", "m2"),
-        note="randomized search over premise-satisfying triples found no escape",
+        pairs,
+        holds,
+        exact=not base.intensional,
+        note="products of commuting foci are foci",
     )
+    if clause.ok and not base.intensional:
+        stray = (m for m in (*base.foci, structure.unit) if not matrix_model.is_projection(m))
+        stray = next(stray, None)
+        if stray is not None:
+            clause.status, clause.witness = FAIL, {"element": stray, "reason": "not a projection"}
     if not clause.ok:
         clause.note = "normality violated"
     return clause
@@ -655,9 +649,10 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         dim = structure.carrier.dim
         rng = cfg.rng("base:family")
         foci = Sample(cfg.spot, lambda: matrix_model.draw_projection(dim, rng))
-        note = "conjugation by a projection is a compression with that focus; sampled"
+        note = "sampled projections, each decided from its conjugator"
     else:
-        foci, note = base.foci, ""
+        foci = base.foci
+        note = "" if structure.finite else "each member decided from its conjugator"
     return law("family_member_compression", foci, compression_at, note=note)
 
 

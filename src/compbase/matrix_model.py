@@ -43,6 +43,14 @@ def is_projection(p: SymMat) -> bool:
     )
 
 
+def commuting_product(p: SymMat, q: SymMat) -> SymMat | None:
+    """p q when p and q commute, else None: p q is symmetric exactly then."""
+    prod = linalg.mat_mul(p.num, q.num)
+    if prod != linalg.transpose(prod):
+        return None
+    return SymMat(prod, p.den * q.den)
+
+
 def cayley_orthogonal(dim: int, rng: random.Random):
     """Rational orthogonal matrix (I - S)(I + S)^-1 for random antisymmetric S.
 

@@ -5,7 +5,8 @@ from pathlib import Path
 
 from hypothesis import assume, strategies as st
 
-from compbase import CheckConfig, load_model
+from compbase import CheckConfig, conjugate, load_model, matrix_model
+from compbase.reporting import Sample, law
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO / "models"
@@ -69,3 +70,146 @@ def corner_model(unit) -> dict:
     cone = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return {"kind": "lattice_cone", "dim": dim, "cone_rows": cone, "unit": list(unit),
             "compressions": compressions}
+
+
+# ---------------------------------------------------------------------------
+# sampled oracles of the matrix path
+#
+# The package decides these laws on matrix structures exactly, from the
+# conjugator of each map (see compression.retraction_certificate,
+# is_compression, _matrix_normality_clause, compatibility._checked_meet and
+# models._validate_matrix).  These are the seeded sweeps those rules
+# replaced, kept to check that both routes reach the same verdicts.
+
+
+def sampled_retraction_laws(structure, endo, cfg) -> dict:
+    """order_preserving and fixes_below_focus of a conjugation, spot checked."""
+
+    rng = cfg.rng("retraction")
+    dim = structure.carrier.dim
+    p = endo.conjugator
+    positives = Sample(cfg.spot, lambda: matrix_model.draw_positive(dim, rng, cfg.height_bound))
+    below = Sample(cfg.spot, lambda: conjugate(p, matrix_model.draw_effect(dim, rng)))
+    return {
+        "order_preserving": law(
+            "order_preserving", positives, lambda g: structure.is_positive(endo.apply(g))
+        ),
+        "fixes_below_focus": law("fixes_below_focus", below, lambda e: endo.apply(e) == e),
+    }
+
+
+def sampled_compression(structure, endo, cfg):
+    """Effects under u - focus, which must be killed, alternating with generic ones."""
+
+    unit = structure.unit
+    comp = unit - endo.apply(unit)
+    dim = structure.carrier.dim
+    rng = cfg.rng("compression")
+
+    def holds(case) -> bool:
+        e, in_kernel = case
+        killed = endo.apply(e) == structure.zero
+        if in_kernel:
+            return killed and structure.leq(e, comp)
+        return not killed or structure.leq(e, comp)
+
+    def kernel_then_generic():
+        for _ in range(cfg.spot):
+            yield conjugate(comp, matrix_model.draw_effect(dim, rng)), True
+            yield structure.project(matrix_model.draw_effect(dim, rng)), False
+
+    return law("compression", kernel_then_generic(), holds, witness=lambda c: {"effect": c[0]})
+
+
+def sampled_normality(base, cfg):
+    """Randomized refutation search for normality over sampled triples (d, m1, m2).
+
+    d is m1, or an effect pinched below m1 or below m1 and m2; whenever
+    m1 - d and m2 - d are effects with (m1 - d) + (m2 - d) + d below the
+    unit, d must be a focus.
+    """
+
+    structure = base.structure
+    dim = structure.carrier.dim
+    rng = cfg.rng("base:normality")
+    pool = None if base.foci is None else list(base.foci)
+
+    def member():
+        if pool is None:
+            return matrix_model.draw_projection(dim, rng)
+        return pool[rng.randrange(len(pool))]
+
+    def triples():
+        for i in range(max(cfg.samples, 1)):
+            m1 = member()
+            m2 = member()
+            if i % 5 == 0:
+                d = m1
+            elif i % 2 == 0:
+                d = conjugate(m1, matrix_model.draw_effect(dim, rng))
+            else:
+                d = conjugate(m1, conjugate(m2, matrix_model.draw_effect(dim, rng)))
+            yield d, m1, m2
+
+    def premise(case) -> bool:
+        d, m1, m2 = case
+        e = m1 - d
+        f = m2 - d
+        return (
+            structure.is_positive(e)
+            and structure.is_positive(f)
+            and structure.leq(e + f + d, structure.unit)
+        )
+
+    return law(
+        "foci_normal_subalgebra",
+        triples(),
+        lambda case: base.contains_focus(case[0]),
+        premise,
+        witness=("d", "m1", "m2"),
+    )
+
+
+def sampled_meet_glb(structure, p, q, r, cfg):
+    """Every sampled effect below p and q lies below r."""
+
+    dim = structure.carrier.dim
+    rng = cfg.rng("meet")
+    below_p = Sample(cfg.spot, lambda: conjugate(p, matrix_model.draw_effect(dim, rng)))
+    return law("meet_glb", below_p, lambda e: not structure.leq(e, q) or structure.leq(e, r))
+
+
+def sampled_unital_group(structure, cfg) -> dict:
+    """The order clauses of a matrix structure's unital-group axioms, spot checked."""
+
+    rng = cfg.rng()
+    dim = structure.carrier.dim
+    n = cfg.height_bound
+
+    def sample(draw, *args):
+        return structure.project(draw(dim, rng, *args))
+
+    def ordered_triple():
+        a = sample(matrix_model.draw_signed, n)
+        b = a + sample(matrix_model.draw_positive, n)
+        return a, b, sample(matrix_model.draw_signed, n)
+
+    def dominated(g) -> bool:
+        unit = structure.unit
+        return any(structure.is_positive(unit.scale(k) - g) for k in range(4 * n + 1))
+
+    return {
+        "order_translation_invariant": law(
+            "order_translation_invariant",
+            Sample(cfg.spot, ordered_triple),
+            lambda abk: structure.leq(abk[0] + abk[2], abk[1] + abk[2]),
+        ),
+        "order_antisymmetric": law(
+            "order_antisymmetric",
+            Sample(cfg.spot, lambda: sample(matrix_model.draw_positive, n)),
+            lambda g: g.is_zero() or not structure.is_positive(-g),
+        ),
+        "unit_order_unit": law(
+            "unit_order_unit", Sample(cfg.spot, lambda: sample(matrix_model.draw_signed, n)), dominated
+        ),
+    }

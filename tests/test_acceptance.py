@@ -44,7 +44,7 @@ def test_criterion_01_battery_agreement(bundled):
         _, base = bundled[name]
         for p in base.foci:
             for q in base.foci:
-                rep = compat_battery(base, p, q, CFG)
+                rep = compat_battery(base, p, q)
                 assert rep.agree, (name, p, q, rep.values)
                 pairs += 1
 
@@ -52,7 +52,7 @@ def test_criterion_01_battery_agreement(bundled):
         _, base = bundled[name]
         for p in base.foci:
             for q in base.foci:
-                assert compat_battery(base, p, q, CFG).agree, (name, p, q)
+                assert compat_battery(base, p, q).agree, (name, p, q)
                 pairs += 1
 
     for dim in (2, 3):
@@ -65,7 +65,7 @@ def test_criterion_01_battery_agreement(bundled):
                 p, q = matrix_model.draw_nested_projections(dim, rng)
             else:
                 p, q = matrix_model.draw_projection_pair(dim, rng, commuting=False)
-            rep = compat_battery(base, p, q, CFG)
+            rep = compat_battery(base, p, q)
             assert rep.agree, (dim, i, rep.values)
             pairs += 1
 

@@ -23,15 +23,15 @@ CONFIG = ["--samples", "8", "--seed", "0"]
 REPORT_SHA256 = {
     "m1": "d801e4087fb8ecb7657739098da7cc64f331644e2fd761c9027dd86e70fef615",
     "m2": "ab5eabf6f0162a59afc2406265607053f8551684fa748fe76f688ddca088b55c",
-    "m3": "5323bf212ebf2c02c213f0b5a13d63398aee8e0c61d44d53e64dcf804b2511e2",
-    "m4": "8becaa90130378c9cd4346c3c9b651798dfd6f4c60d67536cb1fa4b65d969874",
+    "m3": "c0eb9636ff3f36bb49cf174d0c751545d4b6f3e4621a872eecd91a86d9e6cffb",
+    "m4": "33f856eacead05463c14d5b559b1984cae23a456331f6fab58d9f3bebff19811",
     "m5": "34baa5e45da6c1b8b8670da85018887067eed62e02e5678f3111e3aeb5de1dbc",
 }
 
 VALIDATE_SHA256 = {
     "corrupt_focus_outside_interval": "77a98a053b6a60730fb992e7fa51ecb4a1d4565d85a95bac951ab72f7ef2b17a",
-    "corrupt_matrix_half_focus": "2bf46d27b71ef5249706e75322d7381423e324cffea5bef75e00ba1506b9dc86",
-    "corrupt_matrix_missing_complement": "2f76a24cd891c715dc4680de164265deb45b789c60e59f1bca1ae127b3d63c10",
+    "corrupt_matrix_half_focus": "8714f51b68ed2d8772f303660ed49b3d5c6c026d9f88c7f1adac3379d458cd1c",
+    "corrupt_matrix_missing_complement": "08148ff165dbcafbf82ddd1716d4096250124a632e605c6bacd66f54c393c5c5",
     "corrupt_missing_closure": "4b7ff4160d95f25a979b3f79715745824dca0d79ed002f431903d41789a8b617",
     "corrupt_nonnormal_foci": "e7ca0933c82ec0537f16115b88d68e3bcae0d3f301effd0716819334a502c56b",
     "corrupt_swapped_foci": "bdad7322e186b2a9a3990bb7f5ba02751405beb25fe2b0de7c95fcbdc97579ae",
@@ -39,13 +39,13 @@ VALIDATE_SHA256 = {
 
 
 # theorems models/m3.json --samples 64 --seed 0
-THEOREMS_M3_64_SHA256 = "50b0d74c922707115d01f5ddec6c890f5ccbe7065ce2c61e8b07aa03dc09d771"
+THEOREMS_M3_64_SHA256 = "8c2eece63eda84ac04bcd9c36ed0ce4d99f747a51051141969619da10b2d1181"
 
 # the two jobs of the matrix-report benchmark at --samples 8 --seed 1:
 # (command, model) -> sha256
 MATRIX_SEED1_SHA256 = {
-    ("report", "m3"): "02fbb7493d4cde79ed991367cfc51293c52f076ca882ed581bc64ce8091d0c8e",
-    ("theorems", "m4"): "72842f8211163cbea742c3c5552b507d01593c1b38f9f4d8a991032fc4b45b6d",
+    ("report", "m3"): "12f7f7042fc29b7da338aad550f0da0f03042a2f5004c1f07fa5b3557d805cf4",
+    ("theorems", "m4"): "15bdecc843ad1fd47191cee28ce37549f8a81d8d079d9a1c9bf220ed2df9593a",
 }
 
 

