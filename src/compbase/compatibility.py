@@ -15,8 +15,9 @@ every universe cut from the parent.
 Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, a height box or the declared foci
 (their pairs or triples) when the structure is finite or the base declared,
-seeded samples otherwise.  The theorem sweeps decide (pass) only on
-declared bases of finite structures and are certified everywhere else.
+seeded samples otherwise.  The theorem sweeps decide (pass) on declared
+bases of finite structures, compatible_meet on every declared base, and
+are certified everywhere else.
 
 A CompatReport is a frozen value (value.Value) compared by fields; a
 Substructure is frozen but compared and hashed by identity, as the key
@@ -1029,7 +1030,7 @@ def _zero_unit_clause(base: CompressionBase) -> Clause:
 
 
 def _exact(base: CompressionBase) -> bool:
-    """Theorem sweeps decide their law only on declared finite bases."""
+    """Most theorem sweeps decide their law only on declared finite bases."""
 
     return base.structure.finite and base.foci is not None
 
