@@ -119,7 +119,8 @@ def retraction_certificate(
         )
     else:
         premises = _conjugator_clauses(structure, endo)
-        order = _derived("order_preserving", premises[1:], "p g p is a congruence of g")
+        matches = premises[1]
+        order = _derived("order_preserving", (matches,), "p g p is a congruence of g")
         fixes = _derived("fixes_below_focus", premises, "(I-p) e (I-p) = 0 gives e = p e p")
     clauses = premises + [
         Clause("additive", CERTIFIED, note="map is linear by representation"),
@@ -588,8 +589,8 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     Normality: effects d, e, f with foci m1 = e + d, m2 = f + d and
     e + f + d <= v, the unit, force d to be a focus.  For projections m1,
-    m2 and v <= I, f <= I - m1 gives m1 f = 0 (as e below p v p is p e p
-    in retraction_certificate), likewise m2 e = 0, and d <= m1 gives
+    m2 and v <= I, 0 <= f <= v - m1 <= I - m1 gives m1 f = 0 (as in
+    retraction_certificate), likewise m2 e = 0, and d <= m1 gives
     m1 d = d; so m1 m2 = d = (m1 m2)^T = m2 m1.  The only candidate d is
     thus the product of two commuting foci.  A declared base sweeps its
     focus pairs, failing on a product that is no focus but is a candidate,
@@ -604,7 +605,8 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         dim = structure.carrier.dim
         rng = cfg.rng("base:normality")
         pairs = Sample(
-            max(cfg.samples, 1), lambda: matrix_model.draw_projection_pair(dim, rng, True)
+            max(cfg.samples, 1),
+            lambda: matrix_model.draw_projection_pair(dim, rng, commuting=True),
         )
     else:
         pairs = itertools.product(base.foci, repeat=2)
@@ -625,8 +627,8 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         note="products of commuting foci are foci",
     )
     if clause.ok and not base.intensional:
-        stray = (m for m in (*base.foci, structure.unit) if not matrix_model.is_projection(m))
-        stray = next(stray, None)
+        elements = (*base.foci, structure.unit)
+        stray = next((m for m in elements if not matrix_model.is_projection(m)), None)
         if stray is not None:
             clause.status, clause.witness = FAIL, {"element": stray, "reason": "not a projection"}
     if not clause.ok:

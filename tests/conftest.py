@@ -210,6 +210,8 @@ def sampled_unital_group(structure, cfg) -> dict:
             lambda g: g.is_zero() or not structure.is_positive(-g),
         ),
         "unit_order_unit": law(
-            "unit_order_unit", Sample(cfg.spot, lambda: sample(matrix_model.draw_signed, n)), dominated
+            "unit_order_unit",
+            Sample(cfg.spot, lambda: sample(matrix_model.draw_signed, n)),
+            dominated,
         ),
     }
