@@ -17,8 +17,11 @@ from compbase import (
     MatrixModel,
     MembershipError,
     SymMat,
+    base_from_family,
     base_from_projections,
     compat_battery,
+    conjugation_endo,
+    identity_endo,
     is_compression,
     load_model,
     matrix_model,
@@ -27,6 +30,7 @@ from compbase import (
     theorem_report,
     validate_compression_base,
     validate_unital_group,
+    zero_endo,
 )
 from compbase import compatibility, compression
 from conftest import (
@@ -118,6 +122,47 @@ def test_normality_fails_on_a_focus_that_is_not_a_projection():
     clause = compression._matrix_normality_clause(base, CFG)
     assert clause.status == "fail"
     assert clause.witness == {"element": two, "reason": "not a projection"}
+
+
+def test_greatest_lower_bound_is_derived_only_through_a_projection():
+    model = MatrixModel(2)
+    half = SymMat.from_rows([["1/2", 0], [0, "1/2"]])
+    quarter = SymMat.from_rows([["1/4", 0], [0, "1/4"]])
+    e11 = SymMat.from_rows([[1, 0], [0, 0]])
+    glb = compatibility._greatest_lower_bound
+    assert glb(model, e11, model.unit, e11) and glb(model, model.unit, e11, e11)
+    # J_{I/2}(I) = I/4 lies below I/2 and I, but I/2 is a greater lower bound
+    assert not glb(model, half, model.unit, quarter)
+
+
+def test_matrix_image_whose_unit_is_not_an_order_unit_fails_unit_order_unit():
+    """J_v = identity for v = diag(1, 0): the image is the whole model, and
+    diag(0, 1) is a member that no multiple of v dominates."""
+
+    model = MatrixModel(2)
+    e11 = SymMat.from_rows([[1, 0], [0, 0]])
+    identity = identity_endo(model)
+    pairs = [(model.zero, zero_endo(model)), (e11, identity), (model.unit, identity)]
+    sub = compatibility.image_substructure(base_from_family(model, pairs), e11)
+    clause = next(c for c in validate_unital_group(sub, CFG).clauses if c.name == "unit_order_unit")
+    assert clause.status == "fail"
+    assert not model.leq(clause.witness["element"], e11.scale(1000))
+    assert not sampled_unital_group(sub, CFG)["unit_order_unit"].ok
+
+
+def test_compression_on_an_image_needs_the_conjugator_below_its_unit():
+    """On the image of v = diag(1, 1, 0), conjugation by the projection p onto
+    (1, 0, 1) kills diag(0, 1, 0), which is not below v - p v p: p v != p."""
+
+    model = MatrixModel(3)
+    v = SymMat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    base = base_from_projections(model, [model.zero, v, model.unit - v, model.unit])
+    sub = compatibility.image_substructure(base, v)
+    j = conjugation_endo(model, SymMat.from_rows([["1/2", 0, "1/2"], [0, 0, 0], ["1/2", 0, "1/2"]]))
+    e22 = SymMat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert j.apply(e22) == model.zero and not model.leq(e22, v - j.apply(v))
+    clause = is_compression(sub, j, CFG)
+    assert clause.status == "fail" and clause.witness == {"premise": "focus_below_unit"}
 
 
 def test_intensional_memo_does_not_grow_with_the_budget():
