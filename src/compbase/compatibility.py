@@ -15,9 +15,12 @@ every universe cut from the parent.
 Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, a height box or the declared foci
 (their pairs or triples) when the structure is finite or the base declared,
-seeded samples otherwise.  The theorem sweeps decide (pass) on declared
-bases of finite structures, compatible_meet on every declared base, and
-are certified everywhere else.
+seeded samples otherwise.  One status rule holds for the theorem sweeps: a
+declared base decides them (pass), a sampled base certifies them.  On a
+matrix structure the laws quantified over effects or elements are decided
+per focus by rules derived from its conjugator, as in compression.  The one
+exception is battery_agreement on a declared matrix base with a focus that
+is not a projection, which is certified.
 
 A CompatReport is a frozen value (value.Value) compared by fields; a
 Substructure is frozen but compared and hashed by identity, as the key
@@ -27,13 +30,14 @@ under which its restricted base is memoized.
 from __future__ import annotations
 
 import itertools
-from math import ceil, isqrt
+from math import isqrt
 from typing import Any, Optional
 
 from . import linalg, matrix_model
 from .compression import (
     CompressionBase,
-    _effects_below,
+    _derived,
+    _focus_premises,
     _is_effect,
     kernel_complement_check,
 )
@@ -144,10 +148,16 @@ def compat_battery(base: CompressionBase, p, q) -> CompatReport:
 
     mackey_in_interval searches the whole interval of a finite structure.
     On the matrix model it, and on the intensional base mackey_in_base and
-    the common-focus condition too, are decided through the constructive
-    witness r = J_p(q), e = p - r, f = q - r; the battery's use is
-    precisely that these routes must agree with the exact conditions.  On
-    a declared base of either kind mackey_in_base searches the foci.
+    the common-focus condition too, are tested through the constructive
+    witness r = J_p(q), e = p - r, f = q - r.  On a declared base of either
+    kind mackey_in_base searches the foci.
+
+    When p, q and the unit v are projections the constructive test is a
+    decision: a Mackey triple p = e + d, q = f + d with e + f + d <= v has
+    p + f <= v, so p v = p (both are projections) and p f p <= p (v-p) p
+    = 0, which gives p f = 0; and d <= p gives d = p d p.  So p q = p d =
+    d, q p = d^T = d, and d = p q p = r is the only candidate.  The same
+    argument decides normality in compression._matrix_normality_clause.
     """
 
     structure = base.structure
@@ -202,14 +212,12 @@ def _mackey_in_declared(base: CompressionBase, p, q) -> bool:
     )
 
 
-def meet(base: CompressionBase, p, q, cfg: Optional[CheckConfig] = None):
+def meet(base: CompressionBase, p, q):
     """The meet of two compatible foci, fully checked.
 
     Returns r = J_p(q) after confirming it equals J_q(p), lies below both
     arguments, is the greatest lower bound among effects, and carries the
     composed compression.  Incompatible foci raise MeetUndefinedError.
-    No check here samples, so cfg is not read; it is accepted as by the
-    other entry points.
     """
 
     battery = compat_battery(base, p, q)
@@ -881,76 +889,68 @@ def _omp_orthomodular(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
     )
 
 
-def _omp_focus_cases(base: CompressionBase, cfg: CheckConfig, rng, exhaustive, sample):
-    """(p, x) cases for a law quantified over foci p and elements x below p.
+def _focus_derived(name: str, base: CompressionBase, cfg: CheckConfig, rng, note: str) -> Clause:
+    """A law over the foci p of a matrix base, each decided from the
+    _focus_premises of J_p; an intensional base draws projections."""
 
-    Finite structures pair every focus with every x of the exhaustive
-    universe (x below p is then part of the law); declared matrix foci get
-    spot samples x = sample(p) each; an intensional base draws projections
-    with one sample each.
-    """
+    structure = base.structure
+    dim = structure.carrier.dim
+    foci = _omp_cases(base, cfg, tuple, lambda: matrix_model.draw_projection(dim, rng))
 
-    def focus_cases(foci):
-        if base.structure.finite:
-            return itertools.product(foci, exhaustive())
-        return ((p, sample(p)) for p in foci for _ in range(cfg.spot))
+    def holds(p):
+        res = _derived(name, _focus_premises(structure, base.j(p), p), note)
+        return res.ok or {"p": p, **res.witness}
 
-    def projection_and_sample():
-        p = matrix_model.draw_projection(base.structure.carrier.dim, rng)
-        return p, sample(p)
-
-    return _omp_cases(base, cfg, focus_cases, projection_and_sample)
+    return law(name, foci, holds, note=note + "; decided from each conjugator")
 
 
 def _omp_sharp(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    """No nonzero effect sits below both a focus p and u - p.
+
+    A finite structure sweeps every focus against the interval.  On a
+    matrix structure with unit v, e <= p gives e = p e p (as in
+    retraction_certificate), and e <= v - p gives p e p <= p (v-p) p = 0.
+    """
+
     structure = base.structure
     leq = structure.leq
-    finite = structure.finite
-
-    def sample(p):
-        return conjugate(p, matrix_model.draw_effect(structure.carrier.dim, rng))
+    note = "no nonzero effect sits below both p and its complement"
+    if not structure.finite:
+        return _focus_derived("omp_sharp", base, cfg, rng, note)
 
     def holds(pe) -> bool:
         p, e = pe
-        below_p = leq(e, p) if finite else True
-        return not (below_p and leq(e, structure.unit - p) and e != structure.zero)
+        return not (leq(e, p) and leq(e, structure.unit - p) and e != structure.zero)
 
-    cases = _omp_focus_cases(base, cfg, rng, structure.interval, sample)
-    note = "no nonzero effect sits below both p and its complement"
-    return law(
-        "omp_sharp",
-        cases,
-        holds,
-        witness=("p", "effect"),
-        note=note if finite else note + "; sampled",
-    )
+    cases = itertools.product(base.foci, structure.interval())
+    return law("omp_sharp", cases, holds, witness=("p", "effect"), note=note)
 
 
 def _omp_principal(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+    """Effects e, f below a focus p with e + f defined have e + f <= p.
+
+    A finite structure sweeps every focus against pairs from the interval.
+    On a matrix structure with unit v, e, f <= p give e = p e p and
+    f = p f p, so e + f = p (e + f) p <= p v p = p.
+    """
+
     structure = base.structure
     leq = structure.leq
-    finite = structure.finite
-
-    def sample(p):
-        dim = structure.carrier.dim
-        return tuple(conjugate(p, matrix_model.draw_effect(dim, rng)) for _ in range(2))
+    note = "defined sums of effects below p stay below p"
+    if not structure.finite:
+        return _focus_derived("omp_principal", base, cfg, rng, note)
 
     def defined_below(pef) -> bool:
         p, (e, f) = pef
-        below_p = leq(e, p) and leq(f, p) if finite else True
-        return below_p and leq(e + f, structure.unit)
+        return leq(e, p) and leq(f, p) and leq(e + f, structure.unit)
 
-    def effect_pairs():
-        return itertools.product(structure.interval(), repeat=2)
-
-    note = "defined sums of effects below p stay below p"
     return law(
         "omp_principal",
-        _omp_focus_cases(base, cfg, rng, effect_pairs, sample),
+        itertools.product(base.foci, itertools.product(structure.interval(), repeat=2)),
         lambda pef: leq(pef[1][0] + pef[1][1], pef[0]),
         defined_below,
         witness=lambda pef: {"p": pef[0], "e": pef[1][0], "f": pef[1][1]},
-        note=note if finite else note + "; sampled",
+        note=note,
     )
 
 
@@ -958,32 +958,29 @@ def _omp_principal(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
 # theorem sweeps
 
 
-def _focus_stream(base: CompressionBase, cfg: CheckConfig, tag: str) -> tuple:
+def _focus_stream(base: CompressionBase, cfg: CheckConfig, tag: str, count: int):
+    """The declared foci, or count projections drawn from the stream tag."""
+
     if base.foci is not None:
         return base.foci
     rng = cfg.rng(tag)
     dim = base.structure.carrier.dim
-    count = max(4, isqrt(max(cfg.samples, 1)))
-    return tuple(matrix_model.draw_projection(dim, rng) for _ in range(count))
+    return Sample(count, lambda: matrix_model.draw_projection(dim, rng))
 
 
-def _pair_stream(base: CompressionBase, cfg: CheckConfig, tag: str, count: int) -> tuple:
+def _pair_stream(base: CompressionBase, cfg: CheckConfig, tag: str, count: int):
     """Declared focus pairs, or count sampled pairs cycling through three kinds."""
 
     if base.foci is not None:
         return tuple(itertools.product(base.foci, repeat=2))
     rng = cfg.rng(tag)
     dim = base.structure.carrier.dim
-    pairs = []
-    for i in range(count):
-        kind = i % 3
-        if kind == 0:
-            pairs.append(matrix_model.draw_projection_pair(dim, rng, commuting=True))
-        elif kind == 1:
-            pairs.append(matrix_model.draw_nested_projections(dim, rng))
-        else:
-            pairs.append(matrix_model.draw_projection_pair(dim, rng, commuting=False))
-    return tuple(pairs)
+    kinds = (
+        lambda: matrix_model.draw_projection_pair(dim, rng, commuting=True),
+        lambda: matrix_model.draw_nested_projections(dim, rng),
+        lambda: matrix_model.draw_projection_pair(dim, rng, commuting=False),
+    )
+    return (kinds[i % 3]() for i in range(count))
 
 
 def theorem_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Report:
@@ -1029,64 +1026,61 @@ def _zero_unit_clause(base: CompressionBase) -> Clause:
     )
 
 
-def _exact(base: CompressionBase) -> bool:
-    """Most theorem sweeps decide their law only on declared finite bases."""
-
-    return base.structure.finite and base.foci is not None
-
-
 def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
-    """Idempotence, focus fixing, and complement killing for each member."""
+    """Idempotence, focus fixing, and complement killing for each member.
+
+    A finite structure sweeps the effects below u - p.  On a matrix
+    structure with unit v the three laws are derived from _focus_premises
+    of J_p: J_p J_p is conjugation by p^2 = p, J_p(p) = p^3 = p, and an
+    effect e <= v - p gives 0 <= p e p <= p (v-p) p = 0.
+    """
 
     structure = base.structure
-    kill = cfg.rng("theorem:family:kill")
 
     def shaped(p):
         j = base.j(p)
+        if not structure.finite:
+            res = _derived("family_shape", _focus_premises(structure, j, p), "")
+            return res.ok or {"focus": p, **res.witness}
         if not endo_equal(structure, compose(j, j), j):
             return {"focus": p, "law": "idempotent"}
         if j.apply(p) != p:
             return {"focus": p, "law": "fixes_focus"}
-        below = _effects_below(structure, structure.unit - p, cfg, kill)
+        comp = structure.unit - p
+        below = (e for e in structure.interval() if structure.leq(e, comp))
         bad = next((e for e in below if j.apply(e) != structure.zero), None)
         return bad is None or {"focus": p, "law": "kills_complement", "effect": bad}
 
     return law(
         "family_shape",
-        _focus_stream(base, cfg, "theorem:family"),
+        _focus_stream(base, cfg, "theorem:family", max(4, isqrt(max(cfg.samples, 1)))),
         shaped,
-        exact=_exact(base),
         tally=True,
         note="each member is idempotent, fixes its focus, kills below the complement",
     )
 
 
 def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+    """kernel_complement_check for each focus and its complement."""
+
     structure = base.structure
-    foci = _focus_stream(base, cfg, "theorem:kernel")
-    budget = max(1, ceil(max(cfg.samples, 1) / max(len(foci), 1)))
-    checked = 0
+    foci = _focus_stream(base, cfg, "theorem:kernel", max(cfg.samples, 1))
 
     def exchanges(p):
-        nonlocal checked
         comp = base.complement(p)
         if not base.contains_focus(comp):
             return {"focus": p, "reason": "complement escapes the base"}
-        res = kernel_complement_check(
-            structure, base.j(p), base.j(comp), cfg, budget=budget
-        )
-        checked += res.checked
+        res = kernel_complement_check(structure, base.j(p), base.j(comp), cfg)
         return res.ok or {"focus": p, "witness": res.witness}
 
-    clause = law(
+    box = structure.positive_universe(cfg.height_bound) if structure.finite else None
+    return law(
         "kernel_complement_fixpoint",
         foci,
         exchanges,
-        exact=_exact(base),
+        checked=None if box is None else len(foci) * len(box),
         note="J_p kills a positive exactly when J_{u-p} fixes it",
     )
-    clause.checked = checked
-    return clause
 
 
 def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
@@ -1109,43 +1103,35 @@ def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         _pair_stream(base, cfg, "theorem:absorption", max(cfg.samples, 1)),
         lambda pq: len(set(conditions(pq))) == 1,
         witness=lambda pq: {"p": pq[0], "q": pq[1], "conditions": list(conditions(pq))},
-        exact=_exact(base),
         tally=True,
         note="five conditions equivalent to q below p agree on every pair",
     )
 
 
 def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+    """_absorbs for every focus p and element g.
+
+    A finite structure sweeps its signed box.  On a matrix structure with
+    unit v each focus is decided from _focus_premises of J_p and J_{u-p}.
+    p g p <= g gives h = g - p g p >= 0 with p h p = 0, so h p = 0 and
+    g p = p g = p g p; with g = v g v that makes g = p g p + (v-p) g (v-p),
+    which the projector of the commutant fixes.  Conversely a positive g in
+    the commutant has g - p g p = (v-p) g (v-p) >= 0.
+    """
+
     structure = base.structure
-    foci = _focus_stream(base, cfg, "theorem:commutant")
+    note = "domination implies compatibility; compatible positives are dominated"
     if structure.finite:
-        cases = itertools.product(foci, structure.signed_universe(cfg.height_bound))
-    else:
-        rng = cfg.rng("theorem:commutant:g")
-        dim = structure.carrier.dim
-        n = cfg.height_bound
-        budget = max(1, ceil(max(cfg.samples, 1) / max(len(foci), 1)))
+        cases = itertools.product(base.foci, structure.signed_universe(cfg.height_bound))
+        return law("commutant_absorption", cases, lambda pg: _absorbs(base, *pg), note=note)
 
-        def split(p, draw):
-            comp = structure.unit - p
-            return conjugate(p, draw(dim, rng, n)) + conjugate(comp, draw(dim, rng, n))
+    def absorbs(p):
+        premises = _focus_premises(structure, base.j(p), comp=base.j(base.complement(p)))
+        res = _derived("commutant_absorption", premises, note)
+        return res.ok or {"p": p, **res.witness}
 
-        def elements(p):
-            for i in range(budget):
-                if i % 3 == 0:
-                    yield matrix_model.draw_signed(dim, rng, n)
-                elif i % 3 == 1:
-                    yield split(p, matrix_model.draw_signed)
-                else:
-                    yield split(p, matrix_model.draw_positive)
-
-        cases = ((p, g) for p in foci for g in elements(p))
-    return law(
-        "commutant_absorption",
-        cases,
-        lambda pg: _absorbs(base, *pg),
-        note="domination implies compatibility; compatible positives are dominated",
-    )
+    foci = _focus_stream(base, cfg, "theorem:commutant", max(cfg.samples, 1))
+    return law("commutant_absorption", foci, absorbs, note=note)
 
 
 def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
@@ -1162,12 +1148,16 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
             return True
         return compat_battery(base, q, p).compatible == battery.compatible
 
+    structure = base.structure
+    decided = declared and (
+        structure.finite or all(map(matrix_model.is_projection, (*base.foci, structure.unit)))
+    )
     clause = law(
         "battery_agreement",
         _pair_stream(base, cfg, "theorem:battery", max(cfg.samples, 1)),
         agrees,
         witness=lambda pq: {"p": pq[0], "q": pq[1], "reason": "asymmetric"},
-        exact=_exact(base),
+        exact=decided,
         tally=True,
         note="all eight compatibility conditions agree, symmetrically",
     )
@@ -1200,6 +1190,5 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         pairs,
         meets,
         lambda pq: compat_battery(base, *pq).compatible,
-        exact=base.foci is not None,
         note="compatible pairs have J_p(q) as greatest lower bound",
     )

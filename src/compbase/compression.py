@@ -12,8 +12,9 @@ finite model, or seeded samples on the matrix model, whose maps are
 conjugations g -> p g p.  An exhaustive universe decides its law (pass); a
 sampled one spot checks a fact that holds analytically for that form
 (certified) or searches a refutable claim for a counterexample.  A matrix
-base's per-focus laws and normality are derived exactly (pass) from
-exactly checked premises, so a declared matrix base draws no effects.
+base's per-focus laws, the kernel exchange and normality are derived
+exactly (pass) from exactly checked premises, so a declared matrix base
+draws no effects.
 
 Certificates are frozen values (value.Value) compared by fields; a
 CompressionBase is frozen but compared and hashed by identity, since the
@@ -36,11 +37,12 @@ from .effect_algebra import (
     is_normal_subalgebra,
     is_sub_effect_algebra,
 )
-from .elements import SymMat, conjugate
+from .elements import SymMat
 from .models import (
     Endomorphism,
     LatticeConeModel,
     MatrixModel,
+    _members_in_corner,
     compose,
     conjugation_endo,
     endo_equal,
@@ -82,10 +84,7 @@ class RetractionCertificate(Value):
 
 
 def retraction_certificate(
-    structure,
-    endo: Endomorphism,
-    cfg: Optional[CheckConfig] = None,
-    declared_focus=None,
+    structure, endo: Endomorphism, declared_focus=None
 ) -> RetractionCertificate:
     """Check the retraction laws of one map; the clauses become its checks.
 
@@ -99,7 +98,6 @@ def retraction_certificate(
     = 0 and e = e p = p e = p e p.
     """
 
-    cfg = cfg or CheckConfig()
     finite = structure.finite
     focus = endo.apply(structure.unit)
     if finite:
@@ -113,7 +111,7 @@ def retraction_certificate(
         )
         fixes = law(
             "fixes_below_focus",
-            _effects_below(structure, focus, cfg, None),
+            [e for e in structure.interval() if structure.leq(e, focus)],
             lambda e: endo.apply(e) == e,
             witness="effect",
         )
@@ -146,22 +144,53 @@ def retraction_certificate(
     return RetractionCertificate(structure, endo, focus, checks)
 
 
-def _conjugator_clauses(structure, endo: Endomorphism) -> list:
+def _conjugator_clauses(structure, endo: Endomorphism, prefix: str = "") -> list:
     p = endo.conjugator
     if p is None:
-        raise ValueError(
-            "matrix-model retraction checks need the conjugation form of the map"
-        )
+        raise ValueError("matrix-model checks need the conjugation form of the map")
     return [
-        law("conjugator_idempotent", (p,), matrix_model.is_projection, witness="conjugator"),
         law(
-            "matrix_matches_conjugator",
+            prefix + "conjugator_idempotent", (p,), matrix_model.is_projection, witness="conjugator"
+        ),
+        law(
+            prefix + "matrix_matches_conjugator",
             (endo,),
             lambda e: endo_equal(structure.carrier, e, conjugation_endo(structure.carrier, p)),
             witness=lambda e: None,
             note="stored matrix agrees with conjugation by the stored projection",
         ),
     ]
+
+
+def _focus_premises(structure, endo: Endomorphism, focus=None, comp=None) -> list:
+    """The exact premises of the laws derived for a conjugation J = J_p.
+
+    On a matrix structure with unit v: J is g -> p g p for a symmetric
+    idempotent p (_conjugator_clauses), p v = p (focus_below_unit, so
+    v p = p and p v p = p) and, for a declared focus, p is that focus
+    (conjugator_is_focus).  With a complementary map J': J' is conjugation
+    by a symmetric idempotent (complement_*), that conjugator is exactly
+    v - p (complement_conjugator), so v is idempotent too and p (v-p) = 0,
+    and every member g of the structure is v g v (members_in_corner).
+    """
+
+    p = endo.conjugator
+    unit = structure.unit
+    premises = _conjugator_clauses(structure, endo)
+    below = law(
+        "focus_below_unit",
+        (p,),
+        lambda c: matrix_model.commuting_product(c, unit) == c,
+        witness="conjugator",
+    )
+    premises.append(below)
+    if focus is not None:
+        premises.append(law("conjugator_is_focus", (p,), lambda c: c == focus))
+    if comp is not None:
+        premises += _conjugator_clauses(structure, comp, "complement_")
+        premises.append(law("complement_conjugator", (comp.conjugator,), lambda q: q == unit - p))
+        premises.append(_members_in_corner(structure, "members_in_corner"))
+    return premises
 
 
 def _derived(name: str, premises, note: str) -> Clause:
@@ -177,23 +206,13 @@ def _is_effect(structure, x) -> bool:
     return structure.is_positive(x) and structure.leq(x, structure.unit)
 
 
-def _effects_below(structure, p, cfg: CheckConfig, rng):
-    """Effects below p: filtered from the interval, or cfg.spot samples p e p."""
-
-    if structure.finite:
-        return [e for e in structure.interval() if structure.leq(e, p)]
-    dim = structure.carrier.dim
-    return Sample(cfg.spot, lambda: conjugate(p, matrix_model.draw_effect(dim, rng)))
-
-
-def is_compression(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> Clause:
+def is_compression(structure, endo: Endomorphism) -> Clause:
     """Does J(e) = 0 force e <= u - focus, for effects e?
 
     Finite structures sweep the interval.  On a matrix structure with unit
-    v the law is derived from the exact conjugator clauses and p v = p,
-    so v p = p and the focus p v p is p.  If 0 <= e <= v and p e p = 0,
-    then with e = s^T s, s p = 0, so e p = p e = 0 and e = (I-p) e (I-p)
-    <= (I-p) v (I-p) = v - p.
+    v the law is derived from _focus_premises: the focus p v p is p.  If
+    0 <= e <= v and p e p = 0, then with e = s^T s, s p = 0, so e p = p e
+    = 0 and e = (I-p) e (I-p) <= (I-p) v (I-p) = v - p.
     """
 
     unit = structure.unit
@@ -205,12 +224,7 @@ def is_compression(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = N
             lambda e: endo.apply(e) != structure.zero or structure.leq(e, comp),
             witness="effect",
         )
-    premises = _conjugator_clauses(structure, endo)
-
-    def pv_is_p(p) -> bool:
-        return matrix_model.commuting_product(p, unit) == p
-
-    premises.append(law("focus_below_unit", (endo.conjugator,), pv_is_p, witness="conjugator"))
+    premises = _focus_premises(structure, endo)
     return _derived("compression", premises, "p e p = 0 gives e = (I-p) e (I-p) <= v - p")
 
 
@@ -251,22 +265,24 @@ def _direct_probes(dim: int):
 
 
 def kernel_complement_check(
-    structure,
-    j: Endomorphism,
-    j_comp: Endomorphism,
-    cfg: Optional[CheckConfig] = None,
-    budget: Optional[int] = None,
+    structure, j: Endomorphism, j_comp: Endomorphism, cfg: Optional[CheckConfig] = None
 ) -> Clause:
     """Mutual kernel/fixed-point exchange between complementary maps.
 
     For positive g: J'(g) = g exactly when J(g) = 0, and J'(g) = 0 exactly
-    when J(g) = g.  Finite structures sweep the bounded positive universe;
-    the matrix model mixes kernel-targeted, range-targeted and generic
-    positive samples.
+    when J(g) = g.  Finite structures sweep the bounded positive universe.
+    On a matrix structure with unit v the law is derived from
+    _focus_premises of J = J_p and J' = J_{v-p}: for g = s^T s a member,
+    p g p = 0 <=> s p = 0 <=> g p = p g = 0 <=> (v-p) g (v-p) = g, the last
+    because g = v g v expands (v-p) g (v-p) to g - p g - g p + p g p, and
+    p (v-p) = 0 gives the way back.  The same holds with p and v - p
+    exchanged, which gives the second half.
     """
 
-    cfg = cfg or CheckConfig()
     zero = structure.zero
+    if not structure.finite:
+        premises = _focus_premises(structure, j, comp=j_comp)
+        return _derived("kernel_complement", premises, "p g p = 0 <=> (v-p) g (v-p) = g")
 
     def holds(g):
         jg = j.apply(g)
@@ -277,40 +293,15 @@ def kernel_complement_check(
             return {"positive": g, "direction": "killed_by_complement_vs_fixed"}
         return True
 
-    if structure.finite:
-        box = structure.positive_universe(cfg.height_bound)
-        return law("kernel_complement", box, holds)
-
-    p = j.conjugator
-    q = j_comp.conjugator
-    if p is None or q is None:
-        raise ValueError("matrix-model kernel checks need conjugation forms")
-    dim = structure.carrier.dim
-    rng = cfg.rng("kernel_complement")
-
-    def positives():
-        for i in range(budget if budget is not None else cfg.spot):
-            raw = matrix_model.draw_positive(dim, rng, cfg.height_bound)
-            if i % 3 == 1:
-                yield conjugate(q, raw)
-            elif i % 3 == 2:
-                yield conjugate(p, raw)
-            else:
-                yield structure.project(raw)
-
-    clause = law("kernel_complement", positives(), holds, exact=p + q != structure.unit)
-    if clause.ok:
-        clause.note = "kernel and range of complementary conjugations exchange; sampled"
-    return clause
+    box = structure.positive_universe((cfg or CheckConfig()).height_bound)
+    return law("kernel_complement", box, holds)
 
 
 # ---------------------------------------------------------------------------
 # retraction enumeration on finite models
 
 
-def enumerate_retractions(
-    model: LatticeConeModel, cfg: Optional[CheckConfig] = None
-) -> tuple[RetractionCertificate, ...]:
+def enumerate_retractions(model: LatticeConeModel) -> tuple[RetractionCertificate, ...]:
     """Every retraction of a finite lattice model, as checked certificates.
 
     The search runs focus by focus.  Let J be a retraction with focus
@@ -334,10 +325,8 @@ def enumerate_retractions(
     try |E|^n.
     """
 
-    cfg = cfg or CheckConfig()
     if model.unit.is_zero():
-        cert = retraction_certificate(model, zero_endo(model), cfg)
-        return (cert,)
+        return (retraction_certificate(model, zero_endo(model)),)
 
     effects = model.interval()
     spanning = [e.coords for e in effects]
@@ -362,7 +351,7 @@ def enumerate_retractions(
             if any(x % det for row in m for x in row):
                 continue
             m = tuple(tuple(x // det for x in row) for row in m)
-            cert = retraction_certificate(model, Endomorphism(model, m), cfg)
+            cert = retraction_certificate(model, Endomorphism(model, m))
             if cert.valid:
                 certs.append(cert)
     certs.sort(key=lambda c: (c.focus.sort_key(), c.endo.matrix))
@@ -392,7 +381,7 @@ def compressible_group_report(
     """
 
     cfg = cfg or CheckConfig()
-    certs = enumerate_retractions(model, cfg)
+    certs = enumerate_retractions(model)
     seen: set = set()
 
     def first_with_focus(c) -> bool:
@@ -401,7 +390,7 @@ def compressible_group_report(
         return fresh
 
     def compressive(c):
-        res = is_compression(model, c.endo, cfg)
+        res = is_compression(model, c.endo)
         return res.ok or {"focus": c.focus, "witness": res.witness}
 
     def has_partner(c) -> bool:
@@ -640,11 +629,11 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
 
     def compression_at(p):
-        cert = retraction_certificate(structure, base.j(p), cfg, declared_focus=p)
+        cert = retraction_certificate(structure, base.j(p), declared_focus=p)
         bad = next((c for _, c in cert.checks if not c.ok), None)
         if bad is not None:
             return {"focus": p, "check": bad.name, "witness": bad.witness}
-        comp = is_compression(structure, base.j(p), cfg)
+        comp = is_compression(structure, base.j(p))
         return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
 
     if base.intensional:
@@ -725,7 +714,7 @@ def direct_compression_base(
 
     cfg = cfg or CheckConfig()
     rep = Report(title="direct compression base")
-    certs = enumerate_retractions(model, cfg)
+    certs = enumerate_retractions(model)
     direct = [c for c in certs if is_direct(model, c.endo, cfg).ok]
     rep.add(
         Clause(

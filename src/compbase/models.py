@@ -636,6 +636,21 @@ def _interval_sums(structure, box) -> set:
     return reach
 
 
+def _members_in_corner(structure, name: str, note: str = "") -> Clause:
+    """Is every member g of a matrix structure v g v, for its unit v?
+
+    Decided on the projected basis, which spans the members.
+    """
+    unit = structure.unit
+    return law(
+        name,
+        tuple(structure.project(b) for b in structure.carrier.basis()),
+        lambda g: conjugate(unit, g) == g,
+        witness="element",
+        note=note,
+    )
+
+
 def _validate_matrix(structure, cfg: CheckConfig) -> Report:
     """Unital-group axioms of a matrix structure, the model or a substructure.
 
@@ -649,12 +664,8 @@ def _validate_matrix(structure, cfg: CheckConfig) -> Report:
     rng = cfg.rng()
     dim = structure.carrier.dim
     unit = structure.unit
-    order_unit = law(
-        "unit_order_unit",
-        tuple(structure.project(b) for b in structure.carrier.basis()),
-        lambda g: conjugate(unit, g) == g,
-        witness="element",
-        note="every member g is v g v, and g <= c*I gives v g v <= c*v",
+    order_unit = _members_in_corner(
+        structure, "unit_order_unit", "every member g is v g v, and g <= c*I gives v g v <= c*v"
     )
     if order_unit.ok and not matrix_model.is_projection(unit):
         order_unit.status, order_unit.witness = FAIL, {"unit": unit, "reason": "not a projection"}

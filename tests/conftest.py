@@ -5,7 +5,8 @@ from pathlib import Path
 
 from hypothesis import assume, strategies as st
 
-from compbase import CheckConfig, conjugate, load_model, matrix_model
+from compbase import CheckConfig, compose, conjugate, endo_equal, load_model, matrix_model
+from compbase.compatibility import _absorbs
 from compbase.reporting import Sample, law
 
 REPO = Path(__file__).resolve().parent.parent
@@ -77,7 +78,8 @@ def corner_model(unit) -> dict:
 #
 # The package decides these laws on matrix structures exactly, from the
 # conjugator of each map (see compression.retraction_certificate,
-# is_compression, _matrix_normality_clause, compatibility._checked_meet and
+# is_compression, kernel_complement_check, _matrix_normality_clause,
+# compatibility._checked_meet, the theorem sweeps and
 # models._validate_matrix).  These are the seeded sweeps those rules
 # replaced, kept to check that both routes reach the same verdicts.
 
@@ -214,4 +216,96 @@ def sampled_unital_group(structure, cfg) -> dict:
             Sample(cfg.spot, lambda: sample(matrix_model.draw_signed, n)),
             dominated,
         ),
+    }
+
+
+def sampled_kernel_complement(structure, j, j_comp, cfg):
+    """The kernel/fixed-point exchange on kernel-targeted, range-targeted and
+    generic positive samples of the structure."""
+
+    dim = structure.carrier.dim
+    rng = cfg.rng("kernel_complement")
+    zero = structure.zero
+
+    def holds(g) -> bool:
+        jg = j.apply(g)
+        kg = j_comp.apply(g)
+        return (kg == g) == (jg == zero) and (kg == zero) == (jg == g)
+
+    def positives():
+        for i in range(cfg.spot):
+            raw = matrix_model.draw_positive(dim, rng, cfg.height_bound)
+            if i % 3 == 1:
+                yield conjugate(j_comp.conjugator, raw)
+            elif i % 3 == 2:
+                yield conjugate(j.conjugator, raw)
+            else:
+                yield structure.project(raw)
+
+    return law("kernel_complement", positives(), holds)
+
+
+def sampled_theorem_laws(base, cfg) -> dict:
+    """The theorem sweeps that quantify over effects or elements, spot
+    checked at every declared focus of a matrix base."""
+
+    structure = base.structure
+    unit = structure.unit
+    dim = structure.carrier.dim
+    n = cfg.height_bound
+    leq = structure.leq
+    effect = matrix_model.draw_effect
+    family_rng = cfg.rng("theorem:family:kill")
+    commutant_rng = cfg.rng("theorem:commutant:g")
+    omp_rng = cfg.rng("omp:interval")
+
+    def shaped(p) -> bool:
+        j = base.j(p)
+        if not (endo_equal(structure, compose(j, j), j) and j.apply(p) == p):
+            return False
+        below = Sample(cfg.spot, lambda: conjugate(unit - p, effect(dim, family_rng)))
+        return all(j.apply(e) == structure.zero for e in below)
+
+    def exchanges(p) -> bool:
+        comp = base.j(unit - p)
+        return sampled_kernel_complement(structure, base.j(p), comp, cfg).ok
+
+    def split(p, draw):
+        a = draw(dim, commutant_rng, n)
+        return conjugate(p, a) + conjugate(unit - p, draw(dim, commutant_rng, n))
+
+    def elements(p):
+        for i in range(cfg.spot):
+            if i % 3 == 0:
+                g = matrix_model.draw_signed(dim, commutant_rng, n)
+            elif i % 3 == 1:
+                g = split(p, matrix_model.draw_signed)
+            else:
+                g = split(p, matrix_model.draw_positive)
+            yield structure.project(g)
+
+    def below(p, k):
+        return tuple(conjugate(p, effect(dim, omp_rng)) for _ in range(k))
+
+    def spot(k):
+        return ((p, below(p, k)) for p in base.foci for _ in range(cfg.spot))
+
+    def sharp(pe) -> bool:
+        p, (e,) = pe
+        return e == structure.zero or not leq(e, unit - p)
+
+    def principal(pef) -> bool:
+        p, (e, f) = pef
+        return not leq(e + f, unit) or leq(e + f, p)
+
+    return {
+        "family_shape": law("family_shape", base.foci, shaped),
+        "kernel_complement_fixpoint": law("kernel_complement_fixpoint", base.foci, exchanges),
+        "commutant_absorption": law(
+            "commutant_absorption",
+            ((p, g) for p in base.foci for g in elements(p)),
+            lambda pg: _absorbs(base, *pg),
+        ),
+        "omp_sharp": law("omp_sharp", spot(1), sharp),
+        "omp_principal": law("omp_principal", spot(2), principal),
     }

@@ -119,14 +119,14 @@ def test_criterion_03_theorem_sweeps(bundled):
 
 def test_criterion_04_retraction_census(bundled):
     model1, base1 = bundled["m1"]
-    certs1 = enumerate_retractions(model1, CFG)
+    certs1 = enumerate_retractions(model1)
     assert len(certs1) == 4
     enumerated = {(c.focus, c.endo.matrix) for c in certs1}
     declared = {(p, base1.j(p).matrix) for p in base1.foci}
     assert declared == enumerated
 
     model2, base2 = bundled["m2"]
-    certs2 = enumerate_retractions(model2, CFG)
+    certs2 = enumerate_retractions(model2)
     assert len(certs2) == 2
 
     for model, certs in ((model1, certs1), (model2, certs2)):

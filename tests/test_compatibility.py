@@ -244,20 +244,20 @@ def test_report_builds_one_substructure_per_kind_and_focus(name, monkeypatch, ca
 
 def test_meet_of_nested_foci(bundled, fast_cfg):
     _, base = bundled["m1"]
-    assert meet(base, Vec((1, 0)), Vec((1, 1)), fast_cfg) == Vec((1, 0))
-    assert meet(base, Vec((1, 0)), Vec((1, 0)), fast_cfg) == Vec((1, 0))
+    assert meet(base, Vec((1, 0)), Vec((1, 1))) == Vec((1, 0))
+    assert meet(base, Vec((1, 0)), Vec((1, 0))) == Vec((1, 0))
 
 
 def test_meet_of_orthogonal_projections(bundled, fast_cfg):
     model, base = bundled["m3"]
-    assert meet(base, DIAG0, DIAG1, fast_cfg) == model.zero
-    assert meet(base, HPLUS, model.unit, fast_cfg) == HPLUS
+    assert meet(base, DIAG0, DIAG1) == model.zero
+    assert meet(base, HPLUS, model.unit) == HPLUS
 
 
 def test_meet_undefined_for_incompatible_pair(bundled, fast_cfg):
     _, base = bundled["m3"]
     with pytest.raises(MeetUndefinedError):
-        meet(base, DIAG0, HPLUS, fast_cfg)
+        meet(base, DIAG0, HPLUS)
 
 
 @pytest.mark.parametrize("name", ["m1", "m3"])

@@ -39,7 +39,7 @@ from conftest import FIXTURES_DIR, LATTICE, MODELS_DIR, corner_model, seeded_con
 def test_declared_compressions_are_retractions(bundled, fast_cfg):
     model, base = bundled["m1"]
     for p in base.foci:
-        cert = retraction_certificate(model, base.j(p), fast_cfg, declared_focus=p)
+        cert = retraction_certificate(model, base.j(p), declared_focus=p)
         assert cert.valid
         assert cert.focus == p
         below = [e for e in model.interval() if model.leq(e, p)]
@@ -49,7 +49,7 @@ def test_declared_compressions_are_retractions(bundled, fast_cfg):
 def test_swap_map_is_not_a_retraction(bundled, fast_cfg):
     model, _ = bundled["m1"]
     swap = endo_from_int_matrix(model, [[0, 1], [1, 0]])
-    cert = retraction_certificate(model, swap, fast_cfg)
+    cert = retraction_certificate(model, swap)
     assert not cert.valid
     failed = {name for name, res in cert.checks if not res.ok}
     assert "fixes_below_focus" in failed
@@ -58,7 +58,7 @@ def test_swap_map_is_not_a_retraction(bundled, fast_cfg):
 def test_declared_focus_mismatch_is_flagged(bundled, fast_cfg):
     model, base = bundled["m1"]
     p, q = Vec((1, 0)), Vec((0, 1))
-    cert = retraction_certificate(model, base.j(p), fast_cfg, declared_focus=q)
+    cert = retraction_certificate(model, base.j(p), declared_focus=q)
     assert not cert.valid
     assert dict(cert.checks)["declared_focus_matches"].witness == {
         "declared": q,
@@ -70,13 +70,13 @@ def test_matrix_retraction_checks_need_conjugator(fast_cfg):
     model = MatrixModel(2)
     bare = Endomorphism(model, conjugation_endo(model, model.unit).matrix)
     with pytest.raises(ValueError):
-        retraction_certificate(model, bare, fast_cfg)
+        retraction_certificate(model, bare)
 
 
 def test_projection_conjugations_are_retractions(bundled, fast_cfg):
     model, base = bundled["m3"]
     for p in base.foci:
-        cert = retraction_certificate(model, base.j(p), fast_cfg, declared_focus=p)
+        cert = retraction_certificate(model, base.j(p), declared_focus=p)
         assert cert.valid, (p, [n for n, r in cert.checks if not r.ok])
 
 
@@ -84,14 +84,14 @@ def test_is_compression_on_declared_bases(bundled, fast_cfg):
     for name in ("m1", "m5", "m3"):
         model, base = bundled[name]
         for p in base.foci:
-            assert is_compression(model, base.j(p), fast_cfg).ok
+            assert is_compression(model, base.j(p)).ok
 
 
 def test_non_compression_endomorphism_detected(bundled, fast_cfg):
     model, _ = bundled["m1"]
     # (x, y) -> (y, y) kills (1, 0) yet (1, 0) is not below u - focus = 0
     collapse = endo_from_int_matrix(model, [[0, 1], [0, 1]])
-    res = is_compression(model, collapse, fast_cfg)
+    res = is_compression(model, collapse)
     assert not res.ok
     e = res.witness["effect"]
     assert collapse.apply(e) == model.zero
@@ -101,7 +101,7 @@ def test_non_compression_endomorphism_detected(bundled, fast_cfg):
 def test_conjugation_by_non_projection_is_not_a_compression(fast_cfg):
     model = MatrixModel(2)
     soft = SymMat.from_rows([["1/2", 0], [0, 0]])
-    res = is_compression(model, conjugation_endo(model, soft), fast_cfg)
+    res = is_compression(model, conjugation_endo(model, soft))
     assert not res.ok
 
 
@@ -127,12 +127,12 @@ def test_retraction_counts(bundled, fast_cfg):
     counts = {"m1": 4, "m2": 2, "m5": 4}
     for name, expected in counts.items():
         model, base = bundled[name]
-        certs = enumerate_retractions(model, fast_cfg)
+        certs = enumerate_retractions(model)
         assert len(certs) == expected
         assert {c.focus for c in certs} == set(base.foci)
 
 
-def exhaustive_retractions(model, cfg):
+def exhaustive_retractions(model):
     """Every retraction, by assigning interval elements to a whole basis.
 
     The |E|^dim search that enumerate_retractions replaced, kept as its
@@ -142,7 +142,7 @@ def exhaustive_retractions(model, cfg):
     """
 
     if model.unit.is_zero():
-        return (retraction_certificate(model, zero_endo(model), cfg),)
+        return (retraction_certificate(model, zero_endo(model)),)
     interval = model.interval()
     basis: list = []
     for e in interval:
@@ -166,18 +166,18 @@ def exhaustive_retractions(model, cfg):
         if m in seen:
             continue
         seen.add(m)
-        cert = retraction_certificate(model, Endomorphism(model, m), cfg)
+        cert = retraction_certificate(model, Endomorphism(model, m))
         if cert.valid:
             certs.append(cert)
     certs.sort(key=lambda c: (c.focus.sort_key(), c.endo.matrix))
     return tuple(certs)
 
 
-def _census(enumerate_, model, cfg):
+def _census(enumerate_, model):
     """(focus, matrix, check bits) per certificate, or the error raised."""
 
     try:
-        certs = enumerate_(model, cfg)
+        certs = enumerate_(model)
     except ValueError as exc:
         return str(exc)
     return [(c.focus, c.endo.matrix, tuple((n, r.ok) for n, r in c.checks)) for c in certs]
@@ -216,9 +216,8 @@ def test_focus_first_search_matches_exhaustive_oracle(cone):
     except NotEnumerableError:
         assume(False)
     assume(len(interval) <= 30)
-    cfg = CheckConfig(height_bound=2)
-    got = _census(enumerate_retractions, model, cfg)
-    assert got == _census(exhaustive_retractions, model, cfg)
+    got = _census(enumerate_retractions, model)
+    assert got == _census(exhaustive_retractions, model)
 
 
 @pytest.mark.parametrize("unit,retractions,budget", [((3, 3, 3), 8, 64), ((8, 8), 4, 32)])

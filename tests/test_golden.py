@@ -23,8 +23,8 @@ CONFIG = ["--samples", "8", "--seed", "0"]
 REPORT_SHA256 = {
     "m1": "d801e4087fb8ecb7657739098da7cc64f331644e2fd761c9027dd86e70fef615",
     "m2": "ab5eabf6f0162a59afc2406265607053f8551684fa748fe76f688ddca088b55c",
-    "m3": "c0eb9636ff3f36bb49cf174d0c751545d4b6f3e4621a872eecd91a86d9e6cffb",
-    "m4": "33f856eacead05463c14d5b559b1984cae23a456331f6fab58d9f3bebff19811",
+    "m3": "59e5858b3db28174f19bc6f1e7cc7e3de58fbec93116ed370484a5f52be2edd2",
+    "m4": "aab7fd7d13b89cee731e6857d5a70e8c803b17584a1f77f1e7444601d897ace0",
     "m5": "34baa5e45da6c1b8b8670da85018887067eed62e02e5678f3111e3aeb5de1dbc",
 }
 
@@ -39,13 +39,13 @@ VALIDATE_SHA256 = {
 
 
 # theorems models/m3.json --samples 64 --seed 0
-THEOREMS_M3_64_SHA256 = "8c2eece63eda84ac04bcd9c36ed0ce4d99f747a51051141969619da10b2d1181"
+THEOREMS_M3_64_SHA256 = "cd9bf94442b3d86005c3be226dbb1472181b83cbfb7838345378cef8f1ae3f6e"
 
 # the two jobs of the matrix-report benchmark at --samples 8 --seed 1:
 # (command, model) -> sha256
 MATRIX_SEED1_SHA256 = {
-    ("report", "m3"): "12f7f7042fc29b7da338aad550f0da0f03042a2f5004c1f07fa5b3557d805cf4",
-    ("theorems", "m4"): "15bdecc843ad1fd47191cee28ce37549f8a81d8d079d9a1c9bf220ed2df9593a",
+    ("report", "m3"): "4bc00ba397efc50bc14e51081567eebe4528652edf6549aab5755d271f1216a3",
+    ("theorems", "m4"): "1152955f634f45d98e45499928c99dee094aa538672834df9e4d6f3f10f19762",
 }
 
 

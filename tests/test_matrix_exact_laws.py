@@ -4,6 +4,7 @@ Each law that compression, compatibility and models derive from the
 conjugator of a map is checked here against the seeded sweep it replaced
 (the sampled oracles in conftest), on m3, m4, every restricted base of
 them, seeded projection families and the two matrix negative controls.
+Each premise of the derived rules has a negative case that fails on it.
 """
 
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from compbase import (
     CheckConfig,
+    Endomorphism,
     MatrixModel,
     MembershipError,
     SymMat,
@@ -23,6 +25,8 @@ from compbase import (
     conjugation_endo,
     identity_endo,
     is_compression,
+    kernel_complement_check,
+    linalg,
     load_model,
     matrix_model,
     projection_base,
@@ -38,14 +42,30 @@ from conftest import (
     MATRIX,
     MODELS_DIR,
     sampled_compression,
+    sampled_kernel_complement,
     sampled_meet_glb,
     sampled_normality,
     sampled_retraction_laws,
+    sampled_theorem_laws,
     sampled_unital_group,
 )
 
 CFG = CheckConfig(height_bound=3, samples=8, seed=0)
 MATRIX_FIXTURES = ("corrupt_matrix_half_focus", "corrupt_matrix_missing_complement")
+
+# the theorem sweeps that matrix bases decide from the conjugator of each focus
+THEOREM_RULES = {
+    "family_shape": compatibility._family_shape_clause,
+    "kernel_complement_fixpoint": compatibility._kernel_complement_clause,
+    "commutant_absorption": compatibility._commutant_absorption_clause,
+    "omp_sharp": lambda base, cfg: compatibility._omp_sharp(base, cfg, None),
+    "omp_principal": lambda base, cfg: compatibility._omp_principal(base, cfg, None),
+}
+
+E11 = SymMat.from_rows([[1, 0], [0, 0]])
+E22 = SymMat.from_rows([[0, 0], [0, 1]])
+HALF = SymMat.from_rows([["1/2", 0], [0, "1/2"]])
+HPLUS = SymMat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
 
 
 def restricted_bases(base):
@@ -161,7 +181,7 @@ def test_compression_on_an_image_needs_the_conjugator_below_its_unit():
     j = conjugation_endo(model, SymMat.from_rows([["1/2", 0, "1/2"], [0, 0, 0], ["1/2", 0, "1/2"]]))
     e22 = SymMat.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert j.apply(e22) == model.zero and not model.leq(e22, v - j.apply(v))
-    clause = is_compression(sub, j, CFG)
+    clause = is_compression(sub, j)
     assert clause.status == "fail" and clause.witness == {"premise": "focus_below_unit"}
 
 
@@ -173,6 +193,139 @@ def test_intensional_memo_does_not_grow_with_the_budget():
         assert theorem_report(base, CheckConfig(samples=samples, seed=0)).ok
         sizes.append(len(base._memo))
     assert sizes[0] == sizes[1]
+
+
+def test_declared_matrix_theorems_pass_without_draws(monkeypatch):
+    """Every theorem sweep reads pass on m3, m4 and their restricted bases,
+    and none of them draws an effect, a positive or a signed element."""
+
+    draws = []
+    for name in ("draw_effect", "draw_positive", "draw_signed", "cayley_orthogonal"):
+        real = getattr(matrix_model, name)
+
+        def counted(*args, _name=name, _real=real):
+            draws.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(matrix_model, name, counted)
+    for label, base in DECLARED:
+        for clause in theorem_report(base, CFG).clauses:
+            assert clause.status == "pass", (label, clause.name, clause.witness)
+        assert draws == [], label
+
+
+def test_battery_is_decided_only_when_foci_and_unit_are_projections():
+    """The image of 1/2 under J_(1/2) = identity in dim 1 has unit 1/2: the
+    battery agrees on its foci {0, 1/2}, but r = p q p is no decision there."""
+
+    model = MatrixModel(1)
+    half = SymMat.from_rows([["1/2"]])
+    identity = identity_endo(model)
+    pairs = [(model.zero, zero_endo(model)), (half, identity), (model.unit, identity)]
+    base = base_from_family(model, pairs)
+    sub = compatibility.image_substructure(base, half)
+    clause = compatibility._battery_clause(compatibility.restricted_base(base, sub), CFG)
+    assert (clause.status, clause.checked) == ("certified", 4)
+
+
+def _diagonal_family(model, e11=None, e22=None):
+    """The base {0, e11, e22, I} of conjugations, with e11 or e22 mapped to
+    the given map instead."""
+
+    pairs = [
+        (model.zero, zero_endo(model)),
+        (E11, e11 or conjugation_endo(model, E11)),
+        (E22, e22 or conjugation_endo(model, E22)),
+        (model.unit, identity_endo(model)),
+    ]
+    return base_from_family(model, pairs)
+
+
+def _premise(clause):
+    """The premise a derived clause names, under the sweep's own witness keys."""
+
+    witness = clause.witness
+    return witness.get("witness", witness)["premise"]
+
+
+def test_conjugation_by_half_fails_every_derived_theorem_on_its_premise():
+    _, base = load_model(FIXTURES_DIR / "corrupt_matrix_half_focus.json")
+    for name, rule in THEOREM_RULES.items():
+        clause = rule(base, CFG)
+        assert clause.status == "fail", name
+        assert _premise(clause) == "conjugator_idempotent", name
+
+
+def test_complement_map_off_v_minus_p_fails_on_its_premise():
+    """J_{e22} conjugates by (1,1)/2: the kernel exchange and commutant
+    absorption name the premise, and the sampled oracle finds the law broken."""
+
+    model = MatrixModel(2)
+    base = _diagonal_family(model, e22=conjugation_endo(model, HPLUS))
+    oracles = sampled_theorem_laws(base, CFG)
+    for name in ("kernel_complement_fixpoint", "commutant_absorption"):
+        clause = THEOREM_RULES[name](base, CFG)
+        assert clause.status == "fail", name
+        assert _premise(clause) == "complement_conjugator", name
+        assert not oracles[name].ok, name
+
+
+def test_family_shape_needs_the_conjugator_to_be_the_focus():
+    """The identity fixes e11 and is idempotent, but it kills nothing below e22."""
+
+    model = MatrixModel(2)
+    base = _diagonal_family(model, e11=identity_endo(model))
+    clause = compatibility._family_shape_clause(base, CFG)
+    assert clause.witness == {"focus": E11, "premise": "conjugator_is_focus"}
+    assert not sampled_theorem_laws(base, CFG)["family_shape"].ok
+
+
+def _kernel_cases():
+    """(label, structure, J, J', the premise J and J' break) for kernel_complement_check."""
+
+    model = MatrixModel(2)
+    conj = {p: conjugation_endo(model, p) for p in (model.zero, E11, E22, HALF)}
+    identity = Endomorphism(model, linalg.identity(3))
+    _, half_base = load_model(FIXTURES_DIR / "corrupt_matrix_half_focus.json")
+    everything = _diagonal_family(model, e11=identity_endo(model))
+    yield "map_not_its_conjugation", model, Endomorphism(
+        model, identity.matrix, conjugator=E11
+    ), conj[E22], "matrix_matches_conjugator"
+    yield "half", model, conj[HALF], conj[HALF], "conjugator_idempotent"
+    yield "same_map", model, conj[E11], conj[E11], "complement_conjugator"
+    yield "complement_not_its_conjugation", model, conj[E11], Endomorphism(
+        model, identity.matrix, conjugator=E22
+    ), "complement_matrix_matches_conjugator"
+    # the image of I/2 has unit I/2, so v - 0 is no projection
+    yield "half_image", compatibility.image_substructure(half_base, HALF), conj[
+        model.zero
+    ], conj[HALF], "complement_conjugator_idempotent"
+    # on the image of e11 under the diagonal family, e22 is not below the unit
+    diagonal_image = compatibility.image_substructure(_diagonal_family(model), E11)
+    yield "focus_outside_image", diagonal_image, conj[E22], conj[model.zero], "focus_below_unit"
+    # J_{e11} = identity: its image holds e22, which is not e11 g e11
+    yield "image_leaves_its_corner", compatibility.image_substructure(everything, E11), conj[
+        model.zero
+    ], conj[E11], "members_in_corner"
+
+
+KERNEL_CASES = list(_kernel_cases())
+
+
+@pytest.mark.parametrize(
+    "label,structure,j,j_comp,premise", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES]
+)
+def test_kernel_exchange_fails_on_each_premise(label, structure, j, j_comp, premise):
+    clause = kernel_complement_check(structure, j, j_comp, CFG)
+    assert (clause.status, clause.witness) == ("fail", {"premise": premise})
+
+
+def test_kernel_exchange_outside_the_corner_is_really_broken():
+    """The law itself fails where members_in_corner does: e22 is a member
+    killed by J_0 and not fixed by J_{e11}."""
+
+    label, structure, j, j_comp, _ = KERNEL_CASES[-1]
+    assert not sampled_kernel_complement(structure, j, j_comp, CFG).ok
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +363,10 @@ def assert_exact_rules_agree(base, cfg, normality_cfg):
     structure = base.structure
     for p in base.foci:
         j = base.j(p)
-        checks = dict(retraction_certificate(structure, j, cfg).checks)
+        checks = dict(retraction_certificate(structure, j).checks)
         for name, oracle in sampled_retraction_laws(structure, j, cfg).items():
             assert checks[name].ok == oracle.ok, (name, p)
-        assert is_compression(structure, j, cfg).ok == sampled_compression(structure, j, cfg).ok, p
+        assert is_compression(structure, j).ok == sampled_compression(structure, j, cfg).ok, p
     exact = compression._matrix_normality_clause(base, normality_cfg).ok
     assert exact == sampled_normality(base, normality_cfg).ok
     for p, q in product(base.foci, repeat=2):
@@ -230,12 +383,25 @@ def assert_exact_rules_agree(base, cfg, normality_cfg):
         assert exact[name] == oracle.ok, name
 
 
+def assert_theorem_rules_agree(base, cfg):
+    oracles = sampled_theorem_laws(base, cfg)
+    for name, rule in THEOREM_RULES.items():
+        assert rule(base, cfg).ok == oracles[name].ok, name
+    structure = base.structure
+    for p in base.foci:
+        j = base.j(p)
+        comp = base.j(base.complement(p))
+        exact = kernel_complement_check(structure, j, comp, cfg).ok
+        assert exact == sampled_kernel_complement(structure, j, comp, cfg).ok, p
+
+
 @pytest.mark.parametrize("label,base", DECLARED, ids=[label for label, _ in DECLARED])
 @settings(max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_exact_rules_agree_with_oracles_on_declared_bases(label, base, seed):
     cfg = CheckConfig(height_bound=2, samples=16, seed=seed)
     assert_exact_rules_agree(base, cfg, cfg)
+    assert_theorem_rules_agree(base, cfg)
 
 
 @settings(max_examples=15, deadline=None)
@@ -253,8 +419,11 @@ def test_exact_rules_agree_with_oracles_on_seeded_families(dim, frame_seed, fram
     cfg = CheckConfig(height_bound=2, samples=16, seed=seed)
     assert validate_compression_base(base, cfg).ok
     assert_exact_rules_agree(base, cfg, cfg)
+    assert_theorem_rules_agree(base, cfg)
     rbases = list(restricted_bases(base))
-    assert_exact_rules_agree(rbases[pick % len(rbases)], cfg, cfg)
+    rbase = rbases[pick % len(rbases)]
+    assert_exact_rules_agree(rbase, cfg, cfg)
+    assert_theorem_rules_agree(rbase, cfg)
 
 
 @settings(max_examples=10, deadline=None)

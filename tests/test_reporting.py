@@ -128,7 +128,7 @@ def test_check_functions_return_named_clauses(bundled, fast_cfg):
     )
     cases = [
         (
-            is_compression(m1, collapse, fast_cfg),
+            is_compression(m1, collapse),
             "compression",
             {"effect": Vec((1, 0))},
             4,
