@@ -101,10 +101,11 @@ def test_declared_matrix_bases_decide_their_laws(label, base):
 
 
 def test_declared_matrix_validation_draws_no_effects(monkeypatch):
-    """family_member_compression, and the whole base validation, draw nothing."""
+    """family_member_compression, the whole base validation and every theorem
+    sweep draw nothing, and every theorem sweep reads pass."""
 
     draws = []
-    for name in ("draw_effect", "draw_positive", "cayley_orthogonal"):
+    for name in ("draw_effect", "draw_positive", "draw_signed", "cayley_orthogonal"):
         real = getattr(matrix_model, name)
 
         def counted(*args, _name=name, _real=real):
@@ -116,10 +117,13 @@ def test_declared_matrix_validation_draws_no_effects(monkeypatch):
         clause = compression._family_clause(base, CFG)
         assert (clause.status, len(draws)) == ("pass", 0), label
         assert validate_compression_base(base, CFG).ok, label
+        for clause in theorem_report(base, CFG).clauses:
+            assert clause.status == "pass", (label, clause.name, clause.witness)
         assert draws == [], label
     # the intensional base still samples its foci, but no effects
-    intensional = compression._family_clause(projection_base(MatrixModel(3)), CFG)
-    assert intensional.status == "certified"
+    intensional = projection_base(MatrixModel(3))
+    assert compression._family_clause(intensional, CFG).status == "certified"
+    assert theorem_report(intensional, CFG).ok
     assert set(draws) == {"cayley_orthogonal"}
 
 
@@ -193,25 +197,6 @@ def test_intensional_memo_does_not_grow_with_the_budget():
         assert theorem_report(base, CheckConfig(samples=samples, seed=0)).ok
         sizes.append(len(base._memo))
     assert sizes[0] == sizes[1]
-
-
-def test_declared_matrix_theorems_pass_without_draws(monkeypatch):
-    """Every theorem sweep reads pass on m3, m4 and their restricted bases,
-    and none of them draws an effect, a positive or a signed element."""
-
-    draws = []
-    for name in ("draw_effect", "draw_positive", "draw_signed", "cayley_orthogonal"):
-        real = getattr(matrix_model, name)
-
-        def counted(*args, _name=name, _real=real):
-            draws.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(matrix_model, name, counted)
-    for label, base in DECLARED:
-        for clause in theorem_report(base, CFG).clauses:
-            assert clause.status == "pass", (label, clause.name, clause.witness)
-        assert draws == [], label
 
 
 def test_battery_is_decided_only_when_foci_and_unit_are_projections():
