@@ -279,10 +279,10 @@ def kernel_complement_check(
     exchanged, which gives the second half.
     """
 
-    zero = structure.zero
     if not structure.finite:
         premises = _focus_premises(structure, j, comp=j_comp)
         return _derived("kernel_complement", premises, "p g p = 0 <=> (v-p) g (v-p) = g")
+    zero = structure.zero
 
     def holds(g):
         jg = j.apply(g)
