@@ -21,20 +21,20 @@ from conftest import FIXTURES_DIR, MODELS_DIR
 CONFIG = ["--samples", "8", "--seed", "0"]
 
 REPORT_SHA256 = {
-    "m1": "d801e4087fb8ecb7657739098da7cc64f331644e2fd761c9027dd86e70fef615",
-    "m2": "ab5eabf6f0162a59afc2406265607053f8551684fa748fe76f688ddca088b55c",
+    "m1": "f16bef2d20d835beb2a574d0bd762b848613b227233d742ad88c847e0ece6b4d",
+    "m2": "8ecd5f16a8084ea4eb1b27b58d2e709bdc9bc43bcca4e79fb4ff1454faa2bd75",
     "m3": "59e5858b3db28174f19bc6f1e7cc7e3de58fbec93116ed370484a5f52be2edd2",
     "m4": "aab7fd7d13b89cee731e6857d5a70e8c803b17584a1f77f1e7444601d897ace0",
-    "m5": "34baa5e45da6c1b8b8670da85018887067eed62e02e5678f3111e3aeb5de1dbc",
+    "m5": "dd9154a92a018e54d450cc531b2a63723eb574c723201ca1070513de840030a3",
 }
 
 VALIDATE_SHA256 = {
-    "corrupt_focus_outside_interval": "77a98a053b6a60730fb992e7fa51ecb4a1d4565d85a95bac951ab72f7ef2b17a",
+    "corrupt_focus_outside_interval": "7fa9e3f6bf63ab967705386d64151ec055e6e9af9fded04e7c47798c77b5eb34",
     "corrupt_matrix_half_focus": "8714f51b68ed2d8772f303660ed49b3d5c6c026d9f88c7f1adac3379d458cd1c",
     "corrupt_matrix_missing_complement": "08148ff165dbcafbf82ddd1716d4096250124a632e605c6bacd66f54c393c5c5",
-    "corrupt_missing_closure": "4b7ff4160d95f25a979b3f79715745824dca0d79ed002f431903d41789a8b617",
-    "corrupt_nonnormal_foci": "e7ca0933c82ec0537f16115b88d68e3bcae0d3f301effd0716819334a502c56b",
-    "corrupt_swapped_foci": "bdad7322e186b2a9a3990bb7f5ba02751405beb25fe2b0de7c95fcbdc97579ae",
+    "corrupt_missing_closure": "2cd4628ef60bd9115a46dbabf40541a45d05a2bc50dc64d417ed2311b0c5f7d8",
+    "corrupt_nonnormal_foci": "560178e60a664e3f9087eef48484cc4b144b56811c03d066e901e5a9e36f4f6f",
+    "corrupt_swapped_foci": "36b3090e4367e174144448971a99b7ab4242f1467f55f6e711706fc3bbef0437",
 }
 
 
@@ -97,9 +97,9 @@ LATTICE_MODELS = {
 
 # report --seed 0 on each of LATTICE_MODELS
 LATTICE_REPORT_SHA256 = {
-    "z2-m5-5x-2": "52e8c4abc5e734bb0aaa4c35bf80368c5d2fcf50fa4e09ab4a5fac3d7e6e8aee",
-    "z2-std-3x5": "42f8cf41dbb43a33cdf9cf2c822ab4d49306f1e1b1eccf23d597304f107b2d10",
-    "z3-std-1x1x1": "a5527213694187f39e2adddb00f7afef99b0bd2af2d59c8e023590d952f15100",
+    "z2-m5-5x-2": "a6d14fd445316aafa2ee0bd66e60e627f8a0d6ef941eb107c1006a373aa93ce9",
+    "z2-std-3x5": "50557904ea38b8ad4aaf39fcd7d959635b25e6cbef56d02cf845b513f9cb4ed7",
+    "z3-std-1x1x1": "38976b28f26ea9ec6ba1613ae1ebdfcbf2d7c1ca3352c2ac0d4e22073470799f",
 }
 
 
