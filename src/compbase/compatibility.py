@@ -51,6 +51,7 @@ from .models import (
     conjugation_endo,
     endo_equal,
     identity_endo,
+    map_key,
     zero_endo,
 )
 from .reporting import FAIL, Clause, Report, Sample, law
@@ -158,17 +159,23 @@ def compat_battery(base: CompressionBase, p, q) -> CompatReport:
     = 0, which gives p f = 0; and d <= p gives d = p d p.  So p q = p d =
     d, q p = d^T = d, and d = p q p = r is the only candidate.  The same
     argument decides normality in compression._matrix_normality_clause.
+
+    A declared base runs the battery once per ordered pair and keeps it in
+    its pair table.
     """
 
-    structure = base.structure
     for name, x in (("p", p), ("q", q)):
         if not base.contains_focus(x):
             raise MembershipError(f"{name} is not a focus of this base")
+    return base.kept(("battery", p, q), lambda: _battery(base, p, q))
 
+
+def _battery(base: CompressionBase, p, q) -> CompatReport:
+    structure = base.structure
     jp = base.j(p)
     jq = base.j(q)
-    pq = compose(jp, jq)
-    qp = compose(jq, jp)
+    pq = base.composed(p, q)
+    qp = base.composed(q, p)
     r = jp.apply(q)
 
     if structure.finite:
@@ -184,7 +191,7 @@ def compat_battery(base: CompressionBase, p, q) -> CompatReport:
         common = base.contains_focus(r) and endo_equal(structure, pq, jr)
     else:
         in_base = _mackey_in_declared(base, p, q)
-        common = any(endo_equal(structure, pq, base.j(s)) for s in base.foci)
+        common = map_key(structure, pq) in _focus_map_keys(base)
     conds = (
         ("commute", endo_equal(structure, pq, qp)),
         ("jp_q_eq_jq_p", r == jq.apply(p)),
@@ -196,6 +203,16 @@ def compat_battery(base: CompressionBase, p, q) -> CompatReport:
         ("q_in_commutant", in_commutant(base, p, q)),
     )
     return CompatReport(p, q, conds)
+
+
+def _focus_map_keys(base: CompressionBase) -> frozenset:
+    """The map_key of every J_s of a declared base, kept under ("focus_maps",):
+    endo_equal holds exactly when two maps' keys are equal."""
+
+    structure = base.structure
+    return base.kept(
+        ("focus_maps",), lambda: frozenset(map_key(structure, base.j(s)) for s in base.foci)
+    )
 
 
 def _mackey_in_declared(base: CompressionBase, p, q) -> bool:
@@ -242,8 +259,7 @@ def _checked_meet(base: CompressionBase, p, q):
         raise RuntimeError("meet law violated: not shown to be the greatest lower bound")
     if not base.contains_focus(r):
         raise RuntimeError("meet law violated: value escapes the base")
-    left = compose(base.j(p), base.j(q))
-    if not endo_equal(structure, left, base.j(r)):
+    if not endo_equal(structure, base.composed(p, q), base.j(r)):
         raise RuntimeError("meet law violated: composed map is not the meet's map")
     return r
 
@@ -281,7 +297,7 @@ class Substructure(Value):
     identity, since restricted bases are memoized under it.
     """
 
-    __slots__ = ("parent", "kind", "v", "unit", "projector", "_bands")
+    __slots__ = ("parent", "kind", "v", "unit", "projector", "_bands", "_maps")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -292,6 +308,7 @@ class Substructure(Value):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "projector", projector)
         object.__setattr__(self, "_bands", {})
+        object.__setattr__(self, "_maps", {})
 
     @property
     def finite(self) -> bool:
@@ -317,6 +334,15 @@ class Substructure(Value):
 
     def is_positive(self, g) -> bool:
         return self.parent.is_positive(g)
+
+    def restrict(self, a: Endomorphism) -> Endomorphism:
+        """a after the projector: a read as a map of the substructure,
+        composed once per map and kept."""
+
+        out = self._maps.get(a)
+        if out is None:
+            out = self._maps[a] = compose(a, self.projector)
+        return out
 
     def leq(self, a, b) -> bool:
         return self.parent.leq(a, b)
@@ -358,10 +384,7 @@ def image_substructure(base: CompressionBase, v) -> Substructure:
 
     if not base.contains_focus(v):
         raise MembershipError("v is not a focus of this base")
-    key = "image", v
-    if key not in base._memo:
-        base._memo[key] = Substructure(base.structure, "image", v, v, base.j(v))
-    return _memo_result(base, key)
+    return base.kept(("image", v), lambda: Substructure(base.structure, "image", v, v, base.j(v)))
 
 
 def commutant_substructure(base: CompressionBase, v) -> Substructure:
@@ -370,8 +393,7 @@ def commutant_substructure(base: CompressionBase, v) -> Substructure:
     Its projector is J_v + J_{u-v}.  Built once per declared base.
     """
 
-    key = "commutant", v
-    if key not in base._memo:
+    def build():
         if not base.contains_focus(v):
             raise MembershipError("v is not a focus of this base")
         comp = base.complement(v)
@@ -382,17 +404,9 @@ def commutant_substructure(base: CompressionBase, v) -> Substructure:
         projector = Endomorphism(
             base.structure.carrier, *linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
         )
-        base._memo[key] = Substructure(
-            base.structure, "commutant", v, base.structure.unit, projector
-        )
-    return _memo_result(base, key)
+        return Substructure(base.structure, "commutant", v, base.structure.unit, projector)
 
-
-def _memo_result(base: CompressionBase, key):
-    """The memo entry under key, kept only on a declared base: an intensional
-    base samples its foci, so keeping them would grow with the budget."""
-
-    return base._memo[key] if base.foci is not None else base._memo.pop(key)
+    return base.kept(("commutant", v), build)
 
 
 def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase:
@@ -407,13 +421,15 @@ def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase
         raise NotEnumerableError(
             "restricting a base needs a declared focus list"
         )
-    if sub not in base._memo:
+
+    def build():
         if sub.kind == "image":
             keep = [q for q in base.foci if base.structure.leq(q, sub.v)]
         else:
             keep = [q for q in base.foci if sub.is_member(q)]
-        base._memo[sub] = CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
-    return base._memo[sub]
+        return CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
+
+    return base.kept(sub, build)
 
 
 def substructure_report(
@@ -1067,10 +1083,10 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
     foci = _focus_stream(base, cfg, "theorem:kernel", max(cfg.samples, 1))
 
     def exchanges(p):
-        comp = base.complement(p)
-        if not base.contains_focus(comp):
-            return {"focus": p, "reason": "complement escapes the base"}
-        res = kernel_complement_check(structure, base.j(p), base.j(comp), cfg)
+        escaped = _complement_escapes(base, p)
+        if escaped:
+            return escaped
+        res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
         return res.ok or {"focus": p, "witness": res.witness}
 
     box = structure.positive_universe(cfg.height_bound) if structure.finite else None
@@ -1083,18 +1099,25 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
     )
 
 
+def _complement_escapes(base: CompressionBase, p):
+    """The witness of a focus p whose complement u - p is no focus, else None."""
+
+    if not base.contains_focus(base.complement(p)):
+        return {"focus": p, "reason": "complement escapes the base"}
+    return None
+
+
 def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
 
     def conditions(pq) -> tuple:
         p, q = pq
-        jp = base.j(p)
         jq = base.j(q)
         return (
             structure.leq(q, p),
-            endo_equal(structure, compose(jp, jq), jq),
-            jp.apply(q) == q,
-            endo_equal(structure, compose(jq, jp), jq),
+            endo_equal(structure, base.composed(p, q), jq),
+            base.j(p).apply(q) == q,
+            endo_equal(structure, base.composed(q, p), jq),
             jq.apply(p) == q,
         )
 
@@ -1116,16 +1139,25 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
     p g p <= g gives h = g - p g p >= 0 with p h p = 0, so h p = 0 and
     g p = p g = p g p; with g = v g v that makes g = p g p + (v-p) g (v-p),
     which the projector of the commutant fixes.  Conversely a positive g in
-    the commutant has g - p g p = (v-p) g (v-p) >= 0.
+    the commutant has g - p g p = (v-p) g (v-p) >= 0.  A focus whose
+    complement is no focus fails the clause, as in kernel_complement_fixpoint.
     """
 
     structure = base.structure
     note = "domination implies compatibility; compatible positives are dominated"
     if structure.finite:
         cases = itertools.product(base.foci, structure.signed_universe(cfg.height_bound))
-        return law("commutant_absorption", cases, lambda pg: _absorbs(base, *pg), note=note)
+        return law(
+            "commutant_absorption",
+            cases,
+            lambda pg: _complement_escapes(base, pg[0]) or _absorbs(base, *pg),
+            note=note,
+        )
 
     def absorbs(p):
+        escaped = _complement_escapes(base, p)
+        if escaped:
+            return escaped
         premises = _focus_premises(structure, base.j(p), comp=base.j(base.complement(p)))
         res = _derived("commutant_absorption", premises, note)
         return res.ok or {"p": p, **res.witness}
@@ -1140,6 +1172,9 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     def agrees(pq):
         p, q = pq
+        escaped = _complement_escapes(base, p)
+        if escaped:
+            return escaped
         battery = compat_battery(base, p, q)
         if not battery.agree:
             return {"p": p, "q": q, "conditions": battery.values}
@@ -1177,6 +1212,9 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     def meets(pq):
         p, q = pq
+        escaped = _complement_escapes(base, p)
+        if escaped:
+            return escaped
         try:
             r = _checked_meet(base, p, q)
         except RuntimeError as exc:
@@ -1189,6 +1227,6 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         "compatible_meet",
         pairs,
         meets,
-        lambda pq: compat_battery(base, *pq).compatible,
+        lambda pq: bool(_complement_escapes(base, pq[0])) or compat_battery(base, *pq).compatible,
         note="compatible pairs have J_p(q) as greatest lower bound",
     )

@@ -431,12 +431,20 @@ class CompressionBase(Value):
     Declared bases carry an explicit focus list and a map from focus to
     endomorphism.  An intensional base, one without a focus list, takes
     every projection of the matrix model as a focus, with conjugation as
-    the assigned map.  On a declared base, _memo holds what the
-    compatibility module builds from the base once: its substructures,
-    keyed by (kind, focus), and the restricted base of each, keyed by the
-    substructure; an intensional base keeps nothing there.  A base is
-    equal and hashed by identity, as the keys of such memos must be, and
-    keeps a __dict__ for its cached properties.
+    the assigned map.  On a declared base, _memo (filled through kept)
+    holds what is built from the base once, when first asked for:
+      ("image", v), ("commutant", v)  the substructures of a focus v;
+      a Substructure                  the restricted base on it;
+      ("sum", p, q)                   p + q, for foci p, q;
+      ("compose", p, q)               the map J_p after J_q;
+      ("battery", p, q)               the CompatReport of (p, q);
+      ("focus_maps",)                 every J_s read as a map of the
+                                      structure, for the common-focus test.
+    The last four make the pair table, one entry per ordered focus pair.
+    An intensional base keeps nothing there: its foci are sampled, so a
+    memo would grow with the budget.  A base is equal and hashed by
+    identity, as the keys of such memos must be, and keeps a __dict__ for
+    its cached properties.
     """
 
     __slots__ = ("structure", "foci", "family", "_memo", "__dict__")
@@ -483,6 +491,28 @@ class CompressionBase(Value):
 
     def complement(self, p):
         return self.unit - p
+
+    def kept(self, key, build):
+        """build(), made once per key on a declared base and kept in _memo;
+        an intensional base builds it every time."""
+
+        if self.foci is None:
+            return build()
+        memo = self._memo
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+        return value
+
+    def focus_sum(self, p, q):
+        """p + q, from the pair table."""
+
+        return self.kept(("sum", p, q), lambda: p + q)
+
+    def composed(self, p, q):
+        """J_p after J_q, from the pair table."""
+
+        return self.kept(("compose", p, q), lambda: compose(self.j(p), self.j(q)))
 
 
 def base_from_family(structure, pairs) -> CompressionBase:
@@ -652,7 +682,10 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     Declared bases sweep every focus triple with p + q + r below the unit
     and list the first triples checked; an intensional base samples
-    orthogonal triples of projections in random frames.
+    orthogonal triples of projections in random frames.  The premise tests
+    p + q + r only where p + q <= u or r is not positive: r >= 0 and
+    p + q + r <= u give p + q <= u - r <= u.  Sums and composed maps come
+    from the base's pair table.
     """
 
     structure = base.structure
@@ -660,9 +693,10 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     def holds(pqr):
         p, q, r = pqr
-        if not (base.contains_focus(p + r) and base.contains_focus(q + r)):
+        pr, qr = base.focus_sum(p, r), base.focus_sum(q, r)
+        if not (base.contains_focus(pr) and base.contains_focus(qr)):
             return {"p": p, "q": q, "r": r, "reason": "sum escapes the base"}
-        ok = _composition_holds(base, structure, p, q, r)
+        ok = endo_equal(structure, base.composed(pr, qr), base.j(r))
         rows.append({"p": p, "q": q, "r": r, "ok": ok})
         return ok
 
@@ -685,21 +719,25 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
             note="sampled orthogonal triples in random frames",
         )
 
+    unit = structure.unit
+    leq = structure.leq
+    loose = {r for r in base.foci if not structure.is_positive(r)}
+
+    def below_unit(pqr) -> bool:
+        p, q, r = pqr
+        pq = base.focus_sum(p, q)
+        return (r in loose or leq(pq, unit)) and leq(pq + r, unit)
+
     clause = law(
         "composition_law",
         itertools.product(base.foci, repeat=3),
         holds,
-        lambda pqr: structure.leq(pqr[0] + pqr[1] + pqr[2], structure.unit),
+        below_unit,
         witness=("p", "q", "r"),
         note="all focus triples with p + q + r below the unit",
     )
     clause.items = rows if len(rows) <= 24 else None
     return clause
-
-
-def _composition_holds(base: CompressionBase, structure, p, q, r) -> bool:
-    left = compose(base.j(p + r), base.j(q + r))
-    return endo_equal(structure, left, base.j(r))
 
 
 def direct_compression_base(

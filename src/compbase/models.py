@@ -274,7 +274,7 @@ class MatrixModel(Value):
 
     @property
     def unit(self) -> SymMat:
-        return SymMat.identity(self.dim)
+        return _sym_identity(self.dim)
 
     @property
     def zero(self) -> SymMat:
@@ -334,6 +334,11 @@ def _matrix_leq(a: SymMat, b: SymMat) -> bool:
 @lru_cache(maxsize=None)
 def _sym_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(dim) for j in range(i, dim))
+
+
+@lru_cache(maxsize=None)
+def _sym_identity(dim: int) -> SymMat:
+    return SymMat.identity(dim)
 
 
 @lru_cache(maxsize=None)
@@ -430,10 +435,17 @@ def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
     commutant of a base of retractions, whose P maps the parent's interval
     into the substructure's, onto a set that spans the substructure.
     """
-    projector = getattr(structure, "projector", None)
-    if projector is not None:
-        a, b = compose(a, projector), compose(b, projector)
-    return a.matrix == b.matrix and a.den == b.den
+    return map_key(structure, a) == map_key(structure, b)
+
+
+def map_key(structure, a: Endomorphism) -> tuple:
+    """The matrix and denominator of a read as a map of `structure`: of a
+    itself on a model, of aP on a substructure with projector P, which the
+    substructure composes once per map and keeps."""
+    restrict = getattr(structure, "restrict", None)
+    if restrict is not None:
+        a = restrict(a)
+    return a.matrix, a.den
 
 
 # ---------------------------------------------------------------------------

@@ -309,3 +309,32 @@ def sampled_theorem_laws(base, cfg) -> dict:
         "omp_sharp": law("omp_sharp", spot(1), sharp),
         "omp_principal": law("omp_principal", spot(2), principal),
     }
+
+
+def full_composition_clause(base):
+    """composition_law by the sweep it had before its premise was pruned:
+    every declared focus triple, with p + q + r formed and compared to the
+    unit, and every composed map built afresh.  The oracle of
+    compression._composition_clause on declared bases."""
+
+    structure = base.structure
+    rows: list = []
+
+    def holds(pqr):
+        p, q, r = pqr
+        if not (base.contains_focus(p + r) and base.contains_focus(q + r)):
+            return {"p": p, "q": q, "r": r, "reason": "sum escapes the base"}
+        ok = endo_equal(structure, compose(base.j(p + r), base.j(q + r)), base.j(r))
+        rows.append({"p": p, "q": q, "r": r, "ok": ok})
+        return ok
+
+    clause = law(
+        "composition_law",
+        product(base.foci, repeat=3),
+        holds,
+        lambda pqr: structure.leq(pqr[0] + pqr[1] + pqr[2], structure.unit),
+        witness=("p", "q", "r"),
+        note="all focus triples with p + q + r below the unit",
+    )
+    clause.items = rows if len(rows) <= 24 else None
+    return clause

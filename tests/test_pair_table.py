@@ -1,0 +1,204 @@
+"""The pair table of a declared compression base.
+
+Each declared base computes, once per ordered focus pair, the sum p + q,
+the composed map J_p after J_q and the compatibility battery, and keeps
+them in its _memo; every pair consumer reads them there.  These tests pin
+that the table changes no verdict (the pruned composition premise against
+the full-product sweep, the common-focus lookup against map comparisons)
+and that it is filled once per pair and never on an intensional base.
+"""
+
+from __future__ import annotations
+
+import argparse
+from collections import Counter
+
+import pytest
+
+from compbase import (
+    CheckConfig,
+    LatticeConeModel,
+    SymMat,
+    Vec,
+    compat_battery,
+    compose,
+    load_model,
+    projection_base,
+    theorem_report,
+    validate_compression_base,
+    zero_endo,
+)
+from compbase import cli, compatibility, compression, models
+from compbase.compression import base_from_family
+from conftest import BUNDLED, FIXTURES_DIR, MATRIX, MODELS_DIR, full_composition_clause
+
+CFG = CheckConfig(samples=8, seed=1)
+FIXTURES = sorted(p.stem for p in FIXTURES_DIR.glob("*.json"))
+
+
+def _fresh(name):
+    path = MODELS_DIR / f"{name}.json" if name in BUNDLED else FIXTURES_DIR / f"{name}.json"
+    return load_model(path)
+
+
+def _restricted(base):
+    for v in base.foci:
+        for build in (compatibility.image_substructure, compatibility.commutant_substructure):
+            yield compatibility.restricted_base(base, build(base, v))
+
+
+def _composition_cases():
+    cases = [(name, _fresh(name)[1]) for name in BUNDLED + tuple(FIXTURES)]
+    for name in MATRIX:
+        _, base = _fresh(name)
+        cases += [(f"{name}/{i}", rb) for i, rb in enumerate(_restricted(base))]
+    return cases
+
+
+def _loose_focus_base():
+    """Z^2 under the standard cone, unit (1, 1), with the foci (-1, 1), 0 and
+    (1, -1), each carrying the zero map.  (1, -1) and (-1, 1) are not
+    positive: the triple ((1, -1), (1, -1), (-1, 1)) has p + q + r <= u
+    while p + q is not below u, so only the fallback of the pruned premise
+    reaches it."""
+
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((1, 1)))
+    foci = (Vec((-1, 1)), Vec((0, 0)), Vec((1, -1)))
+    return base_from_family(model, [(f, zero_endo(model)) for f in foci])
+
+
+COMPOSITION_CASES = _composition_cases() + [("loose_focus", _loose_focus_base())]
+
+
+@pytest.mark.parametrize(
+    "label,base", COMPOSITION_CASES, ids=[label for label, _ in COMPOSITION_CASES]
+)
+def test_pruned_composition_matches_full_sweep(label, base):
+    got = compression._composition_clause(base, CFG)
+    want = full_composition_clause(base)
+    assert (got.status, got.checked, got.witness, got.items, got.note) == (
+        want.status,
+        want.checked,
+        want.witness,
+        want.items,
+        want.note,
+    )
+
+
+def test_loose_focus_base_needs_the_fallback():
+    """Without the fallback the pruned premise would skip a triple the full
+    sweep counts: the full sweep fails after 4 triples there, not 3."""
+
+    base = _loose_focus_base()
+    leq, unit = base.structure.leq, base.structure.unit
+    skipped = [
+        (p, q, r)
+        for p in base.foci
+        for q in base.foci
+        for r in base.foci
+        if leq(p + q + r, unit) and not leq(p + q, unit)
+    ]
+    assert skipped and all(not base.structure.is_positive(r) for _, _, r in skipped)
+    want = full_composition_clause(base)
+    assert (want.status, want.checked) == ("fail", 4)
+
+
+def test_pair_table_fills_each_pair_once(monkeypatch):
+    """validate_compression_base, theorem_report and compat-table on m4's
+    declared base run the battery body and compose each ordered pair of
+    its maps at most once."""
+
+    model, base = _fresh("m4")
+    batteries = Counter()
+    composed = Counter()
+    focus_of = {id(base.j(p)): p for p in base.foci}
+    real_battery = compatibility._battery
+    real_compose = compose
+
+    def counted_battery(b, p, q):
+        if b is base:
+            batteries[p, q] += 1
+        return real_battery(b, p, q)
+
+    def counted_compose(a, b):
+        if id(a) in focus_of and id(b) in focus_of:
+            composed[focus_of[id(a)], focus_of[id(b)]] += 1
+        return real_compose(a, b)
+
+    monkeypatch.setattr(compatibility, "_battery", counted_battery)
+    for module in (models, compression, compatibility):
+        monkeypatch.setattr(module, "compose", counted_compose)
+
+    assert validate_compression_base(base, CFG).ok
+    assert theorem_report(base, CFG).ok
+    args = argparse.Namespace(model=MODELS_DIR / "m4.json")
+    _, code = cli.cmd_compat_table(args, model, base, CFG)
+    assert code == cli.EXIT_OK
+    n = len(base.foci) ** 2
+    assert len(batteries) == n and set(batteries.values()) == {1}
+    assert composed and set(composed.values()) == {1}
+    assert {key[0] for key in base._memo if isinstance(key, tuple)} >= {
+        "sum",
+        "compose",
+        "battery",
+        "focus_maps",
+    }
+
+
+def test_intensional_base_keeps_no_pair_table():
+    model, _ = _fresh("m4")
+    base = projection_base(model)
+    assert theorem_report(base, CFG).ok
+    p = q = model.unit
+    assert compat_battery(base, p, q).compatible
+    assert base.composed(p, q) is not base.composed(p, q)
+    assert base._memo == {}
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_common_focus_lookup_matches_map_comparison(name):
+    """exists_common_focus on a restricted base is one lookup of the
+    restricted J_p J_q among the restricted J_s; compare it with composing
+    both maps with the projector and comparing matrices."""
+
+    _, base = _fresh(name)
+    for rb in _restricted(base):
+        sub = rb.structure
+        restricted = [compose(rb.j(s), sub.projector) for s in rb.foci]
+        keys = {(m.matrix, m.den) for m in restricted}
+        for p in rb.foci:
+            for q in rb.foci:
+                pq = compose(compose(rb.j(p), rb.j(q)), sub.projector)
+                want = (pq.matrix, pq.den) in keys
+                assert compat_battery(rb, p, q).values["exists_common_focus"] == want
+
+
+def test_substructure_restricts_each_map_once():
+    _, base = _fresh("m3")
+    v = base.foci[1]
+    sub = compatibility.image_substructure(base, v)
+    a = base.j(base.foci[2])
+    assert sub.restrict(a) is sub.restrict(a)
+    assert models.map_key(sub, a) == (sub.restrict(a).matrix, sub.restrict(a).den)
+    assert models.map_key(base.structure, a) == (a.matrix, a.den)
+
+
+def test_matrix_unit_is_built_once_per_dim():
+    model, _ = _fresh("m4")
+    assert model.unit is model.unit
+    assert model.unit == SymMat.identity(model.dim)
+
+
+@pytest.mark.parametrize(
+    "name", ("corrupt_matrix_missing_complement", "corrupt_missing_closure")
+)
+def test_theorems_fail_a_clause_when_a_complement_escapes(name):
+    """A focus whose complement u - p is no focus fails the clauses that need
+    the complement's map, instead of raising MembershipError."""
+
+    _, base = _fresh(name)
+    rep = theorem_report(base, CFG)
+    failed = {c.name: c.witness for c in rep.clauses if not c.ok}
+    for clause in ("kernel_complement_fixpoint", "commutant_absorption"):
+        assert failed[clause]["reason"] == "complement escapes the base"
+        assert base.complement(failed[clause]["focus"]) not in base.foci
