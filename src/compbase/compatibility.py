@@ -1146,11 +1146,12 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
     structure = base.structure
     note = "domination implies compatibility; compatible positives are dominated"
     if structure.finite:
+        escaped = {p: _complement_escapes(base, p) for p in base.foci}
         cases = itertools.product(base.foci, structure.signed_universe(cfg.height_bound))
         return law(
             "commutant_absorption",
             cases,
-            lambda pg: _complement_escapes(base, pg[0]) or _absorbs(base, *pg),
+            lambda pg: escaped[pg[0]] or _absorbs(base, *pg),
             note=note,
         )
 
