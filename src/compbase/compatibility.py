@@ -1083,9 +1083,6 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
     foci = _focus_stream(base, cfg, "theorem:kernel", max(cfg.samples, 1))
 
     def exchanges(p):
-        escaped = _complement_escapes(base, p)
-        if escaped:
-            return escaped
         res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
         return res.ok or {"focus": p, "witness": res.witness}
 
@@ -1093,7 +1090,7 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
     return law(
         "kernel_complement_fixpoint",
         foci,
-        exchanges,
+        lambda p: _complement_escapes(base, p) or exchanges(p),
         checked=None if box is None else len(foci) * len(box),
         note="J_p kills a positive exactly when J_{u-p} fixes it",
     )
@@ -1156,15 +1153,14 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
         )
 
     def absorbs(p):
-        escaped = _complement_escapes(base, p)
-        if escaped:
-            return escaped
         premises = _focus_premises(structure, base.j(p), comp=base.j(base.complement(p)))
         res = _derived("commutant_absorption", premises, note)
         return res.ok or {"p": p, **res.witness}
 
     foci = _focus_stream(base, cfg, "theorem:commutant", max(cfg.samples, 1))
-    return law("commutant_absorption", foci, absorbs, note=note)
+    return law(
+        "commutant_absorption", foci, lambda p: _complement_escapes(base, p) or absorbs(p), note=note
+    )
 
 
 def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
@@ -1173,9 +1169,6 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     def agrees(pq):
         p, q = pq
-        escaped = _complement_escapes(base, p)
-        if escaped:
-            return escaped
         battery = compat_battery(base, p, q)
         if not battery.agree:
             return {"p": p, "q": q, "conditions": battery.values}
@@ -1191,7 +1184,7 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     clause = law(
         "battery_agreement",
         _pair_stream(base, cfg, "theorem:battery", max(cfg.samples, 1)),
-        agrees,
+        lambda pq: _complement_escapes(base, pq[0]) or agrees(pq),
         witness=lambda pq: {"p": pq[0], "q": pq[1], "reason": "asymmetric"},
         exact=decided,
         tally=True,
@@ -1213,9 +1206,6 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     def meets(pq):
         p, q = pq
-        escaped = _complement_escapes(base, p)
-        if escaped:
-            return escaped
         try:
             r = _checked_meet(base, p, q)
         except RuntimeError as exc:
@@ -1227,7 +1217,7 @@ def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     return law(
         "compatible_meet",
         pairs,
-        meets,
+        lambda pq: _complement_escapes(base, pq[0]) or meets(pq),
         lambda pq: bool(_complement_escapes(base, pq[0])) or compat_battery(base, *pq).compatible,
         note="compatible pairs have J_p(q) as greatest lower bound",
     )
