@@ -15,7 +15,8 @@ every universe cut from the parent.
 Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, a height box or the declared foci
 (their pairs or triples) when the structure is finite or the base declared,
-seeded samples otherwise.  One status rule holds for the theorem sweeps: a
+a Sample from a seeded stream otherwise.  Laws over the foci take theirs
+from CompressionBase.cases.  One status rule holds for the theorem sweeps: a
 declared base decides them (pass), a sampled base certifies them.  On a
 matrix structure the laws quantified over effects or elements are decided
 per focus by rules derived from its conjugator, as in compression.  The one
@@ -42,7 +43,7 @@ from .compression import (
     kernel_complement_check,
 )
 from .config import CheckConfig
-from .effect_algebra import EffectAlgebra, MembershipError, is_mackey_compatible
+from .effect_algebra import EffectAlgebra, MembershipError, is_mackey_compatible, mackey_triples
 from .elements import conjugate
 from .models import (
     Endomorphism,
@@ -174,8 +175,8 @@ def _battery(base: CompressionBase, p, q) -> CompatReport:
     structure = base.structure
     jp = base.j(p)
     jq = base.j(q)
-    pq = base.composed(p, q)
-    qp = base.composed(q, p)
+    pq = base.composed(p, q, jp, jq)
+    qp = base.composed(q, p, jq, jp)
     r = jp.apply(q)
 
     if structure.finite:
@@ -190,7 +191,8 @@ def _battery(base: CompressionBase, p, q) -> CompatReport:
         jr = conjugation_endo(structure.carrier, r)
         common = base.contains_focus(r) and endo_equal(structure, pq, jr)
     else:
-        in_base = _mackey_in_declared(base, p, q)
+        triples = mackey_triples(structure, p, q, base.foci, base.contains_focus)
+        in_base = next(triples, None) is not None
         common = map_key(structure, pq) in _focus_map_keys(base)
     conds = (
         ("commute", endo_equal(structure, pq, qp)),
@@ -215,20 +217,6 @@ def _focus_map_keys(base: CompressionBase) -> frozenset:
     )
 
 
-def _mackey_in_declared(base: CompressionBase, p, q) -> bool:
-    """Is there a Mackey triple (p - d, q - d, d) of p and q made of foci?"""
-
-    leq = base.structure.leq
-    return any(
-        leq(d, p)
-        and leq(d, q)
-        and base.contains_focus(p - d)
-        and base.contains_focus(q - d)
-        and leq(p + q - d, base.structure.unit)
-        for d in base.foci
-    )
-
-
 def meet(base: CompressionBase, p, q):
     """The meet of two compatible foci, fully checked.
 
@@ -250,8 +238,9 @@ def meet(base: CompressionBase, p, q):
 def _checked_meet(base: CompressionBase, p, q):
     """J_p(q) for a battery-compatible pair; a violated meet law raises RuntimeError."""
     structure = base.structure
-    r = base.j(p).apply(q)
-    if r != base.j(q).apply(p):
+    jp, jq = base.j(p), base.j(q)
+    r = jp.apply(q)
+    if r != jq.apply(p):
         raise RuntimeError("meet law violated: the two one-sided values differ")
     if not (structure.leq(r, p) and structure.leq(r, q)):
         raise RuntimeError("meet law violated: value is not a lower bound")
@@ -259,7 +248,7 @@ def _checked_meet(base: CompressionBase, p, q):
         raise RuntimeError("meet law violated: not shown to be the greatest lower bound")
     if not base.contains_focus(r):
         raise RuntimeError("meet law violated: value escapes the base")
-    if not endo_equal(structure, base.composed(p, q), base.j(r)):
+    if not endo_equal(structure, base.composed(p, q, jp, jq), base.j(r)):
         raise RuntimeError("meet law violated: composed map is not the meet's map")
     return r
 
@@ -489,21 +478,20 @@ def _interval_characterization_clause(
     if not finite:
         dim = parent.carrier.dim
         rng = cfg.rng(f"substructure:{sub.kind}")
+        turn = itertools.count()
 
     if sub.kind == "image":
 
-        def effects():
-            for i in range(cfg.spot):
-                e = matrix_model.draw_effect(dim, rng)
-                yield conjugate(v, e) if i % 2 else e
+        def effect():
+            e = matrix_model.draw_effect(dim, rng)
+            return conjugate(v, e) if next(turn) % 2 else e
 
         note = "membership in the image coincides with lying below v"
         return law(
             "interval_characterization",
-            parent.interval() if finite else effects(),
+            parent.interval() if finite else Sample(cfg.spot, effect),
             lambda e: sub.is_member(e) == parent.leq(e, v),
             witness="effect",
-            checked=len(parent.interval()) if finite else cfg.spot,
             note=note if finite else note + "; sampled",
         )
 
@@ -550,16 +538,11 @@ def _interval_characterization_clause(
             return {"effect": e, "direction": "member_does_not_split"}
         return True
 
-    def effect_pairs():
-        for i in range(cfg.spot):
-            a = matrix_model.draw_effect(dim, rng)
-            yield i, a, matrix_model.draw_effect(dim, rng)
-
+    draw = matrix_model.draw_effect
     return law(
         "interval_characterization",
-        effect_pairs(),
+        Sample(cfg.spot, lambda: (next(turn), draw(dim, rng), draw(dim, rng))),
         holds,
-        checked=cfg.spot,
         note=note + "; sampled",
     )
 
@@ -737,13 +720,14 @@ def omp_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Repo
 
     Declared bases quantify over their foci, with the interval-quantified
     clauses (sharpness and principality) swept exhaustively on finite
-    structures and sampled on the matrix model.  An intensional base is
-    checked entirely on sampled projections.  The sampled clauses of one
-    report draw, in order, from one stream.
+    structures and derived per focus on the matrix model.  An intensional
+    base is checked entirely on sampled projections, and its clauses draw,
+    in order, from one stream, opened only there.
     """
 
     cfg = cfg or CheckConfig()
-    rng = cfg.rng("omp" if base.foci is None else "omp:interval")
+    rng = cfg.rng("omp") if base.intensional else None
+    n = max(cfg.spot, cfg.samples // 4)
     laws = (
         _omp_bounded,
         _omp_orthocomplement,
@@ -752,25 +736,15 @@ def omp_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Repo
         _omp_sharp,
         _omp_principal,
     )
-    return Report("orthomodular poset laws", [check(base, cfg, rng) for check in laws])
+    return Report("orthomodular poset laws", [check(base, n, rng) for check in laws])
 
 
-def _omp_cases(base: CompressionBase, cfg: CheckConfig, exhaustive, draw):
-    """exhaustive(foci) on a declared base; sampled draw() cases otherwise."""
-
-    if base.foci is not None:
-        return exhaustive(base.foci)
-    return Sample(max(cfg.spot, cfg.samples // 4), draw)
-
-
-def _omp_bounded(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+def _omp_bounded(base: CompressionBase, n: int, rng) -> Clause:
     structure = base.structure
-    dim = structure.carrier.dim
     declared = base.foci is not None
-    foci = _omp_cases(base, cfg, tuple, lambda: matrix_model.draw_projection(dim, rng))
     clause = law(
         "omp_bounded",
-        foci,
+        base.cases(1, lambda: _projections(base, rng, n)),
         lambda p: _is_effect(structure, p),
         witness=None if declared else "p",
         note="" if declared else "sampled projections are effects; zero and unit are foci",
@@ -782,7 +756,7 @@ def _omp_bounded(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
     return clause
 
 
-def _omp_orthocomplement(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+def _omp_orthocomplement(base: CompressionBase, n: int, rng) -> Clause:
     """u - p is a focus with u - (u - p) = p, and q <= p gives u - p <= u - q.
 
     Declared foci are paired with every focus below them, and the clause
@@ -802,26 +776,20 @@ def _omp_orthocomplement(base: CompressionBase, cfg: CheckConfig, rng) -> Clause
             return {"p": p}
         return leq(unit - p, unit - q)
 
-    pairs = _omp_cases(
-        base,
-        cfg,
-        lambda foci: itertools.product(foci, repeat=2),
-        lambda: matrix_model.draw_nested_projections(dim, rng),
-    )
     declared = base.foci is not None
-    n = len(base.foci) if declared else 0
+    size = len(base.foci) if declared else 0
     return law(
         "omp_orthocomplement",
-        pairs,
+        base.cases(2, lambda: Sample(n, lambda: matrix_model.draw_nested_projections(dim, rng))),
         holds,
         (lambda pq: leq(pq[1], pq[0])) if declared else None,
         witness=("p", "q"),
-        checked=n + n**2 if declared else None,
+        checked=size + size**2 if declared else None,
         note="involutive and order reversing" + ("" if declared else "; sampled"),
     )
 
 
-def _omp_orthogonal_join(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+def _omp_orthogonal_join(base: CompressionBase, n: int, rng) -> Clause:
     """An orthogonal sum p + q is a focus and the least upper bound of p, q.
 
     Declared foci are all tried as upper bounds; the sampled universe draws
@@ -858,11 +826,10 @@ def _omp_orthogonal_join(base: CompressionBase, cfg: CheckConfig, rng) -> Clause
         )
         return bad is None or {"p": p, "q": q, "upper_bound": bad}
 
-    cases = _omp_cases(base, cfg, lambda foci: itertools.product(foci, repeat=2), frame_pair)
     declared = base.foci is not None
     return law(
         "omp_orthogonal_join",
-        cases,
+        base.cases(2, lambda: Sample(n, frame_pair)),
         holds,
         (lambda case: leq(case[0] + case[1], structure.unit)) if declared else None,
         note="orthogonal sums are least upper bounds in the base"
@@ -871,11 +838,12 @@ def _omp_orthogonal_join(base: CompressionBase, cfg: CheckConfig, rng) -> Clause
     )
 
 
-def _omp_orthomodular(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+def _omp_orthomodular(base: CompressionBase, n: int, rng) -> Clause:
     """For p <= q the difference q - p is a focus that rejoins p to give q."""
 
     leq = base.structure.leq
     dim = base.structure.carrier.dim
+    draw = matrix_model.draw_nested_projections
     upper_bounds = base.foci or ()
 
     def holds(pq):
@@ -886,16 +854,10 @@ def _omp_orthomodular(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
         bad = next((r for r in upper_bounds if leq(p, r) and leq(d, r) and not leq(q, r)), None)
         return bad is None or {"p": p, "q": q, "upper_bound": bad}
 
-    pairs = _omp_cases(
-        base,
-        cfg,
-        lambda foci: itertools.product(foci, repeat=2),
-        lambda: matrix_model.draw_nested_projections(dim, rng)[::-1],
-    )
     declared = base.foci is not None
     return law(
         "omp_orthomodular",
-        pairs,
+        base.cases(2, lambda: Sample(n, lambda: draw(dim, rng)[::-1])),
         holds,
         (lambda pq: leq(*pq)) if declared else None,
         witness=("p", "q"),
@@ -905,22 +867,21 @@ def _omp_orthomodular(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
     )
 
 
-def _focus_derived(name: str, base: CompressionBase, cfg: CheckConfig, rng, note: str) -> Clause:
+def _focus_derived(name: str, base: CompressionBase, n: int, rng, note: str) -> Clause:
     """A law over the foci p of a matrix base, each decided from the
     _focus_premises of J_p; an intensional base draws projections."""
 
     structure = base.structure
-    dim = structure.carrier.dim
-    foci = _omp_cases(base, cfg, tuple, lambda: matrix_model.draw_projection(dim, rng))
 
     def holds(p):
         res = _derived(name, _focus_premises(structure, base.j(p), p), note)
         return res.ok or {"p": p, **res.witness}
 
+    foci = base.cases(1, lambda: _projections(base, rng, n))
     return law(name, foci, holds, note=note + "; decided from each conjugator")
 
 
-def _omp_sharp(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+def _omp_sharp(base: CompressionBase, n: int, rng) -> Clause:
     """No nonzero effect sits below both a focus p and u - p.
 
     A finite structure sweeps every focus against the interval.  On a
@@ -932,7 +893,7 @@ def _omp_sharp(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
     leq = structure.leq
     note = "no nonzero effect sits below both p and its complement"
     if not structure.finite:
-        return _focus_derived("omp_sharp", base, cfg, rng, note)
+        return _focus_derived("omp_sharp", base, n, rng, note)
 
     def holds(pe) -> bool:
         p, e = pe
@@ -942,7 +903,7 @@ def _omp_sharp(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
     return law("omp_sharp", cases, holds, witness=("p", "effect"), note=note)
 
 
-def _omp_principal(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
+def _omp_principal(base: CompressionBase, n: int, rng) -> Clause:
     """Effects e, f below a focus p with e + f defined have e + f <= p.
 
     A finite structure sweeps every focus against pairs from the interval.
@@ -954,7 +915,7 @@ def _omp_principal(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
     leq = structure.leq
     note = "defined sums of effects below p stay below p"
     if not structure.finite:
-        return _focus_derived("omp_principal", base, cfg, rng, note)
+        return _focus_derived("omp_principal", base, n, rng, note)
 
     def defined_below(pef) -> bool:
         p, (e, f) = pef
@@ -974,29 +935,26 @@ def _omp_principal(base: CompressionBase, cfg: CheckConfig, rng) -> Clause:
 # theorem sweeps
 
 
-def _focus_stream(base: CompressionBase, cfg: CheckConfig, tag: str, count: int):
-    """The declared foci, or count projections drawn from the stream tag."""
+def _projections(base: CompressionBase, rng, count: int) -> Sample:
+    """count projections of the carrier drawn from rng."""
 
-    if base.foci is not None:
-        return base.foci
-    rng = cfg.rng(tag)
     dim = base.structure.carrier.dim
     return Sample(count, lambda: matrix_model.draw_projection(dim, rng))
 
 
-def _pair_stream(base: CompressionBase, cfg: CheckConfig, tag: str, count: int):
-    """Declared focus pairs, or count sampled pairs cycling through three kinds."""
+def _pairs(base: CompressionBase, rng, count: int) -> Sample:
+    """count pairs of projections drawn from rng: commuting, nested and
+    general in turn."""
 
-    if base.foci is not None:
-        return tuple(itertools.product(base.foci, repeat=2))
-    rng = cfg.rng(tag)
     dim = base.structure.carrier.dim
-    kinds = (
-        lambda: matrix_model.draw_projection_pair(dim, rng, commuting=True),
-        lambda: matrix_model.draw_nested_projections(dim, rng),
-        lambda: matrix_model.draw_projection_pair(dim, rng, commuting=False),
+    kinds = itertools.cycle(
+        (
+            lambda: matrix_model.draw_projection_pair(dim, rng, commuting=True),
+            lambda: matrix_model.draw_nested_projections(dim, rng),
+            lambda: matrix_model.draw_projection_pair(dim, rng, commuting=False),
+        )
     )
-    return (kinds[i % 3]() for i in range(count))
+    return Sample(count, lambda: next(kinds)())
 
 
 def theorem_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Report:
@@ -1052,6 +1010,7 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     """
 
     structure = base.structure
+    count = max(4, isqrt(max(cfg.samples, 1)))
 
     def shaped(p):
         j = base.j(p)
@@ -1069,7 +1028,7 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     return law(
         "family_shape",
-        _focus_stream(base, cfg, "theorem:family", max(4, isqrt(max(cfg.samples, 1)))),
+        base.cases(1, lambda: _projections(base, cfg.rng("theorem:family"), count)),
         shaped,
         tally=True,
         note="each member is idempotent, fixes its focus, kills below the complement",
@@ -1080,7 +1039,8 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
     """kernel_complement_check for each focus and its complement."""
 
     structure = base.structure
-    foci = _focus_stream(base, cfg, "theorem:kernel", max(cfg.samples, 1))
+    n = max(cfg.samples, 1)
+    foci = base.cases(1, lambda: _projections(base, cfg.rng("theorem:kernel"), n))
 
     def exchanges(p):
         res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
@@ -1106,21 +1066,22 @@ def _complement_escapes(base: CompressionBase, p):
 
 def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
+    n = max(cfg.samples, 1)
 
     def conditions(pq) -> tuple:
         p, q = pq
-        jq = base.j(q)
+        jp, jq = base.j(p), base.j(q)
         return (
             structure.leq(q, p),
-            endo_equal(structure, base.composed(p, q), jq),
-            base.j(p).apply(q) == q,
-            endo_equal(structure, base.composed(q, p), jq),
+            endo_equal(structure, base.composed(p, q, jp, jq), jq),
+            jp.apply(q) == q,
+            endo_equal(structure, base.composed(q, p, jq, jp), jq),
             jq.apply(p) == q,
         )
 
     return law(
         "absorption_equivalences",
-        _pair_stream(base, cfg, "theorem:absorption", max(cfg.samples, 1)),
+        base.cases(2, lambda: _pairs(base, cfg.rng("theorem:absorption"), n)),
         lambda pq: len(set(conditions(pq))) == 1,
         witness=lambda pq: {"p": pq[0], "q": pq[1], "conditions": list(conditions(pq))},
         tally=True,
@@ -1157,51 +1118,48 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
         res = _derived("commutant_absorption", premises, note)
         return res.ok or {"p": p, **res.witness}
 
-    foci = _focus_stream(base, cfg, "theorem:commutant", max(cfg.samples, 1))
+    n = max(cfg.samples, 1)
+    foci = base.cases(1, lambda: _projections(base, cfg.rng("theorem:commutant"), n))
     return law(
         "commutant_absorption", foci, lambda p: _complement_escapes(base, p) or absorbs(p), note=note
     )
 
 
 def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
-    declared = base.foci is not None
-    seen: dict = {}
+    """The battery of (p, q) agrees, and (q, p) is compatible exactly when
+    (p, q) is; a declared base reads the mirror from its pair table.  A q
+    whose complement is no focus is not mirrored: it fails the clause at
+    its own turn as p."""
 
     def agrees(pq):
         p, q = pq
         battery = compat_battery(base, p, q)
         if not battery.agree:
             return {"p": p, "q": q, "conditions": battery.values}
-        if declared:
-            seen[pq] = battery.compatible
+        if _complement_escapes(base, q):
             return True
         return compat_battery(base, q, p).compatible == battery.compatible
 
     structure = base.structure
-    decided = declared and (
+    decided = base.foci is not None and (
         structure.finite or all(map(matrix_model.is_projection, (*base.foci, structure.unit)))
     )
-    clause = law(
+    n = max(cfg.samples, 1)
+    return law(
         "battery_agreement",
-        _pair_stream(base, cfg, "theorem:battery", max(cfg.samples, 1)),
+        base.cases(2, lambda: _pairs(base, cfg.rng("theorem:battery"), n)),
         lambda pq: _complement_escapes(base, pq[0]) or agrees(pq),
         witness=lambda pq: {"p": pq[0], "q": pq[1], "reason": "asymmetric"},
         exact=decided,
         tally=True,
         note="all eight compatibility conditions agree, symmetrically",
     )
-    if clause.ok and declared:
-        mirror = next(((p, q) for (p, q), v in seen.items() if seen.get((q, p)) != v), None)
-        if mirror is not None:
-            clause.status = FAIL
-            clause.witness = {"p": mirror[0], "q": mirror[1], "reason": "asymmetric"}
-    return clause
 
 
 def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
     count = min(max(cfg.samples, 1), max(cfg.spot, cfg.samples // 4))
-    pairs = _pair_stream(base, cfg, "theorem:meet", count)
+    pairs = base.cases(2, lambda: _pairs(base, cfg.rng("theorem:meet"), count))
     lower_bounds = base.foci or ()
 
     def meets(pq):

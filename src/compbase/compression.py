@@ -9,8 +9,10 @@ algebra of foci, subject to a normality condition and a composition law.
 Each law is stated once, as a law() over a universe of cases chosen from
 the structure: the exhaustive interval, height box or declared foci of a
 finite model, or seeded samples on the matrix model, whose maps are
-conjugations g -> p g p.  An exhaustive universe decides its law (pass); a
-sampled one spot checks a fact that holds analytically for that form
+conjugations g -> p g p.  A base law over its foci takes its universe from
+CompressionBase.cases: the declared foci, or a Sample of projections on
+the base of all projections.  An exhaustive universe decides its law
+(pass); a Sample spot checks a fact that holds analytically for that form
 (certified) or searches a refutable claim for a counterexample.  A matrix
 base's per-focus laws, the kernel exchange and normality are derived
 exactly (pass) from exactly checked premises, so a declared matrix base
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import linalg, matrix_model
 from .config import CheckConfig
@@ -504,15 +506,32 @@ class CompressionBase(Value):
             value = memo[key] = build()
         return value
 
+    def cases(self, arity: int, sample: Callable[[], Sample]):
+        """The universe of a law over the foci, taken arity at a time.
+
+        A declared base gives its foci, or itertools.product tuples of them:
+        unsized, so a law that stops at a witness counts the cases it
+        reached.  The intensional base gives sample(), which opens its
+        stream only then.
+        """
+
+        if self.foci is None:
+            return sample()
+        return self.foci if arity == 1 else itertools.product(self.foci, repeat=arity)
+
     def focus_sum(self, p, q):
         """p + q, from the pair table."""
 
         return self.kept(("sum", p, q), lambda: p + q)
 
-    def composed(self, p, q):
-        """J_p after J_q, from the pair table."""
+    def composed(self, p, q, jp=None, jq=None):
+        """J_p after J_q, from the pair table; a caller that holds J_p and
+        J_q passes them as jp and jq, and they are not fetched again."""
 
-        return self.kept(("compose", p, q), lambda: compose(self.j(p), self.j(q)))
+        def build():
+            return compose(self.j(p) if jp is None else jp, self.j(q) if jq is None else jq)
+
+        return self.kept(("compose", p, q), build)
 
 
 def base_from_family(structure, pairs) -> CompressionBase:
@@ -620,15 +639,11 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     structure = base.structure
     leq = structure.leq
-    if base.intensional:
-        dim = structure.carrier.dim
-        rng = cfg.rng("base:normality")
-        pairs = Sample(
-            max(cfg.samples, 1),
-            lambda: matrix_model.draw_projection_pair(dim, rng, commuting=True),
-        )
-    else:
-        pairs = itertools.product(base.foci, repeat=2)
+
+    def sample():
+        dim, rng = structure.carrier.dim, cfg.rng("base:normality")
+        draw = matrix_model.draw_projection_pair
+        return Sample(max(cfg.samples, 1), lambda: draw(dim, rng, commuting=True))
 
     def holds(pair):
         m1, m2 = pair
@@ -640,9 +655,8 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     clause = law(
         "foci_normal_subalgebra",
-        pairs,
+        base.cases(2, sample),
         holds,
-        exact=not base.intensional,
         note="products of commuting foci are foci",
     )
     if clause.ok and not base.intensional:
@@ -666,15 +680,15 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         comp = is_compression(structure, base.j(p))
         return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
 
+    def sample():
+        dim, rng = structure.carrier.dim, cfg.rng("base:family")
+        return Sample(cfg.spot, lambda: matrix_model.draw_projection(dim, rng))
+
     if base.intensional:
-        dim = structure.carrier.dim
-        rng = cfg.rng("base:family")
-        foci = Sample(cfg.spot, lambda: matrix_model.draw_projection(dim, rng))
         note = "sampled projections, each decided from its conjugator"
     else:
-        foci = base.foci
         note = "" if structure.finite else "each member decided from its conjugator"
-    return law("family_member_compression", foci, compression_at, note=note)
+    return law("family_member_compression", base.cases(1, sample), compression_at, note=note)
 
 
 def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
@@ -682,13 +696,15 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     Declared bases sweep every focus triple with p + q + r below the unit
     and list the first triples checked; an intensional base samples
-    orthogonal triples of projections in random frames.  The premise tests
-    p + q + r only where p + q <= u or r is not positive: r >= 0 and
-    p + q + r <= u give p + q <= u - r <= u.  Sums and composed maps come
-    from the base's pair table.
+    orthogonal triples of projections in random frames, which need no
+    premise.  The premise tests p + q + r only where p + q <= u or r is
+    not positive: r >= 0 and p + q + r <= u give p + q <= u - r <= u.
+    Sums and composed maps come from the base's pair table.
     """
 
     structure = base.structure
+    unit = structure.unit
+    leq = structure.leq
     rows: list = []
 
     def holds(pqr):
@@ -700,9 +716,13 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         rows.append({"p": p, "q": q, "r": r, "ok": ok})
         return ok
 
-    if base.intensional:
-        dim = structure.carrier.dim
-        rng = cfg.rng("base:composition")
+    def below_unit(pqr) -> bool:
+        p, q, r = pqr
+        pq = base.focus_sum(p, q)
+        return (r in loose or leq(pq, unit)) and leq(pq + r, unit)
+
+    def sample():
+        dim, rng = structure.carrier.dim, cfg.rng("base:composition")
 
         def orthogonal_triple():
             frame = matrix_model.cayley_orthogonal(dim, rng)
@@ -710,33 +730,23 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
             masks = [[1 if s == k else 0 for s in slots] for k in range(3)]
             return tuple(matrix_model.frame_sandwich(frame, m) for m in masks)
 
-        return law(
-            "composition_law",
-            Sample(cfg.spot, orthogonal_triple),
-            holds,
-            witness=("p", "q", "r"),
-            tally=True,
-            note="sampled orthogonal triples in random frames",
-        )
+        return Sample(cfg.spot, orthogonal_triple)
 
-    unit = structure.unit
-    leq = structure.leq
-    loose = {r for r in base.foci if not structure.is_positive(r)}
-
-    def below_unit(pqr) -> bool:
-        p, q, r = pqr
-        pq = base.focus_sum(p, q)
-        return (r in loose or leq(pq, unit)) and leq(pq + r, unit)
-
+    declared = not base.intensional
+    loose = {r for r in base.foci or () if not structure.is_positive(r)}
     clause = law(
         "composition_law",
-        itertools.product(base.foci, repeat=3),
+        base.cases(3, sample),
         holds,
-        below_unit,
+        below_unit if declared else None,
         witness=("p", "q", "r"),
-        note="all focus triples with p + q + r below the unit",
+        tally=True,
+        note="all focus triples with p + q + r below the unit"
+        if declared
+        else "sampled orthogonal triples in random frames",
     )
-    clause.items = rows if len(rows) <= 24 else None
+    if declared:
+        clause.items = rows if len(rows) <= 24 else None
     return clause
 
 

@@ -47,6 +47,3 @@ class CheckConfig(Value):
         """Sample count for cheap side checks of certified facts."""
 
         return max(8, min(64, self.samples))
-
-
-DEFAULT = CheckConfig()

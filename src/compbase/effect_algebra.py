@@ -138,9 +138,6 @@ def mackey_decompositions(
 
     algebra._require(e, "e")
     algebra._require(f, "f")
-    leq = algebra.structure.leq
-    unit = algebra.unit
-
     if within is not None:
         if e not in within or f not in within:
             raise MembershipError("e and f must belong to the sub-effect algebra")
@@ -155,18 +152,25 @@ def mackey_decompositions(
             )
         member = None
 
-    triples = []
+    return tuple(mackey_triples(algebra.structure, e, f, pool, member))
+
+
+def mackey_triples(structure, e, f, pool, member=None):
+    """The Mackey triples (e - d, f - d, d) of e and f with d from pool, in
+    pool order: d <= e, d <= f and e + f - d <= u.  With member, e - d and
+    f - d must pass it too.  No argument is checked for membership."""
+
+    leq = structure.leq
+    unit = structure.unit
     for d in pool:
         if not (leq(d, e) and leq(d, f)):
-            continue
-        if not leq(e + f - d, unit):
             continue
         e1 = e - d
         f1 = f - d
         if member is not None and not (member(e1) and member(f1)):
             continue
-        triples.append(MackeyTriple(e1, f1, d))
-    return tuple(triples)
+        if leq(e + f - d, unit):
+            yield MackeyTriple(e1, f1, d)
 
 
 def is_mackey_compatible(
@@ -247,7 +251,6 @@ def is_normal_subalgebra(algebra: EffectAlgebra, sub: SubEffectAlgebra) -> Claus
         candidates(),
         lambda efd: not leq(efd[0] + efd[1] + efd[2], algebra.unit),
         witness=("e", "f", "d"),
-        exact=True,
     )
 
 

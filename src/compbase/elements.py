@@ -206,6 +206,3 @@ def conjugate(p: SymMat, g: SymMat) -> SymMat:
     """p g p, the sandwich of g by p. Symmetric whenever p and g are."""
     pgp = linalg.mat_mul(linalg.mat_mul(p.num, g.num), p.num)
     return SymMat(pgp, p.den * p.den * g.den)
-
-
-GroupElement = "Vec | SymMat"

@@ -6,8 +6,9 @@ g); its unit interval and height boxes are enumerated exactly inside a
 coordinate box bounded by inverting independent cone rows and tightened by
 interval propagation over the defining inequalities. A matrix model is the
 space of symmetric rational d x d matrices ordered by positive
-semidefiniteness, with the identity as order unit; its interval is infinite
-and sweeps fall back to seeded samplers.
+semidefiniteness, with the identity as order unit; its interval is
+infinite, so its order laws are decided from the form of the order and the
+clauses over the interval itself spot check seeded samples.
 
 Endomorphisms are stored uniformly as integer matrices over one
 denominator, acting on a vectorization of the carrier (integer entries

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from types import GeneratorType
 from typing import Any, Callable, Iterable, Optional
 
 from .elements import SymMat, Vec
@@ -95,12 +94,13 @@ def law(
 ) -> Clause:
     """State one law over one universe of cases and report it as a clause.
 
-    A universe is exhaustive (a tuple, list or itertools product over a
-    finite set: the interval, a height box, the declared foci or their
-    pairs and triples) or sampled (a Sample, or a generator, drawing from
-    a seeded stream).  Cases are taken one at a time and the search stops
-    at the first witness, so a sampled universe draws nothing after it and
-    a stream it shares with later laws is left where the search stopped.
+    A universe is sampled when it is a Sample, drawing from a seeded
+    stream, and exhaustive otherwise (a tuple, list, generator or
+    itertools product over a finite set: the interval, a height box, the
+    declared foci or their pairs and triples).  Cases are taken one at a
+    time and the search stops at the first witness, so a Sample draws
+    nothing after it and a stream it shares with later laws is left where
+    the search stopped.
 
     Cases that fail the premise are skipped and not counted.  holds(case)
     answers True, False, or the witness itself (for laws that can fail in
@@ -116,7 +116,7 @@ def law(
     """
 
     if exact is None:
-        exact = not isinstance(universe, (Sample, GeneratorType))
+        exact = not isinstance(universe, Sample)
     seen = 0
     failed = False
     found = None

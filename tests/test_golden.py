@@ -1,4 +1,5 @@
-"""Behaviour lock: pinned sha256 of the CLI output bytes.
+"""Behaviour lock: pinned sha256 of the CLI output bytes, and of the
+library reports the CLI never prints.
 
 `report` covers every section on each bundled model (m4 is the only pin on
 the 3x3 substructure and product paths); `validate` on the corrupted
@@ -15,6 +16,15 @@ import json
 
 import pytest
 
+from compbase import (
+    CheckConfig,
+    MatrixModel,
+    load_model,
+    projection_base,
+    render_json,
+    theorem_report,
+    validate_compression_base,
+)
 from compbase.cli import main
 from conftest import FIXTURES_DIR, MODELS_DIR
 
@@ -48,6 +58,29 @@ MATRIX_SEED1_SHA256 = {
     ("theorems", "m4"): "1152955f634f45d98e45499928c99dee094aa538672834df9e4d6f3f10f19762",
 }
 
+
+# Library reports at samples=8, seed=0, rendered with render_json.  The CLI
+# runs the theorems only on bases that validate, so these pin the theorem
+# fail paths: theorem_report on each corrupted fixture's declared base.
+LIBRARY_CFG = CheckConfig(samples=8, seed=0)
+
+FIXTURE_THEOREMS_SHA256 = {
+    "corrupt_focus_outside_interval": "e9f7bc5dbd3a4df8e0d7b81df0527d5e81c0b6009c8defac2b4006d87e74092d",
+    "corrupt_matrix_half_focus": "eb4da2037db3f41cb535d346138cf460b11d1aee8ba6727fe8b8c8992f2617dc",
+    "corrupt_matrix_missing_complement": "3d7fe0e40119d3b8b03098a06fb9fe0604c9b91f123dc1df94cd06b3b537e532",
+    "corrupt_missing_closure": "94dc4425747ff25426aa0220bf7cad69dc51ca2e8cfa386a4db81de3ded6465d",
+    "corrupt_nonnormal_foci": "9297240bd83b2cff6eb76a3f1f00c9912f8ea9078881d15f9d1e587f208fecc9",
+    "corrupt_swapped_foci": "5071bccdd66765904362c9d28bc00f55e3f917acfdaf9993f4cf3062f9194816",
+}
+
+# (report, d) -> sha256 on projection_base(MatrixModel(d)), the base of all
+# projections; no model file declares it.
+PROJECTION_BASE_SHA256 = {
+    ("validate", 2): "8ddad91a92c780afe136c0ff7df990ce0203dde87604e4cd850f86eda95ba3fd",
+    ("validate", 3): "8ddad91a92c780afe136c0ff7df990ce0203dde87604e4cd850f86eda95ba3fd",
+    ("theorems", 2): "bbab934565b5aa692087386b2ee4c79db90626433c2aaef35bb81a875ad674d3",
+    ("theorems", 3): "fab6e8c1c1bd2945e4cac6a0d9b6f0720016495387d57ae6ce5a1df517e02530",
+}
 
 
 def _diag(*bits):
@@ -147,3 +180,23 @@ def test_lattice_report_bytes_pinned(capsys, tmp_path, name):
     code, digest = _sha256_of_run(capsys, "report", path, config=["--seed", "0"])
     assert code == 0
     assert digest == LATTICE_REPORT_SHA256[name]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("stem", sorted(FIXTURE_THEOREMS_SHA256))
+def test_fixture_theorem_report_bytes_pinned(stem):
+    _, base = load_model(FIXTURES_DIR / f"{stem}.json")
+    report = theorem_report(base, LIBRARY_CFG)
+    assert not report.ok
+    assert _sha256(render_json(report)) == FIXTURE_THEOREMS_SHA256[stem]
+
+
+@pytest.mark.parametrize("kind,dim", sorted(PROJECTION_BASE_SHA256))
+def test_projection_base_bytes_pinned(kind, dim):
+    check = validate_compression_base if kind == "validate" else theorem_report
+    report = check(projection_base(MatrixModel(dim)), LIBRARY_CFG)
+    assert report.ok
+    assert _sha256(render_json(report)) == PROJECTION_BASE_SHA256[kind, dim]

@@ -230,7 +230,8 @@ def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     """theorems m4 --samples 8 --seed 1: same draws and streams, fewer PSD tests.
 
     Before the memos it ran is_psd 14,528 times; the memos leave
-    draw_effect (8 calls) and CheckConfig.rng (9 streams) as they are.
+    draw_effect (8 calls) and CheckConfig.rng (8 streams: the declared
+    base's omp laws open none) as they are.
     """
     for memo in (*MEMOS, models._matrix_leq):
         memo.cache_clear()
@@ -250,5 +251,5 @@ def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert counts["draw_effect"] == 8
-    assert counts["rng"] == 9
+    assert counts["rng"] == 8
     assert counts["is_psd"] <= 7000
