@@ -403,7 +403,8 @@ def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase
 
     Image substructures keep the foci below v; commutant substructures keep
     the foci compatible with v.  The maps themselves are unchanged, only
-    re-read as maps of the substructure.  Built once per (base, sub).
+    re-read as maps of the substructure.  Built once per (base, sub); it
+    reads and fills its parent's sums and composed maps (CompressionBase).
     """
 
     if base.foci is None:
@@ -416,7 +417,9 @@ def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase
             keep = [q for q in base.foci if base.structure.leq(q, sub.v)]
         else:
             keep = [q for q in base.foci if sub.is_member(q)]
-        return CompressionBase(sub, tuple(keep), {q: base.j(q) for q in keep})
+        return CompressionBase(
+            sub, tuple(keep), {q: base.j(q) for q in keep}, pairs=base._pairs
+        )
 
     return base.kept(sub, build)
 

@@ -433,31 +433,45 @@ class CompressionBase(Value):
     Declared bases carry an explicit focus list and a map from focus to
     endomorphism.  An intensional base, one without a focus list, takes
     every projection of the matrix model as a focus, with conjugation as
-    the assigned map.  On a declared base, _memo (filled through kept)
-    holds what is built from the base once, when first asked for:
+    the assigned map.  A declared base keeps, through kept, what is built
+    from it once, when first asked for.  In _memo:
       ("image", v), ("commutant", v)  the substructures of a focus v;
       a Substructure                  the restricted base on it;
-      ("sum", p, q)                   p + q, for foci p, q;
-      ("compose", p, q)               the map J_p after J_q;
       ("battery", p, q)               the CompatReport of (p, q);
       ("focus_maps",)                 every J_s read as a map of the
                                       structure, for the common-focus test.
-    The last four make the pair table, one entry per ordered focus pair.
-    An intensional base keeps nothing there: its foci are sampled, so a
-    memo would grow with the budget.  A base is equal and hashed by
-    identity, as the keys of such memos must be, and keeps a __dict__ for
-    its cached properties.
+    In _pairs:
+      ("sum", p, q)                   p + q, for foci p, q;
+      ("compose", p, q)               the map J_p after J_q.
+    The sums, composed maps and batteries make the pair table, one entry
+    per ordered focus pair.  Sums and composed maps do not depend on the
+    structure the base lives in, and a restricted base holds its parent's
+    very maps, so a restricted base shares _pairs with the base it was cut
+    from (pairs=).  _pairs holds no base, so the sharing makes no
+    reference cycle and a base is freed as soon as it is dropped.  An
+    intensional base keeps nothing: its foci are sampled, so a memo would
+    grow with the budget.  A base is equal and hashed by identity, as the
+    keys of such memos must be, and keeps a __dict__ for its cached
+    properties.
     """
 
-    __slots__ = ("structure", "foci", "family", "_memo", "__dict__")
+    __slots__ = ("structure", "foci", "family", "_memo", "_pairs", "__dict__")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, structure: Any, foci: Optional[tuple], family: Optional[dict]) -> None:
+    def __init__(
+        self,
+        structure: Any,
+        foci: Optional[tuple],
+        family: Optional[dict],
+        *,
+        pairs: Optional[dict] = None,
+    ) -> None:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "foci", foci)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_pairs", {} if pairs is None else pairs)
 
     @property
     def intensional(self) -> bool:
@@ -494,13 +508,14 @@ class CompressionBase(Value):
     def complement(self, p):
         return self.unit - p
 
-    def kept(self, key, build):
-        """build(), made once per key on a declared base and kept in _memo;
-        an intensional base builds it every time."""
+    def kept(self, key, build, memo=None):
+        """build(), made once per key on a declared base and kept in memo
+        (_memo by default); an intensional base builds it every time."""
 
         if self.foci is None:
             return build()
-        memo = self._memo
+        if memo is None:
+            memo = self._memo
         value = memo.get(key)
         if value is None:
             value = memo[key] = build()
@@ -522,7 +537,7 @@ class CompressionBase(Value):
     def focus_sum(self, p, q):
         """p + q, from the pair table."""
 
-        return self.kept(("sum", p, q), lambda: p + q)
+        return self.kept(("sum", p, q), lambda: p + q, self._pairs)
 
     def composed(self, p, q, jp=None, jq=None):
         """J_p after J_q, from the pair table; a caller that holds J_p and
@@ -531,7 +546,7 @@ class CompressionBase(Value):
         def build():
             return compose(self.j(p) if jp is None else jp, self.j(q) if jq is None else jq)
 
-        return self.kept(("compose", p, q), build)
+        return self.kept(("compose", p, q), build, self._pairs)
 
 
 def base_from_family(structure, pairs) -> CompressionBase:

@@ -29,11 +29,16 @@ functools.lru_cache of matrix_model.CACHE_SIZE entries: the same declared
 foci are compared thousands of times per report.  Its body is is_psd of
 b - a, so the memo changes no answer.
 
+A lattice map keeps an image table (Endomorphism._images): each (map,
+element) product is computed once, and the sweeps that meet the same
+element again read the stored image.  A matrix map keeps none, since its
+inputs are sampled and a table would only grow with the budget.
+
 Both model classes and Endomorphism are frozen values (value.Value):
 equal by fields and hashed as the tuple of them, which lets models and
-matrices key the lru_caches here.  A finite substructure's unit is tested
-as an order unit row by row against its projector before the bounded
-sweep (see _directedness_bounded).
+matrices key the lru_caches here; the image table is not a field.  A
+finite substructure's unit is tested as an order unit row by row against
+its projector before the bounded sweep (see _directedness_bounded).
 """
 
 from __future__ import annotations
@@ -357,9 +362,19 @@ class Endomorphism(Value):
     den 1.  For matrix carriers, an endomorphism arising as g -> p g p
     remembers its conjugator; the analytic facts about such maps (order
     preservation, the compression property) hinge on that form.
+
+    On a lattice carrier (carrier.finite) the map keeps an image table,
+    _images, from the coordinates of each element it has mapped to the
+    image: apply computes each product once per (map, element), and the
+    sweeps that ask again (absorption, the product split, the substructure
+    bands, membership P g == g) read the stored image.  Only a successful
+    image is stored, so a map that leaves the lattice raises ValueError on
+    every call.  A matrix map keeps no table: its inputs are sampled, so a
+    table would only grow with the budget.  The table is not a field, so
+    equality, hashing, repr and pickling ignore it.
     """
 
-    __slots__ = ("carrier", "matrix", "den", "conjugator")
+    __slots__ = ("carrier", "matrix", "den", "conjugator", "_images")
 
     def __init__(
         self,
@@ -377,10 +392,19 @@ class Endomorphism(Value):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "_images", {} if carrier.finite else None)
 
     def apply(self, g):
-        v, den = self.carrier.vectorize(g)
-        return self.carrier.devectorize(linalg.mat_vec(self.matrix, v), self.den * den)
+        images = self._images
+        if images is None:
+            v, den = self.carrier.vectorize(g)
+            return self.carrier.devectorize(linalg.mat_vec(self.matrix, v), self.den * den)
+        # a lattice element vectorizes as its coordinates over 1
+        image = images.get(g.coords)
+        if image is None:
+            image = self.carrier.devectorize(linalg.mat_vec(self.matrix, g.coords), self.den)
+            images[g.coords] = image
+        return image
 
     def jsonable(self):
         out = {"matrix": fraction_rows(self.matrix, self.den)}

@@ -195,7 +195,7 @@ def test_intensional_memo_does_not_grow_with_the_budget():
     for samples in (16, 64):
         base = projection_base(model)
         assert theorem_report(base, CheckConfig(samples=samples, seed=0)).ok
-        sizes.append(len(base._memo))
+        sizes.append(len(base._memo) + len(base._pairs))
     assert sizes == [0, 0]
 
 
@@ -419,3 +419,23 @@ def test_exact_rules_agree_with_oracles_on_matrix_fixtures(stem, seed):
     # the sampled search meets the half focus twice in 1 of 9 draws; at 400
     # draws it misses with probability below 1e-15
     assert_exact_rules_agree(base, cfg, CheckConfig(samples=400, seed=seed))
+
+
+def test_sampled_oracles_read_certified_on_m3():
+    """Each oracle rests on drawn cases, so where it finds no witness it
+    reads certified, never pass."""
+
+    _, base = load_model(MODELS_DIR / "m3.json")
+    structure = base.structure
+    clauses = [sampled_normality(base, CFG)]
+    clauses += sampled_unital_group(structure, CFG).values()
+    clauses += sampled_theorem_laws(base, CFG).values()
+    for p in base.foci:
+        j = base.j(p)
+        clauses += sampled_retraction_laws(structure, j, CFG).values()
+        clauses.append(sampled_compression(structure, j, CFG))
+        clauses.append(sampled_kernel_complement(structure, j, base.j(base.complement(p)), CFG))
+        for q in base.foci:
+            if compat_battery(base, p, q).compatible:
+                clauses.append(sampled_meet_glb(structure, p, q, j.apply(q), CFG))
+    assert {c.status for c in clauses} == {"certified"}

@@ -2,7 +2,8 @@
 
 Each declared base computes, once per ordered focus pair, the sum p + q,
 the composed map J_p after J_q and the compatibility battery, and keeps
-them in its _memo; every pair consumer reads them there.  These tests pin
+them in its _memo and _pairs; every pair consumer reads them there, and a
+restricted base reads its parent's sums and composed maps.  These tests pin
 that the table changes no verdict (the pruned composition premise against
 the full-product sweep, the common-focus lookup against map comparisons)
 and that it is filled once per pair and never on an intensional base.
@@ -13,6 +14,7 @@ validation and theorems open no sample stream.
 from __future__ import annotations
 
 import argparse
+import hashlib
 from collections import Counter
 
 import pytest
@@ -35,6 +37,7 @@ from compbase import (
 from compbase import cli, compatibility, compression, models
 from compbase.compression import base_from_family
 from conftest import BUNDLED, FIXTURES_DIR, MATRIX, MODELS_DIR, full_composition_clause
+from test_golden import MATRIX_SEED1_SHA256
 
 CFG = CheckConfig(samples=8, seed=1)
 FIXTURES = sorted(p.stem for p in FIXTURES_DIR.glob("*.json"))
@@ -141,12 +144,43 @@ def test_pair_table_fills_each_pair_once(monkeypatch):
     n = len(base.foci) ** 2
     assert len(batteries) == n and set(batteries.values()) == {1}
     assert composed and set(composed.values()) == {1}
-    assert {key[0] for key in base._memo if isinstance(key, tuple)} >= {
+    kept = [*base._memo, *base._pairs]
+    assert {key[0] for key in kept if isinstance(key, tuple)} >= {
         "sum",
         "compose",
         "battery",
         "focus_maps",
     }
+
+
+def test_restricted_bases_read_the_parent_pair_table(monkeypatch, capsys):
+    """report m3 at seed 1 composes each ordered focus pair once for the
+    declared base and all its restricted bases together: a restricted base
+    holds its parent's maps, so it reads the parent's composed maps.  The
+    report bytes are the pinned ones."""
+
+    builds = Counter()
+    real_kept = compression.CompressionBase.kept
+
+    def counted_kept(self, key, build, *memo):
+        if self.foci is not None and isinstance(key, tuple) and key[0] == "compose":
+
+            def counted_build():
+                builds[key] += 1
+                return build()
+
+            return real_kept(self, key, counted_build, *memo)
+        return real_kept(self, key, build, *memo)
+
+    monkeypatch.setattr(compression.CompressionBase, "kept", counted_kept)
+    argv = ["report", str(MODELS_DIR / "m3.json"), "--samples", "8", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == MATRIX_SEED1_SHA256["report", "m3"]
+    # 62 distinct (p, q) are composed on this run, the base of all
+    # projections included; the declared bases build each of theirs once
+    assert builds and set(builds.values()) == {1}
+    assert sum(builds.values()) <= 62
 
 
 def test_intensional_base_keeps_no_pair_table():
@@ -156,7 +190,7 @@ def test_intensional_base_keeps_no_pair_table():
     p = q = model.unit
     assert compat_battery(base, p, q).compatible
     assert base.composed(p, q) is not base.composed(p, q)
-    assert base._memo == {}
+    assert base._memo == {} and base._pairs == {}
 
 
 def test_intensional_battery_fetches_each_map_once(monkeypatch):

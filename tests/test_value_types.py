@@ -215,6 +215,19 @@ def test_pickle_round_trip(cls):
     assert pickle.loads(pickle.dumps(x)) == x
 
 
+def test_image_table_is_not_a_field():
+    """Two equal lattice maps whose image tables differ are the same value."""
+
+    used, fresh = Endomorphism(Z2, ((1, 0), (0, 0))), Endomorphism(Z2, ((1, 0), (0, 0)))
+    assert used.apply(Vec((1, 1))) == Vec((1, 0))
+    assert used._images and not fresh._images
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(used))
+    assert copy == used and hash(copy) == hash(used) and copy._images == {}
+    with pytest.raises(AttributeError):
+        used._images = {}
+
+
 def test_jsonable_shapes():
     clause = {"name": "law", "status": "pass", "checked": 3, "witness": None, "note": ""}
     assert jsonable(PASSED) == clause
