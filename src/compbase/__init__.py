@@ -3,10 +3,10 @@
 Two concrete model families: finite lattice cones over the integers, where
 every law is decided by exhaustive enumeration, and symmetric rational
 matrices under the positive-semidefinite order, where compressions are
-conjugations by projections.  There the laws of a declared base are
-derived exactly from exactly checked premises on its conjugators, and the
-base of all projections and the laws over the infinite interval are spot
-checked on seeded samples.  Matrices are integer rows over one
+conjugations by projections.  There the laws of a declared base, its
+substructures and its direct products are derived exactly from exactly
+checked premises on its conjugators, and the base of all projections is
+spot checked on seeded samples.  Matrices are integer rows over one
 denominator; there is not a float in the package.
 """
 

@@ -19,9 +19,11 @@ a Sample from a seeded stream otherwise.  Laws over the foci take theirs
 from CompressionBase.cases.  One status rule holds for the theorem sweeps: a
 declared base decides them (pass), a sampled base certifies them.  On a
 matrix structure the laws quantified over effects or elements are decided
-per focus by rules derived from its conjugator, as in compression.  The one
-exception is battery_agreement on a declared matrix base with a focus that
-is not a projection, which is certified.
+per focus by rules derived from the premises the base keeps for it
+(compression.focus_premises), in the substructure and product sections
+too, so a declared matrix base draws nothing.  The one exception is
+battery_agreement on a declared matrix base with a focus that is not a
+projection, which is certified.
 
 A CompatReport is a frozen value (value.Value) compared by fields; a
 Substructure is frozen but compared and hashed by identity, as the key
@@ -37,9 +39,9 @@ from typing import Any, Optional
 from . import linalg, matrix_model
 from .compression import (
     CompressionBase,
-    _derived,
-    _focus_premises,
+    _conjugator_clauses,
     _is_effect,
+    focus_premises,
     kernel_complement_check,
 )
 from .config import CheckConfig
@@ -55,7 +57,7 @@ from .models import (
     map_key,
     zero_endo,
 )
-from .reporting import FAIL, Clause, Report, Sample, law
+from .reporting import FAIL, Clause, Report, Sample, derived, law
 from .value import Value
 
 
@@ -282,20 +284,24 @@ class Substructure(Value):
     every validation can be re-run inside them.  Each universe is cut from
     the parent's once and kept for the life of the substructure, and
     image_substructure and commutant_substructure build one substructure
-    per (kind, v) once per base.  A substructure is equal and hashed by
-    identity, since restricted bases are memoized under it.
+    per (kind, v) once per base.  premises make the projector a congruence
+    into [0, unit] (models._validate_matrix); a finite parent sweeps instead,
+    and the base of all projections conjugates by projections by
+    construction.  A substructure is equal and hashed by identity, since
+    restricted bases are memoized under it.
     """
 
-    __slots__ = ("parent", "kind", "v", "unit", "projector", "_bands", "_maps")
+    __slots__ = ("parent", "kind", "v", "unit", "projector", "premises", "_bands", "_maps")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, parent: Any, kind: str, v: Any, unit: Any, projector: Endomorphism) -> None:
+    def __init__(self, parent: Any, kind: str, v: Any, unit: Any, projector, premises=()) -> None:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "projector", projector)
+        object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "_bands", {})
         object.__setattr__(self, "_maps", {})
 
@@ -369,17 +375,28 @@ class Substructure(Value):
 
 
 def image_substructure(base: CompressionBase, v) -> Substructure:
-    """The range of J_v, as a unital group with unit v; built once per declared base."""
+    """The range of J_v, as a unital group with unit v; built once per declared base.
+    On a matrix parent with unit w, J_v conjugates by a projection v with
+    v w = v, so 0 <= e <= w gives 0 <= v e v <= v."""
 
     if not base.contains_focus(v):
         raise MembershipError("v is not a focus of this base")
-    return base.kept(("image", v), lambda: Substructure(base.structure, "image", v, v, base.j(v)))
+
+    def build():
+        parent = base.structure
+        unchecked = parent.finite or base.intensional  # see Substructure
+        premises = () if unchecked else focus_premises(base, v, focus=True) + parent.premises
+        return Substructure(parent, "image", v, v, base.j(v), premises)
+
+    return base.kept(("image", v), build)
 
 
 def commutant_substructure(base: CompressionBase, v) -> Substructure:
     """All elements compatible with v, as a unital group with the same unit.
 
-    Its projector is J_v + J_{u-v}.  Built once per declared base.
+    Its projector is J_v + J_{u-v}.  Built once per declared base.  On a
+    matrix parent these conjugate by symmetric idempotents p and u - p, so
+    0 <= e <= u gives 0 <= p e p + (u-p) e (u-p) <= p + (u-p) = u.
     """
 
     def build():
@@ -388,12 +405,14 @@ def commutant_substructure(base: CompressionBase, v) -> Substructure:
         comp = base.complement(v)
         if not base.contains_focus(comp):
             raise MembershipError("the complement of v escapes the base")
+        parent = base.structure
         jv = base.j(v)
         jc = base.j(comp)
-        projector = Endomorphism(
-            base.structure.carrier, *linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
-        )
-        return Substructure(base.structure, "commutant", v, base.structure.unit, projector)
+        sum_matrix = linalg.combine(jv.matrix, jv.den, jc.matrix, jc.den)
+        projector = Endomorphism(parent.carrier, *sum_matrix)
+        unchecked = parent.finite or base.intensional  # see Substructure
+        premises = () if unchecked else focus_premises(base, v, comp=True) + parent.premises
+        return Substructure(parent, "commutant", v, parent.unit, projector, premises)
 
     return base.kept(("commutant", v), build)
 
@@ -453,7 +472,7 @@ def substructure_report(
             lambda pr: endo_equal(parent, compose(pr, pr), pr),
             witness=lambda pr: None,
         ),
-        _interval_characterization_clause(base, sub, cfg),
+        _interval_characterization_clause(base, sub),
     ]
     rbase = restricted_base(base, sub)
     clauses.append(
@@ -465,37 +484,34 @@ def substructure_report(
     return sub, rbase, rep
 
 
-def _interval_characterization_clause(
-    base: CompressionBase, sub: Substructure, cfg: CheckConfig
-) -> Clause:
+def _interval_characterization_clause(base: CompressionBase, sub: Substructure) -> Clause:
     """The substructure's effects, described from the parent's interval.
 
     Image: membership coincides with lying below v.  Commutant: sums of an
     effect below v and one below u - v are members, and every member effect
     splits that way under J_v and J_{u-v}.
+
+    A finite parent sweeps its interval; a matrix parent with unit u derives
+    both from focus_premises.  Image: e = v e v <= v u v = v, and e <= v gives
+    e = v e v (retraction_certificate).  Commutant: a = v a v and
+    b = (u-v) b (u-v) with v (u-v) = 0, so J_v + J_{u-v} fixes a + b <= u;
+    a member effect is v e v + (u-v) e (u-v), each term an effect.
     """
 
     parent = base.structure
     v = sub.v
-    finite = parent.finite
-    if not finite:
-        dim = parent.carrier.dim
-        rng = cfg.rng(f"substructure:{sub.kind}")
-        turn = itertools.count()
-
-    if sub.kind == "image":
-
-        def effect():
-            e = matrix_model.draw_effect(dim, rng)
-            return conjugate(v, e) if next(turn) % 2 else e
-
-        note = "membership in the image coincides with lying below v"
+    image = sub.kind == "image"
+    if not parent.finite:
+        premises = focus_premises(base, v, focus=True, comp=not image)
+        note = "e = v e v iff e <= v" if image else "member effects are a + b, a <= v, b <= u - v"
+        return derived("interval_characterization", premises, note)
+    if image:
         return law(
             "interval_characterization",
-            parent.interval() if finite else Sample(cfg.spot, effect),
+            parent.interval(),
             lambda e: sub.is_member(e) == parent.leq(e, v),
             witness="effect",
-            note=note if finite else note + "; sampled",
+            note="membership in the image coincides with lying below v",
         )
 
     comp = parent.unit - v
@@ -513,41 +529,22 @@ def _interval_characterization_clause(
             and x + y == e
         )
 
-    note = "commutant effects are exactly sums from below v and below u - v"
-    if finite:
-        interval = parent.interval()
-        los = [e for e in interval if parent.leq(e, v)]
-        his = [e for e in interval if parent.leq(e, comp)]
-
-        def holds(case):
-            if len(case) == 2:
-                return sub.is_member(case[0] + case[1]) or {"e1": case[0], "e2": case[1]}
-            e = case[0]
-            return not sub.is_member(e) or splits(e) or {"effect": e}
-
-        cases = itertools.chain(itertools.product(los, his), zip(interval))
-        clause = law("interval_characterization", cases, holds, note=note)
-        if not clause.ok:
-            clause.note = ""
-        return clause
+    interval = parent.interval()
+    los = [e for e in interval if parent.leq(e, v)]
+    his = [e for e in interval if parent.leq(e, comp)]
 
     def holds(case):
-        i, a, b = case
-        g = conjugate(v, a) + conjugate(comp, b)
-        if not (sub.is_member(g) and _is_effect(parent, g)):
-            return {"effect": g, "direction": "sum_not_member"}
-        e = conjugate(v, b) + conjugate(comp, a) if i % 2 else g
-        if sub.is_member(e) and _is_effect(parent, e) and not splits(e):
-            return {"effect": e, "direction": "member_does_not_split"}
-        return True
+        if len(case) == 2:
+            return sub.is_member(case[0] + case[1]) or {"e1": case[0], "e2": case[1]}
+        e = case[0]
+        return not sub.is_member(e) or splits(e) or {"effect": e}
 
-    draw = matrix_model.draw_effect
-    return law(
-        "interval_characterization",
-        Sample(cfg.spot, lambda: (next(turn), draw(dim, rng), draw(dim, rng))),
-        holds,
-        note=note + "; sampled",
-    )
+    cases = itertools.chain(itertools.product(los, his), zip(interval))
+    note = "commutant effects are exactly sums from below v and below u - v"
+    clause = law("interval_characterization", cases, holds, note=note)
+    if not clause.ok:
+        clause.note = ""
+    return clause
 
 
 # ---------------------------------------------------------------------------
@@ -567,29 +564,24 @@ def morphism_report(
 
     Laws: order preservation, unit to unit, declared foci into declared
     foci, and the intertwining J_{phi(q)} after phi = phi after J_q for
-    every source focus q.
+    every source focus q.  A finite source sweeps its positive box; on a
+    matrix source phi must be conjugation by a stored p, a congruence.
     """
 
-    cfg = cfg or CheckConfig()
-    n = cfg.height_bound
     if src_structure.finite:
-        positives = src_structure.positive_universe(n)
-        note = f"checked on the height-{n} positive box"
-    else:
-        rng = cfg.rng("morphism:" + prefix)
-        dim = src_structure.carrier.dim
-        positives = Sample(
-            cfg.spot, lambda: src_structure.project(matrix_model.draw_positive(dim, rng, n))
-        )
-        note = "sampled positives of the source"
-    clauses = [
-        law(
+        n = (cfg or CheckConfig()).height_bound
+        order = law(
             prefix + "order_preserving",
-            positives,
+            src_structure.positive_universe(n),
             lambda g: tgt_structure.is_positive(phi.apply(g)),
             witness="positive",
-            note=note,
-        ),
+            note=f"checked on the height-{n} positive box",
+        )
+    else:
+        matches = _conjugator_clauses(src_structure, phi)[1]
+        order = derived(prefix + "order_preserving", (matches,), "p g p is a congruence of g")
+    clauses = [
+        order,
         law(
             prefix + "preserves_unit",
             (src_structure.unit,),
@@ -626,6 +618,14 @@ def direct_product_report(
     surjective morphisms onto the image substructures of v and u - v; the
     pairing g -> (J_v(g), J_{u-v}(g)) is a bijection onto the product,
     with componentwise order, inverted by addition.
+
+    A finite structure sweeps its signed boxes.  On a matrix structure
+    the laws follow from focus_premises: J_v and J_{u-v} conjugate by p and
+    q = u - p, p q = q p = 0, and C(v) holds the g = p g p + q g q
+    (pairing_recovers_element).  An image element h = p h p has q h q = 0,
+    so C(v) holds it and J_v fixes it (eta_, kappa_fixes_image); so
+    J_v(h + k) = h, J_{u-v}(h + k) = k (pairing_surjective); and g >= 0
+    iff both congruences of g are (order_componentwise).
     """
 
     cfg = cfg or CheckConfig()
@@ -646,29 +646,19 @@ def direct_product_report(
         morphism_report(sub_c, base_c, sub_k, base_k, kappa, cfg, prefix="kappa_")
     )
 
+    if not structure.finite:
+        premises = focus_premises(base, v, comp=True)
+        rep.clauses += [
+            derived("eta_fixes_image", premises, "h = v h v is in the commutant, fixed"),
+            derived("kappa_fixes_image", premises, "k = (u-v) k (u-v) is in the commutant, fixed"),
+            derived("pairing_recovers_element", (), "the commutant's projector is J_v + J_{u-v}"),
+            derived("pairing_surjective", premises, "v (u-v) = 0 splits h + k into h and k"),
+            derived("order_componentwise", premises, "a member g is v g v + (u-v) g (u-v)"),
+        ]
+        return rep
+
     n = cfg.height_bound
-    finite = structure.finite
-    if finite:
-        box_h, box_k, box_c = (s.signed_universe(n) for s in (sub_h, sub_k, sub_c))
-        pairs = itertools.product(box_h, box_k)
-
-        def elements():
-            return box_c
-
-    else:
-        rng = cfg.rng("product")
-        dim = structure.carrier.dim
-
-        def signed(s):
-            return conjugate(s, matrix_model.draw_signed(dim, rng, n))
-
-        def elements():
-            draw = matrix_model.draw_signed
-            return Sample(cfg.spot, lambda: sub_c.project(draw(dim, rng, n)))
-
-        box_h = Sample(cfg.spot, lambda: signed(v))
-        box_k = Sample(cfg.spot, lambda: signed(comp))
-        pairs = Sample(cfg.spot, lambda: (signed(v), signed(comp)))
+    box_h, box_k, box_c = (s.signed_universe(n) for s in (sub_h, sub_k, sub_c))
 
     def fixes(j, x) -> bool:
         return sub_c.is_member(x) and j.apply(x) == x
@@ -688,28 +678,24 @@ def direct_product_report(
             box_h,
             lambda h: fixes(eta, h),
             witness="element",
-            note="image elements lie in the commutant and are fixed, so the map is onto"
-            if finite
-            else "sampled image elements lie in the commutant and are fixed",
+            note="image elements lie in the commutant and are fixed, so the map is onto",
         ),
         law("kappa_fixes_image", box_k, lambda k: fixes(kappa, k), witness="element"),
         law(
             "pairing_recovers_element",
-            elements(),
+            box_c,
             lambda g: eta.apply(g) + kappa.apply(g) == g,
             witness="element",
-            note="adding the two components inverts the pairing" if finite else "",
+            note="adding the two components inverts the pairing",
         ),
         law(
             "pairing_surjective",
-            pairs,
+            itertools.product(box_h, box_k),
             realized,
             witness=("h", "k"),
-            note="every component pair is realized by its sum"
-            if finite
-            else "sampled component pairs are realized by their sums",
+            note="every component pair is realized by its sum",
         ),
-        law("order_componentwise", elements(), componentwise, witness="element"),
+        law("order_componentwise", box_c, componentwise, witness="element"),
     ]
     return rep
 
@@ -872,12 +858,10 @@ def _omp_orthomodular(base: CompressionBase, n: int, rng) -> Clause:
 
 def _focus_derived(name: str, base: CompressionBase, n: int, rng, note: str) -> Clause:
     """A law over the foci p of a matrix base, each decided from the
-    _focus_premises of J_p; an intensional base draws projections."""
-
-    structure = base.structure
+    focus_premises of J_p; an intensional base draws projections."""
 
     def holds(p):
-        res = _derived(name, _focus_premises(structure, base.j(p), p), note)
+        res = derived(name, focus_premises(base, p, focus=True), note)
         return res.ok or {"p": p, **res.witness}
 
     foci = base.cases(1, lambda: _projections(base, rng, n))
@@ -1007,7 +991,7 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     """Idempotence, focus fixing, and complement killing for each member.
 
     A finite structure sweeps the effects below u - p.  On a matrix
-    structure with unit v the three laws are derived from _focus_premises
+    structure with unit v the three laws are derived from focus_premises
     of J_p: J_p J_p is conjugation by p^2 = p, J_p(p) = p^3 = p, and an
     effect e <= v - p gives 0 <= p e p <= p (v-p) p = 0.
     """
@@ -1018,7 +1002,7 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     def shaped(p):
         j = base.j(p)
         if not structure.finite:
-            res = _derived("family_shape", _focus_premises(structure, j, p), "")
+            res = derived("family_shape", focus_premises(base, p, focus=True), "")
             return res.ok or {"focus": p, **res.witness}
         if not endo_equal(structure, compose(j, j), j):
             return {"focus": p, "law": "idempotent"}
@@ -1039,14 +1023,17 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
 
 def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
-    """kernel_complement_check for each focus and its complement."""
+    """The kernel exchange (kernel_complement_check) for each focus and its complement."""
 
     structure = base.structure
     n = max(cfg.samples, 1)
     foci = base.cases(1, lambda: _projections(base, cfg.rng("theorem:kernel"), n))
 
     def exchanges(p):
-        res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
+        if structure.finite:
+            res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
+        else:
+            res = derived("kernel_complement", focus_premises(base, p, comp=True), "")
         return res.ok or {"focus": p, "witness": res.witness}
 
     box = structure.positive_universe(cfg.height_bound) if structure.finite else None
@@ -1096,7 +1083,7 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
     """_absorbs for every focus p and element g.
 
     A finite structure sweeps its signed box.  On a matrix structure with
-    unit v each focus is decided from _focus_premises of J_p and J_{u-p}.
+    unit v each focus is decided from focus_premises of J_p and J_{u-p}.
     p g p <= g gives h = g - p g p >= 0 with p h p = 0, so h p = 0 and
     g p = p g = p g p; with g = v g v that makes g = p g p + (v-p) g (v-p),
     which the projector of the commutant fixes.  Conversely a positive g in
@@ -1117,8 +1104,7 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
         )
 
     def absorbs(p):
-        premises = _focus_premises(structure, base.j(p), comp=base.j(base.complement(p)))
-        res = _derived("commutant_absorption", premises, note)
+        res = derived("commutant_absorption", focus_premises(base, p, comp=True), note)
         return res.ok or {"p": p, **res.witness}
 
     n = max(cfg.samples, 1)

@@ -14,9 +14,10 @@ CompressionBase.cases: the declared foci, or a Sample of projections on
 the base of all projections.  An exhaustive universe decides its law
 (pass); a Sample spot checks a fact that holds analytically for that form
 (certified) or searches a refutable claim for a counterexample.  A matrix
-base's per-focus laws, the kernel exchange and normality are derived
-exactly (pass) from exactly checked premises, so a declared matrix base
-draws no effects.
+base's per-focus laws, the kernel exchange, normality and directness are
+derived exactly (pass) from exactly checked premises, so a declared matrix
+base draws no effects; a base keeps the premises of each focus once
+(focus_premises).
 
 Certificates are frozen values (value.Value) compared by fields; a
 CompressionBase is frozen but compared and hashed by identity, since the
@@ -26,6 +27,7 @@ compatibility module memoizes what it builds from a base on the base.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Optional
 
@@ -45,13 +47,14 @@ from .models import (
     LatticeConeModel,
     MatrixModel,
     _members_in_corner,
+    _order_unit_clause,
     compose,
     conjugation_endo,
     endo_equal,
     identity_endo,
     zero_endo,
 )
-from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, law
+from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, derived, law
 from .value import Value
 
 
@@ -120,8 +123,8 @@ def retraction_certificate(
     else:
         premises = _conjugator_clauses(structure, endo)
         matches = premises[1]
-        order = _derived("order_preserving", (matches,), "p g p is a congruence of g")
-        fixes = _derived("fixes_below_focus", premises, "(I-p) e (I-p) = 0 gives e = p e p")
+        order = derived("order_preserving", (matches,), "p g p is a congruence of g")
+        fixes = derived("fixes_below_focus", premises, "(I-p) e (I-p) = 0 gives e = p e p")
     clauses = premises + [
         Clause("additive", CERTIFIED, note="map is linear by representation"),
         order,
@@ -164,44 +167,50 @@ def _conjugator_clauses(structure, endo: Endomorphism, prefix: str = "") -> list
     ]
 
 
-def _focus_premises(structure, endo: Endomorphism, focus=None, comp=None) -> list:
-    """The exact premises of the laws derived for a conjugation J = J_p.
+def _focus_premises(structure, endo: Endomorphism) -> list:
+    """The exact premises of the laws derived for J = J_p on a matrix
+    structure with unit v: J is g -> p g p for a symmetric idempotent p
+    (_conjugator_clauses), and p v = p (so v p = p and p v p = p)."""
 
-    On a matrix structure with unit v: J is g -> p g p for a symmetric
-    idempotent p (_conjugator_clauses), p v = p (focus_below_unit, so
-    v p = p and p v p = p) and, for a declared focus, p is that focus
-    (conjugator_is_focus).  With a complementary map J': J' is conjugation
-    by a symmetric idempotent (complement_*), that conjugator is exactly
-    v - p (complement_conjugator), so v is idempotent too and p (v-p) = 0,
-    and every member g of the structure is v g v (members_in_corner).
-    """
-
-    p = endo.conjugator
     unit = structure.unit
-    premises = _conjugator_clauses(structure, endo)
     below = law(
         "focus_below_unit",
-        (p,),
+        (endo.conjugator,),
         lambda c: matrix_model.commuting_product(c, unit) == c,
         witness="conjugator",
     )
-    premises.append(below)
-    if focus is not None:
-        premises.append(law("conjugator_is_focus", (p,), lambda c: c == focus))
-    if comp is not None:
-        premises += _conjugator_clauses(structure, comp, "complement_")
-        premises.append(law("complement_conjugator", (comp.conjugator,), lambda q: q == unit - p))
-        premises.append(_members_in_corner(structure, "members_in_corner"))
+    return _conjugator_clauses(structure, endo) + [below]
+
+
+def _complement_premises(structure, endo: Endomorphism, comp: Endomorphism) -> list:
+    """J' conjugates by a symmetric idempotent, exactly v - p for J = J_p, so
+    v is idempotent and p (v-p) = 0; and every member g is v g v."""
+
+    unit = structure.unit
+    return _conjugator_clauses(structure, comp, "complement_") + [
+        law("complement_conjugator", (comp.conjugator,), lambda q: q == unit - endo.conjugator),
+        _members_in_corner(structure, "members_in_corner"),
+    ]
+
+
+def focus_premises(base, p, *, focus: bool = False, comp: bool = False) -> tuple:
+    """The premises a law derived at the focus p uses: _focus_premises of J_p,
+    conjugator_is_focus when focus, and _complement_premises of J_{u-p} when
+    comp.  A declared base checks each part once per focus and keeps it."""
+
+    structure = base.structure
+    j = base.j(p)
+
+    def own_premises():
+        is_focus = law("conjugator_is_focus", (j.conjugator,), lambda c: c == p)
+        return (*_focus_premises(structure, j), is_focus)
+
+    own = base.kept(("premises", p), own_premises)
+    premises = own if focus else own[:-1]
+    if comp:
+        jc = base.j(base.complement(p))
+        premises += base.kept(("complement", p), lambda: (*_complement_premises(structure, j, jc),))
     return premises
-
-
-def _derived(name: str, premises, note: str) -> Clause:
-    """A law derived from exact premises: pass, or fail on the first unmet one."""
-
-    unmet = next((c.name for c in premises if not c.ok), None)
-    if unmet is None:
-        return Clause(name, PASS, note=note)
-    return Clause(name, FAIL, witness={"premise": unmet}, note="not derived")
 
 
 def _is_effect(structure, x) -> bool:
@@ -226,44 +235,43 @@ def is_compression(structure, endo: Endomorphism) -> Clause:
             lambda e: endo.apply(e) != structure.zero or structure.leq(e, comp),
             witness="effect",
         )
-    premises = _focus_premises(structure, endo)
-    return _derived("compression", premises, "p e p = 0 gives e = (I-p) e (I-p) <= v - p")
+    note = "p e p = 0 gives e = (I-p) e (I-p) <= v - p"
+    return derived("compression", _focus_premises(structure, endo), note)
 
 
-def is_direct(structure, endo: Endomorphism, cfg: Optional[CheckConfig] = None) -> Clause:
-    """Does J(e) <= e hold for every effect e?"""
+def is_direct(structure, endo: Endomorphism) -> Clause:
+    """Does J(e) <= e hold for every effect e?
 
-    cfg = cfg or CheckConfig()
+    Finite structures sweep the interval.  On a matrix structure, with the
+    premises that J = J_p for a symmetric idempotent p and that the unit v
+    is an order unit: p e p <= e iff e commutes with p (e - p e p >= 0 with
+    p (e - p e p) p = 0 gives (e - p e p) p = 0), so J is direct iff p
+    commutes with the projected basis.  A member g that does not gives the
+    witness v, or if v commutes, e = v/2 + g/(2c) in [0, v], c = sum |g_ij|.
+    """
+
     if structure.finite:
-        probes, note = structure.interval(), ""
-    else:
-        dim = structure.carrier.dim
-        rng = cfg.rng("direct")
-        samples = (matrix_model.draw_effect(dim, rng) for _ in range(cfg.samples))
-        probes = itertools.chain(_direct_probes(dim), samples)
-        note = "searched basis-aligned and sampled effects for a violation"
+        interval = structure.interval()
+        return law("direct", interval, lambda e: structure.leq(endo.apply(e), e), witness="effect")
+    premises = _conjugator_clauses(structure, endo) + [_order_unit_clause(structure)]
+    if not all(c.ok for c in premises):
+        return derived("direct", premises, "")
+    p, unit = endo.conjugator, structure.unit
+
+    def holds(g):
+        if matrix_model.commuting_product(p, g) is not None:
+            return True
+        if matrix_model.commuting_product(p, unit) is None:
+            return {"effect": unit}
+        c = sum(abs(x) for row in g.num for x in row)
+        return {"effect": unit.scale(Fraction(1, 2)) + g.scale(Fraction(g.den, 2 * c))}
+
     return law(
         "direct",
-        probes,
-        lambda e: structure.leq(endo.apply(e), e),
-        witness="effect",
-        exact=structure.finite,
-        note=note,
+        (structure.project(b) for b in structure.carrier.basis()),
+        holds,
+        note="the conjugator commutes with every member, checked on the projected basis",
     )
-
-
-def _direct_probes(dim: int):
-    """Deterministic effects that expose non-directness of conjugations."""
-
-    for i in range(dim):
-        yield SymMat(tuple(tuple(int(i == r == c) for c in range(dim)) for r in range(dim)))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for sign in (1, -1):
-                rows = [[0] * dim for _ in range(dim)]
-                rows[i][i] = rows[j][j] = 1
-                rows[i][j] = rows[j][i] = sign
-                yield SymMat(tuple(map(tuple, rows)), 2)
 
 
 def kernel_complement_check(
@@ -282,8 +290,8 @@ def kernel_complement_check(
     """
 
     if not structure.finite:
-        premises = _focus_premises(structure, j, comp=j_comp)
-        return _derived("kernel_complement", premises, "p g p = 0 <=> (v-p) g (v-p) = g")
+        premises = _focus_premises(structure, j) + _complement_premises(structure, j, j_comp)
+        return derived("kernel_complement", premises, "p g p = 0 <=> (v-p) g (v-p) = g")
     zero = structure.zero
 
     def holds(g):
@@ -439,7 +447,9 @@ class CompressionBase(Value):
       a Substructure                  the restricted base on it;
       ("battery", p, q)               the CompatReport of (p, q);
       ("focus_maps",)                 every J_s read as a map of the
-                                      structure, for the common-focus test.
+                                      structure, for the common-focus test;
+      ("premises", p)                 the premises of J_p (focus_premises);
+      ("complement", p)               those of J_{u-p} as its complement.
     In _pairs:
       ("sum", p, q)                   p + q, for foci p, q;
       ("compose", p, q)               the map J_p after J_q.
@@ -692,7 +702,10 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         bad = next((c for _, c in cert.checks if not c.ok), None)
         if bad is not None:
             return {"focus": p, "check": bad.name, "witness": bad.witness}
-        comp = is_compression(structure, base.j(p))
+        if structure.finite:
+            comp = is_compression(structure, base.j(p))
+        else:
+            comp = derived("compression", focus_premises(base, p), "")
         return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
 
     def sample():
@@ -778,7 +791,7 @@ def direct_compression_base(
     cfg = cfg or CheckConfig()
     rep = Report(title="direct compression base")
     certs = enumerate_retractions(model)
-    direct = [c for c in certs if is_direct(model, c.endo, cfg).ok]
+    direct = [c for c in certs if is_direct(model, c.endo).ok]
     rep.add(
         Clause(
             "direct_retraction_census",

@@ -1,7 +1,12 @@
 """Samplers and projection helpers for the symmetric rational matrix model.
 
-All randomness flows through an explicit random.Random instance, so every
-sweep is reproducible from its seed. Orthogonal matrices come from the
+The projection samplers feed the laws of the base of all projections
+(compression.projection_base), whose foci are drawn; a declared base
+decides its laws from the conjugator of each focus and draws nothing.
+The package itself draws no effects: draw_effect and random_effect serve
+library callers and the tests' sampled oracles.  All randomness flows
+through an explicit random.Random instance, so every sweep is
+reproducible from its seed.  Orthogonal matrices come from the
 Cayley transform of a rational antisymmetric matrix, which is exactly
 orthogonal in rational arithmetic; conjugating a 0/1 coordinate mask by one
 yields an exactly idempotent symmetric rational projection.  A frame is
@@ -14,8 +19,6 @@ ever, then hand them to a pure constructor (_cayley_frame, _effect)
 memoized by a functools.lru_cache of CACHE_SIZE entries.  The stream is
 consumed exactly as without the memo, and a cached frame or effect is an
 equal immutable value, so no verdict or report byte depends on the cache.
-The sum in draw_positive is not memoized: it is a few percent of a matrix
-report, below the run-to-run spread.
 """
 
 from __future__ import annotations
@@ -140,18 +143,6 @@ def draw_effect(dim: int, rng: random.Random) -> SymMat:
 def _effect(frame, ratios: tuple[tuple[int, int], ...]) -> SymMat:
     den = lcm(*(d for _, d in ratios))
     return frame_sandwich(frame, [n * (den // d) for n, d in ratios], den)
-
-
-def draw_positive(dim: int, rng: random.Random, height: int) -> SymMat:
-    """Sum of at most `height` random effects; lies between 0 and height*unit."""
-    total = SymMat.zero(dim)
-    for _ in range(rng.randint(0, height)):
-        total = total + draw_effect(dim, rng)
-    return total
-
-
-def draw_signed(dim: int, rng: random.Random, height: int) -> SymMat:
-    return draw_positive(dim, rng, height) - draw_positive(dim, rng, height)
 
 
 def random_effect(dim: int, seed: int = 0) -> SymMat:

@@ -7,8 +7,8 @@ coordinate box bounded by inverting independent cone rows and tightened by
 interval propagation over the defining inequalities. A matrix model is the
 space of symmetric rational d x d matrices ordered by positive
 semidefiniteness, with the identity as order unit; its interval is
-infinite, so its order laws are decided from the form of the order and the
-clauses over the interval itself spot check seeded samples.
+infinite, so its unital-group laws are decided from the form of the order
+and of the structure's projection, and nothing is sampled.
 
 Endomorphisms are stored uniformly as integer matrices over one
 denominator, acting on a vectorization of the carrier (integer entries
@@ -51,7 +51,7 @@ from operator import mul, sub
 from . import linalg, matrix_model
 from .config import CheckConfig
 from .elements import SymMat, Vec, _trusted_vec, conjugate, fraction_rows
-from .reporting import CERTIFIED, FAIL, PASS, Clause, Report, Sample, law
+from .reporting import FAIL, PASS, Clause, Report, derived, law
 from .value import Value
 
 
@@ -268,6 +268,7 @@ class MatrixModel(Value):
     kind = "matrix"
     finite = False
     is_trivial = False
+    premises = ()  # its projection is the identity (see _validate_matrix)
 
     def __init__(self, dim: int) -> None:
         if dim < 1:
@@ -481,14 +482,13 @@ def validate_unital_group(structure, cfg: CheckConfig | None = None) -> Report:
     """Check the unital-group axioms for a model or substructure.
 
     Finite structures are checked exhaustively on bounded universes (the
-    report records the height bound). On matrix structures the order
-    axioms are decided from the form of the operator order (see
-    _validate_matrix); the interval is sampled.
+    report records the height bound).  On matrix structures every axiom is
+    decided from the form of the operator order and of the structure's
+    projection (see _validate_matrix).
     """
-    cfg = cfg or CheckConfig()
     if structure.finite:
-        return _validate_finite(structure, cfg)
-    return _validate_matrix(structure, cfg)
+        return _validate_finite(structure, cfg or CheckConfig())
+    return _validate_matrix(structure)
 
 
 def _validate_finite(structure, cfg: CheckConfig) -> Report:
@@ -503,19 +503,17 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
             note="leq tests b - a against the cone, and (b + k) - (a + k) is b - a",
         )
     )
-    if top_level:
-        r = linalg.rank(structure.cone_rows)
-        rep.add(
-            law(
-                "order_antisymmetric",
-                (r,),
-                lambda rank: rank == structure.dim,
-                witness=lambda rank: {"cone_rank": rank, "dim": structure.dim},
-                note="cone is pointed iff the constraint rows have full rank",
-            )
-        )
-    else:
-        rep.add(Clause("order_antisymmetric", CERTIFIED, note="inherited from the ambient group order"))
+    # a substructure is ordered by its carrier's cone, restricted
+    carrier = structure.carrier
+    pointed = law(
+        "order_antisymmetric" if top_level else "cone_pointed",
+        (linalg.rank(carrier.cone_rows),),
+        lambda rank: rank == carrier.dim,
+        witness=lambda rank: {"cone_rank": rank, "dim": carrier.dim},
+        note="cone is pointed iff the constraint rows have full rank",
+    )
+    note = "the restriction of a pointed cone's order is antisymmetric"
+    rep.add(pointed if top_level else derived("order_antisymmetric", (pointed,), note))
 
     rep.add(_unit_clause(structure))
 
@@ -687,41 +685,38 @@ def _members_in_corner(structure, name: str, note: str = "") -> Clause:
     )
 
 
-def _validate_matrix(structure, cfg: CheckConfig) -> Report:
-    """Unital-group axioms of a matrix structure, the model or a substructure.
+def _order_unit_clause(structure) -> Clause:
+    """unit_order_unit: the unit v is a projection and every member g is
+    v g v (on the projected basis), so g <= c*I gives g = v g v <= c*v."""
 
-    leq(a, b) is is_psd(b - a), so the order is translation invariant by
-    construction, and antisymmetric, as g >= 0 and -g >= 0 put every
-    eigenvalue of g at 0.  The unit v is an order unit when v is a
-    projection and every member g is v g v, checked exactly on the
-    projected basis that spans the members: g <= c*I for c above its
-    eigenvalues gives g = v g v <= c*v.  Only the interval is sampled.
-    """
-    rng = cfg.rng()
-    dim = structure.carrier.dim
     unit = structure.unit
-    order_unit = _members_in_corner(
+    clause = _members_in_corner(
         structure, "unit_order_unit", "every member g is v g v, and g <= c*I gives v g v <= c*v"
     )
-    if order_unit.ok and not matrix_model.is_projection(unit):
-        order_unit.status, order_unit.witness = FAIL, {"unit": unit, "reason": "not a projection"}
+    if clause.ok and not matrix_model.is_projection(unit):
+        clause.status, clause.witness = FAIL, {"unit": unit, "reason": "not a projection"}
+    return clause
+
+
+def _validate_matrix(structure) -> Report:
+    """Unital-group axioms of a matrix structure, the model or a substructure.
+
+    All decided exactly.  leq(a, b) is is_psd(b - a): translation invariant
+    by construction, and antisymmetric, as g >= 0 and -g >= 0 put every
+    eigenvalue of g at 0.  interval_sampled: the projection maps [0, I] into
+    [0, v], as the identity, or as the congruence of structure.premises (see
+    compatibility.image_substructure).  interval_generates_positives, from
+    unit_order_unit: a positive member g = v g v <= c*v for an integer
+    c >= tr g, so g = c * (g/c) with g/c a member in [0, v].
+    """
+
+    order_unit = _order_unit_clause(structure)
     clauses = [
         Clause("order_translation_invariant", PASS, note="(b + k) - (a + k) is b - a exactly"),
         Clause("order_antisymmetric", PASS, note="psd and negative-psd puts every eigenvalue at 0"),
         _unit_clause(structure),
-        law(
-            "interval_sampled",
-            Sample(cfg.spot, lambda: structure.project(matrix_model.draw_effect(dim, rng))),
-            lambda e: structure.is_positive(e) and structure.leq(e, unit),
-            witness="effect",
-            note="interval is not enumerable; sampled effects sit inside [0, unit]",
-        ),
+        derived("interval_sampled", structure.premises, "projection maps [0, I] into [0, unit]"),
         order_unit,
-        Clause(
-            "interval_generates_positives",
-            CERTIFIED,
-            checked=cfg.spot,
-            note="positive samples are built as sums of interval elements",
-        ),
+        derived("interval_generates_positives", (order_unit,), "g >= 0 is c copies of g/c <= unit"),
     ]
     return Report("unital group axioms", clauses)

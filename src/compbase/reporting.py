@@ -4,8 +4,10 @@ A Clause is the one verdict type: a named pass / fail / certified status
 with the number of cases checked and a counterexample witness on failure.
 Single checks return one Clause; every verification entry point returns a
 Report, an ordered list of them.  Most clauses come from law(), which
-states one law over one universe of cases.  Reports serialize to JSON with sorted keys and no
-volatile content, so identical configurations produce byte-identical output.
+states one law over one universe of cases; derived() states one law that
+follows from exactly checked premises.  Reports serialize to JSON with
+sorted keys and no volatile content, so identical configurations produce
+byte-identical output.
 
 Clause and Report are mutable records (value.Record) that compare by
 fields.  Each gives its JSON object through a jsonable() method, as every
@@ -144,6 +146,16 @@ def law(
         checked = len(universe) if sized else seen
     status = FAIL if failed else (PASS if exact else CERTIFIED)
     return Clause(name, status, checked=checked, witness=found, note=note)
+
+
+def derived(name: str, premises: Iterable[Clause], note: str) -> Clause:
+    """A law derived from exact premises: pass, or fail with the witness
+    {"premise": name} of the first unmet one, which is no counterexample."""
+
+    unmet = next((c.name for c in premises if not c.ok), None)
+    if unmet is None:
+        return Clause(name, PASS, note=note)
+    return Clause(name, FAIL, witness={"premise": unmet}, note="not derived")
 
 
 class Report(Record):

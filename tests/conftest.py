@@ -1,12 +1,24 @@
 import pytest
 
-from itertools import product
+from fractions import Fraction
+from itertools import chain, count, product
 from pathlib import Path
 
 from hypothesis import assume, strategies as st
 
-from compbase import CheckConfig, compose, conjugate, endo_equal, load_model, matrix_model
+from compbase import (
+    CheckConfig,
+    SymMat,
+    commutant_substructure,
+    compose,
+    conjugate,
+    endo_equal,
+    image_substructure,
+    load_model,
+    matrix_model,
+)
 from compbase.compatibility import _absorbs
+from compbase.compression import _is_effect
 from compbase.reporting import Sample, law
 
 REPO = Path(__file__).resolve().parent.parent
@@ -74,12 +86,29 @@ def corner_model(unit) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# samplers of positive and signed matrices, for the oracles below
+
+
+def draw_positive(dim, rng, height):
+    """Sum of at most `height` random effects; lies between 0 and height*unit."""
+    total = SymMat.zero(dim)
+    for _ in range(rng.randint(0, height)):
+        total = total + matrix_model.draw_effect(dim, rng)
+    return total
+
+
+def draw_signed(dim, rng, height):
+    return draw_positive(dim, rng, height) - draw_positive(dim, rng, height)
+
+
+# ---------------------------------------------------------------------------
 # sampled oracles of the matrix path
 #
 # The package decides these laws on matrix structures exactly, from the
 # conjugator of each map (see compression.retraction_certificate,
-# is_compression, kernel_complement_check, _matrix_normality_clause,
-# compatibility._checked_meet, the theorem sweeps and
+# is_compression, is_direct, kernel_complement_check,
+# _matrix_normality_clause, compatibility._checked_meet, the theorem
+# sweeps, the substructure and product sections, and
 # models._validate_matrix).  These are the seeded sweeps those rules
 # replaced, kept to check that both routes reach the same verdicts.  Each
 # rests on drawn cases, so each reads certified when it finds no witness:
@@ -93,7 +122,7 @@ def sampled_retraction_laws(structure, endo, cfg) -> dict:
     rng = cfg.rng("retraction")
     dim = structure.carrier.dim
     p = endo.conjugator
-    positives = Sample(cfg.spot, lambda: matrix_model.draw_positive(dim, rng, cfg.height_bound))
+    positives = Sample(cfg.spot, lambda: draw_positive(dim, rng, cfg.height_bound))
     below = Sample(cfg.spot, lambda: conjugate(p, matrix_model.draw_effect(dim, rng)))
     return {
         "order_preserving": law(
@@ -202,9 +231,9 @@ def sampled_unital_group(structure, cfg) -> dict:
         return structure.project(draw(dim, rng, *args))
 
     def ordered_triple():
-        a = sample(matrix_model.draw_signed, n)
-        b = a + sample(matrix_model.draw_positive, n)
-        return a, b, sample(matrix_model.draw_signed, n)
+        a = sample(draw_signed, n)
+        b = a + sample(draw_positive, n)
+        return a, b, sample(draw_signed, n)
 
     def dominated(g) -> bool:
         unit = structure.unit
@@ -218,13 +247,44 @@ def sampled_unital_group(structure, cfg) -> dict:
         ),
         "order_antisymmetric": law(
             "order_antisymmetric",
-            Sample(cfg.spot, lambda: sample(matrix_model.draw_positive, n)),
+            Sample(cfg.spot, lambda: sample(draw_positive, n)),
             lambda g: g.is_zero() or not structure.is_positive(-g),
         ),
         "unit_order_unit": law(
             "unit_order_unit",
-            Sample(cfg.spot, lambda: sample(matrix_model.draw_signed, n)),
+            Sample(cfg.spot, lambda: sample(draw_signed, n)),
             dominated,
+        ),
+        **sampled_interval_laws(structure, cfg),
+    }
+
+
+def sampled_interval_laws(structure, cfg) -> dict:
+    """The unital-group clauses about the unit interval of a matrix
+    structure, on drawn effects and positives projected into it."""
+
+    rng = cfg.rng("interval")
+    dim = structure.carrier.dim
+    n = cfg.height_bound
+    unit = structure.unit
+
+    def generated(g) -> bool:
+        """g is k copies of g/k, a member in [0, unit], for some k <= 4n."""
+        return structure.is_member(g) and any(
+            structure.leq(g.scale(Fraction(1, k)), unit) for k in range(1, 4 * n + 1)
+        )
+
+    return {
+        "interval_sampled": law(
+            "interval_sampled",
+            Sample(cfg.spot, lambda: structure.project(matrix_model.draw_effect(dim, rng))),
+            lambda e: structure.is_positive(e) and structure.leq(e, unit),
+        ),
+        "interval_generates_positives": law(
+            "interval_generates_positives",
+            Sample(cfg.spot, lambda: structure.project(draw_positive(dim, rng, n))),
+            generated,
+            lambda g: structure.is_member(g) and structure.is_positive(g),
         ),
     }
 
@@ -244,7 +304,7 @@ def sampled_kernel_complement(structure, j, j_comp, cfg):
 
     def positives():
         for i in range(cfg.spot):
-            raw = matrix_model.draw_positive(dim, rng, cfg.height_bound)
+            raw = draw_positive(dim, rng, cfg.height_bound)
             if i % 3 == 1:
                 yield conjugate(j_comp.conjugator, raw)
             elif i % 3 == 2:
@@ -287,11 +347,11 @@ def sampled_theorem_laws(base, cfg) -> dict:
     def elements(p):
         for i in range(cfg.spot):
             if i % 3 == 0:
-                g = matrix_model.draw_signed(dim, commutant_rng, n)
+                g = draw_signed(dim, commutant_rng, n)
             elif i % 3 == 1:
-                g = split(p, matrix_model.draw_signed)
+                g = split(p, draw_signed)
             else:
-                g = split(p, matrix_model.draw_positive)
+                g = split(p, draw_positive)
             yield structure.project(g)
 
     def below(p, k):
@@ -352,3 +412,156 @@ def full_composition_clause(base):
     )
     clause.items = rows if len(rows) <= 24 else None
     return clause
+
+
+def sampled_interval_characterization(base, sub, cfg):
+    """interval_characterization of a matrix substructure on drawn effects.
+
+    The effects are drawn from the carrier and projected into the parent.
+    Image: membership against lying below v, on generic effects and on
+    effects conjugated by v in turn.  Commutant: a sum of effects
+    conjugated by v and by u - v must be a member effect, and a member
+    effect must split under J_v and J_{u-v}.
+    """
+
+    parent = base.structure
+    v = sub.v
+    dim = parent.carrier.dim
+    rng = cfg.rng(f"substructure:{sub.kind}")
+    turn = count()
+
+    def draw(dim, rng):
+        return parent.project(matrix_model.draw_effect(dim, rng))
+
+    if sub.kind == "image":
+
+        def effect():
+            e = draw(dim, rng)
+            return conjugate(v, e) if next(turn) % 2 else e
+
+        return law(
+            "interval_characterization",
+            Sample(cfg.spot, effect),
+            lambda e: sub.is_member(e) == parent.leq(e, v),
+        )
+
+    comp = parent.unit - v
+    jv, jc = base.j(v), base.j(comp)
+
+    def splits(e) -> bool:
+        x, y = jv.apply(e), jc.apply(e)
+        return (
+            _is_effect(parent, x)
+            and _is_effect(parent, y)
+            and parent.leq(x, v)
+            and parent.leq(y, comp)
+            and x + y == e
+        )
+
+    def holds(case):
+        i, a, b = case
+        g = conjugate(v, a) + conjugate(comp, b)
+        if not (sub.is_member(g) and _is_effect(parent, g)):
+            return {"effect": g, "direction": "sum_not_member"}
+        e = conjugate(v, b) + conjugate(comp, a) if i % 2 else g
+        if sub.is_member(e) and _is_effect(parent, e) and not splits(e):
+            return {"effect": e, "direction": "member_does_not_split"}
+        return True
+
+    return law(
+        "interval_characterization",
+        Sample(cfg.spot, lambda: (next(turn), draw(dim, rng), draw(dim, rng))),
+        holds,
+    )
+
+
+def sampled_morphism_order(src, tgt, phi, cfg, prefix=""):
+    """order_preserving of phi from src to tgt on drawn positives of src."""
+
+    rng = cfg.rng("morphism:" + prefix)
+    dim = src.carrier.dim
+    positives = Sample(cfg.spot, lambda: src.project(draw_positive(dim, rng, cfg.height_bound)))
+    return law(
+        prefix + "order_preserving",
+        positives,
+        lambda g: tgt.is_positive(phi.apply(g)),
+        src.is_positive,
+    )
+
+
+def sampled_product_laws(base, v, cfg) -> dict:
+    """The clauses of direct_product_report on drawn signed elements,
+    projected into the image of v, of u - v and into the commutant C(v)."""
+
+    structure = base.structure
+    comp = base.complement(v)
+    sub_c = commutant_substructure(base, v)
+    sub_h = image_substructure(base, v)
+    sub_k = image_substructure(base, comp)
+    eta, kappa = base.j(v), base.j(comp)
+    rng = cfg.rng("product")
+    dim = structure.carrier.dim
+    n = cfg.height_bound
+
+    def signed(sub):
+        return sub.project(draw_signed(dim, rng, n))
+
+    def elements():
+        return Sample(cfg.spot, lambda: signed(sub_c))
+
+    def fixes(j, x) -> bool:
+        return sub_c.is_member(x) and j.apply(x) == x
+
+    def realized(hk) -> bool:
+        h, k = hk
+        s = h + k
+        return sub_c.is_member(s) and eta.apply(s) == h and kappa.apply(s) == k
+
+    def componentwise(g) -> bool:
+        pos = structure.is_positive
+        return pos(g) == (pos(eta.apply(g)) and pos(kappa.apply(g)))
+
+    laws = [
+        sampled_morphism_order(sub_c, sub_h, eta, cfg, "eta_"),
+        sampled_morphism_order(sub_c, sub_k, kappa, cfg, "kappa_"),
+        law("eta_fixes_image", Sample(cfg.spot, lambda: signed(sub_h)), lambda h: fixes(eta, h)),
+        law("kappa_fixes_image", Sample(cfg.spot, lambda: signed(sub_k)), lambda k: fixes(kappa, k)),
+        law(
+            "pairing_recovers_element",
+            elements(),
+            lambda g: eta.apply(g) + kappa.apply(g) == g,
+            sub_c.is_member,
+        ),
+        law("pairing_surjective", Sample(cfg.spot, lambda: (signed(sub_h), signed(sub_k))), realized),
+        law("order_componentwise", elements(), componentwise, sub_c.is_member),
+    ]
+    return {c.name: c for c in laws}
+
+
+def _direct_probes(dim: int):
+    """Deterministic effects that expose non-directness of conjugations."""
+
+    for i in range(dim):
+        yield SymMat(tuple(tuple(int(i == r == c) for c in range(dim)) for r in range(dim)))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for sign in (1, -1):
+                rows = [[0] * dim for _ in range(dim)]
+                rows[i][i] = rows[j][j] = 1
+                rows[i][j] = rows[j][i] = sign
+                yield SymMat(tuple(map(tuple, rows)), 2)
+
+
+def sampled_direct(structure, endo, cfg):
+    """is_direct on a matrix structure by a refutation search: basis-aligned
+    probes, then drawn effects, each projected into the structure."""
+
+    dim = structure.carrier.dim
+    rng = cfg.rng("direct")
+    samples = (matrix_model.draw_effect(dim, rng) for _ in range(cfg.samples))
+    return law(
+        "direct",
+        (structure.project(e) for e in chain(_direct_probes(dim), samples)),
+        lambda e: structure.leq(endo.apply(e), e),
+        exact=False,
+    )

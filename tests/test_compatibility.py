@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from compbase import cli, compatibility, compression, matrix_model, models
+from compbase import cli, compatibility, compression, models
 
 from compbase import (
     BATTERY_CONDITIONS,
@@ -35,7 +35,7 @@ from compbase import (
     trivial_base,
     zero_endo,
 )
-from conftest import FIXTURES_DIR, MODELS_DIR, corner_model, interval_sweep_equal
+from conftest import FIXTURES_DIR, MODELS_DIR, corner_model, draw_signed, interval_sweep_equal
 
 DIAG0 = SymMat.from_rows([[1, 0], [0, 0]])
 DIAG1 = SymMat.from_rows([[0, 0], [0, 1]])
@@ -147,7 +147,7 @@ def test_in_commutant_matches_two_map_split_on_sampled_matrices(bundled):
     for p in base.foci:
         comp = model.unit - p
         for i in range(20):
-            a, b = (matrix_model.draw_signed(model.dim, rng, 2) for _ in range(2))
+            a, b = (draw_signed(model.dim, rng, 2) for _ in range(2))
             g = a if i % 2 else conjugate(p, a) + conjugate(comp, b)
             verdict = in_commutant(base, p, g)
             assert verdict == two_map_split(base, p, g), (p, g)

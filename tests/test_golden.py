@@ -31,17 +31,17 @@ from conftest import FIXTURES_DIR, MODELS_DIR
 CONFIG = ["--samples", "8", "--seed", "0"]
 
 REPORT_SHA256 = {
-    "m1": "f16bef2d20d835beb2a574d0bd762b848613b227233d742ad88c847e0ece6b4d",
-    "m2": "8ecd5f16a8084ea4eb1b27b58d2e709bdc9bc43bcca4e79fb4ff1454faa2bd75",
-    "m3": "59e5858b3db28174f19bc6f1e7cc7e3de58fbec93116ed370484a5f52be2edd2",
-    "m4": "aab7fd7d13b89cee731e6857d5a70e8c803b17584a1f77f1e7444601d897ace0",
-    "m5": "dd9154a92a018e54d450cc531b2a63723eb574c723201ca1070513de840030a3",
+    "m1": "3693d9a5df4f9e76f7bf1fc70b6fa8cf89dffba85b6df072d1ecc3f3061683c2",
+    "m2": "70305f3dafd330ec01913599ec9cb0939cc9b6152a7f8b26b3e0b3223eaa3528",
+    "m3": "3b85956af231000e903d48becf5096bc57af5b79ed3d1f795cb67e5676c4266b",
+    "m4": "abee6b91c4d5abeb3fcee3106cdc38d2fe5ba23633c49c94b5bc4758444a61ce",
+    "m5": "e7f7ec6f1562c7b8f3bee8040f08d94ce63135a425c3af5093c530cd35523867",
 }
 
 VALIDATE_SHA256 = {
     "corrupt_focus_outside_interval": "7fa9e3f6bf63ab967705386d64151ec055e6e9af9fded04e7c47798c77b5eb34",
-    "corrupt_matrix_half_focus": "8714f51b68ed2d8772f303660ed49b3d5c6c026d9f88c7f1adac3379d458cd1c",
-    "corrupt_matrix_missing_complement": "08148ff165dbcafbf82ddd1716d4096250124a632e605c6bacd66f54c393c5c5",
+    "corrupt_matrix_half_focus": "159414dfb3a7906bf8b120863014bac77da2c2187cf5a94f179bd3d457d6db33",
+    "corrupt_matrix_missing_complement": "1d1238719c52b18892bbf3737b5edfc8e32c344c2f281860cc59ce4bc2512657",
     "corrupt_missing_closure": "2cd4628ef60bd9115a46dbabf40541a45d05a2bc50dc64d417ed2311b0c5f7d8",
     "corrupt_nonnormal_foci": "560178e60a664e3f9087eef48484cc4b144b56811c03d066e901e5a9e36f4f6f",
     "corrupt_swapped_foci": "36b3090e4367e174144448971a99b7ab4242f1467f55f6e711706fc3bbef0437",
@@ -49,13 +49,13 @@ VALIDATE_SHA256 = {
 
 
 # theorems models/m3.json --samples 64 --seed 0
-THEOREMS_M3_64_SHA256 = "cd9bf94442b3d86005c3be226dbb1472181b83cbfb7838345378cef8f1ae3f6e"
+THEOREMS_M3_64_SHA256 = "26a760441e6ef263b7ca5e471565fa7ea9d50e4a1098f5e5cea9e22efc41b7bc"
 
 # the two jobs of the matrix-report benchmark at --samples 8 --seed 1:
 # (command, model) -> sha256
 MATRIX_SEED1_SHA256 = {
-    ("report", "m3"): "4bc00ba397efc50bc14e51081567eebe4528652edf6549aab5755d271f1216a3",
-    ("theorems", "m4"): "1152955f634f45d98e45499928c99dee094aa538672834df9e4d6f3f10f19762",
+    ("report", "m3"): "63655f216b9afe3820b29abf27dde82427cb7ea7fb7c58d3984e58084b512205",
+    ("theorems", "m4"): "fcbdd0f4afd471cf1735f6e16fd1e9fcb3854685bc1c1bdc21302df69a7ee955",
 }
 
 
@@ -130,9 +130,9 @@ LATTICE_MODELS = {
 
 # report --seed 0 on each of LATTICE_MODELS
 LATTICE_REPORT_SHA256 = {
-    "z2-m5-5x-2": "a6d14fd445316aafa2ee0bd66e60e627f8a0d6ef941eb107c1006a373aa93ce9",
-    "z2-std-3x5": "50557904ea38b8ad4aaf39fcd7d959635b25e6cbef56d02cf845b513f9cb4ed7",
-    "z3-std-1x1x1": "38976b28f26ea9ec6ba1613ae1ebdfcbf2d7c1ca3352c2ac0d4e22073470799f",
+    "z2-m5-5x-2": "e5cca83a0bdc57aca851b1b0f28b2030b3d3a218a82fde8cc253484240e91468",
+    "z2-std-3x5": "e3bc1e82fc33219b2a670ea5f00619a89bd44c0c7fd87cecbd2d893cb8fe5092",
+    "z3-std-1x1x1": "c4a733c832dbc23bc647902cb79856b408b0ddcf6d19eac291b3ed2fa8c04ecf",
 }
 
 

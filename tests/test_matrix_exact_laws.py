@@ -7,6 +7,7 @@ them, seeded projection families and the two matrix negative controls.
 Each premise of the derived rules has a negative case that fails on it.
 """
 
+import json
 import random
 from itertools import product
 
@@ -21,10 +22,14 @@ from compbase import (
     SymMat,
     base_from_family,
     base_from_projections,
+    commutant_substructure,
     compat_battery,
     conjugation_endo,
+    direct_product_report,
     identity_endo,
+    image_substructure,
     is_compression,
+    is_direct,
     kernel_complement_check,
     linalg,
     load_model,
@@ -36,15 +41,20 @@ from compbase import (
     validate_unital_group,
     zero_endo,
 )
-from compbase import compatibility, compression
+from compbase import cli, compatibility, compression
 from conftest import (
     FIXTURES_DIR,
     MATRIX,
     MODELS_DIR,
     sampled_compression,
+    sampled_direct,
+    sampled_interval_characterization,
+    sampled_interval_laws,
     sampled_kernel_complement,
     sampled_meet_glb,
+    sampled_morphism_order,
     sampled_normality,
+    sampled_product_laws,
     sampled_retraction_laws,
     sampled_theorem_laws,
     sampled_unital_group,
@@ -101,11 +111,12 @@ def test_declared_matrix_bases_decide_their_laws(label, base):
 
 
 def test_declared_matrix_validation_draws_no_effects(monkeypatch):
-    """family_member_compression, the whole base validation and every theorem
-    sweep draw nothing, and every theorem sweep reads pass."""
+    """family_member_compression, the unital-group axioms, the whole base
+    validation and every theorem sweep draw nothing, and every theorem
+    sweep reads pass."""
 
     draws = []
-    for name in ("draw_effect", "draw_positive", "draw_signed", "cayley_orthogonal"):
+    for name in ("draw_effect", "cayley_orthogonal"):
         real = getattr(matrix_model, name)
 
         def counted(*args, _name=name, _real=real):
@@ -116,6 +127,8 @@ def test_declared_matrix_validation_draws_no_effects(monkeypatch):
     for label, base in DECLARED:
         clause = compression._family_clause(base, CFG)
         assert (clause.status, len(draws)) == ("pass", 0), label
+        for clause in validate_unital_group(base.structure, CFG).clauses:
+            assert clause.status == "pass", (label, clause.name, clause.witness)
         assert validate_compression_base(base, CFG).ok, label
         for clause in theorem_report(base, CFG).clauses:
             assert clause.status == "pass", (label, clause.name, clause.witness)
@@ -125,6 +138,53 @@ def test_declared_matrix_validation_draws_no_effects(monkeypatch):
     assert compression._family_clause(intensional, CFG).status == "certified"
     assert theorem_report(intensional, CFG).ok
     assert set(draws) == {"cayley_orthogonal"}
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_declared_matrix_report_samples_only_the_base_of_all_projections(
+    name, monkeypatch, capsys
+):
+    """report on m3 and m4: effects are drawn only inside 03_theorems_sampled,
+    the substructure, morphism, product and direct streams are never
+    opened, and every clause outside that section reads pass."""
+
+    inside = []
+    real_theorems = cli.theorem_report
+
+    def theorems(base, cfg):
+        inside.append(base.intensional)
+        try:
+            return real_theorems(base, cfg)
+        finally:
+            inside.pop()
+
+    outside = []
+    effects = matrix_model.draw_effect
+
+    def draw_effect(*args):
+        outside.append(not any(inside))
+        return effects(*args)
+
+    tags = []
+    real_rng = CheckConfig.rng
+
+    def rng(self, tag=""):
+        tags.append(tag)
+        return real_rng(self, tag)
+
+    monkeypatch.setattr(cli, "theorem_report", theorems)
+    monkeypatch.setattr(matrix_model, "draw_effect", draw_effect)
+    monkeypatch.setattr(CheckConfig, "rng", rng)
+    argv = ["report", str(MODELS_DIR / f"{name}.json"), "--samples", "16", "--seed", "3"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(outside)
+    sampled_tags = ("substructure:", "morphism:", "product", "direct")
+    assert tags and not [t for t in tags if t.startswith(sampled_tags)]
+    for section, report in doc["sections"].items():
+        if section != "03_theorems_sampled":
+            for clause in report["clauses"]:
+                assert clause["status"] == "pass", (section, clause["name"])
 
 
 def test_half_focus_fails_normality_on_its_exact_witness():
@@ -161,17 +221,27 @@ def test_greatest_lower_bound_is_derived_only_through_a_projection():
 
 def test_matrix_image_whose_unit_is_not_an_order_unit_fails_unit_order_unit():
     """J_v = identity for v = diag(1, 0): the image is the whole model, and
-    diag(0, 1) is a member that no multiple of v dominates."""
+    diag(0, 1) is a member that no multiple of v dominates.  The interval
+    clauses fail too, naming their premises, and their oracles find the
+    laws broken."""
 
     model = MatrixModel(2)
     e11 = SymMat.from_rows([[1, 0], [0, 0]])
     identity = identity_endo(model)
     pairs = [(model.zero, zero_endo(model)), (e11, identity), (model.unit, identity)]
     sub = compatibility.image_substructure(base_from_family(model, pairs), e11)
-    clause = next(c for c in validate_unital_group(sub, CFG).clauses if c.name == "unit_order_unit")
+    clauses = {c.name: c for c in validate_unital_group(sub, CFG).clauses}
+    clause = clauses["unit_order_unit"]
     assert clause.status == "fail"
     assert not model.leq(clause.witness["element"], e11.scale(1000))
-    assert not sampled_unital_group(sub, CFG)["unit_order_unit"].ok
+    oracles = sampled_unital_group(sub, CFG)
+    assert not oracles["unit_order_unit"].ok
+    for name, premise in (
+        ("interval_sampled", "conjugator_is_focus"),
+        ("interval_generates_positives", "unit_order_unit"),
+    ):
+        assert (clauses[name].status, clauses[name].witness) == ("fail", {"premise": premise})
+        assert not oracles[name].ok, name
 
 
 def test_compression_on_an_image_needs_the_conjugator_below_its_unit():
@@ -253,6 +323,39 @@ def test_complement_map_off_v_minus_p_fails_on_its_premise():
         assert clause.status == "fail", name
         assert _premise(clause) == "complement_conjugator", name
         assert not oracles[name].ok, name
+
+
+def test_sections_fail_on_a_complement_map_off_v_minus_p():
+    """The same base at e11: the commutant's interval characterization and
+    the product laws that need J_{e22} to be conjugation by e22 name that
+    premise, and their sampled oracles find the laws broken."""
+
+    model = MatrixModel(2)
+    base = _diagonal_family(model, e22=conjugation_endo(model, HPLUS))
+    premise = {"premise": "complement_conjugator"}
+    sub = commutant_substructure(base, E11)
+    clause = compatibility._interval_characterization_clause(base, sub)
+    assert (clause.status, clause.witness) == ("fail", premise)
+    assert not sampled_interval_characterization(base, sub, CFG).ok
+    product = {c.name: c for c in direct_product_report(base, E11, CFG).clauses}
+    oracles = sampled_product_laws(base, E11, CFG)
+    for name in ("eta_fixes_image", "kappa_fixes_image", "pairing_surjective"):
+        assert (product[name].status, product[name].witness) == ("fail", premise), name
+        assert not oracles[name].ok, name
+
+
+def test_morphism_order_needs_the_map_to_be_its_conjugation():
+    """g -> -g, stored with the conjugator I: order preservation names the
+    premise, and its sampled oracle finds a positive sent below 0."""
+
+    model = MatrixModel(2)
+    base = _diagonal_family(model)
+    negated = tuple(tuple(-x for x in row) for row in linalg.identity(3))
+    phi = Endomorphism(model, negated, conjugator=model.unit)
+    clause = compatibility.morphism_report(model, base, model, base, phi, CFG).clauses[0]
+    premise = {"premise": "matrix_matches_conjugator"}
+    assert (clause.name, clause.status, clause.witness) == ("order_preserving", "fail", premise)
+    assert not sampled_morphism_order(model, model, phi, CFG).ok
 
 
 def test_family_shape_needs_the_conjugator_to_be_the_focus():
@@ -380,6 +483,43 @@ def assert_theorem_rules_agree(base, cfg):
         assert exact == sampled_kernel_complement(structure, j, comp, cfg).ok, p
 
 
+def assert_section_rules_agree(base, seed, lenient=False):
+    """is_direct and the rules of the substructure and product sections
+    against their oracles, at every focus of a declared matrix base, on 8
+    draws per oracle.
+
+    Where lenient, a derived fail on an unmet premise may meet a passing
+    oracle: such a fail is no counterexample, and on the half focus of
+    corrupt_matrix_half_focus some of these laws hold without the premise
+    (conjugation by I/2 is direct, and its image holds only 0).
+    """
+
+    structure = base.structure
+    cfg = CheckConfig(height_bound=2, samples=8, seed=seed)
+
+    def agree(exact, oracle, label):
+        if lenient and not exact.ok and "premise" in exact.witness:
+            return
+        assert exact.ok == oracle.ok, (label, exact.witness, oracle.witness)
+
+    for p in base.foci:
+        j = base.j(p)
+        agree(is_direct(structure, j), sampled_direct(structure, j, cfg), ("direct", p))
+        subs = [image_substructure(base, p)]
+        if base.contains_focus(base.complement(p)):
+            subs.append(commutant_substructure(base, p))
+            exact = {c.name: c for c in direct_product_report(base, p, cfg).clauses}
+            for name, oracle in sampled_product_laws(base, p, cfg).items():
+                agree(exact[name], oracle, (name, p))
+        for sub in subs:
+            exact = compatibility._interval_characterization_clause(base, sub)
+            oracle = sampled_interval_characterization(base, sub, cfg)
+            agree(exact, oracle, ("interval_characterization", sub.kind, p))
+            exact = {c.name: c for c in validate_unital_group(sub, cfg).clauses}
+            for name, oracle in sampled_interval_laws(sub, cfg).items():
+                agree(exact[name], oracle, (name, sub.kind, p))
+
+
 @pytest.mark.parametrize("label,base", DECLARED, ids=[label for label, _ in DECLARED])
 @settings(max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2**16))
@@ -387,6 +527,7 @@ def test_exact_rules_agree_with_oracles_on_declared_bases(label, base, seed):
     cfg = CheckConfig(height_bound=2, samples=16, seed=seed)
     assert_exact_rules_agree(base, cfg, cfg)
     assert_theorem_rules_agree(base, cfg)
+    assert_section_rules_agree(base, seed)
 
 
 @settings(max_examples=15, deadline=None)
@@ -405,10 +546,12 @@ def test_exact_rules_agree_with_oracles_on_seeded_families(dim, frame_seed, fram
     assert validate_compression_base(base, cfg).ok
     assert_exact_rules_agree(base, cfg, cfg)
     assert_theorem_rules_agree(base, cfg)
+    assert_section_rules_agree(base, seed)
     rbases = list(restricted_bases(base))
     rbase = rbases[pick % len(rbases)]
     assert_exact_rules_agree(rbase, cfg, cfg)
     assert_theorem_rules_agree(rbase, cfg)
+    assert_section_rules_agree(rbase, seed)
 
 
 @settings(max_examples=10, deadline=None)
@@ -419,6 +562,7 @@ def test_exact_rules_agree_with_oracles_on_matrix_fixtures(stem, seed):
     # the sampled search meets the half focus twice in 1 of 9 draws; at 400
     # draws it misses with probability below 1e-15
     assert_exact_rules_agree(base, cfg, CheckConfig(samples=400, seed=seed))
+    assert_section_rules_agree(base, seed, lenient=True)
 
 
 def test_sampled_oracles_read_certified_on_m3():
@@ -435,6 +579,12 @@ def test_sampled_oracles_read_certified_on_m3():
         clauses += sampled_retraction_laws(structure, j, CFG).values()
         clauses.append(sampled_compression(structure, j, CFG))
         clauses.append(sampled_kernel_complement(structure, j, base.j(base.complement(p)), CFG))
+        if p in (structure.zero, structure.unit):  # the only direct conjugations
+            clauses.append(sampled_direct(structure, j, CFG))
+        clauses += sampled_product_laws(base, p, CFG).values()
+        for sub in (image_substructure(base, p), commutant_substructure(base, p)):
+            clauses.append(sampled_interval_characterization(base, sub, CFG))
+            clauses += sampled_interval_laws(sub, CFG).values()
         for q in base.foci:
             if compat_battery(base, p, q).compatible:
                 clauses.append(sampled_meet_glb(structure, p, q, j.apply(q), CFG))

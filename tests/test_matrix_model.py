@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from compbase import CheckConfig, MatrixModel, SymMat, linalg, matrix_model, models
 from compbase.cli import main
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, draw_positive, draw_signed
 
 
 def rngs():
@@ -76,10 +76,10 @@ def test_positive_and_signed_bounds():
     model = MatrixModel(2)
     h = 3
     for _ in range(10):
-        g = matrix_model.draw_positive(2, rng, h)
+        g = draw_positive(2, rng, h)
         assert model.is_positive(g)
         assert model.leq(g, model.unit.scale(h))
-        s = matrix_model.draw_signed(2, rng, h)
+        s = draw_signed(2, rng, h)
         assert model.leq(s, model.unit.scale(h))
         assert model.leq(model.unit.scale(-h), s)
 
@@ -230,8 +230,9 @@ def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     """theorems m4 --samples 8 --seed 1: same draws and streams, fewer PSD tests.
 
     Before the memos it ran is_psd 14,528 times; the memos leave
-    draw_effect (8 calls) and CheckConfig.rng (8 streams: the declared
-    base's omp laws open none) as they are.
+    draw_effect and CheckConfig.rng as they are: no effect is drawn (the
+    unital-group axioms are decided) and 7 streams are opened, all by the
+    base of all projections (the declared base opens none).
     """
     for memo in (*MEMOS, models._matrix_leq):
         memo.cache_clear()
@@ -250,6 +251,6 @@ def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     argv = ["theorems", str(MODELS_DIR / "m4.json"), "--samples", "8", "--seed", "1"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert counts["draw_effect"] == 8
-    assert counts["rng"] == 8
+    assert counts["draw_effect"] == 0
+    assert counts["rng"] == 7
     assert counts["is_psd"] <= 7000

@@ -12,6 +12,7 @@ from compbase import (
     LatticeConeModel,
     MatrixModel,
     NotEnumerableError,
+    Substructure,
     SymMat,
     Vec,
     base_from_family,
@@ -154,6 +155,25 @@ def test_nonpointed_cone_fails_antisymmetry():
     report = validate_unital_group(model, CheckConfig(height_bound=2, samples=8, seed=0))
     assert not report.ok
     assert report.first_failure().name == "order_antisymmetric"
+
+
+def test_lattice_substructure_antisymmetry_is_derived_from_the_cone_rank(bundled, fast_cfg):
+    """A substructure is ordered by its carrier's cone: order_antisymmetric
+    passes when the cone rows have full rank and otherwise names that
+    premise."""
+
+    def antisymmetry(sub):
+        clauses = validate_unital_group(sub, fast_cfg).clauses
+        return next(c for c in clauses if c.name == "order_antisymmetric")
+
+    _, base = bundled["m1"]
+    for v in base.foci:
+        for sub in (image_substructure(base, v), commutant_substructure(base, v)):
+            assert antisymmetry(sub).status == "pass", (v, sub.kind)
+    model = LatticeConeModel(2, ((1, 0),), Vec((1, 0)))
+    sub = Substructure(model, "image", model.unit, model.unit, identity_endo(model))
+    clause = antisymmetry(sub)
+    assert (clause.status, clause.witness) == ("fail", {"premise": "cone_pointed"})
 
 
 def test_nonpositive_unit_fails():

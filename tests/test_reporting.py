@@ -134,7 +134,7 @@ def test_check_functions_return_named_clauses(bundled, fast_cfg):
             {"effect": Vec((1, 0))},
             4,
         ),
-        (is_direct(m1, collapse, fast_cfg), "direct", {"effect": Vec((0, 1))}, 4),
+        (is_direct(m1, collapse), "direct", {"effect": Vec((0, 1))}, 4),
         (
             kernel_complement_check(m1, jp, jp, fast_cfg),
             "kernel_complement",
