@@ -10,7 +10,7 @@ their restricted bases, morphisms between based groups, and the direct
 product decomposition induced by a single focus.  Each substructure and
 its restricted base are built once per base and kept on it, so the
 substructure and product sections of a report share them, and with them
-every universe cut from the parent.
+every universe they enumerate.
 
 Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, a height box or the declared foci
@@ -50,11 +50,13 @@ from .elements import conjugate
 from .models import (
     Endomorphism,
     NotEnumerableError,
+    UnboundedIntervalError,
     compose,
     conjugation_endo,
     endo_equal,
     identity_endo,
     map_key,
+    range_band,
     zero_endo,
 )
 from .reporting import FAIL, Clause, Report, Sample, derived, law
@@ -281,8 +283,13 @@ class Substructure(Value):
     kind "image" is the range of one compression, with its focus as unit;
     kind "commutant" is the set of elements compatible with a focus, with
     the ambient unit.  Both support the same sweep protocol as a model, so
-    every validation can be re-run inside them.  Each universe is cut from
-    the parent's once and kept for the life of the substructure, and
+    every validation can be re-run inside them.  Each universe (band) is
+    built once and kept for the life of the substructure: with the
+    parent's unit, the parent's band filtered by the projector alone, since
+    every element of it already lies between the multiples of that unit;
+    with another unit on a lattice, enumerated from a basis of the group
+    the projector's columns generate (_enumerated), which gives the same
+    members in the same order without a pass over the parent's box.
     image_substructure and commutant_substructure build one substructure
     per (kind, v) once per base.  premises make the projector a congruence
     into [0, unit] (models._validate_matrix); a finite parent sweeps instead,
@@ -356,22 +363,60 @@ class Substructure(Value):
 
         The universe is the parent's interval (0, 1), positive box (0, n) or
         signed box (-n, n); the first two already have a lower bound of 0.
+        It is fetched first, so a band raises where the parent's does.
         """
 
-        if (lo, hi) not in self._bands:
-            if lo < 0:
-                cases = self.parent.signed_universe(hi)
-            else:
-                cases = self.parent.interval() if hi == 1 else self.parent.positive_universe(hi)
-            top = self.unit.scale(hi)
-            bot = self.unit.scale(lo)
-            leq = self.parent.leq
-            self._bands[lo, hi] = tuple(
-                g
-                for g in cases
-                if self.is_member(g) and leq(g, top) and (lo == 0 or leq(bot, g))
-            )
-        return self._bands[lo, hi]
+        band = self._bands.get((lo, hi))
+        if band is not None:
+            return band
+        if lo < 0:
+            cases = self.parent.signed_universe(hi)
+        else:
+            cases = self.parent.interval() if hi == 1 else self.parent.positive_universe(hi)
+        if self.unit == self.parent.unit:
+            # the parent's band already lies between lo*unit and hi*unit
+            fixes = self.projector.apply
+            band = tuple(g for g in cases if fixes(g) == g)
+        elif self.projector.den == 1:
+            band = self._enumerated(lo, hi, cases)
+        else:
+            band = self._filtered(lo, hi, cases)
+        self._bands[lo, hi] = band
+        return band
+
+    def _filtered(self, lo: int, hi: int, cases) -> tuple:
+        top = self.unit.scale(hi)
+        bot = self.unit.scale(lo)
+        leq = self.parent.leq
+        return tuple(
+            g for g in cases if self.is_member(g) and leq(g, top) and (lo == 0 or leq(bot, g))
+        )
+
+    def _enumerated(self, lo: int, hi: int, cases) -> tuple:
+        """The members among the points that models.range_band lists: those
+        of the group P(Z^n) that the projector's columns generate, between
+        lo*w and hi*w for every unit w on the chain from here to the model.
+
+        This is the filter's set: a member g is P g, so it lies in P(Z^n);
+        the parent's band holds the parent's members between lo*w and hi*w
+        for each unit w above, and is_member tests membership in the
+        parent too.  It also drops the points that a projector that is not
+        idempotent moves.  Both lists are in lexicographic order, the order
+        of the model's boxes that the filter keeps.  Where range_band
+        cannot bound the points in P's coordinates, the filter decides.
+        """
+
+        units, s = [], self
+        while s is not None:
+            if s.unit not in units:
+                units.append(s.unit)
+            s = getattr(s, "parent", None)
+        cols = tuple(zip(*self.projector.matrix))
+        try:
+            points = range_band(self.carrier, cols, units, lo, hi)
+        except UnboundedIntervalError:
+            return self._filtered(lo, hi, cases)
+        return tuple(filter(self.is_member, points))
 
 
 def image_substructure(base: CompressionBase, v) -> Substructure:

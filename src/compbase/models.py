@@ -29,21 +29,28 @@ functools.lru_cache of matrix_model.CACHE_SIZE entries: the same declared
 foci are compared thousands of times per report.  Its body is is_psd of
 b - a, so the memo changes no answer.
 
-A lattice map keeps an image table (Endomorphism._images): each (map,
-element) product is computed once, and the sweeps that meet the same
-element again read the stored image.  A matrix map keeps none, since its
-inputs are sampled and a table would only grow with the budget.
+A lattice map keeps an image table (Endomorphism._images): each product
+of a distinct map and an element is computed once, and the sweeps that
+meet the same element again read the stored image.  Equal maps that are
+distinct objects share one table through a weak registry (_TABLES), so a
+table lives exactly as long as some map that uses it.  A matrix map keeps
+none, since its inputs are sampled and a table would only grow with the
+budget.  A lattice model keeps its interval and height boxes (_boxes),
+which are freed with it.
 
 Both model classes and Endomorphism are frozen values (value.Value):
 equal by fields and hashed as the tuple of them, which lets models and
-matrices key the lru_caches here; the image table is not a field.  A
-finite substructure's unit is tested as an order unit row by row against
-its projector before the bounded sweep (see _directedness_bounded).
+matrices key the caches here; the image table and the boxes are not
+fields.  A finite substructure's unit is tested as an order unit row by
+row against its projector before the bounded sweep (see
+_directedness_bounded), and its universes are enumerated from a basis of
+its projector's range (range_band).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
 from math import gcd
 from operator import mul, sub
@@ -179,7 +186,13 @@ def _seed_box(cons, dim: int) -> tuple[list, list]:
 
 
 class LatticeConeModel(Value):
-    __slots__ = ("dim", "cone_rows", "unit")
+    """Z^dim ordered by the cone of its rows, with an order unit.
+
+    The interval and the height boxes are enumerated once per model and
+    kept in _boxes, which is no field: they are freed with the model.
+    """
+
+    __slots__ = ("dim", "cone_rows", "unit", "_boxes")
 
     kind = "lattice_cone"
     finite = True
@@ -196,6 +209,7 @@ class LatticeConeModel(Value):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "cone_rows", cone_rows)
         object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "_boxes", {})
 
     @property
     def carrier(self) -> "LatticeConeModel":
@@ -221,13 +235,19 @@ class LatticeConeModel(Value):
         return _in_cone(self.cone_rows, tuple(map(sub, b.coords, a.coords)))
 
     def interval(self) -> tuple[Vec, ...]:
-        return _lattice_interval(self, 0, 1)
+        return self._box(0, 1)
 
     def positive_universe(self, n: int) -> tuple[Vec, ...]:
-        return _lattice_interval(self, 0, n)
+        return self._box(0, n)
 
     def signed_universe(self, n: int) -> tuple[Vec, ...]:
-        return _lattice_interval(self, -n, n)
+        return self._box(-n, n)
+
+    def _box(self, lo: int, hi: int) -> tuple[Vec, ...]:
+        box = self._boxes.get((lo, hi))
+        if box is None:
+            box = self._boxes[lo, hi] = _lattice_interval(self, lo, hi)
+        return box
 
     # endomorphisms act on the coordinates themselves
     @property
@@ -245,7 +265,6 @@ class LatticeConeModel(Value):
         return _trusted_vec(v)
 
 
-@lru_cache(maxsize=None)
 def _lattice_interval(model: LatticeConeModel, lo: int, hi: int) -> tuple[Vec, ...]:
     """Points x with lo * (row . u) <= row . x <= hi * (row . u) for every cone row.
 
@@ -260,6 +279,62 @@ def _lattice_interval(model: LatticeConeModel, lo: int, hi: int) -> tuple[Vec, .
         rows.append(tuple(-a for a in row))
         rhs.append(-hi * at_unit)
     return tuple(map(_trusted_vec, integer_points(rows, rhs, model.dim)))
+
+
+def lattice_basis(vectors) -> list[tuple[int, ...]]:
+    """A basis of the group of integer combinations of `vectors`, in echelon form.
+
+    Integer row reduction: column by column, Euclid's algorithm on the
+    rows with a nonzero entry there leaves one pivot row and sends the
+    others to rows with a zero entry.  Each step is invertible over Z, so
+    the rows keep generating the same group, and the pivot rows, in
+    echelon form, are independent.  (An independent subset of the vectors
+    spans the same rational space but may generate a smaller group.)
+    """
+    rows = [tuple(v) for v in vectors if any(v)]
+    basis: list = []
+    col = 0
+    while rows:
+        pivots = [r for r in rows if r[col]]
+        rest = [r for r in rows if not r[col]]
+        while len(pivots) > 1:
+            pivots.sort(key=lambda r: abs(r[col]))
+            top = pivots[0]
+            keep = [top]
+            for r in pivots[1:]:
+                q = r[col] // top[col]
+                r = tuple(a - q * b for a, b in zip(r, top))
+                (keep if r[col] else rest).append(r)
+            pivots = keep
+        basis += pivots
+        rows = [r for r in rest if any(r)]
+        col += 1
+    return basis
+
+
+def range_band(carrier: LatticeConeModel, cols, units, lo: int, hi: int) -> list[Vec]:
+    """The points g of the group the integer columns `cols` generate with
+    lo*w <= g <= hi*w for every w in `units`, in lexicographic order.
+
+    With B a basis of that group (lattice_basis), g = B y for exactly one
+    integer y, and lo*w <= g <= hi*w reads lo (r.w) <= (r B) y <= hi (r.w)
+    for each cone row r: integer_points enumerates the y in rank(B)
+    coordinates, and B y maps them back.  Raises UnboundedIntervalError
+    where integer_points does.
+    """
+    basis = lattice_basis(cols)
+    floor: dict = {}
+    for r in carrier.cone_rows:
+        a = tuple(_dot(r, b) for b in basis)
+        for w in units:
+            at_w = _dot(r, w.coords)
+            for row, b in ((a, lo * at_w), (tuple(-x for x in a), -hi * at_w)):
+                floor[row] = max(b, floor.get(row, b))
+    if not basis:  # the zero group: only g = 0, where every row reads 0
+        return [carrier.zero] if all(b <= 0 for b in floor.values()) else []
+    ys = integer_points(list(floor), list(floor.values()), len(basis))
+    coords = tuple(zip(*basis))
+    return list(map(_trusted_vec, sorted(tuple(_dot(c, y) for c in coords) for y in ys)))
 
 
 class MatrixModel(Value):
@@ -356,6 +431,16 @@ def _sym_basis(dim: int) -> tuple[SymMat, ...]:
     )
 
 
+class _Images(dict):
+    """An image table; weakly referenceable, so _TABLES can hold it."""
+
+    __slots__ = ("__weakref__",)
+
+
+# (carrier, matrix, den) -> the image table every live equal lattice map shares
+_TABLES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
 class Endomorphism(Value):
     """Group endomorphism of a carrier, as the matrix `matrix / den` on its vectorization.
 
@@ -366,13 +451,16 @@ class Endomorphism(Value):
 
     On a lattice carrier (carrier.finite) the map keeps an image table,
     _images, from the coordinates of each element it has mapped to the
-    image: apply computes each product once per (map, element), and the
-    sweeps that ask again (absorption, the product split, the substructure
-    bands, membership P g == g) read the stored image.  Only a successful
-    image is stored, so a map that leaves the lattice raises ValueError on
-    every call.  A matrix map keeps no table: its inputs are sampled, so a
-    table would only grow with the budget.  The table is not a field, so
-    equality, hashing, repr and pickling ignore it.
+    image: apply computes each product once per distinct map and element,
+    and the sweeps that ask again (absorption, the product split, the
+    substructure bands, membership P g == g) read the stored image.  Equal
+    maps share one table through the weak registry _TABLES, keyed by
+    (carrier, matrix, den): the table lives while some map that uses it
+    does, and a map built after every equal map is gone starts empty.  Only
+    a successful image is stored, so a map that leaves the lattice raises
+    ValueError on every call.  A matrix map keeps no table: its inputs are
+    sampled, so a table would only grow with the budget.  The table is not
+    a field, so equality, hashing, repr and pickling ignore it.
     """
 
     __slots__ = ("carrier", "matrix", "den", "conjugator", "_images")
@@ -389,11 +477,17 @@ class Endomorphism(Value):
             raise ValueError(f"endomorphism matrix must be {n}x{n} for this carrier")
         if den != 1:
             matrix, den = linalg.lowest_terms(matrix, den)
+        images = None
+        if carrier.finite:
+            key = (carrier, matrix, den)
+            images = _TABLES.get(key)
+            if images is None:
+                images = _TABLES[key] = _Images()
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "conjugator", conjugator)
-        object.__setattr__(self, "_images", {} if carrier.finite else None)
+        object.__setattr__(self, "_images", images)
 
     def apply(self, g):
         images = self._images

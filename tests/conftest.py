@@ -8,11 +8,15 @@ from hypothesis import assume, strategies as st
 
 from compbase import (
     CheckConfig,
+    LatticeConeModel,
     SymMat,
+    Vec,
+    base_from_family,
     commutant_substructure,
     compose,
     conjugate,
     endo_equal,
+    enumerate_retractions,
     image_substructure,
     load_model,
     matrix_model,
@@ -59,6 +63,22 @@ def seeded_cones(draw):
     return rows, (sign * (d * s - b * t), sign * (a * t - c * s))
 
 
+def retraction_base(rows, unit):
+    """The base of one retraction per focus of the Z^2 cone `rows` with
+    `unit`, as seeded_cones draws them; an example whose interval is
+    infinite or does not span is rejected."""
+
+    model = LatticeConeModel(2, tuple(map(tuple, rows)), Vec(unit))
+    try:
+        certs = enumerate_retractions(model)
+    except ValueError:
+        assume(False)
+    family = {}
+    for cert in certs:
+        family.setdefault(cert.focus, cert.endo)
+    return base_from_family(model, family.items())
+
+
 def interval_sweep_equal(structure, a, b):
     """a and b agree on every element of the structure's unit interval.
 
@@ -83,6 +103,27 @@ def corner_model(unit) -> dict:
     cone = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return {"kind": "lattice_cone", "dim": dim, "cone_rows": cone, "unit": list(unit),
             "compressions": compressions}
+
+
+def filtered_band(sub, lo, hi):
+    """The members of the parent's universe between lo*unit and hi*unit, by
+    filtering that universe element by element.
+
+    The rule Substructure._band replaced with an enumeration of its
+    projector's range, kept as its oracle.  A nested substructure filters
+    its parent's band as this oracle computes it, down to the model's box.
+    """
+    parent = sub.parent
+    if getattr(parent, "parent", None) is not None:
+        cases = filtered_band(parent, lo, hi)
+    else:
+        cases = parent.signed_universe(hi) if lo < 0 else parent.positive_universe(hi)
+    top, bot = sub.unit.scale(hi), sub.unit.scale(lo)
+    return tuple(
+        g
+        for g in cases
+        if sub.is_member(g) and parent.leq(g, top) and (lo == 0 or parent.leq(bot, g))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from compbase import cli, compatibility, compression, models
 
 from compbase import (
     BATTERY_CONDITIONS,
+    CompatReport,
     EffectAlgebra,
     MeetUndefinedError,
     MembershipError,
@@ -80,6 +81,24 @@ def test_battery_agreement_and_symmetry_on_declared_pairs(bundled, fast_cfg):
                 assert fwd.agree, (name, p, q, fwd.values)
                 rev = compat_battery(base, q, p)
                 assert fwd.compatible == rev.compatible
+
+
+def test_battery_agreement_fails_on_an_asymmetric_pair(fast_cfg):
+    """A negative control for the mirror test of battery_agreement.  With
+    the battery of (p, q) all true and that of (q, p) split, (p, q) agrees
+    with itself, and only comparing it with its mirror fails the clause at
+    (p, q)."""
+
+    _, base = load_model(MODELS_DIR / "m1.json")  # a base of its own: the memo is edited
+    p, q = Vec((0, 1)), Vec((1, 0))
+    assert base.foci.index(p) < base.foci.index(q)
+    split = tuple((name, i == 0) for i, name in enumerate(BATTERY_CONDITIONS))
+    base._memo[("battery", p, q)] = CompatReport(p, q, tuple((n, True) for n in BATTERY_CONDITIONS))
+    base._memo[("battery", q, p)] = CompatReport(q, p, split)
+    assert compat_battery(base, p, q).agree and not compat_battery(base, q, p).agree
+    clause = compatibility._battery_clause(base, fast_cfg)
+    assert not clause.ok
+    assert clause.witness == {"p": p, "q": q, "reason": "asymmetric"}
 
 
 def test_battery_rejects_non_focus(bundled, fast_cfg):

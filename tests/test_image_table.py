@@ -1,35 +1,36 @@
 """The image table of lattice maps.
 
 An Endomorphism of a lattice carrier keeps the image of each element it
-has mapped, so every (map, element) product is computed once.  These tests
-pin that the table changes no image and no error, that matrix maps keep
-none, that a lattice report makes each product once, and that a report's
-maps and tables are freed when it returns.  That the table is no part of
-a map's value is pinned in test_value_types.
+has mapped, in a table it shares with every live equal map, so each product
+of a distinct map and an element is computed once.  These tests pin that
+the table changes no image and no error, that matrix maps keep none, that
+a lattice report makes each product once, and that a report's maps and
+tables are freed when it returns.  That the table is no part of a map's
+value is pinned in test_value_types.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compbase import (
     Endomorphism,
     LatticeConeModel,
     MembershipError,
     Vec,
-    base_from_family,
-    enumerate_retractions,
     linalg,
     load_model,
 )
 from compbase import compatibility
 from compbase.cli import main
-from conftest import LATTICE, MODELS_DIR, seeded_cones
+from compbase.models import _TABLES
+from conftest import LATTICE, MODELS_DIR, retraction_base, seeded_cones
 
 HEIGHT = 2
 
@@ -57,16 +58,7 @@ def _base(source):
 
     if isinstance(source, str):
         return load_model(MODELS_DIR / f"{source}.json")[1]
-    rows, unit = source
-    model = LatticeConeModel(2, tuple(map(tuple, rows)), Vec(unit))
-    try:
-        certs = enumerate_retractions(model)
-    except ValueError:  # an interval that is infinite or does not span
-        assume(False)
-    family = {}
-    for cert in certs:
-        family.setdefault(cert.focus, cert.endo)
-    return base_from_family(model, family.items())
+    return retraction_base(*source)
 
 
 def _maps(base):
@@ -164,14 +156,16 @@ def _standard_cone(unit) -> dict:
 
 def test_lattice_report_makes_each_product_once(monkeypatch, tmp_path, capsys):
     """report on Z^2 with unit (5, 3), the benchmark's z2-std-5x3: every
-    mat_vec call is the first product of a (map, element) pair met by apply,
-    or one of the retraction search's own candidate products."""
+    mat_vec call is the first product of a map's value (matrix, den) with
+    an element met by apply, or one of the retraction search's own
+    candidate products.  Equal maps that are distinct objects, such as the
+    declared J_u and each commutant projector J_v + J_{u-v} on this
+    product cone, share one table."""
 
     path = tmp_path / "z2-std-5x3.json"
     path.write_text(json.dumps(_standard_cone((5, 3))))
     counts = Counter()
-    held = {}  # keeps each map alive, so that ids name distinct maps
-    pairs = set()
+    pairs = set()  # (matrix, den, element): equal maps share one table
     depth = [0]
     real_mat_vec, real_apply = linalg.mat_vec, Endomorphism.apply
 
@@ -181,8 +175,7 @@ def test_lattice_report_makes_each_product_once(monkeypatch, tmp_path, capsys):
         return real_mat_vec(m, v)
 
     def apply(self, g):
-        held[id(self)] = self
-        pairs.add((id(self), g))
+        pairs.add((self.matrix, self.den, g))
         depth[0] += 1
         try:
             return real_apply(self, g)
@@ -195,3 +188,28 @@ def test_lattice_report_makes_each_product_once(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert len(pairs) > 1000
     assert counts["mat_vec"] <= len(pairs) + counts["search"]
+
+
+def test_a_table_is_freed_with_its_last_map(capsys):
+    """No image table outlives the maps that use it: dropping the last map
+    frees its table by reference counting, and a report's tables are gone
+    when it returns."""
+
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((5, 2)))  # a carrier no other test keeps
+    gc.collect()
+    gc.disable()
+    try:
+        first, second = Endomorphism(model, ((0, 1), (1, 0))), Endomorphism(model, ((0, 1), (1, 0)))
+        first.apply(Vec((1, 2)))
+        table = weakref.ref(first._images)
+        del first
+        assert table() is second._images
+        del second
+        assert table() is None
+
+        before = len(_TABLES)
+        assert main(["report", str(MODELS_DIR / "m5.json"), "--seed", "0"]) == 0
+        assert len(_TABLES) == before
+    finally:
+        gc.enable()
+    capsys.readouterr()

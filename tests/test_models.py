@@ -1,6 +1,8 @@
 """Carrier models: interval enumeration, order axioms, endomorphisms."""
 
+import gc
 import json
+import sys
 from itertools import product
 
 import pytest
@@ -26,9 +28,10 @@ from compbase import (
     validate_unital_group,
     zero_endo,
 )
+from compbase import models
 from compbase.cli import main
 from compbase.models import _interval_sums, integer_points
-from conftest import LATTICE, MATRIX, interval_sweep_equal, seeded_cones
+from conftest import LATTICE, MATRIX, corner_model, interval_sweep_equal, seeded_cones
 
 
 def brute_interval(model, box=8):
@@ -332,3 +335,33 @@ def test_interval_sums_match_breadth_first_on_substructures(name, bundled):
     for v in base.foci:
         for build in (image_substructure, commutant_substructure):
             assert_one_sweep_matches_breadth_first(build(base, v))
+
+
+def test_no_box_outlives_its_model(monkeypatch, tmp_path, capsys):
+    """The interval and height boxes are kept on the model that asked for
+    them, so once a report returns, nothing but this test holds a box of
+    its model, and the model itself is gone."""
+
+    boxes = []
+    real = models._lattice_interval
+
+    def tracked(model, lo, hi):
+        boxes.append(real(model, lo, hi))
+        return boxes[-1]
+
+    monkeypatch.setattr(models, "_lattice_interval", tracked)
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(corner_model((4, 1))))  # a model no other test keeps
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(type(o) is LatticeConeModel for o in gc.get_objects())
+        assert main(["report", str(path), "--seed", "0"]) == 0
+        after = sum(type(o) is LatticeConeModel for o in gc.get_objects())
+        # one reference from `boxes`, one from getrefcount's argument
+        held = [sys.getrefcount(boxes[i]) - 2 for i in range(len(boxes))]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert boxes and held == [0] * len(boxes)
+    assert after == before

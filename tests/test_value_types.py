@@ -216,16 +216,22 @@ def test_pickle_round_trip(cls):
 
 
 def test_image_table_is_not_a_field():
-    """Two equal lattice maps whose image tables differ are the same value."""
+    """Equal live lattice maps share one image table, which is no part of
+    their value; a map built after every equal map is gone starts empty."""
 
-    used, fresh = Endomorphism(Z2, ((1, 0), (0, 0))), Endomorphism(Z2, ((1, 0), (0, 0)))
+    z = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((3, 7)))  # a carrier no other test keeps
+    used, equal = Endomorphism(z, ((1, 0), (0, 0))), Endomorphism(z, ((1, 0), (0, 0)))
+    other = Endomorphism(z, ((0, 0), (0, 1)))
     assert used.apply(Vec((1, 1))) == Vec((1, 0))
-    assert used._images and not fresh._images
-    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert equal._images is used._images and used._images == {(1, 1): Vec((1, 0))}
+    assert other._images is not used._images and not other._images
+    assert used == equal and hash(used) == hash(equal) and repr(used) == repr(equal)
     copy = pickle.loads(pickle.dumps(used))
-    assert copy == used and hash(copy) == hash(used) and copy._images == {}
+    assert copy == used and hash(copy) == hash(used) and copy._images is used._images
     with pytest.raises(AttributeError):
         used._images = {}
+    del used, equal, copy
+    assert Endomorphism(z, ((1, 0), (0, 0)))._images == {}
 
 
 def test_jsonable_shapes():
