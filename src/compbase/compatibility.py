@@ -179,8 +179,8 @@ def _battery(base: CompressionBase, p, q) -> CompatReport:
     structure = base.structure
     jp = base.j(p)
     jq = base.j(q)
-    pq = base.composed(p, q, jp, jq)
-    qp = base.composed(q, p, jq, jp)
+    pq = base.composed(p, q)
+    qp = base.composed(q, p)
     r = jp.apply(q)
 
     if structure.finite:
@@ -252,7 +252,7 @@ def _checked_meet(base: CompressionBase, p, q):
         raise RuntimeError("meet law violated: not shown to be the greatest lower bound")
     if not base.contains_focus(r):
         raise RuntimeError("meet law violated: value escapes the base")
-    if not endo_equal(structure, base.composed(p, q, jp, jq), base.j(r)):
+    if not endo_equal(structure, base.composed(p, q), base.j(r)):
         raise RuntimeError("meet law violated: composed map is not the meet's map")
     return r
 
@@ -1108,9 +1108,9 @@ def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         jp, jq = base.j(p), base.j(q)
         return (
             structure.leq(q, p),
-            endo_equal(structure, base.composed(p, q, jp, jq), jq),
+            endo_equal(structure, base.composed(p, q), jq),
             jp.apply(q) == q,
-            endo_equal(structure, base.composed(q, p, jq, jp), jq),
+            endo_equal(structure, base.composed(q, p), jq),
             jq.apply(p) == q,
         )
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, Optional
 
 from . import linalg, matrix_model
@@ -460,12 +459,12 @@ class CompressionBase(Value):
     from (pairs=).  _pairs holds no base, so the sharing makes no
     reference cycle and a base is freed as soon as it is dropped.  An
     intensional base keeps nothing: its foci are sampled, so a memo would
-    grow with the budget.  A base is equal and hashed by identity, as the
-    keys of such memos must be, and keeps a __dict__ for its cached
-    properties.
+    grow with the budget.  A declared base also keeps its foci as a
+    frozenset (_focus_set) for membership.  A base is equal and hashed by
+    identity, as the keys of such memos must be.
     """
 
-    __slots__ = ("structure", "foci", "family", "_memo", "_pairs", "__dict__")
+    __slots__ = ("structure", "foci", "family", "_memo", "_pairs", "_focus_set")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -482,6 +481,7 @@ class CompressionBase(Value):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_pairs", {} if pairs is None else pairs)
+        object.__setattr__(self, "_focus_set", None if foci is None else frozenset(foci))
 
     @property
     def intensional(self) -> bool:
@@ -490,14 +490,6 @@ class CompressionBase(Value):
     @property
     def unit(self):
         return self.structure.unit
-
-    @property
-    def zero(self):
-        return self.structure.zero
-
-    @cached_property
-    def _focus_set(self) -> Optional[frozenset]:
-        return None if self.foci is None else frozenset(self.foci)
 
     def contains_focus(self, p) -> bool:
         if self.intensional:
@@ -549,14 +541,10 @@ class CompressionBase(Value):
 
         return self.kept(("sum", p, q), lambda: p + q, self._pairs)
 
-    def composed(self, p, q, jp=None, jq=None):
-        """J_p after J_q, from the pair table; a caller that holds J_p and
-        J_q passes them as jp and jq, and they are not fetched again."""
+    def composed(self, p, q):
+        """J_p after J_q, from the pair table."""
 
-        def build():
-            return compose(self.j(p) if jp is None else jp, self.j(q) if jq is None else jq)
-
-        return self.kept(("compose", p, q), build, self._pairs)
+        return self.kept(("compose", p, q), lambda: compose(self.j(p), self.j(q)), self._pairs)
 
 
 def base_from_family(structure, pairs) -> CompressionBase:

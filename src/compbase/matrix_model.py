@@ -11,20 +11,11 @@ Cayley transform of a rational antisymmetric matrix, which is exactly
 orthogonal in rational arithmetic; conjugating a 0/1 coordinate mask by one
 yields an exactly idempotent symmetric rational projection.  A frame is
 (integer rows, denominator), and every product is taken on the integers.
-
-A sweep reopens the same tagged streams again and again, so the same draws
-recur.  cayley_orthogonal and draw_effect therefore work in two steps:
-they draw their integers from rng, in the same calls and the same order as
-ever, then hand them to a pure constructor (_cayley_frame, _effect)
-memoized by a functools.lru_cache of CACHE_SIZE entries.  The stream is
-consumed exactly as without the memo, and a cached frame or effect is an
-equal immutable value, so no verdict or report byte depends on the cache.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from math import lcm
 
 from . import linalg
@@ -33,10 +24,6 @@ from .elements import SymMat
 # numerators and denominators of the Cayley generators and effect
 # eigenvalues are drawn up to this bound
 DEFAULT_BOUND = 16
-
-# entries kept by each memo of the matrix path (_cayley_frame, _effect and
-# models._matrix_leq); 256 adds about 0.5 MB to a matrix report
-CACHE_SIZE = 256
 
 
 def is_projection(p: SymMat) -> bool:
@@ -57,26 +44,15 @@ def commuting_product(p: SymMat, q: SymMat) -> SymMat | None:
 def cayley_orthogonal(dim: int, rng: random.Random):
     """Rational orthogonal matrix (I - S)(I + S)^-1 for random antisymmetric S.
 
-    Draws a numerator in [-DEFAULT_BOUND, DEFAULT_BOUND] and a denominator
-    in [1, DEFAULT_BOUND] for each generator pair (i, j), i < j, in row
-    order; the frame itself is built by _cayley_frame.
-    """
-    gens = tuple(
-        (rng.randint(-DEFAULT_BOUND, DEFAULT_BOUND), rng.randint(1, DEFAULT_BOUND))
-        for _ in range(dim * (dim - 1) // 2)
-    )
-    return _cayley_frame(dim, gens)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _cayley_frame(dim: int, gens: tuple[tuple[int, int], ...]):
-    """The Cayley frame of the generators S_ij = p / q, in (rows, den) form.
-
-    With D the lcm of the generators' denominators, A = D*S is an integer
-    matrix and the frame is (D*I - A)(D*I + A)^-1; D*I - A is the
-    transpose of D*I + A.  Returned in lowest terms.
+    Draws S_ij = p / q, with p in [-DEFAULT_BOUND, DEFAULT_BOUND] and q in
+    [1, DEFAULT_BOUND], for each pair (i, j), i < j, in row order.  With D
+    the lcm of the denominators, A = D*S is an integer matrix and the frame
+    is (D*I - A)(D*I + A)^-1; D*I - A is the transpose of D*I + A.
+    Returned in (rows, den) form, in lowest terms.
     """
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    bound = DEFAULT_BOUND
+    gens = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in pairs]
     den = lcm(*(q for _, q in gens))
     plus = [[den * (i == j) for j in range(dim)] for i in range(dim)]
     for (i, j), (p, q) in zip(pairs, gens):
@@ -128,21 +104,16 @@ def draw_nested_projections(dim: int, rng: random.Random) -> tuple[SymMat, SymMa
 def draw_effect(dim: int, rng: random.Random) -> SymMat:
     """Random element of the unit interval: q^T D q with diagonal D in [0,1].
 
-    Draws a Cayley frame, then a denominator in [1, DEFAULT_BOUND] and a
-    numerator in [0, den] per coordinate; _effect builds the matrix.
+    Draws a Cayley frame q, then a denominator in [1, DEFAULT_BOUND] and a
+    numerator in [0, den] per coordinate.
     """
     q = cayley_orthogonal(dim, rng)
     ratios = []
     for _ in range(dim):
         den = rng.randint(1, DEFAULT_BOUND)
         ratios.append((rng.randint(0, den), den))
-    return _effect(q, tuple(ratios))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _effect(frame, ratios: tuple[tuple[int, int], ...]) -> SymMat:
     den = lcm(*(d for _, d in ratios))
-    return frame_sandwich(frame, [n * (den // d) for n, d in ratios], den)
+    return frame_sandwich(q, [n * (den // d) for n, d in ratios], den)
 
 
 def random_effect(dim: int, seed: int = 0) -> SymMat:

@@ -25,22 +25,19 @@ every member of a height box in one sweep ordered by weight.
 
 The matrix order test MatrixModel.leq, and with it the order of every
 matrix substructure, is memoized on the exact (a, b) pair by a
-functools.lru_cache of matrix_model.CACHE_SIZE entries: the same declared
-foci are compared thousands of times per report.  Its body is is_psd of
-b - a, so the memo changes no answer.
-
-A lattice map keeps an image table (Endomorphism._images): each product
-of a distinct map and an element is computed once, and the sweeps that
-meet the same element again read the stored image.  Equal maps that are
-distinct objects share one table through a weak registry (_TABLES), so a
-table lives exactly as long as some map that uses it.  A matrix map keeps
-none, since its inputs are sampled and a table would only grow with the
-budget.  A lattice model keeps its interval and height boxes (_boxes),
-which are freed with it.
+functools.lru_cache of CACHE_SIZE entries: the same declared foci are
+compared thousands of times per report.  Its body is is_psd of b - a, so
+the memo changes no answer.  A lattice model keeps its interval and height boxes (_boxes),
+enumerated by range_band, and the image tables of its maps (_tables): a
+lattice map reads and fills the table of its (matrix, den) on its
+carrier, so each product of a distinct map and an element is computed
+once, and the sweeps that meet the same element again read the stored
+image.  Both are freed with the model.  A matrix map keeps no table,
+since its inputs are sampled and a table would only grow with the budget.
 
 Both model classes and Endomorphism are frozen values (value.Value):
 equal by fields and hashed as the tuple of them, which lets models and
-matrices key the caches here; the image table and the boxes are not
+matrices key the caches here; the image tables and the boxes are not
 fields.  A finite substructure's unit is tested as an order unit row by
 row against its projector before the bounded sweep (see
 _directedness_bounded), and its universes are enumerated from a basis of
@@ -50,7 +47,6 @@ its projector's range (range_band).
 from __future__ import annotations
 
 import itertools
-import weakref
 from functools import lru_cache
 from math import gcd
 from operator import mul, sub
@@ -189,10 +185,12 @@ class LatticeConeModel(Value):
     """Z^dim ordered by the cone of its rows, with an order unit.
 
     The interval and the height boxes are enumerated once per model and
-    kept in _boxes, which is no field: they are freed with the model.
+    kept in _boxes; the image table of each lattice map, keyed by its
+    (matrix, den), is kept in _tables (see Endomorphism).  Neither is a
+    field: both are freed with the model.
     """
 
-    __slots__ = ("dim", "cone_rows", "unit", "_boxes")
+    __slots__ = ("dim", "cone_rows", "unit", "_boxes", "_tables")
 
     kind = "lattice_cone"
     finite = True
@@ -210,6 +208,7 @@ class LatticeConeModel(Value):
         object.__setattr__(self, "cone_rows", cone_rows)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_boxes", {})
+        object.__setattr__(self, "_tables", {})
 
     @property
     def carrier(self) -> "LatticeConeModel":
@@ -244,9 +243,13 @@ class LatticeConeModel(Value):
         return self._box(-n, n)
 
     def _box(self, lo: int, hi: int) -> tuple[Vec, ...]:
+        """The points x with lo*unit <= x <= hi*unit: the band of all of
+        Z^dim, whose basis is the identity, so listed in lexicographic order."""
+
         box = self._boxes.get((lo, hi))
         if box is None:
-            box = self._boxes[lo, hi] = _lattice_interval(self, lo, hi)
+            cols = linalg.identity(self.dim)
+            box = self._boxes[lo, hi] = tuple(range_band(self, cols, (self.unit,), lo, hi))
         return box
 
     # endomorphisms act on the coordinates themselves
@@ -263,22 +266,6 @@ class LatticeConeModel(Value):
                 raise ValueError("endomorphism does not preserve the integer lattice")
             v = tuple(x // den for x in v)
         return _trusted_vec(v)
-
-
-def _lattice_interval(model: LatticeConeModel, lo: int, hi: int) -> tuple[Vec, ...]:
-    """Points x with lo * (row . u) <= row . x <= hi * (row . u) for every cone row.
-
-    (0, 1) is the unit interval, (0, n) the positive height-n box and
-    (-n, n) the signed one.
-    """
-    rows, rhs = [], []
-    for row in model.cone_rows:
-        at_unit = _dot(row, model.unit.coords)
-        rows.append(row)
-        rhs.append(lo * at_unit)
-        rows.append(tuple(-a for a in row))
-        rhs.append(-hi * at_unit)
-    return tuple(map(_trusted_vec, integer_points(rows, rhs, model.dim)))
 
 
 def lattice_basis(vectors) -> list[tuple[int, ...]]:
@@ -376,7 +363,7 @@ class MatrixModel(Value):
 
     def interval(self):
         raise NotEnumerableError(
-            "unit interval of the matrix model is not enumerable; use the samplers"
+            "unit interval of the matrix model is not enumerable; its laws are decided exactly"
         )
 
     def positive_universe(self, n: int):
@@ -407,7 +394,12 @@ class MatrixModel(Value):
         return _sym_basis(self.dim)
 
 
-@lru_cache(maxsize=matrix_model.CACHE_SIZE)
+# entries kept by the order memo _matrix_leq, which bounds its memory on
+# long sweeps
+CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _matrix_leq(a: SymMat, b: SymMat) -> bool:
     """a <= b in the positive-semidefinite order, keyed by the exact pair."""
     return linalg.is_psd((b - a).num)
@@ -431,16 +423,6 @@ def _sym_basis(dim: int) -> tuple[SymMat, ...]:
     )
 
 
-class _Images(dict):
-    """An image table; weakly referenceable, so _TABLES can hold it."""
-
-    __slots__ = ("__weakref__",)
-
-
-# (carrier, matrix, den) -> the image table every live equal lattice map shares
-_TABLES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-
-
 class Endomorphism(Value):
     """Group endomorphism of a carrier, as the matrix `matrix / den` on its vectorization.
 
@@ -453,14 +435,14 @@ class Endomorphism(Value):
     _images, from the coordinates of each element it has mapped to the
     image: apply computes each product once per distinct map and element,
     and the sweeps that ask again (absorption, the product split, the
-    substructure bands, membership P g == g) read the stored image.  Equal
-    maps share one table through the weak registry _TABLES, keyed by
-    (carrier, matrix, den): the table lives while some map that uses it
-    does, and a map built after every equal map is gone starts empty.  Only
-    a successful image is stored, so a map that leaves the lattice raises
-    ValueError on every call.  A matrix map keeps no table: its inputs are
-    sampled, so a table would only grow with the budget.  The table is not
-    a field, so equality, hashing, repr and pickling ignore it.
+    substructure bands, membership P g == g) read the stored image.  The
+    table is the carrier's, kept in carrier._tables under (matrix, den), so
+    equal maps on one carrier share it, and it is freed with the carrier.
+    Only a successful image is stored, so a map that leaves the lattice
+    raises ValueError on every call.  A matrix map keeps no table: its
+    inputs are sampled, so a table would only grow with the budget.  The
+    table is not a field, so equality, hashing, repr and pickling ignore
+    it; a pickled map takes the table of its unpickled carrier.
     """
 
     __slots__ = ("carrier", "matrix", "den", "conjugator", "_images")
@@ -477,12 +459,7 @@ class Endomorphism(Value):
             raise ValueError(f"endomorphism matrix must be {n}x{n} for this carrier")
         if den != 1:
             matrix, den = linalg.lowest_terms(matrix, den)
-        images = None
-        if carrier.finite:
-            key = (carrier, matrix, den)
-            images = _TABLES.get(key)
-            if images is None:
-                images = _TABLES[key] = _Images()
+        images = carrier._tables.setdefault((matrix, den), {}) if carrier.finite else None
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "den", den)

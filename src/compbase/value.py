@@ -2,7 +2,7 @@
 
 A subclass lists its fields in __slots__, in constructor order, and sets
 them in its own __init__; slots whose names start with an underscore
-(memos, __dict__) are not fields.  An instance equals an instance of
+(memos) are not fields.  An instance equals an instance of
 exactly its own class whose fields are equal, and prints as
 Name(field=value, ...).  A Record is mutable and unhashable.  A Value is
 frozen: assigning or deleting any attribute raises AttributeError, so its

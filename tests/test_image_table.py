@@ -1,19 +1,19 @@
 """The image table of lattice maps.
 
 An Endomorphism of a lattice carrier keeps the image of each element it
-has mapped, in a table it shares with every live equal map, so each product
-of a distinct map and an element is computed once.  These tests pin that
-the table changes no image and no error, that matrix maps keep none, that
-a lattice report makes each product once, and that a report's maps and
-tables are freed when it returns.  That the table is no part of a map's
-value is pinned in test_value_types.
+has mapped, in a table on its carrier that every equal map shares, so each
+product of a distinct map and an element is computed once.  These tests
+pin that the table changes no image and no error, that matrix maps keep
+none, that a lattice report makes each product once, and that a report's
+maps and tables are freed when it returns.  That the table is no part of a
+map's value is pinned in test_value_types.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import weakref
+import sys
 from collections import Counter
 
 import pytest
@@ -29,7 +29,6 @@ from compbase import (
 )
 from compbase import compatibility
 from compbase.cli import main
-from compbase.models import _TABLES
 from conftest import LATTICE, MODELS_DIR, retraction_base, seeded_cones
 
 HEIGHT = 2
@@ -190,26 +189,38 @@ def test_lattice_report_makes_each_product_once(monkeypatch, tmp_path, capsys):
     assert counts["mat_vec"] <= len(pairs) + counts["search"]
 
 
-def test_a_table_is_freed_with_its_last_map(capsys):
-    """No image table outlives the maps that use it: dropping the last map
-    frees its table by reference counting, and a report's tables are gone
+def test_a_table_is_freed_with_its_model(monkeypatch, capsys):
+    """An image table lives on its carrier: a map built after an equal map
+    is gone reads the same table, and once the model and its maps are gone
+    nothing holds it.  A report's tables are freed, by reference counting,
     when it returns."""
 
-    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((5, 2)))  # a carrier no other test keeps
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((5, 2)))
+    first = Endomorphism(model, ((0, 1), (1, 0)))
+    first.apply(Vec((1, 2)))
+    table = first._images
+    del first
+    second = Endomorphism(model, ((0, 1), (1, 0)))
+    assert second._images is table and table == {(1, 2): Vec((2, 1))}
+    del second, model
+    assert sys.getrefcount(table) == 2  # `table` and getrefcount's argument
+
+    tables = {}  # id -> every distinct table the report's maps take
+    real_init = Endomorphism.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if self._images is not None:
+            tables.setdefault(id(self._images), self._images)
+
+    monkeypatch.setattr(Endomorphism, "__init__", init)
     gc.collect()
     gc.disable()
     try:
-        first, second = Endomorphism(model, ((0, 1), (1, 0))), Endomorphism(model, ((0, 1), (1, 0)))
-        first.apply(Vec((1, 2)))
-        table = weakref.ref(first._images)
-        del first
-        assert table() is second._images
-        del second
-        assert table() is None
-
-        before = len(_TABLES)
         assert main(["report", str(MODELS_DIR / "m5.json"), "--seed", "0"]) == 0
-        assert len(_TABLES) == before
+        # one reference from `tables`, one from getrefcount's argument
+        held = [sys.getrefcount(tables[key]) - 2 for key in tables]
     finally:
         gc.enable()
     capsys.readouterr()
+    assert tables and held == [0] * len(tables)

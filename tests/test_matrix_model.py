@@ -1,5 +1,6 @@
-"""Seeded samplers: exactness, idempotence, order bounds, determinism, and
-the memoized constructions and order test against their unmemoized forms."""
+"""Seeded samplers: exactness, idempotence, order bounds, determinism, the
+samplers against draw-and-build oracles, and the memoized order test
+against is_psd."""
 
 import random
 from collections import Counter
@@ -98,7 +99,7 @@ def test_distinct_seeds_usually_differ():
 
 
 # ---------------------------------------------------------------------------
-# memoized samplers against the draw-and-build-in-one-pass oracles
+# samplers against the draw-and-build-in-one-pass oracles
 
 
 def oracle_cayley_orthogonal(dim, rng):
@@ -128,21 +129,10 @@ SAMPLERS = {
     "cayley": (matrix_model.cayley_orthogonal, oracle_cayley_orthogonal),
     "effect": (matrix_model.draw_effect, oracle_draw_effect),
 }
-MEMOS = (matrix_model._cayley_frame, matrix_model._effect)
-
-
-def flood_caches():
-    """More distinct draws than either cache holds: evicts every earlier entry."""
-    rng = random.Random(-1)
-    for _ in range(matrix_model.CACHE_SIZE + 1):
-        matrix_model.draw_effect(3, rng)
-    assert all(m.cache_info().currsize == matrix_model.CACHE_SIZE for m in MEMOS)
-
-
 SAMPLER_OPS = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(sorted(SAMPLERS)), st.integers(1, 4)),
-        st.sampled_from([("reopen", 0), ("flood", 0)]),
+        st.just(("reopen", 0)),
     ),
     min_size=1,
     max_size=24,
@@ -151,7 +141,7 @@ SAMPLER_OPS = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @example(seed=5, bound=matrix_model.DEFAULT_BOUND,
-         ops=[("effect", 3), ("cayley", 3), ("flood", 0), ("reopen", 0),
+         ops=[("effect", 3), ("cayley", 3), ("reopen", 0),
               ("effect", 3), ("cayley", 3), ("reopen", 0), ("effect", 3)])
 @given(
     seed=st.integers(0, 2**32),
@@ -161,22 +151,18 @@ SAMPLER_OPS = st.lists(
 def test_memoized_samplers_match_oracle_and_stream(seed, bound, ops):
     # "reopen" restarts both streams, as every clause that opens a tagged
     # stream again does, so later draws repeat earlier ones; small bounds
-    # make distinct draws share parts of their cache keys
+    # make distinct draws share their generators
     default = matrix_model.DEFAULT_BOUND
     matrix_model.DEFAULT_BOUND = bound
     try:
-        memo_rng, oracle_rng = random.Random(seed), random.Random(seed)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
         for name, dim in ops:
             if name == "reopen":
-                memo_rng, oracle_rng = random.Random(seed), random.Random(seed)
-            elif name == "flood":
-                matrix_model.DEFAULT_BOUND = default
-                flood_caches()
-                matrix_model.DEFAULT_BOUND = bound
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
             else:
-                memo, oracle = SAMPLERS[name]
-                assert memo(dim, memo_rng) == oracle(dim, oracle_rng)
-                assert memo_rng.getstate() == oracle_rng.getstate()
+                sampler, oracle = SAMPLERS[name]
+                assert sampler(dim, rng) == oracle(dim, oracle_rng)
+                assert rng.getstate() == oracle_rng.getstate()
     finally:
         matrix_model.DEFAULT_BOUND = default
 
@@ -229,13 +215,12 @@ def test_memoized_order_matches_is_psd(pair):
 def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     """theorems m4 --samples 8 --seed 1: same draws and streams, fewer PSD tests.
 
-    Before the memos it ran is_psd 14,528 times; the memos leave
+    Before the order memo it ran is_psd 14,528 times; the memo leaves
     draw_effect and CheckConfig.rng as they are: no effect is drawn (the
     unital-group axioms are decided) and 7 streams are opened, all by the
     base of all projections (the declared base opens none).
     """
-    for memo in (*MEMOS, models._matrix_leq):
-        memo.cache_clear()
+    models._matrix_leq.cache_clear()
     counts = Counter()
 
     def counting(name, fn):

@@ -343,13 +343,14 @@ def test_no_box_outlives_its_model(monkeypatch, tmp_path, capsys):
     its model, and the model itself is gone."""
 
     boxes = []
-    real = models._lattice_interval
+    real = models.range_band
 
-    def tracked(model, lo, hi):
-        boxes.append(real(model, lo, hi))
+    def tracked(*args):
+        # LatticeConeModel._box keeps tuple() of this, which is this tuple itself
+        boxes.append(tuple(real(*args)))
         return boxes[-1]
 
-    monkeypatch.setattr(models, "_lattice_interval", tracked)
+    monkeypatch.setattr(models, "range_band", tracked)
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(corner_model((4, 1))))  # a model no other test keeps
     gc.collect()

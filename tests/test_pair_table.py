@@ -7,8 +7,7 @@ restricted base reads its parent's sums and composed maps.  These tests pin
 that the table changes no verdict (the pruned composition premise against
 the full-product sweep, the common-focus lookup against map comparisons)
 and that it is filled once per pair and never on an intensional base.
-The intensional battery fetches each map once, and a declared base's
-validation and theorems open no sample stream.
+A declared base's validation and theorems open no sample stream.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ import pytest
 from compbase import (
     CheckConfig,
     LatticeConeModel,
-    MatrixModel,
     SymMat,
     Vec,
     compat_battery,
     compose,
     load_model,
-    matrix_model,
     projection_base,
     theorem_report,
     validate_compression_base,
@@ -191,34 +188,6 @@ def test_intensional_base_keeps_no_pair_table():
     assert compat_battery(base, p, q).compatible
     assert base.composed(p, q) is not base.composed(p, q)
     assert base._memo == {} and base._pairs == {}
-
-
-def test_intensional_battery_fetches_each_map_once(monkeypatch):
-    """On the base of all projections the battery composes J_p and J_q from
-    the maps it holds: building the composed maps fetches no map again."""
-
-    base = projection_base(MatrixModel(3))
-    p = matrix_model.random_projection(3, seed=1)
-    q = matrix_model.random_projection(3, seed=2)
-    fetched = Counter()
-    real_j = compression.CompressionBase.j
-    real_composed = compression.CompressionBase.composed
-
-    def counted_j(self, x):
-        fetched["j"] += 1
-        return real_j(self, x)
-
-    def counted_composed(self, *args):
-        before = fetched["j"]
-        out = real_composed(self, *args)
-        fetched["in composed"] += fetched["j"] - before
-        return out
-
-    monkeypatch.setattr(compression.CompressionBase, "j", counted_j)
-    monkeypatch.setattr(compression.CompressionBase, "composed", counted_composed)
-    compat_battery(base, p, q)
-    # J_p and J_q, then J_p and J_{I-p} for the commutant projector of p
-    assert (fetched["j"], fetched["in composed"]) == (4, 0)
 
 
 @pytest.mark.parametrize("name", ("m1", "m3", "m4"))

@@ -6,7 +6,7 @@ when the units agree.  conftest.filtered_band is the element-by-element
 filter of the parent's universe; these tests hold every band to it, tuple
 for tuple, order included, on the bundled models, seeded cones, a Z^3 grid,
 substructures nested through restricted_base, a focus outside the unit
-interval, and hand-built projectors.
+interval, and hand-built projectors, one of them over the denominator 2.
 """
 
 from __future__ import annotations
@@ -127,6 +127,28 @@ def test_bands_match_the_filter_for_any_projector(matrix):
     for unit in (Vec((1, 1)), Vec((2, 0)), Vec((0, 0))):
         assert_bands_match(Substructure(model, "image", unit, unit, p), n=2)
     assert_bands_match(Substructure(model, "commutant", model.unit, model.unit, p), n=2)
+
+
+def test_a_projector_over_two_is_filtered():
+    """P = [[1, 1], [1, 1]] / 2 is idempotent and fixes the diagonal.  A
+    projector that is not integral takes the filter branch.  On Z^2 the
+    filter meets (0, 1), which P sends off the lattice, and raises as the
+    oracle does; inside the diagonal, cut out by an integral projector, P
+    is integral on every point and the band is the diagonal's."""
+
+    model = LatticeConeModel(2, STANDARD, Vec((2, 2)))
+    half = Endomorphism(model, ((1, 1), (1, 1)), 2)
+    assert half.den == 2
+    top = Substructure(model, "image", Vec((1, 1)), Vec((1, 1)), half)
+    for band in (top.interval, lambda: filtered_band(top, 0, 1)):
+        with pytest.raises(ValueError, match="integer lattice"):
+            band()
+    onto_diagonal = Endomorphism(model, ((1, 0), (1, 0)))
+    diagonal = Substructure(model, "commutant", model.unit, model.unit, onto_diagonal)
+    sub = Substructure(diagonal, "image", Vec((1, 1)), Vec((1, 1)), half)
+    assert_bands_match(sub)
+    assert sub.interval() == (Vec((0, 0)), Vec((1, 1)))
+    assert sub.signed_universe(N) == tuple(Vec((t, t)) for t in range(-N, N + 1))
 
 
 def test_range_band_lists_the_points_in_order():

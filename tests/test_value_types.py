@@ -216,22 +216,26 @@ def test_pickle_round_trip(cls):
 
 
 def test_image_table_is_not_a_field():
-    """Equal live lattice maps share one image table, which is no part of
-    their value; a map built after every equal map is gone starts empty."""
+    """Equal lattice maps on one carrier share its image table for their
+    (matrix, den), which is no part of their value; a pickled copy takes
+    the table of its own, unpickled, carrier."""
 
-    z = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((3, 7)))  # a carrier no other test keeps
+    z = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((3, 7)))
     used, equal = Endomorphism(z, ((1, 0), (0, 0))), Endomorphism(z, ((1, 0), (0, 0)))
     other = Endomorphism(z, ((0, 0), (0, 1)))
     assert used.apply(Vec((1, 1))) == Vec((1, 0))
     assert equal._images is used._images and used._images == {(1, 1): Vec((1, 0))}
+    assert used._images is z._tables[(used.matrix, used.den)]
     assert other._images is not used._images and not other._images
     assert used == equal and hash(used) == hash(equal) and repr(used) == repr(equal)
     copy = pickle.loads(pickle.dumps(used))
-    assert copy == used and hash(copy) == hash(used) and copy._images is used._images
+    assert copy == used and hash(copy) == hash(used)
+    assert copy.carrier == z and copy.carrier is not z
+    assert copy._images is copy.carrier._tables[(used.matrix, used.den)] and copy._images == {}
     with pytest.raises(AttributeError):
         used._images = {}
     del used, equal, copy
-    assert Endomorphism(z, ((1, 0), (0, 0)))._images == {}
+    assert Endomorphism(z, ((1, 0), (0, 0)))._images == {(1, 1): Vec((1, 0))}
 
 
 def test_jsonable_shapes():
