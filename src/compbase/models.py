@@ -367,10 +367,10 @@ class MatrixModel(Value):
         )
 
     def positive_universe(self, n: int):
-        raise NotEnumerableError("matrix model universes are sampled, not enumerated")
+        raise NotEnumerableError("matrix model universes are infinite, not enumerated")
 
     def signed_universe(self, n: int):
-        raise NotEnumerableError("matrix model universes are sampled, not enumerated")
+        raise NotEnumerableError("matrix model universes are infinite, not enumerated")
 
     @property
     def sym_pairs(self) -> tuple[tuple[int, int], ...]:

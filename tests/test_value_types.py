@@ -199,6 +199,7 @@ def test_compression_base_still_caches_its_focus_set():
     base = build(CompressionBase)
     assert base.contains_focus(Vec((1, 1))) and not base.contains_focus(Vec((0, 0)))
     assert base._focus_set is base._focus_set
+    assert not hasattr(base, "__dict__")
 
 
 def test_repr_of_elements_and_config():
