@@ -10,12 +10,19 @@ Usage::
     compbase retractions MODEL
     compbase report MODEL
 
-Every command loads a model file, re-validates it, and exits 0 only when
-every checked law holds.  Exit code 1 means a mathematical violation (the
-output names the failing clause and carries a witness); exit code 2 means
-the input could not be used at all (missing file, schema violation, bad
-element syntax, an --output path that cannot be written).  The two are never conflated: a corrupted family is a
-finding, a corrupted file is a usage error.
+Every command runs one pipeline: load the model file, validate it
+(sections 00_unital_group and 01_compression_base), and only when both
+hold run the command's step, which adds its sections and fields.  One
+document comes out, and the exit code follows its "ok" alone: 0 when every
+checked law holds.  Exit code 1 means a mathematical violation (the
+document names the failing clause in "first_failure" and carries a
+witness) or a refused element (an element outside the unit interval, or
+no focus of the declared base where one is needed: "ok" is false, "error"
+says why, and there is no "first_failure").  Exit code 2 means the input
+could not be used at all (missing file, schema violation, bad element
+syntax, retractions on a matrix model, an --output path that cannot be
+written).  The two are never conflated: a corrupted family is a finding,
+a corrupted file is a usage error.
 
 Output is JSON by default (sorted keys, exact rationals, no volatile
 fields, so equal configurations produce byte-identical bytes), or an
@@ -53,7 +60,7 @@ from .effect_algebra import EffectAlgebra, SubEffectAlgebra, mackey_decompositio
 from .elements import SymMat, Vec, parse_integer, parse_rational
 from .modelfile import ModelFormatError, load_model
 from .models import NotEnumerableError, validate_unital_group
-from .reporting import jsonable, render_json, render_table
+from .reporting import jsonable, render_columns, render_json, render_table
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,176 +99,123 @@ def _parse_element(model, text: str):
         raise ElementSyntaxError(f"{text!r}: {exc}") from None
 
 
-def _first_failure(sections: dict) -> str | None:
-    for report in sections.values():
-        clause = report.first_failure()
-        if clause is not None:
-            return clause.name
-    return None
+def _theorems(args, model, base, cfg, sections: dict, fields: dict) -> None:
+    sections["02_theorems"] = theorem_report(base, cfg)
+    if model.kind == "matrix":
+        sections["03_theorems_sampled"] = theorem_report(projection_base(model), cfg)
 
 
-def _document(command: str, model_path: Path, cfg: CheckConfig, sections: dict) -> dict:
+def _retractions(args, model, base, cfg, sections: dict, fields: dict) -> None:
+    sections["04_compressible"] = compressible_group_report(model, cfg)
+
+
+_FOCUS = "a focus of the declared base"
+
+
+def _mackey(args, model, base, cfg, sections: dict, fields: dict) -> None:
+    algebra = EffectAlgebra(model)
+    named = {"e": _parse_element(model, args.e), "f": _parse_element(model, args.f)}
+    tests = [(algebra.contains, "in the unit interval")]
+    within = None
+    if model.kind == "matrix":
+        tests.append((base.contains_focus, _FOCUS))
+        within = SubEffectAlgebra(algebra, frozenset(base.foci))
+    for test, what in tests:
+        name = next((n for n, x in named.items() if not test(x)), None)
+        if name is not None:
+            fields["error"] = f"{name} is not {what}"
+            return
+    triples = mackey_decompositions(algebra, named["e"], named["f"], within=within)
+    fields.update(named, compatible=bool(triples), triples=list(triples))
+    fields["searched"] = "declared foci" if within is not None else "unit interval"
+
+
+def _substructure(args, model, base, cfg, sections: dict, fields: dict) -> None:
+    v = _parse_element(model, args.v)
+    if not base.contains_focus(v):
+        fields["error"] = f"v is not {_FOCUS}"
+        return
+    sub, rbase, sections[f"10_{args.kind}"] = substructure_report(base, v, args.kind, cfg)
+    fields.update(v=v, kind=args.kind, unit=sub.unit, foci=list(rbase.foci))
+    fields["interval_size"] = len(sub.interval()) if sub.finite else None
+
+
+def _compat_table(args, model, base, cfg, sections: dict, fields: dict) -> None:
+    fields["rows"] = [compat_battery(base, p, q) for p in base.foci for q in base.foci]
+    if not all(r.agree for r in fields["rows"]):
+        fields["first_failure"] = "battery_agreement"
+
+
+def _report(args, model, base, cfg, sections: dict, fields: dict) -> None:
+    _theorems(args, model, base, cfg, sections, fields)
+    if model.kind == "lattice_cone":
+        _retractions(args, model, base, cfg, sections, fields)
+    for i, v in enumerate(base.foci):
+        for kind in ("image", "commutant"):
+            _, _, sections[f"substructure_{i:02d}_{kind}"] = substructure_report(base, v, kind, cfg)
+        sections[f"product_{i:02d}"] = direct_product_report(base, v, cfg)
+
+
+# Each command's step runs once the model validates.  It adds sections and
+# document fields; a step that refuses its input adds "error" instead.
+_STEPS = {
+    "validate": lambda *_: None,
+    "theorems": _theorems,
+    "compat-table": _compat_table,
+    "mackey": _mackey,
+    "substructure": _substructure,
+    "retractions": _retractions,
+    "report": _report,
+}
+
+
+def _document(args, cfg: CheckConfig, sections: dict, fields: dict) -> dict:
+    """The one document of a run; ok is false exactly when a clause failed,
+    a step named a first failure, or a step refused its input."""
+    failure = next((rep.first_failure().name for rep in sections.values() if not rep.ok), None)
     doc = {
-        "command": command,
-        "model": model_path.name,
+        "command": args.command,
+        "model": args.model.name,
         "config": {
             "height_bound": cfg.height_bound,
             "samples": cfg.samples,
             "seed": cfg.seed,
         },
-        "sections": {name: jsonable(rep) for name, rep in sections.items()},
-        "ok": all(rep.ok for rep in sections.values()),
+        "sections": sections,
+        **fields,
     }
-    failure = _first_failure(sections)
     if failure is not None:
         doc["first_failure"] = failure
-    return doc
+    doc["ok"] = "first_failure" not in doc and "error" not in doc
+    return jsonable(doc)
 
 
-def _validation_sections(model, base, cfg: CheckConfig) -> dict:
-    return {
+def _run(args, cfg: CheckConfig) -> dict:
+    """Load the model, validate it, run the command's step when both
+    validation sections hold, and build the document."""
+    model, base = load_model(args.model)
+    if args.command == "retractions" and model.kind != "lattice_cone":
+        raise NotEnumerableError("retraction enumeration requires a finite lattice model")
+    sections = {
         "00_unital_group": validate_unital_group(model, cfg),
         "01_compression_base": validate_compression_base(base, cfg),
     }
-
-
-def _theorem_sections(model, base, cfg: CheckConfig) -> dict:
-    sections = {"02_theorems": theorem_report(base, cfg)}
-    if model.kind == "matrix":
-        sections["03_theorems_sampled"] = theorem_report(projection_base(model), cfg)
-    return sections
-
-
-def cmd_validate(args, model, base, cfg) -> tuple[dict, int]:
-    sections = _validation_sections(model, base, cfg)
-    doc = _document("validate", args.model, cfg, sections)
-    return doc, EXIT_OK if doc["ok"] else EXIT_VIOLATION
-
-
-def cmd_theorems(args, model, base, cfg) -> tuple[dict, int]:
-    sections = _validation_sections(model, base, cfg)
+    fields: dict = {}
     if all(rep.ok for rep in sections.values()):
-        sections.update(_theorem_sections(model, base, cfg))
-    doc = _document("theorems", args.model, cfg, sections)
-    return doc, EXIT_OK if doc["ok"] else EXIT_VIOLATION
-
-
-def cmd_compat_table(args, model, base, cfg) -> tuple[dict, int]:
-    sections = _validation_sections(model, base, cfg)
-    doc = _document("compat-table", args.model, cfg, sections)
-    if not doc["ok"]:
-        return doc, EXIT_VIOLATION
-    rows = [
-        compat_battery(base, p, q)
-        for p in base.foci
-        for q in base.foci
-    ]
-    doc["rows"] = jsonable(rows)
-    agree = all(r.agree for r in rows)
-    doc["ok"] = agree
-    if not agree:
-        doc["first_failure"] = "battery_agreement"
-    return doc, EXIT_OK if agree else EXIT_VIOLATION
-
-
-def cmd_mackey(args, model, base, cfg) -> tuple[dict, int]:
-    sections = _validation_sections(model, base, cfg)
-    doc = _document("mackey", args.model, cfg, sections)
-    if not doc["ok"]:
-        return doc, EXIT_VIOLATION
-    algebra = EffectAlgebra(model)
-    e = _parse_element(model, args.e)
-    f = _parse_element(model, args.f)
-    for name, x in (("e", e), ("f", f)):
-        if not algebra.contains(x):
-            doc["error"] = f"{name} is not in the unit interval"
-            return doc, EXIT_VIOLATION
-    within = None
-    if model.kind == "matrix":
-        within = SubEffectAlgebra(algebra, frozenset(base.foci))
-    triples = mackey_decompositions(algebra, e, f, within=within)
-    doc["e"] = jsonable(e)
-    doc["f"] = jsonable(f)
-    doc["searched"] = "declared foci" if within is not None else "unit interval"
-    doc["compatible"] = bool(triples)
-    doc["triples"] = jsonable(list(triples))
-    return doc, EXIT_OK
-
-
-def cmd_substructure(args, model, base, cfg) -> tuple[dict, int]:
-    sections = _validation_sections(model, base, cfg)
-    doc = _document("substructure", args.model, cfg, sections)
-    if not doc["ok"]:
-        return doc, EXIT_VIOLATION
-    v = _parse_element(model, args.v)
-    if not base.contains_focus(v):
-        doc["error"] = "v is not a focus of the declared base"
-        return doc, EXIT_VIOLATION
-    sub, rbase, report = substructure_report(base, v, args.kind, cfg)
-    sections[f"10_{args.kind}"] = report
-    doc = _document("substructure", args.model, cfg, sections)
-    doc["v"] = jsonable(v)
-    doc["kind"] = args.kind
-    doc["unit"] = jsonable(sub.unit)
-    doc["interval_size"] = len(sub.interval()) if sub.finite else None
-    doc["foci"] = jsonable(list(rbase.foci))
-    return doc, EXIT_OK if doc["ok"] else EXIT_VIOLATION
-
-
-def cmd_retractions(args, model, base, cfg) -> tuple[dict, int]:
-    if model.kind != "lattice_cone":
-        raise NotEnumerableError(
-            "retraction enumeration requires a finite lattice model"
-        )
-    sections = _validation_sections(model, base, cfg)
-    doc = _document("retractions", args.model, cfg, sections)
-    if not doc["ok"]:
-        return doc, EXIT_VIOLATION
-    sections["04_compressible"] = compressible_group_report(model, cfg)
-    doc = _document("retractions", args.model, cfg, sections)
-    return doc, EXIT_OK if doc["ok"] else EXIT_VIOLATION
-
-
-def cmd_report(args, model, base, cfg) -> tuple[dict, int]:
-    sections = _validation_sections(model, base, cfg)
-    if all(rep.ok for rep in sections.values()):
-        sections.update(_theorem_sections(model, base, cfg))
-        if model.kind == "lattice_cone":
-            sections["04_compressible"] = compressible_group_report(model, cfg)
-        for i, v in enumerate(base.foci):
-            for kind in ("image", "commutant"):
-                _, _, rep = substructure_report(base, v, kind, cfg)
-                sections[f"substructure_{i:02d}_{kind}"] = rep
-            sections[f"product_{i:02d}"] = direct_product_report(base, v, cfg)
-    doc = _document("report", args.model, cfg, sections)
-    return doc, EXIT_OK if doc["ok"] else EXIT_VIOLATION
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "theorems": cmd_theorems,
-    "compat-table": cmd_compat_table,
-    "mackey": cmd_mackey,
-    "substructure": cmd_substructure,
-    "retractions": cmd_retractions,
-    "report": cmd_report,
-}
+        _STEPS[args.command](args, model, base, cfg, sections, fields)
+    return _document(args, cfg, sections, fields)
 
 
 def _render_rows(doc: dict) -> str:
     names = list(doc["rows"][0]["conditions"]) if doc["rows"] else []
-    header = ["p", "q"] + names + ["agree"]
-    rows = [header]
+    rows = [["p", "q", *names, "agree"]]
     for r in doc["rows"]:
         rows.append(
             [str(r["p"]), str(r["q"])]
             + ["1" if r["conditions"][n] else "0" for n in names]
             + ["yes" if r["agree"] else "NO"]
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = ["  ".join(row[i].ljust(widths[i]) for i in range(len(row))).rstrip() for row in rows]
-    lines.append("ok" if doc["ok"] else "FAILED")
-    return "\n".join(lines) + "\n"
+    return render_columns(rows, doc["ok"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,8 +285,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        model, base = load_model(args.model)
-        doc, code = _COMMANDS[args.command](args, model, base, cfg)
+        doc = _run(args, cfg)
     except (ModelFormatError, ElementSyntaxError, NotEnumerableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -350,7 +303,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     else:
         sys.stdout.write(text)
-    return code
+    return EXIT_OK if doc["ok"] else EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ a Sample from a seeded stream otherwise.  Laws over the foci take theirs
 from CompressionBase.cases.  One status rule holds for the theorem sweeps: a
 declared base decides them (pass), a sampled base certifies them.  On a
 matrix structure the laws quantified over effects or elements are decided
-per focus by rules derived from the premises the base keeps for it
-(compression.focus_premises), in the substructure and product sections
-too, so a declared matrix base draws nothing.  The one exception is
-battery_agreement on a declared matrix base with a focus that is not a
+per focus by rules derived from exactly checked premises (those the base
+keeps for it, compression.focus_premises, or those of a single-map check
+such as kernel_complement_check), in the substructure and product
+sections too, so a declared matrix base draws nothing.  The one exception
+is battery_agreement on a declared matrix base with a focus that is not a
 projection, which is certified.
 
 A CompatReport is a frozen value (value.Value) compared by fields; a
@@ -1075,10 +1076,7 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
     foci = base.cases(1, lambda: _projections(base, cfg.rng("theorem:kernel"), n))
 
     def exchanges(p):
-        if structure.finite:
-            res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
-        else:
-            res = derived("kernel_complement", focus_premises(base, p, comp=True), "")
+        res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
         return res.ok or {"focus": p, "witness": res.witness}
 
     box = structure.positive_universe(cfg.height_bound) if structure.finite else None

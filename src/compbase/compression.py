@@ -690,10 +690,7 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         bad = next((c for _, c in cert.checks if not c.ok), None)
         if bad is not None:
             return {"focus": p, "check": bad.name, "witness": bad.witness}
-        if structure.finite:
-            comp = is_compression(structure, base.j(p))
-        else:
-            comp = derived("compression", focus_premises(base, p), "")
+        comp = is_compression(structure, base.j(p))
         return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
 
     def sample():

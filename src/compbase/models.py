@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
 from operator import mul, sub
 
 from . import linalg, matrix_model
@@ -635,17 +634,14 @@ def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
     """Directedness for a top-level lattice model, decided exactly.
 
     The group is directed with order unit u iff the unit interval generates
-    Z^dim as a group (checked through the gcd of dim x dim minors of the
-    matrix of interval elements) and every nonzero cone row pairs strictly
-    positively with u (so a multiple of u eventually dominates any element).
+    Z^dim as a group and every nonzero cone row pairs strictly positively
+    with u (so a multiple of u eventually dominates any element).  The
+    index of the group the interval generates is |det B| for a Z-basis B of
+    it (lattice_basis), and 0 when B has fewer than dim rows.
     """
     nonzero = [e.coords for e in interval if not e.is_zero()]
-    index = 0
-    if len(nonzero) >= model.dim:
-        for combo in itertools.combinations(nonzero, model.dim):
-            index = gcd(index, abs(linalg.int_det(combo)))
-            if index == 1:
-                break
+    basis = lattice_basis(nonzero)
+    index = abs(linalg.int_det(basis)) if len(basis) == model.dim else 0
     rep.add(
         law(
             "interval_generates_group",

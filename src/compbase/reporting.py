@@ -226,18 +226,17 @@ def _clause_rows(report_dict: dict, prefix: str = "") -> list[tuple[str, str, st
     return rows
 
 
+def render_columns(rows: list, ok: bool) -> str:
+    """Rows of strings in left-aligned columns two spaces apart, then the
+    verdict line: the one table layout of the package."""
+    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+    lines.append("ok" if ok else "FAILED")
+    return "\n".join(lines) + "\n"
+
+
 def render_table(data: Any) -> str:
     """Aligned plain-text view of a report dict (same content as the JSON)."""
     d = jsonable(data)
-    rows = _clause_rows(d)
-    header = ("clause", "status", "checked", "note")
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(4)
-    ]
-    lines = []
-    for r in [header] + rows:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(4)).rstrip())
-    verdict = "ok" if d.get("ok", True) else "FAILED"
-    lines.append(verdict)
-    return "\n".join(lines) + "\n"
+    rows = [("clause", "status", "checked", "note"), *_clause_rows(d)]
+    return render_columns(rows, d.get("ok", True))

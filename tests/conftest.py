@@ -1,7 +1,8 @@
 import pytest
 
 from fractions import Fraction
-from itertools import chain, count, product
+from itertools import chain, combinations, count, product
+from math import gcd
 from pathlib import Path
 
 from hypothesis import assume, strategies as st
@@ -103,6 +104,25 @@ def corner_model(unit) -> dict:
     cone = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return {"kind": "lattice_cone", "dim": dim, "cone_rows": cone, "unit": list(unit),
             "compressions": compressions}
+
+
+def minors_gcd_index(vectors, dim: int) -> int:
+    """The index in Z^dim of the group the integer `vectors` generate: the
+    gcd of the dim x dim minors of their matrix, each by cofactor
+    expansion; 0 when there are fewer than dim vectors or all minors vanish."""
+
+    def det(rows):
+        if not rows:
+            return 1
+        return sum(
+            (-1) ** j * rows[0][j] * det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            for j in range(len(rows))
+        )
+
+    index = 0
+    for combo in combinations([tuple(v) for v in vectors], dim):
+        index = gcd(index, abs(det(list(combo))))
+    return index
 
 
 def filtered_band(sub, lo, hi):

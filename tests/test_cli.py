@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+from compbase import jsonable, load_model
 from compbase.cli import main
-from conftest import FIXTURES_DIR, MODELS_DIR, REPO
+from conftest import BUNDLED, FIXTURES_DIR, MODELS_DIR, REPO
 
 FAST = ["--samples", "30", "--height-bound", "3"]
 
@@ -116,6 +117,27 @@ def test_mackey_non_effect_is_violation(capsys):
     code, doc = run_json(capsys, "mackey", MODELS_DIR / "m1.json", "2,0", "0,1", *FAST)
     assert code == 1
     assert "not in the unit interval" in doc["error"]
+    assert doc["ok"] is False and "first_failure" not in doc
+    code, out = run(capsys, "mackey", MODELS_DIR / "m1.json", "2,0", "0,1", "--table", *FAST)
+    assert code == 1
+    assert out.rstrip().endswith("FAILED")
+
+
+@pytest.mark.parametrize(
+    "e,f,error",
+    [
+        ("1/2,0,0,1/2", "1,0,0,0", "e is not a focus of the declared base"),
+        ("1,0,0,0", "1/2,0,0,1/2", "f is not a focus of the declared base"),
+        # interval membership of both is tested before focus membership
+        ("1/2,0,0,1/2", "2,0,0,0", "f is not in the unit interval"),
+    ],
+)
+def test_mackey_matrix_non_focus_is_violation(capsys, e, f, error):
+    code, doc = run_json(capsys, "mackey", MODELS_DIR / "m3.json", e, f, *FAST)
+    assert code == 1
+    assert doc["error"] == error
+    assert doc["ok"] is False and "first_failure" not in doc
+    assert "triples" not in doc
 
 
 def test_mackey_bad_syntax_is_usage_error(capsys):
@@ -165,6 +187,13 @@ def test_substructure_non_focus_is_violation(capsys):
     )
     assert code == 1
     assert doc["error"] == "v is not a focus of the declared base"
+    assert doc["ok"] is False and "first_failure" not in doc
+    assert "10_image" not in doc["sections"]
+    code, out = run(
+        capsys, "substructure", MODELS_DIR / "m1.json", "2,0", "image", "--table", *FAST
+    )
+    assert code == 1
+    assert out.rstrip().endswith("FAILED")
 
 
 def test_retractions_census(capsys):
@@ -176,6 +205,48 @@ def test_retractions_census(capsys):
         if c["name"] == "retraction_census"
     )
     assert census["checked"] == 4
+
+
+def _element_text(x) -> str:
+    value = jsonable(x)
+    flat = [c for row in value for c in row] if isinstance(value[0], list) else value
+    return ",".join(map(str, flat))
+
+
+CONTRACT_COMMANDS = {
+    "validate": ("validate",),
+    "theorems": ("theorems",),
+    "compat-table": ("compat-table",),
+    "report": ("report",),
+    "retractions": ("retractions",),
+    "mackey": ("mackey", "u", "u"),
+    "mackey-refused": ("mackey", "2u", "u"),
+    "substructure": ("substructure", "u", "commutant"),
+    "substructure-refused": ("substructure", "2u", "image"),
+}
+
+
+@pytest.mark.parametrize("command", CONTRACT_COMMANDS)
+@pytest.mark.parametrize(
+    "path",
+    [MODELS_DIR / f"{stem}.json" for stem in BUNDLED] + sorted(FIXTURES_DIR.glob("*.json")),
+    ids=lambda path: path.stem,
+)
+def test_exit_code_is_zero_exactly_when_ok(capsys, command, path):
+    """Every command exits 0 exactly when its document says ok, and ok is
+    false exactly when the document names a failure or an error."""
+    model, _ = load_model(path)
+    texts = {"u": _element_text(model.unit), "2u": _element_text(model.unit + model.unit)}
+    name, *rest = CONTRACT_COMMANDS[command]
+    code, out = run(capsys, name, path, *(texts.get(a, a) for a in rest), "--samples", "8")
+    if command == "retractions" and model.kind == "matrix":
+        assert (code, out) == (2, "")
+        return
+    doc = json.loads(out)
+    assert code == (0 if doc["ok"] else 1)
+    assert doc["ok"] is not ("first_failure" in doc or "error" in doc)
+    if command.endswith("-refused"):
+        assert code == 1
 
 
 def test_retractions_on_matrix_model_is_usage_error(capsys):

@@ -6,7 +6,7 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
 from compbase import (
     CheckConfig,
@@ -14,6 +14,7 @@ from compbase import (
     LatticeConeModel,
     MatrixModel,
     NotEnumerableError,
+    Report,
     Substructure,
     SymMat,
     Vec,
@@ -28,10 +29,17 @@ from compbase import (
     validate_unital_group,
     zero_endo,
 )
-from compbase import models
+from compbase import linalg, models
 from compbase.cli import main
-from compbase.models import _interval_sums, integer_points
-from conftest import LATTICE, MATRIX, corner_model, interval_sweep_equal, seeded_cones
+from compbase.models import _directedness_exact, _interval_sums, integer_points
+from conftest import (
+    LATTICE,
+    MATRIX,
+    corner_model,
+    interval_sweep_equal,
+    minors_gcd_index,
+    seeded_cones,
+)
 
 
 def brute_interval(model, box=8):
@@ -366,3 +374,76 @@ def test_no_box_outlives_its_model(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
     assert boxes and held == [0] * len(boxes)
     assert after == before
+
+
+def _lattice_index(vectors, dim: int) -> int:
+    """The index _directedness_exact finds for `vectors` as the interval of
+    Z^dim with the standard cone: 1 on a pass, else the witness."""
+    model = LatticeConeModel(dim, tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)),
+                             Vec((1,) * dim))
+    rep = Report("directedness")
+    _directedness_exact(model, [Vec(v) for v in vectors], rep)
+    clause = rep.clauses[0]
+    assert clause.name == "interval_generates_group"
+    return 1 if clause.ok else clause.witness["lattice_index"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), scale=st.integers(1, 3))
+def test_lattice_index_matches_the_minors_gcd(data, dim, scale):
+    """The index from a Z-basis is the gcd of the maximal minors, index > 1
+    included: scale multiplies it by scale**dim."""
+    entry = st.integers(-4, 4)
+    vectors = data.draw(st.lists(st.tuples(*[entry] * dim), max_size=5))
+    vectors = [tuple(scale * x for x in v) for v in vectors]
+    assert _lattice_index(vectors, dim) == minors_gcd_index(vectors, dim)
+
+
+@pytest.mark.parametrize(
+    "vectors,index",
+    [
+        ([(2, 0), (0, 1)], 2),
+        ([(3, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 1)], 3),
+        ([(2, 2), (4, 0), (0, 4)], 8),
+        # no two of the three generate the group the three do
+        ([(4, 6), (6, 3), (2, 0)], 6),
+        ([(6, 0), (0, 6), (4, 4)], 12),
+        ([(1, 1, 0), (2, 2, 0)], 0),
+        ([], 0),
+    ],
+)
+def test_lattice_index_on_known_groups(vectors, index):
+    dim = len(vectors[0]) if vectors else 1
+    assert minors_gcd_index(vectors, dim) == index
+    assert _lattice_index(vectors, dim) == index
+
+
+def test_flat_interval_index_takes_one_determinant(monkeypatch, tmp_path, capsys):
+    """Z^3 with unit (k, k, 0) spans a plane: the index is 0 from one
+    determinant at most, where the gcd of minors took one per triple of the
+    interval's 48 nonzero elements at k = 6, and validate names the clause
+    at k = 20, where the minors took more than a minute."""
+    calls = []
+    real = linalg.int_det
+    monkeypatch.setattr(linalg, "int_det", lambda m: calls.append(m) or real(m))
+    model = LatticeConeModel(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), Vec((6, 6, 0)))
+    clause = validate_unital_group(model, CheckConfig(samples=8)).first_failure()
+    assert clause.name == "interval_generates_group"
+    assert clause.witness == {"lattice_index": 0}
+    assert len(calls) <= 1
+
+    doc = {
+        "kind": "lattice_cone",
+        "dim": 3,
+        "cone_rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "unit": [20, 20, 0],
+        "compressions": [
+            {"focus": [0, 0, 0], "matrix": [[0, 0, 0]] * 3},
+            {"focus": [20, 20, 0], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        ],
+    }
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(path), "--samples", "8"]) == 1
+    assert json.loads(capsys.readouterr().out)["first_failure"] == "interval_generates_group"

@@ -135,9 +135,9 @@ def test_pair_table_fills_each_pair_once(monkeypatch):
 
     assert validate_compression_base(base, CFG).ok
     assert theorem_report(base, CFG).ok
-    args = argparse.Namespace(model=MODELS_DIR / "m4.json")
-    _, code = cli.cmd_compat_table(args, model, base, CFG)
-    assert code == cli.EXIT_OK
+    fields: dict = {}
+    cli._compat_table(argparse.Namespace(), model, base, CFG, {}, fields)
+    assert "first_failure" not in fields
     n = len(base.foci) ** 2
     assert len(batteries) == n and set(batteries.values()) == {1}
     assert composed and set(composed.values()) == {1}
