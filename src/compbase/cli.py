@@ -10,19 +10,21 @@ Usage::
     compbase retractions MODEL
     compbase report MODEL
 
-Every command runs one pipeline: load the model file, validate it
-(sections 00_unital_group and 01_compression_base), and only when both
-hold run the command's step, which adds its sections and fields.  One
+Every command runs one pipeline: load the model file, validate the
+unital group (section 00_unital_group), its compression base
+(01_compression_base) only once the group holds, and only when both hold
+run the command's step, which adds its sections and fields.  One
 document comes out, and the exit code follows its "ok" alone: 0 when every
 checked law holds.  Exit code 1 means a mathematical violation (the
 document names the failing clause in "first_failure" and carries a
-witness) or a refused element (an element outside the unit interval, or
-no focus of the declared base where one is needed: "ok" is false, "error"
-says why, and there is no "first_failure").  Exit code 2 means the input
-could not be used at all (missing file, schema violation, bad element
-syntax, retractions on a matrix model, an --output path that cannot be
-written).  The two are never conflated: a corrupted family is a finding,
-a corrupted file is a usage error.
+witness; a lattice cone that is not pointed names order_antisymmetric) or
+a refused element (an element outside the unit interval, or no focus of
+the declared base where one is needed: "ok" is false, "error" says why,
+and there is no "first_failure").  Exit code 2 means the input could not
+be used at all (missing file, schema violation, bad element syntax,
+retractions on a matrix model, an --output path that cannot be written, a
+lattice interval too large to enumerate).  The two are never conflated: a
+corrupted family is a finding, a corrupted file is a usage error.
 
 Output is JSON by default (sorted keys, exact rationals, no volatile
 fields, so equal configurations produce byte-identical bytes), or an
@@ -191,18 +193,18 @@ def _document(args, cfg: CheckConfig, sections: dict, fields: dict) -> dict:
 
 
 def _run(args, cfg: CheckConfig) -> dict:
-    """Load the model, validate it, run the command's step when both
-    validation sections hold, and build the document."""
+    """Load the model, validate the unital group, then its compression
+    base once the group holds, run the command's step once both hold, and
+    build the document."""
     model, base = load_model(args.model)
     if args.command == "retractions" and model.kind != "lattice_cone":
         raise NotEnumerableError("retraction enumeration requires a finite lattice model")
-    sections = {
-        "00_unital_group": validate_unital_group(model, cfg),
-        "01_compression_base": validate_compression_base(base, cfg),
-    }
+    sections = {"00_unital_group": validate_unital_group(model, cfg)}
     fields: dict = {}
-    if all(rep.ok for rep in sections.values()):
-        _STEPS[args.command](args, model, base, cfg, sections, fields)
+    if sections["00_unital_group"].ok:
+        sections["01_compression_base"] = validate_compression_base(base, cfg)
+        if sections["01_compression_base"].ok:
+            _STEPS[args.command](args, model, base, cfg, sections, fields)
     return _document(args, cfg, sections, fields)
 
 

@@ -403,8 +403,9 @@ class Substructure(Value):
         for each unit w above, and is_member tests membership in the
         parent too.  It also drops the points that a projector that is not
         idempotent moves.  Both lists are in lexicographic order, the order
-        of the model's boxes that the filter keeps.  Where range_band
-        cannot bound the points in P's coordinates, the filter decides.
+        of the model's boxes that the filter keeps.  On a pointed carrier
+        the rows r B have full rank, so range_band can fail only as too
+        large to enumerate; the filter then decides.
         """
 
         units, s = [], self

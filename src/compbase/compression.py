@@ -40,7 +40,6 @@ from .effect_algebra import (
     is_normal_subalgebra,
     is_sub_effect_algebra,
 )
-from .elements import SymMat
 from .models import (
     Endomorphism,
     LatticeConeModel,
@@ -493,7 +492,7 @@ class CompressionBase(Value):
 
     def contains_focus(self, p) -> bool:
         if self.intensional:
-            return isinstance(p, SymMat) and matrix_model.is_projection(p)
+            return self.structure.is_member(p) and matrix_model.is_projection(p)
         return p in self._focus_set
 
     def j(self, p) -> Endomorphism:

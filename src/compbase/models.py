@@ -2,13 +2,16 @@
 
 Two carriers are supported. A lattice-cone model is Z^dim ordered by an
 integer constraint cone (g >= 0 iff every cone row pairs nonnegatively with
-g); its unit interval and height boxes are enumerated exactly inside a
-coordinate box bounded by inverting independent cone rows and tightened by
-interval propagation over the defining inequalities. A matrix model is the
-space of symmetric rational d x d matrices ordered by positive
-semidefiniteness, with the identity as order unit; its interval is
-infinite, so its unital-group laws are decided from the form of the order
-and of the structure's projection, and nothing is sampled.
+g); its unit interval and height boxes are enumerated exactly by one band
+solver (integer_points) inside a coordinate box bounded by inverting
+independent cone rows and tightened by interval propagation over both
+sides of every band.  On a cone whose rows have rank below dim (not
+pointed, the test of order_antisymmetric) the interval is empty or
+infinite, so validation ends there rather than enumerate.  A matrix
+model is the space of symmetric rational d x d matrices ordered by
+positive semidefiniteness, with the identity as order unit; its interval
+is infinite, so its unital-group laws are decided from the form of the
+order and of the structure's projection, and nothing is sampled.
 
 Endomorphisms are stored uniformly as integer matrices over one
 denominator, acting on a vectorization of the carrier (integer entries
@@ -47,6 +50,7 @@ its projector's range (range_band).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from operator import mul, sub
 
@@ -81,103 +85,72 @@ def _in_cone(rows, coords) -> bool:
     return True
 
 
-def integer_points(rows, rhs, dim: int) -> list[tuple[int, ...]]:
-    """All integer points x with row_i . x >= rhs_i, in lexicographic order.
+def integer_points(bands: dict, dim: int) -> list[tuple[int, ...]]:
+    """All integer points y with lo <= a . y <= hi for every band a: (lo, hi),
+    in lexicographic order.
 
-    Box bounds per coordinate are seeded from two-sided constraints (see
-    _seed_box) and tightened by exact interval propagation over the
-    inequalities. If some coordinate never acquires both bounds the
-    solution set is (or cannot be shown to be) infinite and
-    UnboundedIntervalError is raised.
+    An empty band (lo > hi, or a zero row whose band misses 0) leaves no
+    point.  The box starts from the first dim independent rows A: y is
+    A^-1 z with each z_i in the band of row i, so y_j lies between the sums
+    of the smaller and of the larger products adj(A)_ji * z_i, over det(A)
+    made positive.  Exact interval propagation over both sides of every
+    band then tightens it.  A box of more than _POINT_CAP points is not
+    enumerated: UnboundedIntervalError.
+
+    Rows of rank r below dim have an integer null vector k, so each point
+    y lies on the line y + t k: the set is empty or infinite.  The values
+    M y of the row matrix M fill the group that M's columns generate; with
+    a basis B of it (lattice_basis) they are B w, and the bands read on w
+    in r coordinates, a system of full rank, decide which.  An infinite set
+    raises UnboundedIntervalError.
     """
-    for r, b in zip(rows, rhs):
-        if not any(r) and b > 0:
-            return []
-    cons = [(tuple(r), b) for r, b in zip(rows, rhs) if any(r)]
-    lo, hi = _seed_box(cons, dim)
-    if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
+    if any(lo > hi or not (any(a) or lo <= 0 <= hi) for a, (lo, hi) in bands.items()):
         return []
-    for _ in range(_PROPAGATION_ROUNDS):
-        changed = False
-        for a, b in cons:
-            for j in range(dim):
-                if a[j] == 0:
-                    continue
-                s = 0
-                bounded = True
-                for k in range(dim):
-                    if k == j or a[k] == 0:
-                        continue
-                    cap = hi[k] if a[k] > 0 else lo[k]
-                    if cap is None:
-                        bounded = False
-                        break
-                    s += a[k] * cap
-                if not bounded:
-                    continue
-                if a[j] > 0:
-                    nl = -((s - b) // a[j])
-                    if lo[j] is None or nl > lo[j]:
-                        lo[j] = nl
-                        changed = True
-                else:
-                    nh = (b - s) // a[j]
-                    if hi[j] is None or nh < hi[j]:
-                        hi[j] = nh
-                        changed = True
-                if lo[j] is not None and hi[j] is not None and lo[j] > hi[j]:
-                    return []
-        if not changed:
-            break
-    if any(l is None or h is None for l, h in zip(lo, hi)):
+    rows = [(a, lo, hi) for a, (lo, hi) in bands.items() if any(a)]
+    seed: list = []
+    for a, _, _ in rows:
+        if linalg.rank(seed + [a]) > len(seed):
+            seed.append(a)
+            if len(seed) == dim:
+                break
+    else:
+        basis = lattice_basis(zip(*(a for a, _, _ in rows)))
+        values = {tuple(b[i] for b in basis): (lo, hi) for i, (_, lo, hi) in enumerate(rows)}
+        if basis and not integer_points(values, len(basis)):
+            return []
         raise UnboundedIntervalError("unit interval infinite: no finite box bounds")
-    total = 1
-    for l, h in zip(lo, hi):
-        total *= h - l + 1
-        if total > _POINT_CAP:
-            raise UnboundedIntervalError("interval too large to enumerate")
-    out = []
-    for pt in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if all(_dot(a, pt) >= b for a, b in cons):
-            out.append(pt)
-    return out
-
-
-def _seed_box(cons, dim: int) -> tuple[list, list]:
-    """Coordinate bounds implied by dim independent bands lo <= a . x <= hi.
-
-    A band is a row a constrained from both sides (a . x >= lo and
-    -a . x >= -hi).  For a matrix A of dim independent band rows, x is
-    A^-1 y with each y_i in [lo_i, hi_i], so x_j lies between the sums of
-    the smaller and of the larger products (A^-1)_ji * y_i, taken as
-    adj(A)_ji * y_i over det(A) made positive.  Propagation
-    alone never starts when every row has two or more nonzero entries;
-    these bounds give it a start.  Fewer than dim independent bands (a cone
-    that is not pointed) leave every bound open.
-    """
-    floor: dict = {}
-    for a, b in cons:
-        floor[a] = max(b, floor.get(a, b))
-    bands: list = []
-    for a in floor:
-        neg = tuple(-x for x in a)
-        cand = bands + [a]
-        if neg in floor and linalg.rank(cand) == len(cand):
-            bands.append(a)
-        if len(bands) == dim:
-            break
-    if len(bands) < dim:
-        return [None] * dim, [None] * dim
-    adj, det = linalg.invert(bands)
+    adj, det = linalg.invert(seed)
     if det < 0:
         adj, det = tuple(tuple(-c for c in row) for row in adj), -det
-    ranges = [(floor[a], -floor[tuple(-x for x in a)]) for a in bands]
-    lo, hi = [], []
+    box = []
     for row in adj:
-        ends = [(c * y_lo, c * y_hi) for c, (y_lo, y_hi) in zip(row, ranges)]
-        lo.append(-(-sum(min(e) for e in ends) // det))
-        hi.append(sum(max(e) for e in ends) // det)
-    return lo, hi
+        ends = [sorted((c * bands[a][0], c * bands[a][1])) for c, a in zip(row, seed)]
+        box.append([-(-sum(e[0] for e in ends) // det), sum(e[1] for e in ends) // det])
+    for _ in range(_PROPAGATION_ROUNDS):
+        changed = False
+        for a, lo, hi in rows:
+            # the ends of c * y_k over the box, and of a . y
+            ends = [sorted((c * l, c * h)) for c, (l, h) in zip(a, box)]
+            least, most = sum(e[0] for e in ends), sum(e[1] for e in ends)
+            for c, (c_lo, c_hi), bound in zip(a, ends, box):
+                if c == 0:
+                    continue
+                # c * y_j lies in [lo - (most - c_hi), hi - (least - c_lo)]
+                under, over = lo - most + c_hi, hi - least + c_lo
+                if c < 0:
+                    under, over = over, under
+                tight = [max(bound[0], -(-under // c)), min(bound[1], over // c)]
+                if tight != bound:
+                    bound[:] = tight
+                    changed = True
+                    if tight[0] > tight[1]:
+                        return []
+        if not changed:
+            break
+    if math.prod(h - l + 1 for l, h in box) > _POINT_CAP:
+        raise UnboundedIntervalError("interval too large to enumerate")
+    points = itertools.product(*(range(l, h + 1) for l, h in box))
+    return [y for y in points if all(lo <= _dot(a, y) <= hi for a, lo, hi in rows)]
 
 
 class LatticeConeModel(Value):
@@ -304,21 +277,22 @@ def range_band(carrier: LatticeConeModel, cols, units, lo: int, hi: int) -> list
 
     With B a basis of that group (lattice_basis), g = B y for exactly one
     integer y, and lo*w <= g <= hi*w reads lo (r.w) <= (r B) y <= hi (r.w)
-    for each cone row r: integer_points enumerates the y in rank(B)
-    coordinates, and B y maps them back.  Raises UnboundedIntervalError
-    where integer_points does.
+    for each cone row r, one band per row r B (the bands of rows that
+    meet the same r B intersected): integer_points enumerates the y in
+    rank(B) coordinates, and B y maps them back.  Raises
+    UnboundedIntervalError where integer_points does.
     """
     basis = lattice_basis(cols)
-    floor: dict = {}
+    bands: dict = {}
     for r in carrier.cone_rows:
         a = tuple(_dot(r, b) for b in basis)
         for w in units:
             at_w = _dot(r, w.coords)
-            for row, b in ((a, lo * at_w), (tuple(-x for x in a), -hi * at_w)):
-                floor[row] = max(b, floor.get(row, b))
+            band_lo, band_hi = bands.get(a, (lo * at_w, hi * at_w))
+            bands[a] = (max(band_lo, lo * at_w), min(band_hi, hi * at_w))
     if not basis:  # the zero group: only g = 0, where every row reads 0
-        return [carrier.zero] if all(b <= 0 for b in floor.values()) else []
-    ys = integer_points(list(floor), list(floor.values()), len(basis))
+        return [carrier.zero] if all(l <= 0 <= h for l, h in bands.values()) else []
+    ys = integer_points(bands, len(basis))
     coords = tuple(zip(*basis))
     return list(map(_trusted_vec, sorted(tuple(_dot(c, y) for c in coords) for y in ys)))
 
@@ -552,9 +526,11 @@ def validate_unital_group(structure, cfg: CheckConfig | None = None) -> Report:
     """Check the unital-group axioms for a model or substructure.
 
     Finite structures are checked exhaustively on bounded universes (the
-    report records the height bound).  On matrix structures every axiom is
-    decided from the form of the operator order and of the structure's
-    projection (see _validate_matrix).
+    report records the height bound); on a cone that is not pointed the
+    report ends after unit_positive_nonzero, and an interval of more than
+    _POINT_CAP box points raises UnboundedIntervalError.  On matrix
+    structures every axiom is decided from the form of the operator order
+    and of the structure's projection (see _validate_matrix).
     """
     if structure.finite:
         return _validate_finite(structure, cfg or CheckConfig())
@@ -586,12 +562,11 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
     rep.add(pointed if top_level else derived("order_antisymmetric", (pointed,), note))
 
     rep.add(_unit_clause(structure))
-
-    try:
-        interval = structure.interval()
-    except NotEnumerableError as exc:
-        rep.add(Clause("interval_finite", FAIL, witness={"error": str(exc)}))
+    if not pointed.ok:
+        # a line runs through each point of the interval, if it has one
         return rep
+
+    interval = structure.interval()
     rep.add(
         Clause(
             "interval_finite",

@@ -20,10 +20,13 @@ from compbase import (
     enumerate_retractions,
     image_substructure,
     load_model,
+    linalg,
     matrix_model,
+    models,
 )
 from compbase.compatibility import _absorbs
 from compbase.compression import _is_effect
+from compbase.models import UnboundedIntervalError
 from compbase.reporting import Sample, law
 
 REPO = Path(__file__).resolve().parent.parent
@@ -123,6 +126,96 @@ def minors_gcd_index(vectors, dim: int) -> int:
     for combo in combinations([tuple(v) for v in vectors], dim):
         index = gcd(index, abs(det(list(combo))))
     return index
+
+
+def one_sided_points(rows, rhs, dim: int) -> list:
+    """All integer points x with row_i . x >= rhs_i, in lexicographic order:
+    the one-sided solver that models.integer_points replaced, kept as its
+    oracle.  Box bounds are seeded from rows constrained from both sides
+    (one_sided_seed_box) and tightened by propagation over the
+    inequalities; a coordinate that never acquires both bounds raises."""
+
+    for r, b in zip(rows, rhs):
+        if not any(r) and b > 0:
+            return []
+    cons = [(tuple(r), b) for r, b in zip(rows, rhs) if any(r)]
+    lo, hi = one_sided_seed_box(cons, dim)
+    if any(l is not None and h is not None and l > h for l, h in zip(lo, hi)):
+        return []
+    for _ in range(64):
+        changed = False
+        for a, b in cons:
+            for j in range(dim):
+                if a[j] == 0:
+                    continue
+                s = 0
+                bounded = True
+                for k in range(dim):
+                    if k == j or a[k] == 0:
+                        continue
+                    cap = hi[k] if a[k] > 0 else lo[k]
+                    if cap is None:
+                        bounded = False
+                        break
+                    s += a[k] * cap
+                if not bounded:
+                    continue
+                if a[j] > 0:
+                    nl = -((s - b) // a[j])
+                    if lo[j] is None or nl > lo[j]:
+                        lo[j] = nl
+                        changed = True
+                else:
+                    nh = (b - s) // a[j]
+                    if hi[j] is None or nh < hi[j]:
+                        hi[j] = nh
+                        changed = True
+                if lo[j] is not None and hi[j] is not None and lo[j] > hi[j]:
+                    return []
+        if not changed:
+            break
+    if any(l is None or h is None for l, h in zip(lo, hi)):
+        raise UnboundedIntervalError("unit interval infinite: no finite box bounds")
+    total = 1
+    for l, h in zip(lo, hi):
+        total *= h - l + 1
+        if total > models._POINT_CAP:
+            raise UnboundedIntervalError("interval too large to enumerate")
+    return [
+        pt
+        for pt in product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        if all(sum(x * y for x, y in zip(a, pt)) >= b for a, b in cons)
+    ]
+
+
+def one_sided_seed_box(cons, dim: int) -> tuple[list, list]:
+    """Coordinate bounds implied by dim independent rows a with both
+    a . x >= lo and -a . x >= -hi among `cons`, by the adjugate of their
+    matrix; every bound stays open when there are fewer than dim."""
+
+    floor: dict = {}
+    for a, b in cons:
+        floor[a] = max(b, floor.get(a, b))
+    bands: list = []
+    for a in floor:
+        neg = tuple(-x for x in a)
+        cand = bands + [a]
+        if neg in floor and linalg.rank(cand) == len(cand):
+            bands.append(a)
+        if len(bands) == dim:
+            break
+    if len(bands) < dim:
+        return [None] * dim, [None] * dim
+    adj, det = linalg.invert(bands)
+    if det < 0:
+        adj, det = tuple(tuple(-c for c in row) for row in adj), -det
+    ranges = [(floor[a], -floor[tuple(-x for x in a)]) for a in bands]
+    lo, hi = [], []
+    for row in adj:
+        ends = [(c * y_lo, c * y_hi) for c, (y_lo, y_hi) in zip(row, ranges)]
+        lo.append(-(-sum(min(e) for e in ends) // det))
+        hi.append(sum(max(e) for e in ends) // det)
+    return lo, hi
 
 
 def filtered_band(sub, lo, hi):

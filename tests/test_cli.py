@@ -75,6 +75,40 @@ def test_bad_config_is_usage_error(capsys):
     assert code == 2
 
 
+def z2_model(tmp_path, cone_rows, unit):
+    """Z^2 under `cone_rows` with `unit` and the base {0: 0, unit: 1}
+    ({0: 0} on a zero unit)."""
+    path = tmp_path / "z2.json"
+    compressions = [{"focus": [0, 0], "matrix": [[0, 0], [0, 0]]}]
+    if any(unit):
+        compressions.append({"focus": unit, "matrix": [[1, 0], [0, 1]]})
+    path.write_text(json.dumps({"kind": "lattice_cone", "dim": 2, "cone_rows": cone_rows,
+                                "unit": unit, "compressions": compressions}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "cone_rows,unit,clause",
+    [
+        ([[1, 0]], [1, 0], "order_antisymmetric"),
+        ([[1, 0], [0, 1]], [0, 0], "unit_positive_nonzero"),
+        ([[1, 0], [0, 1]], [1, -1], "unit_positive_nonzero"),
+        ([[1, 0], [0, 1]], [1, 0], "interval_generates_group"),
+    ],
+)
+def test_failed_unital_group_skips_the_base(capsys, tmp_path, cone_rows, unit, clause):
+    # the first case is a cone that is not pointed: named (exit 1), not enumerated (exit 2)
+    code, doc = run_json(capsys, "validate", z2_model(tmp_path, cone_rows, unit), *FAST)
+    assert (code, doc["ok"], doc["first_failure"]) == (1, False, clause)
+    assert list(doc["sections"]) == ["00_unital_group"]
+
+
+def test_interval_too_large_is_usage_error(capsys, tmp_path):
+    code = main(["validate", str(z2_model(tmp_path, [[1, 0], [0, 1]], [3000, 3000]))])
+    assert code == 2
+    assert capsys.readouterr().err == "error: interval too large to enumerate\n"
+
+
 def test_mackey_compatible_pair(capsys):
     code, doc = run_json(
         capsys, "mackey", MODELS_DIR / "m1.json", "1,0", "0,1", *FAST

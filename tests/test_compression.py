@@ -11,6 +11,7 @@ from compbase import (
     Endomorphism,
     LatticeConeModel,
     MatrixModel,
+    MembershipError,
     NotEnumerableError,
     SymMat,
     Vec,
@@ -267,6 +268,15 @@ def test_projection_base_validates(fast_cfg):
     assert report.ok, report.first_failure()
     # every clause on the intensional base is sampled, never exhaustive
     assert all(c.status == "certified" for c in report.clauses)
+
+
+def test_projection_base_refuses_a_focus_of_another_dimension():
+    base = projection_base(MatrixModel(2))
+    assert base.contains_focus(SymMat.identity(2))
+    assert not base.contains_focus(SymMat.identity(3))
+    assert not base.contains_focus(Vec((1, 0)))
+    with pytest.raises(MembershipError):
+        base.j(SymMat.identity(3))
 
 
 def test_fixture_bases_fail_their_intended_clause(fast_cfg):

@@ -31,13 +31,19 @@ from compbase import (
 )
 from compbase import linalg, models
 from compbase.cli import main
-from compbase.models import _directedness_exact, _interval_sums, integer_points
+from compbase.models import (
+    UnboundedIntervalError,
+    _directedness_exact,
+    _interval_sums,
+    integer_points,
+)
 from conftest import (
     LATTICE,
     MATRIX,
     corner_model,
     interval_sweep_equal,
     minors_gcd_index,
+    one_sided_points,
     seeded_cones,
 )
 
@@ -53,19 +59,85 @@ def brute_interval(model, box=8):
 
 
 def test_integer_points_simplex():
-    # x, y >= 0 and x + y <= 2
-    pts = integer_points([(1, 0), (0, 1), (-1, -1)], [0, 0, -2], 2)
+    # x, y >= 0 and x + y <= 2, as the bands 0 <= x, y <= 2 and -2 <= -x - y <= 0
+    pts = integer_points({(1, 0): (0, 2), (0, 1): (0, 2), (-1, -1): (-2, 0)}, 2)
     assert set(pts) == {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
 
 
 def test_integer_points_empty_and_infeasible():
-    assert integer_points([(0, 0)], [1], 2) == []
-    assert integer_points([(1, 0), (-1, 0)], [1, 0], 2) == []
+    assert integer_points({(0, 0): (1, 1)}, 2) == []
+    assert integer_points({(1, 0): (1, 0)}, 2) == []
+    # an empty band is read before the rank: no point, not an infinite set
+    assert integer_points({(1, 1): (0, 1), (2, 2): (3, 2)}, 2) == []
 
 
 def test_integer_points_unbounded_raises():
-    with pytest.raises(NotEnumerableError):
-        integer_points([(1, 0)], [0], 2)
+    with pytest.raises(NotEnumerableError, match="infinite"):
+        integer_points({(1, 0): (0, 5)}, 2)
+    # repeated and opposite rows do not raise the rank
+    with pytest.raises(NotEnumerableError, match="infinite"):
+        integer_points({(1, 1): (0, 2), (2, 2): (0, 4), (-1, -1): (-2, 0), (0, 0): (0, 0)}, 2)
+
+
+@st.composite
+def band_systems(draw):
+    """A dimension 1-3 and bands lo <= a . y <= hi over rows with entries in
+    [-3, 3], with zero rows, multiples and opposites of drawn rows, and
+    bands that may be empty."""
+
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=4))
+    for a, k in draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from([-2, -1, 2])),
+                              max_size=2)):
+        rows.append(tuple(k * x for x in a))
+    if draw(st.booleans()):
+        rows.append((0,) * dim)
+    bands = {}
+    for a in rows:
+        lo = draw(st.integers(-6, 6))
+        bands[a] = (lo, lo + draw(st.integers(-2, 8)))
+    return bands, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=band_systems())
+@example(system=({(1, -2): (0, 1), (-1, 3): (0, 1)}, 2))
+@example(system=({(1, 1): (0, 2), (-1, -1): (-1, 1), (0, 0): (0, 0)}, 2))
+@example(system=({(1, 1): (0, 2), (2, 2): (5, 4)}, 2))
+@example(system=({(0, 0, 2): (1, 1)}, 3))
+@example(system=({(1, 0, 0): (0, 1), (1, 1, 0): (5, 6), (0, 1, 0): (0, 1)}, 3))
+@example(system=({(1, 1, 0): (1, 1), (1, -1, 0): (0, 0)}, 3))
+def test_band_solver_matches_one_sided_solver(system):
+    # the one-sided oracle reads each band as the rows a >= lo and -a >= -hi
+    bands, dim = system
+    rows = [r for a in bands for r in (a, tuple(-x for x in a))]
+    rhs = [b for lo, hi in bands.values() for b in (lo, -hi)]
+    try:
+        want = one_sided_points(rows, rhs, dim)
+    except UnboundedIntervalError as exc:
+        assume("infinite" in str(exc))
+        try:
+            got = integer_points(bands, dim)
+        except UnboundedIntervalError as mine:
+            assert "infinite" in str(mine)
+        else:
+            # an empty set: none of its points lies in a box either
+            box = [tuple(s * int(i == j) for j in range(dim)) for i in range(dim) for s in (1, -1)]
+            assert got == one_sided_points(rows + box, rhs + [-20] * len(box), dim) == []
+        return
+    got = integer_points(bands, dim)
+    assert got == want
+    assert got == sorted(set(got))
+
+
+def test_band_solver_refuses_a_box_over_the_point_cap():
+    bands = {(1, 0): (0, 2000), (0, 1): (0, 2000)}
+    for solve in (
+        lambda: integer_points(bands, 2),
+        lambda: one_sided_points([(1, 0), (-1, 0), (0, 1), (0, -1)], [0, -2000, 0, -2000], 2),
+    ):
+        with pytest.raises(UnboundedIntervalError, match="too large"):
+            solve()
 
 
 @pytest.mark.parametrize("name", LATTICE)
@@ -166,6 +238,19 @@ def test_nonpointed_cone_fails_antisymmetry():
     report = validate_unital_group(model, CheckConfig(height_bound=2, samples=8, seed=0))
     assert not report.ok
     assert report.first_failure().name == "order_antisymmetric"
+    assert report.first_failure().witness == {"cone_rank": 1, "dim": 2}
+    # its interval is a line: the report ends before enumerating it
+    assert [c.name for c in report.clauses] == [
+        "order_translation_invariant",
+        "order_antisymmetric",
+        "unit_positive_nonzero",
+    ]
+
+
+def test_interval_over_the_point_cap_raises():
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((3000, 3000)))
+    with pytest.raises(UnboundedIntervalError, match="too large"):
+        validate_unital_group(model, CheckConfig(height_bound=2, samples=8, seed=0))
 
 
 def test_lattice_substructure_antisymmetry_is_derived_from_the_cone_rank(bundled, fast_cfg):
