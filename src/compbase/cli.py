@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -220,11 +221,27 @@ def _render_rows(doc: dict) -> str:
     return render_columns(rows, doc["ok"])
 
 
+# an optional sign, then digits, "," and "/": the text of an element
+_ELEMENT_TOKEN = re.compile(r"[+-]?[0-9,/]+")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads an element-shaped token such as "-1,1" as a positional, where
+    argparse would read it as an unknown option (it only lets a plain
+    negative number through)."""
+
+    def _parse_optional(self, arg_string):
+        if _ELEMENT_TOKEN.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # numbers are read by _config, in the grammar of elements.parse_integer
     common.add_argument("--height-bound", default="3", metavar="N",
-                        help="bound for the positive test universe (default 3)")
+                        help="recorded in the report's config (default 3); no verdict reads "
+                        "it, as lattice laws are decided from cone generators")
     common.add_argument("--samples", default="1000", metavar="K",
                         help="randomized samples per sweep on matrix models (default 1000)")
     common.add_argument("--seed", default=None,
@@ -235,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", type=Path, default=None, metavar="PATH",
                         help="write the report here instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="compbase",
         description="validate models of unital groups with compression bases "
         "and sweep the theorems they are supposed to satisfy",

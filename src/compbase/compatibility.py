@@ -13,11 +13,15 @@ substructure and product sections of a report share them, and with them
 every universe they enumerate.
 
 Every law here is one function that picks its universe of cases once and
-hands it to reporting.law: the interval, a height box or the declared foci
-(their pairs or triples) when the structure is finite or the base declared,
-a Sample from a seeded stream otherwise.  Laws over the foci take theirs
-from CompressionBase.cases.  One status rule holds for the theorem sweeps: a
-declared base decides them (pass), a sampled base certifies them.  On a
+hands it to reporting.law: the interval, cone generators or the declared
+foci (their pairs or triples) when the structure is finite or the base
+declared, a Sample from a seeded stream otherwise.  Laws over the foci take
+theirs from CompressionBase.cases.  One status rule holds for the theorem
+sweeps: a declared base decides them (pass), a sampled base certifies them.
+On a lattice structure the laws over all of G whose premise and conclusion
+are cone or subspace conditions (commutant absorption, the morphism order,
+the product laws) are decided on the generators of those cones
+(models.cone_cases), so a failing generator is an element witness.  On a
 matrix structure the laws quantified over effects or elements are decided
 per focus by rules derived from exactly checked premises (those the base
 keeps for it, compression.focus_premises, or those of a single-map check
@@ -53,8 +57,11 @@ from .models import (
     NotEnumerableError,
     UnboundedIntervalError,
     compose,
+    cone_cases,
     conjugation_endo,
     endo_equal,
+    fixed_rows,
+    generators,
     identity_endo,
     map_key,
     range_band,
@@ -287,10 +294,13 @@ class Substructure(Value):
     every validation can be re-run inside them.  Each universe (band) is
     built once and kept for the life of the substructure: with the
     parent's unit, the parent's band filtered by the projector alone, since
-    every element of it already lies between the multiples of that unit;
-    with another unit on a lattice, enumerated from a basis of the group
-    the projector's columns generate (_enumerated), which gives the same
-    members in the same order without a pass over the parent's box.
+    every element of it already lies between 0 and the multiple of that
+    unit; with another unit on a lattice, enumerated from a basis of the
+    group the projector's columns generate (_enumerated), which gives the
+    same members in the same order without a pass over the parent's box.
+    The generators of its cones are kept beside the bands (_cones,
+    models.generators); its members are the points that every projector
+    on the chain up to the model fixes (equalities).
     image_substructure and commutant_substructure build one substructure
     per (kind, v) once per base.  premises make the projector a congruence
     into [0, unit] (models._validate_matrix); a finite parent sweeps instead,
@@ -299,7 +309,9 @@ class Substructure(Value):
     restricted bases are memoized under it.
     """
 
-    __slots__ = ("parent", "kind", "v", "unit", "projector", "premises", "_bands", "_maps")
+    __slots__ = (
+        "parent", "kind", "v", "unit", "projector", "premises", "_bands", "_cones", "_maps"
+    )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -311,6 +323,7 @@ class Substructure(Value):
         object.__setattr__(self, "projector", projector)
         object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "_bands", {})
+        object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_maps", {})
 
     @property
@@ -324,6 +337,10 @@ class Substructure(Value):
     @property
     def zero(self):
         return self.parent.zero
+
+    @property
+    def equalities(self) -> tuple:
+        return self.parent.equalities + fixed_rows(self.projector)
 
     @property
     def is_trivial(self) -> bool:
@@ -351,55 +368,41 @@ class Substructure(Value):
         return self.parent.leq(a, b)
 
     def interval(self):
-        return self._band(0, 1)
+        return self.positive_universe(1)
 
-    def positive_universe(self, n: int):
-        return self._band(0, n)
-
-    def signed_universe(self, n: int):
-        return self._band(-n, n)
-
-    def _band(self, lo: int, hi: int) -> tuple:
-        """Members of the parent's universe between lo*unit and hi*unit.
-
-        The universe is the parent's interval (0, 1), positive box (0, n) or
-        signed box (-n, n); the first two already have a lower bound of 0.
-        It is fetched first, so a band raises where the parent's does.
+    def positive_universe(self, n: int) -> tuple:
+        """Members of the parent's positive box (its interval at n = 1)
+        below n*unit.  That box is fetched first, so a band raises where
+        the parent's does.
         """
 
-        band = self._bands.get((lo, hi))
+        band = self._bands.get(n)
         if band is not None:
             return band
-        if lo < 0:
-            cases = self.parent.signed_universe(hi)
-        else:
-            cases = self.parent.interval() if hi == 1 else self.parent.positive_universe(hi)
+        cases = self.parent.positive_universe(n)
         if self.unit == self.parent.unit:
-            # the parent's band already lies between lo*unit and hi*unit
+            # the parent's band already lies between 0 and n*unit
             fixes = self.projector.apply
             band = tuple(g for g in cases if fixes(g) == g)
         elif self.projector.den == 1:
-            band = self._enumerated(lo, hi, cases)
+            band = self._enumerated(n, cases)
         else:
-            band = self._filtered(lo, hi, cases)
-        self._bands[lo, hi] = band
+            band = self._filtered(n, cases)
+        self._bands[n] = band
         return band
 
-    def _filtered(self, lo: int, hi: int, cases) -> tuple:
-        top = self.unit.scale(hi)
-        bot = self.unit.scale(lo)
+    def _filtered(self, height: int, cases) -> tuple:
+        top = self.unit.scale(height)
         leq = self.parent.leq
-        return tuple(
-            g for g in cases if self.is_member(g) and leq(g, top) and (lo == 0 or leq(bot, g))
-        )
+        return tuple(g for g in cases if self.is_member(g) and leq(g, top))
 
-    def _enumerated(self, lo: int, hi: int, cases) -> tuple:
+    def _enumerated(self, height: int, cases) -> tuple:
         """The members among the points that models.range_band lists: those
         of the group P(Z^n) that the projector's columns generate, between
-        lo*w and hi*w for every unit w on the chain from here to the model.
+        0 and height*w for every unit w on the chain from here to the model.
 
         This is the filter's set: a member g is P g, so it lies in P(Z^n);
-        the parent's band holds the parent's members between lo*w and hi*w
+        the parent's band holds the parent's members between 0 and height*w
         for each unit w above, and is_member tests membership in the
         parent too.  It also drops the points that a projector that is not
         idempotent moves.  Both lists are in lexicographic order, the order
@@ -415,9 +418,9 @@ class Substructure(Value):
             s = getattr(s, "parent", None)
         cols = tuple(zip(*self.projector.matrix))
         try:
-            points = range_band(self.carrier, cols, units, lo, hi)
+            points = range_band(self.carrier, cols, units, 0, height)
         except UnboundedIntervalError:
-            return self._filtered(lo, hi, cases)
+            return self._filtered(height, cases)
         return tuple(filter(self.is_member, points))
 
 
@@ -604,25 +607,25 @@ def morphism_report(
     tgt_structure,
     tgt_base: CompressionBase,
     phi: Endomorphism,
-    cfg: Optional[CheckConfig] = None,
     prefix: str = "",
 ) -> Report:
     """Check one map as a morphism of unital groups with compression bases.
 
     Laws: order preservation, unit to unit, declared foci into declared
     foci, and the intertwining J_{phi(q)} after phi = phi after J_q for
-    every source focus q.  A finite source sweeps its positive box; on a
-    matrix source phi must be conjugation by a stored p, a congruence.
+    every source focus q.  A finite source decides order preservation on
+    the generators of its positive cone (models.cone_cases): phi maps the
+    cone into the target's exactly when it maps each generator there.  On
+    a matrix source phi must be conjugation by a stored p, a congruence.
     """
 
     if src_structure.finite:
-        n = (cfg or CheckConfig()).height_bound
         order = law(
             prefix + "order_preserving",
-            src_structure.positive_universe(n),
+            cone_cases(src_structure),
             lambda g: tgt_structure.is_positive(phi.apply(g)),
             witness="positive",
-            note=f"checked on the height-{n} positive box",
+            note="decided on the generators of the positive cone",
         )
     else:
         matches = _conjugator_clauses(src_structure, phi)[1]
@@ -664,18 +667,26 @@ def direct_product_report(
     The compressions J_v and J_{u-v}, read on the commutant C(v), are
     surjective morphisms onto the image substructures of v and u - v; the
     pairing g -> (J_v(g), J_{u-v}(g)) is a bijection onto the product,
-    with componentwise order, inverted by addition.
+    with componentwise order, inverted by addition.  The commutant's
+    projector is J_v + J_{u-v}, so pairing_recovers_element holds by
+    construction.  cfg is taken for the signature every report section
+    shares; no law reads it.
 
-    A finite structure sweeps its signed boxes.  On a matrix structure
-    the laws follow from focus_premises: J_v and J_{u-v} conjugate by p and
-    q = u - p, p q = q p = 0, and C(v) holds the g = p g p + q g q
-    (pairing_recovers_element).  An image element h = p h p has q h q = 0,
-    so C(v) holds it and J_v fixes it (eta_, kappa_fixes_image); so
+    A finite structure decides each law over all of its group.
+    eta_, kappa_fixes_image and pairing_surjective are linear identities,
+    checked on a basis of each image (models.generators with no cone rows),
+    and on the pairs (h, 0) and (0, k), which span the product.
+    order_componentwise: eta and kappa are positive on the generators of
+    C(v)'s positive cone, and the generators of the cone {g in C(v) :
+    eta g >= 0, kappa g >= 0} are positive (models.cone_cases).  On a
+    matrix structure the laws follow from focus_premises: J_v and J_{u-v}
+    conjugate by p and q = u - p, p q = q p = 0, and C(v) holds the
+    g = p g p + q g q.  An image element h = p h p has q h q = 0, so C(v)
+    holds it and J_v fixes it (eta_, kappa_fixes_image); so
     J_v(h + k) = h, J_{u-v}(h + k) = k (pairing_surjective); and g >= 0
     iff both congruences of g are (order_componentwise).
     """
 
-    cfg = cfg or CheckConfig()
     structure = base.structure
     comp = base.complement(v)
     sub_c = commutant_substructure(base, v)
@@ -688,24 +699,20 @@ def direct_product_report(
     kappa = base.j(comp)
 
     rep = Report(title="direct product decomposition")
-    rep.extend(morphism_report(sub_c, base_c, sub_h, base_h, eta, cfg, prefix="eta_"))
-    rep.extend(
-        morphism_report(sub_c, base_c, sub_k, base_k, kappa, cfg, prefix="kappa_")
-    )
+    rep.extend(morphism_report(sub_c, base_c, sub_h, base_h, eta, "eta_"))
+    rep.extend(morphism_report(sub_c, base_c, sub_k, base_k, kappa, "kappa_"))
+    recovers = derived("pairing_recovers_element", (), "the commutant's projector is J_v + J_{u-v}")
 
     if not structure.finite:
         premises = focus_premises(base, v, comp=True)
         rep.clauses += [
             derived("eta_fixes_image", premises, "h = v h v is in the commutant, fixed"),
             derived("kappa_fixes_image", premises, "k = (u-v) k (u-v) is in the commutant, fixed"),
-            derived("pairing_recovers_element", (), "the commutant's projector is J_v + J_{u-v}"),
+            recovers,
             derived("pairing_surjective", premises, "v (u-v) = 0 splits h + k into h and k"),
             derived("order_componentwise", premises, "a member g is v g v + (u-v) g (u-v)"),
         ]
         return rep
-
-    n = cfg.height_bound
-    box_h, box_k, box_c = (s.signed_universe(n) for s in (sub_h, sub_k, sub_c))
 
     def fixes(j, x) -> bool:
         return sub_c.is_member(x) and j.apply(x) == x
@@ -719,30 +726,34 @@ def direct_product_report(
         pos = structure.is_positive
         return pos(g) == (pos(eta.apply(g)) and pos(kappa.apply(g)))
 
+    zero = structure.zero
+    basis_h, basis_k = (generators(s, ())[0] for s in (sub_h, sub_k))
+    cone = structure.carrier.cone_rows
+    split = linalg.mat_mul(cone, eta.matrix) + linalg.mat_mul(cone, kappa.matrix)
     rep.clauses += [
         law(
             "eta_fixes_image",
-            box_h,
+            basis_h,
             lambda h: fixes(eta, h),
             witness="element",
             note="image elements lie in the commutant and are fixed, so the map is onto",
         ),
-        law("kappa_fixes_image", box_k, lambda k: fixes(kappa, k), witness="element"),
-        law(
-            "pairing_recovers_element",
-            box_c,
-            lambda g: eta.apply(g) + kappa.apply(g) == g,
-            witness="element",
-            note="adding the two components inverts the pairing",
-        ),
+        law("kappa_fixes_image", basis_k, lambda k: fixes(kappa, k), witness="element"),
+        recovers,
         law(
             "pairing_surjective",
-            itertools.product(box_h, box_k),
+            [(h, zero) for h in basis_h] + [(zero, k) for k in basis_k],
             realized,
             witness=("h", "k"),
             note="every component pair is realized by its sum",
         ),
-        law("order_componentwise", box_c, componentwise, witness="element"),
+        law(
+            "order_componentwise",
+            cone_cases(sub_c) + cone_cases(sub_c, split),
+            componentwise,
+            witness="element",
+            note="decided on the generators of both cones",
+        ),
     ]
     return rep
 
@@ -1070,22 +1081,22 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
 
 def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
-    """The kernel exchange (kernel_complement_check) for each focus and its complement."""
+    """The kernel exchange (kernel_complement_check) for each focus and its
+    complement; a matrix base passes the premises it keeps (focus_premises)."""
 
     structure = base.structure
     n = max(cfg.samples, 1)
     foci = base.cases(1, lambda: _projections(base, cfg.rng("theorem:kernel"), n))
 
     def exchanges(p):
-        res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), cfg)
+        premises = None if structure.finite else focus_premises(base, p, comp=True)
+        res = kernel_complement_check(structure, base.j(p), base.j(base.complement(p)), premises)
         return res.ok or {"focus": p, "witness": res.witness}
 
-    box = structure.positive_universe(cfg.height_bound) if structure.finite else None
     return law(
         "kernel_complement_fixpoint",
         foci,
         lambda p: _complement_escapes(base, p) or exchanges(p),
-        checked=None if box is None else len(foci) * len(box),
         note="J_p kills a positive exactly when J_{u-p} fixes it",
     )
 
@@ -1126,28 +1137,29 @@ def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     """_absorbs for every focus p and element g.
 
-    A finite structure sweeps its signed box.  On a matrix structure with
-    unit v each focus is decided from focus_premises of J_p and J_{u-p}.
-    p g p <= g gives h = g - p g p >= 0 with p h p = 0, so h p = 0 and
-    g p = p g = p g p; with g = v g v that makes g = p g p + (v-p) g (v-p),
-    which the projector of the commutant fixes.  Conversely a positive g in
-    the commutant has g - p g p = (v-p) g (v-p) >= 0.  A focus whose
-    complement is no focus fails the clause, as in kernel_complement_fixpoint.
+    A finite structure decides each focus on cone generators
+    (models.cone_cases), with R the cone rows and P = J_p + J_{u-p} the
+    commutant's projector: J_p(g) <= g cuts out K = {g : R (I - J_p) g >= 0},
+    on which (I - P) g = 0 must hold, and the compatible positives are the
+    commutant's positive cone, on which R (I - J_p) g >= 0 must hold; so
+    _absorbs on the generators of both decides the law over all of G.  On
+    a matrix structure with unit v each focus is decided from
+    focus_premises of J_p and J_{u-p}: p g p <= g gives h = g - p g p >= 0
+    with p h p = 0, so h p = 0 and g p = p g = p g p; with g = v g v that
+    makes g = p g p + (v-p) g (v-p), which the projector of the commutant
+    fixes.  Conversely a positive g in the commutant has
+    g - p g p = (v-p) g (v-p) >= 0.  A focus whose complement is no focus
+    fails the clause, as in kernel_complement_fixpoint.
     """
 
     structure = base.structure
     note = "domination implies compatibility; compatible positives are dominated"
-    if structure.finite:
-        escaped = {p: _complement_escapes(base, p) for p in base.foci}
-        cases = itertools.product(base.foci, structure.signed_universe(cfg.height_bound))
-        return law(
-            "commutant_absorption",
-            cases,
-            lambda pg: escaped[pg[0]] or _absorbs(base, *pg),
-            note=note,
-        )
 
     def absorbs(p):
+        if structure.finite:
+            dominated = linalg.mat_mul(structure.carrier.cone_rows, fixed_rows(base.j(p)))
+            cone = cone_cases(structure, dominated) + cone_cases(commutant_substructure(base, p))
+            return next((w for w in (_absorbs(base, p, g) for g in cone) if w is not True), True)
         res = derived("commutant_absorption", focus_premises(base, p, comp=True), note)
         return res.ok or {"p": p, **res.witness}
 

@@ -7,8 +7,8 @@ A compression base assigns a compression to each member of a sub-effect
 algebra of foci, subject to a normality condition and a composition law.
 
 Each law is stated once, as a law() over a universe of cases chosen from
-the structure: the exhaustive interval, height box or declared foci of a
-finite model, or seeded samples on the matrix model, whose maps are
+the structure: the exhaustive interval, cone generators or declared foci
+of a finite model, or seeded samples on the matrix model, whose maps are
 conjugations g -> p g p.  A base law over its foci takes its universe from
 CompressionBase.cases: the declared foci, or a Sample of projections on
 the base of all projections.  An exhaustive universe decides its law
@@ -17,7 +17,8 @@ the base of all projections.  An exhaustive universe decides its law
 base's per-focus laws, the kernel exchange, normality and directness are
 derived exactly (pass) from exactly checked premises, so a declared matrix
 base draws no effects; a base keeps the premises of each focus once
-(focus_premises).
+(focus_premises), and the single-map checks it runs (the retraction
+certificate, is_compression, kernel_complement_check) take them.
 
 Certificates are frozen values (value.Value) compared by fields; a
 CompressionBase is frozen but compared and hashed by identity, since the
@@ -47,8 +48,10 @@ from .models import (
     _members_in_corner,
     _order_unit_clause,
     compose,
+    cone_cases,
     conjugation_endo,
     endo_equal,
+    fixed_rows,
     identity_endo,
     zero_endo,
 )
@@ -87,14 +90,15 @@ class RetractionCertificate(Value):
 
 
 def retraction_certificate(
-    structure, endo: Endomorphism, declared_focus=None
+    structure, endo: Endomorphism, declared_focus=None, premises=None
 ) -> RetractionCertificate:
     """Check the retraction laws of one map; the clauses become its checks.
 
     Finite structures sweep the interval, which generates the positives.
     On a matrix structure with unit v the map must be conjugation by a
     stored p, and two laws are derived from the exact clauses that p is a
-    symmetric idempotent and that the map is g -> p g p.  order_preserving:
+    symmetric idempotent and that the map is g -> p g p (_conjugator_clauses,
+    or the premises given, the first two of focus_premises).  order_preserving:
     for g >= 0, p g p = p^T g p is a congruence of g, so it is >= 0.
     fixes_below_focus: 0 <= e <= p v p gives 0 <= (I-p) e (I-p) <=
     (I-p) p v p (I-p) = 0; with e = s^T s that is s (I-p) = 0, so e (I-p)
@@ -119,7 +123,7 @@ def retraction_certificate(
             witness="effect",
         )
     else:
-        premises = _conjugator_clauses(structure, endo)
+        premises = list(premises or _conjugator_clauses(structure, endo))
         matches = premises[1]
         order = derived("order_preserving", (matches,), "p g p is a congruence of g")
         fixes = derived("fixes_below_focus", premises, "(I-p) e (I-p) = 0 gives e = p e p")
@@ -192,9 +196,10 @@ def _complement_premises(structure, endo: Endomorphism, comp: Endomorphism) -> l
 
 
 def focus_premises(base, p, *, focus: bool = False, comp: bool = False) -> tuple:
-    """The premises a law derived at the focus p uses: _focus_premises of J_p,
-    conjugator_is_focus when focus, and _complement_premises of J_{u-p} when
-    comp.  A declared base checks each part once per focus and keeps it."""
+    """The premises a law derived at the focus p uses: _focus_premises of J_p
+    (its _conjugator_clauses first), conjugator_is_focus when focus, and
+    _complement_premises of J_{u-p} when comp.  A declared base checks each
+    part once per focus and keeps it."""
 
     structure = base.structure
     j = base.j(p)
@@ -215,13 +220,14 @@ def _is_effect(structure, x) -> bool:
     return structure.is_positive(x) and structure.leq(x, structure.unit)
 
 
-def is_compression(structure, endo: Endomorphism) -> Clause:
+def is_compression(structure, endo: Endomorphism, premises=None) -> Clause:
     """Does J(e) = 0 force e <= u - focus, for effects e?
 
     Finite structures sweep the interval.  On a matrix structure with unit
-    v the law is derived from _focus_premises: the focus p v p is p.  If
-    0 <= e <= v and p e p = 0, then with e = s^T s, s p = 0, so e p = p e
-    = 0 and e = (I-p) e (I-p) <= (I-p) v (I-p) = v - p.
+    v the law is derived from _focus_premises, or from the premises a base
+    keeps for the focus (focus_premises), when given: the focus p v p is
+    p.  If 0 <= e <= v and p e p = 0, then with e = s^T s, s p = 0, so
+    e p = p e = 0 and e = (I-p) e (I-p) <= (I-p) v (I-p) = v - p.
     """
 
     unit = structure.unit
@@ -234,7 +240,9 @@ def is_compression(structure, endo: Endomorphism) -> Clause:
             witness="effect",
         )
     note = "p e p = 0 gives e = (I-p) e (I-p) <= v - p"
-    return derived("compression", _focus_premises(structure, endo), note)
+    if premises is None:
+        premises = _focus_premises(structure, endo)
+    return derived("compression", premises, note)
 
 
 def is_direct(structure, endo: Endomorphism) -> Clause:
@@ -273,22 +281,28 @@ def is_direct(structure, endo: Endomorphism) -> Clause:
 
 
 def kernel_complement_check(
-    structure, j: Endomorphism, j_comp: Endomorphism, cfg: Optional[CheckConfig] = None
+    structure, j: Endomorphism, j_comp: Endomorphism, premises=None
 ) -> Clause:
     """Mutual kernel/fixed-point exchange between complementary maps.
 
     For positive g: J'(g) = g exactly when J(g) = 0, and J'(g) = 0 exactly
-    when J(g) = g.  Finite structures sweep the bounded positive universe.
-    On a matrix structure with unit v the law is derived from
-    _focus_premises of J = J_p and J' = J_{v-p}: for g = s^T s a member,
-    p g p = 0 <=> s p = 0 <=> g p = p g = 0 <=> (v-p) g (v-p) = g, the last
-    because g = v g v expands (v-p) g (v-p) to g - p g - g p + p g p, and
-    p (v-p) = 0 gives the way back.  The same holds with p and v - p
-    exchanged, which gives the second half.
+    when J(g) = g.  A finite structure decides it over all of its group on
+    the generators (models.cone_cases) of four cones of its positives, kept
+    per map: J' fixes C ∩ ker J, J kills C ∩ ker(I - J'), and the same with
+    J and J' exchanged.  Each conclusion is linear, so it holds on a cone
+    exactly when it holds on the cone's generators.  On a matrix structure
+    with unit v the law is derived from _focus_premises of J = J_p and
+    _complement_premises of J' = J_{v-p}, or from the premises a base
+    keeps for p (focus_premises with comp), when given: for g = s^T s a
+    member, p g p = 0 <=> s p = 0 <=> g p = p g = 0 <=> (v-p) g (v-p) = g,
+    the last because g = v g v expands (v-p) g (v-p) to
+    g - p g - g p + p g p, and p (v-p) = 0 gives the way back.  The same
+    holds with p and v - p exchanged, which gives the second half.
     """
 
     if not structure.finite:
-        premises = _focus_premises(structure, j) + _complement_premises(structure, j, j_comp)
+        if premises is None:
+            premises = _focus_premises(structure, j) + _complement_premises(structure, j, j_comp)
         return derived("kernel_complement", premises, "p g p = 0 <=> (v-p) g (v-p) = g")
     zero = structure.zero
 
@@ -301,8 +315,9 @@ def kernel_complement_check(
             return {"positive": g, "direction": "killed_by_complement_vs_fixed"}
         return True
 
-    box = structure.positive_universe((cfg or CheckConfig()).height_bound)
-    return law("kernel_complement", box, holds)
+    cones = (j.matrix, fixed_rows(j_comp), j_comp.matrix, fixed_rows(j))
+    positives = [g for eqs in cones for g in cone_cases(structure, None, eqs)]
+    return law("kernel_complement", positives, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +400,10 @@ def compressible_group_report(
 
     Checks that distinct retractions have distinct foci, that every
     retraction is a compression, and that each retraction has a
-    complementary partner exchanging kernels and fixed points.
+    complementary partner exchanging kernels and fixed points.  cfg is
+    taken for the signature every report section shares; no law reads it.
     """
 
-    cfg = cfg or CheckConfig()
     certs = enumerate_retractions(model)
     seen: set = set()
 
@@ -402,7 +417,7 @@ def compressible_group_report(
         return res.ok or {"focus": c.focus, "witness": res.witness}
 
     def has_partner(c) -> bool:
-        return any(kernel_complement_check(model, c.endo, d.endo, cfg).ok for d in certs)
+        return any(kernel_complement_check(model, c.endo, d.endo).ok for d in certs)
 
     def at_focus(c):
         return {"focus": c.focus}
@@ -423,7 +438,7 @@ def compressible_group_report(
             has_partner,
             witness=at_focus,
             tally=True,
-            note=f"kernel exchange swept on the height-{cfg.height_bound} positive box",
+            note="kernel exchange decided on the generators of each map's cones",
         ),
     ]
     return Report("compressible group laws", clauses)
@@ -685,11 +700,13 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
 
     def compression_at(p):
-        cert = retraction_certificate(structure, base.j(p), declared_focus=p)
+        premises = None if structure.finite else focus_premises(base, p)
+        conjugator = premises and premises[:2]
+        cert = retraction_certificate(structure, base.j(p), declared_focus=p, premises=conjugator)
         bad = next((c for _, c in cert.checks if not c.ok), None)
         if bad is not None:
             return {"focus": p, "check": bad.name, "witness": bad.witness}
-        comp = is_compression(structure, base.j(p))
+        comp = is_compression(structure, base.j(p), premises)
         return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
 
     def sample():

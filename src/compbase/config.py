@@ -15,8 +15,9 @@ from .value import Value
 class CheckConfig(Value):
     """Bounds and seeding for every verification routine.
 
-    height_bound caps the multiples of the unit used when sweeping bounded
-    regions of an infinite group.  samples is the randomized-check budget.
+    height_bound is recorded in every report's config; no verdict reads it,
+    since the lattice laws over all of G are decided from cone generators
+    and a derived height.  samples is the randomized-check budget.
     Two runs with the same config produce the same verdicts and the same
     reports, byte for byte.
     """

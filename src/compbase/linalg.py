@@ -97,6 +97,32 @@ def rank(m) -> int:
     return _bareiss(work, len(work[0]) if work else 0)[0]
 
 
+def nullspace(m, ncols: int) -> list[tuple[int, ...]]:
+    """A basis of {x in Q^ncols : row . x = 0 for every row of m}, as
+    primitive integer vectors, one per free column in increasing order.
+
+    Integer Gauss-Jordan leaves the last pivot p on every pivot row's
+    pivot column and zeros in the others, so a pivot row reads
+    p x_c + sum over free f of a_f x_f = 0: with x_f = p at one free f and
+    0 at the others, x_c = -a_f.  Each vector is scaled to a positive free
+    coordinate.
+    """
+    work = [list(row) for row in m]
+    r, _, p = _bareiss(work, ncols, jordan=True)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in work[:r]]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = p
+        for row, c in zip(work, pivots):
+            x[c] = -row[f]
+        g = gcd(*x) if p > 0 else -gcd(*x)
+        basis.append(tuple(v // g for v in x))
+    return basis
+
+
 class SingularMatrixError(ValueError):
     pass
 

@@ -2,7 +2,7 @@
 
 Two carriers are supported. A lattice-cone model is Z^dim ordered by an
 integer constraint cone (g >= 0 iff every cone row pairs nonnegatively with
-g); its unit interval and height boxes are enumerated exactly by one band
+g); its unit interval and positive boxes are enumerated exactly by one band
 solver (integer_points) inside a coordinate box bounded by inverting
 independent cone rows and tightened by interval propagation over both
 sides of every band.  On a cone whose rows have rank below dim (not
@@ -19,19 +19,25 @@ over the element's denominator), so composition is matrix product and map
 equality is literal matrix equality, on both kinds (on a substructure,
 after composing with its projector; see endo_equal).
 
+A lattice law over all of G whose premise and conclusion are cone or
+subspace conditions is decided on the generators of its cones
+(cone_generators, cone_cases), and interval_generates_positives on the
+positive box of the height the rays bound (_generation_height).
+
 The lattice path runs on the int tuples a Vec holds. Coordinates are
 checked where they enter (model files, the CLI, library calls to Vec);
 interval and box points, map images and the order test are computed on
 tuples and never re-checked: the cone test is one pass over the stored
 cone rows, leq tests the coordinate difference, and _interval_sums decides
-every member of a height box in one sweep ordered by weight.
+every member of a positive box in one sweep ordered by weight.
 
 The matrix order test MatrixModel.leq, and with it the order of every
 matrix substructure, is memoized on the exact (a, b) pair by a
 functools.lru_cache of CACHE_SIZE entries: the same declared foci are
 compared thousands of times per report.  Its body is is_psd of b - a, so
-the memo changes no answer.  A lattice model keeps its interval and height boxes (_boxes),
-enumerated by range_band, and the image tables of its maps (_tables): a
+the memo changes no answer.  A lattice model keeps its interval and
+positive boxes (_boxes), enumerated by range_band, the generators of its
+cones (_cones), and the image tables of its maps (_tables): a
 lattice map reads and fills the table of its (matrix, den) on its
 carrier, so each product of a distinct map and an element is computed
 once, and the sweeps that meet the same element again read the stored
@@ -42,9 +48,9 @@ Both model classes and Endomorphism are frozen values (value.Value):
 equal by fields and hashed as the tuple of them, which lets models and
 matrices key the caches here; the image tables and the boxes are not
 fields.  A finite substructure's unit is tested as an order unit row by
-row against its projector before the bounded sweep (see
-_directedness_bounded), and its universes are enumerated from a basis of
-its projector's range (range_band).
+row against its projector, and then as a member (see
+_directedness_substructure), and its universes are enumerated from a
+basis of its projector's range (range_band).
 """
 
 from __future__ import annotations
@@ -83,6 +89,68 @@ def _in_cone(rows, coords) -> bool:
         if sum(map(mul, row, coords)) < 0:
             return False
     return True
+
+
+def cone_generators(dim: int, rows, eqs=()) -> tuple[list, list]:
+    """A basis of the lineality space and the generators of the extreme rays
+    of {x in Q^dim : r . x >= 0 for r in rows, e . x = 0 for e in eqs}, as
+    sorted lists of primitive integer vectors.
+
+    The lineality space L is the nullspace of rows and eqs.  The cone is L
+    plus its pointed part orthogonal to L, whose rays are the lines where
+    eqs, L and some tight rows have rank dim - 1, with the sign that meets
+    every row >= 0.  The tight rows are enumerated as subsets (dim <= 4 on
+    the models here, so the double description method of Motzkin et al.
+    1953 and Fukuda and Prodon 1996 is not needed).
+    """
+    rows = sorted({tuple(r) for r in rows if any(r)})
+    eqs = [tuple(e) for e in eqs]
+    lineality = linalg.nullspace(rows + eqs, dim)
+    fixed = eqs + lineality
+    free = dim - 1 - linalg.rank(fixed)
+    rays = set()
+    for tight in itertools.combinations(rows, free) if free >= 0 else ():
+        line = linalg.nullspace(list(tight) + fixed, dim)
+        if len(line) == 1:
+            rays.update(x for x in (line[0], tuple(-c for c in line[0])) if _in_cone(rows, x))
+    return sorted(lineality), sorted(rays)
+
+
+def generators(structure, rows=None, eqs=()) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """cone_generators, as elements, of the members g of a finite structure
+    (structure.equalities) with r . g >= 0 for r in rows (the cone rows by
+    default: the positive cone) and e . g = 0 for e in eqs.  Kept on the
+    structure per (rows, eqs) (_cones), so the cones of one map, C ∩ ker J
+    and C ∩ ker(I - J) (fixed_rows), are computed once per map.
+    """
+    key = rows, eqs
+    gens = structure._cones.get(key)
+    if gens is None:
+        carrier = structure.carrier
+        cone = carrier.cone_rows if rows is None else rows
+        found = cone_generators(carrier.dim, cone, structure.equalities + eqs)
+        gens = structure._cones[key] = tuple(tuple(map(_trusted_vec, vs)) for vs in found)
+    return gens
+
+
+def cone_cases(structure, rows=None, eqs=()) -> tuple[Vec, ...]:
+    """The rays of the cone of generators() and its lineality basis with
+    both signs.  A law whose premise cuts out the cone and whose conclusion
+    is M g >= 0 or M g = 0 holds on the cone exactly when it holds on these,
+    and a rational cone has a lattice point on each ray, so the law over
+    its members is the law over its real points; a failing generator is a
+    member that breaks it.
+    """
+    lineality, rays = generators(structure, rows, eqs)
+    return rays + lineality + tuple(-g for g in lineality)
+
+
+def fixed_rows(j) -> tuple[tuple[int, ...], ...]:
+    """Rows e with e . g = 0 for every row exactly when j fixes g: those of
+    den*I - matrix, for j = matrix / den."""
+    return tuple(
+        tuple(j.den * (i == k) - x for k, x in enumerate(row)) for i, row in enumerate(j.matrix)
+    )
 
 
 def integer_points(bands: dict, dim: int) -> list[tuple[int, ...]]:
@@ -156,17 +224,19 @@ def integer_points(bands: dict, dim: int) -> list[tuple[int, ...]]:
 class LatticeConeModel(Value):
     """Z^dim ordered by the cone of its rows, with an order unit.
 
-    The interval and the height boxes are enumerated once per model and
-    kept in _boxes; the image table of each lattice map, keyed by its
-    (matrix, den), is kept in _tables (see Endomorphism).  Neither is a
-    field: both are freed with the model.
+    The interval and the positive boxes are enumerated once per model and
+    kept in _boxes; the generators of its cones (generators) in _cones; the
+    image table of each lattice map, keyed by its (matrix, den), in
+    _tables (see Endomorphism).  None is a field: all are freed with the
+    model.
     """
 
-    __slots__ = ("dim", "cone_rows", "unit", "_boxes", "_tables")
+    __slots__ = ("dim", "cone_rows", "unit", "_boxes", "_cones", "_tables")
 
     kind = "lattice_cone"
     finite = True
     is_trivial = False
+    equalities = ()  # every point of Z^dim is a member
 
     def __init__(self, dim: int, cone_rows: tuple[tuple[int, ...], ...], unit: Vec) -> None:
         if dim < 1:
@@ -180,6 +250,7 @@ class LatticeConeModel(Value):
         object.__setattr__(self, "cone_rows", cone_rows)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_boxes", {})
+        object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_tables", {})
 
     @property
@@ -206,22 +277,16 @@ class LatticeConeModel(Value):
         return _in_cone(self.cone_rows, tuple(map(sub, b.coords, a.coords)))
 
     def interval(self) -> tuple[Vec, ...]:
-        return self._box(0, 1)
+        return self.positive_universe(1)
 
     def positive_universe(self, n: int) -> tuple[Vec, ...]:
-        return self._box(0, n)
+        """The points x with 0 <= x <= n*unit: the band of all of Z^dim,
+        whose basis is the identity, so listed in lexicographic order."""
 
-    def signed_universe(self, n: int) -> tuple[Vec, ...]:
-        return self._box(-n, n)
-
-    def _box(self, lo: int, hi: int) -> tuple[Vec, ...]:
-        """The points x with lo*unit <= x <= hi*unit: the band of all of
-        Z^dim, whose basis is the identity, so listed in lexicographic order."""
-
-        box = self._boxes.get((lo, hi))
+        box = self._boxes.get(n)
         if box is None:
             cols = linalg.identity(self.dim)
-            box = self._boxes[lo, hi] = tuple(range_band(self, cols, (self.unit,), lo, hi))
+            box = self._boxes[n] = tuple(range_band(self, cols, (self.unit,), 0, n))
         return box
 
     # endomorphisms act on the coordinates themselves
@@ -340,9 +405,6 @@ class MatrixModel(Value):
         )
 
     def positive_universe(self, n: int):
-        raise NotEnumerableError("matrix model universes are infinite, not enumerated")
-
-    def signed_universe(self, n: int):
         raise NotEnumerableError("matrix model universes are infinite, not enumerated")
 
     @property
@@ -525,22 +587,24 @@ def map_key(structure, a: Endomorphism) -> tuple:
 def validate_unital_group(structure, cfg: CheckConfig | None = None) -> Report:
     """Check the unital-group axioms for a model or substructure.
 
-    Finite structures are checked exhaustively on bounded universes (the
-    report records the height bound); on a cone that is not pointed the
-    report ends after unit_positive_nonzero, and an interval of more than
-    _POINT_CAP box points raises UnboundedIntervalError.  On matrix
-    structures every axiom is decided from the form of the operator order
-    and of the structure's projection (see _validate_matrix).
+    Finite structures are decided exactly: directedness from the cone rows
+    and the unit, and interval_generates_positives by one sweep of the
+    positive box of the derived height (_generation_height); on a cone
+    that is not pointed the report ends after unit_positive_nonzero, and a
+    box of more than _POINT_CAP points raises UnboundedIntervalError.  On
+    matrix structures every axiom is decided from the form of the operator
+    order and of the structure's projection (see _validate_matrix).  cfg
+    is taken for the signature every report section shares; no axiom
+    reads it.
     """
     if structure.finite:
-        return _validate_finite(structure, cfg or CheckConfig())
+        return _validate_finite(structure)
     return _validate_matrix(structure)
 
 
-def _validate_finite(structure, cfg: CheckConfig) -> Report:
+def _validate_finite(structure) -> Report:
     rep = Report(title="unital group axioms")
     top_level = isinstance(structure, LatticeConeModel)
-    n = cfg.height_bound
 
     rep.add(
         Clause(
@@ -577,12 +641,16 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
     )
 
     if top_level:
-        _directedness_exact(structure, interval, rep)
+        order_unit = _directedness_exact(structure, interval, rep)
     else:
-        _directedness_bounded(structure, n, rep)
+        order_unit = _directedness_substructure(structure, rep)
 
-    gen_bound = n if top_level else 2 * n
-    box = structure.positive_universe(gen_bound)
+    if not order_unit.ok:
+        # no multiple of the unit bounds the cone's Hilbert basis
+        rep.add(derived("interval_generates_positives", (order_unit,), ""))
+        return rep
+    height = _generation_height(structure)
+    box = structure.positive_universe(height)
     reach = _interval_sums(structure, box)
     rep.add(
         law(
@@ -590,7 +658,8 @@ def _validate_finite(structure, cfg: CheckConfig) -> Report:
             box,
             lambda g: g.coords in reach,
             witness="positive",
-            note=f"every positive below {gen_bound}*unit is a sum of interval elements",
+            note=f"every positive below {height}*unit, which bounds the Hilbert basis, "
+            "is a sum of interval elements",
         )
     )
     return rep
@@ -605,8 +674,9 @@ def _unit_clause(structure) -> Clause:
     )
 
 
-def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
-    """Directedness for a top-level lattice model, decided exactly.
+def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> Clause:
+    """Directedness for a top-level lattice model, decided exactly; returns
+    the unit_order_unit clause.
 
     The group is directed with order unit u iff the unit interval generates
     Z^dim as a group and every nonzero cone row pairs strictly positively
@@ -627,7 +697,7 @@ def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
             note="interval elements must span the full integer lattice",
         )
     )
-    rep.add(
+    return rep.add(
         law(
             "unit_order_unit",
             model.cone_rows,
@@ -638,8 +708,9 @@ def _directedness_exact(model: LatticeConeModel, interval, rep: Report) -> None:
     )
 
 
-def _directedness_bounded(structure, n: int, rep: Report) -> None:
-    """Directedness of a finite substructure: its unit must be an order unit.
+def _directedness_substructure(structure, rep: Report) -> Clause:
+    """Directedness of a finite substructure, decided exactly: its unit must
+    be a member and an order unit.  Returns the unit_order_unit clause.
 
     The substructure H is the group of lattice points that its projector P
     fixes, ordered by the model's cone rows r (g >= 0 iff r . g >= 0 for
@@ -649,15 +720,11 @@ def _directedness_bounded(structure, n: int, rep: Report) -> None:
     forces r . g <= 0 for every g in H, and so, as H contains -g with g,
     r . g = 0: the row must vanish on H.  For an idempotent P, H is the
     set of lattice points of the rational subspace range(P) and spans it,
-    so r vanishes on H exactly when r . P = 0.  Hence u is an order unit
-    of H iff every cone row has r . u > 0 or r . P = 0; a row that fails
-    is the witness.  (A non-idempotent P fails projector_idempotent in the
-    same substructure report.)
-
-    When every row passes, the clause sweeps the signed height-n box as
-    it always has: n*u must be a member that dominates each element.  That
-    sweep alone cannot see a row with r . u = 0, since the box is cut out
-    by u itself.
+    so r vanishes on H exactly when r . P = 0.  Hence a member u is an
+    order unit of H iff every cone row has r . u > 0 or r . P = 0; a row
+    that fails is the witness.  (A non-idempotent P fails
+    projector_idempotent in the same substructure report.)  The rows
+    alone cannot see a unit outside H, so membership is tested last.
     """
     unit = structure.unit.coords
     cols = tuple(zip(*structure.projector.matrix))
@@ -668,21 +735,35 @@ def _directedness_bounded(structure, n: int, rep: Report) -> None:
         witness="cone_row",
         note="a cone row vanishes at the unit but not on the subgroup",
     )
-    if not rows.ok:
-        rep.add(rows)
-        return
-    top = structure.unit.scale(n)
-    # each g of the box is a member of a subgroup, so top - g is when top is
-    top_member = structure.is_member(top)
-    rep.add(
-        law(
-            "unit_order_unit",
-            structure.signed_universe(n),
-            lambda g: top_member and structure.is_positive(top - g),
-            witness="element",
-            note=f"checked on the signed height-{n} box",
+    if rows.ok:
+        note = "every cone row is positive at the unit or vanishes on the subgroup"
+        rows = law(
+            "unit_order_unit", (structure.unit,), structure.is_member, witness="unit", note=note
         )
-    )
+    return rep.add(rows)
+
+
+def _generation_height(structure) -> int:
+    """N(C, u): the least m >= 1 with m*u - s in the structure's positive
+    cone C, s the sum of C's ray generators (generators).
+
+    C is pointed here, so G+ is generated by its Hilbert basis, whose
+    elements are irreducible: [0, u] generates G+ exactly when it holds the
+    Hilbert basis.  Triangulate C by its rays: each Hilbert basis element
+    is a ray generator or lies in the half-open parallelepiped sum l_i r_i,
+    0 <= l_i < 1, of some simplicial piece, so it lies below s, and below
+    N*u.  The positive box of height N thus holds the Hilbert basis, and
+    _interval_sums on it decides the axiom (Schrijver 1986, section 16.4).
+    A row with r . u <= 0 vanishes on the structure once unit_order_unit
+    holds, so it bounds nothing.
+    """
+    s = [sum(col) for col in zip(*(g.coords for g in generators(structure)[1]))]
+    height = 1
+    for r in structure.carrier.cone_rows:
+        at_unit = _dot(r, structure.unit.coords)
+        if at_unit > 0:
+            height = max(height, -(-_dot(r, s) // at_unit))
+    return height
 
 
 def _interval_sums(structure, box) -> set:

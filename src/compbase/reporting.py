@@ -98,7 +98,7 @@ def law(
 
     A universe is sampled when it is a Sample, drawing from a seeded
     stream, and exhaustive otherwise (a tuple, list, generator or
-    itertools product over a finite set: the interval, a height box, the
+    itertools product over a finite set: the interval, a positive box, the
     declared foci or their pairs and triples).  Cases are taken one at a
     time and the search stops at the first witness, so a Sample draws
     nothing after it and a stream it shares with later laws is left where

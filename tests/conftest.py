@@ -24,7 +24,7 @@ from compbase import (
     matrix_model,
     models,
 )
-from compbase.compatibility import _absorbs
+from compbase.compatibility import _absorbs, _complement_escapes
 from compbase.compression import _is_effect
 from compbase.models import UnboundedIntervalError
 from compbase.reporting import Sample, law
@@ -230,13 +230,130 @@ def filtered_band(sub, lo, hi):
     if getattr(parent, "parent", None) is not None:
         cases = filtered_band(parent, lo, hi)
     else:
-        cases = parent.signed_universe(hi) if lo < 0 else parent.positive_universe(hi)
+        cases = signed_box(parent, hi) if lo < 0 else parent.positive_universe(hi)
     top, bot = sub.unit.scale(hi), sub.unit.scale(lo)
     return tuple(
         g
         for g in cases
         if sub.is_member(g) and parent.leq(g, top) and (lo == 0 or parent.leq(bot, g))
     )
+
+
+def signed_box(structure, n):
+    """The members g of a finite structure with -n*unit <= g <= n*unit, in
+    lexicographic order: the universe the lattice sweeps below read.  A
+    model's is the band models.range_band lists on Z^dim; a substructure's
+    filters its parent's (filtered_band)."""
+
+    if getattr(structure, "parent", None) is not None:
+        return filtered_band(structure, -n, n)
+    identity = linalg.identity(structure.dim)
+    return tuple(models.range_band(structure, identity, (structure.unit,), -n, n))
+
+
+# ---------------------------------------------------------------------------
+# height-box sweeps of the lattice laws
+#
+# The package decides these laws over all of G from the generators of
+# rational cones (models.cone_generators, cone_cases).  These are the
+# sweeps over height boxes that the exact rules replaced, kept as their
+# oracles: an exact pass must pass every box, and the witness of an exact
+# fail must fail the sweep of the single case.  Each takes its universe of
+# cases, a box or one witness.
+
+
+def absorption_sweep(base, cases):
+    """commutant_absorption: _absorbs on each (p, g); a focus whose
+    complement is no focus fails."""
+
+    return law(
+        "commutant_absorption",
+        cases,
+        lambda pg: _complement_escapes(base, pg[0]) or _absorbs(base, *pg),
+    )
+
+
+def kernel_sweep(structure, j, j_comp, positives):
+    """kernel_complement on each positive g."""
+
+    zero = structure.zero
+
+    def holds(g):
+        jg = j.apply(g)
+        kg = j_comp.apply(g)
+        if (kg == g) != (jg == zero):
+            return {"positive": g, "direction": "fixed_by_complement_vs_killed"}
+        if (kg == zero) != (jg == g):
+            return {"positive": g, "direction": "killed_by_complement_vs_fixed"}
+        return True
+
+    return law("kernel_complement", positives, holds)
+
+
+def unit_order_unit_sweep(sub, n):
+    """A substructure's unit_order_unit past its row test: n*unit is a
+    member that dominates every element of the signed height-n box."""
+
+    top = sub.unit.scale(n)
+    top_member = sub.is_member(top)
+    return law(
+        "unit_order_unit",
+        signed_box(sub, n),
+        lambda g: top_member and sub.is_positive(top - g),
+        witness="element",
+    )
+
+
+def product_checks(base, v) -> dict:
+    """The single-case checks of direct_product_report at the focus v, by
+    clause name: order_preserving of eta and kappa on a positive of the
+    commutant C(v), fixes_image on an image element, pairing_surjective on
+    a pair (h, k) and pairing_recovers_element and order_componentwise on
+    an element of C(v)."""
+
+    structure = base.structure
+    comp = base.complement(v)
+    sub_c = commutant_substructure(base, v)
+    eta, kappa = base.j(v), base.j(comp)
+    pos = structure.is_positive
+
+    def realized(hk) -> bool:
+        h, k = hk
+        s = h + k
+        return sub_c.is_member(s) and eta.apply(s) == h and kappa.apply(s) == k
+
+    return {
+        "eta_order_preserving": lambda g: pos(eta.apply(g)),
+        "kappa_order_preserving": lambda g: pos(kappa.apply(g)),
+        "eta_fixes_image": lambda h: sub_c.is_member(h) and eta.apply(h) == h,
+        "kappa_fixes_image": lambda k: sub_c.is_member(k) and kappa.apply(k) == k,
+        "pairing_recovers_element": lambda g: eta.apply(g) + kappa.apply(g) == g,
+        "pairing_surjective": realized,
+        "order_componentwise": lambda g: pos(g) == (pos(eta.apply(g)) and pos(kappa.apply(g))),
+    }
+
+
+def product_sweeps(base, v, n) -> dict:
+    """The clauses of direct_product_report at the focus v by the sweeps
+    they had: the order laws on C(v)'s positive height-n box, the others on
+    the signed height-n boxes of C(v) and of the images of v and u - v."""
+
+    comp = base.complement(v)
+    sub_c = commutant_substructure(base, v)
+    box_h = signed_box(image_substructure(base, v), n)
+    box_k = signed_box(image_substructure(base, comp), n)
+    box_c = signed_box(sub_c, n)
+    checks = product_checks(base, v)
+    universes = {
+        "eta_order_preserving": sub_c.positive_universe(n),
+        "kappa_order_preserving": sub_c.positive_universe(n),
+        "eta_fixes_image": box_h,
+        "kappa_fixes_image": box_k,
+        "pairing_recovers_element": box_c,
+        "pairing_surjective": tuple(product(box_h, box_k)),
+        "order_componentwise": box_c,
+    }
+    return {name: law(name, universes[name], check) for name, check in checks.items()}
 
 
 # ---------------------------------------------------------------------------

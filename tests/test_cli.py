@@ -103,6 +103,39 @@ def test_failed_unital_group_skips_the_base(capsys, tmp_path, cone_rows, unit, c
     assert list(doc["sections"]) == ["00_unital_group"]
 
 
+def test_a_positive_above_the_default_box_fails_validation(capsys, tmp_path):
+    """Z^2 under [[6, -1], [0, 1], [6, -5]] with unit (4, 1): the ray (5, 6)
+    is positive and no sum of interval elements, and the smallest box that
+    holds it has height 6.  The derived height N(C, u) = 6 finds it at the
+    default flags."""
+
+    path = z2_model(tmp_path, [[6, -1], [0, 1], [6, -5]], [4, 1])
+    code, doc = run_json(capsys, "validate", path)
+    assert (code, doc["ok"], doc["first_failure"]) == (1, False, "interval_generates_positives")
+    clause = doc["sections"]["00_unital_group"]["clauses"][-1]
+    assert (clause["name"], clause["witness"]) == ("interval_generates_positives", {"positive": [5, 6]})
+
+
+@pytest.mark.parametrize(
+    "argv", [("substructure", "-1,1", "image"), ("mackey", "-1,1", "0,0")], ids=["substructure", "mackey"]
+)
+def test_an_element_with_a_leading_minus_is_a_positional(capsys, tmp_path, argv):
+    """m5 under g -> -g: cone rows -R, unit (-1, -1) and foci (0, 0),
+    (-1, 1), (0, -2) and (-1, -1), each with its map unchanged.  "-1,1"
+    reads as an element, next to "--seed -4"."""
+
+    m5 = json.loads((MODELS_DIR / "m5.json").read_text())
+    negated = [[-x for x in row] for row in m5["cone_rows"]]
+    compressions = [{"focus": [-x for x in c["focus"]], "matrix": c["matrix"]}
+                    for c in m5["compressions"]]
+    path = tmp_path / "m5-negated.json"
+    path.write_text(json.dumps({**m5, "cone_rows": negated, "unit": [-1, -1],
+                                "compressions": compressions}))
+    command, *elements = argv
+    code, doc = run_json(capsys, command, path, *elements, "--seed", "-4")
+    assert (code, doc["ok"], doc["config"]["seed"]) == (0, True, -4)
+
+
 def test_interval_too_large_is_usage_error(capsys, tmp_path):
     code = main(["validate", str(z2_model(tmp_path, [[1, 0], [0, 1]], [3000, 3000]))])
     assert code == 2

@@ -36,7 +36,14 @@ from compbase import (
     trivial_base,
     zero_endo,
 )
-from conftest import FIXTURES_DIR, MODELS_DIR, corner_model, draw_signed, interval_sweep_equal
+from conftest import (
+    FIXTURES_DIR,
+    MODELS_DIR,
+    corner_model,
+    draw_signed,
+    interval_sweep_equal,
+    signed_box,
+)
 
 DIAG0 = SymMat.from_rows([[1, 0], [0, 0]])
 DIAG1 = SymMat.from_rows([[0, 0], [0, 1]])
@@ -154,7 +161,7 @@ SPLIT_BASES = ("m1", "m5", "z3", "corrupt_focus_outside_interval", "corrupt_miss
 def test_in_commutant_matches_two_map_split(name, bundled, tmp_path):
     model, base = _lattice_base(name, bundled, tmp_path)
     for p in base.foci:
-        for g in model.signed_universe(2):
+        for g in signed_box(model, 2):
             want = outcome(two_map_split, base, p, g)
             assert outcome(in_commutant, base, p, g) == want, (p, g)
 
@@ -220,8 +227,7 @@ def test_substructure_universes_are_cut_once(bundled):
         assert restricted_base(base, sub) is restricted_base(base, sub)
         assert sub.interval() is sub.interval()
         assert sub.positive_universe(2) is sub.positive_universe(2)
-        assert sub.signed_universe(2) is sub.signed_universe(2)
-        assert sub.positive_universe(2) != sub.signed_universe(2)
+        assert sub.positive_universe(2) != sub.interval()
 
 
 @pytest.mark.parametrize("name", ["m1", "m5"])
@@ -370,13 +376,13 @@ def test_identity_is_a_based_morphism(bundled, fast_cfg):
     from compbase import identity_endo
 
     model, base = bundled["m1"]
-    rep = morphism_report(model, base, model, base, identity_endo(model), fast_cfg)
+    rep = morphism_report(model, base, model, base, identity_endo(model))
     assert rep.ok, rep.first_failure()
 
 
 def test_zero_map_is_not_unit_preserving(bundled, fast_cfg):
     model, base = bundled["m1"]
-    rep = morphism_report(model, base, model, base, zero_endo(model), fast_cfg)
+    rep = morphism_report(model, base, model, base, zero_endo(model))
     assert not rep.ok
     assert rep.first_failure().name == "preserves_unit"
 
@@ -392,7 +398,6 @@ def test_compression_is_a_morphism_onto_its_image(bundled, fast_cfg):
         sub_h,
         restricted_base(base, sub_h),
         base.j(v),
-        fast_cfg,
     )
     assert rep.ok, rep.first_failure()
 

@@ -31,20 +31,20 @@ from conftest import FIXTURES_DIR, MODELS_DIR
 CONFIG = ["--samples", "8", "--seed", "0"]
 
 REPORT_SHA256 = {
-    "m1": "3693d9a5df4f9e76f7bf1fc70b6fa8cf89dffba85b6df072d1ecc3f3061683c2",
-    "m2": "70305f3dafd330ec01913599ec9cb0939cc9b6152a7f8b26b3e0b3223eaa3528",
+    "m1": "4742397e25a82fb48cb3df8f56c87b4dfe1e628e23808f961ae890853357b43d",
+    "m2": "4e3d956612cbe9b837e68a62a572ff38f8a5df712ab040b24da6ccdab5d3ba3f",
     "m3": "3b85956af231000e903d48becf5096bc57af5b79ed3d1f795cb67e5676c4266b",
     "m4": "abee6b91c4d5abeb3fcee3106cdc38d2fe5ba23633c49c94b5bc4758444a61ce",
-    "m5": "e7f7ec6f1562c7b8f3bee8040f08d94ce63135a425c3af5093c530cd35523867",
+    "m5": "79f737c53ca7089984704eed5af3bd8ca9a8467d64ac6e278c53f027c83f58c1",
 }
 
 VALIDATE_SHA256 = {
-    "corrupt_focus_outside_interval": "7fa9e3f6bf63ab967705386d64151ec055e6e9af9fded04e7c47798c77b5eb34",
+    "corrupt_focus_outside_interval": "d1dde37f6c9c0019cdd171286e7eab197d8c4ba3ae10c9dcfcc4d549ae2bad21",
     "corrupt_matrix_half_focus": "159414dfb3a7906bf8b120863014bac77da2c2187cf5a94f179bd3d457d6db33",
     "corrupt_matrix_missing_complement": "1d1238719c52b18892bbf3737b5edfc8e32c344c2f281860cc59ce4bc2512657",
-    "corrupt_missing_closure": "2cd4628ef60bd9115a46dbabf40541a45d05a2bc50dc64d417ed2311b0c5f7d8",
-    "corrupt_nonnormal_foci": "560178e60a664e3f9087eef48484cc4b144b56811c03d066e901e5a9e36f4f6f",
-    "corrupt_swapped_foci": "36b3090e4367e174144448971a99b7ab4242f1467f55f6e711706fc3bbef0437",
+    "corrupt_missing_closure": "6bfdc3209182caf0966bd0ba56eadd56af84c3c007691926e5b389941ad52cac",
+    "corrupt_nonnormal_foci": "18130b913554f0978f459d78fa8701d89cc188c715d6f8807574ff34a8dddecb",
+    "corrupt_swapped_foci": "859b1c991cb25397fa032237f39d18e2a243ee3871157f9311c4a8cd678c1cc8",
 }
 
 
@@ -65,12 +65,12 @@ MATRIX_SEED1_SHA256 = {
 LIBRARY_CFG = CheckConfig(samples=8, seed=0)
 
 FIXTURE_THEOREMS_SHA256 = {
-    "corrupt_focus_outside_interval": "e9f7bc5dbd3a4df8e0d7b81df0527d5e81c0b6009c8defac2b4006d87e74092d",
+    "corrupt_focus_outside_interval": "afb13a7b38b58221b420b5cb408bc7a2d967cef84c4922f472ac57ed482c5112",
     "corrupt_matrix_half_focus": "eb4da2037db3f41cb535d346138cf460b11d1aee8ba6727fe8b8c8992f2617dc",
     "corrupt_matrix_missing_complement": "3d7fe0e40119d3b8b03098a06fb9fe0604c9b91f123dc1df94cd06b3b537e532",
-    "corrupt_missing_closure": "94dc4425747ff25426aa0220bf7cad69dc51ca2e8cfa386a4db81de3ded6465d",
-    "corrupt_nonnormal_foci": "9297240bd83b2cff6eb76a3f1f00c9912f8ea9078881d15f9d1e587f208fecc9",
-    "corrupt_swapped_foci": "5071bccdd66765904362c9d28bc00f55e3f917acfdaf9993f4cf3062f9194816",
+    "corrupt_missing_closure": "b6368b99a67f4dc161892c6900fadd104d4a3faeb0de1e65293d6eaf7b8c531a",
+    "corrupt_nonnormal_foci": "ce605cf7ecb92d118ca04d5b7ecba45e5dfe320c1527468712815a8e9fcffe64",
+    "corrupt_swapped_foci": "3c02637ac6aba54ee44410235984119df8af337bf944e1c068226fbb621416d8",
 }
 
 # (report, d) -> sha256 on projection_base(MatrixModel(d)), the base of all
@@ -130,9 +130,9 @@ LATTICE_MODELS = {
 
 # report --seed 0 on each of LATTICE_MODELS
 LATTICE_REPORT_SHA256 = {
-    "z2-m5-5x-2": "e5cca83a0bdc57aca851b1b0f28b2030b3d3a218a82fde8cc253484240e91468",
-    "z2-std-3x5": "e3bc1e82fc33219b2a670ea5f00619a89bd44c0c7fd87cecbd2d893cb8fe5092",
-    "z3-std-1x1x1": "c4a733c832dbc23bc647902cb79856b408b0ddcf6d19eac291b3ed2fa8c04ecf",
+    "z2-m5-5x-2": "9802dbd441214b65a480f0dc4006b83e018dabc0501f1df608c964e818e06829",
+    "z2-std-3x5": "09c09fed3efac4de3f1acb5c73adc782390d9249ffc494ca717d051ed93b2cb6",
+    "z3-std-1x1x1": "836da30b6d6b60d43b3863f1c59b77bfb1fd9ef9c4162cd931a30895650b1164",
 }
 
 

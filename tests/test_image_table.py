@@ -29,7 +29,7 @@ from compbase import (
 )
 from compbase import compatibility
 from compbase.cli import main
-from conftest import LATTICE, MODELS_DIR, retraction_base, seeded_cones
+from conftest import LATTICE, MODELS_DIR, retraction_base, seeded_cones, signed_box
 
 HEIGHT = 2
 
@@ -85,7 +85,7 @@ def _maps(base):
 def test_image_table_matches_the_plain_product(source):
     base = _base(source)
     model = base.structure
-    box = model.signed_universe(HEIGHT)
+    box = signed_box(model, HEIGHT)
     maps = _maps(base)
     # half of each map leaves the lattice wherever its image is odd
     halves = [Endomorphism(model, m.matrix, 2 * m.den) for m in base.family.values()]
@@ -185,7 +185,9 @@ def test_lattice_report_makes_each_product_once(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(Endomorphism, "apply", apply)
     assert main(["report", str(path), "--seed", "0"]) == 0
     capsys.readouterr()
-    assert len(pairs) > 1000
+    # the laws over all of G read a few cone generators per map, and the
+    # interval sweeps most of the products
+    assert len(pairs) > 50
     assert counts["mat_vec"] <= len(pairs) + counts["search"]
 
 

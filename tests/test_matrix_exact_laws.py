@@ -352,7 +352,7 @@ def test_morphism_order_needs_the_map_to_be_its_conjugation():
     base = _diagonal_family(model)
     negated = tuple(tuple(-x for x in row) for row in linalg.identity(3))
     phi = Endomorphism(model, negated, conjugator=model.unit)
-    clause = compatibility.morphism_report(model, base, model, base, phi, CFG).clauses[0]
+    clause = compatibility.morphism_report(model, base, model, base, phi).clauses[0]
     premise = {"premise": "matrix_matches_conjugator"}
     assert (clause.name, clause.status, clause.witness) == ("order_preserving", "fail", premise)
     assert not sampled_morphism_order(model, model, phi, CFG).ok
@@ -404,7 +404,7 @@ KERNEL_CASES = list(_kernel_cases())
     "label,structure,j,j_comp,premise", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES]
 )
 def test_kernel_exchange_fails_on_each_premise(label, structure, j, j_comp, premise):
-    clause = kernel_complement_check(structure, j, j_comp, CFG)
+    clause = kernel_complement_check(structure, j, j_comp)
     assert (clause.status, clause.witness) == ("fail", {"premise": premise})
 
 
@@ -479,7 +479,7 @@ def assert_theorem_rules_agree(base, cfg):
     for p in base.foci:
         j = base.j(p)
         comp = base.j(base.complement(p))
-        exact = kernel_complement_check(structure, j, comp, cfg).ok
+        exact = kernel_complement_check(structure, j, comp).ok
         assert exact == sampled_kernel_complement(structure, j, comp, cfg).ok, p
 
 

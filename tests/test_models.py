@@ -45,6 +45,7 @@ from conftest import (
     minors_gcd_index,
     one_sided_points,
     seeded_cones,
+    signed_box,
 )
 
 
@@ -207,7 +208,7 @@ def test_seeded_box_keeps_propagated_universes(bundled):
                 if model.leq(Vec(pt), model.unit.scale(n))
                 and model.leq(model.unit.scale(-n), Vec(pt))
             ]
-            got = model.signed_universe(n)
+            got = signed_box(model, n)
             assert sorted(got, key=lambda v: v.coords) == sorted(scan, key=lambda v: v.coords)
 
 
@@ -328,13 +329,13 @@ def test_endo_equal_matches_interval_sweep(name, bundled):
 
 
 def test_image_of_a_map_that_moves_its_focus_fails_unit_order_unit():
-    # J_v(v) = (2, 0) != v, so no multiple of v is in the image substructure
+    # J_v(v) = (2, 0) != v, so v is no member of its image substructure
     model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((2, 2)))
     v = Vec((1, 1))
     base = base_from_family(model, [(v, endo_from_int_matrix(model, [[1, 1], [0, 0]]))])
     rep = validate_unital_group(image_substructure(base, v), CheckConfig(height_bound=2))
     clause = next(c for c in rep.clauses if c.name == "unit_order_unit")
-    assert (clause.status, clause.checked, clause.witness) == ("fail", 5, {"element": Vec((-2, 0))})
+    assert (clause.status, clause.checked, clause.witness) == ("fail", 1, {"unit": v})
 
 
 def test_image_whose_unit_is_not_an_order_unit_fails_unit_order_unit():
@@ -439,7 +440,7 @@ def test_no_box_outlives_its_model(monkeypatch, tmp_path, capsys):
     real = models.range_band
 
     def tracked(*args):
-        # LatticeConeModel._box keeps tuple() of this, which is this tuple itself
+        # LatticeConeModel.positive_universe keeps tuple() of this, which is this tuple itself
         boxes.append(tuple(real(*args)))
         return boxes[-1]
 

@@ -136,10 +136,10 @@ def test_check_functions_return_named_clauses(bundled, fast_cfg):
         ),
         (is_direct(m1, collapse), "direct", {"effect": Vec((0, 1))}, 4),
         (
-            kernel_complement_check(m1, jp, jp, fast_cfg),
+            kernel_complement_check(m1, jp, jp),
             "kernel_complement",
             {"positive": Vec((0, 1)), "direction": "fixed_by_complement_vs_killed"},
-            16,
+            4,
         ),
         (
             commutant_absorption_check(shifted_base, Vec((0, 1)), Vec((0, 1))),
