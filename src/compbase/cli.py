@@ -45,6 +45,7 @@ import argparse
 import os
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .compatibility import (
@@ -190,7 +191,7 @@ def _document(args, cfg: CheckConfig, sections: dict, fields: dict) -> dict:
     if failure is not None:
         doc["first_failure"] = failure
     doc["ok"] = "first_failure" not in doc and "error" not in doc
-    return jsonable(doc)
+    return doc
 
 
 def _run(args, cfg: CheckConfig) -> dict:
@@ -236,7 +237,10 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call of main:
+    parse_args leaves a parser unchanged, so every later call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     # numbers are read by _config, in the grammar of elements.parse_integer
     common.add_argument("--height-bound", default="3", metavar="N",
@@ -309,7 +313,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.table and "rows" in doc:
-        text = _render_rows(doc)
+        text = _render_rows(jsonable(doc))
     elif args.table:
         text = render_table(doc)
     else:

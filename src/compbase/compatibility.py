@@ -16,8 +16,11 @@ Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, cone generators or the declared
 foci (their pairs or triples) when the structure is finite or the base
 declared, a Sample from a seeded stream otherwise.  Laws over the foci take
-theirs from CompressionBase.cases.  One status rule holds for the theorem
-sweeps: a declared base decides them (pass), a sampled base certifies them.
+theirs from CompressionBase.cases.  A finite sweep whose premise puts an
+effect below an element x takes its effects from the down-set [0, x]
+(models.down_set), in the order of the full sweep.  One status rule holds
+for the theorem sweeps: a declared base decides them (pass), a sampled
+base certifies them.
 On a lattice structure the laws over all of G whose premise and conclusion
 are cone or subspace conditions (commutant absorption, the morphism order,
 the product laws) are decided on the generators of those cones
@@ -59,6 +62,7 @@ from .models import (
     compose,
     cone_cases,
     conjugation_endo,
+    down_set,
     endo_equal,
     fixed_rows,
     generators,
@@ -268,16 +272,17 @@ def _checked_meet(base: CompressionBase, p, q):
 def _greatest_lower_bound(structure, p, q, r) -> bool:
     """Is r, a lower bound of p and q, above every effect below both?
 
-    A finite structure sweeps its interval.  On a matrix structure the law
-    is derived when p is a projection and r = p q p, tested exactly (or
-    the same with p and q exchanged): an effect e below p has e = p e p (as
-    in retraction_certificate), and e <= q gives p e p <= p q p by
+    A finite structure sweeps the effects below p (models.down_set) that
+    lie below q.  On a matrix structure the law is derived when p is a
+    projection and r = p q p, tested exactly (or the same with p and q
+    exchanged): an effect e below p has e = p e p (as in
+    retraction_certificate), and e <= q gives p e p <= p q p by
     congruence, so e <= r.  Other matrix pairs are not shown to meet.
     """
 
     if structure.finite:
         leq = structure.leq
-        return all(leq(e, r) for e in structure.interval() if leq(e, p) and leq(e, q))
+        return all(leq(e, r) for e in down_set(structure, p) if leq(e, q))
     return any(matrix_model.is_projection(a) and conjugate(a, b) == r for a, b in ((p, q), (q, p)))
 
 
@@ -299,8 +304,10 @@ class Substructure(Value):
     group the projector's columns generate (_enumerated), which gives the
     same members in the same order without a pass over the parent's box.
     The generators of its cones are kept beside the bands (_cones,
-    models.generators); its members are the points that every projector
-    on the chain up to the model fixes (equalities).
+    models.generators), and so are its down-sets (_below,
+    models.down_set); its order is its carrier's, memo included (leq).
+    Its members are the points that every projector on the chain up to
+    the model fixes (equalities).
     image_substructure and commutant_substructure build one substructure
     per (kind, v) once per base.  premises make the projector a congruence
     into [0, unit] (models._validate_matrix); a finite parent sweeps instead,
@@ -310,7 +317,8 @@ class Substructure(Value):
     """
 
     __slots__ = (
-        "parent", "kind", "v", "unit", "projector", "premises", "_bands", "_cones", "_maps"
+        "parent", "kind", "v", "unit", "projector", "premises", "_bands", "_below", "_cones",
+        "_maps",
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -323,6 +331,7 @@ class Substructure(Value):
         object.__setattr__(self, "projector", projector)
         object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "_bands", {})
+        object.__setattr__(self, "_below", {})
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_maps", {})
 
@@ -580,8 +589,8 @@ def _interval_characterization_clause(base: CompressionBase, sub: Substructure) 
         )
 
     interval = parent.interval()
-    los = [e for e in interval if parent.leq(e, v)]
-    his = [e for e in interval if parent.leq(e, comp)]
+    los = down_set(parent, v)
+    his = down_set(parent, comp)
 
     def holds(case):
         if len(case) == 2:
@@ -951,7 +960,8 @@ def _omp_sharp(base: CompressionBase, n: int, rng) -> Clause:
 def _omp_principal(base: CompressionBase, n: int, rng) -> Clause:
     """Effects e, f below a focus p with e + f defined have e + f <= p.
 
-    A finite structure sweeps every focus against pairs from the interval.
+    A finite structure sweeps every focus p against the pairs from [0, p]^2
+    (models.down_set), the only pairs the premise admits.
     On a matrix structure with unit v, e, f <= p give e = p e p and
     f = p f p, so e + f = p (e + f) p <= p v p = p.
     """
@@ -962,15 +972,15 @@ def _omp_principal(base: CompressionBase, n: int, rng) -> Clause:
     if not structure.finite:
         return _focus_derived("omp_principal", base, n, rng, note)
 
-    def defined_below(pef) -> bool:
-        p, (e, f) = pef
-        return leq(e, p) and leq(f, p) and leq(e + f, structure.unit)
-
+    # the pairs from [0, p]^2, in the order of a sweep of all of E^2
+    cases = (
+        (p, ef) for p in base.foci for ef in itertools.product(down_set(structure, p), repeat=2)
+    )
     return law(
         "omp_principal",
-        itertools.product(base.foci, itertools.product(structure.interval(), repeat=2)),
+        cases,
         lambda pef: leq(pef[1][0] + pef[1][1], pef[0]),
-        defined_below,
+        lambda pef: leq(pef[1][0] + pef[1][1], structure.unit),
         witness=lambda pef: {"p": pef[0], "e": pef[1][0], "f": pef[1][1]},
         note=note,
     )
@@ -1048,10 +1058,11 @@ def _zero_unit_clause(base: CompressionBase) -> Clause:
 def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     """Idempotence, focus fixing, and complement killing for each member.
 
-    A finite structure sweeps the effects below u - p.  On a matrix
-    structure with unit v the three laws are derived from focus_premises
-    of J_p: J_p J_p is conjugation by p^2 = p, J_p(p) = p^3 = p, and an
-    effect e <= v - p gives 0 <= p e p <= p (v-p) p = 0.
+    A finite structure sweeps the effects below u - p (models.down_set).
+    On a matrix structure with unit v the three laws are derived from
+    focus_premises of J_p: J_p J_p is conjugation by p^2 = p,
+    J_p(p) = p^3 = p, and an effect e <= v - p gives
+    0 <= p e p <= p (v-p) p = 0.
     """
 
     structure = base.structure
@@ -1066,8 +1077,7 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
             return {"focus": p, "law": "idempotent"}
         if j.apply(p) != p:
             return {"focus": p, "law": "fixes_focus"}
-        comp = structure.unit - p
-        below = (e for e in structure.interval() if structure.leq(e, comp))
+        below = down_set(structure, structure.unit - p)
         bad = next((e for e in below if j.apply(e) != structure.zero), None)
         return bad is None or {"focus": p, "law": "kills_complement", "effect": bad}
 

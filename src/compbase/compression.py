@@ -726,9 +726,10 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     Declared bases sweep every focus triple with p + q + r below the unit
     and list the first triples checked; an intensional base samples
     orthogonal triples of projections in random frames, which need no
-    premise.  The premise tests p + q + r only where p + q <= u or r is
-    not positive: r >= 0 and p + q + r <= u give p + q <= u - r <= u.
-    Sums and composed maps come from the base's pair table.
+    premise.  p + q <= u is decided once per pair, and r is tried only
+    where it holds or r is not positive: r >= 0 and p + q + r <= u give
+    p + q <= u - r <= u.  The triples come in the order of a sweep of all
+    of them.  Sums and composed maps come from the base's pair table.
     """
 
     structure = base.structure
@@ -745,10 +746,13 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         rows.append({"p": p, "q": q, "r": r, "ok": ok})
         return ok
 
-    def below_unit(pqr) -> bool:
-        p, q, r = pqr
-        pq = base.focus_sum(p, q)
-        return (r in loose or leq(pq, unit)) and leq(pq + r, unit)
+    def below_unit():
+        loose = [r for r in base.foci if not structure.is_positive(r)]
+        for p, q in itertools.product(base.foci, repeat=2):
+            pq = base.focus_sum(p, q)
+            for r in base.foci if leq(pq, unit) else loose:
+                if leq(pq + r, unit):
+                    yield p, q, r
 
     def sample():
         dim, rng = structure.carrier.dim, cfg.rng("base:composition")
@@ -762,12 +766,10 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         return Sample(cfg.spot, orthogonal_triple)
 
     declared = not base.intensional
-    loose = {r for r in base.foci or () if not structure.is_positive(r)}
     clause = law(
         "composition_law",
-        base.cases(3, sample),
+        below_unit() if declared else base.cases(3, sample),
         holds,
-        below_unit if declared else None,
         witness=("p", "q", "r"),
         tally=True,
         note="all focus triples with p + q + r below the unit"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Optional
 
-from .models import NotEnumerableError
+from .models import NotEnumerableError, down_set
 from .reporting import FAIL, PASS, Clause, law
 from .value import Value
 
@@ -132,8 +132,8 @@ def mackey_decompositions(
     restricted so that d, e - d and f - d all lie in the given sub-effect
     algebra (e and f must be members themselves).
 
-    Without `within` the full interval is swept, so the structure has to be
-    enumerable.
+    Without `within` the candidates d are the interval's effects below e
+    (models.down_set), so the structure has to be enumerable.
     """
 
     algebra._require(e, "e")
@@ -144,12 +144,12 @@ def mackey_decompositions(
         pool = within.sorted_members()
         member = within.members.__contains__
     else:
-        pool = algebra.elements
-        if pool is None:
+        if algebra.elements is None:
             raise NotEnumerableError(
                 "decomposition search over a non-enumerable interval needs "
                 "an explicit sub-effect algebra to search within"
             )
+        pool = down_set(algebra.structure, e)
         member = None
 
     return tuple(mackey_triples(algebra.structure, e, f, pool, member))

@@ -29,20 +29,32 @@ checked where they enter (model files, the CLI, library calls to Vec);
 interval and box points, map images and the order test are computed on
 tuples and never re-checked: the cone test is one pass over the stored
 cone rows, leq tests the coordinate difference, and _interval_sums decides
-every member of a positive box in one sweep ordered by weight.
+every member of a positive box in one sweep ordered by weight (on a box
+of height 1, the interval, each member is its own sum and nothing is
+swept).
 
-The matrix order test MatrixModel.leq, and with it the order of every
-matrix substructure, is memoized on the exact (a, b) pair by a
-functools.lru_cache of CACHE_SIZE entries: the same declared foci are
-compared thousands of times per report.  Its body is is_psd of b - a, so
-the memo changes no answer.  A lattice model keeps its interval and
-positive boxes (_boxes), enumerated by range_band, the generators of its
-cones (_cones), and the image tables of its maps (_tables): a
-lattice map reads and fills the table of its (matrix, den) on its
-carrier, so each product of a distinct map and an element is computed
-once, and the sweeps that meet the same element again read the stored
-image.  Both are freed with the model.  A matrix map keeps no table,
-since its inputs are sampled and a table would only grow with the budget.
+Both order tests are memoized, and each body is the exact test, so no
+memo changes an answer: the same declared foci and effects are compared
+thousands of times per report.  MatrixModel.leq, and with it the order
+of every matrix substructure, is memoized on the exact (a, b) pair by a
+functools.lru_cache of CACHE_SIZE entries; its body is is_psd of b - a.
+LatticeConeModel.leq, and with it the order of every lattice
+substructure (whose leq defers to its carrier's), keeps its answers on
+the model (_order, keyed by the coordinates of a and b, at most
+ORDER_CAP entries and cleared when full); its body is the cone test of
+b - a.  The finite sweeps with an order premise e <= x run over the
+down-set [0, x] (down_set), kept per x on the structure (_below) in
+interval order, so they meet the cases the premise admits in the order
+of the full sweep, and with them the same counts and witnesses.
+
+A lattice model keeps its interval and positive boxes (_boxes),
+enumerated by range_band, the generators of its cones (_cones), and the
+image tables of its maps (_tables): a lattice map reads and fills the
+table of its (matrix, den) on its carrier, so each product of a distinct
+map and an element is computed once, and the sweeps that meet the same
+element again read the stored image.  All are freed with the model, as
+its order memo and down-sets are.  A matrix map keeps no table, since
+its inputs are sampled and a table would only grow with the budget.
 
 Both model classes and Endomorphism are frozen values (value.Value):
 equal by fields and hashed as the tuple of them, which lets models and
@@ -77,6 +89,11 @@ class UnboundedIntervalError(NotEnumerableError):
 
 _POINT_CAP = 2_000_000
 _PROPAGATION_ROUNDS = 64
+# entries kept by a lattice model's order memo (LatticeConeModel._order),
+# which is cleared when full.  A report on a bundled or benchmark lattice
+# model asks at most 692 distinct pairs; Z^3 with unit (4,4,4) asks 16,340,
+# and its four clears cost 1,714 more cone tests than a memo without a cap.
+ORDER_CAP = 4096
 
 
 def _dot(row, coords) -> int:
@@ -225,13 +242,13 @@ class LatticeConeModel(Value):
     """Z^dim ordered by the cone of its rows, with an order unit.
 
     The interval and the positive boxes are enumerated once per model and
-    kept in _boxes; the generators of its cones (generators) in _cones; the
-    image table of each lattice map, keyed by its (matrix, den), in
-    _tables (see Endomorphism).  None is a field: all are freed with the
-    model.
+    kept in _boxes; the down-sets of down_set in _below; the generators of
+    its cones (generators) in _cones; the image table of each lattice map,
+    keyed by its (matrix, den), in _tables (see Endomorphism); the answers
+    of leq in _order.  None is a field: all are freed with the model.
     """
 
-    __slots__ = ("dim", "cone_rows", "unit", "_boxes", "_cones", "_tables")
+    __slots__ = ("dim", "cone_rows", "unit", "_boxes", "_below", "_cones", "_tables", "_order")
 
     kind = "lattice_cone"
     finite = True
@@ -250,8 +267,10 @@ class LatticeConeModel(Value):
         object.__setattr__(self, "cone_rows", cone_rows)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_boxes", {})
+        object.__setattr__(self, "_below", {})
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_order", {})
 
     @property
     def carrier(self) -> "LatticeConeModel":
@@ -271,10 +290,18 @@ class LatticeConeModel(Value):
         return _in_cone(self.cone_rows, g.coords)
 
     def leq(self, a: Vec, b: Vec) -> bool:
-        """a <= b, tested on the coordinates of b - a without building a Vec."""
-        if len(a.coords) != len(b.coords):
-            raise ValueError(f"cannot compare {a!r} with {b!r}: dimensions differ")
-        return _in_cone(self.cone_rows, tuple(map(sub, b.coords, a.coords)))
+        """a <= b, tested on the coordinates of b - a without building a Vec,
+        once per (a, b) while it stays in the memo _order (ORDER_CAP)."""
+        key = a.coords, b.coords
+        known = self._order.get(key)
+        if known is None:
+            if len(a.coords) != len(b.coords):
+                raise ValueError(f"cannot compare {a!r} with {b!r}: dimensions differ")
+            if len(self._order) >= ORDER_CAP:
+                self._order.clear()
+            b_minus_a = tuple(map(sub, b.coords, a.coords))
+            known = self._order[key] = _in_cone(self.cone_rows, b_minus_a)
+        return known
 
     def interval(self) -> tuple[Vec, ...]:
         return self.positive_universe(1)
@@ -360,6 +387,19 @@ def range_band(carrier: LatticeConeModel, cols, units, lo: int, hi: int) -> list
     ys = integer_points(bands, len(basis))
     coords = tuple(zip(*basis))
     return list(map(_trusted_vec, sorted(tuple(_dot(c, y) for c in coords) for y in ys)))
+
+
+def down_set(structure, x) -> tuple:
+    """[0, x]: the members of a finite structure's interval below x, in
+    interval order, kept per x on the structure (_below).  A sweep whose
+    premise is e <= x runs over these, meeting the cases that satisfy it
+    in the order a sweep of the whole interval would."""
+
+    down = structure._below.get(x)
+    if down is None:
+        leq = structure.leq
+        down = structure._below[x] = tuple(e for e in structure.interval() if leq(e, x))
+    return down
 
 
 class MatrixModel(Value):
@@ -651,17 +691,17 @@ def _validate_finite(structure) -> Report:
         return rep
     height = _generation_height(structure)
     box = structure.positive_universe(height)
-    reach = _interval_sums(structure, box)
-    rep.add(
-        law(
-            "interval_generates_positives",
-            box,
-            lambda g: g.coords in reach,
-            witness="positive",
-            note=f"every positive below {height}*unit, which bounds the Hilbert basis, "
-            "is a sum of interval elements",
-        )
+    name = "interval_generates_positives"
+    note = (
+        f"every positive below {height}*unit, which bounds the Hilbert basis, "
+        "is a sum of interval elements"
     )
+    if height == 1:
+        # the box is the interval, each of whose members is its own sum
+        rep.add(Clause(name, PASS, checked=len(box), note=note))
+    else:
+        reach = _interval_sums(structure, box)
+        rep.add(law(name, box, lambda g: g.coords in reach, witness="positive", note=note))
     return rep
 
 

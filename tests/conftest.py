@@ -26,6 +26,7 @@ from compbase import (
 )
 from compbase.compatibility import _absorbs, _complement_escapes
 from compbase.compression import _is_effect
+from compbase.effect_algebra import MackeyTriple
 from compbase.models import UnboundedIntervalError
 from compbase.reporting import Sample, law
 
@@ -673,15 +674,107 @@ def full_composition_clause(base):
         rows.append({"p": p, "q": q, "r": r, "ok": ok})
         return ok
 
+    leq = cone_leq(structure)
     clause = law(
         "composition_law",
         product(base.foci, repeat=3),
         holds,
-        lambda pqr: structure.leq(pqr[0] + pqr[1] + pqr[2], structure.unit),
+        lambda pqr: leq(pqr[0] + pqr[1] + pqr[2], structure.unit),
         witness=("p", "q", "r"),
         note="all focus triples with p + q + r below the unit",
     )
     clause.items = rows if len(rows) <= 24 else None
+    return clause
+
+
+def cone_leq(structure):
+    """a <= b as the positivity of b - a, which no order memo answers: the
+    order of the oracles below."""
+    return lambda a, b: structure.is_positive(b - a)
+
+
+def full_omp_principal(base):
+    """omp_principal by the sweep it had before its premise came first:
+    every focus against every pair of interval elements, keeping those with
+    e, f <= p and e + f <= u.  The oracle of compatibility._omp_principal
+    on finite declared bases."""
+
+    structure = base.structure
+    leq = cone_leq(structure)
+
+    def defined_below(pef) -> bool:
+        p, (e, f) = pef
+        return leq(e, p) and leq(f, p) and leq(e + f, structure.unit)
+
+    return law(
+        "omp_principal",
+        product(base.foci, product(structure.interval(), repeat=2)),
+        lambda pef: leq(pef[1][0] + pef[1][1], pef[0]),
+        defined_below,
+        witness=lambda pef: {"p": pef[0], "e": pef[1][0], "f": pef[1][1]},
+        note="defined sums of effects below p stay below p",
+    )
+
+
+def full_greatest_lower_bound(structure, p, q, r) -> bool:
+    """Every effect below p and q is below r, over the whole interval: the
+    oracle of compatibility._greatest_lower_bound on finite structures."""
+
+    leq = cone_leq(structure)
+    return all(leq(e, r) for e in structure.interval() if leq(e, p) and leq(e, q))
+
+
+def full_mackey_triples(structure, e, f) -> tuple:
+    """The Mackey triples of (e, f) with d from the whole interval, in its
+    order: the oracle of mackey_decompositions without `within`."""
+
+    leq = cone_leq(structure)
+    return tuple(
+        MackeyTriple(e - d, f - d, d)
+        for d in structure.interval()
+        if leq(d, e) and leq(d, f) and leq(e + f - d, structure.unit)
+    )
+
+
+def full_interval_characterization(base, sub):
+    """interval_characterization of a finite parent by the sweep it had
+    before its premises came first: the effects below v and below u - v
+    (commutant) are picked from the whole interval.  The oracle of
+    compatibility._interval_characterization_clause on finite parents."""
+
+    parent = base.structure
+    leq = cone_leq(parent)
+    v = sub.v
+    interval = parent.interval()
+    if sub.kind == "image":
+        return law(
+            "interval_characterization",
+            interval,
+            lambda e: sub.is_member(e) == leq(e, v),
+            witness="effect",
+            note="membership in the image coincides with lying below v",
+        )
+    comp = parent.unit - v
+    jv, jc = base.j(v), base.j(comp)
+
+    def splits(e) -> bool:
+        x, y = jv.apply(e), jc.apply(e)
+        effects = all(parent.is_positive(z) and leq(z, parent.unit) for z in (x, y))
+        return effects and leq(x, v) and leq(y, comp) and x + y == e
+
+    def holds(case):
+        if len(case) == 2:
+            return sub.is_member(case[0] + case[1]) or {"e1": case[0], "e2": case[1]}
+        e = case[0]
+        return not sub.is_member(e) or splits(e) or {"effect": e}
+
+    los = [e for e in interval if leq(e, v)]
+    his = [e for e in interval if leq(e, comp)]
+    cases = chain(product(los, his), zip(interval))
+    note = "commutant effects are exactly sums from below v and below u - v"
+    clause = law("interval_characterization", cases, holds, note=note)
+    if not clause.ok:
+        clause.note = ""
     return clause
 
 

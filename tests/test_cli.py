@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from compbase import jsonable, load_model
+from compbase import cli, jsonable, load_model, render_json
 from compbase.cli import main
 from conftest import BUNDLED, FIXTURES_DIR, MODELS_DIR, REPO
 
@@ -32,6 +32,20 @@ def test_validate_ok(capsys):
     assert doc["command"] == "validate"
     assert set(doc["sections"]) == {"00_unital_group", "01_compression_base"}
     assert "first_failure" not in doc
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main builds its parser once per process, and a call that fails to
+    parse leaves it fit for the next; the JSON a call writes is its
+    document rendered by render_json."""
+    first = run(capsys, "validate", MODELS_DIR / "m1.json", *FAST)
+    with pytest.raises(SystemExit):
+        main(["validate"])
+    capsys.readouterr()
+    assert run(capsys, "validate", MODELS_DIR / "m1.json", *FAST) == first
+    assert cli._build_parser.cache_info().currsize == 1
+    args = cli._build_parser().parse_args(["validate", str(MODELS_DIR / "m1.json"), *FAST])
+    assert render_json(cli._run(args, cli._config(args))) == first[1]
 
 
 @pytest.mark.parametrize(

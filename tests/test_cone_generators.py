@@ -21,6 +21,7 @@ from itertools import product
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from compbase import (
@@ -40,6 +41,7 @@ from compbase import (
     validate_unital_group,
     zero_endo,
 )
+from compbase import models
 from compbase.compatibility import _absorbs, _commutant_absorption_clause
 from compbase.models import (
     NotEnumerableError,
@@ -180,6 +182,32 @@ def test_skewed_cone_needs_height_six():
     clause = validate_unital_group(model, CFG).first_failure()
     assert clause.name == "interval_generates_positives"
     assert clause.witness == {"positive": Vec((5, 6))}
+
+
+@pytest.mark.parametrize("source", LATTICE + ("z3",))
+def test_height_one_is_decided_without_the_sweep(source, monkeypatch):
+    """At N = 1 the box is the interval, each of whose members is its own
+    sum: the clause is the sweep's, checked and note alike, on the model
+    and its substructures, and no sweep runs."""
+
+    base = load_model(MODELS_DIR / f"{source}.json")[1] if source != "z3" else _z3_base()
+    kinds = (image_substructure, commutant_substructure)
+    subs = [build(base, v) for v in base.foci for build in kinds]
+    want = {}
+    for structure in (base.structure, *subs):
+        assert _generation_height(structure) == 1
+        sweep = old_generation_sweep(structure, 1)
+        want[structure] = sweep.status, sweep.checked, sweep.witness
+
+    def no_sweep(*args):
+        raise AssertionError("_interval_sums ran at N = 1")
+
+    monkeypatch.setattr(models, "_interval_sums", no_sweep)
+    for structure, fields in want.items():
+        clauses = {c.name: c for c in validate_unital_group(structure, CFG).clauses}
+        got = clauses["interval_generates_positives"]
+        assert (got.status, got.checked, got.witness) == fields
+        assert got.note.startswith("every positive below 1*unit")
 
 
 @settings(max_examples=15, deadline=None)

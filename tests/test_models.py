@@ -432,19 +432,26 @@ def test_interval_sums_match_breadth_first_on_substructures(name, bundled):
 
 
 def test_no_box_outlives_its_model(monkeypatch, tmp_path, capsys):
-    """The interval and height boxes are kept on the model that asked for
-    them, so once a report returns, nothing but this test holds a box of
-    its model, and the model itself is gone."""
+    """The interval and height boxes and the order memo are kept on the
+    model that asked for them, so once a report returns, nothing but this
+    test holds a box or the memo of its model, and the model itself is
+    gone."""
 
-    boxes = []
+    boxes, memos = [], []
     real = models.range_band
+    real_init = LatticeConeModel.__init__
 
     def tracked(*args):
         # LatticeConeModel.positive_universe keeps tuple() of this, which is this tuple itself
         boxes.append(tuple(real(*args)))
         return boxes[-1]
 
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        memos.append(self._order)
+
     monkeypatch.setattr(models, "range_band", tracked)
+    monkeypatch.setattr(LatticeConeModel, "__init__", init)
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(corner_model((4, 1))))  # a model no other test keeps
     gc.collect()
@@ -453,12 +460,12 @@ def test_no_box_outlives_its_model(monkeypatch, tmp_path, capsys):
         before = sum(type(o) is LatticeConeModel for o in gc.get_objects())
         assert main(["report", str(path), "--seed", "0"]) == 0
         after = sum(type(o) is LatticeConeModel for o in gc.get_objects())
-        # one reference from `boxes`, one from getrefcount's argument
-        held = [sys.getrefcount(boxes[i]) - 2 for i in range(len(boxes))]
+        # one reference from `boxes` or `memos`, one from getrefcount's argument
+        held = [sys.getrefcount(kept[i]) - 2 for kept in (boxes, memos) for i in range(len(kept))]
     finally:
         gc.enable()
     capsys.readouterr()
-    assert boxes and held == [0] * len(boxes)
+    assert boxes and any(memos) and held == [0] * (len(boxes) + len(memos))
     assert after == before
 
 
