@@ -7,7 +7,9 @@ Report, an ordered list of them.  Most clauses come from law(), which
 states one law over one universe of cases; derived() states one law that
 follows from exactly checked premises.  Reports serialize to JSON with
 sorted keys and no volatile content, so identical configurations produce
-byte-identical output.
+byte-identical output.  render_json writes that text in one walk, with the
+bytes of the stdlib encoder on jsonable's plain copy (the tests' oracle);
+both read each type's JSON shape from _shape.
 
 Clause and Report are mutable records (value.Record) that compare by
 fields.  Each gives its JSON object through a jsonable() method, as every
@@ -16,8 +18,8 @@ serialized package class does: a Clause omits items when it has none.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, Optional
 
 from .elements import SymMat, Vec
@@ -183,30 +185,67 @@ class Report(Record):
         return next((c for c in self.clauses if not c.ok), None)
 
 
+def _shape(x: Any) -> Any:
+    """One level of the JSON shape of a Vec, SymMat, record with a jsonable()
+    method, Fraction or set, tested in that order (a Fraction test goes through
+    the ABC machinery, the slowest); a float or any other object is refused."""
+    if isinstance(x, Vec):
+        return x.coords
+    if isinstance(x, SymMat):
+        return x.rows
+    method = getattr(x, "jsonable", None)
+    if callable(method):
+        return method()
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (set, frozenset)):
+        return sorted(map(jsonable, x), key=repr)
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
 def jsonable(x: Any) -> Any:
     """Map package objects onto plain JSON values, exactly (no floats)."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, Vec):
-        return list(x.coords)
-    if isinstance(x, SymMat):
-        return [[jsonable(v) for v in row] for row in x.rows]
-    method = getattr(x, "jsonable", None)
-    if callable(method):
-        return jsonable(method())
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (tuple, list)):
         return [jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted((jsonable(v) for v in x), key=repr)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    return jsonable(_shape(x))
 
 
 def render_json(data: Any) -> str:
-    return json.dumps(jsonable(data), indent=2, sort_keys=True) + "\n"
+    """json.dumps(jsonable(data), indent=2, sort_keys=True) + "\n", written
+    in one walk, with no plain copy and no pure-Python indenting encoder."""
+    out: list[str] = []
+    _write(data, "\n", out.append)
+    return "".join(out) + "\n"
+
+
+def _write(x: Any, nl: str, put: Callable[[str], Any]) -> None:
+    if isinstance(x, str):
+        put(encode_basestring_ascii(x))
+    elif x is None or x is True or x is False:
+        put("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    elif isinstance(x, dict):
+        named = {str(k): v for k, v in x.items()}
+        inner, sep = nl + "  ", "{"
+        for k in sorted(named):
+            put(sep + inner + encode_basestring_ascii(k) + ": ")
+            _write(named[k], inner, put)
+            sep = ","
+        put(nl + "}" if named else "{}")
+    elif isinstance(x, (tuple, list)):
+        inner, sep = nl + "  ", "["
+        for v in x:
+            put(sep + inner)
+            _write(v, inner, put)
+            sep = ","
+        put(nl + "]" if x else "[]")
+    else:
+        _write(_shape(x), nl, put)
 
 
 def _clause_rows(report_dict: dict, prefix: str = "") -> list[tuple[str, str, str, str]]:
@@ -226,17 +265,18 @@ def _clause_rows(report_dict: dict, prefix: str = "") -> list[tuple[str, str, st
     return rows
 
 
-def render_columns(rows: list, ok: bool) -> str:
-    """Rows of strings in left-aligned columns two spaces apart, then the
-    verdict line: the one table layout of the package."""
+def render_columns(rows: list, ok: bool, reasons: Iterable[str] = ()) -> str:
+    """Rows of strings in left-aligned columns two spaces apart, then a line
+    per reason and the verdict line: the one table layout of the package."""
     widths = [max(len(cell) for cell in column) for column in zip(*rows)]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
-    lines.append("ok" if ok else "FAILED")
+    lines += [*reasons, "ok" if ok else "FAILED"]
     return "\n".join(lines) + "\n"
 
 
 def render_table(data: Any) -> str:
-    """Aligned plain-text view of a report dict (same content as the JSON)."""
+    """Aligned plain-text view of a report dict: clause rows, error, first failure."""
     d = jsonable(data)
     rows = [("clause", "status", "checked", "note"), *_clause_rows(d)]
-    return render_columns(rows, d.get("ok", True))
+    reasons = [f"{key}: {d[key]}" for key in ("error", "first_failure") if key in d]
+    return render_columns(rows, d.get("ok", True), reasons)

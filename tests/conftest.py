@@ -1,3 +1,4 @@
+import json
 import pytest
 
 from fractions import Fraction
@@ -28,7 +29,7 @@ from compbase.compatibility import _absorbs, _complement_escapes
 from compbase.compression import _is_effect
 from compbase.effect_algebra import MackeyTriple
 from compbase.models import UnboundedIntervalError
-from compbase.reporting import Sample, law
+from compbase.reporting import Sample, jsonable, law
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO / "models"
@@ -49,6 +50,12 @@ def fast_cfg():
 def bundled():
     """name -> (model, declared base) for every bundled model file."""
     return {name: load_model(MODELS_DIR / f"{name}.json") for name in BUNDLED}
+
+
+def stdlib_json(x) -> str:
+    """The reference text of render_json(x): the plain copy jsonable(x)
+    through the stdlib's indenting encoder."""
+    return json.dumps(jsonable(x), indent=2, sort_keys=True) + "\n"
 
 
 @st.composite

@@ -69,6 +69,9 @@ def test_corrupt_models_fail_with_named_clause(capsys, stem, clause):
         if c["status"] == "fail"
     ]
     assert failing and failing[0]["witness"] is not None
+    code, out = run(capsys, "validate", FIXTURES_DIR / f"{stem}.json", "--table", *FAST)
+    assert code == 1
+    assert out.endswith(f"\nfirst_failure: {clause}\nFAILED\n")
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -201,7 +204,7 @@ def test_mackey_non_effect_is_violation(capsys):
     assert doc["ok"] is False and "first_failure" not in doc
     code, out = run(capsys, "mackey", MODELS_DIR / "m1.json", "2,0", "0,1", "--table", *FAST)
     assert code == 1
-    assert out.rstrip().endswith("FAILED")
+    assert out.endswith("\nerror: e is not in the unit interval\nFAILED\n")
 
 
 @pytest.mark.parametrize(
@@ -274,7 +277,7 @@ def test_substructure_non_focus_is_violation(capsys):
         capsys, "substructure", MODELS_DIR / "m1.json", "2,0", "image", "--table", *FAST
     )
     assert code == 1
-    assert out.rstrip().endswith("FAILED")
+    assert out.endswith("\nerror: v is not a focus of the declared base\nFAILED\n")
 
 
 def test_retractions_census(capsys):
