@@ -23,7 +23,6 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=REPO / "reports")
     # the numbers are passed on as text, for the CLI's integer grammar to read
     ap.add_argument("--samples", default="200")
-    ap.add_argument("--height-bound", default="3")
     ap.add_argument("--seed", default="0")
     args = ap.parse_args()
 
@@ -38,8 +37,6 @@ def main() -> int:
                 str(model),
                 "--samples",
                 args.samples,
-                "--height-bound",
-                args.height_bound,
                 "--seed",
                 args.seed,
                 "--output",

@@ -28,15 +28,17 @@ corrupted family is a finding, a corrupted file is a usage error.
 
 Output is JSON by default (sorted keys, exact rationals, no volatile
 fields, so equal configurations produce byte-identical bytes), or an
-aligned table with --table.  The seed comes from --seed, falling back to
-the COMPBASE_SEED environment variable, then 0.
+aligned table with --table.  --samples and --seed (else COMPBASE_SEED,
+else 0) budget the base of all projections, which only theorems and
+report sample, in section 03_theorems_sampled of a matrix model; every
+other section is decided exactly and reads neither.
 
 Elements on the command line: comma-separated integers for lattice models
 ("1,0"), row-major comma-separated integers or "a/b" rationals for matrix
-models ("1/2,1/2,1/2,1/2").  Every integer, in an element, in --seed,
---samples and --height-bound and in COMPBASE_SEED, is optionally signed
-ASCII digits, the one grammar of elements.parse_integer and
-parse_rational: no "1_000", no spaces, no digits of other scripts.
+models ("1/2,1/2,1/2,1/2").  Every integer, in an element, in --seed and
+--samples and in COMPBASE_SEED, is optionally signed ASCII digits, the
+one grammar of elements.parse_integer and parse_rational: no "1_000", no
+spaces, no digits of other scripts.
 """
 
 from __future__ import annotations
@@ -104,13 +106,13 @@ def _parse_element(model, text: str):
 
 
 def _theorems(args, model, base, cfg, sections: dict, fields: dict) -> None:
-    sections["02_theorems"] = theorem_report(base, cfg)
+    sections["02_theorems"] = theorem_report(base)
     if model.kind == "matrix":
-        sections["03_theorems_sampled"] = theorem_report(projection_base(model), cfg)
+        sections["03_theorems_sampled"] = theorem_report(projection_base(model, cfg))
 
 
 def _retractions(args, model, base, cfg, sections: dict, fields: dict) -> None:
-    sections["04_compressible"] = compressible_group_report(model, cfg)
+    sections["04_compressible"] = compressible_group_report(model)
 
 
 _FOCUS = "a focus of the declared base"
@@ -139,7 +141,7 @@ def _substructure(args, model, base, cfg, sections: dict, fields: dict) -> None:
     if not base.contains_focus(v):
         fields["error"] = f"v is not {_FOCUS}"
         return
-    sub, rbase, sections[f"10_{args.kind}"] = substructure_report(base, v, args.kind, cfg)
+    sub, rbase, sections[f"10_{args.kind}"] = substructure_report(base, v, args.kind)
     fields.update(v=v, kind=args.kind, unit=sub.unit, foci=list(rbase.foci))
     fields["interval_size"] = len(sub.interval()) if sub.finite else None
 
@@ -156,12 +158,13 @@ def _report(args, model, base, cfg, sections: dict, fields: dict) -> None:
         _retractions(args, model, base, cfg, sections, fields)
     for i, v in enumerate(base.foci):
         for kind in ("image", "commutant"):
-            _, _, sections[f"substructure_{i:02d}_{kind}"] = substructure_report(base, v, kind, cfg)
-        sections[f"product_{i:02d}"] = direct_product_report(base, v, cfg)
+            _, _, sections[f"substructure_{i:02d}_{kind}"] = substructure_report(base, v, kind)
+        sections[f"product_{i:02d}"] = direct_product_report(base, v)
 
 
 # Each command's step runs once the model validates.  It adds sections and
-# document fields; a step that refuses its input adds "error" instead.
+# document fields; a step that refuses its input adds "error" instead.  Only
+# _theorems reads cfg, for the base of all projections it builds.
 _STEPS = {
     "validate": lambda *_: None,
     "theorems": _theorems,
@@ -180,11 +183,7 @@ def _document(args, cfg: CheckConfig, sections: dict, fields: dict) -> dict:
     doc = {
         "command": args.command,
         "model": args.model.name,
-        "config": {
-            "height_bound": cfg.height_bound,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-        },
+        "config": {"samples": cfg.samples, "seed": cfg.seed},
         "sections": sections,
         **fields,
     }
@@ -201,10 +200,10 @@ def _run(args, cfg: CheckConfig) -> dict:
     model, base = load_model(args.model)
     if args.command == "retractions" and model.kind != "lattice_cone":
         raise NotEnumerableError("retraction enumeration requires a finite lattice model")
-    sections = {"00_unital_group": validate_unital_group(model, cfg)}
+    sections = {"00_unital_group": validate_unital_group(model)}
     fields: dict = {}
     if sections["00_unital_group"].ok:
-        sections["01_compression_base"] = validate_compression_base(base, cfg)
+        sections["01_compression_base"] = validate_compression_base(base)
         if sections["01_compression_base"].ok:
             _STEPS[args.command](args, model, base, cfg, sections, fields)
     return _document(args, cfg, sections, fields)
@@ -243,11 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parse_args leaves a parser unchanged, so every later call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     # numbers are read by _config, in the grammar of elements.parse_integer
-    common.add_argument("--height-bound", default="3", metavar="N",
-                        help="recorded in the report's config (default 3); no verdict reads "
-                        "it, as lattice laws are decided from cone generators")
     common.add_argument("--samples", default="1000", metavar="K",
-                        help="randomized samples per sweep on matrix models (default 1000)")
+                        help="randomized samples per sweep of the base of all projections "
+                        "on matrix models (default 1000)")
     common.add_argument("--seed", default=None,
                         help="RNG seed (default: COMPBASE_SEED or 0)")
     style = common.add_mutually_exclusive_group()
@@ -294,7 +291,6 @@ def _config(args) -> CheckConfig:
     if seed is None:
         seed, seed_name = os.environ.get("COMPBASE_SEED", "0"), "COMPBASE_SEED"
     return CheckConfig(
-        height_bound=_integer_option("--height-bound", args.height_bound),
         samples=_integer_option("--samples", args.samples),
         seed=_integer_option(seed_name, seed),
     )

@@ -15,7 +15,8 @@ every universe they enumerate.
 Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, cone generators or the declared
 foci (their pairs or triples) when the structure is finite or the base
-declared, a Sample from a seeded stream otherwise.  Laws over the foci take
+declared, a Sample from a seeded stream of the config the base of all
+projections keeps (CompressionBase.cfg) otherwise.  Laws over the foci take
 theirs from CompressionBase.cases.  A finite sweep whose premise puts an
 effect below an element x takes its effects from the down-set [0, x]
 (models.down_set), in the order of the full sweep.  One status rule holds
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from math import isqrt
-from typing import Any, Optional
+from typing import Any
 
 from . import linalg, matrix_model
 from .compression import (
@@ -52,7 +53,6 @@ from .compression import (
     focus_premises,
     kernel_complement_check,
 )
-from .config import CheckConfig
 from .effect_algebra import EffectAlgebra, MembershipError, is_mackey_compatible, mackey_triples
 from .elements import conjugate
 from .models import (
@@ -502,9 +502,7 @@ def restricted_base(base: CompressionBase, sub: Substructure) -> CompressionBase
     return base.kept(sub, build)
 
 
-def substructure_report(
-    base: CompressionBase, v, kind: str, cfg: Optional[CheckConfig] = None
-):
+def substructure_report(base: CompressionBase, v, kind: str):
     """Build a substructure and re-run the whole validation stack inside it.
 
     Returns (substructure, restricted base, report).  The report covers the
@@ -512,7 +510,6 @@ def substructure_report(
     unital-group axioms seen from inside, and the restricted base laws.
     """
 
-    cfg = cfg or CheckConfig()
     if kind == "image":
         sub = image_substructure(base, v)
     elif kind == "commutant":
@@ -538,8 +535,8 @@ def substructure_report(
         law("restricted_foci_members", rbase.foci, sub.is_member, witness="focus")
     )
     rep = Report(f"{kind} substructure", clauses)
-    rep.extend(validate_unital_group(sub, cfg))
-    rep.extend(validate_compression_base(rbase, cfg))
+    rep.extend(validate_unital_group(sub))
+    rep.extend(validate_compression_base(rbase))
     return sub, rbase, rep
 
 
@@ -668,9 +665,7 @@ def morphism_report(
     return Report("morphism laws", clauses)
 
 
-def direct_product_report(
-    base: CompressionBase, v, cfg: Optional[CheckConfig] = None
-) -> Report:
+def direct_product_report(base: CompressionBase, v) -> Report:
     """The decomposition of the commutant of v as a direct product.
 
     The compressions J_v and J_{u-v}, read on the commutant C(v), are
@@ -678,8 +673,7 @@ def direct_product_report(
     pairing g -> (J_v(g), J_{u-v}(g)) is a bijection onto the product,
     with componentwise order, inverted by addition.  The commutant's
     projector is J_v + J_{u-v}, so pairing_recovers_element holds by
-    construction.  cfg is taken for the signature every report section
-    shares; no law reads it.
+    construction.
 
     A finite structure decides each law over all of its group.
     eta_, kappa_fixes_image and pairing_surjective are linear identities,
@@ -771,19 +765,19 @@ def direct_product_report(
 # the orthomodular poset of foci
 
 
-def omp_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Report:
+def omp_report(base: CompressionBase) -> Report:
     """Orthomodular poset laws for the foci of a base.
 
     Declared bases quantify over their foci, with the interval-quantified
     clauses (sharpness and principality) swept exhaustively on finite
     structures and derived per focus on the matrix model.  An intensional
     base is checked entirely on sampled projections, and its clauses draw,
-    in order, from one stream, opened only there.
+    in order, from one stream of the config it keeps, opened only there.
     """
 
-    cfg = cfg or CheckConfig()
-    rng = cfg.rng("omp") if base.intensional else None
-    n = max(cfg.spot, cfg.samples // 4)
+    rng, n = None, 0
+    if base.intensional:
+        rng, n = base.cfg.rng("omp"), max(base.cfg.spot, base.cfg.samples // 4)
     laws = (
         _omp_bounded,
         _omp_orthocomplement,
@@ -797,10 +791,10 @@ def omp_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Repo
 
 def _omp_bounded(base: CompressionBase, n: int, rng) -> Clause:
     structure = base.structure
-    declared = base.foci is not None
+    dim, declared = structure.carrier.dim, base.foci is not None
     clause = law(
         "omp_bounded",
-        base.cases(1, lambda: _projections(base, rng, n)),
+        base.cases(1, lambda _: Sample(n, lambda: matrix_model.draw_projection(dim, rng))),
         lambda p: _is_effect(structure, p),
         witness=None if declared else "p",
         note="" if declared else "sampled projections are effects; zero and unit are foci",
@@ -836,7 +830,7 @@ def _omp_orthocomplement(base: CompressionBase, n: int, rng) -> Clause:
     size = len(base.foci) if declared else 0
     return law(
         "omp_orthocomplement",
-        base.cases(2, lambda: Sample(n, lambda: matrix_model.draw_nested_projections(dim, rng))),
+        base.cases(2, lambda _: Sample(n, lambda: matrix_model.draw_nested_projections(dim, rng))),
         holds,
         (lambda pq: leq(pq[1], pq[0])) if declared else None,
         witness=("p", "q"),
@@ -885,7 +879,7 @@ def _omp_orthogonal_join(base: CompressionBase, n: int, rng) -> Clause:
     declared = base.foci is not None
     return law(
         "omp_orthogonal_join",
-        base.cases(2, lambda: Sample(n, frame_pair)),
+        base.cases(2, lambda _: Sample(n, frame_pair)),
         holds,
         (lambda case: leq(case[0] + case[1], structure.unit)) if declared else None,
         note="orthogonal sums are least upper bounds in the base"
@@ -913,7 +907,7 @@ def _omp_orthomodular(base: CompressionBase, n: int, rng) -> Clause:
     declared = base.foci is not None
     return law(
         "omp_orthomodular",
-        base.cases(2, lambda: Sample(n, lambda: draw(dim, rng)[::-1])),
+        base.cases(2, lambda _: Sample(n, lambda: draw(dim, rng)[::-1])),
         holds,
         (lambda pq: leq(*pq)) if declared else None,
         witness=("p", "q"),
@@ -931,7 +925,8 @@ def _focus_derived(name: str, base: CompressionBase, n: int, rng, note: str) -> 
         res = derived(name, focus_premises(base, p, focus=True), note)
         return res.ok or {"p": p, **res.witness}
 
-    foci = base.cases(1, lambda: _projections(base, rng, n))
+    dim = base.structure.carrier.dim
+    foci = base.cases(1, lambda _: Sample(n, lambda: matrix_model.draw_projection(dim, rng)))
     return law(name, foci, holds, note=note + "; decided from each conjugator")
 
 
@@ -990,18 +985,19 @@ def _omp_principal(base: CompressionBase, n: int, rng) -> Clause:
 # theorem sweeps
 
 
-def _projections(base: CompressionBase, rng, count: int) -> Sample:
-    """count projections of the carrier drawn from rng."""
+def _projections(base: CompressionBase, cfg, tag: str, count: int = 0) -> Sample:
+    """count projections of the carrier, max(cfg.samples, 1) by default,
+    drawn from the stream tag of cfg."""
 
-    dim = base.structure.carrier.dim
-    return Sample(count, lambda: matrix_model.draw_projection(dim, rng))
+    dim, rng = base.structure.carrier.dim, cfg.rng(tag)
+    return Sample(count or max(cfg.samples, 1), lambda: matrix_model.draw_projection(dim, rng))
 
 
-def _pairs(base: CompressionBase, rng, count: int) -> Sample:
-    """count pairs of projections drawn from rng: commuting, nested and
-    general in turn."""
+def _pairs(base: CompressionBase, cfg, tag: str, count: int = 0) -> Sample:
+    """count pairs of projections, max(cfg.samples, 1) by default, drawn
+    from the stream tag of cfg: commuting, nested and general in turn."""
 
-    dim = base.structure.carrier.dim
+    dim, rng = base.structure.carrier.dim, cfg.rng(tag)
     kinds = itertools.cycle(
         (
             lambda: matrix_model.draw_projection_pair(dim, rng, commuting=True),
@@ -1009,10 +1005,10 @@ def _pairs(base: CompressionBase, rng, count: int) -> Sample:
             lambda: matrix_model.draw_projection_pair(dim, rng, commuting=False),
         )
     )
-    return Sample(count, lambda: next(kinds)())
+    return Sample(count or max(cfg.samples, 1), lambda: next(kinds)())
 
 
-def theorem_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> Report:
+def theorem_report(base: CompressionBase) -> Report:
     """Sweep the base-level consequences of the compression-base laws.
 
     Covers: the zero and unit maps, idempotence and focus fixing of each
@@ -1023,16 +1019,15 @@ def theorem_report(base: CompressionBase, cfg: Optional[CheckConfig] = None) -> 
     poset laws of the foci.
     """
 
-    cfg = cfg or CheckConfig()
     rep = Report(title="compression base theorems")
     rep.add(_zero_unit_clause(base))
-    rep.add(_family_shape_clause(base, cfg))
-    rep.add(_kernel_complement_clause(base, cfg))
-    rep.add(_absorption_clause(base, cfg))
-    rep.add(_commutant_absorption_clause(base, cfg))
-    rep.add(_battery_clause(base, cfg))
-    rep.add(_meet_clause(base, cfg))
-    rep.extend(omp_report(base, cfg))
+    rep.add(_family_shape_clause(base))
+    rep.add(_kernel_complement_clause(base))
+    rep.add(_absorption_clause(base))
+    rep.add(_commutant_absorption_clause(base))
+    rep.add(_battery_clause(base))
+    rep.add(_meet_clause(base))
+    rep.extend(omp_report(base))
     return rep
 
 
@@ -1055,7 +1050,7 @@ def _zero_unit_clause(base: CompressionBase) -> Clause:
     )
 
 
-def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _family_shape_clause(base: CompressionBase) -> Clause:
     """Idempotence, focus fixing, and complement killing for each member.
 
     A finite structure sweeps the effects below u - p (models.down_set).
@@ -1066,7 +1061,9 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     """
 
     structure = base.structure
-    count = max(4, isqrt(max(cfg.samples, 1)))
+
+    def sample(cfg):
+        return _projections(base, cfg, "theorem:family", max(4, isqrt(cfg.samples)))
 
     def shaped(p):
         j = base.j(p)
@@ -1083,20 +1080,18 @@ def _family_shape_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     return law(
         "family_shape",
-        base.cases(1, lambda: _projections(base, cfg.rng("theorem:family"), count)),
+        base.cases(1, sample),
         shaped,
         tally=True,
         note="each member is idempotent, fixes its focus, kills below the complement",
     )
 
 
-def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _kernel_complement_clause(base: CompressionBase) -> Clause:
     """The kernel exchange (kernel_complement_check) for each focus and its
     complement; a matrix base passes the premises it keeps (focus_premises)."""
 
     structure = base.structure
-    n = max(cfg.samples, 1)
-    foci = base.cases(1, lambda: _projections(base, cfg.rng("theorem:kernel"), n))
 
     def exchanges(p):
         premises = None if structure.finite else focus_premises(base, p, comp=True)
@@ -1105,7 +1100,7 @@ def _kernel_complement_clause(base: CompressionBase, cfg: CheckConfig) -> Clause
 
     return law(
         "kernel_complement_fixpoint",
-        foci,
+        base.cases(1, lambda cfg: _projections(base, cfg, "theorem:kernel")),
         lambda p: _complement_escapes(base, p) or exchanges(p),
         note="J_p kills a positive exactly when J_{u-p} fixes it",
     )
@@ -1119,9 +1114,8 @@ def _complement_escapes(base: CompressionBase, p):
     return None
 
 
-def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _absorption_clause(base: CompressionBase) -> Clause:
     structure = base.structure
-    n = max(cfg.samples, 1)
 
     def conditions(pq) -> tuple:
         p, q = pq
@@ -1136,7 +1130,7 @@ def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
 
     return law(
         "absorption_equivalences",
-        base.cases(2, lambda: _pairs(base, cfg.rng("theorem:absorption"), n)),
+        base.cases(2, lambda cfg: _pairs(base, cfg, "theorem:absorption")),
         lambda pq: len(set(conditions(pq))) == 1,
         witness=lambda pq: {"p": pq[0], "q": pq[1], "conditions": list(conditions(pq))},
         tally=True,
@@ -1144,7 +1138,7 @@ def _absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     )
 
 
-def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _commutant_absorption_clause(base: CompressionBase) -> Clause:
     """_absorbs for every focus p and element g.
 
     A finite structure decides each focus on cone generators
@@ -1173,14 +1167,13 @@ def _commutant_absorption_clause(base: CompressionBase, cfg: CheckConfig) -> Cla
         res = derived("commutant_absorption", focus_premises(base, p, comp=True), note)
         return res.ok or {"p": p, **res.witness}
 
-    n = max(cfg.samples, 1)
-    foci = base.cases(1, lambda: _projections(base, cfg.rng("theorem:commutant"), n))
+    foci = base.cases(1, lambda cfg: _projections(base, cfg, "theorem:commutant"))
     return law(
         "commutant_absorption", foci, lambda p: _complement_escapes(base, p) or absorbs(p), note=note
     )
 
 
-def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _battery_clause(base: CompressionBase) -> Clause:
     """The battery of (p, q) agrees, and (q, p) is compatible exactly when
     (p, q) is; a declared base reads the mirror from its pair table.  A q
     whose complement is no focus is not mirrored: it fails the clause at
@@ -1199,10 +1192,9 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     decided = base.foci is not None and (
         structure.finite or all(map(matrix_model.is_projection, (*base.foci, structure.unit)))
     )
-    n = max(cfg.samples, 1)
     return law(
         "battery_agreement",
-        base.cases(2, lambda: _pairs(base, cfg.rng("theorem:battery"), n)),
+        base.cases(2, lambda cfg: _pairs(base, cfg, "theorem:battery")),
         lambda pq: _complement_escapes(base, pq[0]) or agrees(pq),
         witness=lambda pq: {"p": pq[0], "q": pq[1], "reason": "asymmetric"},
         exact=decided,
@@ -1211,10 +1203,14 @@ def _battery_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     )
 
 
-def _meet_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _meet_clause(base: CompressionBase) -> Clause:
     structure = base.structure
-    count = min(max(cfg.samples, 1), max(cfg.spot, cfg.samples // 4))
-    pairs = base.cases(2, lambda: _pairs(base, cfg.rng("theorem:meet"), count))
+
+    def sample(cfg):
+        count = min(max(cfg.samples, 1), max(cfg.spot, cfg.samples // 4))
+        return _pairs(base, cfg, "theorem:meet", count)
+
+    pairs = base.cases(2, sample)
     lower_bounds = base.foci or ()
 
     def meets(pq):

@@ -11,7 +11,8 @@ the structure: the exhaustive interval, cone generators or declared foci
 of a finite model, or seeded samples on the matrix model, whose maps are
 conjugations g -> p g p.  A base law over its foci takes its universe from
 CompressionBase.cases: the declared foci, or a Sample of projections on
-the base of all projections.  An exhaustive universe decides its law
+the base of all projections, drawn by the CheckConfig that base keeps
+(CompressionBase.cfg).  An exhaustive universe decides its law
 (pass); a Sample spot checks a fact that holds analytically for that form
 (certified) or searches a refutable claim for a counterexample.  A matrix
 base's per-focus laws, the kernel exchange, normality and directness are
@@ -393,15 +394,12 @@ def _extend_basis(basis: list, vectors, dim: int) -> list:
     return basis
 
 
-def compressible_group_report(
-    model: LatticeConeModel, cfg: Optional[CheckConfig] = None
-) -> Report:
+def compressible_group_report(model: LatticeConeModel) -> Report:
     """Retraction census of a finite model, with the compressibility laws.
 
     Checks that distinct retractions have distinct foci, that every
     retraction is a compression, and that each retraction has a
-    complementary partner exchanging kernels and fixed points.  cfg is
-    taken for the signature every report section shares; no law reads it.
+    complementary partner exchanging kernels and fixed points.
     """
 
     certs = enumerate_retractions(model)
@@ -454,8 +452,10 @@ class CompressionBase(Value):
     Declared bases carry an explicit focus list and a map from focus to
     endomorphism.  An intensional base, one without a focus list, takes
     every projection of the matrix model as a focus, with conjugation as
-    the assigned map.  A declared base keeps, through kept, what is built
-    from it once, when first asked for.  In _memo:
+    the assigned map, and keeps the CheckConfig its samples are drawn by
+    (cfg); a declared base is decided exactly and carries none.  A
+    declared base keeps, through kept, what is built from it once, when
+    first asked for.  In _memo:
       ("image", v), ("commutant", v)  the substructures of a focus v;
       a Substructure                  the restricted base on it;
       ("battery", p, q)               the CompatReport of (p, q);
@@ -478,7 +478,7 @@ class CompressionBase(Value):
     identity, as the keys of such memos must be.
     """
 
-    __slots__ = ("structure", "foci", "family", "_memo", "_pairs", "_focus_set")
+    __slots__ = ("structure", "foci", "family", "cfg", "_memo", "_pairs", "_focus_set")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -487,12 +487,14 @@ class CompressionBase(Value):
         structure: Any,
         foci: Optional[tuple],
         family: Optional[dict],
+        cfg: Optional[CheckConfig] = None,
         *,
         pairs: Optional[dict] = None,
     ) -> None:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "foci", foci)
         object.__setattr__(self, "family", family)
+        object.__setattr__(self, "cfg", cfg)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_pairs", {} if pairs is None else pairs)
         object.__setattr__(self, "_focus_set", None if foci is None else frozenset(foci))
@@ -537,17 +539,17 @@ class CompressionBase(Value):
             value = memo[key] = build()
         return value
 
-    def cases(self, arity: int, sample: Callable[[], Sample]):
+    def cases(self, arity: int, sample: Callable[[CheckConfig], Sample]):
         """The universe of a law over the foci, taken arity at a time.
 
         A declared base gives its foci, or itertools.product tuples of them:
         unsized, so a law that stops at a witness counts the cases it
-        reached.  The intensional base gives sample(), which opens its
-        stream only then.
+        reached.  The intensional base gives sample(cfg), with the config
+        it keeps, which opens its stream only then.
         """
 
         if self.foci is None:
-            return sample()
+            return sample(self.cfg)
         return self.foci if arity == 1 else itertools.product(self.foci, repeat=arity)
 
     def focus_sum(self, p, q):
@@ -579,10 +581,11 @@ def base_from_projections(model: MatrixModel, projections) -> CompressionBase:
     return base_from_family(model, [(p, conjugation_endo(model, p)) for p in projections])
 
 
-def projection_base(model: MatrixModel) -> CompressionBase:
-    """Intensional base: every projection, mapped to its conjugation."""
+def projection_base(model: MatrixModel, cfg: Optional[CheckConfig] = None) -> CompressionBase:
+    """Intensional base: every projection, mapped to its conjugation.  Its
+    laws are sampled by cfg (CheckConfig() when None), which it keeps."""
 
-    return CompressionBase(model, None, None)
+    return CompressionBase(model, None, None, cfg or CheckConfig())
 
 
 def trivial_base(structure) -> CompressionBase:
@@ -595,9 +598,7 @@ def trivial_base(structure) -> CompressionBase:
     return base_from_family(structure, pairs)
 
 
-def validate_compression_base(
-    base: CompressionBase, cfg: Optional[CheckConfig] = None
-) -> Report:
+def validate_compression_base(base: CompressionBase) -> Report:
     """Check the compression-base laws and report one clause per law.
 
     Clauses: the foci form a sub-effect algebra, that subalgebra is normal,
@@ -606,29 +607,28 @@ def validate_compression_base(
     the unit.
     """
 
-    cfg = cfg or CheckConfig()
     rep = Report(title="compression base laws")
     structure = base.structure
     algebra = EffectAlgebra(structure)
 
     if base.intensional:
-        rep.add(_intensional_closure_clause(base, cfg))
+        rep.add(_intensional_closure_clause(base))
     else:
         rep.add(is_sub_effect_algebra(algebra, base.foci))
 
     if structure.finite:
         rep.add(is_normal_subalgebra(algebra, SubEffectAlgebra(algebra, frozenset(base.foci))))
     else:
-        rep.add(_matrix_normality_clause(base, cfg))
+        rep.add(_matrix_normality_clause(base))
 
-    rep.add(_family_clause(base, cfg))
-    rep.add(_composition_clause(base, cfg))
+    rep.add(_family_clause(base))
+    rep.add(_composition_clause(base))
     return rep
 
 
-def _intensional_closure_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _intensional_closure_clause(base: CompressionBase) -> Clause:
     dim = base.structure.carrier.dim
-    rng = cfg.rng("base:closure")
+    rng = base.cfg.rng("base:closure")
 
     def orthogonal_pair():
         frame = matrix_model.cayley_orthogonal(dim, rng)
@@ -642,14 +642,14 @@ def _intensional_closure_clause(base: CompressionBase, cfg: CheckConfig) -> Clau
 
     return law(
         "foci_sub_effect_algebra",
-        Sample(cfg.spot, orthogonal_pair),
+        Sample(base.cfg.spot, orthogonal_pair),
         closed,
         witness=("p", "q"),
         note="projections close under orthosupplement and orthogonal sum; spot checked",
     )
 
 
-def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _matrix_normality_clause(base: CompressionBase) -> Clause:
     """Normality on a matrix structure, decided from products of commuting foci.
 
     Normality: effects d, e, f with foci m1 = e + d, m2 = f + d and
@@ -667,7 +667,7 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     structure = base.structure
     leq = structure.leq
 
-    def sample():
+    def sample(cfg):
         dim, rng = structure.carrier.dim, cfg.rng("base:normality")
         draw = matrix_model.draw_projection_pair
         return Sample(max(cfg.samples, 1), lambda: draw(dim, rng, commuting=True))
@@ -696,7 +696,7 @@ def _matrix_normality_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     return clause
 
 
-def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _family_clause(base: CompressionBase) -> Clause:
     structure = base.structure
 
     def compression_at(p):
@@ -709,7 +709,7 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
         comp = is_compression(structure, base.j(p), premises)
         return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
 
-    def sample():
+    def sample(cfg):
         dim, rng = structure.carrier.dim, cfg.rng("base:family")
         return Sample(cfg.spot, lambda: matrix_model.draw_projection(dim, rng))
 
@@ -720,7 +720,7 @@ def _family_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     return law("family_member_compression", base.cases(1, sample), compression_at, note=note)
 
 
-def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
+def _composition_clause(base: CompressionBase) -> Clause:
     """J_{p+r} after J_{q+r} is J_r for orthogonal p, q, r.
 
     Declared bases sweep every focus triple with p + q + r below the unit
@@ -754,7 +754,7 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
                 if leq(pq + r, unit):
                     yield p, q, r
 
-    def sample():
+    def sample(cfg):
         dim, rng = structure.carrier.dim, cfg.rng("base:composition")
 
         def orthogonal_triple():
@@ -781,9 +781,7 @@ def _composition_clause(base: CompressionBase, cfg: CheckConfig) -> Clause:
     return clause
 
 
-def direct_compression_base(
-    model: LatticeConeModel, cfg: Optional[CheckConfig] = None
-) -> tuple[CompressionBase, Report]:
+def direct_compression_base(model: LatticeConeModel) -> tuple[CompressionBase, Report]:
     """The base of direct compressions of a finite model, with its laws.
 
     Direct means J(e) <= e on effects.  The report records the census, that
@@ -791,7 +789,6 @@ def direct_compression_base(
     resulting family.
     """
 
-    cfg = cfg or CheckConfig()
     rep = Report(title="direct compression base")
     certs = enumerate_retractions(model)
     direct = [c for c in certs if is_direct(model, c.endo).ok]
@@ -811,5 +808,5 @@ def direct_compression_base(
     rep.add(law("direct_foci_central", foci, lambda p: p in central, witness="focus"))
 
     base = base_from_family(model, [(c.focus, c.endo) for c in direct])
-    rep.extend(validate_compression_base(base, cfg))
+    rep.extend(validate_compression_base(base))
     return base, rep

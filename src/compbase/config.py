@@ -1,4 +1,4 @@
-"""Shared knobs for exhaustive sweeps and randomized checks.
+"""The sampling budget of the one base that draws samples.
 
 CheckConfig is a frozen value (value.Value): equal configs are equal and
 hash alike, and a config cannot be changed once made.
@@ -13,23 +13,21 @@ from .value import Value
 
 
 class CheckConfig(Value):
-    """Bounds and seeding for every verification routine.
+    """Budget and seeding of the base of all projections on a matrix model.
 
-    height_bound is recorded in every report's config; no verdict reads it,
-    since the lattice laws over all of G are decided from cone generators
-    and a derived height.  samples is the randomized-check budget.
+    Only compression.projection_base takes a config, and its intensional
+    base keeps it (CompressionBase.cfg); the clauses that sample that base
+    read it there.  Declared bases are decided exactly and carry none.
+    samples is the randomized-check budget, and seed seeds every stream.
     Two runs with the same config produce the same verdicts and the same
     reports, byte for byte.
     """
 
-    __slots__ = ("height_bound", "samples", "seed")
+    __slots__ = ("samples", "seed")
 
-    def __init__(self, height_bound: int = 3, samples: int = 1000, seed: int = 0) -> None:
-        if height_bound < 1:
-            raise ValueError("height_bound must be at least 1")
+    def __init__(self, samples: int = 1000, seed: int = 0) -> None:
         if samples < 0:
             raise ValueError("samples must be nonnegative")
-        object.__setattr__(self, "height_bound", height_bound)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", seed)
 

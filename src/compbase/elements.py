@@ -20,7 +20,8 @@ and dimension, and Vec.scale raises TypeError on a multiplier that is not
 an int.
 
 Fractions appear only at the edges: parse_integer and parse_rational read
-text, and SymMat.rows and sort_key give Fractions for JSON and ordering.
+text, and SymMat.rows and sort_key give Fractions for display and
+ordering; reports write entries from num and den (reporting.ratio_rows).
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f'{text!r} is not an integer or an "a/b" string of integers')
     num, den = match.groups()
     return Fraction(int(num), int(den or 1))
-
-
-def fraction_rows(num, den: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Integer rows over one denominator as rows of Fractions, for JSON and display."""
-    return tuple(tuple(Fraction(x, den) for x in row) for row in num)
 
 
 class Vec(Value):
@@ -172,7 +168,7 @@ class SymMat(Value):
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return fraction_rows(self.num, self.den)
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     def __add__(self, other: "SymMat") -> "SymMat":
         self._check(other)

@@ -51,10 +51,11 @@ A lattice model keeps its interval and positive boxes (_boxes),
 enumerated by range_band, the generators of its cones (_cones), and the
 image tables of its maps (_tables): a lattice map reads and fills the
 table of its (matrix, den) on its carrier, so each product of a distinct
-map and an element is computed once, and the sweeps that meet the same
-element again read the stored image.  All are freed with the model, as
-its order memo and down-sets are.  A matrix map keeps no table, since
-its inputs are sampled and a table would only grow with the budget.
+map and an element is computed once, and the checks that meet the same
+element again (Endomorphism lists them) read the stored image.  All are
+freed with the model, as its order memo and down-sets are.  A matrix map
+keeps no table, since its inputs are sampled and a table would only grow
+with the budget.
 
 Both model classes and Endomorphism are frozen values (value.Value):
 equal by fields and hashed as the tuple of them, which lets models and
@@ -73,9 +74,8 @@ from functools import lru_cache
 from operator import mul, sub
 
 from . import linalg, matrix_model
-from .config import CheckConfig
-from .elements import SymMat, Vec, _trusted_vec, conjugate, fraction_rows
-from .reporting import FAIL, PASS, Clause, Report, derived, law
+from .elements import SymMat, Vec, _trusted_vec, conjugate
+from .reporting import FAIL, PASS, Clause, Report, derived, law, ratio_rows
 from .value import Value
 
 
@@ -509,8 +509,10 @@ class Endomorphism(Value):
     On a lattice carrier (carrier.finite) the map keeps an image table,
     _images, from the coordinates of each element it has mapped to the
     image: apply computes each product once per distinct map and element,
-    and the sweeps that ask again (absorption, the product split, the
-    substructure bands, membership P g == g) read the stored image.  The
+    and the checks that meet an element again read the stored image:
+    membership P g == g, the interval sweeps of the retraction certificate
+    and is_compression, the kernel exchange, the morphism laws and the
+    battery (absorption and the product split read cone generators).  The
     table is the carrier's, kept in carrier._tables under (matrix, den), so
     equal maps on one carrier share it, and it is freed with the carrier.
     Only a successful image is stored, so a map that leaves the lattice
@@ -554,7 +556,7 @@ class Endomorphism(Value):
         return image
 
     def jsonable(self):
-        out = {"matrix": fraction_rows(self.matrix, self.den)}
+        out = {"matrix": ratio_rows(self.matrix, self.den)}
         if self.conjugator is not None:
             out["conjugator"] = self.conjugator
         return out
@@ -624,7 +626,7 @@ def map_key(structure, a: Endomorphism) -> tuple:
 # unital group validation
 
 
-def validate_unital_group(structure, cfg: CheckConfig | None = None) -> Report:
+def validate_unital_group(structure) -> Report:
     """Check the unital-group axioms for a model or substructure.
 
     Finite structures are decided exactly: directedness from the cone rows
@@ -633,9 +635,7 @@ def validate_unital_group(structure, cfg: CheckConfig | None = None) -> Report:
     that is not pointed the report ends after unit_positive_nonzero, and a
     box of more than _POINT_CAP points raises UnboundedIntervalError.  On
     matrix structures every axiom is decided from the form of the operator
-    order and of the structure's projection (see _validate_matrix).  cfg
-    is taken for the signature every report section shares; no axiom
-    reads it.
+    order and of the structure's projection (see _validate_matrix).
     """
     if structure.finite:
         return _validate_finite(structure)

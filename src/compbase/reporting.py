@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any, Callable, Iterable, Optional
 
 from .elements import SymMat, Vec
@@ -185,6 +186,18 @@ class Report(Record):
         return next((c for c in self.clauses if not c.ok), None)
 
 
+def ratio(num: int, den: int) -> int | str:
+    """The JSON shape of the rational num/den, den > 0: an int when it is
+    whole, else "a/b" in lowest terms."""
+    g = gcd(num, den)
+    return num // g if g == den else f"{num // g}/{den // g}"
+
+
+def ratio_rows(num, den: int) -> tuple:
+    """Integer rows over one denominator (a SymMat, a map) shaped by ratio."""
+    return tuple(tuple(ratio(x, den) for x in row) for row in num)
+
+
 def _shape(x: Any) -> Any:
     """One level of the JSON shape of a Vec, SymMat, record with a jsonable()
     method, Fraction or set, tested in that order (a Fraction test goes through
@@ -192,12 +205,12 @@ def _shape(x: Any) -> Any:
     if isinstance(x, Vec):
         return x.coords
     if isinstance(x, SymMat):
-        return x.rows
+        return ratio_rows(x.num, x.den)
     method = getattr(x, "jsonable", None)
     if callable(method):
         return method()
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return ratio(x.numerator, x.denominator)
     if isinstance(x, (set, frozenset)):
         return sorted(map(jsonable, x), key=repr)
     raise TypeError(f"cannot serialize {type(x).__name__}")

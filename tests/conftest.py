@@ -43,7 +43,7 @@ MATRIX = ("m3", "m4")
 @pytest.fixture(scope="session")
 def fast_cfg():
     """Small sample counts keep the matrix sweeps quick in unit tests."""
-    return CheckConfig(height_bound=3, samples=40, seed=0)
+    return CheckConfig(samples=40, seed=0)
 
 
 @pytest.fixture(scope="session")
@@ -395,13 +395,14 @@ def draw_signed(dim, rng, height):
 # reads only a Sample as sampled.
 
 
-def sampled_retraction_laws(structure, endo, cfg) -> dict:
-    """order_preserving and fixes_below_focus of a conjugation, spot checked."""
+def sampled_retraction_laws(structure, endo, cfg, height) -> dict:
+    """order_preserving and fixes_below_focus of a conjugation, spot checked
+    on positives of height at most height (draw_positive)."""
 
     rng = cfg.rng("retraction")
     dim = structure.carrier.dim
     p = endo.conjugator
-    positives = Sample(cfg.spot, lambda: draw_positive(dim, rng, cfg.height_bound))
+    positives = Sample(cfg.spot, lambda: draw_positive(dim, rng, height))
     below = Sample(cfg.spot, lambda: conjugate(p, matrix_model.draw_effect(dim, rng)))
     return {
         "order_preserving": law(
@@ -499,24 +500,24 @@ def sampled_meet_glb(structure, p, q, r, cfg):
     return law("meet_glb", below_p, lambda e: not structure.leq(e, q) or structure.leq(e, r))
 
 
-def sampled_unital_group(structure, cfg) -> dict:
-    """The order clauses of a matrix structure's unital-group axioms, spot checked."""
+def sampled_unital_group(structure, cfg, height) -> dict:
+    """The order clauses of a matrix structure's unital-group axioms, spot
+    checked on elements of height at most height (draw_positive)."""
 
     rng = cfg.rng()
     dim = structure.carrier.dim
-    n = cfg.height_bound
 
     def sample(draw, *args):
         return structure.project(draw(dim, rng, *args))
 
     def ordered_triple():
-        a = sample(draw_signed, n)
-        b = a + sample(draw_positive, n)
-        return a, b, sample(draw_signed, n)
+        a = sample(draw_signed, height)
+        b = a + sample(draw_positive, height)
+        return a, b, sample(draw_signed, height)
 
     def dominated(g) -> bool:
         unit = structure.unit
-        return any(structure.is_positive(unit.scale(k) - g) for k in range(4 * n + 1))
+        return any(structure.is_positive(unit.scale(k) - g) for k in range(4 * height + 1))
 
     return {
         "order_translation_invariant": law(
@@ -526,31 +527,31 @@ def sampled_unital_group(structure, cfg) -> dict:
         ),
         "order_antisymmetric": law(
             "order_antisymmetric",
-            Sample(cfg.spot, lambda: sample(draw_positive, n)),
+            Sample(cfg.spot, lambda: sample(draw_positive, height)),
             lambda g: g.is_zero() or not structure.is_positive(-g),
         ),
         "unit_order_unit": law(
             "unit_order_unit",
-            Sample(cfg.spot, lambda: sample(draw_signed, n)),
+            Sample(cfg.spot, lambda: sample(draw_signed, height)),
             dominated,
         ),
-        **sampled_interval_laws(structure, cfg),
+        **sampled_interval_laws(structure, cfg, height),
     }
 
 
-def sampled_interval_laws(structure, cfg) -> dict:
+def sampled_interval_laws(structure, cfg, height) -> dict:
     """The unital-group clauses about the unit interval of a matrix
-    structure, on drawn effects and positives projected into it."""
+    structure, on drawn effects and positives of height at most height
+    (draw_positive) projected into it."""
 
     rng = cfg.rng("interval")
     dim = structure.carrier.dim
-    n = cfg.height_bound
     unit = structure.unit
 
     def generated(g) -> bool:
         """g is k copies of g/k, a member in [0, unit], for some k <= 4n."""
         return structure.is_member(g) and any(
-            structure.leq(g.scale(Fraction(1, k)), unit) for k in range(1, 4 * n + 1)
+            structure.leq(g.scale(Fraction(1, k)), unit) for k in range(1, 4 * height + 1)
         )
 
     return {
@@ -561,16 +562,16 @@ def sampled_interval_laws(structure, cfg) -> dict:
         ),
         "interval_generates_positives": law(
             "interval_generates_positives",
-            Sample(cfg.spot, lambda: structure.project(draw_positive(dim, rng, n))),
+            Sample(cfg.spot, lambda: structure.project(draw_positive(dim, rng, height))),
             generated,
             lambda g: structure.is_member(g) and structure.is_positive(g),
         ),
     }
 
 
-def sampled_kernel_complement(structure, j, j_comp, cfg):
+def sampled_kernel_complement(structure, j, j_comp, cfg, height):
     """The kernel/fixed-point exchange on kernel-targeted, range-targeted and
-    generic positive samples of the structure."""
+    generic positive samples of the structure, of height at most height."""
 
     dim = structure.carrier.dim
     rng = cfg.rng("kernel_complement")
@@ -583,7 +584,7 @@ def sampled_kernel_complement(structure, j, j_comp, cfg):
 
     def positives():
         for i in range(cfg.spot):
-            raw = draw_positive(dim, rng, cfg.height_bound)
+            raw = draw_positive(dim, rng, height)
             if i % 3 == 1:
                 yield conjugate(j_comp.conjugator, raw)
             elif i % 3 == 2:
@@ -594,14 +595,14 @@ def sampled_kernel_complement(structure, j, j_comp, cfg):
     return law("kernel_complement", positives(), holds, exact=False)
 
 
-def sampled_theorem_laws(base, cfg) -> dict:
+def sampled_theorem_laws(base, cfg, height) -> dict:
     """The theorem sweeps that quantify over effects or elements, spot
-    checked at every declared focus of a matrix base."""
+    checked at every declared focus of a matrix base, on elements of
+    height at most height (draw_positive)."""
 
     structure = base.structure
     unit = structure.unit
     dim = structure.carrier.dim
-    n = cfg.height_bound
     leq = structure.leq
     effect = matrix_model.draw_effect
     family_rng = cfg.rng("theorem:family:kill")
@@ -617,16 +618,16 @@ def sampled_theorem_laws(base, cfg) -> dict:
 
     def exchanges(p) -> bool:
         comp = base.j(unit - p)
-        return sampled_kernel_complement(structure, base.j(p), comp, cfg).ok
+        return sampled_kernel_complement(structure, base.j(p), comp, cfg, height).ok
 
     def split(p, draw):
-        a = draw(dim, commutant_rng, n)
-        return conjugate(p, a) + conjugate(unit - p, draw(dim, commutant_rng, n))
+        a = draw(dim, commutant_rng, height)
+        return conjugate(p, a) + conjugate(unit - p, draw(dim, commutant_rng, height))
 
     def elements(p):
         for i in range(cfg.spot):
             if i % 3 == 0:
-                g = draw_signed(dim, commutant_rng, n)
+                g = draw_signed(dim, commutant_rng, height)
             elif i % 3 == 1:
                 g = split(p, draw_signed)
             else:
@@ -846,12 +847,13 @@ def sampled_interval_characterization(base, sub, cfg):
     )
 
 
-def sampled_morphism_order(src, tgt, phi, cfg, prefix=""):
-    """order_preserving of phi from src to tgt on drawn positives of src."""
+def sampled_morphism_order(src, tgt, phi, cfg, height, prefix=""):
+    """order_preserving of phi from src to tgt on drawn positives of src,
+    of height at most height."""
 
     rng = cfg.rng("morphism:" + prefix)
     dim = src.carrier.dim
-    positives = Sample(cfg.spot, lambda: src.project(draw_positive(dim, rng, cfg.height_bound)))
+    positives = Sample(cfg.spot, lambda: src.project(draw_positive(dim, rng, height)))
     return law(
         prefix + "order_preserving",
         positives,
@@ -860,9 +862,10 @@ def sampled_morphism_order(src, tgt, phi, cfg, prefix=""):
     )
 
 
-def sampled_product_laws(base, v, cfg) -> dict:
-    """The clauses of direct_product_report on drawn signed elements,
-    projected into the image of v, of u - v and into the commutant C(v)."""
+def sampled_product_laws(base, v, cfg, height) -> dict:
+    """The clauses of direct_product_report on drawn signed elements of
+    height at most height, projected into the image of v, of u - v and into
+    the commutant C(v)."""
 
     structure = base.structure
     comp = base.complement(v)
@@ -872,10 +875,9 @@ def sampled_product_laws(base, v, cfg) -> dict:
     eta, kappa = base.j(v), base.j(comp)
     rng = cfg.rng("product")
     dim = structure.carrier.dim
-    n = cfg.height_bound
 
     def signed(sub):
-        return sub.project(draw_signed(dim, rng, n))
+        return sub.project(draw_signed(dim, rng, height))
 
     def elements():
         return Sample(cfg.spot, lambda: signed(sub_c))
@@ -893,8 +895,8 @@ def sampled_product_laws(base, v, cfg) -> dict:
         return pos(g) == (pos(eta.apply(g)) and pos(kappa.apply(g)))
 
     laws = [
-        sampled_morphism_order(sub_c, sub_h, eta, cfg, "eta_"),
-        sampled_morphism_order(sub_c, sub_k, kappa, cfg, "kappa_"),
+        sampled_morphism_order(sub_c, sub_h, eta, cfg, height, "eta_"),
+        sampled_morphism_order(sub_c, sub_k, kappa, cfg, height, "kappa_"),
         law("eta_fixes_image", Sample(cfg.spot, lambda: signed(sub_h)), lambda h: fixes(eta, h)),
         law("kappa_fixes_image", Sample(cfg.spot, lambda: signed(sub_k)), lambda k: fixes(kappa, k)),
         law(

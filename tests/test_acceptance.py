@@ -32,8 +32,7 @@ from compbase import (
 from compbase.cli import main
 from conftest import BUNDLED, FIXTURES_DIR, LATTICE, MATRIX, MODELS_DIR
 
-CFG = CheckConfig(height_bound=3, samples=1000, seed=0)
-SUB_CFG = CheckConfig(height_bound=3, samples=24, seed=0)
+CFG = CheckConfig(samples=1000, seed=0)
 
 
 def test_criterion_01_battery_agreement(bundled):
@@ -80,7 +79,7 @@ def test_criterion_01_battery_agreement(bundled):
 def test_criterion_02_declared_base_validation(bundled):
     for name in BUNDLED:
         _, base = bundled[name]
-        rep = validate_compression_base(base, SUB_CFG)
+        rep = validate_compression_base(base)
         assert rep.ok, (name, rep.first_failure())
         composition = next(c for c in rep.clauses if c.name == "composition_law")
         assert composition.status == "pass", name
@@ -94,7 +93,7 @@ def test_criterion_02_declared_base_validation(bundled):
 def test_criterion_03_theorem_sweeps(bundled):
     for name in LATTICE:
         _, base = bundled[name]
-        rep = theorem_report(base, CFG)
+        rep = theorem_report(base)
         assert rep.ok, (name, rep.first_failure())
 
     floors = (
@@ -103,7 +102,7 @@ def test_criterion_03_theorem_sweeps(bundled):
         "commutant_absorption",
     )
     for dim in (2, 3):
-        rep = theorem_report(projection_base(MatrixModel(dim)), CFG)
+        rep = theorem_report(projection_base(MatrixModel(dim), CFG))
         assert rep.ok, (dim, rep.first_failure())
         by_name = {c.name: c for c in rep.clauses}
         for clause in floors:
@@ -145,13 +144,13 @@ def test_criterion_05_substructures_and_products(bundled):
         model, base = bundled[name]
         for v in base.foci:
             for kind in ("image", "commutant"):
-                sub, _, rep = substructure_report(base, v, kind, SUB_CFG)
+                sub, _, rep = substructure_report(base, v, kind)
                 assert rep.ok, (name, v, kind, rep.first_failure())
                 ch = next(c for c in rep.clauses if c.name == "interval_characterization")
                 if model.finite:
                     assert ch.status == "pass"
                 reports += 1
-            prep = direct_product_report(base, v, SUB_CFG)
+            prep = direct_product_report(base, v)
             assert prep.ok, (name, v, prep.first_failure())
             names = {c.name for c in prep.clauses}
             assert {"pairing_recovers_element", "pairing_surjective"} <= names

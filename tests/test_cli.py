@@ -11,7 +11,7 @@ from compbase import cli, jsonable, load_model, render_json
 from compbase.cli import main
 from conftest import BUNDLED, FIXTURES_DIR, MODELS_DIR, REPO
 
-FAST = ["--samples", "30", "--height-bound", "3"]
+FAST = ["--samples", "30"]
 
 
 def run(capsys, *argv):
@@ -88,8 +88,16 @@ def test_schema_error_is_usage_error(capsys, tmp_path):
 
 
 def test_bad_config_is_usage_error(capsys):
-    code = main(["validate", str(MODELS_DIR / "m1.json"), "--height-bound", "0"])
+    code = main(["validate", str(MODELS_DIR / "m1.json"), "--samples", "-1"])
     assert code == 2
+    assert "samples must be nonnegative" in capsys.readouterr().err
+
+
+def test_height_bound_is_an_unknown_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(MODELS_DIR / "m1.json"), "--height-bound", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --height-bound 3" in capsys.readouterr().err
 
 
 def z2_model(tmp_path, cone_rows, unit):
@@ -376,6 +384,34 @@ def test_reports_are_byte_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "name,configs",
+    [
+        ("m1", (("0", "0"), ("1000", "7"))),
+        ("m2", (("0", "0"), ("1000", "7"))),
+        ("m5", (("0", "0"), ("1000", "7"))),
+        ("m3", (("8", "0"), ("16", "3"))),
+    ],
+)
+def test_only_the_sampled_section_reads_samples_and_seed(capsys, name, configs):
+    """Two --samples/--seed pairs give the same report bytes once config
+    and 03_theorems_sampled are dropped; on m3 that section moves."""
+    kept, sampled = [], []
+    for samples, seed in configs:
+        code, doc = run_json(
+            capsys, "report", MODELS_DIR / f"{name}.json", "--samples", samples, "--seed", seed
+        )
+        assert code == 0
+        assert doc.pop("config") == {"samples": int(samples), "seed": int(seed)}
+        sampled.append(doc["sections"].pop("03_theorems_sampled", None))
+        kept.append(render_json(doc))
+    assert kept[0] == kept[1]
+    if name == "m3":
+        assert sampled[0] != sampled[1]
+    else:
+        assert sampled == [None, None]
+
+
 def test_seed_environment_fallback(capsys, monkeypatch):
     monkeypatch.setenv("COMPBASE_SEED", "17")
     _, doc = run_json(capsys, "validate", MODELS_DIR / "m1.json", *FAST)
@@ -394,8 +430,6 @@ def test_seed_environment_fallback(capsys, monkeypatch):
         ("--seed", " 3"),
         ("--samples", "1_0"),
         ("--samples", "\uff18"),
-        ("--height-bound", "2_0"),
-        ("--height-bound", "3.0"),
     ],
 )
 def test_numeric_options_are_ascii_integers(capsys, option, text):
@@ -410,10 +444,8 @@ def test_seed_environment_is_an_ascii_integer(capsys, monkeypatch):
         assert main(["validate", str(MODELS_DIR / "m1.json")]) == 2
         assert "COMPBASE_SEED=" in capsys.readouterr().err
     monkeypatch.setenv("COMPBASE_SEED", "-4")
-    _, doc = run_json(
-        capsys, "validate", MODELS_DIR / "m1.json", "--samples", "+30", "--height-bound", "3"
-    )
-    assert doc["config"] == {"height_bound": 3, "samples": 30, "seed": -4}
+    _, doc = run_json(capsys, "validate", MODELS_DIR / "m1.json", "--samples", "+30")
+    assert doc["config"] == {"samples": 30, "seed": -4}
 
 
 def test_output_flag_writes_file(capsys, tmp_path):
@@ -494,3 +526,16 @@ def test_run_report_script_reads_numbers_in_the_cli_grammar(tmp_path):
     )
     assert proc.returncode == 2
     assert "--seed='1_0' is not an integer" in proc.stderr
+
+
+def test_run_report_script_writes_every_report(tmp_path):
+    out = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_report.py"),
+         "--samples", "2", "--seed", "0", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [f"{m}_report.json" for m in BUNDLED]

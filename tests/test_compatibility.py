@@ -50,20 +50,20 @@ DIAG1 = SymMat.from_rows([[0, 0], [0, 1]])
 HPLUS = SymMat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
 
 
-def test_battery_has_eight_conditions(bundled, fast_cfg):
+def test_battery_has_eight_conditions(bundled):
     _, base = bundled["m1"]
     rep = compat_battery(base, Vec((1, 0)), Vec((0, 1)))
     assert tuple(name for name, _ in rep.conditions) == BATTERY_CONDITIONS
     assert len(BATTERY_CONDITIONS) == 8
 
 
-def test_battery_all_true_for_orthogonal_coordinates(bundled, fast_cfg):
+def test_battery_all_true_for_orthogonal_coordinates(bundled):
     _, base = bundled["m1"]
     rep = compat_battery(base, Vec((1, 0)), Vec((0, 1)))
     assert rep.compatible and rep.agree
 
 
-def test_battery_all_false_for_skew_projections(bundled, fast_cfg):
+def test_battery_all_false_for_skew_projections(bundled):
     _, base = bundled["m3"]
     rep = compat_battery(base, DIAG0, HPLUS)
     assert not rep.compatible
@@ -71,7 +71,7 @@ def test_battery_all_false_for_skew_projections(bundled, fast_cfg):
     assert all(v is False for v in rep.values.values())
 
 
-def test_battery_trivial_pairs_are_compatible(bundled, fast_cfg):
+def test_battery_trivial_pairs_are_compatible(bundled):
     model, base = bundled["m3"]
     for q in base.foci:
         for p in (model.zero, model.unit, q):
@@ -79,7 +79,7 @@ def test_battery_trivial_pairs_are_compatible(bundled, fast_cfg):
             assert rep.compatible and rep.agree, (p, q)
 
 
-def test_battery_agreement_and_symmetry_on_declared_pairs(bundled, fast_cfg):
+def test_battery_agreement_and_symmetry_on_declared_pairs(bundled):
     for name in ("m1", "m5", "m3"):
         _, base = bundled[name]
         for p in base.foci:
@@ -90,7 +90,7 @@ def test_battery_agreement_and_symmetry_on_declared_pairs(bundled, fast_cfg):
                 assert fwd.compatible == rev.compatible
 
 
-def test_battery_agreement_fails_on_an_asymmetric_pair(fast_cfg):
+def test_battery_agreement_fails_on_an_asymmetric_pair():
     """A negative control for the mirror test of battery_agreement.  With
     the battery of (p, q) all true and that of (q, p) split, (p, q) agrees
     with itself, and only comparing it with its mirror fails the clause at
@@ -103,12 +103,12 @@ def test_battery_agreement_fails_on_an_asymmetric_pair(fast_cfg):
     base._memo[("battery", p, q)] = CompatReport(p, q, tuple((n, True) for n in BATTERY_CONDITIONS))
     base._memo[("battery", q, p)] = CompatReport(q, p, split)
     assert compat_battery(base, p, q).agree and not compat_battery(base, q, p).agree
-    clause = compatibility._battery_clause(base, fast_cfg)
+    clause = compatibility._battery_clause(base)
     assert not clause.ok
     assert clause.witness == {"p": p, "q": q, "reason": "asymmetric"}
 
 
-def test_battery_rejects_non_focus(bundled, fast_cfg):
+def test_battery_rejects_non_focus(bundled):
     _, base = bundled["m1"]
     with pytest.raises(MembershipError):
         compat_battery(base, Vec((1, 0)), Vec((2, 0)))
@@ -267,26 +267,26 @@ def test_report_builds_one_substructure_per_kind_and_focus(name, monkeypatch, ca
     assert calls == {"unital": 1 + 2 * k, "base": 1 + 2 * k}
 
 
-def test_meet_of_nested_foci(bundled, fast_cfg):
+def test_meet_of_nested_foci(bundled):
     _, base = bundled["m1"]
     assert meet(base, Vec((1, 0)), Vec((1, 1))) == Vec((1, 0))
     assert meet(base, Vec((1, 0)), Vec((1, 0))) == Vec((1, 0))
 
 
-def test_meet_of_orthogonal_projections(bundled, fast_cfg):
+def test_meet_of_orthogonal_projections(bundled):
     model, base = bundled["m3"]
     assert meet(base, DIAG0, DIAG1) == model.zero
     assert meet(base, HPLUS, model.unit) == HPLUS
 
 
-def test_meet_undefined_for_incompatible_pair(bundled, fast_cfg):
+def test_meet_undefined_for_incompatible_pair(bundled):
     _, base = bundled["m3"]
     with pytest.raises(MeetUndefinedError):
         meet(base, DIAG0, HPLUS)
 
 
 @pytest.mark.parametrize("name", ["m1", "m3"])
-def test_meet_clause_runs_the_battery_once_per_pair(name, bundled, fast_cfg, monkeypatch):
+def test_meet_clause_runs_the_battery_once_per_pair(name, bundled, monkeypatch):
     from collections import Counter
 
     from compbase import compatibility
@@ -300,14 +300,14 @@ def test_meet_clause_runs_the_battery_once_per_pair(name, bundled, fast_cfg, mon
 
     monkeypatch.setattr(compatibility, "compat_battery", counted_battery)
     _, base = bundled[name]
-    clause = compatibility._meet_clause(base, fast_cfg)
+    clause = compatibility._meet_clause(base)
     assert clause.ok
     assert set(calls.values()) == {1}
     assert len(calls) == len(base.foci) ** 2
 
 
 @pytest.mark.parametrize("name", ["m1", "m3"])
-def test_meet_clause_opens_no_meet_stream(name, bundled, fast_cfg, monkeypatch):
+def test_meet_clause_opens_no_meet_stream(name, bundled, monkeypatch):
     """Every pair's greatest lower bound is decided without a sample stream:
     swept on a finite model, derived from the projections on the matrix model."""
     from compbase import CheckConfig
@@ -321,33 +321,33 @@ def test_meet_clause_opens_no_meet_stream(name, bundled, fast_cfg, monkeypatch):
 
     monkeypatch.setattr(CheckConfig, "rng", counted_rng)
     _, base = bundled[name]
-    rep = theorem_report(base, fast_cfg)
+    rep = theorem_report(base)
     meets = [c for c in rep.clauses if c.name == "compatible_meet"]
     assert len(meets) == 1 and meets[0].ok and meets[0].checked > 1
     assert tags.count("meet") == 0
 
 
-def test_image_substructure_shape(bundled, fast_cfg):
+def test_image_substructure_shape(bundled):
     model, base = bundled["m1"]
     v = Vec((1, 0))
-    sub, rbase, rep = substructure_report(base, v, "image", fast_cfg)
+    sub, rbase, rep = substructure_report(base, v, "image")
     assert rep.ok, rep.first_failure()
     assert sub.unit == v
     assert set(sub.interval()) == {Vec((0, 0)), Vec((1, 0))}
     assert set(rbase.foci) == {Vec((0, 0)), Vec((1, 0))}
 
 
-def test_commutant_substructure_shape(bundled, fast_cfg):
+def test_commutant_substructure_shape(bundled):
     model, base = bundled["m1"]
     v = Vec((1, 0))
-    sub, rbase, rep = substructure_report(base, v, "commutant", fast_cfg)
+    sub, rbase, rep = substructure_report(base, v, "commutant")
     assert rep.ok, rep.first_failure()
     assert sub.unit == model.unit
     # every focus of this product model is compatible with v
     assert set(rbase.foci) == set(base.foci)
 
 
-def test_matrix_commutant_keeps_commuting_foci(bundled, fast_cfg):
+def test_matrix_commutant_keeps_commuting_foci(bundled):
     model, base = bundled["m3"]
     sub = commutant_substructure(base, DIAG0)
     rbase = restricted_base(base, sub)
@@ -356,23 +356,23 @@ def test_matrix_commutant_keeps_commuting_foci(bundled, fast_cfg):
     assert not sub.is_member(HPLUS)
 
 
-def test_matrix_image_substructure_reports_clean(bundled, fast_cfg):
+def test_matrix_image_substructure_reports_clean(bundled):
     _, base = bundled["m3"]
     for v in (DIAG0, HPLUS):
-        sub, rbase, rep = substructure_report(base, v, "image", fast_cfg)
+        sub, rbase, rep = substructure_report(base, v, "image")
         assert rep.ok, (v, rep.first_failure())
         assert sub.unit == v
 
 
-def test_substructure_rejects_unknown_kind(bundled, fast_cfg):
+def test_substructure_rejects_unknown_kind(bundled):
     _, base = bundled["m1"]
     with pytest.raises(ValueError):
-        substructure_report(base, Vec((1, 0)), "kernel", fast_cfg)
+        substructure_report(base, Vec((1, 0)), "kernel")
     with pytest.raises(MembershipError):
         image_substructure(base, Vec((2, 0)))
 
 
-def test_identity_is_a_based_morphism(bundled, fast_cfg):
+def test_identity_is_a_based_morphism(bundled):
     from compbase import identity_endo
 
     model, base = bundled["m1"]
@@ -380,14 +380,14 @@ def test_identity_is_a_based_morphism(bundled, fast_cfg):
     assert rep.ok, rep.first_failure()
 
 
-def test_zero_map_is_not_unit_preserving(bundled, fast_cfg):
+def test_zero_map_is_not_unit_preserving(bundled):
     model, base = bundled["m1"]
     rep = morphism_report(model, base, model, base, zero_endo(model))
     assert not rep.ok
     assert rep.first_failure().name == "preserves_unit"
 
 
-def test_compression_is_a_morphism_onto_its_image(bundled, fast_cfg):
+def test_compression_is_a_morphism_onto_its_image(bundled):
     model, base = bundled["m1"]
     v = Vec((1, 0))
     sub_c = commutant_substructure(base, v)
@@ -403,28 +403,28 @@ def test_compression_is_a_morphism_onto_its_image(bundled, fast_cfg):
 
 
 @pytest.mark.parametrize("name,v", [("m1", Vec((1, 0))), ("m5", Vec((0, 2)))])
-def test_direct_product_decomposition_lattice(name, v, bundled, fast_cfg):
+def test_direct_product_decomposition_lattice(name, v, bundled):
     _, base = bundled[name]
-    rep = direct_product_report(base, v, fast_cfg)
+    rep = direct_product_report(base, v)
     assert rep.ok, rep.first_failure()
 
 
-def test_direct_product_decomposition_matrix(bundled, fast_cfg):
+def test_direct_product_decomposition_matrix(bundled):
     _, base = bundled["m3"]
-    rep = direct_product_report(base, DIAG0, fast_cfg)
+    rep = direct_product_report(base, DIAG0)
     assert rep.ok, rep.first_failure()
 
 
 @pytest.mark.parametrize("name", ("m1", "m2", "m5", "m3", "m4"))
-def test_theorem_report_clean_on_declared_bases(name, bundled, fast_cfg):
+def test_theorem_report_clean_on_declared_bases(name, bundled):
     _, base = bundled[name]
-    rep = theorem_report(base, fast_cfg)
+    rep = theorem_report(base)
     assert rep.ok, (name, rep.first_failure())
 
 
 def test_theorem_report_clean_on_intensional_base(bundled, fast_cfg):
     model, _ = bundled["m3"]
-    rep = theorem_report(projection_base(model), fast_cfg)
+    rep = theorem_report(projection_base(model, fast_cfg))
     assert rep.ok, rep.first_failure()
     # the zero/unit maps are exact matrix identities; everything else is sampled
     for c in rep.clauses:
@@ -432,9 +432,9 @@ def test_theorem_report_clean_on_intensional_base(bundled, fast_cfg):
         assert c.status == expected, c.name
 
 
-def test_theorem_report_clause_names(bundled, fast_cfg):
+def test_theorem_report_clause_names(bundled):
     _, base = bundled["m2"]
-    rep = theorem_report(base, fast_cfg)
+    rep = theorem_report(base)
     names = [c.name for c in rep.clauses]
     for expected in (
         "zero_and_unit_maps",
@@ -454,13 +454,13 @@ def test_theorem_report_clause_names(bundled, fast_cfg):
         assert expected in names
 
 
-def test_omp_report_alone(bundled, fast_cfg):
+def test_omp_report_alone(bundled):
     _, base = bundled["m5"]
-    rep = omp_report(base, fast_cfg)
+    rep = omp_report(base)
     assert rep.ok, rep.first_failure()
 
 
-def test_trivial_base_theorems(bundled, fast_cfg):
+def test_trivial_base_theorems(bundled):
     model, _ = bundled["m2"]
-    rep = theorem_report(trivial_base(model), fast_cfg)
+    rep = theorem_report(trivial_base(model))
     assert rep.ok, rep.first_failure()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from compbase import (
+    CheckConfig,
     Endomorphism,
     LatticeConeModel,
     MatrixModel,
@@ -31,12 +32,12 @@ from compbase import (
     validate_compression_base,
     zero_endo,
 )
-from compbase import compression, linalg
+from compbase import compatibility, compression, linalg
 from compbase.cli import main
 from conftest import FIXTURES_DIR, LATTICE, MODELS_DIR, corner_model, seeded_cones
 
 
-def test_declared_compressions_are_retractions(bundled, fast_cfg):
+def test_declared_compressions_are_retractions(bundled):
     model, base = bundled["m1"]
     for p in base.foci:
         cert = retraction_certificate(model, base.j(p), declared_focus=p)
@@ -46,7 +47,7 @@ def test_declared_compressions_are_retractions(bundled, fast_cfg):
         assert dict(cert.checks)["fixes_below_focus"].checked == len(below)
 
 
-def test_swap_map_is_not_a_retraction(bundled, fast_cfg):
+def test_swap_map_is_not_a_retraction(bundled):
     model, _ = bundled["m1"]
     swap = endo_from_int_matrix(model, [[0, 1], [1, 0]])
     cert = retraction_certificate(model, swap)
@@ -55,7 +56,7 @@ def test_swap_map_is_not_a_retraction(bundled, fast_cfg):
     assert "fixes_below_focus" in failed
 
 
-def test_declared_focus_mismatch_is_flagged(bundled, fast_cfg):
+def test_declared_focus_mismatch_is_flagged(bundled):
     model, base = bundled["m1"]
     p, q = Vec((1, 0)), Vec((0, 1))
     cert = retraction_certificate(model, base.j(p), declared_focus=q)
@@ -66,28 +67,28 @@ def test_declared_focus_mismatch_is_flagged(bundled, fast_cfg):
     }
 
 
-def test_matrix_retraction_checks_need_conjugator(fast_cfg):
+def test_matrix_retraction_checks_need_conjugator():
     model = MatrixModel(2)
     bare = Endomorphism(model, conjugation_endo(model, model.unit).matrix)
     with pytest.raises(ValueError):
         retraction_certificate(model, bare)
 
 
-def test_projection_conjugations_are_retractions(bundled, fast_cfg):
+def test_projection_conjugations_are_retractions(bundled):
     model, base = bundled["m3"]
     for p in base.foci:
         cert = retraction_certificate(model, base.j(p), declared_focus=p)
         assert cert.valid, (p, [n for n, r in cert.checks if not r.ok])
 
 
-def test_is_compression_on_declared_bases(bundled, fast_cfg):
+def test_is_compression_on_declared_bases(bundled):
     for name in ("m1", "m5", "m3"):
         model, base = bundled[name]
         for p in base.foci:
             assert is_compression(model, base.j(p)).ok
 
 
-def test_non_compression_endomorphism_detected(bundled, fast_cfg):
+def test_non_compression_endomorphism_detected(bundled):
     model, _ = bundled["m1"]
     # (x, y) -> (y, y) kills (1, 0) yet (1, 0) is not below u - focus = 0
     collapse = endo_from_int_matrix(model, [[0, 1], [0, 1]])
@@ -98,14 +99,14 @@ def test_non_compression_endomorphism_detected(bundled, fast_cfg):
     assert not model.leq(e, model.unit - collapse.apply(model.unit))
 
 
-def test_conjugation_by_non_projection_is_not_a_compression(fast_cfg):
+def test_conjugation_by_non_projection_is_not_a_compression():
     model = MatrixModel(2)
     soft = SymMat.from_rows([["1/2", 0], [0, 0]])
     res = is_compression(model, conjugation_endo(model, soft))
     assert not res.ok
 
 
-def test_kernel_complement_exchange(bundled, fast_cfg):
+def test_kernel_complement_exchange(bundled):
     model, base = bundled["m1"]
     p = Vec((1, 0))
     comp = model.unit - p
@@ -114,7 +115,7 @@ def test_kernel_complement_exchange(bundled, fast_cfg):
     assert not kernel_complement_check(model, base.j(p), base.j(p)).ok
 
 
-def test_kernel_complement_exchange_matrix(bundled, fast_cfg):
+def test_kernel_complement_exchange_matrix(bundled):
     model, base = bundled["m3"]
     p = next(f for f in base.foci if f not in (model.zero, model.unit))
     jp = base.j(p)
@@ -123,7 +124,7 @@ def test_kernel_complement_exchange_matrix(bundled, fast_cfg):
     assert not kernel_complement_check(model, jp, jp).ok
 
 
-def test_retraction_counts(bundled, fast_cfg):
+def test_retraction_counts(bundled):
     counts = {"m1": 4, "m2": 2, "m5": 4}
     for name, expected in counts.items():
         model, base = bundled[name]
@@ -243,31 +244,41 @@ def test_retraction_search_certificate_budget(
 
 
 @pytest.mark.parametrize("name", LATTICE)
-def test_compressible_group_laws(name, bundled, fast_cfg):
-    report = compressible_group_report(bundled[name][0], fast_cfg)
+def test_compressible_group_laws(name, bundled):
+    report = compressible_group_report(bundled[name][0])
     assert report.ok, report.first_failure()
 
 
 @pytest.mark.parametrize("name", ("m1", "m2", "m3", "m4", "m5"))
-def test_declared_bases_validate(name, bundled, fast_cfg):
-    report = validate_compression_base(bundled[name][1], fast_cfg)
+def test_declared_bases_validate(name, bundled):
+    report = validate_compression_base(bundled[name][1])
     assert report.ok, report.first_failure()
 
 
 @pytest.mark.parametrize("name", ("m1", "m3"))
-def test_trivial_base_validates(name, bundled, fast_cfg):
+def test_trivial_base_validates(name, bundled):
     model, _ = bundled[name]
     base = trivial_base(model)
     assert len(base.foci) == 2
-    assert validate_compression_base(base, fast_cfg).ok
+    assert validate_compression_base(base).ok
 
 
 def test_projection_base_validates(fast_cfg):
-    base = projection_base(MatrixModel(2))
-    report = validate_compression_base(base, fast_cfg)
+    base = projection_base(MatrixModel(2), fast_cfg)
+    report = validate_compression_base(base)
     assert report.ok, report.first_failure()
     # every clause on the intensional base is sampled, never exhaustive
     assert all(c.status == "certified" for c in report.clauses)
+
+
+def test_only_the_base_of_all_projections_keeps_a_config(bundled, fast_cfg):
+    assert projection_base(MatrixModel(2)).cfg == CheckConfig()
+    assert projection_base(MatrixModel(2), fast_cfg).cfg is fast_cfg
+    for name, (model, base) in bundled.items():
+        assert base.cfg is trivial_base(model).cfg is None, name
+        for v in base.foci:
+            sub = compatibility.image_substructure(base, v)
+            assert compatibility.restricted_base(base, sub).cfg is None, (name, v)
 
 
 def test_projection_base_refuses_a_focus_of_another_dimension():
@@ -279,7 +290,7 @@ def test_projection_base_refuses_a_focus_of_another_dimension():
         base.j(SymMat.identity(3))
 
 
-def test_fixture_bases_fail_their_intended_clause(fast_cfg):
+def test_fixture_bases_fail_their_intended_clause():
     expected = {
         "corrupt_swapped_foci": "family_member_compression",
         "corrupt_missing_closure": "foci_sub_effect_algebra",
@@ -290,7 +301,7 @@ def test_fixture_bases_fail_their_intended_clause(fast_cfg):
     }
     for stem, clause in expected.items():
         _, base = load_model(FIXTURES_DIR / f"{stem}.json")
-        report = validate_compression_base(base, fast_cfg)
+        report = validate_compression_base(base)
         assert not report.ok, stem
         assert report.first_failure().name == clause, stem
 
@@ -339,9 +350,9 @@ def test_duplicate_focus_rejected_by_family_constructor(bundled):
         base_from_family(model, pairs + [pairs[0]])
 
 
-def test_direct_base_of_product_model(bundled, fast_cfg):
+def test_direct_base_of_product_model(bundled):
     model, base = bundled["m1"]
-    direct_base, report = direct_compression_base(model, fast_cfg)
+    direct_base, report = direct_compression_base(model)
     assert report.ok, report.first_failure()
     assert set(direct_base.foci) == set(base.foci)
 

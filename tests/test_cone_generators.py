@@ -25,7 +25,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from compbase import (
-    CheckConfig,
     LatticeConeModel,
     MembershipError,
     Vec,
@@ -65,7 +64,6 @@ from conftest import (
 )
 
 HEIGHTS = (1, 2, 3, 4)
-CFG = CheckConfig(samples=8)
 
 # Z^2 under [[6, -1], [0, 1], [6, -5]] with unit (4, 1): a ray (5, 6) that no
 # sum of interval elements reaches, first met by a box of height 6
@@ -143,7 +141,7 @@ def old_generation_sweep(structure, height):
 
 
 def assert_derived_height_matches_sweeps(structure):
-    clauses = {c.name: c for c in validate_unital_group(structure, CFG).clauses}
+    clauses = {c.name: c for c in validate_unital_group(structure).clauses}
     order_unit = clauses.get("unit_order_unit")
     assume(order_unit is not None and order_unit.ok)
     height = _generation_height(structure)
@@ -179,7 +177,7 @@ def test_skewed_cone_needs_height_six():
     model = LatticeConeModel(2, tuple(SKEWED[0]), Vec(SKEWED[1]))
     assert _generation_height(model) == 6
     assert [old_generation_sweep(model, h).ok for h in (3, 5, 6)] == [True, True, False]
-    clause = validate_unital_group(model, CFG).first_failure()
+    clause = validate_unital_group(model).first_failure()
     assert clause.name == "interval_generates_positives"
     assert clause.witness == {"positive": Vec((5, 6))}
 
@@ -204,7 +202,7 @@ def test_height_one_is_decided_without_the_sweep(source, monkeypatch):
 
     monkeypatch.setattr(models, "_interval_sums", no_sweep)
     for structure, fields in want.items():
-        clauses = {c.name: c for c in validate_unital_group(structure, CFG).clauses}
+        clauses = {c.name: c for c in validate_unital_group(structure).clauses}
         got = clauses["interval_generates_positives"]
         assert (got.status, got.checked, got.witness) == fields
         assert got.note.startswith("every positive below 1*unit")
@@ -221,7 +219,7 @@ def test_derived_height_matches_the_sweeps_on_substructures(source):
                 sub = build(base, v)
             except MembershipError:  # the complement of v escapes the base
                 continue
-            clauses = {c.name: c for c in validate_unital_group(sub, CFG).clauses}
+            clauses = {c.name: c for c in validate_unital_group(sub).clauses}
             if "unit_order_unit" not in clauses or not clauses["unit_order_unit"].ok:
                 continue
             height = _generation_height(sub)
@@ -292,7 +290,7 @@ def _split_foci(base):
 
 def assert_absorption_matches(base):
     model = base.structure
-    exact = _commutant_absorption_clause(base, CFG)
+    exact = _commutant_absorption_clause(base)
     if exact.ok:
         for h in HEIGHTS:
             assert absorption_sweep(base, product(base.foci, signed_box(model, h))).ok, h
@@ -347,7 +345,7 @@ def assert_unit_order_unit_matches(base):
                 sub = build(base, v)
             except MembershipError:
                 continue
-            clauses = validate_unital_group(sub, CFG).clauses
+            clauses = validate_unital_group(sub).clauses
             clauses = [c for c in clauses if c.name == "unit_order_unit"]
             if not clauses:
                 continue
@@ -419,7 +417,7 @@ def test_commutant_absorption_finds_what_the_boxes_miss():
     assert _absorbs(base, Vec((1, 2)), Vec((4, 1))) is not True
     for h in (3, 6):
         assert absorption_sweep(base, product(base.foci, signed_box(model, h))).ok, h
-    clause = _commutant_absorption_clause(base, CFG)
+    clause = _commutant_absorption_clause(base)
     assert clause.status == "fail"
     witness = clause.witness
     assert witness["direction"] == "dominated_but_incompatible"

@@ -13,11 +13,9 @@ from itertools import product
 
 import pytest
 
-from compbase import CheckConfig, load_model, theorem_report
+from compbase import load_model, theorem_report
 from compbase.cli import main
 from conftest import corner_model
-
-CFG = CheckConfig(height_bound=2, samples=8, seed=0)
 
 
 def _diag(bits):
@@ -53,7 +51,7 @@ def test_standard_cone_and_diagonal_matrices_agree(n, tmp_path, capsys):
 
     def clauses(path):
         _, base = load_model(path)
-        return [(c.name, c.ok, c.status) for c in theorem_report(base, CFG).clauses]
+        return [(c.name, c.ok, c.status) for c in theorem_report(base).clauses]
 
     lattice_clauses = clauses(lattice)
     assert lattice_clauses == clauses(matrix)

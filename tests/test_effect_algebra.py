@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from compbase import (
-    CheckConfig,
     EffectAlgebra,
     LatticeConeModel,
     MackeyTriple,
@@ -232,7 +231,7 @@ NON_PRODUCT = [
 def test_center_of_non_product_cones_is_trivial(rows, unit):
     model = LatticeConeModel(len(unit), rows, Vec(unit))
     assert center(EffectAlgebra(model)).members == {model.zero, model.unit}
-    base, report = direct_compression_base(model, CheckConfig(height_bound=2))
+    base, report = direct_compression_base(model)
     assert report.ok, report.first_failure()
     assert set(base.foci) == {model.zero, model.unit}
 

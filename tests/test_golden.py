@@ -31,31 +31,31 @@ from conftest import FIXTURES_DIR, MODELS_DIR
 CONFIG = ["--samples", "8", "--seed", "0"]
 
 REPORT_SHA256 = {
-    "m1": "4742397e25a82fb48cb3df8f56c87b4dfe1e628e23808f961ae890853357b43d",
-    "m2": "4e3d956612cbe9b837e68a62a572ff38f8a5df712ab040b24da6ccdab5d3ba3f",
-    "m3": "3b85956af231000e903d48becf5096bc57af5b79ed3d1f795cb67e5676c4266b",
-    "m4": "abee6b91c4d5abeb3fcee3106cdc38d2fe5ba23633c49c94b5bc4758444a61ce",
-    "m5": "79f737c53ca7089984704eed5af3bd8ca9a8467d64ac6e278c53f027c83f58c1",
+    "m1": "19d89f7b3b4a9a6da226bd9e0dc87ba62ac2c1f593a2b430751e132238b550f0",
+    "m2": "522da6a1bbbd298630ec2960ba13e6f875a247776451df0c4637bf4940231f2e",
+    "m3": "7877b6eea1a77c8ad1c030de8076495e2541ac512b80981eab7e9e779a508b69",
+    "m4": "4536fe4bdfe9e764f0bea65e758b7cec4110533f399749c57efdd046f35d7067",
+    "m5": "07ea3f327e130523706b446b424ff77239b921ea7c0f9335a713c6081f31d857",
 }
 
 VALIDATE_SHA256 = {
-    "corrupt_focus_outside_interval": "d1dde37f6c9c0019cdd171286e7eab197d8c4ba3ae10c9dcfcc4d549ae2bad21",
-    "corrupt_matrix_half_focus": "159414dfb3a7906bf8b120863014bac77da2c2187cf5a94f179bd3d457d6db33",
-    "corrupt_matrix_missing_complement": "1d1238719c52b18892bbf3737b5edfc8e32c344c2f281860cc59ce4bc2512657",
-    "corrupt_missing_closure": "6bfdc3209182caf0966bd0ba56eadd56af84c3c007691926e5b389941ad52cac",
-    "corrupt_nonnormal_foci": "18130b913554f0978f459d78fa8701d89cc188c715d6f8807574ff34a8dddecb",
-    "corrupt_swapped_foci": "859b1c991cb25397fa032237f39d18e2a243ee3871157f9311c4a8cd678c1cc8",
+    "corrupt_focus_outside_interval": "233d25173643b4ce5329721733766e166db10f01e04cf724d399e784b2a2735a",
+    "corrupt_matrix_half_focus": "97fc9b956987c5ed4e6720547cfa16b933f7450c10204b6699cac925126320dc",
+    "corrupt_matrix_missing_complement": "84537ccdc75bd534067c8a72633f5d044b826b2660905597feff0bd4ed9191d8",
+    "corrupt_missing_closure": "ea842fa7f31ee0da7477752fc2922a13ba994e03711d5b99bf15717b9e65e4e5",
+    "corrupt_nonnormal_foci": "bc9adc7074f0593125ab7b54e88aaae52f622ce3fa742456105c9c373a2414ce",
+    "corrupt_swapped_foci": "afba53ada7addb8be080f88e01fa6fa9bec2f949499f6ee1e30b14ba2b03e574",
 }
 
 
 # theorems models/m3.json --samples 64 --seed 0
-THEOREMS_M3_64_SHA256 = "26a760441e6ef263b7ca5e471565fa7ea9d50e4a1098f5e5cea9e22efc41b7bc"
+THEOREMS_M3_64_SHA256 = "d25b50a850f5852706c24562038b7a4e73f971c499b3cf005ad5ce519cdb1e2a"
 
 # the two jobs of the matrix-report benchmark at --samples 8 --seed 1:
 # (command, model) -> sha256
 MATRIX_SEED1_SHA256 = {
-    ("report", "m3"): "63655f216b9afe3820b29abf27dde82427cb7ea7fb7c58d3984e58084b512205",
-    ("theorems", "m4"): "fcbdd0f4afd471cf1735f6e16fd1e9fcb3854685bc1c1bdc21302df69a7ee955",
+    ("report", "m3"): "7563271deff7b7778b1f52240a3bf7234dd0ed8d7fdd45bfea1dd5794779d42e",
+    ("theorems", "m4"): "02ff2c584b80b3c47f9282707aaae282f8cd5e46fe6e8092144a155836bcef74",
 }
 
 
@@ -130,9 +130,9 @@ LATTICE_MODELS = {
 
 # report --seed 0 on each of LATTICE_MODELS
 LATTICE_REPORT_SHA256 = {
-    "z2-m5-5x-2": "9802dbd441214b65a480f0dc4006b83e018dabc0501f1df608c964e818e06829",
-    "z2-std-3x5": "09c09fed3efac4de3f1acb5c73adc782390d9249ffc494ca717d051ed93b2cb6",
-    "z3-std-1x1x1": "836da30b6d6b60d43b3863f1c59b77bfb1fd9ef9c4162cd931a30895650b1164",
+    "z2-m5-5x-2": "b8b33b1760f01f14f906653da0a9aee088c24b49d271698a22085d6e272d8565",
+    "z2-std-3x5": "10289a619c1566ccd9afe117c922a7c52eef191a44a5b36b9e14a72196775fed",
+    "z3-std-1x1x1": "e84d76cea97686b2df81b6f75eebc72dfb1010675f23bc41ef7feab09786cbce",
 }
 
 
@@ -189,7 +189,7 @@ def _sha256(text: str) -> str:
 @pytest.mark.parametrize("stem", sorted(FIXTURE_THEOREMS_SHA256))
 def test_fixture_theorem_report_bytes_pinned(stem):
     _, base = load_model(FIXTURES_DIR / f"{stem}.json")
-    report = theorem_report(base, LIBRARY_CFG)
+    report = theorem_report(base)
     assert not report.ok
     assert _sha256(render_json(report)) == FIXTURE_THEOREMS_SHA256[stem]
 
@@ -197,6 +197,6 @@ def test_fixture_theorem_report_bytes_pinned(stem):
 @pytest.mark.parametrize("kind,dim", sorted(PROJECTION_BASE_SHA256))
 def test_projection_base_bytes_pinned(kind, dim):
     check = validate_compression_base if kind == "validate" else theorem_report
-    report = check(projection_base(MatrixModel(dim)), LIBRARY_CFG)
+    report = check(projection_base(MatrixModel(dim), LIBRARY_CFG))
     assert report.ok
     assert _sha256(render_json(report)) == PROJECTION_BASE_SHA256[kind, dim]

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from compbase import (
-    CheckConfig,
     Endomorphism,
     LatticeConeModel,
     MatrixModel,
@@ -229,14 +228,14 @@ def test_matrix_order_is_psd_order():
 
 
 @pytest.mark.parametrize("name", LATTICE + MATRIX)
-def test_bundled_models_are_unital_groups(name, bundled, fast_cfg):
-    report = validate_unital_group(bundled[name][0], fast_cfg)
+def test_bundled_models_are_unital_groups(name, bundled):
+    report = validate_unital_group(bundled[name][0])
     assert report.ok, report.first_failure()
 
 
 def test_nonpointed_cone_fails_antisymmetry():
     model = LatticeConeModel(2, ((1, 0),), Vec((1, 0)))
-    report = validate_unital_group(model, CheckConfig(height_bound=2, samples=8, seed=0))
+    report = validate_unital_group(model)
     assert not report.ok
     assert report.first_failure().name == "order_antisymmetric"
     assert report.first_failure().witness == {"cone_rank": 1, "dim": 2}
@@ -251,16 +250,16 @@ def test_nonpointed_cone_fails_antisymmetry():
 def test_interval_over_the_point_cap_raises():
     model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((3000, 3000)))
     with pytest.raises(UnboundedIntervalError, match="too large"):
-        validate_unital_group(model, CheckConfig(height_bound=2, samples=8, seed=0))
+        validate_unital_group(model)
 
 
-def test_lattice_substructure_antisymmetry_is_derived_from_the_cone_rank(bundled, fast_cfg):
+def test_lattice_substructure_antisymmetry_is_derived_from_the_cone_rank(bundled):
     """A substructure is ordered by its carrier's cone: order_antisymmetric
     passes when the cone rows have full rank and otherwise names that
     premise."""
 
     def antisymmetry(sub):
-        clauses = validate_unital_group(sub, fast_cfg).clauses
+        clauses = validate_unital_group(sub).clauses
         return next(c for c in clauses if c.name == "order_antisymmetric")
 
     _, base = bundled["m1"]
@@ -275,7 +274,7 @@ def test_lattice_substructure_antisymmetry_is_derived_from_the_cone_rank(bundled
 
 def test_nonpositive_unit_fails():
     model = LatticeConeModel(1, ((1,),), Vec((-1,)))
-    report = validate_unital_group(model, CheckConfig(height_bound=2, samples=8, seed=0))
+    report = validate_unital_group(model)
     assert not report.ok
     names = [c.name for c in report.clauses if not c.ok]
     assert "unit_positive_nonzero" in names
@@ -333,7 +332,7 @@ def test_image_of_a_map_that_moves_its_focus_fails_unit_order_unit():
     model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((2, 2)))
     v = Vec((1, 1))
     base = base_from_family(model, [(v, endo_from_int_matrix(model, [[1, 1], [0, 0]]))])
-    rep = validate_unital_group(image_substructure(base, v), CheckConfig(height_bound=2))
+    rep = validate_unital_group(image_substructure(base, v))
     clause = next(c for c in rep.clauses if c.name == "unit_order_unit")
     assert (clause.status, clause.checked, clause.witness) == ("fail", 1, {"unit": v})
 
@@ -344,7 +343,7 @@ def test_image_whose_unit_is_not_an_order_unit_fails_unit_order_unit():
     model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((1, 1)))
     v = Vec((1, 0))
     base = base_from_family(model, [(v, endo_from_int_matrix(model, [[1, 0], [0, 1]]))])
-    rep = validate_unital_group(image_substructure(base, v), CheckConfig(height_bound=3))
+    rep = validate_unital_group(image_substructure(base, v))
     clause = next(c for c in rep.clauses if c.name == "unit_order_unit")
     assert (clause.status, clause.witness) == ("fail", {"cone_row": (0, 1)})
 
@@ -520,7 +519,7 @@ def test_flat_interval_index_takes_one_determinant(monkeypatch, tmp_path, capsys
     real = linalg.int_det
     monkeypatch.setattr(linalg, "int_det", lambda m: calls.append(m) or real(m))
     model = LatticeConeModel(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), Vec((6, 6, 0)))
-    clause = validate_unital_group(model, CheckConfig(samples=8)).first_failure()
+    clause = validate_unital_group(model).first_failure()
     assert clause.name == "interval_generates_group"
     assert clause.witness == {"lattice_index": 0}
     assert len(calls) <= 1

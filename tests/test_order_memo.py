@@ -34,7 +34,6 @@ from compbase import (
 )
 from compbase import compatibility, compression, models
 from compbase.cli import main
-from compbase.config import CheckConfig
 from compbase.models import ORDER_CAP, _in_cone
 from conftest import (
     FIXTURES_DIR,
@@ -50,7 +49,6 @@ from conftest import (
     seeded_cones,
 )
 
-CFG = CheckConfig(samples=8, seed=1)
 LATTICE_FIXTURES = (
     "corrupt_focus_outside_interval",
     "corrupt_missing_closure",
@@ -155,7 +153,7 @@ def assert_sweeps_match(base):
     for b in _bases(base):
         structure = b.structure
         assert _fields(compatibility._omp_principal(b, 0, None)) == _fields(full_omp_principal(b))
-        assert _fields(compression._composition_clause(b, CFG)) == _fields(
+        assert _fields(compression._composition_clause(b)) == _fields(
             full_composition_clause(b)
         )
         for p in b.foci:
@@ -216,10 +214,10 @@ def test_failing_sweeps_keep_their_witness_and_count():
     assert_sweeps_match(base)
     principal = compatibility._omp_principal(base, 0, None)
     assert (principal.status, principal.witness["p"]) == ("fail", Vec((1, 1)))
-    failed = {c.name for c in (principal, compression._composition_clause(base, CFG)) if not c.ok}
+    failed = {c.name for c in (principal, compression._composition_clause(base)) if not c.ok}
     for name in ("corrupt_focus_outside_interval", "corrupt_swapped_foci"):
         fixture = load_model(FIXTURES_DIR / f"{name}.json")[1]
-        failed.add(compression._composition_clause(fixture, CFG).name)
+        failed.add(compression._composition_clause(fixture).name)
         for v in fixture.foci:
             clause = compatibility._interval_characterization_clause(
                 fixture, commutant_substructure(fixture, v)

@@ -78,7 +78,7 @@ COMPOSITION_CASES = _composition_cases() + [("loose_focus", _loose_focus_base())
     "label,base", COMPOSITION_CASES, ids=[label for label, _ in COMPOSITION_CASES]
 )
 def test_pruned_composition_matches_full_sweep(label, base):
-    got = compression._composition_clause(base, CFG)
+    got = compression._composition_clause(base)
     want = full_composition_clause(base)
     assert (got.status, got.checked, got.witness, got.items, got.note) == (
         want.status,
@@ -133,8 +133,8 @@ def test_pair_table_fills_each_pair_once(monkeypatch):
     for module in (models, compression, compatibility):
         monkeypatch.setattr(module, "compose", counted_compose)
 
-    assert validate_compression_base(base, CFG).ok
-    assert theorem_report(base, CFG).ok
+    assert validate_compression_base(base).ok
+    assert theorem_report(base).ok
     fields: dict = {}
     cli._compat_table(argparse.Namespace(), model, base, CFG, {}, fields)
     assert "first_failure" not in fields
@@ -182,8 +182,8 @@ def test_restricted_bases_read_the_parent_pair_table(monkeypatch, capsys):
 
 def test_intensional_base_keeps_no_pair_table():
     model, _ = _fresh("m4")
-    base = projection_base(model)
-    assert theorem_report(base, CFG).ok
+    base = projection_base(model, CFG)
+    assert theorem_report(base).ok
     p = q = model.unit
     assert compat_battery(base, p, q).compatible
     assert base.composed(p, q) is not base.composed(p, q)
@@ -204,8 +204,8 @@ def test_declared_base_opens_no_stream(monkeypatch, name):
         return real_rng(self, tag)
 
     monkeypatch.setattr(CheckConfig, "rng", counted_rng)
-    assert validate_compression_base(base, CFG).ok
-    assert theorem_report(base, CFG).ok
+    assert validate_compression_base(base).ok
+    assert theorem_report(base).ok
     assert opened == []
 
 
@@ -251,7 +251,7 @@ def test_theorems_fail_a_clause_when_a_complement_escapes(name):
     the complement's map, instead of raising MembershipError."""
 
     _, base = _fresh(name)
-    rep = theorem_report(base, CFG)
+    rep = theorem_report(base)
     failed = {c.name: c.witness for c in rep.clauses if not c.ok}
     for clause in ("kernel_complement_fixpoint", "commutant_absorption"):
         assert failed[clause]["reason"] == "complement escapes the base"

@@ -15,7 +15,6 @@ import pytest
 
 from compbase import (
     BATTERY_CONDITIONS,
-    CheckConfig,
     CompatReport,
     EffectAlgebra,
     Endomorphism,
@@ -118,7 +117,7 @@ def test_zero_and_unit_maps_need_the_zero_focus():
 
 def test_family_shape_refutes_a_map_that_is_not_idempotent():
     base = lattice_base((ZERO, KILL), (U, DOUBLE))
-    clause = compatibility._family_shape_clause(base, CheckConfig())
+    clause = compatibility._family_shape_clause(base)
     assert not clause.ok
     assert clause.witness == {"focus": U, "law": "idempotent"}
 

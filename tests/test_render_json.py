@@ -82,3 +82,26 @@ def test_a_lattice_report_is_written_without_a_plain_copy(monkeypatch):
     monkeypatch.setattr(reporting, "jsonable", lambda x: calls.append(x) or plain(x))
     assert render_json(doc) == want
     assert calls == []
+
+
+@given(st.integers() | st.sampled_from((0, 2**100, -(2**100))), st.integers(1, 10**6))
+def test_ratio_is_the_shape_of_the_fraction(num, den):
+    """reporting.ratio, which writes SymMat and map entries, against the
+    lowest terms Fraction finds: its own oracle, which _shape does not read."""
+    f = Fraction(num, den)
+    assert reporting.ratio(num, den) == (f.numerator if f.denominator == 1 else str(f))
+
+
+def test_a_matrix_report_builds_no_fraction_per_entry(monkeypatch):
+    """SymMats render from num and den: SymMat.rows is never read."""
+    args = cli._build_parser().parse_args(
+        ["report", str(MODELS_DIR / "m3.json"), "--samples", "8", "--seed", "0"]
+    )
+    doc = cli._run(args, cli._config(args))
+    want = stdlib_json(doc)
+
+    def rows(self):
+        raise AssertionError("SymMat.rows read while rendering")
+
+    monkeypatch.setattr(SymMat, "rows", property(rows))
+    assert render_json(doc) == want

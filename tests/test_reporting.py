@@ -114,7 +114,7 @@ def test_sampled_universe_shares_its_stream_with_the_next_law():
     assert b.witness == second[0]
 
 
-def test_check_functions_return_named_clauses(bundled, fast_cfg):
+def test_check_functions_return_named_clauses(bundled):
     """Each single check returns a Clause under its report name."""
 
     m1, base1 = bundled["m1"]

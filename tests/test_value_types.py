@@ -40,7 +40,7 @@ PASSED = Clause("law", "pass", 3)
 FIELDS = {
     Vec: (("coords",), ((1, 2),), ((2, 1),)),
     SymMat: (("num", "den"), (((1, 0), (0, 0)), 1), (((1, 1), (1, 1)), 2)),
-    CheckConfig: (("height_bound", "samples", "seed"), (3, 1000, 0), (2, 10, 1)),
+    CheckConfig: (("samples", "seed"), (1000, 0), (10, 1)),
     LatticeConeModel: (
         ("dim", "cone_rows", "unit"),
         (2, ((1, 0), (0, 1)), Vec((1, 1))),
@@ -85,9 +85,9 @@ FIELDS = {
         (Z2, "commutant", Vec((1, 1)), Vec((1, 1)), ID),
     ),
     CompressionBase: (
-        ("structure", "foci", "family"),
-        (Z2, (Vec((1, 1)),), {Vec((1, 1)): ID}),
-        (Z2, None, None),
+        ("structure", "foci", "family", "cfg"),
+        (Z2, (Vec((1, 1)),), {Vec((1, 1)): ID}, None),
+        (Z2, None, None, CheckConfig(8, 0)),
     ),
 }
 
@@ -114,7 +114,7 @@ def test_fields_by_position_and_by_keyword(cls):
 
 
 def test_defaults():
-    assert values(CheckConfig(), FIELDS[CheckConfig][0]) == (3, 1000, 0)
+    assert values(CheckConfig(), FIELDS[CheckConfig][0]) == (1000, 0)
     assert SymMat(((1, 0), (0, 1))).den == 1
     endo = Endomorphism(Z2, ((1, 0), (0, 1)))
     assert (endo.den, endo.conjugator) == (1, None)
@@ -133,9 +133,10 @@ def test_construction_checks():
     assert (endo.matrix, endo.den) == (((1, 0), (0, 1)), 2)
     with pytest.raises(ValueError, match="2x2"):
         Endomorphism(Z2, ((1, 0),))
-    for bad in ({"height_bound": 0}, {"samples": -1}):
-        with pytest.raises(ValueError):
-            CheckConfig(**bad)
+    with pytest.raises(ValueError):
+        CheckConfig(samples=-1)
+    with pytest.raises(TypeError):
+        CheckConfig(height_bound=3)
     for args in ((0, (), Vec(())), (2, ((1, 0, 0),), Vec((1, 1))), (2, ((1, 0),), Vec((1,)))):
         with pytest.raises(ValueError):
             LatticeConeModel(*args)
@@ -205,7 +206,7 @@ def test_compression_base_still_caches_its_focus_set():
 def test_repr_of_elements_and_config():
     assert repr(Vec((1, 2))) == "Vec(coords=(1, 2))"
     assert repr(SymMat(((2, 0), (0, 0)), 4)) == "SymMat(num=((1, 0), (0, 0)), den=2)"
-    assert repr(CheckConfig()) == "CheckConfig(height_bound=3, samples=1000, seed=0)"
+    assert repr(CheckConfig()) == "CheckConfig(samples=1000, seed=0)"
     with pytest.raises(ValueError, match=r"got Vec\(coords=\(1, 2, 3\)\)$"):
         Vec((1, 2)) + Vec((1, 2, 3))
 
