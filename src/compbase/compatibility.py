@@ -167,8 +167,9 @@ def compat_battery(base: CompressionBase, p, q) -> CompatReport:
     mackey_in_interval searches the whole interval of a finite structure.
     On the matrix model it, and on the intensional base mackey_in_base and
     the common-focus condition too, are tested through the constructive
-    witness r = J_p(q), e = p - r, f = q - r.  On a declared base of either
-    kind mackey_in_base searches the foci.
+    witness r = J_p(q), e = p - r, f = q - r, and so is mackey_in_base on a
+    declared base whose foci and unit are projections (_projection_foci).
+    Any other declared base searches its foci for mackey_in_base.
 
     When p, q and the unit v are projections the constructive test is a
     decision: a Mackey triple p = e + d, q = f + d with e + f + d <= v has
@@ -178,7 +179,7 @@ def compat_battery(base: CompressionBase, p, q) -> CompatReport:
     argument decides normality in compression._matrix_normality_clause.
 
     A declared base runs the battery once per ordered pair and keeps it in
-    its pair table.
+    its pair table, and reads J_p(q) and J_q(p) from there (image).
     """
 
     for name, x in (("p", p), ("q", q)):
@@ -189,11 +190,9 @@ def compat_battery(base: CompressionBase, p, q) -> CompatReport:
 
 def _battery(base: CompressionBase, p, q) -> CompatReport:
     structure = base.structure
-    jp = base.j(p)
-    jq = base.j(q)
     pq = base.composed(p, q)
     qp = base.composed(q, p)
-    r = jp.apply(q)
+    r = base.image(p, q)
 
     if structure.finite:
         in_interval = is_mackey_compatible(EffectAlgebra(structure), p, q)
@@ -202,17 +201,19 @@ def _battery(base: CompressionBase, p, q) -> CompatReport:
         f = q - r
         in_interval = all(_is_effect(structure, x) for x in (r, e, f))
         in_interval = in_interval and structure.leq(e + f + r, structure.unit)
-    if base.intensional:
-        in_base = in_interval and all(base.contains_focus(x) for x in (r, p - r, q - r))
-        jr = conjugation_endo(structure.carrier, r)
-        common = base.contains_focus(r) and endo_equal(structure, pq, jr)
+    if base.intensional or _projection_foci(base):
+        in_base = in_interval and all(base.contains_focus(x) for x in (r, e, f))
     else:
         triples = mackey_triples(structure, p, q, base.foci, base.contains_focus)
         in_base = next(triples, None) is not None
+    if base.intensional:
+        jr = conjugation_endo(structure.carrier, r)
+        common = base.contains_focus(r) and endo_equal(structure, pq, jr)
+    else:
         common = map_key(structure, pq) in _focus_map_keys(base)
     conds = (
         ("commute", endo_equal(structure, pq, qp)),
-        ("jp_q_eq_jq_p", r == jq.apply(p)),
+        ("jp_q_eq_jq_p", r == base.image(q, p)),
         ("jp_q_le_q", structure.leq(r, q)),
         ("mackey_in_interval", in_interval),
         ("mackey_in_base", in_base),
@@ -221,6 +222,15 @@ def _battery(base: CompressionBase, p, q) -> CompatReport:
         ("q_in_commutant", in_commutant(base, p, q)),
     )
     return CompatReport(p, q, conds)
+
+
+def _projection_foci(base: CompressionBase) -> bool:
+    """Are the foci and the unit of a declared matrix base all projections?"""
+
+    def build():
+        return all(map(matrix_model.is_projection, (*base.foci, base.unit)))
+
+    return not base.structure.finite and base.kept(("projections",), build)
 
 
 def _focus_map_keys(base: CompressionBase) -> frozenset:
@@ -254,9 +264,8 @@ def meet(base: CompressionBase, p, q):
 def _checked_meet(base: CompressionBase, p, q):
     """J_p(q) for a battery-compatible pair; a violated meet law raises RuntimeError."""
     structure = base.structure
-    jp, jq = base.j(p), base.j(q)
-    r = jp.apply(q)
-    if r != jq.apply(p):
+    r = base.image(p, q)
+    if r != base.image(q, p):
         raise RuntimeError("meet law violated: the two one-sided values differ")
     if not (structure.leq(r, p) and structure.leq(r, q)):
         raise RuntimeError("meet law violated: value is not a lower bound")
@@ -1119,13 +1128,13 @@ def _absorption_clause(base: CompressionBase) -> Clause:
 
     def conditions(pq) -> tuple:
         p, q = pq
-        jp, jq = base.j(p), base.j(q)
+        jq = base.j(q)
         return (
             structure.leq(q, p),
             endo_equal(structure, base.composed(p, q), jq),
-            jp.apply(q) == q,
+            base.image(p, q) == q,
             endo_equal(structure, base.composed(q, p), jq),
-            jq.apply(p) == q,
+            base.image(q, p) == q,
         )
 
     return law(
@@ -1188,10 +1197,7 @@ def _battery_clause(base: CompressionBase) -> Clause:
             return True
         return compat_battery(base, q, p).compatible == battery.compatible
 
-    structure = base.structure
-    decided = base.foci is not None and (
-        structure.finite or all(map(matrix_model.is_projection, (*base.foci, structure.unit)))
-    )
+    decided = base.foci is not None and (base.structure.finite or _projection_foci(base))
     return law(
         "battery_agreement",
         base.cases(2, lambda cfg: _pairs(base, cfg, "theorem:battery")),

@@ -462,18 +462,21 @@ class CompressionBase(Value):
       ("focus_maps",)                 every J_s read as a map of the
                                       structure, for the common-focus test;
       ("premises", p)                 the premises of J_p (focus_premises);
-      ("complement", p)               those of J_{u-p} as its complement.
+      ("complement", p)               those of J_{u-p} as its complement;
+      ("supplement", p)               u - p itself (complement);
+      ("projections",)                are all foci and the unit projections?
     In _pairs:
       ("sum", p, q)                   p + q, for foci p, q;
-      ("compose", p, q)               the map J_p after J_q.
-    The sums, composed maps and batteries make the pair table, one entry
-    per ordered focus pair.  Sums and composed maps do not depend on the
-    structure the base lives in, and a restricted base holds its parent's
-    very maps, so a restricted base shares _pairs with the base it was cut
-    from (pairs=).  _pairs holds no base, so the sharing makes no
-    reference cycle and a base is freed as soon as it is dropped.  An
-    intensional base keeps nothing: its foci are sampled, so a memo would
-    grow with the budget.  A declared base also keeps its foci as a
+      ("compose", p, q)               the map J_p after J_q;
+      ("image", p, q)                 J_p(q) (image).
+    The sums, composed maps, images and batteries make the pair table, one
+    entry per ordered focus pair.  Sums, composed maps and images do not
+    depend on the structure the base lives in, and a restricted base holds
+    its parent's very maps, so a restricted base shares _pairs with the
+    base it was cut from (pairs=).  _pairs holds no base, so the sharing
+    makes no reference cycle and a base is freed as soon as it is dropped.
+    An intensional base keeps nothing: its foci are sampled, so a memo
+    would grow with the budget.  A declared base also keeps its foci as a
     frozenset (_focus_set) for membership.  A base is equal and hashed by
     identity, as the keys of such memos must be.
     """
@@ -524,7 +527,7 @@ class CompressionBase(Value):
         raise MembershipError("no compression assigned to this focus")
 
     def complement(self, p):
-        return self.unit - p
+        return self.kept(("supplement", p), lambda: self.unit - p)
 
     def kept(self, key, build, memo=None):
         """build(), made once per key on a declared base and kept in memo
@@ -561,6 +564,11 @@ class CompressionBase(Value):
         """J_p after J_q, from the pair table."""
 
         return self.kept(("compose", p, q), lambda: compose(self.j(p), self.j(q)), self._pairs)
+
+    def image(self, p, q):
+        """J_p(q), from the pair table."""
+
+        return self.kept(("image", p, q), lambda: self.j(p).apply(q), self._pairs)
 
 
 def base_from_family(structure, pairs) -> CompressionBase:

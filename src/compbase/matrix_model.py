@@ -16,6 +16,7 @@ yields an exactly idempotent symmetric rational projection.  A frame is
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import lcm
 
 from . import linalg
@@ -24,10 +25,16 @@ from .elements import SymMat
 # numerators and denominators of the Cayley generators and effect
 # eigenvalues are drawn up to this bound
 DEFAULT_BOUND = 16
+# entries of each exact memo of the matrix path: is_projection and the order
+# memo models._matrix_leq, which answers is_positive(g) as 0 <= g.  report m4
+# at --samples 8 / 1000 asks 349 / 6,235 distinct leq pairs, 69 / 2,904 positivity
+# and 126 / 8,780 projection tests; hit ratios 0.975 / 0.787 and 0.899 / 0.859.
+CACHE_SIZE = 256
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def is_projection(p: SymMat) -> bool:
-    """Exact test: p is symmetric (by type) and p*p == p."""
+    """Exact test: p is symmetric (by type) and p*p == p, memoized on p."""
     return linalg.mat_mul(p.num, p.num) == tuple(
         tuple(p.den * x for x in row) for row in p.num
     )

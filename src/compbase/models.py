@@ -38,6 +38,8 @@ memo changes an answer: the same declared foci and effects are compared
 thousands of times per report.  MatrixModel.leq, and with it the order
 of every matrix substructure, is memoized on the exact (a, b) pair by a
 functools.lru_cache of CACHE_SIZE entries; its body is is_psd of b - a.
+MatrixModel.is_positive(g) asks that memo whether 0 <= g, and
+matrix_model.is_projection is memoized on the exact matrix alike.
 LatticeConeModel.leq, and with it the order of every lattice
 substructure (whose leq defers to its carrier's), keeps its answers on
 the model (_order, keyed by the coordinates of a and b, at most
@@ -75,6 +77,7 @@ from operator import mul, sub
 
 from . import linalg, matrix_model
 from .elements import SymMat, Vec, _trusted_vec, conjugate
+from .matrix_model import CACHE_SIZE
 from .reporting import FAIL, PASS, Clause, Report, derived, law, ratio_rows
 from .value import Value
 
@@ -421,11 +424,11 @@ class MatrixModel(Value):
 
     @property
     def unit(self) -> SymMat:
-        return _sym_identity(self.dim)
+        return _sym_scalar(self.dim, 1)
 
     @property
     def zero(self) -> SymMat:
-        return SymMat.zero(self.dim)
+        return _sym_scalar(self.dim, 0)
 
     def project(self, g: SymMat) -> SymMat:
         return g
@@ -434,7 +437,7 @@ class MatrixModel(Value):
         return isinstance(g, SymMat) and g.dim == self.dim
 
     def is_positive(self, g: SymMat) -> bool:
-        return linalg.is_psd(g.num)
+        return _matrix_leq(self.zero, g)
 
     def leq(self, a: SymMat, b: SymMat) -> bool:
         return _matrix_leq(a, b)
@@ -469,11 +472,6 @@ class MatrixModel(Value):
         return _sym_basis(self.dim)
 
 
-# entries kept by the order memo _matrix_leq, which bounds its memory on
-# long sweeps
-CACHE_SIZE = 256
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _matrix_leq(a: SymMat, b: SymMat) -> bool:
     """a <= b in the positive-semidefinite order, keyed by the exact pair."""
@@ -486,8 +484,9 @@ def _sym_pairs(dim: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _sym_identity(dim: int) -> SymMat:
-    return SymMat.identity(dim)
+def _sym_scalar(dim: int, k: int) -> SymMat:
+    """k times the identity, built once per (dim, k)."""
+    return SymMat(tuple(tuple(k * (i == j) for j in range(dim)) for i in range(dim)))
 
 
 @lru_cache(maxsize=None)
@@ -582,12 +581,12 @@ def zero_endo(carrier) -> Endomorphism:
 
 @lru_cache(maxsize=4096)
 def conjugation_endo(carrier: MatrixModel, p: SymMat) -> Endomorphism:
-    """The map g -> p g p: column k is P B_k P vectorized, over d^2 for p = P / d."""
-    cols = []
-    for b in carrier.basis():
-        pbp = linalg.mat_mul(linalg.mat_mul(p.num, b.num), p.num)
-        cols.append([pbp[i][j] for i, j in carrier.sym_pairs])
-    return Endomorphism(carrier, linalg.transpose(cols), p.den * p.den, p)
+    """The map g -> p g p over d^2, for p = P / d: the entry at row (i, j), column
+    (k, l) is (P B P)_ij for the basis matrix B of (k, l), P_ik P_lj + P_il P_kj
+    (the first term alone when k = l)."""
+    a, pairs = p.num, carrier.sym_pairs
+    rows = [[a[i][k] * a[l][j] + (k != l) * a[i][l] * a[k][j] for k, l in pairs] for i, j in pairs]
+    return Endomorphism(carrier, tuple(map(tuple, rows)), p.den * p.den, p)
 
 
 def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:

@@ -10,6 +10,7 @@ from hypothesis import assume, strategies as st
 
 from compbase import (
     CheckConfig,
+    Endomorphism,
     LatticeConeModel,
     SymMat,
     Vec,
@@ -693,6 +694,16 @@ def full_composition_clause(base):
     )
     clause.items = rows if len(rows) <= 24 else None
     return clause
+
+
+def basis_conjugation_endo(carrier, p):
+    """The map g -> p g p, built column by column: column k is P B_k P
+    vectorized for the k-th basis matrix B_k, over d^2 for p = P / d."""
+    cols = []
+    for b in carrier.basis():
+        pbp = linalg.mat_mul(linalg.mat_mul(p.num, b.num), p.num)
+        cols.append([pbp[i][j] for i, j in carrier.sym_pairs])
+    return Endomorphism(carrier, linalg.transpose(cols), p.den * p.den, p)
 
 
 def cone_leq(structure):

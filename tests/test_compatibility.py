@@ -2,20 +2,24 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from compbase import cli, compatibility, compression, models
+from compbase import cli, compatibility, compression, matrix_model, models
 
 from compbase import (
     BATTERY_CONDITIONS,
     CompatReport,
     EffectAlgebra,
+    MatrixModel,
     MeetUndefinedError,
     MembershipError,
     SubEffectAlgebra,
     SymMat,
     Vec,
+    base_from_projections,
     commutant_absorption_check,
     commutant_substructure,
     compat_battery,
@@ -36,6 +40,7 @@ from compbase import (
     trivial_base,
     zero_endo,
 )
+from compbase.effect_algebra import mackey_triples
 from conftest import (
     FIXTURES_DIR,
     MODELS_DIR,
@@ -464,3 +469,68 @@ def test_trivial_base_theorems(bundled):
     model, _ = bundled["m2"]
     rep = theorem_report(trivial_base(model))
     assert rep.ok, rep.first_failure()
+
+
+def _searched_mackey_in_base(base, p, q) -> bool:
+    """mackey_in_base by the search over the foci that every declared base
+    ran before the candidate rule."""
+    triples = mackey_triples(base.structure, p, q, base.foci, base.contains_focus)
+    return next(triples, None) is not None
+
+
+def _assert_candidate_matches_search(base):
+    for p in base.foci:
+        for q in base.foci:
+            got = compat_battery(base, p, q).values["mackey_in_base"]
+            assert got == _searched_mackey_in_base(base, p, q), (p, q)
+
+
+@pytest.mark.parametrize("name", ("m3", "m4"))
+def test_candidate_mackey_rule_matches_the_search(name, bundled):
+    """On a declared base of projections mackey_in_base reads the one
+    candidate (J_p(q), p - J_p(q), q - J_p(q)); the search agrees."""
+    _, base = bundled[name]
+    assert compatibility._projection_foci(base)
+    _assert_candidate_matches_search(base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3)), st.integers(0, 2**32), st.lists(st.booleans(), min_size=16, max_size=16)
+)
+def test_candidate_mackey_rule_matches_the_search_on_two_frames(dim, seed, keep):
+    """Declared bases of coordinate projections of two random Cayley frames:
+    each frame's projections commute, the other frame's mostly do not, so
+    compatible and incompatible pairs both occur.  Each base keeps a drawn
+    set of masks, closed under complement (the battery's commutant needs
+    it) but not under differences, so some J_p(q) is a focus while p - J_p(q)
+    is not."""
+    rng = random.Random(seed)
+    frames = [matrix_model.cayley_orthogonal(dim, rng) for _ in range(2)]
+    top = 2**dim - 1
+    projections = {
+        matrix_model.frame_sandwich(frame, [(k >> i) & 1 for i in range(dim)])
+        for n, frame in enumerate(frames)
+        for k in range(top + 1)
+        if keep[8 * n + min(k, top - k)]
+    }
+    base = base_from_projections(MatrixModel(dim), projections)
+    assert compatibility._projection_foci(base)
+    _assert_candidate_matches_search(base)
+
+
+def test_a_focus_that_is_no_projection_keeps_the_search(monkeypatch):
+    """The library base of corrupt_matrix_half_focus has the focus I/2: every
+    battery searches its foci for mackey_in_base."""
+    _, base = load_model(FIXTURES_DIR / "corrupt_matrix_half_focus.json")
+    searches = []
+    real = compatibility.mackey_triples
+
+    def counted(*args):
+        searches.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(compatibility, "mackey_triples", counted)
+    assert not compatibility._projection_foci(base)
+    _assert_candidate_matches_search(base)
+    assert Counter(searches) == Counter((p, q) for p in base.foci for q in base.foci)

@@ -39,6 +39,7 @@ from compbase.models import (
 from conftest import (
     LATTICE,
     MATRIX,
+    basis_conjugation_endo,
     corner_model,
     interval_sweep_equal,
     minors_gcd_index,
@@ -365,6 +366,25 @@ def test_conjugation_endo_matches_sandwich():
     # idempotent conjugator gives an idempotent map
     assert endo_equal(model, compose(j, j), j)
     assert endo_equal(model, conjugation_endo(model, model.unit), identity_endo(model))
+
+
+@st.composite
+def rational_symmats(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.fractions(-9, 9, max_denominator=6)
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    return SymMat.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@example(SymMat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]]))
+@example(SymMat.from_rows([["1/3", "1/2", 0], ["1/2", 2, -1], [0, -1, "5/4"]]))
+@given(rational_symmats())
+def test_conjugation_endo_matches_the_basis_products(p):
+    """The entries of conjugation_endo against P B P for each basis matrix
+    B, on any symmetric rational p: projection or not, any denominator."""
+    model = MatrixModel(p.dim)
+    assert conjugation_endo(model, p) == basis_conjugation_endo(model, p)
 
 
 def test_vectorize_devectorize_roundtrip():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
@@ -27,11 +28,12 @@ from compbase import (
     compose,
     load_model,
     projection_base,
+    substructure_report,
     theorem_report,
     validate_compression_base,
     zero_endo,
 )
-from compbase import cli, compatibility, compression, models
+from compbase import cli, compatibility, compression, linalg, matrix_model, models
 from compbase.compression import base_from_family
 from conftest import BUNDLED, FIXTURES_DIR, MATRIX, MODELS_DIR, full_composition_clause
 from test_golden import MATRIX_SEED1_SHA256
@@ -148,6 +150,73 @@ def test_pair_table_fills_each_pair_once(monkeypatch):
         "battery",
         "focus_maps",
     }
+
+
+def test_matrix_facts_are_decided_once():
+    """theorem_report and the substructure reports of a fresh declared m4
+    base: each image J_p(q) of a focus q is applied once, from the pair
+    table (apart from the applies a substructure makes as its own
+    projector, J_v on an image, and a certificate's J(u)); each u - p is
+    subtracted once per base; is_projection runs once per distinct matrix,
+    fewer than CACHE_SIZE being in play, and is_psd at most once per
+    distinct order question (a <= b, or 0 <= g for is_positive)."""
+
+    is_projection = matrix_model.is_projection
+    for memo in (models._matrix_leq, is_projection):
+        getattr(memo, "cache_clear", lambda: None)()
+    _, base = _fresh("m4")
+    focus_of = {id(base.j(p)): p for p in base.foci}
+    projector_uses = {"is_member", "project", "retraction_certificate"}
+    code = {
+        "apply": models.Endomorphism.apply.__code__,
+        "sub": SymMat.__sub__.__code__,
+        "complement": compression.CompressionBase.complement.__code__,
+        "psd": linalg.is_psd.__code__,
+        "projection": getattr(is_projection, "__wrapped__", is_projection).__code__,
+        "leq": models.MatrixModel.leq.__code__,
+        "positive": models.MatrixModel.is_positive.__code__,
+    }
+    counts = {name: Counter() for name in ("apply", "sub", "psd", "projection", "leq")}
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        f_code, local = frame.f_code, frame.f_locals
+        if f_code is code["apply"]:
+            j, g = id(local["self"]), local["g"]
+            caller = frame.f_back.f_code.co_name
+            if j in focus_of and g in base.foci and caller not in projector_uses:
+                counts["apply"][focus_of[j], g] += 1
+        elif f_code is code["sub"]:
+            outer = frame.f_back
+            for _ in range(3):  # complement, or its build under kept
+                if outer.f_code is code["complement"]:
+                    counts["sub"][id(outer.f_locals["self"]), local["other"]] += 1
+                    break
+                outer = outer.f_back
+        elif f_code is code["psd"]:
+            counts["psd"][local["m"]] += 1
+        elif f_code is code["projection"]:
+            counts["projection"][local["p"]] += 1
+        elif f_code is code["leq"]:
+            counts["leq"][local["a"], local["b"]] += 1
+        elif f_code is code["positive"]:
+            counts["leq"][local["self"].zero, local["g"]] += 1
+
+    sys.setprofile(profile)
+    try:
+        assert theorem_report(base).ok
+        for v in base.foci:
+            for kind in ("image", "commutant"):
+                assert substructure_report(base, v, kind)[2].ok
+    finally:
+        sys.setprofile(None)
+    n = len(base.foci)
+    assert len(counts["apply"]) == n * n and set(counts["apply"].values()) == {1}
+    assert len(counts["sub"]) == n and set(counts["sub"].values()) == {1}
+    assert set(counts["projection"].values()) == {1}
+    assert len(counts["projection"]) < models.CACHE_SIZE
+    assert sum(counts["psd"].values()) <= len(counts["leq"])
 
 
 def test_restricted_bases_read_the_parent_pair_table(monkeypatch, capsys):

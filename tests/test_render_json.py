@@ -105,3 +105,14 @@ def test_a_matrix_report_builds_no_fraction_per_entry(monkeypatch):
 
     monkeypatch.setattr(SymMat, "rows", property(rows))
     assert render_json(doc) == want
+
+
+def test_a_set_renders_sorted_whatever_its_insertion_order():
+    """A literal pin, independent of _shape: the two insertion orders
+    iterate differently, and neither in the sorted order."""
+    items = [-1, Vec((2, -1)), 0, Vec((5, 5)), 7]
+    want = "[\n  -1,\n  0,\n  7,\n  [\n    2,\n    -1\n  ],\n  [\n    5,\n    5\n  ]\n]\n"
+    sets = frozenset(items), frozenset(reversed(items))
+    assert list(sets[0]) != list(sets[1])
+    for s in sets:
+        assert render_json(s) == want
