@@ -10,7 +10,10 @@ their restricted bases, morphisms between based groups, and the direct
 product decomposition induced by a single focus.  Each substructure and
 its restricted base are built once per base and kept on it, so the
 substructure and product sections of a report share them, and with them
-every universe they enumerate.
+every universe they enumerate.  Their validations are kept on the base
+too, once per distinct substructure: the commutant of v is the commutant
+of u - v, both cut out by J_v + J_{u-v}, and the image of u and the
+commutants of 0 and u are the whole group on a valid base.
 
 Every law here is one function that picks its universe of cases once and
 hands it to reporting.law: the interval, cone generators or the declared
@@ -517,6 +520,16 @@ def substructure_report(base: CompressionBase, v, kind: str):
     Returns (substructure, restricted base, report).  The report covers the
     projector, the characterization of the substructure's interval, the
     unital-group axioms seen from inside, and the restricted base laws.
+
+    The last two, validate_unital_group of the substructure and
+    validate_compression_base of its restricted base, are kept on the base
+    under all they read: the projector's (matrix, den), the unit and the
+    restricted foci (the parent and the maps are the base's own, and
+    neither reads kind or v).  So two substructures with one key, such as
+    the commutants of v and u - v, are validated once, and their reports
+    hold the same validation clauses.  A matrix substructure whose
+    premises do not all hold is validated afresh: its failing premise
+    names itself in the witness.
     """
 
     if kind == "image":
@@ -544,8 +557,18 @@ def substructure_report(base: CompressionBase, v, kind: str):
         law("restricted_foci_members", rbase.foci, sub.is_member, witness="focus")
     )
     rep = Report(f"{kind} substructure", clauses)
-    rep.extend(validate_unital_group(sub))
-    rep.extend(validate_compression_base(rbase))
+
+    def validations():
+        return validate_unital_group(sub), validate_compression_base(rbase)
+
+    if all(c.ok for c in sub.premises):
+        projector = sub.projector
+        key = ("validated", projector.matrix, projector.den, sub.unit, rbase.foci)
+        unital, based = base.kept(key, validations)
+    else:
+        unital, based = validations()
+    rep.extend(unital)
+    rep.extend(based)
     return sub, rbase, rep
 
 

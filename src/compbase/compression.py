@@ -342,7 +342,8 @@ def enumerate_retractions(model: LatticeConeModel) -> tuple[RetractionCertificat
     turns up exactly once: on one basis, distinct image tuples give
     distinct maps, and maps found at distinct foci differ at u.  A focus
     whose [0, p] spans Q^n has one candidate, the identity, which is kept
-    only at p = u.
+    only at p = u; so [0, p] is built only until it reaches full rank, and
+    a p other than u that reaches it is passed over.
 
     The search tries, summed over the foci p, |[0, p]|^(n - rank [0, p])
     candidates, where assigning interval elements to a whole basis would
@@ -358,8 +359,15 @@ def enumerate_retractions(model: LatticeConeModel) -> tuple[RetractionCertificat
         raise ValueError("interval does not span the rational carrier")
     certs = []
     for p in effects:
-        below = [e.coords for e in effects if model.leq(e, p)]
-        fixed = _extend_basis([], below, model.dim)
+        below, fixed = [], []
+        for e in effects:
+            if model.leq(e, p):
+                below.append(e.coords)
+                fixed = _extend_basis(fixed, (e.coords,), model.dim)
+                if len(fixed) == model.dim:
+                    break
+        if len(fixed) == model.dim and p != model.unit:
+            continue  # the one candidate, the identity, sends u to u
         basis = _extend_basis(fixed, spanning, model.dim)
         # with the images of the basis vectors as the columns of phi, the map
         # is phi B^-1 = phi adj(B) / det(B), and it sends u to phi w / det(B)
@@ -399,11 +407,18 @@ def compressible_group_report(model: LatticeConeModel) -> Report:
 
     Checks that distinct retractions have distinct foci, that every
     retraction is a compression, and that each retraction has a
-    complementary partner exchanging kernels and fixed points.
+    complementary partner exchanging kernels and fixed points.  A partner
+    J' of J, with focus p, is looked up among the retractions with focus
+    u - p, the only ones that can be one: J fixes p and kills u - p (both
+    positive, J(u - p) = p - p), so J' kills p and fixes u - p, and
+    J'(u) = u - p.
     """
 
     certs = enumerate_retractions(model)
     seen: set = set()
+    by_focus: dict = {}
+    for c in certs:
+        by_focus.setdefault(c.focus, []).append(c)
 
     def first_with_focus(c) -> bool:
         fresh = c.focus not in seen
@@ -415,7 +430,8 @@ def compressible_group_report(model: LatticeConeModel) -> Report:
         return res.ok or {"focus": c.focus, "witness": res.witness}
 
     def has_partner(c) -> bool:
-        return any(kernel_complement_check(model, c.endo, d.endo).ok for d in certs)
+        partners = by_focus.get(model.unit - c.focus, ())
+        return any(kernel_complement_check(model, c.endo, d.endo).ok for d in partners)
 
     def at_focus(c):
         return {"focus": c.focus}
@@ -458,6 +474,11 @@ class CompressionBase(Value):
     first asked for.  In _memo:
       ("image", v), ("commutant", v)  the substructures of a focus v;
       a Substructure                  the restricted base on it;
+      ("validated", matrix, den,      the validations of a substructure
+       unit, foci)                    and its restricted base, shared by
+                                      equal substructures (their
+                                      projector, unit and restricted foci;
+                                      compatibility.substructure_report);
       ("battery", p, q)               the CompatReport of (p, q);
       ("focus_maps",)                 every J_s read as a map of the
                                       structure, for the common-focus test;

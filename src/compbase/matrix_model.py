@@ -25,10 +25,12 @@ from .elements import SymMat
 # numerators and denominators of the Cayley generators and effect
 # eigenvalues are drawn up to this bound
 DEFAULT_BOUND = 16
-# entries of each exact memo of the matrix path: is_projection and the order
-# memo models._matrix_leq, which answers is_positive(g) as 0 <= g.  report m4
-# at --samples 8 / 1000 asks 349 / 6,235 distinct leq pairs, 69 / 2,904 positivity
-# and 126 / 8,780 projection tests; hit ratios 0.975 / 0.787 and 0.899 / 0.859.
+# entries of the is_projection memo.  report m4 at --samples 8 / 1000 asks
+# 126 / 8,780 distinct projection tests; hit ratios 0.885 / 0.858.  The order
+# memo models._matrix_leq, which answers is_positive(g) as 0 <= g, is capped
+# by models.ORDER_CAP, as the lattice order memo is: the same runs ask 402 /
+# 8,707 distinct order questions, so at --samples 8 none is evicted and is_psd
+# runs once per question; hit ratios 0.972 / 0.744.
 CACHE_SIZE = 256
 
 

@@ -37,7 +37,7 @@ Both order tests are memoized, and each body is the exact test, so no
 memo changes an answer: the same declared foci and effects are compared
 thousands of times per report.  MatrixModel.leq, and with it the order
 of every matrix substructure, is memoized on the exact (a, b) pair by a
-functools.lru_cache of CACHE_SIZE entries; its body is is_psd of b - a.
+functools.lru_cache of ORDER_CAP entries; its body is is_psd of b - a.
 MatrixModel.is_positive(g) asks that memo whether 0 <= g, and
 matrix_model.is_projection is memoized on the exact matrix alike.
 LatticeConeModel.leq, and with it the order of every lattice
@@ -77,7 +77,6 @@ from operator import mul, sub
 
 from . import linalg, matrix_model
 from .elements import SymMat, Vec, _trusted_vec, conjugate
-from .matrix_model import CACHE_SIZE
 from .reporting import FAIL, PASS, Clause, Report, derived, law, ratio_rows
 from .value import Value
 
@@ -93,9 +92,10 @@ class UnboundedIntervalError(NotEnumerableError):
 _POINT_CAP = 2_000_000
 _PROPAGATION_ROUNDS = 64
 # entries kept by a lattice model's order memo (LatticeConeModel._order),
-# which is cleared when full.  A report on a bundled or benchmark lattice
-# model asks at most 692 distinct pairs; Z^3 with unit (4,4,4) asks 16,340,
-# and its four clears cost 1,714 more cone tests than a memo without a cap.
+# which is cleared when full, and by the matrix order memo _matrix_leq.  A
+# report on a bundled or benchmark lattice model asks at most 692 distinct
+# pairs; Z^3 with unit (4,4,4) asks 16,340, and its four clears cost 1,714
+# more cone tests than a memo without a cap.  report m4 --samples 8 asks 402.
 ORDER_CAP = 4096
 
 
@@ -472,7 +472,7 @@ class MatrixModel(Value):
         return _sym_basis(self.dim)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=ORDER_CAP)
 def _matrix_leq(a: SymMat, b: SymMat) -> bool:
     """a <= b in the positive-semidefinite order, keyed by the exact pair."""
     return linalg.is_psd((b - a).num)

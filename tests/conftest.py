@@ -26,11 +26,21 @@ from compbase import (
     matrix_model,
     models,
 )
-from compbase.compatibility import _absorbs, _complement_escapes
-from compbase.compression import _is_effect
+from compbase.compatibility import (
+    _absorbs,
+    _complement_escapes,
+    _interval_characterization_clause,
+    restricted_base,
+)
+from compbase.compression import (
+    _extend_basis,
+    _is_effect,
+    retraction_certificate,
+    validate_compression_base,
+)
 from compbase.effect_algebra import MackeyTriple
 from compbase.models import UnboundedIntervalError
-from compbase.reporting import Sample, jsonable, law
+from compbase.reporting import Report, Sample, jsonable, law
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO / "models"
@@ -949,3 +959,61 @@ def sampled_direct(structure, endo, cfg):
         lambda e: structure.leq(endo.apply(e), e),
         exact=False,
     )
+
+
+def full_focus_search(model):
+    """enumerate_retractions by the search it had before [0, p] stopped at
+    full rank: all of [0, p] at every focus p, and every candidate tried.
+    Its oracle on finite models."""
+
+    if model.unit.is_zero():
+        return (retraction_certificate(model, models.zero_endo(model)),)
+    effects = model.interval()
+    spanning = [e.coords for e in effects]
+    if len(_extend_basis([], spanning, model.dim)) < model.dim:
+        raise ValueError("interval does not span the rational carrier")
+    certs = []
+    for p in effects:
+        below = [e.coords for e in effects if model.leq(e, p)]
+        fixed = _extend_basis([], below, model.dim)
+        basis = _extend_basis(fixed, spanning, model.dim)
+        adj, det = linalg.invert(linalg.transpose(basis))
+        w = linalg.mat_vec(adj, model.unit.coords)
+        target = tuple(det * x for x in p.coords)
+        for free in product(below, repeat=model.dim - len(fixed)):
+            phi = linalg.transpose(fixed + list(free))
+            if linalg.mat_vec(phi, w) != target:
+                continue
+            m = linalg.mat_mul(phi, adj)
+            if any(x % det for row in m for x in row):
+                continue
+            m = tuple(tuple(x // det for x in row) for row in m)
+            cert = retraction_certificate(model, Endomorphism(model, m))
+            if cert.valid:
+                certs.append(cert)
+    certs.sort(key=lambda c: (c.focus.sort_key(), c.endo.matrix))
+    return tuple(certs)
+
+
+def unshared_substructure_report(base, v, kind):
+    """substructure_report as it was before a base shared the validations
+    of equal substructures: both validation stacks run afresh for every
+    (kind, focus).  Its oracle, report for report."""
+
+    sub = (image_substructure if kind == "image" else commutant_substructure)(base, v)
+    parent = base.structure
+    clauses = [
+        law(
+            "projector_idempotent",
+            (sub.projector,),
+            lambda pr: endo_equal(parent, compose(pr, pr), pr),
+            witness=lambda pr: None,
+        ),
+        _interval_characterization_clause(base, sub),
+    ]
+    rbase = restricted_base(base, sub)
+    clauses.append(law("restricted_foci_members", rbase.foci, sub.is_member, witness="focus"))
+    rep = Report(f"{kind} substructure", clauses)
+    rep.extend(models.validate_unital_group(sub))
+    rep.extend(validate_compression_base(rbase))
+    return sub, rbase, rep

@@ -13,18 +13,21 @@ from compbase import (
     BATTERY_CONDITIONS,
     CompatReport,
     EffectAlgebra,
+    Endomorphism,
     MatrixModel,
     MeetUndefinedError,
     MembershipError,
     SubEffectAlgebra,
     SymMat,
     Vec,
+    base_from_family,
     base_from_projections,
     commutant_absorption_check,
     commutant_substructure,
     compat_battery,
     compose,
     conjugate,
+    conjugation_endo,
     direct_product_report,
     image_substructure,
     in_commutant,
@@ -41,6 +44,7 @@ from compbase import (
     zero_endo,
 )
 from compbase.effect_algebra import mackey_triples
+from compbase.reporting import render_json
 from conftest import (
     FIXTURES_DIR,
     MODELS_DIR,
@@ -48,6 +52,7 @@ from conftest import (
     draw_signed,
     interval_sweep_equal,
     signed_box,
+    unshared_substructure_report,
 )
 
 DIAG0 = SymMat.from_rows([[1, 0], [0, 0]])
@@ -235,17 +240,25 @@ def test_substructure_universes_are_cut_once(bundled):
         assert sub.positive_universe(2) != sub.interval()
 
 
-@pytest.mark.parametrize("name", ["m1", "m5"])
+# declared foci k, and the distinct substructures among the 2k (kind, focus)
+# sections: C(v) = C(u - v), and image(u) = C(0) = C(u) is the whole group
+FOCI_AND_DISTINCT_SUBSTRUCTURES = {"m1": (4, 4), "m5": (4, 4), "m3": (6, 8), "m4": (12, 17)}
+
+
+@pytest.mark.parametrize("name", list(FOCI_AND_DISTINCT_SUBSTRUCTURES))
 def test_report_builds_one_substructure_per_kind_and_focus(name, monkeypatch, capsys):
     # the substructure and product sections of each focus share the image
-    # and commutant substructures; every validation still runs once per
-    # report section: the declared base, then each (focus, kind) substructure
+    # and commutant substructures; the validations run once for the
+    # declared base, then once per distinct substructure and restricted base
     built = []
     real = compatibility.Substructure
 
     def counted_substructure(*args, **kwargs):
         sub = real(*args, **kwargs)
-        built.append((sub.kind, sub.v))
+        # on a matrix model, only those of the declared base carry premises;
+        # the base of all projections keeps nothing and builds on each ask
+        if sub.finite or sub.premises:
+            built.append((sub.kind, sub.v))
         return sub
 
     monkeypatch.setattr(compatibility, "Substructure", counted_substructure)
@@ -267,9 +280,39 @@ def test_report_builds_one_substructure_per_kind_and_focus(name, monkeypatch, ca
 
     assert cli.main(["report", str(MODELS_DIR / f"{name}.json"), "--samples", "8"]) == 0
     capsys.readouterr()
-    k = 4  # declared foci
+    k, distinct = FOCI_AND_DISTINCT_SUBSTRUCTURES[name]
     assert len(set(built)) == len(built) == 2 * k
-    assert calls == {"unital": 1 + 2 * k, "base": 1 + 2 * k}
+    assert calls == {"unital": 1 + distinct, "base": 1 + distinct}
+
+
+def _planted_complement_base():
+    """The four diagonal projections of MatrixModel(2), each with its
+    conjugation, but J_{diag(0,1)} claims the conjugator 0: its stored
+    matrix no longer matches it, so the premises of both commutants fail."""
+
+    model = MatrixModel(2)
+    maps = {p: conjugation_endo(model, p) for p in (model.zero, DIAG0, DIAG1, model.unit)}
+    stray = maps[DIAG1]
+    maps[DIAG1] = Endomorphism(model, stray.matrix, stray.den, model.zero)
+    return base_from_family(model, maps.items())
+
+
+def test_failing_premises_keep_a_substructure_its_own_validations():
+    # C(diag(1,0)) and C(diag(0,1)) share a projector, unit and restricted
+    # foci, but their first unmet premises differ; a report shares a
+    # validation only between substructures whose premises all hold
+    shared, unshared = _planted_complement_base(), _planted_complement_base()
+    texts = {}
+    for v in shared.foci:
+        for kind in ("image", "commutant"):
+            got = render_json(substructure_report(shared, v, kind)[2])
+            assert got == render_json(unshared_substructure_report(unshared, v, kind)[2])
+            texts[kind, v] = got
+    c0, c1 = (commutant_substructure(shared, v) for v in (DIAG0, DIAG1))
+    assert (c0.projector, c0.unit) == (c1.projector, c1.unit)
+    assert texts["commutant", DIAG0] != texts["commutant", DIAG1]
+    assert '"premise": "complement_matrix_matches_conjugator"' in texts["commutant", DIAG0]
+    assert '"premise": "matrix_matches_conjugator"' in texts["commutant", DIAG1]
 
 
 def test_meet_of_nested_foci(bundled):

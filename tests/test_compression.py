@@ -34,7 +34,14 @@ from compbase import (
 )
 from compbase import compatibility, compression, linalg
 from compbase.cli import main
-from conftest import FIXTURES_DIR, LATTICE, MODELS_DIR, corner_model, seeded_cones
+from conftest import (
+    FIXTURES_DIR,
+    LATTICE,
+    MODELS_DIR,
+    corner_model,
+    full_focus_search,
+    seeded_cones,
+)
 
 
 def test_declared_compressions_are_retractions(bundled):
@@ -219,6 +226,39 @@ def test_focus_first_search_matches_exhaustive_oracle(cone):
     assume(len(interval) <= 30)
     got = _census(enumerate_retractions, model)
     assert got == _census(exhaustive_retractions, model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone=seeded_cones())
+@example(cone=([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 2, 2)))
+@example(cone=([(1, 0), (0, 1)], (30, 30)))
+def test_full_rank_stop_matches_the_full_focus_search(cone):
+    # a focus other than u whose [0, p] reaches full rank is passed over;
+    # the search that built all of [0, p] at every focus finds the same
+    rows, unit = cone
+    model = LatticeConeModel(len(unit), tuple(rows), Vec(unit))
+    try:
+        model.interval()
+    except NotEnumerableError:
+        assume(False)
+    assert _census(enumerate_retractions, model) == _census(full_focus_search, model)
+
+
+def test_full_rank_stop_reads_a_short_prefix_of_the_interval(monkeypatch):
+    # Z^2 with unit (30,30): [0, p] reaches full rank within the first few
+    # effects of every p off the two axes, so the search asks 91,269 order
+    # questions, where a full [0, p] at every focus asks |E|^2 = 961^2
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((30, 30)))
+    asked = []
+    real = LatticeConeModel.leq
+
+    def counted(self, a, b):
+        asked.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(LatticeConeModel, "leq", counted)
+    assert len(enumerate_retractions(model)) == 4
+    assert len(asked) < 961 * 961 // 8
 
 
 @pytest.mark.parametrize("unit,retractions,budget", [((3, 3, 3), 8, 64), ((8, 8), 4, 32)])

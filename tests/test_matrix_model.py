@@ -212,6 +212,31 @@ def test_memoized_order_matches_is_psd(pair):
     assert models._matrix_leq.cache_info().hits == hits + 1
 
 
+def test_report_m4_runs_is_psd_once_per_distinct_order_question(monkeypatch, capsys):
+    """report m4 --samples 8 asks 402 distinct order questions (a <= b, or
+    0 <= g for is_positive), fewer than the ORDER_CAP entries the memo
+    keeps, so none is evicted and is_psd runs once for each."""
+    models._matrix_leq.cache_clear()
+    asked = set()
+    psd = []
+    memo, real_psd = models._matrix_leq, linalg.is_psd
+
+    def leq(a, b):
+        asked.add((a, b))
+        return memo(a, b)
+
+    def is_psd(m):
+        psd.append(m)
+        return real_psd(m)
+
+    monkeypatch.setattr(models, "_matrix_leq", leq)
+    monkeypatch.setattr(linalg, "is_psd", is_psd)
+    assert main(["report", str(MODELS_DIR / "m4.json"), "--samples", "8"]) == 0
+    capsys.readouterr()
+    assert len(asked) < models.ORDER_CAP
+    assert len(psd) == len(asked)
+
+
 def test_order_memo_cuts_psd_tests_not_draws(monkeypatch, capsys):
     """theorems m4 --samples 8 --seed 1: same draws and streams, fewer PSD tests.
 

@@ -215,7 +215,7 @@ def test_matrix_facts_are_decided_once():
     assert len(counts["apply"]) == n * n and set(counts["apply"].values()) == {1}
     assert len(counts["sub"]) == n and set(counts["sub"].values()) == {1}
     assert set(counts["projection"].values()) == {1}
-    assert len(counts["projection"]) < models.CACHE_SIZE
+    assert len(counts["projection"]) < matrix_model.CACHE_SIZE
     assert sum(counts["psd"].values()) <= len(counts["leq"])
 
 
