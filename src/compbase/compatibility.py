@@ -25,16 +25,21 @@ effect below an element x takes its effects from the down-set [0, x]
 (models.down_set), in the order of the full sweep.  One status rule holds
 for the theorem sweeps: a declared base decides them (pass), a sampled
 base certifies them.
-On a lattice structure the laws over all of G whose premise and conclusion
-are cone or subspace conditions (commutant absorption, the morphism order,
-the product laws) are decided on the generators of those cones
-(models.cone_cases), so a failing generator is an element witness.  On a
-matrix structure the laws quantified over effects or elements are decided
-per focus by rules derived from exactly checked premises (those the base
-keeps for it, compression.focus_premises, or those of a single-map check
-such as kernel_complement_check), in the substructure and product
-sections too, so a declared matrix base draws nothing.  The one exception
-is battery_agreement on a declared matrix base with a focus that is not a
+Four laws follow at each focus p from J_p being a retraction with focus
+p, and have one rule for both kinds: family_shape, omp_sharp,
+omp_principal and interval_characterization are derived from the premises
+the base keeps for p (compression.focus_premises): the retraction checks
+of its certificate on a lattice, its conjugator's clauses on a matrix
+structure.  On a lattice structure the laws over all of G whose premise
+and conclusion are cone or subspace conditions (commutant absorption, the
+morphism order, the product laws) are decided on the generators of those
+cones (models.cone_cases), so a failing generator is an element witness.
+On a matrix structure the other laws quantified over effects or elements
+are decided per focus by rules derived from exactly checked premises
+(focus_premises, or those of a single-map check such as
+kernel_complement_check), in the substructure and product sections too,
+so a declared matrix base draws nothing.  The one exception is
+battery_agreement on a declared matrix base with a focus that is not a
 projection, which is certified.
 
 A CompatReport is a frozen value (value.Value) compared by fields; a
@@ -579,60 +584,22 @@ def _interval_characterization_clause(base: CompressionBase, sub: Substructure) 
     effect below v and one below u - v are members, and every member effect
     splits that way under J_v and J_{u-v}.
 
-    A finite parent sweeps its interval; a matrix parent with unit u derives
-    both from focus_premises.  Image: e = v e v <= v u v = v, and e <= v gives
-    e = v e v (retraction_certificate).  Commutant: a = v a v and
-    b = (u-v) b (u-v) with v (u-v) = 0, so J_v + J_{u-v} fixes a + b <= u;
-    a member effect is v e v + (u-v) e (u-v), each term an effect.
+    Both are derived from focus_premises of J_v (and J_{u-v}), retractions
+    with focus v (and u - v); a member is a point the projector fixes.
+    Image: J_v fixes e <= v, and J_v e = e gives e = J_v e <= J_v u = v.
+    Commutant: a <= v and b <= u - v give J_v a = a and
+    0 <= J_v b <= J_v (u - v) = 0, and likewise J_{u-v} b = b and
+    J_{u-v} a = 0, so J_v + J_{u-v} fixes a + b <= u; a member effect is
+    J_v e + J_{u-v} e, the first below v and the second below u - v.
     """
 
-    parent = base.structure
-    v = sub.v
     image = sub.kind == "image"
-    if not parent.finite:
-        premises = focus_premises(base, v, focus=True, comp=not image)
-        note = "e = v e v iff e <= v" if image else "member effects are a + b, a <= v, b <= u - v"
-        return derived("interval_characterization", premises, note)
+    premises = focus_premises(base, sub.v, focus=True, comp=not image)
     if image:
-        return law(
-            "interval_characterization",
-            parent.interval(),
-            lambda e: sub.is_member(e) == parent.leq(e, v),
-            witness="effect",
-            note="membership in the image coincides with lying below v",
-        )
-
-    comp = parent.unit - v
-    jv = base.j(v)
-    jc = base.j(comp)
-
-    def splits(e) -> bool:
-        x = jv.apply(e)
-        y = jc.apply(e)
-        return (
-            _is_effect(parent, x)
-            and _is_effect(parent, y)
-            and parent.leq(x, v)
-            and parent.leq(y, comp)
-            and x + y == e
-        )
-
-    interval = parent.interval()
-    los = down_set(parent, v)
-    his = down_set(parent, comp)
-
-    def holds(case):
-        if len(case) == 2:
-            return sub.is_member(case[0] + case[1]) or {"e1": case[0], "e2": case[1]}
-        e = case[0]
-        return not sub.is_member(e) or splits(e) or {"effect": e}
-
-    cases = itertools.chain(itertools.product(los, his), zip(interval))
-    note = "commutant effects are exactly sums from below v and below u - v"
-    clause = law("interval_characterization", cases, holds, note=note)
-    if not clause.ok:
-        clause.note = ""
-    return clause
+        note = "J_v e = e iff e <= v" if base.structure.finite else "e = v e v iff e <= v"
+    else:
+        note = "member effects are a + b, a <= v, b <= u - v"
+    return derived("interval_characterization", premises, note)
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +767,11 @@ def direct_product_report(base: CompressionBase, v) -> Report:
 def omp_report(base: CompressionBase) -> Report:
     """Orthomodular poset laws for the foci of a base.
 
-    Declared bases quantify over their foci, with the interval-quantified
-    clauses (sharpness and principality) swept exhaustively on finite
-    structures and derived per focus on the matrix model.  An intensional
-    base is checked entirely on sampled projections, and its clauses draw,
-    in order, from one stream of the config it keeps, opened only there.
+    Declared bases quantify over their foci; the interval-quantified
+    clauses (sharpness and principality) are derived per focus on both
+    kinds (_focus_derived).  An intensional base is checked entirely on
+    sampled projections, and its clauses draw, in order, from one stream
+    of the config it keeps, opened only there.
     """
 
     rng, n = None, 0
@@ -950,67 +917,41 @@ def _omp_orthomodular(base: CompressionBase, n: int, rng) -> Clause:
 
 
 def _focus_derived(name: str, base: CompressionBase, n: int, rng, note: str) -> Clause:
-    """A law over the foci p of a matrix base, each decided from the
-    focus_premises of J_p; an intensional base draws projections."""
+    """A law over the foci p of a base, each decided from focus_premises of
+    J_p: its conjugator's on a matrix base, its retraction certificate on a
+    lattice base.  An intensional base draws projections."""
 
     def holds(p):
         res = derived(name, focus_premises(base, p, focus=True), note)
         return res.ok or {"p": p, **res.witness}
 
-    dim = base.structure.carrier.dim
+    structure = base.structure
+    dim = structure.carrier.dim
     foci = base.cases(1, lambda _: Sample(n, lambda: matrix_model.draw_projection(dim, rng)))
-    return law(name, foci, holds, note=note + "; decided from each conjugator")
+    source = "retraction certificate" if structure.finite else "conjugator"
+    return law(name, foci, holds, note=f"{note}; decided from each {source}")
 
 
 def _omp_sharp(base: CompressionBase, n: int, rng) -> Clause:
     """No nonzero effect sits below both a focus p and u - p.
 
-    A finite structure sweeps every focus against the interval.  On a
-    matrix structure with unit v, e <= p gives e = p e p (as in
-    retraction_certificate), and e <= v - p gives p e p <= p (v-p) p = 0.
+    J = J_p is a retraction with focus p (focus_premises): an effect e
+    below p and u - p has e = J e <= J(u - p) = p - p = 0.
     """
 
-    structure = base.structure
-    leq = structure.leq
     note = "no nonzero effect sits below both p and its complement"
-    if not structure.finite:
-        return _focus_derived("omp_sharp", base, n, rng, note)
-
-    def holds(pe) -> bool:
-        p, e = pe
-        return not (leq(e, p) and leq(e, structure.unit - p) and e != structure.zero)
-
-    cases = itertools.product(base.foci, structure.interval())
-    return law("omp_sharp", cases, holds, witness=("p", "effect"), note=note)
+    return _focus_derived("omp_sharp", base, n, rng, note)
 
 
 def _omp_principal(base: CompressionBase, n: int, rng) -> Clause:
     """Effects e, f below a focus p with e + f defined have e + f <= p.
 
-    A finite structure sweeps every focus p against the pairs from [0, p]^2
-    (models.down_set), the only pairs the premise admits.
-    On a matrix structure with unit v, e, f <= p give e = p e p and
-    f = p f p, so e + f = p (e + f) p <= p v p = p.
+    J = J_p is a retraction with focus p (focus_premises): it fixes e and
+    f, and e + f <= u gives e + f = J(e + f) <= J u = p.
     """
 
-    structure = base.structure
-    leq = structure.leq
     note = "defined sums of effects below p stay below p"
-    if not structure.finite:
-        return _focus_derived("omp_principal", base, n, rng, note)
-
-    # the pairs from [0, p]^2, in the order of a sweep of all of E^2
-    cases = (
-        (p, ef) for p in base.foci for ef in itertools.product(down_set(structure, p), repeat=2)
-    )
-    return law(
-        "omp_principal",
-        cases,
-        lambda pef: leq(pef[1][0] + pef[1][1], pef[0]),
-        lambda pef: leq(pef[1][0] + pef[1][1], structure.unit),
-        witness=lambda pef: {"p": pef[0], "e": pef[1][0], "f": pef[1][1]},
-        note=note,
-    )
+    return _focus_derived("omp_principal", base, n, rng, note)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,30 +1026,18 @@ def _zero_unit_clause(base: CompressionBase) -> Clause:
 def _family_shape_clause(base: CompressionBase) -> Clause:
     """Idempotence, focus fixing, and complement killing for each member.
 
-    A finite structure sweeps the effects below u - p (models.down_set).
-    On a matrix structure with unit v the three laws are derived from
-    focus_premises of J_p: J_p J_p is conjugation by p^2 = p,
-    J_p(p) = p^3 = p, and an effect e <= v - p gives
-    0 <= p e p <= p (v-p) p = 0.
+    Each is derived from focus_premises of J = J_p, a retraction with focus
+    p.  J maps the interval E into [0, p] (0 <= J e <= J u = p) and fixes
+    [0, p], so J J = J on E, which generates G; J fixes p; and an effect
+    e <= u - p has 0 <= J e <= J(u - p) = p - p = 0.
     """
-
-    structure = base.structure
 
     def sample(cfg):
         return _projections(base, cfg, "theorem:family", max(4, isqrt(cfg.samples)))
 
     def shaped(p):
-        j = base.j(p)
-        if not structure.finite:
-            res = derived("family_shape", focus_premises(base, p, focus=True), "")
-            return res.ok or {"focus": p, **res.witness}
-        if not endo_equal(structure, compose(j, j), j):
-            return {"focus": p, "law": "idempotent"}
-        if j.apply(p) != p:
-            return {"focus": p, "law": "fixes_focus"}
-        below = down_set(structure, structure.unit - p)
-        bad = next((e for e in below if j.apply(e) != structure.zero), None)
-        return bad is None or {"focus": p, "law": "kills_complement", "effect": bad}
+        res = derived("family_shape", focus_premises(base, p, focus=True), "")
+        return res.ok or {"focus": p, **res.witness}
 
     return law(
         "family_shape",

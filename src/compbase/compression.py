@@ -19,7 +19,11 @@ base's per-focus laws, the kernel exchange, normality and directness are
 derived exactly (pass) from exactly checked premises, so a declared matrix
 base draws no effects; a base keeps the premises of each focus once
 (focus_premises), and the single-map checks it runs (the retraction
-certificate, is_compression, kernel_complement_check) take them.
+certificate, is_compression, kernel_complement_check) take them.  Each
+focus's certificate and compression law are decided once per base and
+kept (focus_certificate): 01_compression_base reads them on both kinds,
+and on a lattice base their retraction checks are the premises the
+per-focus theorem laws are derived from.
 
 Certificates are frozen values (value.Value) compared by fields; a
 CompressionBase is frozen but compared and hashed by identity, since the
@@ -197,12 +201,22 @@ def _complement_premises(structure, endo: Endomorphism, comp: Endomorphism) -> l
 
 
 def focus_premises(base, p, *, focus: bool = False, comp: bool = False) -> tuple:
-    """The premises a law derived at the focus p uses: _focus_premises of J_p
-    (its _conjugator_clauses first), conjugator_is_focus when focus, and
-    _complement_premises of J_{u-p} when comp.  A declared base checks each
-    part once per focus and keeps it."""
+    """The premises a law derived at the focus p uses: that J_p is a
+    retraction, with focus p when focus, and with comp the same of J_{u-p}.
+
+    On a lattice structure they are the retraction checks of the
+    focus_certificate of p (and of u - p), whose declared focus is p, so
+    focus is implied; no rule derived from them reads the compression law.
+    On a matrix structure with unit v they are _focus_premises of J_p (its
+    _conjugator_clauses first), conjugator_is_focus when focus, and
+    _complement_premises of J_{u-p} when comp: p is a symmetric idempotent
+    with p v = p, so g -> p g p is a retraction (retraction_certificate).
+    A declared base checks each part once per focus and keeps it."""
 
     structure = base.structure
+    if structure.finite:
+        premises = focus_certificate(base, p)[:-1]
+        return premises + focus_certificate(base, base.complement(p))[:-1] if comp else premises
     j = base.j(p)
 
     def own_premises():
@@ -215,6 +229,22 @@ def focus_premises(base, p, *, focus: bool = False, comp: bool = False) -> tuple
         jc = base.j(base.complement(p))
         premises += base.kept(("complement", p), lambda: (*_complement_premises(structure, j, jc),))
     return premises
+
+
+def focus_certificate(base, p) -> tuple:
+    """The checks of J_p's retraction certificate with declared focus p,
+    then its compression clause: all that 01_compression_base asks of the
+    focus p (_family_clause).  A declared base decides them once per focus
+    and keeps them under ("certificate", p); a matrix base derives them
+    from the premises it keeps (focus_premises)."""
+
+    def build():
+        structure, j = base.structure, base.j(p)
+        premises = None if structure.finite else focus_premises(base, p)
+        cert = retraction_certificate(structure, j, p, premises and premises[:2])
+        return (*(c for _, c in cert.checks), is_compression(structure, j, premises))
+
+    return base.kept(("certificate", p), build)
 
 
 def _is_effect(structure, x) -> bool:
@@ -482,7 +512,10 @@ class CompressionBase(Value):
       ("battery", p, q)               the CompatReport of (p, q);
       ("focus_maps",)                 every J_s read as a map of the
                                       structure, for the common-focus test;
-      ("premises", p)                 the premises of J_p (focus_premises);
+      ("certificate", p)              J_p's certificate checks and
+                                      compression law (focus_certificate);
+      ("premises", p)                 on a matrix structure, the premises
+                                      of J_p (focus_premises);
       ("complement", p)               those of J_{u-p} as its complement;
       ("supplement", p)               u - p itself (complement);
       ("projections",)                are all foci and the unit projections?
@@ -729,14 +762,8 @@ def _family_clause(base: CompressionBase) -> Clause:
     structure = base.structure
 
     def compression_at(p):
-        premises = None if structure.finite else focus_premises(base, p)
-        conjugator = premises and premises[:2]
-        cert = retraction_certificate(structure, base.j(p), declared_focus=p, premises=conjugator)
-        bad = next((c for _, c in cert.checks if not c.ok), None)
-        if bad is not None:
-            return {"focus": p, "check": bad.name, "witness": bad.witness}
-        comp = is_compression(structure, base.j(p), premises)
-        return comp.ok or {"focus": p, "check": "compression", "witness": comp.witness}
+        bad = next((c for c in focus_certificate(base, p) if not c.ok), None)
+        return bad is None or {"focus": p, "check": bad.name, "witness": bad.witness}
 
     def sample(cfg):
         dim, rng = structure.carrier.dim, cfg.rng("base:family")

@@ -12,6 +12,7 @@ from compbase import (
     CheckConfig,
     Endomorphism,
     LatticeConeModel,
+    MembershipError,
     SymMat,
     Vec,
     base_from_family,
@@ -19,6 +20,7 @@ from compbase import (
     compose,
     conjugate,
     endo_equal,
+    endo_from_int_matrix,
     enumerate_retractions,
     image_substructure,
     load_model,
@@ -49,6 +51,12 @@ FIXTURES_DIR = MODELS_DIR / "fixtures"
 BUNDLED = ("m1", "m2", "m3", "m4", "m5")
 LATTICE = ("m1", "m2", "m5")
 MATRIX = ("m3", "m4")
+LATTICE_FIXTURES = (
+    "corrupt_focus_outside_interval",
+    "corrupt_missing_closure",
+    "corrupt_nonnormal_foci",
+    "corrupt_swapped_foci",
+)
 
 
 @pytest.fixture(scope="session")
@@ -126,6 +134,38 @@ def corner_model(unit) -> dict:
     cone = [[int(i == j) for j in range(dim)] for i in range(dim)]
     return {"kind": "lattice_cone", "dim": dim, "cone_rows": cone, "unit": list(unit),
             "compressions": compressions}
+
+
+def corner_base(unit):
+    """The declared base of corner_model(unit)."""
+
+    doc = corner_model(unit)
+    model = LatticeConeModel(len(unit), tuple(map(tuple, doc["cone_rows"])), Vec(tuple(unit)))
+    family = [
+        (Vec(tuple(c["focus"])), endo_from_int_matrix(model, c["matrix"]))
+        for c in doc["compressions"]
+    ]
+    return base_from_family(model, family)
+
+
+def focus_substructures(base):
+    """The image and the commutant of every focus of a declared base, where
+    they exist: a commutant needs the complement of its focus as a focus."""
+
+    for v in base.foci:
+        for build in (image_substructure, commutant_substructure):
+            try:
+                yield build(base, v)
+            except MembershipError:
+                continue
+
+
+def with_restricted_bases(base):
+    """The base, then the restricted base of each of its focus_substructures."""
+
+    yield base
+    for sub in focus_substructures(base):
+        yield restricted_base(base, sub)
 
 
 def minors_gcd_index(vectors, dim: int) -> int:
@@ -722,11 +762,55 @@ def cone_leq(structure):
     return lambda a, b: structure.is_positive(b - a)
 
 
+def full_family_shape(base):
+    """family_shape by the sweep it had before it was derived: each member
+    is idempotent, fixes its focus and kills every effect below u - p.
+    The oracle of compatibility._family_shape_clause on finite bases."""
+
+    structure = base.structure
+    leq = cone_leq(structure)
+
+    def shaped(p):
+        j = base.j(p)
+        if not endo_equal(structure, compose(j, j), j):
+            return {"focus": p, "law": "idempotent"}
+        if j.apply(p) != p:
+            return {"focus": p, "law": "fixes_focus"}
+        below = (e for e in structure.interval() if leq(e, structure.unit - p))
+        bad = next((e for e in below if j.apply(e) != structure.zero), None)
+        return bad is None or {"focus": p, "law": "kills_complement", "effect": bad}
+
+    note = "each member is idempotent, fixes its focus, kills below the complement"
+    return law("family_shape", base.foci, shaped, tally=True, note=note)
+
+
+def full_omp_sharp(base):
+    """omp_sharp by the sweep it had before it was derived: every focus p
+    against every interval element e, which must not lie below both p and
+    u - p unless it is zero.  The oracle of compatibility._omp_sharp on
+    finite bases."""
+
+    structure = base.structure
+    leq = cone_leq(structure)
+
+    def holds(pe) -> bool:
+        p, e = pe
+        return not (leq(e, p) and leq(e, structure.unit - p) and e != structure.zero)
+
+    return law(
+        "omp_sharp",
+        product(base.foci, structure.interval()),
+        holds,
+        witness=("p", "effect"),
+        note="no nonzero effect sits below both p and its complement",
+    )
+
+
 def full_omp_principal(base):
     """omp_principal by the sweep it had before its premise came first:
     every focus against every pair of interval elements, keeping those with
     e, f <= p and e + f <= u.  The oracle of compatibility._omp_principal
-    on finite declared bases."""
+    on finite bases."""
 
     structure = base.structure
     leq = cone_leq(structure)
@@ -767,8 +851,8 @@ def full_mackey_triples(structure, e, f) -> tuple:
 
 def full_interval_characterization(base, sub):
     """interval_characterization of a finite parent by the sweep it had
-    before its premises came first: the effects below v and below u - v
-    (commutant) are picked from the whole interval.  The oracle of
+    before it was derived, with the effects below v and below u - v
+    (commutant) picked from the whole interval.  The oracle of
     compatibility._interval_characterization_clause on finite parents."""
 
     parent = base.structure

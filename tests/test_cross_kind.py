@@ -2,10 +2,11 @@
 
 Z^n with unit (1, ..., 1), based on its coordinate blocks, is the diagonal
 part of the n x n matrix model based on the 2^n diagonal 0/1 projections.
-The two kinds reach their verdicts by different routes: the lattice sweeps
-its intervals exhaustively, the matrix model decides its laws from the
-conjugator of each focus.  Every compat-table bit and every theorem clause
-must still come out the same.
+The two kinds reach their verdicts by different routes: the lattice decides
+its laws on its interval, its cone generators or each focus's retraction
+certificate, the matrix model from the conjugator of each focus.  Every
+compat-table bit and every theorem clause must still come out the same,
+and the laws both kinds derive per focus count the same foci.
 """
 
 import json
@@ -16,6 +17,9 @@ import pytest
 from compbase import load_model, theorem_report
 from compbase.cli import main
 from conftest import corner_model
+
+# the theorem clauses both kinds derive per focus, one case per focus
+PER_FOCUS = ("family_shape", "omp_sharp", "omp_principal")
 
 
 def _diag(bits):
@@ -51,8 +55,12 @@ def test_standard_cone_and_diagonal_matrices_agree(n, tmp_path, capsys):
 
     def clauses(path):
         _, base = load_model(path)
-        return [(c.name, c.ok, c.status) for c in theorem_report(base).clauses]
+        return [
+            (c.name, c.ok, c.status, c.checked if c.name in PER_FOCUS else None)
+            for c in theorem_report(base).clauses
+        ]
 
     lattice_clauses = clauses(lattice)
     assert lattice_clauses == clauses(matrix)
-    assert {status for _, _, status in lattice_clauses} == {"pass"}
+    assert {status for _, _, status, _ in lattice_clauses} == {"pass"}
+    assert [checked for *_, checked in lattice_clauses if checked is not None] == [2**n] * 3

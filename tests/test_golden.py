@@ -31,11 +31,11 @@ from conftest import FIXTURES_DIR, MODELS_DIR
 CONFIG = ["--samples", "8", "--seed", "0"]
 
 REPORT_SHA256 = {
-    "m1": "19d89f7b3b4a9a6da226bd9e0dc87ba62ac2c1f593a2b430751e132238b550f0",
-    "m2": "522da6a1bbbd298630ec2960ba13e6f875a247776451df0c4637bf4940231f2e",
+    "m1": "c4656117d9c32156545ecb15d1ed57ae4f6050d2230f7039a4286cf129f8ac29",
+    "m2": "fe14df9c5d0de42498f5cadbf7cb4361f86a1e68dfb09713671c91c07be9cf3b",
     "m3": "7877b6eea1a77c8ad1c030de8076495e2541ac512b80981eab7e9e779a508b69",
     "m4": "4536fe4bdfe9e764f0bea65e758b7cec4110533f399749c57efdd046f35d7067",
-    "m5": "07ea3f327e130523706b446b424ff77239b921ea7c0f9335a713c6081f31d857",
+    "m5": "0ae0874f8bc940b4b334b39704bb8b863091b5508e8c3668067ba7602c5c1765",
 }
 
 VALIDATE_SHA256 = {
@@ -65,12 +65,12 @@ MATRIX_SEED1_SHA256 = {
 LIBRARY_CFG = CheckConfig(samples=8, seed=0)
 
 FIXTURE_THEOREMS_SHA256 = {
-    "corrupt_focus_outside_interval": "afb13a7b38b58221b420b5cb408bc7a2d967cef84c4922f472ac57ed482c5112",
+    "corrupt_focus_outside_interval": "67756d43fba8302fe5a9d4a3019195f866e6cac2d448ac8f300eb15922fb1d42",
     "corrupt_matrix_half_focus": "eb4da2037db3f41cb535d346138cf460b11d1aee8ba6727fe8b8c8992f2617dc",
     "corrupt_matrix_missing_complement": "3d7fe0e40119d3b8b03098a06fb9fe0604c9b91f123dc1df94cd06b3b537e532",
-    "corrupt_missing_closure": "b6368b99a67f4dc161892c6900fadd104d4a3faeb0de1e65293d6eaf7b8c531a",
-    "corrupt_nonnormal_foci": "ce605cf7ecb92d118ca04d5b7ecba45e5dfe320c1527468712815a8e9fcffe64",
-    "corrupt_swapped_foci": "3c02637ac6aba54ee44410235984119df8af337bf944e1c068226fbb621416d8",
+    "corrupt_missing_closure": "699cb97feb056dce0ca9010d13992d7cfd9ee524b0149c91bab5d56e93087359",
+    "corrupt_nonnormal_foci": "1f8f7ef33ba93c0f2f866b38df4a7cba1df756a16bf5f8f7d457323489917e5a",
+    "corrupt_swapped_foci": "86f08a91583a3cbf1963bbf1bb59fb454ba91b49b1caff6fa6d965493d88dace",
 }
 
 # (report, d) -> sha256 on projection_base(MatrixModel(d)), the base of all
@@ -130,9 +130,9 @@ LATTICE_MODELS = {
 
 # report --seed 0 on each of LATTICE_MODELS
 LATTICE_REPORT_SHA256 = {
-    "z2-m5-5x-2": "b8b33b1760f01f14f906653da0a9aee088c24b49d271698a22085d6e272d8565",
-    "z2-std-3x5": "10289a619c1566ccd9afe117c922a7c52eef191a44a5b36b9e14a72196775fed",
-    "z3-std-1x1x1": "e84d76cea97686b2df81b6f75eebc72dfb1010675f23bc41ef7feab09786cbce",
+    "z2-m5-5x-2": "d917fb4b107a752b3ad30eb9cb176560cf727b1e3244bac0eb8ddab64784aa69",
+    "z2-std-3x5": "7c0d1b4a39c7ca7cb1a4e7a0c987733d0b05e58d3ac1d079ca3fafa231f0971e",
+    "z3-std-1x1x1": "1abb7db0751e2dfd76ee570072c7f46c1a66865a02ee7da210239323277cd067",
 }
 
 

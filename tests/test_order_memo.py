@@ -4,11 +4,10 @@ LatticeConeModel.leq answers each (a, b) once while it stays in the
 model's memo (_order, at most models.ORDER_CAP entries, cleared when full),
 and every substructure reads its carrier's memo.  These tests hold the
 memo to the cone test of b - a, before and after it fills, and hold the
-sweeps that now enumerate only the cases their order premise admits
-(omp_principal, the greatest-lower-bound test of the meet, Mackey triples
-over the interval, the commutant's interval characterization and the
-composition law) to the full-product sweeps they replaced (conftest),
-status, checked, witness and items alike.
+sweeps that now enumerate only the cases their order premise admits (the
+greatest-lower-bound test of the meet, Mackey triples over the interval
+and the composition law) to the full-product sweeps they replaced
+(conftest), status, checked, witness and items alike.
 """
 
 from __future__ import annotations
@@ -21,15 +20,12 @@ from hypothesis import example, given, settings, strategies as st
 from compbase import (
     EffectAlgebra,
     LatticeConeModel,
-    MembershipError,
     Vec,
     base_from_family,
     commutant_substructure,
-    endo_from_int_matrix,
     image_substructure,
     load_model,
     mackey_decompositions,
-    restricted_base,
     zero_endo,
 )
 from compbase import compatibility, compression, models
@@ -38,22 +34,16 @@ from compbase.models import ORDER_CAP, _in_cone
 from conftest import (
     FIXTURES_DIR,
     LATTICE,
+    LATTICE_FIXTURES,
     MODELS_DIR,
+    corner_base,
     corner_model,
     full_composition_clause,
     full_greatest_lower_bound,
-    full_interval_characterization,
     full_mackey_triples,
-    full_omp_principal,
     retraction_base,
     seeded_cones,
-)
-
-LATTICE_FIXTURES = (
-    "corrupt_focus_outside_interval",
-    "corrupt_missing_closure",
-    "corrupt_nonnormal_foci",
-    "corrupt_swapped_foci",
+    with_restricted_bases,
 )
 
 
@@ -124,35 +114,13 @@ def test_order_rejects_mixed_dimensions():
 # premise-first sweeps against the full products
 
 
-def _corner_base(unit):
-    doc = corner_model(unit)
-    model = LatticeConeModel(len(unit), tuple(map(tuple, doc["cone_rows"])), Vec(unit))
-    family = [
-        (Vec(tuple(c["focus"])), endo_from_int_matrix(model, c["matrix"]))
-        for c in doc["compressions"]
-    ]
-    return base_from_family(model, family)
-
-
-def _bases(base):
-    """The base and the restricted base of every image and commutant of its foci."""
-    yield base
-    for v in base.foci:
-        for build in (image_substructure, commutant_substructure):
-            try:
-                yield restricted_base(base, build(base, v))
-            except MembershipError:  # the complement of v escapes the base
-                continue
-
-
 def _fields(clause):
     return clause.status, clause.checked, clause.witness, clause.items, clause.note
 
 
 def assert_sweeps_match(base):
-    for b in _bases(base):
+    for b in with_restricted_bases(base):
         structure = b.structure
-        assert _fields(compatibility._omp_principal(b, 0, None)) == _fields(full_omp_principal(b))
         assert _fields(compression._composition_clause(b)) == _fields(
             full_composition_clause(b)
         )
@@ -170,14 +138,6 @@ def assert_sweeps_match(base):
             for pair in ((e, f), (f, e)):
                 want = full_mackey_triples(structure, *pair)
                 assert mackey_decompositions(algebra, *pair) == want, pair
-    for v in base.foci:
-        for build in (image_substructure, commutant_substructure):
-            try:
-                sub = build(base, v)
-            except MembershipError:
-                continue
-            got = compatibility._interval_characterization_clause(base, sub)
-            assert _fields(got) == _fields(full_interval_characterization(base, sub)), (v, sub.kind)
 
 
 @pytest.mark.parametrize("name", LATTICE)
@@ -191,7 +151,7 @@ def test_sweeps_match_the_full_products_on_fixtures(name):
 
 
 def test_sweeps_match_the_full_products_on_a_z3_grid():
-    assert_sweeps_match(_corner_base((3, 3, 3)))
+    assert_sweeps_match(corner_base((3, 3, 3)))
 
 
 @settings(max_examples=15, deadline=None)
@@ -203,17 +163,18 @@ def test_sweeps_match_the_full_products_on_seeded_cones(cone):
 def test_failing_sweeps_keep_their_witness_and_count():
     """Z^2 under the standard cone, unit (2, 2), with the foci 0, (1, 1)
     and u, each carrying the zero map: (1, 0) + (1, 0) is defined but not
-    below (1, 1), so omp_principal fails.  Its premise-first sweep stops at
-    the full product's case after the same count, as the composition law
-    and the commutant's interval characterization do on the fixtures that
-    fail them (assert_sweeps_match there)."""
+    below (1, 1), so omp_principal fails, now on the premise that breaks
+    it (the zero map's focus is not (1, 1)), as the commutant's interval
+    characterization does on the fixtures.  The composition law's
+    premise-first sweep stops at the full product's case after the same
+    count on the fixtures that fail it (assert_sweeps_match there)."""
 
     model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((2, 2)))
     foci = (Vec((0, 0)), Vec((1, 1)), Vec((2, 2)))
     base = base_from_family(model, [(f, zero_endo(model)) for f in foci])
     assert_sweeps_match(base)
     principal = compatibility._omp_principal(base, 0, None)
-    assert (principal.status, principal.witness["p"]) == ("fail", Vec((1, 1)))
+    assert principal.witness == {"p": Vec((1, 1)), "premise": "declared_focus_matches"}
     failed = {c.name for c in (principal, compression._composition_clause(base)) if not c.ok}
     for name in ("corrupt_focus_outside_interval", "corrupt_swapped_foci"):
         fixture = load_model(FIXTURES_DIR / f"{name}.json")[1]

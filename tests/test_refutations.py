@@ -32,6 +32,7 @@ from compbase import (
     meet,
 )
 from compbase import compatibility
+from conftest import full_family_shape
 
 Z2 = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((1, 1)))
 ZERO, P, Q, U = Vec((0, 0)), Vec((1, 0)), Vec((0, 1)), Vec((1, 1))
@@ -115,11 +116,16 @@ def test_zero_and_unit_maps_need_the_zero_focus():
     assert clause.witness == {"missing": "zero or unit focus"}
 
 
-def test_family_shape_refutes_a_map_that_is_not_idempotent():
+def test_family_shape_fails_a_map_that_is_not_idempotent_on_its_certificate():
+    """J_u = 2I sends u to 2u, outside the interval, so family_shape, now
+    derived from each focus's certificate, fails naming that premise; the
+    sweep it replaced refutes the map as not idempotent."""
+
     base = lattice_base((ZERO, KILL), (U, DOUBLE))
     clause = compatibility._family_shape_clause(base)
     assert not clause.ok
-    assert clause.witness == {"focus": U, "law": "idempotent"}
+    assert clause.witness == {"focus": U, "premise": "focus_in_interval"}
+    assert full_family_shape(base).witness == {"focus": U, "law": "idempotent"}
 
 
 def test_is_direct_names_the_unit_when_it_does_not_commute():
