@@ -323,8 +323,9 @@ class Substructure(Value):
     The generators of its cones are kept beside the bands (_cones,
     models.generators), and so are its down-sets (_below,
     models.down_set); its order is its carrier's, memo included (leq).
-    Its members are the points that every projector on the chain up to
-    the model fixes (equalities).
+    On a matrix parent, whose maps keep no image table, each membership
+    answer is kept too (_members).  Its members are the points that every
+    projector on the chain up to the model fixes (equalities).
     image_substructure and commutant_substructure build one substructure
     per (kind, v) once per base.  premises make the projector a congruence
     into [0, unit] (models._validate_matrix); a finite parent sweeps instead,
@@ -335,7 +336,7 @@ class Substructure(Value):
 
     __slots__ = (
         "parent", "kind", "v", "unit", "projector", "premises", "_bands", "_below", "_cones",
-        "_maps",
+        "_maps", "_members",
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -351,6 +352,7 @@ class Substructure(Value):
         object.__setattr__(self, "_below", {})
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_maps", {})
+        object.__setattr__(self, "_members", {})
 
     @property
     def finite(self) -> bool:
@@ -376,7 +378,15 @@ class Substructure(Value):
         return self.projector.apply(self.parent.project(g))
 
     def is_member(self, g) -> bool:
-        return self.parent.is_member(g) and self.projector.apply(g) == g
+        """g is a member of the parent that the projector fixes."""
+        if not self.parent.is_member(g):
+            return False
+        if self.finite:
+            return self.projector.apply(g) == g
+        known = self._members.get(g)
+        if known is None:
+            known = self._members[g] = self.projector.apply(g) == g
+        return known
 
     def is_positive(self, g) -> bool:
         return self.parent.is_positive(g)

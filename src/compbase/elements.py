@@ -6,7 +6,10 @@ built and compared in every hot loop: each hashes as the tuple of its
 fields and prints as Vec(coords=...) or SymMat(num=..., den=...). A Vec
 lives in Z^n. A SymMat is a symmetric rational d x d matrix stored as
 integer rows over one positive denominator in lowest terms, so `==` and
-`hash` are exact and the linalg kernels run on the stored ints.
+`hash` are exact and the linalg kernels run on the stored ints. The memos
+key on SymMats many times over, so a SymMat computes hash((num, den)) once
+in __init__ and keeps it in its _hash slot, which is no field: equality,
+repr, pickle and copy see num and den alone.
 
 Values are checked where they enter and trusted after that. Input from
 outside goes through the checking constructors: Vec(coords) raises
@@ -122,13 +125,14 @@ class SymMat(Value):
     `num` (a tuple of int tuples) is trusted to be square and symmetric.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1) -> None:
         if den != 1:
             num, den = linalg.lowest_terms(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", hash((num, den)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -136,7 +140,7 @@ class SymMat(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return self._hash
 
     @staticmethod
     def from_rows(rows) -> "SymMat":
@@ -192,7 +196,7 @@ class SymMat(Value):
         return tuple(x for row in self.rows for x in row)
 
     def _check(self, other: "SymMat") -> None:
-        if not isinstance(other, SymMat) or other.dim != self.dim:
+        if other.__class__ is not SymMat or len(other.num) != len(self.num):
             raise ValueError(
                 f"shape mismatch: expected SymMat of dim {self.dim}, got {other!r}"
             )

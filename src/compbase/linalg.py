@@ -8,12 +8,18 @@ integer matrices only (immutable tuples of tuples of ints, vectors flat
 tuples); a caller divides by its denominators, which scale every kernel
 out exactly.  Nothing in this module (or anywhere else in the package)
 touches floats.
+
+The fast paths keep every result: `combine` adds or subtracts two matrices
+over one denominator row by row with no lcm, `lowest_terms` and `is_psd`
+take one gcd over the flattened rows, and `is_psd` divides a Schur
+complement only by a gcd above 1.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 
@@ -33,7 +39,7 @@ def lowest_terms(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """rows / den (int tuples) with den > 0 sharing no factor with all the entries."""
     if not den:
         raise ZeroDivisionError("zero denominator")
-    g = gcd(den, *(x for row in rows for x in row))
+    g = gcd(den, *chain.from_iterable(rows))
     if den < 0:
         g = -g
     if g == 1:
@@ -42,7 +48,13 @@ def lowest_terms(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def combine(a, da: int, b, db: int, k: int = 1):
-    """a/da + k * b/db as integer rows over lcm(da, db), not reduced."""
+    """a/da + k * b/db as integer rows over lcm(da, db), not reduced.
+
+    A sum or difference over one denominator adds the rows entry by entry.
+    """
+    if da == db and (k == 1 or k == -1):
+        op = add if k == 1 else sub
+        return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b)), da
     den = lcm(da, db)
     fa, fb = den // da, k * (den // db)
     rows = tuple(tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -163,8 +175,9 @@ def is_psd(m) -> bool:
             return False
         col = [row.pop(piv) for row in a]
         a = [[d * x - f * y for x, y in zip(row, top)] for row, f in zip(a, col)]
-        g = gcd(*(x for row in a for x in row)) or 1
-        a = [[x // g for x in row] for row in a]
+        g = gcd(*chain.from_iterable(a))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
     return True
 
 

@@ -55,9 +55,10 @@ def cayley_orthogonal(dim: int, rng: random.Random):
 
     Draws S_ij = p / q, with p in [-DEFAULT_BOUND, DEFAULT_BOUND] and q in
     [1, DEFAULT_BOUND], for each pair (i, j), i < j, in row order.  With D
-    the lcm of the denominators, A = D*S is an integer matrix and the frame
-    is (D*I - A)(D*I + A)^-1; D*I - A is the transpose of D*I + A.
-    Returned in (rows, den) form, in lowest terms.
+    the lcm of the denominators, A = D*S is an integer matrix, and with
+    adj / det the inverse of D*I + A, (I + S)^-1 = D*adj / det.  Since
+    I - S = 2I - (I + S), the frame is 2(I + S)^-1 - I = (2D*adj - det*I) / det,
+    with no product.  Returned in (rows, den) form, in lowest terms.
     """
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     bound = DEFAULT_BOUND
@@ -68,7 +69,11 @@ def cayley_orthogonal(dim: int, rng: random.Random):
         plus[i][j] = p * (den // q)
         plus[j][i] = -plus[i][j]
     adj, det = linalg.invert(plus)
-    return linalg.lowest_terms(linalg.mat_mul(linalg.transpose(plus), adj), det)
+    two_d = 2 * den
+    rows = tuple(
+        tuple(two_d * x - det * (i == j) for j, x in enumerate(row)) for i, row in enumerate(adj)
+    )
+    return linalg.lowest_terms(rows, det)
 
 
 def frame_sandwich(frame, diag, den: int = 1) -> SymMat:

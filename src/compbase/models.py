@@ -17,7 +17,12 @@ Endomorphisms are stored uniformly as integer matrices over one
 denominator, acting on a vectorization of the carrier (integer entries
 over the element's denominator), so composition is matrix product and map
 equality is literal matrix equality, on both kinds (on a substructure,
-after composing with its projector; see endo_equal).
+after composing with its projector; see endo_equal).  The Endomorphism
+constructor checks the shape of its matrix; the maps the program computes
+from checked ones (compose, conjugation_endo) skip that check through
+_trusted_endo, which still reduces the matrix and hands a lattice map its
+image table.  MatrixModel.devectorize reads each entry through an index
+table kept per dimension (_sym_index).
 
 A lattice law over all of G whose premise and conclusion are cone or
 subspace conditions is decided on the generators of its cones
@@ -37,9 +42,12 @@ Both order tests are memoized, and each body is the exact test, so no
 memo changes an answer: the same declared foci and effects are compared
 thousands of times per report.  MatrixModel.leq, and with it the order
 of every matrix substructure, is memoized on the exact (a, b) pair by a
-functools.lru_cache of ORDER_CAP entries; its body is is_psd of b - a.
-MatrixModel.is_positive(g) asks that memo whether 0 <= g, and
-matrix_model.is_projection is memoized on the exact matrix alike.
+functools.lru_cache of ORDER_CAP entries; its body is is_psd of the
+integer rows of b - a over the common denominator (linalg.combine), which
+are b - a scaled by a positive number and so have its signs, with no
+SymMat built or reduced.  MatrixModel.is_positive(g) asks that memo
+whether 0 <= g, and matrix_model.is_projection is memoized on the exact
+matrix alike.
 LatticeConeModel.leq, and with it the order of every lattice
 substructure (whose leq defers to its carrier's), keeps its answers on
 the model (_order, keyed by the coordinates of a and b, at most
@@ -462,11 +470,7 @@ class MatrixModel(Value):
         return tuple(g.num[i][j] for i, j in self.sym_pairs), g.den
 
     def devectorize(self, v, den: int = 1) -> SymMat:
-        entries = [[0] * self.dim for _ in range(self.dim)]
-        for (i, j), x in zip(self.sym_pairs, v):
-            entries[i][j] = x
-            entries[j][i] = x
-        return SymMat(tuple(map(tuple, entries)), den)
+        return SymMat(tuple(tuple(map(v.__getitem__, row)) for row in _sym_index(self.dim)), den)
 
     def basis(self) -> tuple[SymMat, ...]:
         return _sym_basis(self.dim)
@@ -474,13 +478,22 @@ class MatrixModel(Value):
 
 @lru_cache(maxsize=ORDER_CAP)
 def _matrix_leq(a: SymMat, b: SymMat) -> bool:
-    """a <= b in the positive-semidefinite order, keyed by the exact pair."""
-    return linalg.is_psd((b - a).num)
+    """a <= b in the positive-semidefinite order, keyed by the exact pair:
+    is_psd of the integer rows of b - a over their common denominator, a
+    positive scaling of b - a, unreduced."""
+    return linalg.is_psd(linalg.combine(b.num, b.den, a.num, a.den, -1)[0])
 
 
 @lru_cache(maxsize=None)
 def _sym_pairs(dim: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(dim) for j in range(i, dim))
+
+
+@lru_cache(maxsize=None)
+def _sym_index(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The position in a vectorization (_sym_pairs order) of each entry (i, j)."""
+    pos = {pair: k for k, pair in enumerate(_sym_pairs(dim))}
+    return tuple(tuple(pos[min(i, j), max(i, j)] for j in range(dim)) for i in range(dim))
 
 
 @lru_cache(maxsize=None)
@@ -533,14 +546,7 @@ class Endomorphism(Value):
         n = carrier.vec_dim
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError(f"endomorphism matrix must be {n}x{n} for this carrier")
-        if den != 1:
-            matrix, den = linalg.lowest_terms(matrix, den)
-        images = carrier._tables.setdefault((matrix, den), {}) if carrier.finite else None
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "conjugator", conjugator)
-        object.__setattr__(self, "_images", images)
+        _set_endo(self, carrier, matrix, den, conjugator)
 
     def apply(self, g):
         images = self._images
@@ -559,6 +565,27 @@ class Endomorphism(Value):
         if self.conjugator is not None:
             out["conjugator"] = self.conjugator
         return out
+
+
+def _set_endo(endo: Endomorphism, carrier, matrix, den: int, conjugator) -> None:
+    """Fill the fields of endo with matrix / den in lowest terms, and give a
+    lattice map the image table of its (matrix, den) on the carrier."""
+    if den != 1:
+        matrix, den = linalg.lowest_terms(matrix, den)
+    images = carrier._tables.setdefault((matrix, den), {}) if carrier.finite else None
+    object.__setattr__(endo, "carrier", carrier)
+    object.__setattr__(endo, "matrix", matrix)
+    object.__setattr__(endo, "den", den)
+    object.__setattr__(endo, "conjugator", conjugator)
+    object.__setattr__(endo, "_images", images)
+
+
+def _trusted_endo(carrier, matrix, den: int = 1, conjugator: SymMat | None = None) -> Endomorphism:
+    """The map matrix / den without the shape check, for a matrix the
+    program computed from checked maps of the carrier."""
+    endo = object.__new__(Endomorphism)
+    _set_endo(endo, carrier, matrix, den, conjugator)
+    return endo
 
 
 def endo_from_int_matrix(model: LatticeConeModel, rows) -> Endomorphism:
@@ -586,14 +613,14 @@ def conjugation_endo(carrier: MatrixModel, p: SymMat) -> Endomorphism:
     (the first term alone when k = l)."""
     a, pairs = p.num, carrier.sym_pairs
     rows = [[a[i][k] * a[l][j] + (k != l) * a[i][l] * a[k][j] for k, l in pairs] for i, j in pairs]
-    return Endomorphism(carrier, tuple(map(tuple, rows)), p.den * p.den, p)
+    return _trusted_endo(carrier, tuple(map(tuple, rows)), p.den * p.den, p)
 
 
 def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
     """a after b (apply b first)."""
     if a.carrier != b.carrier:
         raise ValueError("cannot compose endomorphisms of different carriers")
-    return Endomorphism(a.carrier, linalg.mat_mul(a.matrix, b.matrix), a.den * b.den)
+    return _trusted_endo(a.carrier, linalg.mat_mul(a.matrix, b.matrix), a.den * b.den)
 
 
 def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:

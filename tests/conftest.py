@@ -3,7 +3,7 @@ import pytest
 
 from fractions import Fraction
 from itertools import chain, combinations, count, product
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from hypothesis import assume, strategies as st
@@ -1101,3 +1101,74 @@ def unshared_substructure_report(base, v, kind):
     rep.extend(models.validate_unital_group(sub))
     rep.extend(validate_compression_base(rbase))
     return sub, rbase, rep
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels as they were before their fast paths, the oracles of
+# tests/test_exact_kernels.py
+
+
+def lcm_combine(a, da: int, b, db: int, k: int = 1):
+    """a/da + k * b/db as integer rows over lcm(da, db), scaling both sides
+    on every call (linalg.combine without its same-denominator path)."""
+    den = lcm(da, db)
+    fa, fb = den // da, k * (den // db)
+    return tuple(tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), den
+
+
+def nested_lowest_terms(rows, den: int):
+    """linalg.lowest_terms with its gcd taken over a nested generator."""
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = gcd(den, *(x for row in rows for x in row))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return rows, den
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def dividing_is_psd(m) -> bool:
+    """linalg.is_psd dividing every Schur complement by its gcd, 1 included."""
+    a = [list(row) for row in m]
+    while a:
+        piv = next((i for i, row in enumerate(a) if row[i]), None)
+        if piv is None:
+            return not any(map(any, a))
+        top = a.pop(piv)
+        d = top.pop(piv)
+        if d < 0:
+            return False
+        col = [row.pop(piv) for row in a]
+        a = [[d * x - f * y for x, y in zip(row, top)] for row, f in zip(a, col)]
+        g = gcd(*(x for row in a for x in row)) or 1
+        a = [[x // g for x in row] for row in a]
+    return True
+
+
+def pairwise_devectorize(model, v, den: int = 1):
+    """MatrixModel.devectorize writing each vectorized entry at (i, j) and (j, i)."""
+    entries = [[0] * model.dim for _ in range(model.dim)]
+    for (i, j), x in zip(model.sym_pairs, v):
+        entries[i][j] = x
+        entries[j][i] = x
+    return SymMat(tuple(map(tuple, entries)), den)
+
+
+def product_cayley_orthogonal(dim: int, rng):
+    """matrix_model.cayley_orthogonal as the product (D*I - A) adj / det."""
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    bound = matrix_model.DEFAULT_BOUND
+    gens = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in pairs]
+    den = lcm(*(q for _, q in gens))
+    plus = [[den * (i == j) for j in range(dim)] for i in range(dim)]
+    for (i, j), (p, q) in zip(pairs, gens):
+        plus[i][j] = p * (den // q)
+        plus[j][i] = -plus[i][j]
+    adj, det = linalg.invert(plus)
+    return linalg.lowest_terms(linalg.mat_mul(linalg.transpose(plus), adj), det)
+
+
+def checked_compose(a, b):
+    """compose(a, b) through the shape-checking Endomorphism constructor."""
+    return Endomorphism(a.carrier, linalg.mat_mul(a.matrix, b.matrix), a.den * b.den)

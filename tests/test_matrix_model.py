@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from compbase import CheckConfig, MatrixModel, SymMat, linalg, matrix_model, models
 from compbase.cli import main
-from conftest import MODELS_DIR, draw_positive, draw_signed
+from conftest import MODELS_DIR, draw_positive, draw_signed, product_cayley_orthogonal
 
 
 def rngs():
@@ -102,21 +102,8 @@ def test_distinct_seeds_usually_differ():
 # samplers against the draw-and-build-in-one-pass oracles
 
 
-def oracle_cayley_orthogonal(dim, rng):
-    bound = matrix_model.DEFAULT_BOUND
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    gens = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in pairs]
-    den = lcm(*(q for _, q in gens))
-    plus = [[den * (i == j) for j in range(dim)] for i in range(dim)]
-    for (i, j), (p, q) in zip(pairs, gens):
-        plus[i][j] = p * (den // q)
-        plus[j][i] = -plus[i][j]
-    adj, det = linalg.invert(plus)
-    return linalg.lowest_terms(linalg.mat_mul(linalg.transpose(plus), adj), det)
-
-
 def oracle_draw_effect(dim, rng):
-    q = oracle_cayley_orthogonal(dim, rng)
+    q = product_cayley_orthogonal(dim, rng)
     ratios = []
     for _ in range(dim):
         den = rng.randint(1, matrix_model.DEFAULT_BOUND)
@@ -126,7 +113,7 @@ def oracle_draw_effect(dim, rng):
 
 
 SAMPLERS = {
-    "cayley": (matrix_model.cayley_orthogonal, oracle_cayley_orthogonal),
+    "cayley": (matrix_model.cayley_orthogonal, product_cayley_orthogonal),
     "effect": (matrix_model.draw_effect, oracle_draw_effect),
 }
 SAMPLER_OPS = st.lists(
@@ -206,6 +193,7 @@ def test_memoized_order_matches_is_psd(pair):
     a, b = pair
     model = MatrixModel(a.dim)
     want = linalg.is_psd((b - a).num)
+    assert models._matrix_leq.__wrapped__(a, b) is want  # the body, on the numerators of b - a
     assert model.leq(a, b) is want
     hits = models._matrix_leq.cache_info().hits
     assert model.leq(a, b) is want

@@ -219,6 +219,33 @@ def test_matrix_facts_are_decided_once():
     assert sum(counts["psd"].values()) <= len(counts["leq"])
 
 
+def test_matrix_membership_is_decided_once_per_substructure():
+    """theorem_report and the substructure reports of a fresh declared m4
+    base apply a substructure's projector to an element at most once to
+    decide its membership: the answer is kept (Substructure._members)."""
+
+    _, base = _fresh("m4")
+    apply_code = models.Endomorphism.apply.__code__
+    member_code = compatibility.Substructure.is_member.__code__
+    applies = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is apply_code:
+            outer = frame.f_back
+            if outer.f_code is member_code:
+                applies[outer.f_locals["self"], frame.f_locals["g"]] += 1
+
+    sys.setprofile(profile)
+    try:
+        assert theorem_report(base).ok
+        for v in base.foci:
+            for kind in ("image", "commutant"):
+                assert substructure_report(base, v, kind)[2].ok
+    finally:
+        sys.setprofile(None)
+    assert applies and set(applies.values()) == {1}
+
+
 def test_restricted_bases_read_the_parent_pair_table(monkeypatch, capsys):
     """report m3 at seed 1 composes each ordered focus pair once for the
     declared base and all its restricted bases together: a restricted base

@@ -6,6 +6,7 @@ hold memos), immutability, repr where it reaches output, and the JSON
 shape of the classes that reports serialize.
 """
 
+import copy
 import pickle
 from types import SimpleNamespace
 
@@ -215,6 +216,19 @@ def test_repr_of_elements_and_config():
 def test_pickle_round_trip(cls):
     x = build(cls)
     assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_symmat_keeps_the_hash_of_its_fields():
+    """SymMat computes hash((num, den)) once into _hash, a slot that is no
+    field: equality, repr, pickle and copy see num and den alone."""
+
+    s = SymMat(((2, 1), (1, 4)), 6)
+    assert hash(s) == hash((s.num, s.den)) == s._hash
+    assert SymMat._fields == ("num", "den") and "_hash" not in repr(s)
+    for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert twin == s and hash(twin) == hash(s) and twin._hash == s._hash
+    with pytest.raises(AttributeError):
+        s._hash = 0
 
 
 def test_image_table_is_not_a_field():
