@@ -10,7 +10,9 @@ their restricted bases, morphisms between based groups, and the direct
 product decomposition induced by a single focus.  Each substructure and
 its restricted base are built once per base and kept on it, so the
 substructure and product sections of a report share them, and with them
-every universe they enumerate.  Their validations are kept on the base
+every universe they list, by the model's own rule (models.positive_box:
+the points of a Z-basis of the members between 0 and n times each unit
+up to the model).  Their validations are kept on the base
 too, once per distinct substructure: the commutant of v is the commutant
 of u - v, both cut out by J_v + J_{u-v}, and the image of u and the
 commutants of 0 and u are the whole group on a valid base.
@@ -31,9 +33,10 @@ omp_principal and interval_characterization are derived from the premises
 the base keeps for p (compression.focus_premises): the retraction checks
 of its certificate on a lattice, its conjugator's clauses on a matrix
 structure.  On a lattice structure the laws over all of G whose premise
-and conclusion are cone or subspace conditions (commutant absorption, the
-morphism order, the product laws) are decided on the generators of those
-cones (models.cone_cases), so a failing generator is an element witness.
+and conclusion are cone or subspace conditions (commutant absorption,
+the product laws, and order preservation, one law for a morphism and a
+retraction: compression.order_preserving) are decided on the generators
+of those cones (models.cone_cases), so a failing generator is a witness.
 On a matrix structure the other laws quantified over effects or elements
 are decided per focus by rules derived from exactly checked premises
 (focus_premises, or those of a single-map check such as
@@ -56,17 +59,16 @@ from typing import Any
 from . import linalg, matrix_model
 from .compression import (
     CompressionBase,
-    _conjugator_clauses,
     _is_effect,
     focus_premises,
     kernel_complement_check,
+    order_preserving,
 )
 from .effect_algebra import EffectAlgebra, MembershipError, is_mackey_compatible, mackey_triples
 from .elements import conjugate
 from .models import (
     Endomorphism,
     NotEnumerableError,
-    UnboundedIntervalError,
     compose,
     cone_cases,
     conjugation_endo,
@@ -76,7 +78,7 @@ from .models import (
     generators,
     identity_endo,
     map_key,
-    range_band,
+    positive_box,
     zero_endo,
 )
 from .reporting import FAIL, Clause, Report, Sample, derived, law
@@ -313,19 +315,15 @@ class Substructure(Value):
     kind "image" is the range of one compression, with its focus as unit;
     kind "commutant" is the set of elements compatible with a focus, with
     the ambient unit.  Both support the same sweep protocol as a model, so
-    every validation can be re-run inside them.  Each universe (band) is
-    built once and kept for the life of the substructure: with the
-    parent's unit, the parent's band filtered by the projector alone, since
-    every element of it already lies between 0 and the multiple of that
-    unit; with another unit on a lattice, enumerated from a basis of the
-    group the projector's columns generate (_enumerated), which gives the
-    same members in the same order without a pass over the parent's box.
-    The generators of its cones are kept beside the bands (_cones,
-    models.generators), and so are its down-sets (_below,
-    models.down_set); its order is its carrier's, memo included (leq).
-    On a matrix parent, whose maps keep no image table, each membership
-    answer is kept too (_members).  Its members are the points that every
-    projector on the chain up to the model fixes (equalities).
+    every validation can be re-run inside them.  Its members are the
+    points that every projector on the chain up to the model fixes
+    (equalities).  On a lattice each universe is listed by the model's own
+    rule (models.positive_box: the points of the member lattice between 0
+    and n*w for every unit w up to the model, bounds) and kept (_boxes);
+    so are the generators of its cones (_cones, models.generators) and its
+    down-sets (_below, models.down_set); its order is its carrier's, memo
+    included (leq).  On a matrix parent, whose maps keep no image table,
+    each membership answer is kept too (_members).
     image_substructure and commutant_substructure build one substructure
     per (kind, v) once per base.  premises make the projector a congruence
     into [0, unit] (models._validate_matrix); a finite parent sweeps instead,
@@ -335,7 +333,7 @@ class Substructure(Value):
     """
 
     __slots__ = (
-        "parent", "kind", "v", "unit", "projector", "premises", "_bands", "_below", "_cones",
+        "parent", "kind", "v", "unit", "projector", "premises", "_boxes", "_below", "_cones",
         "_maps", "_members",
     )
     __eq__ = object.__eq__
@@ -348,7 +346,7 @@ class Substructure(Value):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "projector", projector)
         object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "_bands", {})
+        object.__setattr__(self, "_boxes", {})
         object.__setattr__(self, "_below", {})
         object.__setattr__(self, "_cones", {})
         object.__setattr__(self, "_maps", {})
@@ -403,61 +401,22 @@ class Substructure(Value):
     def leq(self, a, b) -> bool:
         return self.parent.leq(a, b)
 
+    @property
+    def bounds(self) -> tuple:
+        """The units from this substructure up to the model, each once."""
+        return tuple(dict.fromkeys((self.unit, *self.parent.bounds)))
+
     def interval(self):
         return self.positive_universe(1)
 
     def positive_universe(self, n: int) -> tuple:
-        """Members of the parent's positive box (its interval at n = 1)
-        below n*unit.  That box is fetched first, so a band raises where
-        the parent's does.
-        """
+        """The model's rule (models.positive_box) on the members here and
+        the units up to the model.  The parent's box is fetched first, so
+        a box raises where the parent's does."""
 
-        band = self._bands.get(n)
-        if band is not None:
-            return band
-        cases = self.parent.positive_universe(n)
-        if self.unit == self.parent.unit:
-            # the parent's band already lies between 0 and n*unit
-            fixes = self.projector.apply
-            band = tuple(g for g in cases if fixes(g) == g)
-        elif self.projector.den == 1:
-            band = self._enumerated(n, cases)
-        else:
-            band = self._filtered(n, cases)
-        self._bands[n] = band
-        return band
-
-    def _filtered(self, height: int, cases) -> tuple:
-        top = self.unit.scale(height)
-        leq = self.parent.leq
-        return tuple(g for g in cases if self.is_member(g) and leq(g, top))
-
-    def _enumerated(self, height: int, cases) -> tuple:
-        """The members among the points that models.range_band lists: those
-        of the group P(Z^n) that the projector's columns generate, between
-        0 and height*w for every unit w on the chain from here to the model.
-
-        This is the filter's set: a member g is P g, so it lies in P(Z^n);
-        the parent's band holds the parent's members between 0 and height*w
-        for each unit w above, and is_member tests membership in the
-        parent too.  It also drops the points that a projector that is not
-        idempotent moves.  Both lists are in lexicographic order, the order
-        of the model's boxes that the filter keeps.  On a pointed carrier
-        the rows r B have full rank, so range_band can fail only as too
-        large to enumerate; the filter then decides.
-        """
-
-        units, s = [], self
-        while s is not None:
-            if s.unit not in units:
-                units.append(s.unit)
-            s = getattr(s, "parent", None)
-        cols = tuple(zip(*self.projector.matrix))
-        try:
-            points = range_band(self.carrier, cols, units, 0, height)
-        except UnboundedIntervalError:
-            return self._filtered(height, cases)
-        return tuple(filter(self.is_member, points))
+        if n not in self._boxes:
+            self.parent.positive_universe(n)
+        return positive_box(self, n)
 
 
 def image_substructure(base: CompressionBase, v) -> Substructure:
@@ -628,25 +587,12 @@ def morphism_report(
 
     Laws: order preservation, unit to unit, declared foci into declared
     foci, and the intertwining J_{phi(q)} after phi = phi after J_q for
-    every source focus q.  A finite source decides order preservation on
-    the generators of its positive cone (models.cone_cases): phi maps the
-    cone into the target's exactly when it maps each generator there.  On
-    a matrix source phi must be conjugation by a stored p, a congruence.
+    every source focus q.  Order preservation is the law a retraction
+    states too (compression.order_preserving).
     """
 
-    if src_structure.finite:
-        order = law(
-            prefix + "order_preserving",
-            cone_cases(src_structure),
-            lambda g: tgt_structure.is_positive(phi.apply(g)),
-            witness="positive",
-            note="decided on the generators of the positive cone",
-        )
-    else:
-        matches = _conjugator_clauses(src_structure, phi)[1]
-        order = derived(prefix + "order_preserving", (matches,), "p g p is a congruence of g")
     clauses = [
-        order,
+        order_preserving(src_structure, phi, tgt_structure, prefix),
         law(
             prefix + "preserves_unit",
             (src_structure.unit,),

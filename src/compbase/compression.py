@@ -55,6 +55,7 @@ from .models import (
     compose,
     cone_cases,
     conjugation_endo,
+    down_set,
     endo_equal,
     fixed_rows,
     identity_endo,
@@ -99,12 +100,12 @@ def retraction_certificate(
 ) -> RetractionCertificate:
     """Check the retraction laws of one map; the clauses become its checks.
 
-    Finite structures sweep the interval, which generates the positives.
+    order_preserving is order_preserving() from the structure to itself.
+    A finite structure sweeps fixes_below_focus on [0, focus] (down_set).
     On a matrix structure with unit v the map must be conjugation by a
-    stored p, and two laws are derived from the exact clauses that p is a
+    stored p, and both laws are derived from the exact clauses that p is a
     symmetric idempotent and that the map is g -> p g p (_conjugator_clauses,
-    or the premises given, the first two of focus_premises).  order_preserving:
-    for g >= 0, p g p = p^T g p is a congruence of g, so it is >= 0.
+    or the premises given, the first two of focus_premises).
     fixes_below_focus: 0 <= e <= p v p gives 0 <= (I-p) e (I-p) <=
     (I-p) p v p (I-p) = 0; with e = s^T s that is s (I-p) = 0, so e (I-p)
     = 0 and e = e p = p e = p e p.
@@ -114,23 +115,16 @@ def retraction_certificate(
     focus = endo.apply(structure.unit)
     if finite:
         premises = []
-        order = law(
-            "order_preserving",
-            structure.interval(),
-            lambda g: structure.is_positive(endo.apply(g)),
-            witness="effect",
-            note="checked on the interval, which generates the positives",
-        )
+        order = order_preserving(structure, endo, structure)
         fixes = law(
             "fixes_below_focus",
-            [e for e in structure.interval() if structure.leq(e, focus)],
+            down_set(structure, focus),
             lambda e: endo.apply(e) == e,
             witness="effect",
         )
     else:
         premises = list(premises or _conjugator_clauses(structure, endo))
-        matches = premises[1]
-        order = derived("order_preserving", (matches,), "p g p is a congruence of g")
+        order = order_preserving(structure, endo, structure, matches=premises[1])
         fixes = derived("fixes_below_focus", premises, "(I-p) e (I-p) = 0 gives e = p e p")
     clauses = premises + [
         Clause("additive", CERTIFIED, note="map is linear by representation"),
@@ -154,6 +148,27 @@ def retraction_certificate(
         )
     checks = tuple((c.name, c) for c in clauses)
     return RetractionCertificate(structure, endo, focus, checks)
+
+
+def order_preserving(source, phi: Endomorphism, target, prefix: str = "", matches=None) -> Clause:
+    """phi maps source's positives to target's: the law of a retraction and
+    of a morphism.  A finite source decides it over all of G on the
+    generators of its positive cone (cone_cases).  On a matrix source phi
+    conjugates by a stored p, and p g p = p^T g p is a congruence of g:
+    derived from `matches`, the second of _conjugator_clauses."""
+
+    name = prefix + "order_preserving"
+    if source.finite:
+        return law(
+            name,
+            cone_cases(source),
+            lambda g: target.is_positive(phi.apply(g)),
+            witness="positive",
+            note="decided on the generators of the positive cone",
+        )
+    if matches is None:
+        matches = _conjugator_clauses(source, phi)[1]
+    return derived(name, (matches,), "p g p is a congruence of g")
 
 
 def _conjugator_clauses(structure, endo: Endomorphism, prefix: str = "") -> list:

@@ -276,11 +276,12 @@ def center(algebra: EffectAlgebra) -> SubEffectAlgebra:
     elements = algebra.elements
     if elements is None:
         raise NotEnumerableError("center computation requires an enumerable interval")
-    leq = algebra.structure.leq
+    structure = algebra.structure
+    leq = structure.leq
     unit = algebra.unit
 
     def principal(p) -> bool:
-        below = [e for e in elements if leq(e, p)]
+        below = down_set(structure, p)
         return all(leq(e + f, p) or not leq(e + f, unit) for e in below for f in below)
 
     def splits_once(c, f) -> bool:

@@ -57,23 +57,21 @@ down-set [0, x] (down_set), kept per x on the structure (_below) in
 interval order, so they meet the cases the premise admits in the order
 of the full sweep, and with them the same counts and witnesses.
 
-A lattice model keeps its interval and positive boxes (_boxes),
-enumerated by range_band, the generators of its cones (_cones), and the
-image tables of its maps (_tables): a lattice map reads and fills the
-table of its (matrix, den) on its carrier, so each product of a distinct
-map and an element is computed once, and the checks that meet the same
-element again (Endomorphism lists them) read the stored image.  All are
-freed with the model, as its order memo and down-sets are.  A matrix map
-keeps no table, since its inputs are sampled and a table would only grow
-with the budget.
+A lattice model keeps its interval and positive boxes (_boxes), the
+generators of its cones (_cones), and the image tables of its maps
+(_tables): a lattice map reads and fills the table of its (matrix, den)
+on its carrier, so each product of a distinct map and an element is
+computed once, and the checks that meet the same element again
+(Endomorphism lists them) read the stored image.  All are freed with the
+model, as its order memo and down-sets are.  A matrix map keeps no table,
+since its inputs are sampled and a table would only grow with the budget.
 
 Both model classes and Endomorphism are frozen values (value.Value):
 equal by fields and hashed as the tuple of them, which lets models and
 matrices key the caches here; the image tables and the boxes are not
-fields.  A finite substructure's unit is tested as an order unit row by
-row against its projector, and then as a member (see
-_directedness_substructure), and its universes are enumerated from a
-basis of its projector's range (range_band).
+fields.  One rule lists the boxes of a model and of a substructure
+(positive_box): range_band on a Z-basis of the members (member_lattice)
+between 0 and n*w for each unit w up to the model.
 """
 
 from __future__ import annotations
@@ -314,18 +312,15 @@ class LatticeConeModel(Value):
             known = self._order[key] = _in_cone(self.cone_rows, b_minus_a)
         return known
 
+    @property
+    def bounds(self) -> tuple[Vec, ...]:
+        return (self.unit,)
+
     def interval(self) -> tuple[Vec, ...]:
         return self.positive_universe(1)
 
     def positive_universe(self, n: int) -> tuple[Vec, ...]:
-        """The points x with 0 <= x <= n*unit: the band of all of Z^dim,
-        whose basis is the identity, so listed in lexicographic order."""
-
-        box = self._boxes.get(n)
-        if box is None:
-            cols = linalg.identity(self.dim)
-            box = self._boxes[n] = tuple(range_band(self, cols, (self.unit,), 0, n))
-        return box
+        return positive_box(self, n)
 
     # endomorphisms act on the coordinates themselves
     @property
@@ -398,6 +393,29 @@ def range_band(carrier: LatticeConeModel, cols, units, lo: int, hi: int) -> list
     ys = integer_points(bands, len(basis))
     coords = tuple(zip(*basis))
     return list(map(_trusted_vec, sorted(tuple(_dot(c, y) for c in coords) for y in ys)))
+
+
+def member_lattice(structure) -> list[tuple[int, ...]]:
+    """A Z-basis of the points y with E y = 0, E = structure.equalities
+    (on a model, the identity).  Row i, column i of E then the i-th unit
+    vector, makes the rows (E y, y); their echelon basis (lattice_basis)
+    ends with the rows zero on E's columns, whose last n entries are it."""
+    eqs = structure.equalities
+    k, n = len(eqs), structure.carrier.dim
+    rows = [tuple(e[i] for e in eqs) + tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return [r[k:] for r in lattice_basis(rows) if not any(r[:k])]
+
+
+def positive_box(structure, n: int) -> tuple[Vec, ...]:
+    """The members g of a finite structure with 0 <= g <= n*w for every w
+    in structure.bounds (the units up to the model), in lexicographic
+    order, kept per n on the structure (_boxes)."""
+
+    box = structure._boxes.get(n)
+    if box is None:
+        points = range_band(structure.carrier, member_lattice(structure), structure.bounds, 0, n)
+        box = structure._boxes[n] = tuple(points)
+    return box
 
 
 def down_set(structure, x) -> tuple:
@@ -522,7 +540,7 @@ class Endomorphism(Value):
     _images, from the coordinates of each element it has mapped to the
     image: apply computes each product once per distinct map and element,
     and the checks that meet an element again read the stored image:
-    membership P g == g, the interval sweeps of the retraction certificate
+    membership P g == g, the sweeps of the retraction certificate
     and is_compression, the kernel exchange, the morphism laws and the
     battery (absorption and the product split read cone generators).  The
     table is the carrier's, kept in carrier._tables under (matrix, den), so
@@ -778,26 +796,22 @@ def _directedness_substructure(structure, rep: Report) -> Clause:
     """Directedness of a finite substructure, decided exactly: its unit must
     be a member and an order unit.  Returns the unit_order_unit clause.
 
-    The substructure H is the group of lattice points that its projector P
-    fixes, ordered by the model's cone rows r (g >= 0 iff r . g >= 0 for
-    every r).  u is an order unit of H when every g in H has a multiple
-    m*u with m*u - g >= 0, i.e. m (r . u) >= r . g for every row r.  A row
-    with r . u > 0 allows this for m large enough.  A row with r . u <= 0
-    forces r . g <= 0 for every g in H, and so, as H contains -g with g,
-    r . g = 0: the row must vanish on H.  For an idempotent P, H is the
-    set of lattice points of the rational subspace range(P) and spans it,
-    so r vanishes on H exactly when r . P = 0.  Hence a member u is an
-    order unit of H iff every cone row has r . u > 0 or r . P = 0; a row
-    that fails is the witness.  (A non-idempotent P fails
-    projector_idempotent in the same substructure report.)  The rows
-    alone cannot see a unit outside H, so membership is tested last.
+    The substructure H is the group of its members, ordered by the
+    model's cone rows r (g >= 0 iff r . g >= 0 for every r).  u is an order
+    unit of H when every g in H has a multiple m*u with m*u - g >= 0, i.e.
+    m (r . u) >= r . g for every row r.  A row with r . u > 0 allows this
+    for m large enough.  A row with r . u <= 0 forces r . g <= 0 for every
+    g in H, and so, as H contains -g with g, r . g = 0: the row must
+    vanish on H, that is on its Z-basis (member_lattice).  A row that
+    fails both is the witness.  The rows alone cannot see a unit outside
+    H, so membership is tested last.
     """
     unit = structure.unit.coords
-    cols = tuple(zip(*structure.projector.matrix))
+    basis = member_lattice(structure)
     rows = law(
         "unit_order_unit",
         structure.carrier.cone_rows,
-        lambda r: _dot(r, unit) > 0 or not any(_dot(r, c) for c in cols),
+        lambda r: _dot(r, unit) > 0 or not any(_dot(r, b) for b in basis),
         witness="cone_row",
         note="a cone row vanishes at the unit but not on the subgroup",
     )

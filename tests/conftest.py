@@ -281,9 +281,11 @@ def filtered_band(sub, lo, hi):
     """The members of the parent's universe between lo*unit and hi*unit, by
     filtering that universe element by element.
 
-    The rule Substructure._band replaced with an enumeration of its
-    projector's range, kept as its oracle.  A nested substructure filters
-    its parent's band as this oracle computes it, down to the model's box.
+    The rule that models.positive_box replaced with an enumeration of the
+    member lattice, kept as its oracle.  A nested substructure filters its
+    parent's band as this oracle computes it, down to the model's box.
+    is_member applies the projector, so a point that a projector with a
+    denominator sends off the lattice raises (fixed_points_band does not).
     """
     parent = sub.parent
     if getattr(parent, "parent", None) is not None:
@@ -295,6 +297,28 @@ def filtered_band(sub, lo, hi):
         g
         for g in cases
         if sub.is_member(g) and parent.leq(g, top) and (lo == 0 or parent.leq(bot, g))
+    )
+
+
+def fixed_points_band(sub, n):
+    """The members of the parent's positive box of height n below n*unit,
+    with membership tested as den*g == M g for the projector M / den, so no
+    point is sent off the lattice and nothing raises.  A nested
+    substructure reads its parent's band as this oracle computes it, down
+    to the model's box."""
+
+    parent = sub.parent
+    if getattr(parent, "parent", None) is not None:
+        cases = fixed_points_band(parent, n)
+    else:
+        cases = parent.positive_universe(n)
+    p = sub.projector
+    top = sub.unit.scale(n)
+    return tuple(
+        g
+        for g in cases
+        if linalg.mat_vec(p.matrix, g.coords) == tuple(p.den * x for x in g.coords)
+        and parent.leq(g, top)
     )
 
 
@@ -347,6 +371,21 @@ def kernel_sweep(structure, j, j_comp, positives):
         return True
 
     return law("kernel_complement", positives, holds)
+
+
+def interval_order_preserving(structure, endo):
+    """order_preserving of endo on a finite structure, swept over its unit
+    interval: the retraction certificate's rule before compression.order_preserving
+    decided it on cone generators.  It is the law over all of G only where
+    the interval generates the positives."""
+
+    return law(
+        "order_preserving",
+        structure.interval(),
+        lambda g: structure.is_positive(endo.apply(g)),
+        witness="effect",
+        note="checked on the interval, which generates the positives",
+    )
 
 
 def unit_order_unit_sweep(sub, n):

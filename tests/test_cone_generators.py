@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from compbase import (
+    Endomorphism,
     LatticeConeModel,
     MembershipError,
     Vec,
@@ -42,6 +43,7 @@ from compbase import (
 )
 from compbase import models
 from compbase.compatibility import _absorbs, _commutant_absorption_clause
+from compbase.compression import order_preserving, retraction_certificate
 from compbase.models import (
     NotEnumerableError,
     _generation_height,
@@ -50,10 +52,13 @@ from compbase.models import (
 )
 from compbase.reporting import law
 from conftest import (
+    FIXTURES_DIR,
     LATTICE,
+    LATTICE_FIXTURES,
     MODELS_DIR,
     absorption_sweep,
     corner_model,
+    interval_order_preserving,
     kernel_sweep,
     product_checks,
     product_sweeps,
@@ -61,6 +66,7 @@ from conftest import (
     seeded_cones,
     signed_box,
     unit_order_unit_sweep,
+    with_restricted_bases,
 )
 
 HEIGHTS = (1, 2, 3, 4)
@@ -269,6 +275,8 @@ def _base(source):
     if isinstance(source, str):
         if source == "z3":
             return _z3_base()
+        if source in LATTICE_FIXTURES:
+            return load_model(FIXTURES_DIR / f"{source}.json")[1]
         return load_model(MODELS_DIR / f"{source}.json")[1]
     if hasattr(source, "foci"):
         return source
@@ -423,3 +431,68 @@ def test_commutant_absorption_finds_what_the_boxes_miss():
     assert witness["direction"] == "dominated_but_incompatible"
     assert _absorbs(base, witness["p"], witness["g"]) == witness
     assert not absorption_sweep(base, [(witness["p"], witness["g"])]).ok
+
+
+# ---------------------------------------------------------------------------
+# order preservation
+
+
+def assert_order_law_matches_the_interval_sweep(base):
+    """Where the interval generates the positives (validate_unital_group
+    passes), a map keeps G+ positive iff it keeps the interval positive:
+    the one order law agrees with the interval sweep, on the base and
+    every restricted image and commutant base, for each map of the base
+    and each difference of two maps (which often fails).  A failing
+    generator is a positive that the map sends out of the cone."""
+
+    for rbase in with_restricted_bases(base):
+        structure = rbase.structure
+        if not validate_unital_group(structure).ok:
+            continue
+        maps = [rbase.j(q) for q in rbase.foci]
+        maps += [
+            Endomorphism(structure.carrier, *linalg.combine(a.matrix, a.den, b.matrix, b.den, -1))
+            for a, b in product(maps, repeat=2)
+        ]
+        for phi in maps:
+            exact = order_preserving(structure, phi, structure)
+            assert exact.ok == interval_order_preserving(structure, phi).ok, phi
+            if not exact.ok:
+                g = exact.witness["positive"]
+                assert structure.is_positive(g) and not structure.is_positive(phi.apply(g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from(LATTICE + LATTICE_FIXTURES), seeded_cones(), rank_one_bases()
+    )
+)
+@example(source="m1")
+@example(source="m2")
+@example(source="m5")
+@example(source="z3")
+@example(source=_sheared_base())
+@example(source="corrupt_focus_outside_interval")
+@example(source="corrupt_missing_closure")
+@example(source="corrupt_nonnormal_foci")
+@example(source="corrupt_swapped_foci")
+def test_order_law_matches_the_interval_sweep(source):
+    assert_order_law_matches_the_interval_sweep(_base(source))
+
+
+def test_the_order_law_holds_over_all_of_g_on_the_skewed_cone():
+    """On Z^2 under [[6, -1], [0, 1], [6, -5]] with unit (4, 1) the interval
+    does not generate the positives.  J = [[1, -1], [0, 0]] keeps every
+    effect positive, but it sends the ray (5, 6) to (-1, 0); the law, and
+    the retraction certificate that states it, fail there."""
+
+    rows, unit = SKEWED
+    model = LatticeConeModel(2, tuple(rows), Vec(unit))
+    j = endo_from_int_matrix(model, [[1, -1], [0, 0]])
+    assert interval_order_preserving(model, j).ok
+    clause = order_preserving(model, j, model)
+    assert (clause.status, clause.witness) == ("fail", {"positive": Vec((5, 6))})
+    assert j.apply(Vec((5, 6))) == Vec((-1, 0))
+    checks = dict(retraction_certificate(model, j).checks)
+    assert checks["order_preserving"] == clause

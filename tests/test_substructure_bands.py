@@ -1,12 +1,14 @@
-"""The universes of lattice substructures against the filter they replaced.
+"""The universes of lattice substructures against the filters they replaced.
 
-Substructure._band enumerates a band from a basis of its projector's range
-(models.range_band), or filters the parent's band by the projector alone
-when the units agree.  conftest.filtered_band is the element-by-element
-filter of the parent's universe; these tests hold every band to it, tuple
-for tuple, order included, on the bundled models, seeded cones, a Z^3 grid,
-substructures nested through restricted_base, a focus outside the unit
-interval, and hand-built projectors, one of them over the denominator 2.
+A substructure lists its boxes by the model's rule (models.positive_box):
+range_band on a Z-basis of its members (models.member_lattice), between 0
+and n*w for every unit w up to the model.  conftest.filtered_band is the
+element-by-element filter of the parent's universe, and
+conftest.fixed_points_band the same filter testing den*g == M g; these
+tests hold every band to both, tuple for tuple, order included, on the
+bundled models, seeded cones, a Z^3 grid, substructures nested through
+restricted_base, a focus outside the unit interval, and hand-built
+projectors, one of them over the denominator 2.
 """
 
 from __future__ import annotations
@@ -23,18 +25,25 @@ from compbase import (
     Substructure,
     Vec,
     commutant_substructure,
+    identity_endo,
     image_substructure,
     load_model,
     restricted_base,
 )
-from compbase import compatibility
-from compbase.models import UnboundedIntervalError, lattice_basis, range_band
+from compbase.models import (
+    UnboundedIntervalError,
+    lattice_basis,
+    member_lattice,
+    positive_box,
+    range_band,
+)
 from conftest import (
     FIXTURES_DIR,
     LATTICE,
     MODELS_DIR,
     corner_model,
     filtered_band,
+    fixed_points_band,
     retraction_base,
     seeded_cones,
 )
@@ -45,8 +54,9 @@ STANDARD = ((1, 0), (0, 1))
 
 
 def assert_bands_match(sub, n=N):
-    assert sub.interval() == filtered_band(sub, 0, 1)
-    assert sub.positive_universe(2 * n) == filtered_band(sub, 0, 2 * n)
+    assert sub.interval() == filtered_band(sub, 0, 1) == fixed_points_band(sub, 1)
+    box = sub.positive_universe(2 * n)
+    assert box == filtered_band(sub, 0, 2 * n) == fixed_points_band(sub, 2 * n)
 
 
 def substructures(base, depth=1):
@@ -128,20 +138,19 @@ def test_bands_match_the_filter_for_any_projector(matrix):
     assert_bands_match(Substructure(model, "commutant", model.unit, model.unit, p), n=2)
 
 
-def test_a_projector_over_two_is_filtered():
-    """P = [[1, 1], [1, 1]] / 2 is idempotent and fixes the diagonal.  A
-    projector that is not integral takes the filter branch.  On Z^2 the
-    filter meets (0, 1), which P sends off the lattice, and raises as the
-    oracle does; inside the diagonal, cut out by an integral projector, P
-    is integral on every point and the band is the diagonal's."""
+def test_a_projector_over_two_keeps_its_fixed_points():
+    """P = [[1, 1], [1, 1]] / 2 is idempotent and fixes the diagonal.  Its
+    band is the diagonal's, where the filter meets (0, 1), which P sends
+    off the lattice, and raises; inside the diagonal, cut out by an
+    integral projector, P is integral on every point and the filter agrees."""
 
     model = LatticeConeModel(2, STANDARD, Vec((2, 2)))
     half = Endomorphism(model, ((1, 1), (1, 1)), 2)
     assert half.den == 2
     top = Substructure(model, "image", Vec((1, 1)), Vec((1, 1)), half)
-    for band in (top.interval, lambda: filtered_band(top, 0, 1)):
-        with pytest.raises(ValueError, match="integer lattice"):
-            band()
+    assert top.interval() == fixed_points_band(top, 1) == (Vec((0, 0)), Vec((1, 1)))
+    with pytest.raises(ValueError, match="integer lattice"):
+        filtered_band(top, 0, 1)
     onto_diagonal = Endomorphism(model, ((1, 0), (1, 0)))
     diagonal = Substructure(model, "commutant", model.unit, model.unit, onto_diagonal)
     sub = Substructure(diagonal, "image", Vec((1, 1)), Vec((1, 1)), half)
@@ -163,13 +172,44 @@ def test_range_band_lists_the_points_in_order():
     assert range_band(model, ((0, 0), (0, 0)), (Vec((1, 1)),), 0, 1) == [Vec((0, 0))]
 
 
-def test_the_filter_decides_where_the_range_cannot_be_bounded(monkeypatch, bundled):
-    def unbounded(*args):
-        raise UnboundedIntervalError("interval too large to enumerate")
+def test_the_parent_box_raises_first():
+    """A box of the parent too large to enumerate raises before the
+    substructure's own, which is small: errors come in the parent's order."""
 
-    monkeypatch.setattr(compatibility, "range_band", unbounded)
-    _, base = bundled["m1"]
-    model = base.structure
-    for v in base.foci:
-        sub = Substructure(model, "image", v, v, base.j(v))  # fresh, so no band is kept yet
-        assert_bands_match(sub)
+    model = LatticeConeModel(2, STANDARD, Vec((3000, 3000)))
+    axis = Endomorphism(model, ((1, 0), (0, 0)))
+    sub = Substructure(model, "image", Vec((1, 0)), Vec((1, 0)), axis)
+    with pytest.raises(UnboundedIntervalError, match="too large"):
+        sub.interval()
+    assert positive_box(sub, 1) == (Vec((0, 0)), Vec((1, 0)))
+
+
+def test_member_lattice_of_a_model_is_the_identity():
+    assert member_lattice(LatticeConeModel(2, STANDARD, Vec((2, 2)))) == [(1, 0), (0, 1)]
+    assert member_lattice(LatticeConeModel(3, ((1, 0, 0),), Vec((1, 0, 0)))) == [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "matrix, members",
+    [
+        (((2, 0), (0, 0)), []),
+        (((0, 1), (1, 0)), [(1, 1)]),
+        (((1, 1), (0, 1)), [(1, 0)]),
+        (((2, -1), (2, -1)), [(1, 1)]),
+    ],
+    ids=["doubling", "swap", "shear", "two_columns"],
+)
+def test_member_lattice_is_a_basis_of_the_fixed_points(matrix, members):
+    """The members of a substructure are the points its projector fixes,
+    whether or not it is idempotent; [[2, -1], [2, -1]] has the range
+    (1, 1)Z, of which its columns generate only the even points."""
+
+    model = LatticeConeModel(2, STANDARD, Vec((2, 2)))
+    sub = Substructure(model, "image", model.unit, model.unit, Endomorphism(model, matrix))
+    basis = member_lattice(sub)
+    assert basis in (members, [tuple(-x for x in b) for b in members])
+    # nested: the members fixed by both projectors
+    inner = Substructure(sub, "commutant", model.unit, model.unit, identity_endo(model))
+    assert member_lattice(inner) == basis
