@@ -10,9 +10,21 @@ out exactly.  Nothing in this module (or anywhere else in the package)
 touches floats.
 
 The fast paths keep every result: `combine` adds or subtracts two matrices
-over one denominator row by row with no lcm, `lowest_terms` and `is_psd`
-take one gcd over the flattened rows, and `is_psd` divides a Schur
-complement only by a gcd above 1.
+over one denominator row by row with no lcm, `lowest_terms` and the
+elimination behind `is_psd` take one gcd over the flattened rows, and that
+elimination divides a Schur complement only by a gcd above 1.
+
+`mat_mul`, `is_psd` and `invert` pick a closed form by the input's shape:
+on square 2x2 and 3x3 input (the matrices of m3 and m4, the maps of m3,
+the maps of Z^2 and Z^3 lattice models, the Cayley frames) they unroll the
+product, test the principal minors and return the adjugate with the
+determinant, the same ints and bools as the generic paths.  The generic
+paths (`_mul_by_columns`, `_psd_by_elimination`, `_invert_by_elimination`)
+stay: they take every other size (the 6x6 maps of m4, Z^4 lattice seeds)
+and the tests hold each closed form to them.  `is_psd` reads only the upper triangle of a
+2x2 or 3x3 matrix, so its input must be symmetric.  `invert` and
+`int_det` refuse a matrix that is not square with ValueError at every
+size, and `int_det` refuses entries that are no ints with TypeError.
 """
 
 from __future__ import annotations
@@ -20,7 +32,6 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Sequence
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:
@@ -62,6 +73,40 @@ def combine(a, da: int, b, db: int, k: int = 1):
 
 
 def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product a b, unrolled when a and b are both 2x2 or both 3x3."""
+    n = len(a)
+    if n == 2 and len(a[0]) == 2 and len(b) == 2 and len(b[0]) == 2:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return (
+            (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11),
+        )
+    if n == 3 and len(a[0]) == 3 and len(b) == 3 and len(b[0]) == 3:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+        return (
+            (
+                a00 * b00 + a01 * b10 + a02 * b20,
+                a00 * b01 + a01 * b11 + a02 * b21,
+                a00 * b02 + a01 * b12 + a02 * b22,
+            ),
+            (
+                a10 * b00 + a11 * b10 + a12 * b20,
+                a10 * b01 + a11 * b11 + a12 * b21,
+                a10 * b02 + a11 * b12 + a12 * b22,
+            ),
+            (
+                a20 * b00 + a21 * b10 + a22 * b20,
+                a20 * b01 + a21 * b11 + a22 * b21,
+                a20 * b02 + a21 * b12 + a22 * b22,
+            ),
+        )
+    return _mul_by_columns(a, b)
+
+
+def _mul_by_columns(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product a b of any shapes, each entry a row times a column."""
     cols = transpose(b)
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
@@ -139,11 +184,45 @@ class SingularMatrixError(ValueError):
     pass
 
 
+def _require_square(m) -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    return n
+
+
 def invert(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The adjugate and the determinant of a square integer matrix.
 
-    m^-1 = adj / det.  Integer Gauss-Jordan takes [m | I] to
-    [p*I | p*m^-1] with p = sign * det, the last pivot.
+    m^-1 = adj / det.  A 2x2 or 3x3 matrix takes the cofactors in closed
+    form; any other size goes through `_invert_by_elimination`.
+    """
+    n = _require_square(m)
+    if n == 2:
+        (a, b), (c, d) = m
+        det = a * d - b * c
+        if not det:
+            raise SingularMatrixError("matrix is singular")
+        return ((d, -b), (-c, a)), det
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * c00 + b * c01 + c * c02
+        if not det:
+            raise SingularMatrixError("matrix is singular")
+        return (
+            (c00, c * h - b * i, b * f - c * e),
+            (c01, a * i - c * g, c * d - a * f),
+            (c02, b * g - a * h, a * e - b * d),
+        ), det
+    return _invert_by_elimination(m)
+
+
+def _invert_by_elimination(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """invert of a square matrix of any size.
+
+    Integer Gauss-Jordan takes [m | I] to [p*I | p*m^-1] with
+    p = sign * det, the last pivot.
     """
     n = len(m)
     work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
@@ -156,13 +235,37 @@ def invert(m) -> tuple[tuple[tuple[int, ...], ...], int]:
 def is_psd(m) -> bool:
     """Exact positive-semidefiniteness test for a symmetric integer matrix.
 
+    A symmetric matrix is PSD iff every principal minor is >= 0: a 2x2 or
+    3x3 matrix is tested so, reading only its upper triangle (a matrix
+    that is not symmetric gets a meaningless answer).  Any other size goes
+    through `_psd_by_elimination`.  Positive scalings keep every sign, so a
+    rational matrix is tested through its numerators over a positive
+    denominator.
+    """
+    n = len(m)
+    if n == 2:
+        (a, b), (_, d) = m
+        return a >= 0 and d >= 0 and a * d >= b * b
+    if n == 3:
+        (a, b, c), (_, d, e), (_, _, f) = m
+        if a < 0 or d < 0 or f < 0:
+            return False
+        df = d * f - e * e
+        if df < 0 or a * f < c * c or a * d < b * b:
+            return False
+        return a * df - b * (b * f - c * e) + c * (b * e - c * d) >= 0
+    return _psd_by_elimination(m)
+
+
+def _psd_by_elimination(m) -> bool:
+    """is_psd of a symmetric matrix of any size.
+
     Symmetric Gaussian elimination pivoting on nonzero diagonal entries.
     The matrix is PSD iff no pivot is ever negative and, once no nonzero
     diagonal entry remains, the residual is entirely zero (a symmetric PSD
     matrix with a zero diagonal entry has no off-diagonal coupling there).
     Each step keeps d times the Schur complement, d the positive pivot,
-    divided by its gcd: positive scalings keep every sign, so a rational
-    matrix is tested through its numerators over a positive denominator.
+    divided by its gcd when that is above 1.
     """
     a = [list(row) for row in m]
     while a:
@@ -181,9 +284,12 @@ def is_psd(m) -> bool:
     return True
 
 
-def int_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    a = [[int(x) for x in row] for row in m]
+def int_det(m) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination.  Entries that are no ints raise TypeError."""
+    n = _require_square(m)
+    if not all(isinstance(x, int) for row in m for x in row):
+        raise TypeError("int_det takes integer entries only")
+    a = [list(row) for row in m]
     r, sign, last = _bareiss(a, n)
     return sign * last if r == n else 0

@@ -7,6 +7,10 @@ devectorize by index pairs, the Cayley frame as a product, and computed
 maps built through the checking constructor.  The order test on the
 numerators of b - a is held to is_psd of the reduced SymMat b - a in
 tests/test_matrix_model.py (test_memoized_order_matches_is_psd).
+
+The closed forms of mat_mul, is_psd and invert on 2x2 and 3x3 input are
+held to the generic paths they bypass, which linalg keeps as private
+functions, at n = 1-4 (n = 1 and 4 take the generic path on both sides).
 """
 
 import random
@@ -24,6 +28,7 @@ from compbase import (
     linalg,
     matrix_model,
 )
+from compbase.linalg import _invert_by_elimination, _mul_by_columns, _psd_by_elimination
 from compbase.models import conjugation_endo
 from conftest import (
     basis_conjugation_endo,
@@ -151,3 +156,93 @@ def test_cayley_frame_matches_the_product_and_consumes_the_same_draws():
             fast, slow = random.Random(seed), random.Random(seed)
             assert matrix_model.cayley_orthogonal(dim, fast) == product_cayley_orthogonal(dim, slow)
             assert fast.getstate() == slow.getstate()
+
+
+# Entries for the closed forms: small ints with many zeros, and ints of
+# 64 bits and more, the size of the unreduced rows of b - a that the
+# matrix order memo tests.
+small = st.integers(-6, 6)
+wide = st.integers(2**63, 2**80).flatmap(lambda x: st.sampled_from([x, -x]))
+kernel_entries = st.one_of(small, small, st.just(0), wide)
+sizes = st.sampled_from([1, 2, 3, 4])
+
+
+@st.composite
+def square_rows(draw, n):
+    """An n x n integer matrix whose rows are drawn, zero, or a multiple of
+    the row above, so singular and rank-deficient matrices turn up often."""
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["entries"] * 6 + ["zero", "multiple"]))
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif kind == "multiple" and rows:
+            k = draw(small)
+            rows.append(tuple(k * x for x in rows[-1]))
+        else:
+            rows.append(tuple(draw(kernel_entries) for _ in range(n)))
+    return tuple(rows)
+
+
+@st.composite
+def symmetric_rows(draw, n):
+    """A symmetric n x n integer matrix: the upper triangle of a drawn one,
+    or a Gram matrix M^T M (rank-deficient when M is) nudged by a drawn
+    symmetric matrix of -1, 0 and 1, times 1 or a 65-bit scale, which puts
+    it on either side of the PSD boundary; then maybe with one diagonal
+    entry set to zero, alone or with its row and column."""
+    m = draw(square_rows(n))
+    if draw(st.booleans()):
+        gram = _mul_by_columns(linalg.transpose(m), m)
+        nudge = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+        scale = draw(st.sampled_from([1, 2**64 + 13]))
+        rows = [[scale * (gram[i][j] + nudge[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
+    else:
+        rows = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = 0
+        if draw(st.booleans()):
+            rows[i] = [0] * n
+            for row in rows:
+                row[i] = 0
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=400, deadline=None)
+@example((((1, 2), (3, 4)), ((5, 6), (7, 8))))
+@example((((1, 2, 3), (4, 5, 6), (7, 8, 10)), ((2, 0, 1), (1, 3, 0), (0, 1, 4))))
+@given(sizes.flatmap(lambda n: st.tuples(square_rows(n), square_rows(n))))
+def test_mat_mul_closed_form_matches_the_column_product(pair):
+    a, b = pair
+    assert linalg.mat_mul(a, b) == _mul_by_columns(a, b)
+
+
+@settings(max_examples=600, deadline=None)
+@example(((1, 1), (1, 1)))
+@example(((0, 1), (1, 0)))
+@example(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
+@example(((1, 1, 1), (1, 1, 1), (1, 1, 1)))
+@example(((1, 2, 0), (2, 4, 0), (0, 0, 0)))
+@example(((1, 1, 0), (1, 2, 1), (0, 1, 1)))
+@example(((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+@example(((1, 0, 2), (0, 0, 0), (2, 0, 1)))
+@given(sizes.flatmap(symmetric_rows))
+def test_is_psd_closed_form_matches_elimination(m):
+    assert linalg.is_psd(m) is _psd_by_elimination(m)
+
+
+def _inverse_or_singular(invert, m):
+    try:
+        return invert(m)
+    except linalg.SingularMatrixError:
+        return "singular"
+
+
+@settings(max_examples=400, deadline=None)
+@example(((1, 2), (3, 4)))
+@example(((2, 0, 1), (1, 3, 0), (0, 1, 4)))
+@example(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+@given(sizes.flatmap(square_rows))
+def test_invert_closed_form_matches_elimination(m):
+    assert _inverse_or_singular(linalg.invert, m) == _inverse_or_singular(_invert_by_elimination, m)

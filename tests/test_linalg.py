@@ -237,3 +237,58 @@ def test_combine_and_lowest_terms_match_sympy(data, da, k):
     assert low_den > 0
     assert gcd(low_den, *(x for row in low for x in row)) == 1
     assert linalg.lowest_terms(low, low_den) == (low, low_den)
+
+
+# Shape and type guards.  invert and int_det test squareness once, before
+# they pick a closed form by size, so every size fails the same way.
+
+NOT_SQUARE = [
+    ((1, 2),),
+    ((1, 2, 3), (4, 5, 6)),
+    ((1, 2), (3, 4), (5, 6)),
+    ((1, 2), (3,)),
+    ((1, 2, 3), (4, 5, 6), (7, 8)),
+    ((1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 1, 1)),
+    ((1, 2, 3, 4), (5, 6, 7, 8), (1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("kernel", [linalg.invert, linalg.int_det])
+@pytest.mark.parametrize("m", NOT_SQUARE)
+def test_invert_and_int_det_refuse_a_matrix_that_is_not_square(kernel, m):
+    with pytest.raises(ValueError, match="not square") as raised:
+        kernel(m)
+    assert not isinstance(raised.value, linalg.SingularMatrixError)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("odd", [Fraction(1, 2), 0.5, Fraction(2), 2.0])
+def test_int_det_refuses_entries_that_are_no_ints(n, odd):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    m[0][0] = odd
+    with pytest.raises(TypeError):
+        linalg.int_det(m)
+
+
+@pytest.mark.parametrize("rows,inner,cols", [
+    (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 2), (3, 2, 3), (2, 3, 3),
+    (3, 3, 4), (4, 3, 3), (1, 2, 2), (2, 2, 1), (2, 2, 2), (3, 3, 3),
+])
+def test_mat_mul_takes_a_closed_form_only_when_all_four_sizes_agree(rows, inner, cols):
+    a = tuple(tuple(i * inner + j + 1 for j in range(inner)) for i in range(rows))
+    b = tuple(tuple(2 * i - j for j in range(cols)) for i in range(inner))
+    got = linalg.mat_mul(a, b)
+    assert got == from_sympy(to_sympy(a) * to_sympy(b))
+    assert len(got) == rows and all(len(row) == cols for row in got)
+
+
+@pytest.mark.parametrize("a,b,product", [
+    ((), (), ()),
+    ((), ((1, 2), (3, 4)), ()),
+    (((), ()), (), ((), ())),
+    (((), (), ()), (), ((), (), ())),
+    (((1, 2), (3, 4)), ((), ()), ((), ())),
+    (((1, 2, 3),) * 3, ((),) * 3, ((),) * 3),
+])
+def test_mat_mul_passes_empty_input_through(a, b, product):
+    assert linalg.mat_mul(a, b) == product
