@@ -46,11 +46,10 @@ from .compression import (
 )
 from .config import CheckConfig
 from .effect_algebra import (
-    EffectAlgebra,
     MackeyTriple,
     MembershipError,
-    SubEffectAlgebra,
     center,
+    is_effect,
     is_mackey_compatible,
     is_normal_subalgebra,
     is_sub_effect_algebra,
@@ -81,7 +80,6 @@ __all__ = [
     "Clause",
     "CompatReport",
     "CompressionBase",
-    "EffectAlgebra",
     "Endomorphism",
     "LatticeConeModel",
     "MackeyTriple",
@@ -92,7 +90,6 @@ __all__ = [
     "NotEnumerableError",
     "Report",
     "RetractionCertificate",
-    "SubEffectAlgebra",
     "Substructure",
     "SymMat",
     "UnboundedIntervalError",
@@ -117,6 +114,7 @@ __all__ = [
     "in_commutant",
     "is_compression",
     "is_direct",
+    "is_effect",
     "is_mackey_compatible",
     "is_normal_subalgebra",
     "is_projection",

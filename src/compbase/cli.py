@@ -62,7 +62,7 @@ from .compression import (
     validate_compression_base,
 )
 from .config import CheckConfig
-from .effect_algebra import EffectAlgebra, SubEffectAlgebra, mackey_decompositions
+from .effect_algebra import is_effect, mackey_decompositions
 from .elements import SymMat, Vec, parse_integer, parse_rational
 from .modelfile import ModelFormatError, load_model
 from .models import NotEnumerableError, validate_unital_group
@@ -119,19 +119,18 @@ _FOCUS = "a focus of the declared base"
 
 
 def _mackey(args, model, base, cfg, sections: dict, fields: dict) -> None:
-    algebra = EffectAlgebra(model)
     named = {"e": _parse_element(model, args.e), "f": _parse_element(model, args.f)}
-    tests = [(algebra.contains, "in the unit interval")]
+    tests = [(lambda x: is_effect(model, x), "in the unit interval")]
     within = None
     if model.kind == "matrix":
         tests.append((base.contains_focus, _FOCUS))
-        within = SubEffectAlgebra(algebra, frozenset(base.foci))
+        within = base.foci
     for test, what in tests:
         name = next((n for n, x in named.items() if not test(x)), None)
         if name is not None:
             fields["error"] = f"{name} is not {what}"
             return
-    triples = mackey_decompositions(algebra, named["e"], named["f"], within=within)
+    triples = mackey_decompositions(model, named["e"], named["f"], within=within)
     fields.update(named, compatible=bool(triples), triples=list(triples))
     fields["searched"] = "declared foci" if within is not None else "unit interval"
 

@@ -59,12 +59,11 @@ from typing import Any
 from . import linalg, matrix_model
 from .compression import (
     CompressionBase,
-    _is_effect,
     focus_premises,
     kernel_complement_check,
     order_preserving,
 )
-from .effect_algebra import EffectAlgebra, MembershipError, is_mackey_compatible, mackey_triples
+from .effect_algebra import MembershipError, is_effect, is_mackey_compatible, mackey_triples
 from .elements import conjugate
 from .models import (
     Endomorphism,
@@ -205,11 +204,11 @@ def _battery(base: CompressionBase, p, q) -> CompatReport:
     r = base.image(p, q)
 
     if structure.finite:
-        in_interval = is_mackey_compatible(EffectAlgebra(structure), p, q)
+        in_interval = is_mackey_compatible(structure, p, q)
     else:
         e = p - r
         f = q - r
-        in_interval = all(_is_effect(structure, x) for x in (r, e, f))
+        in_interval = all(is_effect(structure, x) for x in (r, e, f))
         in_interval = in_interval and structure.leq(e + f + r, structure.unit)
     if base.intensional or _projection_foci(base):
         in_base = in_interval and all(base.contains_focus(x) for x in (r, e, f))
@@ -376,11 +375,14 @@ class Substructure(Value):
         return self.projector.apply(self.parent.project(g))
 
     def is_member(self, g) -> bool:
-        """g is a member of the parent that the projector fixes."""
+        """g is a member of the parent that the projector P / den fixes:
+        on a lattice P g == den * g on the coordinates (the fixed_rows
+        equalities), which holds or fails without leaving the lattice."""
         if not self.parent.is_member(g):
             return False
         if self.finite:
-            return self.projector.apply(g) == g
+            p = self.projector
+            return linalg.mat_vec(p.matrix, g.coords) == tuple(p.den * x for x in g.coords)
         known = self._members.get(g)
         if known is None:
             known = self._members[g] = self.projector.apply(g) == g
@@ -750,7 +752,7 @@ def _omp_bounded(base: CompressionBase, n: int, rng) -> Clause:
     clause = law(
         "omp_bounded",
         base.cases(1, lambda _: Sample(n, lambda: matrix_model.draw_projection(dim, rng))),
-        lambda p: _is_effect(structure, p),
+        lambda p: is_effect(structure, p),
         witness=None if declared else "p",
         note="" if declared else "sampled projections are effects; zero and unit are foci",
     )

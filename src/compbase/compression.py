@@ -5,6 +5,9 @@ p = J(u) is an effect and which fixes every effect below its focus.  A
 retraction is a compression when J(e) = 0 forces e <= u - p for effects e.
 A compression base assigns a compression to each member of a sub-effect
 algebra of foci, subject to a normality condition and a composition law.
+Those two laws of the foci, and the test that a focus is an effect
+(focus_in_interval: a member of the structure, positive and below its
+unit), are effect_algebra's, which takes the structure itself.
 
 Each law is stated once, as a law() over a universe of cases chosen from
 the structure: the exhaustive interval, cone generators or declared foci
@@ -39,10 +42,9 @@ from typing import Any, Callable, Optional
 from . import linalg, matrix_model
 from .config import CheckConfig
 from .effect_algebra import (
-    EffectAlgebra,
     MembershipError,
-    SubEffectAlgebra,
     center,
+    is_effect,
     is_normal_subalgebra,
     is_sub_effect_algebra,
 )
@@ -111,9 +113,8 @@ def retraction_certificate(
     = 0 and e = e p = p e = p e p.
     """
 
-    finite = structure.finite
     focus = endo.apply(structure.unit)
-    if finite:
+    if structure.finite:
         premises = []
         order = order_preserving(structure, endo, structure)
         fixes = law(
@@ -132,7 +133,7 @@ def retraction_certificate(
         law(
             "focus_in_interval",
             (focus,),
-            lambda f: (not finite or structure.is_member(f)) and _is_effect(structure, f),
+            lambda f: is_effect(structure, f),
             witness="focus",
         ),
         fixes,
@@ -260,10 +261,6 @@ def focus_certificate(base, p) -> tuple:
         return (*(c for _, c in cert.checks), is_compression(structure, j, premises))
 
     return base.kept(("certificate", p), build)
-
-
-def _is_effect(structure, x) -> bool:
-    return structure.is_positive(x) and structure.leq(x, structure.unit)
 
 
 def is_compression(structure, endo: Endomorphism, premises=None) -> Clause:
@@ -545,12 +542,12 @@ class CompressionBase(Value):
     base it was cut from (pairs=).  _pairs holds no base, so the sharing
     makes no reference cycle and a base is freed as soon as it is dropped.
     An intensional base keeps nothing: its foci are sampled, so a memo
-    would grow with the budget.  A declared base also keeps its foci as a
-    frozenset (_focus_set) for membership.  A base is equal and hashed by
+    would grow with the budget.  A declared base's foci are the keys of
+    family, which answers membership.  A base is equal and hashed by
     identity, as the keys of such memos must be.
     """
 
-    __slots__ = ("structure", "foci", "family", "cfg", "_memo", "_pairs", "_focus_set")
+    __slots__ = ("structure", "foci", "family", "cfg", "_memo", "_pairs")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -569,7 +566,6 @@ class CompressionBase(Value):
         object.__setattr__(self, "cfg", cfg)
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_pairs", {} if pairs is None else pairs)
-        object.__setattr__(self, "_focus_set", None if foci is None else frozenset(foci))
 
     @property
     def intensional(self) -> bool:
@@ -582,18 +578,16 @@ class CompressionBase(Value):
     def contains_focus(self, p) -> bool:
         if self.intensional:
             return self.structure.is_member(p) and matrix_model.is_projection(p)
-        return p in self._focus_set
+        return p in self.family
 
     def j(self, p) -> Endomorphism:
         """The compression assigned to the focus p."""
 
         if not self.contains_focus(p):
             raise MembershipError("element is not a focus of this base")
-        if self.family is not None and p in self.family:
-            return self.family[p]
         if self.intensional:
             return conjugation_endo(self.structure.carrier, p)
-        raise MembershipError("no compression assigned to this focus")
+        return self.family[p]
 
     def complement(self, p):
         return self.kept(("supplement", p), lambda: self.unit - p)
@@ -686,15 +680,14 @@ def validate_compression_base(base: CompressionBase) -> Report:
 
     rep = Report(title="compression base laws")
     structure = base.structure
-    algebra = EffectAlgebra(structure)
 
     if base.intensional:
         rep.add(_intensional_closure_clause(base))
     else:
-        rep.add(is_sub_effect_algebra(algebra, base.foci))
+        rep.add(is_sub_effect_algebra(structure, base.foci))
 
     if structure.finite:
-        rep.add(is_normal_subalgebra(algebra, SubEffectAlgebra(algebra, frozenset(base.foci))))
+        rep.add(is_normal_subalgebra(structure, base.foci))
     else:
         rep.add(_matrix_normality_clause(base))
 
@@ -873,8 +866,7 @@ def direct_compression_base(model: LatticeConeModel) -> tuple[CompressionBase, R
         )
     )
 
-    algebra = EffectAlgebra(model)
-    central = center(algebra)
+    central = center(model)
     foci = [c.focus for c in direct]
     rep.add(law("direct_foci_central", foci, lambda p: p in central, witness="focus"))
 

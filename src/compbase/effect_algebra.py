@@ -1,11 +1,14 @@
 """The unit interval of a unital group as a partial algebra.
 
-The carrier is E = {e : 0 <= e <= u}.  The partial sum e (+) f is the group
-sum when it stays below the unit and is undefined otherwise; undefined is an
-ordinary value here (None), not an error.  On top of that partial operation
-the module builds Mackey decompositions, sub-effect algebras, the normality
-condition used by compression bases, and the center.  The algebra, its
-sub-effect algebras and Mackey triples are frozen values (value.Value).
+The carrier is E = {e : 0 <= e <= u} of a structure, a full model or a
+substructure view: is_effect is the one test of membership in E, through
+the structure's membership, positivity and order.  The partial sum e (+) f
+is the group sum when it stays below the unit and is undefined otherwise.
+Every function here takes the structure itself and builds on that partial
+operation: Mackey decompositions, the sub-effect-algebra laws, the
+normality condition used by compression bases, and the center.  A set of
+effects is an ordinary collection, searched in sort_key order; a Mackey
+triple is a frozen value (value.Value).
 """
 
 from __future__ import annotations
@@ -22,63 +25,14 @@ class MembershipError(ValueError):
     """An argument lies outside the algebra it was claimed to belong to."""
 
 
-class EffectAlgebra(Value):
-    """Interval [0, u] of a structure, with the partial sum.
+def is_effect(structure, x) -> bool:
+    """x is a member of the structure with 0 <= x <= u."""
 
-    The structure can be a full model or a substructure view; everything
-    here goes through its order and membership predicates.
-    """
+    return structure.is_member(x) and structure.is_positive(x) and structure.leq(x, structure.unit)
 
-    __slots__ = ("structure",)
 
-    def __init__(self, structure: Any) -> None:
-        object.__setattr__(self, "structure", structure)
-
-    @property
-    def unit(self):
-        return self.structure.unit
-
-    @property
-    def zero(self):
-        return self.structure.zero
-
-    @property
-    def elements(self) -> Optional[tuple]:
-        """All effects in deterministic order, or None when not enumerable."""
-
-        if not self.structure.finite:
-            return None
-        return self.structure.interval()
-
-    def contains(self, e) -> bool:
-        return (
-            self.structure.is_member(e)
-            and self.structure.is_positive(e)
-            and self.structure.leq(e, self.unit)
-        )
-
-    def _require(self, e, name: str):
-        if not self.contains(e):
-            raise MembershipError(f"{name} is not an effect of this algebra")
-
-    def orthosupplement(self, e):
-        """The unique f with e (+) f = u."""
-
-        self._require(e, "e")
-        return self.unit - e
-
-    def oplus(self, e, f):
-        """Partial sum: e + f when that is still an effect, else None."""
-
-        self._require(e, "e")
-        self._require(f, "f")
-        s = e + f
-        if not self.structure.leq(s, self.unit):
-            return None
-        return s
-
-    def defined(self, e, f) -> bool:
-        return self.oplus(e, f) is not None
+def _sorted(members) -> list:
+    return sorted(members, key=lambda m: m.sort_key())
 
 
 class MackeyTriple(Value):
@@ -99,60 +53,38 @@ class MackeyTriple(Value):
         return {"e1": self.e1, "f1": self.f1, "d": self.d}
 
 
-class SubEffectAlgebra(Value):
-    """A subset of the effects, wrapped with its parent algebra.
+def _search(structure, e, f, within: Optional[Iterable]):
+    """The Mackey triples of (e, f), lazily, once e and f are checked."""
 
-    Construction does not validate closure; run is_sub_effect_algebra to
-    certify the laws.
-    """
+    for name, x in (("e", e), ("f", f)):
+        if not is_effect(structure, x):
+            raise MembershipError(f"{name} is not an effect of this algebra")
+    if within is None:
+        if not structure.finite:
+            raise NotEnumerableError(
+                "decomposition search over a non-enumerable interval needs "
+                "an explicit set of effects to search within"
+            )
+        return mackey_triples(structure, e, f, down_set(structure, e))
+    members = frozenset(within)
+    if e not in members or f not in members:
+        raise MembershipError("e and f must belong to the sub-effect algebra")
+    return mackey_triples(structure, e, f, _sorted(members), members.__contains__)
 
-    __slots__ = ("algebra", "members")
 
-    def __init__(self, algebra: EffectAlgebra, members: frozenset) -> None:
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "members", members)
-
-    def __contains__(self, e) -> bool:
-        return e in self.members
-
-    def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members, key=lambda m: m.sort_key()))
-
-
-def mackey_decompositions(
-    algebra: EffectAlgebra,
-    e,
-    f,
-    within: Optional[SubEffectAlgebra] = None,
-) -> tuple[MackeyTriple, ...]:
+def mackey_decompositions(structure, e, f, within: Optional[Iterable] = None) -> tuple:
     """All Mackey triples for the pair (e, f), in deterministic order.
 
     A triple arises from each d with d <= e, d <= f and e + f - d <= u; the
-    summands are then e - d and f - d.  With `within`, the search is
-    restricted so that d, e - d and f - d all lie in the given sub-effect
-    algebra (e and f must be members themselves).
+    summands are then e - d and f - d.  With `within`, a collection of
+    effects holding e and f, the search is restricted so that d, e - d and
+    f - d all lie in it, and d runs over it in sort_key order.
 
     Without `within` the candidates d are the interval's effects below e
     (models.down_set), so the structure has to be enumerable.
     """
 
-    algebra._require(e, "e")
-    algebra._require(f, "f")
-    if within is not None:
-        if e not in within or f not in within:
-            raise MembershipError("e and f must belong to the sub-effect algebra")
-        pool = within.sorted_members()
-        member = within.members.__contains__
-    else:
-        if algebra.elements is None:
-            raise NotEnumerableError(
-                "decomposition search over a non-enumerable interval needs "
-                "an explicit sub-effect algebra to search within"
-            )
-        pool = down_set(algebra.structure, e)
-        member = None
-
-    return tuple(mackey_triples(algebra.structure, e, f, pool, member))
+    return tuple(_search(structure, e, f, within))
 
 
 def mackey_triples(structure, e, f, pool, member=None):
@@ -173,18 +105,14 @@ def mackey_triples(structure, e, f, pool, member=None):
             yield MackeyTriple(e1, f1, d)
 
 
-def is_mackey_compatible(
-    algebra: EffectAlgebra,
-    e,
-    f,
-    within: Optional[SubEffectAlgebra] = None,
-) -> bool:
-    """Whether at least one Mackey triple exists for (e, f)."""
+def is_mackey_compatible(structure, e, f) -> bool:
+    """Whether a Mackey triple exists for (e, f) in the interval; the
+    search stops at the first."""
 
-    return len(mackey_decompositions(algebra, e, f, within=within)) > 0
+    return next(_search(structure, e, f, None), None) is not None
 
 
-def is_sub_effect_algebra(algebra: EffectAlgebra, members: Iterable) -> Clause:
+def is_sub_effect_algebra(structure, members: Iterable) -> Clause:
     """Check that a finite set of effects is closed under the algebra laws.
 
     Required: every member is an effect, 0 and u belong, orthosupplements
@@ -193,7 +121,8 @@ def is_sub_effect_algebra(algebra: EffectAlgebra, members: Iterable) -> Clause:
     """
 
     mset = frozenset(members)
-    ordered = sorted(mset, key=lambda m: m.sort_key())
+    ordered = _sorted(mset)
+    unit = structure.unit
     checked = 0
 
     def fail(**witness) -> Clause:
@@ -201,27 +130,28 @@ def is_sub_effect_algebra(algebra: EffectAlgebra, members: Iterable) -> Clause:
 
     for m in ordered:
         checked += 1
-        if not algebra.contains(m):
+        if not is_effect(structure, m):
             return fail(check="member_is_effect", element=m)
-    if algebra.zero not in mset:
+    if structure.zero not in mset:
         return fail(check="contains_zero")
-    if algebra.unit not in mset:
+    if unit not in mset:
         return fail(check="contains_unit")
     for m in ordered:
         checked += 1
-        comp = algebra.unit - m
+        comp = unit - m
         if comp not in mset:
             return fail(check="orthosupplement_closed", element=m, missing=comp)
+    leq = structure.leq
     for a in ordered:
         for b in ordered:
             checked += 1
-            s = algebra.oplus(a, b)
-            if s is not None and s not in mset:
+            s = a + b
+            if leq(s, unit) and s not in mset:
                 return fail(check="partial_sum_closed", e=a, f=b, missing=s)
     return Clause("foci_sub_effect_algebra", PASS, checked=checked)
 
 
-def is_normal_subalgebra(algebra: EffectAlgebra, sub: SubEffectAlgebra) -> Clause:
+def is_normal_subalgebra(structure, members: Iterable) -> Clause:
     """Exhaustive normality check over an enumerable interval.
 
     Normality: whenever e + f + d <= u with e + d and f + d both in the
@@ -230,32 +160,30 @@ def is_normal_subalgebra(algebra: EffectAlgebra, sub: SubEffectAlgebra) -> Claus
     sums, which keeps the search at |E| * |P|^2 instead of |E|^3.
     """
 
-    elements = algebra.elements
-    if elements is None:
-        raise NotEnumerableError("normality scan requires an enumerable interval")
-    leq = algebra.structure.leq
-    members = sub.sorted_members()
-    contains = algebra.contains
+    elements = structure.interval()
+    leq = structure.leq
+    mset = frozenset(members)
+    ordered = _sorted(mset)
 
     def candidates():
         for d in elements:
-            if d in sub.members:
+            if d in mset:
                 continue
             # e + d in P means e = p - d for some member p with d <= p.
-            effects = [p - d for p in members if leq(d, p) and contains(p - d)]
+            effects = [p - d for p in ordered if leq(d, p) and is_effect(structure, p - d)]
             for e, f in itertools.product(effects, repeat=2):
                 yield e, f, d
 
     return law(
         "foci_normal_subalgebra",
         candidates(),
-        lambda efd: not leq(efd[0] + efd[1] + efd[2], algebra.unit),
+        lambda efd: not leq(efd[0] + efd[1] + efd[2], structure.unit),
         witness=("e", "f", "d"),
     )
 
 
-def center(algebra: EffectAlgebra) -> SubEffectAlgebra:
-    """Central effects of an enumerable algebra.
+def center(structure) -> frozenset:
+    """Central effects of an enumerable structure.
 
     Greechie, Foulis and Pulmannova ("The center of an effect algebra",
     Order 12, 1995): c is central, that is f -> (f1, f2) is an isomorphism
@@ -273,12 +201,9 @@ def center(algebra: EffectAlgebra) -> SubEffectAlgebra:
     raises.
     """
 
-    elements = algebra.elements
-    if elements is None:
-        raise NotEnumerableError("center computation requires an enumerable interval")
-    structure = algebra.structure
+    elements = structure.interval()
     leq = structure.leq
-    unit = algebra.unit
+    unit = structure.unit
 
     def principal(p) -> bool:
         below = down_set(structure, p)
@@ -288,17 +213,16 @@ def center(algebra: EffectAlgebra) -> SubEffectAlgebra:
         splits = (f1 for f1 in elements if leq(f1, f) and leq(f1, c) and leq(f - f1, unit - c))
         return len(list(itertools.islice(splits, 2))) == 1
 
-    central = [
+    central = frozenset(
         c
         for c in elements
         if principal(c) and principal(unit - c) and all(splits_once(c, f) for f in elements)
-    ]
+    )
 
-    sub = SubEffectAlgebra(algebra, frozenset(central))
-    closure = is_sub_effect_algebra(algebra, sub.members)
+    closure = is_sub_effect_algebra(structure, central)
     if not closure.ok:
         raise RuntimeError(f"central effects failed closure: {closure.witness!r}")
-    normal = is_normal_subalgebra(algebra, sub)
+    normal = is_normal_subalgebra(structure, central)
     if not normal.ok:
         raise RuntimeError(f"central effects failed normality: {normal.witness!r}")
-    return sub
+    return central

@@ -539,10 +539,10 @@ class Endomorphism(Value):
     On a lattice carrier (carrier.finite) the map keeps an image table,
     _images, from the coordinates of each element it has mapped to the
     image: apply computes each product once per distinct map and element,
-    and the checks that meet an element again read the stored image:
-    membership P g == g, the sweeps of the retraction certificate
-    and is_compression, the kernel exchange, the morphism laws and the
-    battery (absorption and the product split read cone generators).  The
+    and the checks that meet an element again read the stored image: the
+    sweeps of the retraction certificate and is_compression, the kernel
+    exchange, the morphism laws and the battery (absorption and the
+    product split read cone generators).  The
     table is the carrier's, kept in carrier._tables under (matrix, den), so
     equal maps on one carrier share it, and it is freed with the carrier.
     Only a successful image is stored, so a map that leaves the lattice

@@ -36,11 +36,10 @@ from compbase.compatibility import (
 )
 from compbase.compression import (
     _extend_basis,
-    _is_effect,
     retraction_certificate,
     validate_compression_base,
 )
-from compbase.effect_algebra import MackeyTriple
+from compbase.effect_algebra import MackeyTriple, is_effect
 from compbase.models import UnboundedIntervalError
 from compbase.reporting import Report, Sample, jsonable, law
 
@@ -284,8 +283,6 @@ def filtered_band(sub, lo, hi):
     The rule that models.positive_box replaced with an enumeration of the
     member lattice, kept as its oracle.  A nested substructure filters its
     parent's band as this oracle computes it, down to the model's box.
-    is_member applies the projector, so a point that a projector with a
-    denominator sends off the lattice raises (fixed_points_band does not).
     """
     parent = sub.parent
     if getattr(parent, "parent", None) is not None:
@@ -967,8 +964,8 @@ def sampled_interval_characterization(base, sub, cfg):
     def splits(e) -> bool:
         x, y = jv.apply(e), jc.apply(e)
         return (
-            _is_effect(parent, x)
-            and _is_effect(parent, y)
+            is_effect(parent, x)
+            and is_effect(parent, y)
             and parent.leq(x, v)
             and parent.leq(y, comp)
             and x + y == e
@@ -977,10 +974,10 @@ def sampled_interval_characterization(base, sub, cfg):
     def holds(case):
         i, a, b = case
         g = conjugate(v, a) + conjugate(comp, b)
-        if not (sub.is_member(g) and _is_effect(parent, g)):
+        if not (sub.is_member(g) and is_effect(parent, g)):
             return {"effect": g, "direction": "sum_not_member"}
         e = conjugate(v, b) + conjugate(comp, a) if i % 2 else g
-        if sub.is_member(e) and _is_effect(parent, e) and not splits(e):
+        if sub.is_member(e) and is_effect(parent, e) and not splits(e):
             return {"effect": e, "direction": "member_does_not_split"}
         return True
 

@@ -12,12 +12,10 @@ from compbase import cli, compatibility, compression, matrix_model, models
 from compbase import (
     BATTERY_CONDITIONS,
     CompatReport,
-    EffectAlgebra,
     Endomorphism,
     MatrixModel,
     MeetUndefinedError,
     MembershipError,
-    SubEffectAlgebra,
     SymMat,
     Vec,
     base_from_family,
@@ -31,8 +29,8 @@ from compbase import (
     direct_product_report,
     image_substructure,
     in_commutant,
-    is_mackey_compatible,
     load_model,
+    mackey_decompositions,
     meet,
     morphism_report,
     omp_report,
@@ -199,14 +197,12 @@ def old_battery_values(base, p, q) -> dict:
     jp, jq = base.j(p), base.j(q)
     pq = compose(jp, jq)
     r = jp.apply(q)
-    algebra = EffectAlgebra(structure)
-    within = SubEffectAlgebra(algebra, frozenset(base.foci))
     return {
         "commute": interval_sweep_equal(structure, pq, compose(jq, jp)),
         "jp_q_eq_jq_p": r == jq.apply(p),
         "jp_q_le_q": structure.leq(r, q),
-        "mackey_in_interval": is_mackey_compatible(algebra, p, q),
-        "mackey_in_base": is_mackey_compatible(algebra, p, q, within=within),
+        "mackey_in_interval": bool(mackey_decompositions(structure, p, q)),
+        "mackey_in_base": bool(mackey_decompositions(structure, p, q, within=base.foci)),
         "exists_common_focus": any(
             interval_sweep_equal(structure, pq, base.j(s)) for s in base.foci
         ),

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 from compbase import (
-    EffectAlgebra,
+    Endomorphism,
     LatticeConeModel,
     MackeyTriple,
     MembershipError,
     NotEnumerableError,
-    SubEffectAlgebra,
+    Substructure,
     SymMat,
     Vec,
     center,
+    commutant_substructure,
     direct_compression_base,
+    image_substructure,
+    is_effect,
     is_mackey_compatible,
     is_normal_subalgebra,
     is_sub_effect_algebra,
@@ -25,139 +28,136 @@ from compbase import (
 from conftest import FIXTURES_DIR, seeded_cones
 
 
-def brute_mackey(algebra, e, f):
-    """Reference decomposition search: scan all of E^3 directly."""
-    leq = algebra.structure.leq
-    out = set()
-    for e1, f1, d in product(algebra.elements, repeat=3):
-        if e1 + d == e and f1 + d == f and leq(e1 + f1 + d, algebra.unit):
-            out.add(MackeyTriple(e1, f1, d))
-    return out
+def brute_mackey(structure, e, f):
+    """Reference decomposition search over E^3, by set lookup: d fixes
+    e1 = e - d and f1 = f - d, so scan d and look those two up in E."""
+    elements = structure.interval()
+    effects = set(elements)
+    return {
+        MackeyTriple(e - d, f - d, d)
+        for d in elements
+        if e - d in effects
+        and f - d in effects
+        and structure.leq(e + f - d, structure.unit)
+    }
 
 
 def test_oplus_partiality(bundled):
-    algebra = EffectAlgebra(bundled["m1"][0])
+    """e (+) f is defined exactly when the group sum is an effect."""
+    model = bundled["m1"][0]
     e, f = Vec((1, 0)), Vec((0, 1))
-    assert algebra.oplus(e, f) == Vec((1, 1))
-    assert algebra.oplus(e, e) is None
-    assert algebra.defined(algebra.zero, algebra.unit)
+    assert is_effect(model, e + f) and e + f == Vec((1, 1))
+    assert not is_effect(model, e + e)
+    assert is_effect(model, model.zero + model.unit)
 
 
 def test_orthosupplement(bundled):
-    algebra = EffectAlgebra(bundled["m1"][0])
-    e = Vec((1, 0))
-    comp = algebra.orthosupplement(e)
-    assert comp == Vec((0, 1))
-    assert algebra.oplus(e, comp) == algebra.unit
-    assert algebra.orthosupplement(comp) == e
+    """u - e is the one effect f with e + f = u."""
+    model = bundled["m1"][0]
+    effects = model.interval()
+    for e in effects:
+        assert [f for f in effects if e + f == model.unit] == [model.unit - e]
 
 
 def test_membership_is_enforced(bundled):
-    algebra = EffectAlgebra(bundled["m1"][0])
+    model = bundled["m1"][0]
     outside = Vec((2, 0))
-    assert not algebra.contains(outside)
-    with pytest.raises(MembershipError):
-        algebra.oplus(outside, algebra.zero)
-    with pytest.raises(MembershipError):
-        algebra.orthosupplement(outside)
+    assert not is_effect(model, outside)
+    with pytest.raises(MembershipError, match="e is not an effect"):
+        mackey_decompositions(model, outside, model.zero)
+    with pytest.raises(MembershipError, match="f is not an effect"):
+        is_mackey_compatible(model, model.zero, outside)
 
 
 @pytest.mark.parametrize("name", ("m1", "m2"))
 def test_mackey_matches_brute_force_scan(name, bundled):
-    algebra = EffectAlgebra(bundled[name][0])
-    for e in algebra.elements:
-        for f in algebra.elements:
-            got = mackey_decompositions(algebra, e, f)
+    model = bundled[name][0]
+    for e in model.interval():
+        for f in model.interval():
+            got = mackey_decompositions(model, e, f)
             assert len(set(got)) == len(got)
-            assert set(got) == brute_mackey(algebra, e, f)
+            assert set(got) == brute_mackey(model, e, f)
 
 
 def test_mackey_swap_symmetry(bundled):
-    algebra = EffectAlgebra(bundled["m5"][0])
-    for e in algebra.elements:
-        for f in algebra.elements:
-            forward = set(mackey_decompositions(algebra, e, f))
-            swapped = {MackeyTriple(t.f1, t.e1, t.d) for t in mackey_decompositions(algebra, f, e)}
+    model = bundled["m5"][0]
+    for e in model.interval():
+        for f in model.interval():
+            forward = set(mackey_decompositions(model, e, f))
+            swapped = {MackeyTriple(t.f1, t.e1, t.d) for t in mackey_decompositions(model, f, e)}
             assert forward == swapped
 
 
 def test_mackey_of_comparable_pair(bundled):
-    algebra = EffectAlgebra(bundled["m2"][0])
+    model = bundled["m2"][0]
     one, two = Vec((1,)), Vec((2,))
     # e <= f always decomposes through d = e
-    assert is_mackey_compatible(algebra, one, two)
-    assert MackeyTriple(Vec((0,)), one, one) in mackey_decompositions(algebra, one, two)
+    assert is_mackey_compatible(model, one, two)
+    assert MackeyTriple(Vec((0,)), one, one) in mackey_decompositions(model, one, two)
 
 
 def test_mackey_needs_enumerable_interval_without_within(bundled):
     model, base = bundled["m3"]
-    algebra = EffectAlgebra(model)
     p = base.foci[1]
     with pytest.raises(NotEnumerableError):
-        mackey_decompositions(algebra, p, p)
+        mackey_decompositions(model, p, p)
+    with pytest.raises(NotEnumerableError):
+        is_mackey_compatible(model, p, p)
 
 
 def test_mackey_within_focus_algebra(bundled):
     model, base = bundled["m3"]
-    algebra = EffectAlgebra(model)
-    within = SubEffectAlgebra(algebra, frozenset(base.foci))
+    within = base.foci
     diag0 = SymMat.from_rows([[1, 0], [0, 0]])
     diag1 = SymMat.from_rows([[0, 0], [0, 1]])
     hplus = SymMat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
-    assert is_mackey_compatible(algebra, diag0, diag1, within=within)
-    assert not is_mackey_compatible(algebra, diag0, hplus, within=within)
+    assert mackey_decompositions(model, diag0, diag1, within=within)
+    assert not mackey_decompositions(model, diag0, hplus, within=within)
     half_unit = SymMat.from_rows([["1/2", 0], [0, "1/2"]])
     with pytest.raises(MembershipError):
-        mackey_decompositions(algebra, diag0, half_unit, within=within)
+        mackey_decompositions(model, diag0, half_unit, within=within)
 
 
 def test_within_triples_inject_into_full_search(bundled):
     model, base = bundled["m1"]
-    algebra = EffectAlgebra(model)
-    within = SubEffectAlgebra(algebra, frozenset(base.foci))
     for p in base.foci:
         for q in base.foci:
-            restricted = set(mackey_decompositions(algebra, p, q, within=within))
-            assert restricted <= set(mackey_decompositions(algebra, p, q))
+            restricted = mackey_decompositions(model, p, q, within=reversed(base.foci))
+            assert set(restricted) <= set(mackey_decompositions(model, p, q))
+            # the search runs in sort_key order whatever order within has
+            assert restricted == mackey_decompositions(model, p, q, within=base.foci)
 
 
 def test_sub_effect_algebra_positive(bundled):
     model, base = bundled["m1"]
-    algebra = EffectAlgebra(model)
-    assert is_sub_effect_algebra(algebra, base.foci).ok
+    assert is_sub_effect_algebra(model, base.foci).ok
 
 
 def test_sub_effect_algebra_rejects_missing_complement(bundled):
-    algebra = EffectAlgebra(bundled["m1"][0])
-    res = is_sub_effect_algebra(algebra, [Vec((0, 0)), Vec((1, 0)), Vec((1, 1))])
+    res = is_sub_effect_algebra(bundled["m1"][0], [Vec((0, 0)), Vec((1, 0)), Vec((1, 1))])
     assert not res.ok
     assert res.witness["check"] == "orthosupplement_closed"
     assert res.witness["missing"] == Vec((0, 1))
 
 
 def test_sub_effect_algebra_rejects_missing_zero(bundled):
-    algebra = EffectAlgebra(bundled["m2"][0])
-    res = is_sub_effect_algebra(algebra, [Vec((2,))])
+    res = is_sub_effect_algebra(bundled["m2"][0], [Vec((2,))])
     assert not res.ok
     assert res.witness["check"] == "contains_zero"
 
 
 def test_sub_effect_algebra_rejects_non_effect(bundled):
-    algebra = EffectAlgebra(bundled["m2"][0])
-    res = is_sub_effect_algebra(algebra, [Vec((0,)), Vec((3,)), Vec((2,))])
+    res = is_sub_effect_algebra(bundled["m2"][0], [Vec((0,)), Vec((3,)), Vec((2,))])
     assert not res.ok
     assert res.witness["check"] == "member_is_effect"
 
 
 def test_sub_effect_algebra_rejects_open_sum(bundled):
-    algebra = EffectAlgebra(bundled["m2"][0])
     # {0, 1, 2} minus nothing is closed; dropping 2 from the sum's reach:
-    res = is_sub_effect_algebra(algebra, [Vec((0,)), Vec((1,)), Vec((2,))])
+    res = is_sub_effect_algebra(bundled["m2"][0], [Vec((0,)), Vec((1,)), Vec((2,))])
     assert res.ok
-    model, _ = bundled["m5"]
-    alg5 = EffectAlgebra(model)
     members = [Vec((0, 0)), Vec((0, 1)), Vec((1, 0)), Vec((1, 1))]
-    res5 = is_sub_effect_algebra(alg5, members)
+    res5 = is_sub_effect_algebra(bundled["m5"][0], members)
     assert not res5.ok
     assert res5.witness["check"] == "partial_sum_closed"
 
@@ -165,36 +165,32 @@ def test_sub_effect_algebra_rejects_open_sum(bundled):
 def test_normality_positive_on_declared_foci(bundled):
     for name in ("m1", "m2", "m5"):
         model, base = bundled[name]
-        algebra = EffectAlgebra(model)
-        sub = SubEffectAlgebra(algebra, frozenset(base.foci))
-        assert is_normal_subalgebra(algebra, sub).ok
+        assert is_normal_subalgebra(model, base.foci).ok
 
 
 def test_normality_negative_witness():
     model, base = load_model(FIXTURES_DIR / "corrupt_nonnormal_foci.json")
-    algebra = EffectAlgebra(model)
-    sub = SubEffectAlgebra(algebra, frozenset(base.foci))
-    assert is_sub_effect_algebra(algebra, sub.members).ok
-    res = is_normal_subalgebra(algebra, sub)
+    assert is_sub_effect_algebra(model, base.foci).ok
+    res = is_normal_subalgebra(model, base.foci)
     assert not res.ok
     e, f, d = res.witness["e"], res.witness["f"], res.witness["d"]
-    assert d not in sub.members
-    assert e + d in sub.members and f + d in sub.members
-    assert algebra.structure.leq(e + f + d, algebra.unit)
+    assert d not in base.foci
+    assert e + d in base.foci and f + d in base.foci
+    assert model.leq(e + f + d, model.unit)
 
 
 def test_center_sizes(bundled):
-    assert len(center(EffectAlgebra(bundled["m1"][0])).members) == 4
-    assert len(center(EffectAlgebra(bundled["m2"][0])).members) == 2
-    assert len(center(EffectAlgebra(bundled["m5"][0])).members) == 4
+    assert len(center(bundled["m1"][0])) == 4
+    assert len(center(bundled["m2"][0])) == 2
+    assert len(center(bundled["m5"][0])) == 4
 
 
 def test_center_not_enumerable_on_matrix(bundled):
     with pytest.raises(NotEnumerableError):
-        center(EffectAlgebra(bundled["m3"][0]))
+        center(bundled["m3"][0])
 
 
-def central_by_product(algebra, c) -> bool:
+def central_by_product(model, c) -> bool:
     """Whether f -> (f1, f2), the split f = f1 + f2 with f1 <= c and
     f2 <= u - c, is an isomorphism of E onto [0, c] x [0, u - c].
 
@@ -202,7 +198,7 @@ def central_by_product(algebra, c) -> bool:
     the product sums to a distinct effect, every effect is such a sum, and
     a sum of effects is defined exactly when the componentwise sums are.
     """
-    leq, unit, elements = algebra.structure.leq, algebra.unit, algebra.elements
+    leq, unit, elements = model.leq, model.unit, model.interval()
     comp = unit - c
     split = {}
     for a in (e for e in elements if leq(e, c)):
@@ -230,7 +226,7 @@ NON_PRODUCT = [
 @pytest.mark.parametrize("rows,unit", NON_PRODUCT)
 def test_center_of_non_product_cones_is_trivial(rows, unit):
     model = LatticeConeModel(len(unit), rows, Vec(unit))
-    assert center(EffectAlgebra(model)).members == {model.zero, model.unit}
+    assert center(model) == {model.zero, model.unit}
     base, report = direct_compression_base(model)
     assert report.ok, report.first_failure()
     assert set(base.foci) == {model.zero, model.unit}
@@ -251,6 +247,99 @@ def test_center_matches_product_decomposition(cone):
         assume(False)
     # an empty interval (a unit outside its cone) has no zero to be central
     assume(2 <= len(interval) <= 40)
-    algebra = EffectAlgebra(model)
-    got = center(algebra).members
-    assert got == {c for c in interval if central_by_product(algebra, c)}
+    got = center(model)
+    assert got == {c for c in interval if central_by_product(model, c)}
+
+
+# the central effects at the commit before center took the structure
+CENTER = {
+    "m1": {(0, 0), (0, 1), (1, 0), (1, 1)},
+    "m2": {(0,), (2,)},
+    "m5": {(0, 0), (0, 2), (1, -1), (1, 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTER))
+def test_center_is_the_frozenset_it_was(name, bundled):
+    got = center(bundled[name][0])
+    assert isinstance(got, frozenset)
+    assert got == {Vec(c) for c in CENTER[name]}
+
+
+def _substructures(base):
+    for v in base.foci:
+        yield image_substructure(base, v)
+        yield commutant_substructure(base, v)
+
+
+def _assert_compatible_iff_a_triple(structure):
+    effects = structure.interval()
+    for e, f in product(effects, repeat=2):
+        assert is_mackey_compatible(structure, e, f) == bool(brute_mackey(structure, e, f)), (e, f)
+
+
+@settings(max_examples=12, deadline=None)
+@given(cone=seeded_cones())
+@example(cone=([(1, 0), (0, 1)], (2, 1)))
+@example(cone=([(1, 0), (1, 1)], (1, 1)))  # m5
+@example(cone=([(-1, 2), (-2, 0)], (-3, 3)))
+def test_first_triple_decides_compatibility(cone):
+    """is_mackey_compatible stops at the first triple; it says yes exactly
+    when the E^3 scan finds one."""
+    rows, unit = cone
+    model = LatticeConeModel(2, tuple(rows), Vec(unit))
+    try:
+        interval = model.interval()
+    except NotEnumerableError:
+        assume(False)
+    assume(1 <= len(interval) <= 40)
+    _assert_compatible_iff_a_triple(model)
+
+
+@pytest.mark.parametrize("name", ("m1", "m5"))
+def test_first_triple_decides_compatibility_in_substructures(name, bundled):
+    for sub in _substructures(bundled[name][1]):
+        _assert_compatible_iff_a_triple(sub)
+
+
+def _diagonal():
+    """Z^2 under the standard cone with unit (2, 2), and the substructure
+    with the same unit cut out by [[1, 1], [1, 1]] / 2: the diagonal."""
+    model = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((2, 2)))
+    half = Endomorphism(model, ((1, 1), (1, 1)), 2)
+    return model, Substructure(model, "commutant", model.unit, model.unit, half)
+
+
+@pytest.mark.parametrize("name", ("m1", "m2", "m5", "diagonal"))
+def test_effects_are_the_enumerated_interval(name, bundled):
+    """On a finite structure is_effect holds exactly on the enumerated
+    interval, over a box around it: in the model, in every image and
+    commutant substructure of its base, and on the diagonal, whose
+    non-members include parent effects below its unit."""
+    if name == "diagonal":
+        model, sub = _diagonal()
+        structures = (model, sub)
+        assert all(is_effect(model, x) and not is_effect(sub, x) for x in (Vec((1, 0)), Vec((2, 1))))
+    else:
+        model, base = bundled[name]
+        structures = (model, *_substructures(base))
+    box = [Vec(c) for c in product(range(-3, 4), repeat=model.dim)]
+    for structure in structures:
+        interval = set(structure.interval())
+        for x in box:
+            assert is_effect(structure, x) == (x in interval), (structure, x)
+            assert is_effect(structure, x) == (
+                structure.is_member(x)
+                and structure.is_positive(x)
+                and structure.leq(x, structure.unit)
+            )
+
+
+def test_effects_of_the_matrix_model(bundled):
+    model = bundled["m3"][0]
+    half = SymMat.from_rows([["1/2", 0], [0, "1/2"]])
+    assert is_effect(model, half) and is_effect(model, model.unit)
+    assert not is_effect(model, model.unit + model.unit)
+    assert not is_effect(model, model.zero - half)
+    assert not is_effect(model, Vec((0, 0)))
+    assert not is_effect(model, SymMat.from_rows([[0]]))

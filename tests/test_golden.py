@@ -59,6 +59,32 @@ MATRIX_SEED1_SHA256 = {
 }
 
 
+# compat-table at --samples 8 --seed 0: (model, style) -> sha256
+COMPAT_TABLE_SHA256 = {
+    ("m1", "--json"): "655dcd1a520e1619fbab2ab3fd67427a8b93df3f4687cd201cff667592c33d7f",
+    ("m1", "--table"): "6e7fb5b2c0e8f3f50f5a85e7dee9e874cfea10cd9a8c45b5d1e8ab2532d215ed",
+    ("m3", "--json"): "4e5d5e5fc2821c88979851471b04bb6c961abfaf1f42ddec1ee85ce07427cfc1",
+    ("m3", "--table"): "a0373231717c27f4a906ec3943e749b4b3d08780cd1577eedf5d573cea850d88",
+    ("m5", "--json"): "b2e1705834d133e335a57646d55fc43a5a8551f0a360870fc25c84824bf3d7b8",
+    ("m5", "--table"): "43ac439e491dd1c8b5f57b5be590246f03c64de674a628680c46f4cd73f48bc2",
+}
+
+# mackey at --samples 8 --seed 0: (model, e, f) -> (exit code, sha256); on
+# m3 the search runs within the declared foci, on m1 and m5 over [0, u]
+MACKEY_SHA256 = {
+    ("m1", "1,0", "0,1"): (0, "34a8702b914213bb9b2a2f1b6be82b3ceb2c8e08136373136963ca714d2f63ef"),
+    ("m1", "2,0", "0,1"): (1, "1781e612a18d7f0392646ce29b9090f845ec4060be36a510dc075d4ab3a68ee7"),
+    ("m5", "1,-1", "0,2"): (0, "ed7dd510ce81d7b9ab34b604ca48bf79d8c2d2ef2c22f466328709e73948d2c9"),
+    ("m3", "1/2,1/2,1/2,1/2", "1,0,0,0"): (
+        0,
+        "82e2c16e9c3d73968629a976d40c89e65d2419db5309e96e6219f9087dde28bb",
+    ),
+    ("m3", "1,0,0,0", "1,0,0,0"): (
+        0,
+        "c1cefff37fc11dd7f309bd14bc7ec87a00d1c6d133e54ab464425976889ff53c",
+    ),
+}
+
 # Library reports at samples=8, seed=0, rendered with render_json.  The CLI
 # runs the theorems only on bases that validate, so these pin the theorem
 # fail paths: theorem_report on each corrupted fixture's declared base.
@@ -171,6 +197,19 @@ def test_matrix_seed1_bytes_pinned(capsys, command, name):
     )
     assert code == 0
     assert digest == MATRIX_SEED1_SHA256[command, name]
+
+
+@pytest.mark.parametrize("name,style", sorted(COMPAT_TABLE_SHA256))
+def test_compat_table_bytes_pinned(capsys, name, style):
+    code, digest = _sha256_of_run(capsys, "compat-table", MODELS_DIR / f"{name}.json", style)
+    assert code == 0
+    assert digest == COMPAT_TABLE_SHA256[name, style]
+
+
+@pytest.mark.parametrize("name,e,f", sorted(MACKEY_SHA256))
+def test_mackey_bytes_pinned(capsys, name, e, f):
+    got = _sha256_of_run(capsys, "mackey", MODELS_DIR / f"{name}.json", e, f)
+    assert got == MACKEY_SHA256[name, e, f]
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_REPORT_SHA256))

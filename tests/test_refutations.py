@@ -16,7 +16,6 @@ import pytest
 from compbase import (
     BATTERY_CONDITIONS,
     CompatReport,
-    EffectAlgebra,
     Endomorphism,
     LatticeConeModel,
     MatrixModel,
@@ -143,6 +142,6 @@ def test_is_direct_names_the_unit_when_it_does_not_commute():
 
 
 def test_sub_effect_algebra_needs_the_unit():
-    clause = is_sub_effect_algebra(EffectAlgebra(Z2), [ZERO, P])
+    clause = is_sub_effect_algebra(Z2, [ZERO, P])
     assert not clause.ok
     assert clause.witness == {"check": "contains_unit"}

@@ -7,8 +7,6 @@ import pytest
 
 from compbase import (
     Clause,
-    EffectAlgebra,
-    SubEffectAlgebra,
     Vec,
     commutant_absorption_check,
     endo_from_int_matrix,
@@ -121,9 +119,7 @@ def test_check_functions_return_named_clauses(bundled):
     collapse = endo_from_int_matrix(m1, [[0, 1], [0, 1]])
     jp = base1.j(Vec((1, 0)))
     closure_model, closure_base = load_model(FIXTURES_DIR / "corrupt_missing_closure.json")
-    closure_algebra = EffectAlgebra(closure_model)
     normal_model, normal_base = load_model(FIXTURES_DIR / "corrupt_nonnormal_foci.json")
-    normal_algebra = EffectAlgebra(normal_model)
     shifted_model, shifted_base = load_model(
         FIXTURES_DIR / "corrupt_focus_outside_interval.json"
     )
@@ -148,15 +144,13 @@ def test_check_functions_return_named_clauses(bundled):
             1,
         ),
         (
-            is_sub_effect_algebra(closure_algebra, closure_base.foci),
+            is_sub_effect_algebra(closure_model, closure_base.foci),
             "foci_sub_effect_algebra",
             {"check": "orthosupplement_closed", "element": Vec((1, 0)), "missing": Vec((0, 1))},
             5,
         ),
         (
-            is_normal_subalgebra(
-                normal_algebra, SubEffectAlgebra(normal_algebra, frozenset(normal_base.foci))
-            ),
+            is_normal_subalgebra(normal_model, normal_base.foci),
             "foci_normal_subalgebra",
             {"e": Vec((0, 0, 1, 0)), "f": Vec((1, 0, 0, 0)), "d": Vec((0, 0, 0, 1))},
             2,
@@ -167,5 +161,5 @@ def test_check_functions_return_named_clauses(bundled):
         assert (clause.name, clause.status) == (name, FAIL)
         assert (clause.witness, clause.checked) == (witness, checked)
     # the same checks pass, under the same names, on a valid base
-    assert is_sub_effect_algebra(EffectAlgebra(m1), base1.foci).name == "foci_sub_effect_algebra"
+    assert is_sub_effect_algebra(m1, base1.foci).name == "foci_sub_effect_algebra"
     assert commutant_absorption_check(base1, Vec((0, 1)), Vec((0, 1))).status == PASS

@@ -24,9 +24,11 @@ from compbase import (
     MembershipError,
     Substructure,
     Vec,
+    base_from_family,
     commutant_substructure,
     identity_endo,
     image_substructure,
+    is_effect,
     load_model,
     restricted_base,
 )
@@ -140,23 +142,38 @@ def test_bands_match_the_filter_for_any_projector(matrix):
 
 def test_a_projector_over_two_keeps_its_fixed_points():
     """P = [[1, 1], [1, 1]] / 2 is idempotent and fixes the diagonal.  Its
-    band is the diagonal's, where the filter meets (0, 1), which P sends
-    off the lattice, and raises; inside the diagonal, cut out by an
-    integral projector, P is integral on every point and the filter agrees."""
+    band is the diagonal's, and the filter agrees: it meets (0, 1), which P
+    sends off the lattice, and is_member answers False there.  Inside the
+    diagonal, cut out by an integral projector, P is integral on every point."""
 
     model = LatticeConeModel(2, STANDARD, Vec((2, 2)))
     half = Endomorphism(model, ((1, 1), (1, 1)), 2)
     assert half.den == 2
     top = Substructure(model, "image", Vec((1, 1)), Vec((1, 1)), half)
     assert top.interval() == fixed_points_band(top, 1) == (Vec((0, 0)), Vec((1, 1)))
-    with pytest.raises(ValueError, match="integer lattice"):
-        filtered_band(top, 0, 1)
+    assert filtered_band(top, 0, 1) == top.interval()
     onto_diagonal = Endomorphism(model, ((1, 0), (1, 0)))
     diagonal = Substructure(model, "commutant", model.unit, model.unit, onto_diagonal)
     sub = Substructure(diagonal, "image", Vec((1, 1)), Vec((1, 1)), half)
     assert_bands_match(sub)
     assert sub.interval() == (Vec((0, 0)), Vec((1, 1)))
     assert sub.positive_universe(N) == tuple(Vec((t, t)) for t in range(N + 1))
+
+
+def test_membership_under_a_projector_over_two_never_raises():
+    """is_member decides P g == den * g on the coordinates, so a point that
+    P / den sends off the lattice is a non-member, not an error; the same
+    on the image of a declared base that holds that map."""
+
+    model = LatticeConeModel(2, STANDARD, Vec((2, 2)))
+    half = Endomorphism(model, ((1, 1), (1, 1)), 2)
+    built = Substructure(model, "image", Vec((2, 2)), Vec((2, 2)), half)
+    base = base_from_family(model, [(Vec((2, 2)), half)])
+    for sub in (built, image_substructure(base, Vec((2, 2)))):
+        assert not sub.is_member(Vec((1, 0)))
+        assert not is_effect(sub, Vec((1, 0)))
+        assert sub.is_member(Vec((1, 1))) and is_effect(sub, Vec((1, 1)))
+        assert not sub.is_member(Vec((3, 1)))
 
 
 def test_range_band_lists_the_points_in_order():

@@ -17,14 +17,12 @@ from compbase import (
     Clause,
     CompatReport,
     CompressionBase,
-    EffectAlgebra,
     Endomorphism,
     LatticeConeModel,
     MackeyTriple,
     MatrixModel,
     Report,
     RetractionCertificate,
-    SubEffectAlgebra,
     Substructure,
     SymMat,
     Vec,
@@ -33,7 +31,6 @@ from compbase import (
 )
 
 Z2 = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((1, 1)))
-Z2_WIDE = LatticeConeModel(2, ((1, 0), (0, 1)), Vec((2, 1)))
 ID = identity_endo(Z2)
 PASSED = Clause("law", "pass", 3)
 
@@ -53,16 +50,10 @@ FIELDS = {
         (Z2, ((1, 0), (0, 1)), 1, None),
         (Z2, ((1, 0), (0, 0)), 1, None),
     ),
-    EffectAlgebra: (("structure",), (Z2,), (Z2_WIDE,)),
     MackeyTriple: (
         ("e1", "f1", "d"),
         (Vec((1, 0)), Vec((0, 1)), Vec((0, 0))),
         (Vec((0, 1)), Vec((1, 0)), Vec((0, 0))),
-    ),
-    SubEffectAlgebra: (
-        ("algebra", "members"),
-        (EffectAlgebra(Z2), frozenset({Vec((0, 0)), Vec((1, 1))})),
-        (EffectAlgebra(Z2), frozenset({Vec((0, 0))})),
     ),
     RetractionCertificate: (
         ("structure", "endo", "focus", "checks"),
@@ -197,11 +188,15 @@ def test_frozen_classes_refuse_assignment(cls):
     assert values(x, names) == fields
 
 
-def test_compression_base_still_caches_its_focus_set():
-    base = build(CompressionBase)
-    assert base.contains_focus(Vec((1, 1))) and not base.contains_focus(Vec((0, 0)))
-    assert base._focus_set is base._focus_set
-    assert not hasattr(base, "__dict__")
+def test_contains_focus_agrees_with_family(bundled):
+    """A declared base answers membership from the keys of its family."""
+    for model, base in bundled.values():
+        assert set(base.family) == set(base.foci)
+        outside = model.unit + model.unit
+        for p in (*base.foci, outside):
+            assert base.contains_focus(p) == (p in base.family)
+        assert not base.contains_focus(outside)
+    assert not hasattr(build(CompressionBase), "__dict__")
 
 
 def test_repr_of_elements_and_config():
