@@ -393,11 +393,12 @@ class Substructure(Value):
 
     def restrict(self, a: Endomorphism) -> Endomorphism:
         """a after the projector: a read as a map of the substructure,
-        composed once per map and kept."""
+        composed once per map (its map_key on the carrier) and kept."""
 
-        out = self._maps.get(a)
+        key = map_key(self.carrier, a)
+        out = self._maps.get(key)
         if out is None:
-            out = self._maps[a] = compose(a, self.projector)
+            out = self._maps[key] = compose(a, self.projector)
         return out
 
     def leq(self, a, b) -> bool:
@@ -499,7 +500,7 @@ def substructure_report(base: CompressionBase, v, kind: str):
 
     The last two, validate_unital_group of the substructure and
     validate_compression_base of its restricted base, are kept on the base
-    under all they read: the projector's (matrix, den), the unit and the
+    under all they read: the projector (its map_key), the unit and the
     restricted foci (the parent and the maps are the base's own, and
     neither reads kind or v).  So two substructures with one key, such as
     the commutants of v and u - v, are validated once, and their reports
@@ -538,8 +539,7 @@ def substructure_report(base: CompressionBase, v, kind: str):
         return validate_unital_group(sub), validate_compression_base(rbase)
 
     if all(c.ok for c in sub.premises):
-        projector = sub.projector
-        key = ("validated", projector.matrix, projector.den, sub.unit, rbase.foci)
+        key = ("validated", map_key(parent.carrier, sub.projector), sub.unit, rbase.foci)
         unital, based = base.kept(key, validations)
     else:
         unital, based = validations()

@@ -516,8 +516,8 @@ class CompressionBase(Value):
     first asked for.  In _memo:
       ("image", v), ("commutant", v)  the substructures of a focus v;
       a Substructure                  the restricted base on it;
-      ("validated", matrix, den,      the validations of a substructure
-       unit, foci)                    and its restricted base, shared by
+      ("validated", key, unit, foci)  the validations of a substructure
+                                      and its restricted base, shared by
                                       equal substructures (their
                                       projector, unit and restricted foci;
                                       compatibility.substructure_report);

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Optional
 
-from .models import NotEnumerableError, down_set
+from .models import down_set
 from .reporting import FAIL, PASS, Clause, law
 from .value import Value
 
@@ -60,11 +60,6 @@ def _search(structure, e, f, within: Optional[Iterable]):
         if not is_effect(structure, x):
             raise MembershipError(f"{name} is not an effect of this algebra")
     if within is None:
-        if not structure.finite:
-            raise NotEnumerableError(
-                "decomposition search over a non-enumerable interval needs "
-                "an explicit set of effects to search within"
-            )
         return mackey_triples(structure, e, f, down_set(structure, e))
     members = frozenset(within)
     if e not in members or f not in members:
@@ -81,7 +76,8 @@ def mackey_decompositions(structure, e, f, within: Optional[Iterable] = None) ->
     f - d all lie in it, and d runs over it in sort_key order.
 
     Without `within` the candidates d are the interval's effects below e
-    (models.down_set), so the structure has to be enumerable.
+    (models.down_set), so the structure has to be enumerable: a matrix
+    structure raises NotEnumerableError there.
     """
 
     return tuple(_search(structure, e, f, within))

@@ -15,16 +15,19 @@ elimination behind `is_psd` take one gcd over the flattened rows, and that
 elimination divides a Schur complement only by a gcd above 1.
 
 `mat_mul`, `is_psd` and `invert` pick a closed form by the input's shape:
-on square 2x2 and 3x3 input (the matrices of m3 and m4, the maps of m3,
-the maps of Z^2 and Z^3 lattice models, the Cayley frames) they unroll the
-product, test the principal minors and return the adjugate with the
-determinant, the same ints and bools as the generic paths.  The generic
-paths (`_mul_by_columns`, `_psd_by_elimination`, `_invert_by_elimination`)
-stay: they take every other size (the 6x6 maps of m4, Z^4 lattice seeds)
-and the tests hold each closed form to them.  `is_psd` reads only the upper triangle of a
-2x2 or 3x3 matrix, so its input must be symmetric.  `invert` and
-`int_det` refuse a matrix that is not square with ValueError at every
-size, and `int_det` refuses entries that are no ints with TypeError.
+on square 2x2 and 3x3 input (the matrices of m3 and m4 and the frames of
+their maps, the vectorized maps of m3, the maps of Z^2 and Z^3 lattice
+models, the Cayley frames) they unroll the product, test the principal
+minors and return the adjugate with the determinant, the same ints and
+bools as the generic paths.  The generic paths (`_mul_by_columns`,
+`_psd_by_elimination`, `_invert_by_elimination`) stay: they take every
+other size (the vectorized maps of m4 where one is built, such as a
+commutant's projector, the 4x4 frames of a dim-4 matrix model, Z^4
+lattice seeds) and the tests hold each closed form to them.  `is_psd`
+reads only the upper triangle of a 2x2 or 3x3 matrix, so its input must
+be symmetric.  `invert` and `int_det` refuse a matrix that is not square
+with ValueError at every size, and `int_det` refuses entries that are no
+ints with TypeError.
 """
 
 from __future__ import annotations

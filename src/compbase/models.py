@@ -13,16 +13,20 @@ positive semidefiniteness, with the identity as order unit; its interval
 is infinite, so its unital-group laws are decided from the form of the
 order and of the structure's projection, and nothing is sampled.
 
-Endomorphisms are stored uniformly as integer matrices over one
-denominator, acting on a vectorization of the carrier (integer entries
-over the element's denominator), so composition is matrix product and map
-equality is literal matrix equality, on both kinds (on a substructure,
-after composing with its projector; see endo_equal).  The Endomorphism
-constructor checks the shape of its matrix; the maps the program computes
-from checked ones (compose, conjugation_endo) skip that check through
-_trusted_endo, which still reduces the matrix and hands a lattice map its
-image table.  MatrixModel.devectorize reads each entry through an index
-table kept per dimension (_sym_index).
+Endomorphisms are integer matrices over one denominator, acting on a
+vectorization of the carrier (integer entries over the element's
+denominator), so composition is matrix product and map equality is
+literal matrix equality, on both kinds (on a substructure, after
+composing with its projector; see endo_equal).  A matrix map the program
+builds as a conjugation g -> a g a^T keeps its n x n frame a instead:
+compose multiplies frames, apply computes a g a^T, equality compares
+canonical frames, and the vectorized matrix, n(n+1)/2 square, is built
+only where it is read (see Endomorphism).  The Endomorphism constructor
+checks the shape of its matrix; the maps the program computes from
+checked ones (compose, conjugation_endo) skip that check through
+_trusted_endo and _framed_endo, and the first still reduces the matrix
+and hands a lattice map its image table.  MatrixModel.devectorize reads
+each entry through an index table kept per dimension (_sym_index).
 
 A lattice law over all of G whose premise and conclusion are cone or
 subspace conditions is decided on the generators of its cones
@@ -422,8 +426,11 @@ def down_set(structure, x) -> tuple:
     """[0, x]: the members of a finite structure's interval below x, in
     interval order, kept per x on the structure (_below).  A sweep whose
     premise is e <= x runs over these, meeting the cases that satisfy it
-    in the order a sweep of the whole interval would."""
+    in the order a sweep of the whole interval would.  A matrix structure
+    raises NotEnumerableError, as its interval() does."""
 
+    if not structure.finite:
+        raise NotEnumerableError("down-sets of a matrix structure are infinite, not enumerated")
     down = structure._below.get(x)
     if down is None:
         leq = structure.leq
@@ -536,6 +543,24 @@ class Endomorphism(Value):
     remembers its conjugator; the analytic facts about such maps (order
     preservation, the compression property) hinge on that form.
 
+    A matrix map the program builds as a conjugation g -> a g a^T keeps its
+    frame a in _frame, as (rows, d) for a = rows / d in lowest terms with
+    its first nonzero entry positive (_canonical_frame): conjugation_endo,
+    identity_endo and zero_endo give one, and compose gives the composite
+    of two framed maps the product frame (its conjugator stays None).  On
+    framed maps compose is an n x n product, apply is a g a^T, and
+    endo_equal and map_key compare frames.  The vectorized matrix and den
+    of a framed map are fields, but they are built only when first read
+    (__getattr__, _vectorized): by jsonable, equality, hashing and pickling,
+    by sums such as a commutant's projector, and by compose and endo_equal
+    with a map that has no frame.  A map built by the constructor keeps
+    the matrix it is given and has no frame, whatever its conjugator, so
+    compression's matrix_matches_conjugator tests that matrix.  map_key
+    reads the frame of such a map off its matrix where it has one
+    (_frame_of) and keeps it, so keys agree across the two forms.  _frame
+    is None on a matrix map not yet read so, and False on a lattice map or
+    a matrix map that is no conjugation.
+
     On a lattice carrier (carrier.finite) the map keeps an image table,
     _images, from the coordinates of each element it has mapped to the
     image: apply computes each product once per distinct map and element,
@@ -548,11 +573,12 @@ class Endomorphism(Value):
     Only a successful image is stored, so a map that leaves the lattice
     raises ValueError on every call.  A matrix map keeps no table: its
     inputs are sampled, so a table would only grow with the budget.  The
-    table is not a field, so equality, hashing, repr and pickling ignore
-    it; a pickled map takes the table of its unpickled carrier.
+    table and the frame are not fields, so equality, hashing, repr and
+    pickling ignore them; a pickled map takes the table of its unpickled
+    carrier, and a pickled framed map comes back as its matrix.
     """
 
-    __slots__ = ("carrier", "matrix", "den", "conjugator", "_images")
+    __slots__ = ("carrier", "matrix", "den", "conjugator", "_images", "_frame")
 
     def __init__(
         self,
@@ -566,9 +592,24 @@ class Endomorphism(Value):
             raise ValueError(f"endomorphism matrix must be {n}x{n} for this carrier")
         _set_endo(self, carrier, matrix, den, conjugator)
 
+    def __getattr__(self, name):
+        # reached only for a slot left unset: matrix and den of a framed map
+        if name != "matrix" and name != "den":
+            raise AttributeError(f"'Endomorphism' object has no attribute {name!r}")
+        matrix, den = _vectorized(self.carrier, *self._frame)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "den", den)
+        return matrix if name == "matrix" else den
+
     def apply(self, g):
         images = self._images
         if images is None:
+            frame = self._frame
+            if frame:
+                # a g a^T is a (a g)^T, g being symmetric
+                rows, d = frame
+                ag_t = linalg.transpose(linalg.mat_mul(rows, g.num))
+                return SymMat(linalg.mat_mul(rows, ag_t), d * d * g.den)
             v, den = self.carrier.vectorize(g)
             return self.carrier.devectorize(linalg.mat_vec(self.matrix, v), self.den * den)
         # a lattice element vectorizes as its coordinates over 1
@@ -590,12 +631,14 @@ def _set_endo(endo: Endomorphism, carrier, matrix, den: int, conjugator) -> None
     lattice map the image table of its (matrix, den) on the carrier."""
     if den != 1:
         matrix, den = linalg.lowest_terms(matrix, den)
-    images = carrier._tables.setdefault((matrix, den), {}) if carrier.finite else None
+    finite = carrier.finite
+    images = carrier._tables.setdefault((matrix, den), {}) if finite else None
     object.__setattr__(endo, "carrier", carrier)
     object.__setattr__(endo, "matrix", matrix)
     object.__setattr__(endo, "den", den)
     object.__setattr__(endo, "conjugator", conjugator)
     object.__setattr__(endo, "_images", images)
+    object.__setattr__(endo, "_frame", False if finite else None)
 
 
 def _trusted_endo(carrier, matrix, den: int = 1, conjugator: SymMat | None = None) -> Endomorphism:
@@ -606,6 +649,87 @@ def _trusted_endo(carrier, matrix, den: int = 1, conjugator: SymMat | None = Non
     return endo
 
 
+def _framed_endo(carrier: "MatrixModel", rows, d: int, conjugator=None) -> Endomorphism:
+    """The matrix map g -> a g a^T for the frame a = rows / d, with no
+    vectorized matrix until one is read."""
+    endo = object.__new__(Endomorphism)
+    object.__setattr__(endo, "carrier", carrier)
+    object.__setattr__(endo, "conjugator", conjugator)
+    object.__setattr__(endo, "_images", None)
+    object.__setattr__(endo, "_frame", _canonical_frame(rows, d))
+    return endo
+
+
+def _canonical_frame(rows, d: int) -> tuple:
+    """rows / d in lowest terms, negated when its first nonzero entry is
+    negative: the one frame of its map, as a and -a give the same map
+    (endo_equal).  The zero frame is zeros over 1."""
+    if d != 1:
+        rows, d = linalg.lowest_terms(rows, d)
+    for x in itertools.chain.from_iterable(rows):
+        if x:
+            if x < 0:
+                rows = tuple(tuple(-y for y in row) for row in rows)
+            break
+    return rows, d
+
+
+def _vectorized(carrier: "MatrixModel", a, d: int) -> tuple:
+    """The matrix and den of g -> A g A^T / d^2: the entry at row (i, j),
+    column (k, l) is (A B A^T)_ij for the basis matrix B of (k, l),
+    A_ik A_jl + A_il A_jk (the first term alone when k = l).  With A / d in
+    lowest terms this is in lowest terms too: every entry is a multiple of
+    the square of the gcd of A's entries, the A_ik^2 among them, and that
+    square shares no factor with d^2."""
+    pairs = carrier.sym_pairs
+    matrix = tuple(
+        tuple(a[i][k] * a[j][l] + (k != l) * a[i][l] * a[j][k] for k, l in pairs)
+        for i, j in pairs
+    )
+    return matrix, d * d
+
+
+def _frame_of(carrier: "MatrixModel", matrix, den: int):
+    """The canonical frame a with matrix / den the map g -> a g a^T, or
+    False when the map is no conjugation.
+
+    With a = A / d in lowest terms the map's den is d^2 (_vectorized).  The
+    column of the basis matrix E_kk holds A_ik A_jk at row (i, j): column k
+    of A up to its sign, read through the first i with A_ik != 0.  The
+    column of (k0, l), for k0 the first nonzero column of A, holds
+    A_ik0 A_jl + A_il A_jk0; for nonzero columns that is not zero at every
+    (i, j) (u v^T + v u^T = 0 needs u = 0 or v = 0), and its sign there
+    fixes the sign of column l against column k0.  The candidate is kept
+    only if its own matrix is the map's.
+    """
+    n = carrier.dim
+    index = _sym_index(n)
+
+    def entry(i, j, k, l):
+        return matrix[index[i][j]][index[k][l]]
+
+    d = math.isqrt(den)
+    if d * d != den:
+        return False
+    cols = []
+    for k in range(n):
+        top = next((i for i in range(n) if entry(i, i, k, k)), None)
+        square = 0 if top is None else entry(top, top, k, k)
+        root = math.isqrt(square) if square > 0 else 0
+        if root * root != square:
+            return False
+        cols.append([entry(top, j, k, k) // root if root else 0 for j in range(n)])
+    nonzero = [k for k, col in enumerate(cols) if any(col)]
+    for l in nonzero[1:]:
+        k0 = nonzero[0]
+        u, v = cols[k0], cols[l]
+        i, j = next((i, j) for i, j in carrier.sym_pairs if u[i] * v[j] + v[i] * u[j])
+        if entry(i, j, k0, l) != u[i] * v[j] + v[i] * u[j]:
+            cols[l] = [-x for x in v]
+    frame = _canonical_frame(linalg.transpose(cols), d)
+    return frame if _vectorized(carrier, *frame) == (matrix, den) else False
+
+
 def endo_from_int_matrix(model: LatticeConeModel, rows) -> Endomorphism:
     for row in rows:
         if len(row) != model.dim or not all(isinstance(x, int) for x in row):
@@ -614,30 +738,33 @@ def endo_from_int_matrix(model: LatticeConeModel, rows) -> Endomorphism:
 
 
 def identity_endo(carrier) -> Endomorphism:
-    conj = carrier.unit if isinstance(carrier, MatrixModel) else None
-    return Endomorphism(carrier, linalg.identity(carrier.vec_dim), conjugator=conj)
+    if isinstance(carrier, MatrixModel):
+        return _framed_endo(carrier, carrier.unit.num, 1, carrier.unit)
+    return Endomorphism(carrier, linalg.identity(carrier.vec_dim))
 
 
 def zero_endo(carrier) -> Endomorphism:
-    conj = carrier.zero if isinstance(carrier, MatrixModel) else None
+    if isinstance(carrier, MatrixModel):
+        return _framed_endo(carrier, carrier.zero.num, 1, carrier.zero)
     n = carrier.vec_dim
-    return Endomorphism(carrier, linalg.zeros(n, n), conjugator=conj)
+    return Endomorphism(carrier, linalg.zeros(n, n))
 
 
 @lru_cache(maxsize=4096)
 def conjugation_endo(carrier: MatrixModel, p: SymMat) -> Endomorphism:
-    """The map g -> p g p over d^2, for p = P / d: the entry at row (i, j), column
-    (k, l) is (P B P)_ij for the basis matrix B of (k, l), P_ik P_lj + P_il P_kj
-    (the first term alone when k = l)."""
-    a, pairs = p.num, carrier.sym_pairs
-    rows = [[a[i][k] * a[l][j] + (k != l) * a[i][l] * a[k][j] for k, l in pairs] for i, j in pairs]
-    return _trusted_endo(carrier, tuple(map(tuple, rows)), p.den * p.den, p)
+    """The map g -> p g p, framed by p (see Endomorphism)."""
+    return _framed_endo(carrier, p.num, p.den, p)
 
 
 def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
-    """a after b (apply b first)."""
+    """a after b (apply b first): the product of the frames when both
+    have one, as a g a^T after b g b^T is (ab) g (ab)^T, else of the
+    matrices."""
     if a.carrier != b.carrier:
         raise ValueError("cannot compose endomorphisms of different carriers")
+    if a._frame and b._frame:
+        (ra, da), (rb, db) = a._frame, b._frame
+        return _framed_endo(a.carrier, linalg.mat_mul(ra, rb), da * db)
     return _trusted_endo(a.carrier, linalg.mat_mul(a.matrix, b.matrix), a.den * b.den)
 
 
@@ -652,18 +779,42 @@ def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
     validate_unital_group (interval_generates_group), and on the image or
     commutant of a base of retractions, whose P maps the parent's interval
     into the substructure's, onto a set that spans the substructure.
+
+    Two framed maps are equal exactly when their canonical frames are.
+    The maps x -> a x a^T and x -> b x b^T agree on the symmetric matrices
+    exactly when a = b or a = -b.  One way is plain.  For the other, test
+    them on x = v v^T for a vector v: (a v)(a v)^T = (b v)(b v)^T, and two
+    vectors with equal outer squares are equal up to sign, so a v = b v or
+    a v = -b v.  Every v of Q^n thus lies in ker(a - b) or in ker(a + b),
+    and Q^n is not the union of two proper subspaces, so one of them is
+    all of Q^n.  _canonical_frame picks one of a and -a, so framed maps
+    are equal exactly when their frames are.  A pair with a map that has
+    no frame compares the matrices.
     """
-    return map_key(structure, a) == map_key(structure, b)
+    restrict = getattr(structure, "restrict", None)
+    if restrict is not None:
+        a, b = restrict(a), restrict(b)
+    if a._frame and b._frame:
+        return a._frame == b._frame
+    return a.den == b.den and a.matrix == b.matrix
 
 
 def map_key(structure, a: Endomorphism) -> tuple:
-    """The matrix and denominator of a read as a map of `structure`: of a
-    itself on a model, of aP on a substructure with projector P, which the
-    substructure composes once per map and keeps."""
+    """The key of a read as a map of `structure` (of a itself on a model,
+    of aP on a substructure with projector P, which the substructure
+    composes once per map and keeps): two keys are equal exactly when
+    endo_equal holds.  A matrix map with a frame, or whose matrix is a
+    conjugation (_frame_of, tried once per map), is keyed by its
+    canonical frame, tagged so that no matrix key meets it; any other map
+    by its matrix and den."""
     restrict = getattr(structure, "restrict", None)
     if restrict is not None:
         a = restrict(a)
-    return a.matrix, a.den
+    frame = a._frame
+    if frame is None:
+        frame = _frame_of(a.carrier, a.matrix, a.den)
+        object.__setattr__(a, "_frame", frame)
+    return ("frame", *frame) if frame else (a.matrix, a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +885,13 @@ def _validate_finite(structure) -> Report:
         rep.add(derived("interval_generates_positives", (order_unit,), ""))
         return rep
     height = _generation_height(structure)
-    box = structure.positive_universe(height)
+    box, bounded = _generation_box(structure, height)
     name = "interval_generates_positives"
     note = (
         f"every positive below {height}*unit, which bounds the Hilbert basis, "
         "is a sum of interval elements"
     )
-    if height == 1:
+    if height == 1 and bounded:
         # the box is the interval, each of whose members is its own sum
         rep.add(Clause(name, PASS, checked=len(box), note=note))
     else:
@@ -844,6 +995,25 @@ def _generation_height(structure) -> int:
         if at_unit > 0:
             height = max(height, -(-_dot(r, s) // at_unit))
     return height
+
+
+def _generation_box(structure, height: int) -> tuple[tuple, bool]:
+    """The members g with 0 <= g <= height*unit, and whether the unit lies
+    below every bound.
+
+    N(C, u) bounds the Hilbert basis by the structure's own unit, while its
+    positive box (positive_box) is cut by every unit up to the model.  The
+    two agree when the unit is below each bound, as a focus in the interval
+    is, and then the kept box is used.  A substructure whose unit is not
+    (a focus outside [0, u]) gets the box of its unit alone: the cut one
+    may miss positives, the unit among them, that the interval does not
+    reach.
+    """
+    unit = structure.unit
+    if all(structure.leq(unit, w) for w in structure.bounds):
+        return structure.positive_universe(height), True
+    points = range_band(structure.carrier, member_lattice(structure), (unit,), 0, height)
+    return tuple(points), False
 
 
 def _interval_sums(structure, box) -> set:

@@ -1208,3 +1208,24 @@ def product_cayley_orthogonal(dim: int, rng):
 def checked_compose(a, b):
     """compose(a, b) through the shape-checking Endomorphism constructor."""
     return Endomorphism(a.carrier, linalg.mat_mul(a.matrix, b.matrix), a.den * b.den)
+
+
+# ---------------------------------------------------------------------------
+# matrix maps on their vectorized matrices, as they were before frames: the
+# oracles of tests/test_conjugator_maps.py (compose's is checked_compose)
+
+
+def vectorized_apply(endo, g):
+    """Endomorphism.apply as the vectorized matrix times the vectorized element."""
+    carrier = endo.carrier
+    v, den = carrier.vectorize(g)
+    return carrier.devectorize(linalg.mat_vec(endo.matrix, v), endo.den * den)
+
+
+def vectorized_equal(structure, a, b):
+    """endo_equal as the equality of the vectorized matrices, each map read
+    after the substructure's projector (checked_compose) on a substructure."""
+    projector = getattr(structure, "projector", None)
+    if projector is not None:
+        a, b = checked_compose(a, projector), checked_compose(b, projector)
+    return a.matrix == b.matrix and a.den == b.den

@@ -382,6 +382,32 @@ def _sheared_base():
     return base_from_family(model, family)
 
 
+def _focus_above_the_unit_base():
+    """Z^2 under [[0, -1], [3, 3]] with unit (7, -6), and the foci (-1, -1)
+    -> [[0, 0], [0, 1]] and (8, -5) -> [[16, 24], [-10, -15]].  The image
+    of J_(8,-5) is the line through (8, -5), with that unit; (8, -5) is not
+    below (7, -6), so the interval the two units cut holds only 0, and the
+    positive (8, -5) is not a sum of interval elements."""
+
+    model = LatticeConeModel(2, ((0, -1), (3, 3)), Vec((7, -6)))
+    family = [
+        (Vec((-1, -1)), endo_from_int_matrix(model, [[0, 0], [0, 1]])),
+        (Vec((8, -5)), endo_from_int_matrix(model, [[16, 24], [-10, -15]])),
+    ]
+    return base_from_family(model, family)
+
+
+def test_a_unit_outside_the_parent_interval_fails_generation():
+    """The generation clause of a substructure whose unit is not below the
+    model's unit sweeps the box of its own unit, and names the unit."""
+
+    sub = image_substructure(_focus_above_the_unit_base(), Vec((8, -5)))
+    assert sub.interval() == (sub.zero,)
+    clause = validate_unital_group(sub).first_failure()
+    assert clause.name == "interval_generates_positives"
+    assert clause.witness == {"positive": Vec((8, -5))}
+
+
 ALL_CHECKS = (
     assert_absorption_matches,
     assert_kernel_exchange_matches,
@@ -473,6 +499,7 @@ def assert_order_law_matches_the_interval_sweep(base):
 @example(source="m5")
 @example(source="z3")
 @example(source=_sheared_base())
+@example(source=_focus_above_the_unit_base())
 @example(source="corrupt_focus_outside_interval")
 @example(source="corrupt_missing_closure")
 @example(source="corrupt_nonnormal_foci")

@@ -25,6 +25,7 @@ from compbase import (
     load_model,
     mackey_decompositions,
 )
+from compbase.models import down_set
 from conftest import FIXTURES_DIR, seeded_cones
 
 
@@ -103,6 +104,18 @@ def test_mackey_needs_enumerable_interval_without_within(bundled):
         mackey_decompositions(model, p, p)
     with pytest.raises(NotEnumerableError):
         is_mackey_compatible(model, p, p)
+
+
+def test_down_set_of_a_matrix_structure_is_not_enumerable(bundled):
+    """down_set refuses a matrix model and a matrix substructure as their
+    interval() does, with NotEnumerableError."""
+    model, base = bundled["m3"]
+    p = base.foci[1]
+    for structure in (model, image_substructure(base, p), commutant_substructure(base, p)):
+        with pytest.raises(NotEnumerableError):
+            structure.interval()
+        with pytest.raises(NotEnumerableError):
+            down_set(structure, p)
 
 
 def test_mackey_within_focus_algebra(bundled):
@@ -272,10 +285,15 @@ def _substructures(base):
         yield commutant_substructure(base, v)
 
 
-def _assert_compatible_iff_a_triple(structure):
+def _assert_compatible_iff_a_triple(structure) -> int:
+    """Returns the number of incompatible effect pairs."""
     effects = structure.interval()
+    incompatible = 0
     for e, f in product(effects, repeat=2):
-        assert is_mackey_compatible(structure, e, f) == bool(brute_mackey(structure, e, f)), (e, f)
+        compatible = is_mackey_compatible(structure, e, f)
+        assert compatible == bool(brute_mackey(structure, e, f)), (e, f)
+        incompatible += not compatible
+    return incompatible
 
 
 @settings(max_examples=12, deadline=None)
@@ -296,8 +314,24 @@ def test_first_triple_decides_compatibility(cone):
     _assert_compatible_iff_a_triple(model)
 
 
-@pytest.mark.parametrize("name", ("m1", "m5"))
+def _pyramid():
+    """The square pyramid with unit (0, 0, 2) (NON_PRODUCT), as the
+    substructure of its model cut out by the identity projector."""
+    rows, unit = NON_PRODUCT[1]
+    model = LatticeConeModel(3, rows, Vec(unit))
+    identity = Endomorphism(model, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return Substructure(model, "commutant", model.unit, model.unit, identity)
+
+
+@pytest.mark.parametrize("name", ("m1", "m5", "pyramid"))
 def test_first_triple_decides_compatibility_in_substructures(name, bundled):
+    """Every effect pair of m1 and m5 (products of chains) is compatible,
+    so the pyramid, which is not, makes a constant answer fail."""
+    if name == "pyramid":
+        sub = _pyramid()
+        assert not is_mackey_compatible(sub, Vec((1, 0, 1)), Vec((0, 1, 1)))
+        assert _assert_compatible_iff_a_triple(sub) > 0
+        return
     for sub in _substructures(bundled[name][1]):
         _assert_compatible_iff_a_triple(sub)
 

@@ -329,8 +329,11 @@ def test_substructure_restricts_each_map_once():
     sub = compatibility.image_substructure(base, v)
     a = base.j(base.foci[2])
     assert sub.restrict(a) is sub.restrict(a)
-    assert models.map_key(sub, a) == (sub.restrict(a).matrix, sub.restrict(a).den)
-    assert models.map_key(base.structure, a) == (a.matrix, a.den)
+    assert models.map_key(sub, a) == models.map_key(base.structure, sub.restrict(a))
+    # a framed map is keyed by its canonical frame, and so is its bare matrix
+    assert models.map_key(base.structure, a) == ("frame", *a._frame)
+    bare = models.Endomorphism(a.carrier, a.matrix, a.den)
+    assert models.map_key(base.structure, bare) == models.map_key(base.structure, a)
 
 
 def test_matrix_unit_is_built_once_per_dim():
