@@ -6,7 +6,8 @@ the 3x3 substructure and product paths); `validate` on the corrupted
 fixtures covers fail-path witnesses and checked counts; `theorems` on m3 at
 a larger sample budget covers the larger denominators that the small
 budget never reaches; `report` m3 and `theorems` m4 at seed 1 are the
-jobs of the matrix-report benchmark.  A change that
+jobs of the matrix-report benchmark; `substructure` covers the image and
+commutant sections on their own, on both model kinds.  A change that
 moves any of these bytes must say why in CHANGES.md and re-pin the hash
 there; a hash is never regenerated silently.
 """
@@ -82,6 +83,20 @@ MACKEY_SHA256 = {
     ("m3", "1,0,0,0", "1,0,0,0"): (
         0,
         "c1cefff37fc11dd7f309bd14bc7ec87a00d1c6d133e54ab464425976889ff53c",
+    ),
+}
+
+# substructure at --samples 8 --seed 0: (model, v, kind) -> sha256; every
+# run exits 0
+SUBSTRUCTURE_SHA256 = {
+    ("m1", "1,0", "image"): "525df30c70ef40a761e554cea33206a18c1466adfac415edba190eb95d81e8b6",
+    ("m1", "1,0", "commutant"): "43477464c3b19e77936390fa788667fd3b756e3b9f6c36511ba402608eddbe99",
+    ("m5", "0,2", "commutant"): "c0ed8133d6b8c4a2f36b660cdcc0e8d783f4a20582bf320f9446205ee974ebaa",
+    ("m3", "1/2,1/2,1/2,1/2", "commutant"): (
+        "f2661d03d743471cddafb7e56263254d6aa0f04e148185032b4c1df8bacb46c4"
+    ),
+    ("m4", "1,0,0,0,0,0,0,0,0", "commutant"): (
+        "62b56c1a3d0517c3e50f9e8a488492f001091048429a22d88e816d8147715591"
     ),
 }
 
@@ -210,6 +225,13 @@ def test_compat_table_bytes_pinned(capsys, name, style):
 def test_mackey_bytes_pinned(capsys, name, e, f):
     got = _sha256_of_run(capsys, "mackey", MODELS_DIR / f"{name}.json", e, f)
     assert got == MACKEY_SHA256[name, e, f]
+
+
+@pytest.mark.parametrize("name,v,kind", sorted(SUBSTRUCTURE_SHA256))
+def test_substructure_bytes_pinned(capsys, name, v, kind):
+    code, digest = _sha256_of_run(capsys, "substructure", MODELS_DIR / f"{name}.json", v, kind)
+    assert code == 0
+    assert digest == SUBSTRUCTURE_SHA256[name, v, kind]
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_REPORT_SHA256))
