@@ -11,8 +11,8 @@ product decomposition induced by a single focus.  Each substructure and
 its restricted base are built once per base and kept on it, so the
 substructure and product sections of a report share them, and with them
 every universe they list, by the model's own rule (models.positive_box:
-the points of a Z-basis of the members between 0 and n times each unit
-up to the model).  Their validations are kept on the base
+the points of a Z-basis of the members between 0 and n times the
+substructure's own unit).  Their validations are kept on the base
 too, once per distinct substructure: the commutant of v is the commutant
 of u - v, both cut out by J_v + J_{u-v}, and the image of u and the
 commutants of 0 and u are the whole group on a valid base.
@@ -316,13 +316,17 @@ class Substructure(Value):
     the ambient unit.  Both support the same sweep protocol as a model, so
     every validation can be re-run inside them.  Its members are the
     points that every projector on the chain up to the model fixes
-    (equalities).  On a lattice each universe is listed by the model's own
-    rule (models.positive_box: the points of the member lattice between 0
-    and n*w for every unit w up to the model, bounds) and kept (_boxes);
-    so are the generators of its cones (_cones, models.generators) and its
-    down-sets (_below, models.down_set); its order is its carrier's, memo
-    included (leq).  On a matrix parent, whose maps keep no image table,
-    each membership answer is kept too (_members).
+    (equalities).  A substructure is a unital group with its own unit, as
+    the range of J_v is one with unit v and interval [0, v]: on a lattice
+    each universe is listed by the model's own rule (models.positive_box:
+    the points of the member lattice between 0 and n*unit) and kept
+    (_boxes), and no box of the parent is read; so are the generators of
+    its cones (_cones, models.generators) and its down-sets (_below,
+    models.down_set); its order is its carrier's, memo included (leq).  A
+    map is keyed as a map of the substructure once (key, kept in _maps).
+    On a matrix parent, whose maps keep no image table, each membership
+    answer is kept too (_members); its universes, generators and
+    equalities raise NotEnumerableError.
     image_substructure and commutant_substructure build one substructure
     per (kind, v) once per base.  premises make the projector a congruence
     into [0, unit] (models._validate_matrix); a finite parent sweeps instead,
@@ -391,34 +395,25 @@ class Substructure(Value):
     def is_positive(self, g) -> bool:
         return self.parent.is_positive(g)
 
-    def restrict(self, a: Endomorphism) -> Endomorphism:
-        """a after the projector: a read as a map of the substructure,
-        composed once per map (its map_key on the carrier) and kept."""
+    def key(self, a: Endomorphism) -> tuple:
+        """models.map_key of a read as a map of the substructure: the
+        carrier's map_key of a after the projector, composed once per map
+        (its map_key on the carrier) and kept."""
 
-        key = map_key(self.carrier, a)
-        out = self._maps.get(key)
-        if out is None:
-            out = self._maps[key] = compose(a, self.projector)
-        return out
+        carrier = self.carrier
+        own = map_key(carrier, a)
+        key = self._maps.get(own)
+        if key is None:
+            key = self._maps[own] = map_key(carrier, compose(a, self.projector))
+        return key
 
     def leq(self, a, b) -> bool:
         return self.parent.leq(a, b)
-
-    @property
-    def bounds(self) -> tuple:
-        """The units from this substructure up to the model, each once."""
-        return tuple(dict.fromkeys((self.unit, *self.parent.bounds)))
 
     def interval(self):
         return self.positive_universe(1)
 
     def positive_universe(self, n: int) -> tuple:
-        """The model's rule (models.positive_box) on the members here and
-        the units up to the model.  The parent's box is fetched first, so
-        a box raises where the parent's does."""
-
-        if n not in self._boxes:
-            self.parent.positive_universe(n)
         return positive_box(self, n)
 
 

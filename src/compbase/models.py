@@ -75,7 +75,10 @@ equal by fields and hashed as the tuple of them, which lets models and
 matrices key the caches here; the image tables and the boxes are not
 fields.  One rule lists the boxes of a model and of a substructure
 (positive_box): range_band on a Z-basis of the members (member_lattice)
-between 0 and n*w for each unit w up to the model.
+between 0 and n*unit, for the structure's own unit, as a substructure is a
+unital group in its own right.  The enumerations (positive_box, down_set,
+generators, member_lattice) refuse a matrix structure with
+NotEnumerableError.
 """
 
 from __future__ import annotations
@@ -153,6 +156,7 @@ def generators(structure, rows=None, eqs=()) -> tuple[tuple[Vec, ...], tuple[Vec
     structure per (rows, eqs) (_cones), so the cones of one map, C ∩ ker J
     and C ∩ ker(I - J) (fixed_rows), are computed once per map.
     """
+    _refuse_infinite(structure, "cone generators")
     key = rows, eqs
     gens = structure._cones.get(key)
     if gens is None:
@@ -316,10 +320,6 @@ class LatticeConeModel(Value):
             known = self._order[key] = _in_cone(self.cone_rows, b_minus_a)
         return known
 
-    @property
-    def bounds(self) -> tuple[Vec, ...]:
-        return (self.unit,)
-
     def interval(self) -> tuple[Vec, ...]:
         return self.positive_universe(1)
 
@@ -411,13 +411,14 @@ def member_lattice(structure) -> list[tuple[int, ...]]:
 
 
 def positive_box(structure, n: int) -> tuple[Vec, ...]:
-    """The members g of a finite structure with 0 <= g <= n*w for every w
-    in structure.bounds (the units up to the model), in lexicographic
-    order, kept per n on the structure (_boxes)."""
+    """The members g of a finite structure with 0 <= g <= n*unit, for its
+    own unit, in lexicographic order, kept per n on the structure (_boxes).
+    A matrix structure raises NotEnumerableError."""
 
+    _refuse_infinite(structure, "positive boxes")
     box = structure._boxes.get(n)
     if box is None:
-        points = range_band(structure.carrier, member_lattice(structure), structure.bounds, 0, n)
+        points = range_band(structure.carrier, member_lattice(structure), (structure.unit,), 0, n)
         box = structure._boxes[n] = tuple(points)
     return box
 
@@ -429,13 +430,19 @@ def down_set(structure, x) -> tuple:
     in the order a sweep of the whole interval would.  A matrix structure
     raises NotEnumerableError, as its interval() does."""
 
-    if not structure.finite:
-        raise NotEnumerableError("down-sets of a matrix structure are infinite, not enumerated")
+    _refuse_infinite(structure, "down-sets")
     down = structure._below.get(x)
     if down is None:
         leq = structure.leq
         down = structure._below[x] = tuple(e for e in structure.interval() if leq(e, x))
     return down
+
+
+def _refuse_infinite(structure, what: str) -> None:
+    """Raise NotEnumerableError on a matrix structure, whose boxes, down-sets
+    and cones are infinite sets, asked for `what`."""
+    if not structure.finite:
+        raise NotEnumerableError(f"{what} of a matrix structure are infinite, not enumerated")
 
 
 class MatrixModel(Value):
@@ -482,6 +489,11 @@ class MatrixModel(Value):
 
     def positive_universe(self, n: int):
         raise NotEnumerableError("matrix model universes are infinite, not enumerated")
+
+    @property
+    def equalities(self):
+        # read by member_lattice and by a matrix substructure's equalities
+        raise NotEnumerableError("matrix members are not a lattice cut out by integer equalities")
 
     @property
     def sym_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -552,10 +564,10 @@ class Endomorphism(Value):
     endo_equal and map_key compare frames.  The vectorized matrix and den
     of a framed map are fields, but they are built only when first read
     (__getattr__, _vectorized): by jsonable, equality, hashing and pickling,
-    by sums such as a commutant's projector, and by compose and endo_equal
-    with a map that has no frame.  A map built by the constructor keeps
-    the matrix it is given and has no frame, whatever its conjugator, so
-    compression's matrix_matches_conjugator tests that matrix.  map_key
+    by sums such as a commutant's projector, and by compose with a map that
+    has no frame.  A map built by the constructor keeps the matrix it is
+    given and has no frame, whatever its conjugator, so compression's
+    matrix_matches_conjugator tests that matrix.  map_key
     reads the frame of such a map off its matrix where it has one
     (_frame_of) and keeps it, so keys agree across the two forms.  _frame
     is None on a matrix map not yet read so, and False on a lattice map or
@@ -769,7 +781,8 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
 
 
 def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
-    """Map equality on the group of `structure`, one rule for both kinds.
+    """Map equality on the group of `structure`, one rule for both kinds:
+    the two maps have one map_key.
 
     Maps are matrices in lowest terms, so two maps agree on a model exactly
     when their matrices are equal.  A substructure is the range of its
@@ -788,28 +801,23 @@ def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
     a v = -b v.  Every v of Q^n thus lies in ker(a - b) or in ker(a + b),
     and Q^n is not the union of two proper subspaces, so one of them is
     all of Q^n.  _canonical_frame picks one of a and -a, so framed maps
-    are equal exactly when their frames are.  A pair with a map that has
-    no frame compares the matrices.
+    are equal exactly when their frames are, and map_key reads the frame
+    of a matrix map that is a conjugation off its matrix.
     """
-    restrict = getattr(structure, "restrict", None)
-    if restrict is not None:
-        a, b = restrict(a), restrict(b)
-    if a._frame and b._frame:
-        return a._frame == b._frame
-    return a.den == b.den and a.matrix == b.matrix
+    return map_key(structure, a) == map_key(structure, b)
 
 
 def map_key(structure, a: Endomorphism) -> tuple:
     """The key of a read as a map of `structure` (of a itself on a model,
-    of aP on a substructure with projector P, which the substructure
-    composes once per map and keeps): two keys are equal exactly when
-    endo_equal holds.  A matrix map with a frame, or whose matrix is a
+    of aP on a substructure with projector P, which the substructure keys
+    once per map and keeps: Substructure.key): two keys are equal exactly
+    when endo_equal holds.  A matrix map with a frame, or whose matrix is a
     conjugation (_frame_of, tried once per map), is keyed by its
     canonical frame, tagged so that no matrix key meets it; any other map
     by its matrix and den."""
-    restrict = getattr(structure, "restrict", None)
-    if restrict is not None:
-        a = restrict(a)
+    key = getattr(structure, "key", None)
+    if key is not None:
+        return key(a)
     frame = a._frame
     if frame is None:
         frame = _frame_of(a.carrier, a.matrix, a.den)
@@ -885,13 +893,13 @@ def _validate_finite(structure) -> Report:
         rep.add(derived("interval_generates_positives", (order_unit,), ""))
         return rep
     height = _generation_height(structure)
-    box, bounded = _generation_box(structure, height)
+    box = structure.positive_universe(height)
     name = "interval_generates_positives"
     note = (
         f"every positive below {height}*unit, which bounds the Hilbert basis, "
         "is a sum of interval elements"
     )
-    if height == 1 and bounded:
+    if height == 1:
         # the box is the interval, each of whose members is its own sum
         rep.add(Clause(name, PASS, checked=len(box), note=note))
     else:
@@ -995,25 +1003,6 @@ def _generation_height(structure) -> int:
         if at_unit > 0:
             height = max(height, -(-_dot(r, s) // at_unit))
     return height
-
-
-def _generation_box(structure, height: int) -> tuple[tuple, bool]:
-    """The members g with 0 <= g <= height*unit, and whether the unit lies
-    below every bound.
-
-    N(C, u) bounds the Hilbert basis by the structure's own unit, while its
-    positive box (positive_box) is cut by every unit up to the model.  The
-    two agree when the unit is below each bound, as a focus in the interval
-    is, and then the kept box is used.  A substructure whose unit is not
-    (a focus outside [0, u]) gets the box of its unit alone: the cut one
-    may miss positives, the unit among them, that the interval does not
-    reach.
-    """
-    unit = structure.unit
-    if all(structure.leq(unit, w) for w in structure.bounds):
-        return structure.positive_universe(height), True
-    points = range_band(structure.carrier, member_lattice(structure), (unit,), 0, height)
-    return tuple(points), False
 
 
 def _interval_sums(structure, box) -> set:

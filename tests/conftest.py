@@ -281,8 +281,10 @@ def filtered_band(sub, lo, hi):
     filtering that universe element by element.
 
     The rule that models.positive_box replaced with an enumeration of the
-    member lattice, kept as its oracle.  A nested substructure filters its
-    parent's band as this oracle computes it, down to the model's box.
+    member lattice, kept as its oracle where the unit lies below the
+    parent's, so that the parent's box holds every point below n*unit.  A
+    nested substructure filters its parent's band as this oracle computes
+    it, down to the model's box.
     """
     parent = sub.parent
     if getattr(parent, "parent", None) is not None:

@@ -386,8 +386,8 @@ def _focus_above_the_unit_base():
     """Z^2 under [[0, -1], [3, 3]] with unit (7, -6), and the foci (-1, -1)
     -> [[0, 0], [0, 1]] and (8, -5) -> [[16, 24], [-10, -15]].  The image
     of J_(8,-5) is the line through (8, -5), with that unit; (8, -5) is not
-    below (7, -6), so the interval the two units cut holds only 0, and the
-    positive (8, -5) is not a sum of interval elements."""
+    below (7, -6), so a box cut by both units would hold only 0, and the
+    positive (8, -5) would be no sum of its elements."""
 
     model = LatticeConeModel(2, ((0, -1), (3, 3)), Vec((7, -6)))
     family = [
@@ -397,15 +397,19 @@ def _focus_above_the_unit_base():
     return base_from_family(model, family)
 
 
-def test_a_unit_outside_the_parent_interval_fails_generation():
-    """The generation clause of a substructure whose unit is not below the
-    model's unit sweeps the box of its own unit, and names the unit."""
+def test_a_unit_outside_the_parent_interval_is_its_own_interval():
+    """A substructure is a unital group with its own unit: the image of
+    J_(8,-5) lists [0, (8, -5)] = {0, (8, -5)}, although (8, -5) is not
+    below the model's unit, and its generation clause sweeps that box."""
 
-    sub = image_substructure(_focus_above_the_unit_base(), Vec((8, -5)))
-    assert sub.interval() == (sub.zero,)
-    clause = validate_unital_group(sub).first_failure()
-    assert clause.name == "interval_generates_positives"
-    assert clause.witness == {"positive": Vec((8, -5))}
+    base = _focus_above_the_unit_base()
+    assert not base.structure.leq(Vec((8, -5)), base.structure.unit)
+    sub = image_substructure(base, Vec((8, -5)))
+    assert sub.interval() == (sub.zero, Vec((8, -5)))
+    report = validate_unital_group(sub)
+    assert report.ok
+    clause = {c.name: c for c in report.clauses}["interval_generates_positives"]
+    assert (clause.status, clause.checked) == ("pass", 2)
 
 
 ALL_CHECKS = (

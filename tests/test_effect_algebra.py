@@ -25,7 +25,7 @@ from compbase import (
     load_model,
     mackey_decompositions,
 )
-from compbase.models import down_set
+from compbase.models import cone_cases, down_set, generators, member_lattice, positive_box
 from conftest import FIXTURES_DIR, seeded_cones
 
 
@@ -108,14 +108,23 @@ def test_mackey_needs_enumerable_interval_without_within(bundled):
 
 def test_down_set_of_a_matrix_structure_is_not_enumerable(bundled):
     """down_set refuses a matrix model and a matrix substructure as their
-    interval() does, with NotEnumerableError."""
+    interval() does, with NotEnumerableError, and so do their positive
+    boxes, cone generators and cases, member lattice and equalities."""
     model, base = bundled["m3"]
     p = base.foci[1]
     for structure in (model, image_substructure(base, p), commutant_substructure(base, p)):
-        with pytest.raises(NotEnumerableError):
-            structure.interval()
-        with pytest.raises(NotEnumerableError):
-            down_set(structure, p)
+        for ask in (
+            lambda: structure.interval(),
+            lambda: structure.positive_universe(2),
+            lambda: down_set(structure, p),
+            lambda: positive_box(structure, 1),
+            lambda: generators(structure),
+            lambda: cone_cases(structure),
+            lambda: member_lattice(structure),
+            lambda: structure.equalities,
+        ):
+            with pytest.raises(NotEnumerableError):
+                ask()
 
 
 def test_mackey_within_focus_algebra(bundled):

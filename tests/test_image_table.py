@@ -27,7 +27,7 @@ from compbase import (
     linalg,
     load_model,
 )
-from compbase import compatibility
+from compbase import compatibility, models
 from compbase.cli import main
 from conftest import LATTICE, MODELS_DIR, retraction_base, seeded_cones, signed_box
 
@@ -62,7 +62,7 @@ def _base(source):
 
 def _maps(base):
     """Every declared map, substructure projector, composed map and map
-    restricted to a substructure of the base."""
+    composed with a substructure's projector, as Substructure.key reads it."""
 
     maps = list(base.family.values())
     maps += [base.composed(p, q) for p in base.foci for q in base.foci]
@@ -73,7 +73,7 @@ def _maps(base):
             except MembershipError:  # the complement of v escapes the base
                 continue
             maps.append(sub.projector)
-            maps += [sub.restrict(base.j(p)) for p in base.foci]
+            maps += [models.compose(base.j(p), sub.projector) for p in base.foci]
     return maps
 
 

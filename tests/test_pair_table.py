@@ -323,13 +323,26 @@ def test_common_focus_lookup_matches_map_comparison(name):
                 assert compat_battery(rb, p, q).values["exists_common_focus"] == want
 
 
-def test_substructure_restricts_each_map_once():
+def test_substructure_keys_each_map_once(monkeypatch):
+    """Substructure.key composes a map with the projector once, keeps the
+    key, and that key is the carrier's map_key of the composite."""
+
     _, base = _fresh("m3")
     v = base.foci[1]
     sub = compatibility.image_substructure(base, v)
     a = base.j(base.foci[2])
-    assert sub.restrict(a) is sub.restrict(a)
-    assert models.map_key(sub, a) == models.map_key(base.structure, sub.restrict(a))
+    composed = []
+
+    def counted_compose(x, y):
+        composed.append((x, y))
+        return models.compose(x, y)
+
+    monkeypatch.setattr(compatibility, "compose", counted_compose)
+    key = sub.key(a)
+    assert sub.key(a) is key and models.map_key(sub, a) is key
+    assert models.endo_equal(sub, a, a)
+    assert len(composed) == 1 and composed[0][0] is a and composed[0][1] is sub.projector
+    assert key == models.map_key(base.structure, models.compose(a, sub.projector))
     # a framed map is keyed by its canonical frame, and so is its bare matrix
     assert models.map_key(base.structure, a) == ("frame", *a._frame)
     bare = models.Endomorphism(a.carrier, a.matrix, a.den)

@@ -2,13 +2,15 @@
 
 A substructure lists its boxes by the model's rule (models.positive_box):
 range_band on a Z-basis of its members (models.member_lattice), between 0
-and n*w for every unit w up to the model.  conftest.filtered_band is the
+and n*unit for its own unit.  conftest.filtered_band is the
 element-by-element filter of the parent's universe, and
-conftest.fixed_points_band the same filter testing den*g == M g; these
+conftest.fixed_points_band the same filter testing den*g == M g; where the
+unit lies below the parent's, as every focus of a valid base does, these
 tests hold every band to both, tuple for tuple, order included, on the
-bundled models, seeded cones, a Z^3 grid, substructures nested through
-restricted_base, a focus outside the unit interval, and hand-built
-projectors, one of them over the denominator 2.
+bundled models, seeded cones, rank-one bases, a Z^3 grid, substructures
+nested through restricted_base, and hand-built projectors, one of them
+over the denominator 2.  A unit outside the parent's interval cuts its
+own band, and no box of the parent is read.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from conftest import (
     retraction_base,
     seeded_cones,
 )
+from test_cone_generators import rank_one_bases
 
 N = 3  # the default height bound
 KINDS = (image_substructure, commutant_substructure)
@@ -101,15 +104,41 @@ def test_bands_match_the_filter_on_a_z3_grid(tmp_path):
         assert_bands_match(sub)
 
 
-def test_bands_match_the_filter_on_a_focus_outside_the_interval():
+@settings(max_examples=25, deadline=None)
+@given(source=st.one_of(seeded_cones(), rank_one_bases()))
+@example(source="m1")
+@example(source="m2")
+@example(source="m5")
+def test_own_unit_boxes_match_the_parent_filter_inside_the_interval(source):
+    """Where the unit of an image or commutant lies in the parent's
+    interval, the box of its own unit is the parent's box filtered
+    (filtered_band), at heights 1 and 2."""
+
+    if isinstance(source, str):
+        base = load_model(MODELS_DIR / f"{source}.json")[1]
+    elif hasattr(source, "foci"):
+        base = source
+    else:
+        base = retraction_base(*source)
+    parent = base.structure
+    for sub in substructures(base, depth=0):
+        if sub.unit not in parent.interval():
+            continue
+        for n in (1, 2):
+            assert sub.positive_universe(n) == filtered_band(sub, 0, n), (sub.kind, sub.v, n)
+
+
+def test_a_unit_outside_the_parent_interval_cuts_its_own_band():
+    """A hand-built image whose unit (2, 0) is not below the model's unit
+    (1, 1) lists its interval [0, (2, 0)] on the x-axis."""
+
     base = load_model(FIXTURES_DIR / "corrupt_focus_outside_interval.json")[1]
-    for sub in substructures(base):
-        assert_bands_match(sub)
-    # a hand-built image whose unit is not below the parent's: both units cut the band
     model = base.structure
-    sub = Substructure(model, "image", Vec((2, 0)), Vec((2, 0)), Endomorphism(model, ((1, 0), (0, 0))))
-    assert_bands_match(sub)
-    assert sub.interval() == (Vec((0, 0)), Vec((1, 0)))
+    assert not model.leq(Vec((2, 0)), model.unit)
+    axis = Endomorphism(model, ((1, 0), (0, 0)))
+    sub = Substructure(model, "image", Vec((2, 0)), Vec((2, 0)), axis)
+    assert sub.interval() == (Vec((0, 0)), Vec((1, 0)), Vec((2, 0)))
+    assert sub.positive_universe(2) == tuple(Vec((x, 0)) for x in range(5))
 
 
 def test_the_range_needs_a_basis_of_its_lattice():
@@ -189,16 +218,17 @@ def test_range_band_lists_the_points_in_order():
     assert range_band(model, ((0, 0), (0, 0)), (Vec((1, 1)),), 0, 1) == [Vec((0, 0))]
 
 
-def test_the_parent_box_raises_first():
-    """A box of the parent too large to enumerate raises before the
-    substructure's own, which is small: errors come in the parent's order."""
+def test_a_substructure_box_reads_no_parent_box():
+    """The image of (1, 0) in Z^2 with unit (3000, 3000) lists its two
+    points, and the parent's box, too large to enumerate, is never built."""
 
     model = LatticeConeModel(2, STANDARD, Vec((3000, 3000)))
     axis = Endomorphism(model, ((1, 0), (0, 0)))
     sub = Substructure(model, "image", Vec((1, 0)), Vec((1, 0)), axis)
+    assert sub.interval() == positive_box(sub, 1) == (Vec((0, 0)), Vec((1, 0)))
+    assert model._boxes == {}
     with pytest.raises(UnboundedIntervalError, match="too large"):
-        sub.interval()
-    assert positive_box(sub, 1) == (Vec((0, 0)), Vec((1, 0)))
+        model.interval()
 
 
 def test_member_lattice_of_a_model_is_the_identity():
