@@ -68,6 +68,7 @@ COMPAT_TABLE_SHA256 = {
     ("m3", "--table"): "a0373231717c27f4a906ec3943e749b4b3d08780cd1577eedf5d573cea850d88",
     ("m5", "--json"): "b2e1705834d133e335a57646d55fc43a5a8551f0a360870fc25c84824bf3d7b8",
     ("m5", "--table"): "43ac439e491dd1c8b5f57b5be590246f03c64de674a628680c46f4cd73f48bc2",
+    ("m4", "--json"): "91ab7a607a0e5448a552b6e9cba421822eca1d18576f4defd7524e0093012e6c",
 }
 
 # mackey at --samples 8 --seed 0: (model, e, f) -> (exit code, sha256); on
@@ -91,12 +92,22 @@ MACKEY_SHA256 = {
 SUBSTRUCTURE_SHA256 = {
     ("m1", "1,0", "image"): "525df30c70ef40a761e554cea33206a18c1466adfac415edba190eb95d81e8b6",
     ("m1", "1,0", "commutant"): "43477464c3b19e77936390fa788667fd3b756e3b9f6c36511ba402608eddbe99",
+    ("m1", "0,0", "commutant"): "2a7c0b17df7662340d502d20bdcd207e939690db929da2b12d4ac8ddf9cc476d",
     ("m5", "0,2", "commutant"): "c0ed8133d6b8c4a2f36b660cdcc0e8d783f4a20582bf320f9446205ee974ebaa",
     ("m3", "1/2,1/2,1/2,1/2", "commutant"): (
         "f2661d03d743471cddafb7e56263254d6aa0f04e148185032b4c1df8bacb46c4"
     ),
+    ("m3", "0,0,0,0", "commutant"): (
+        "0e2c26af2dd6255cfc5518db1455b3f0b1a6eeb9d06a4c6f33b91ec707f5c502"
+    ),
     ("m4", "1,0,0,0,0,0,0,0,0", "commutant"): (
         "62b56c1a3d0517c3e50f9e8a488492f001091048429a22d88e816d8147715591"
+    ),
+    ("m4", "0,0,0,0,0,0,0,0,0", "commutant"): (
+        "5dc933c0a74119cd39ece062a755fc662de057a2105a89b7d2eb88a94c8e10d6"
+    ),
+    ("m4", "1,0,0,0,1,0,0,0,1", "image"): (
+        "ff93d21092fda57c199dad5b6bc3c55b12011555761b029ad44e68dded624659"
     ),
 }
 
