@@ -76,7 +76,6 @@ from .models import (
     fixed_rows,
     generators,
     identity_endo,
-    map_key,
     positive_box,
     zero_endo,
 )
@@ -219,7 +218,7 @@ def _battery(base: CompressionBase, p, q) -> CompatReport:
         jr = conjugation_endo(structure.carrier, r)
         common = base.contains_focus(r) and endo_equal(structure, pq, jr)
     else:
-        common = map_key(structure, pq) in _focus_map_keys(base)
+        common = any(endo_equal(structure, pq, base.j(s)) for s in base.foci)
     conds = (
         ("commute", endo_equal(structure, pq, qp)),
         ("jp_q_eq_jq_p", r == base.image(q, p)),
@@ -240,16 +239,6 @@ def _projection_foci(base: CompressionBase) -> bool:
         return all(map(matrix_model.is_projection, (*base.foci, base.unit)))
 
     return not base.structure.finite and base.kept(("projections",), build)
-
-
-def _focus_map_keys(base: CompressionBase) -> frozenset:
-    """The map_key of every J_s of a declared base, kept under ("focus_maps",):
-    endo_equal holds exactly when two maps' keys are equal."""
-
-    structure = base.structure
-    return base.kept(
-        ("focus_maps",), lambda: frozenset(map_key(structure, base.j(s)) for s in base.foci)
-    )
 
 
 def meet(base: CompressionBase, p, q):
@@ -323,7 +312,9 @@ class Substructure(Value):
     (_boxes), and no box of the parent is read; so are the generators of
     its cones (_cones, models.generators) and its down-sets (_below,
     models.down_set); its order is its carrier's, memo included (leq).  A
-    map is keyed as a map of the substructure once (key, kept in _maps).
+    map a is read as a map of the substructure, a after the projector, once
+    per map (restrict, kept in _maps), and models.endo_equal compares the
+    maps so read.
     On a matrix parent, whose maps keep no image table, each membership
     answer is kept too (_members); its universes, generators and
     equalities raise NotEnumerableError.
@@ -395,17 +386,16 @@ class Substructure(Value):
     def is_positive(self, g) -> bool:
         return self.parent.is_positive(g)
 
-    def key(self, a: Endomorphism) -> tuple:
-        """models.map_key of a read as a map of the substructure: the
-        carrier's map_key of a after the projector, composed once per map
-        (its map_key on the carrier) and kept."""
+    def restrict(self, a: Endomorphism) -> Endomorphism:
+        """a after the projector: a read as a map of the substructure,
+        composed once per map and kept."""
 
-        carrier = self.carrier
-        own = map_key(carrier, a)
-        key = self._maps.get(own)
-        if key is None:
-            key = self._maps[own] = map_key(carrier, compose(a, self.projector))
-        return key
+        # a framed map is kept under its frame, so its matrix is not built
+        own = (a._frame,) if a._frame else (a.matrix, a.den)
+        out = self._maps.get(own)
+        if out is None:
+            out = self._maps[own] = compose(a, self.projector)
+        return out
 
     def leq(self, a, b) -> bool:
         return self.parent.leq(a, b)
@@ -495,11 +485,12 @@ def substructure_report(base: CompressionBase, v, kind: str):
 
     The last two, validate_unital_group of the substructure and
     validate_compression_base of its restricted base, are kept on the base
-    under all they read: the projector (its map_key), the unit and the
-    restricted foci (the parent and the maps are the base's own, and
+    under all they read: the projector (its matrix and den), the unit and
+    the restricted foci (the parent and the maps are the base's own, and
     neither reads kind or v).  So two substructures with one key, such as
-    the commutants of v and u - v, are validated once, and their reports
-    hold the same validation clauses.  A matrix substructure whose
+    the commutants of v and u - v, or the image of u and the commutants of
+    0 and u (all with the projector I), are validated once, and their
+    reports hold the same validation clauses.  A matrix substructure whose
     premises do not all hold is validated afresh: its failing premise
     names itself in the witness.
     """
@@ -534,7 +525,8 @@ def substructure_report(base: CompressionBase, v, kind: str):
         return validate_unital_group(sub), validate_compression_base(rbase)
 
     if all(c.ok for c in sub.premises):
-        key = ("validated", map_key(parent.carrier, sub.projector), sub.unit, rbase.foci)
+        pr = sub.projector
+        key = ("validated", pr.matrix, pr.den, sub.unit, rbase.foci)
         unital, based = base.kept(key, validations)
     else:
         unital, based = validations()

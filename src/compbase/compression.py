@@ -516,14 +516,13 @@ class CompressionBase(Value):
     first asked for.  In _memo:
       ("image", v), ("commutant", v)  the substructures of a focus v;
       a Substructure                  the restricted base on it;
-      ("validated", key, unit, foci)  the validations of a substructure
+      ("validated", matrix, den, unit, foci)
+                                      the validations of a substructure
                                       and its restricted base, shared by
                                       equal substructures (their
                                       projector, unit and restricted foci;
                                       compatibility.substructure_report);
       ("battery", p, q)               the CompatReport of (p, q);
-      ("focus_maps",)                 every J_s read as a map of the
-                                      structure, for the common-focus test;
       ("certificate", p)              J_p's certificate checks and
                                       compression law (focus_certificate);
       ("premises", p)                 on a matrix structure, the premises

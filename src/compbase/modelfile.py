@@ -170,19 +170,22 @@ def load_model(path) -> tuple[object, CompressionBase]:
     """Parse a model file into (structure, declared base).
 
     Raises ModelFormatError with the offending location for anything the
-    schema forbids.  Mathematical defects (a matrix that is not idempotent,
-    a family violating the composition law) load fine and are the
-    validators' business.
+    schema forbids, and for a file that cannot be read as UTF-8 JSON: bytes
+    that are not UTF-8, nesting deeper than the recursion limit, or an
+    integer literal longer than the interpreter converts (json.loads
+    raises ValueError there, not JSONDecodeError).  Mathematical defects (a
+    matrix that is not idempotent, a family violating the composition law)
+    load fine and are the validators' business.
     """
 
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: top level must be an object")

@@ -17,16 +17,17 @@ Endomorphisms are integer matrices over one denominator, acting on a
 vectorization of the carrier (integer entries over the element's
 denominator), so composition is matrix product and map equality is
 literal matrix equality, on both kinds (on a substructure, after
-composing with its projector; see endo_equal).  A matrix map the program
-builds as a conjugation g -> a g a^T keeps its n x n frame a instead:
-compose multiplies frames, apply computes a g a^T, equality compares
-canonical frames, and the vectorized matrix, n(n+1)/2 square, is built
-only where it is read (see Endomorphism).  The Endomorphism constructor
-checks the shape of its matrix; the maps the program computes from
-checked ones (compose, conjugation_endo) skip that check through
-_trusted_endo and _framed_endo, and the first still reduces the matrix
-and hands a lattice map its image table.  MatrixModel.devectorize reads
-each entry through an index table kept per dimension (_sym_index).
+composing with its projector).  A matrix map the program builds as a
+conjugation g -> a g a^T keeps its n x n frame a instead: compose
+multiplies frames, apply computes a g a^T, and the vectorized matrix,
+n(n+1)/2 square, is built only where it is read (see Endomorphism).
+endo_equal is the one map-equality rule: two framed maps compare
+canonical frames, any other pair compares matrices.  The Endomorphism
+constructor checks the shape of its matrix; the maps the program
+computes from checked ones (compose, conjugation_endo) skip that check
+through _trusted_endo and _framed_endo, and the first still reduces the
+matrix and hands a lattice map its image table.  MatrixModel.devectorize
+reads each entry through an index table kept per dimension (_sym_index).
 
 A lattice law over all of G whose premise and conclusion are cone or
 subspace conditions is decided on the generators of its cones
@@ -561,17 +562,14 @@ class Endomorphism(Value):
     identity_endo and zero_endo give one, and compose gives the composite
     of two framed maps the product frame (its conjugator stays None).  On
     framed maps compose is an n x n product, apply is a g a^T, and
-    endo_equal and map_key compare frames.  The vectorized matrix and den
-    of a framed map are fields, but they are built only when first read
-    (__getattr__, _vectorized): by jsonable, equality, hashing and pickling,
-    by sums such as a commutant's projector, and by compose with a map that
-    has no frame.  A map built by the constructor keeps the matrix it is
-    given and has no frame, whatever its conjugator, so compression's
-    matrix_matches_conjugator tests that matrix.  map_key
-    reads the frame of such a map off its matrix where it has one
-    (_frame_of) and keeps it, so keys agree across the two forms.  _frame
-    is None on a matrix map not yet read so, and False on a lattice map or
-    a matrix map that is no conjugation.
+    endo_equal compares frames.  The vectorized matrix and den of a framed
+    map are fields, but they are built only when first read (__getattr__,
+    _vectorized): by jsonable, equality, hashing and pickling, by sums such
+    as a commutant's projector, and by compose and endo_equal with a map
+    that has no frame.  A map built by the constructor keeps the matrix it
+    is given and has no frame, whatever its conjugator, so compression's
+    matrix_matches_conjugator tests that matrix.  _frame is set when the
+    map is built, to a frame or to None, and never changes.
 
     On a lattice carrier (carrier.finite) the map keeps an image table,
     _images, from the coordinates of each element it has mapped to the
@@ -643,14 +641,13 @@ def _set_endo(endo: Endomorphism, carrier, matrix, den: int, conjugator) -> None
     lattice map the image table of its (matrix, den) on the carrier."""
     if den != 1:
         matrix, den = linalg.lowest_terms(matrix, den)
-    finite = carrier.finite
-    images = carrier._tables.setdefault((matrix, den), {}) if finite else None
+    images = carrier._tables.setdefault((matrix, den), {}) if carrier.finite else None
     object.__setattr__(endo, "carrier", carrier)
     object.__setattr__(endo, "matrix", matrix)
     object.__setattr__(endo, "den", den)
     object.__setattr__(endo, "conjugator", conjugator)
     object.__setattr__(endo, "_images", images)
-    object.__setattr__(endo, "_frame", False if finite else None)
+    object.__setattr__(endo, "_frame", None)
 
 
 def _trusted_endo(carrier, matrix, den: int = 1, conjugator: SymMat | None = None) -> Endomorphism:
@@ -701,47 +698,6 @@ def _vectorized(carrier: "MatrixModel", a, d: int) -> tuple:
     return matrix, d * d
 
 
-def _frame_of(carrier: "MatrixModel", matrix, den: int):
-    """The canonical frame a with matrix / den the map g -> a g a^T, or
-    False when the map is no conjugation.
-
-    With a = A / d in lowest terms the map's den is d^2 (_vectorized).  The
-    column of the basis matrix E_kk holds A_ik A_jk at row (i, j): column k
-    of A up to its sign, read through the first i with A_ik != 0.  The
-    column of (k0, l), for k0 the first nonzero column of A, holds
-    A_ik0 A_jl + A_il A_jk0; for nonzero columns that is not zero at every
-    (i, j) (u v^T + v u^T = 0 needs u = 0 or v = 0), and its sign there
-    fixes the sign of column l against column k0.  The candidate is kept
-    only if its own matrix is the map's.
-    """
-    n = carrier.dim
-    index = _sym_index(n)
-
-    def entry(i, j, k, l):
-        return matrix[index[i][j]][index[k][l]]
-
-    d = math.isqrt(den)
-    if d * d != den:
-        return False
-    cols = []
-    for k in range(n):
-        top = next((i for i in range(n) if entry(i, i, k, k)), None)
-        square = 0 if top is None else entry(top, top, k, k)
-        root = math.isqrt(square) if square > 0 else 0
-        if root * root != square:
-            return False
-        cols.append([entry(top, j, k, k) // root if root else 0 for j in range(n)])
-    nonzero = [k for k, col in enumerate(cols) if any(col)]
-    for l in nonzero[1:]:
-        k0 = nonzero[0]
-        u, v = cols[k0], cols[l]
-        i, j = next((i, j) for i, j in carrier.sym_pairs if u[i] * v[j] + v[i] * u[j])
-        if entry(i, j, k0, l) != u[i] * v[j] + v[i] * u[j]:
-            cols[l] = [-x for x in v]
-    frame = _canonical_frame(linalg.transpose(cols), d)
-    return frame if _vectorized(carrier, *frame) == (matrix, den) else False
-
-
 def endo_from_int_matrix(model: LatticeConeModel, rows) -> Endomorphism:
     for row in rows:
         if len(row) != model.dim or not all(isinstance(x, int) for x in row):
@@ -781,13 +737,13 @@ def compose(a: Endomorphism, b: Endomorphism) -> Endomorphism:
 
 
 def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
-    """Map equality on the group of `structure`, one rule for both kinds:
-    the two maps have one map_key.
+    """Map equality on the group of `structure`, the one rule for both kinds.
 
     Maps are matrices in lowest terms, so two maps agree on a model exactly
     when their matrices are equal.  A substructure is the range of its
-    idempotent projector P, and a = b there exactly when aP = bP.  This
-    agrees with comparing the maps on the unit interval whenever the
+    idempotent projector P, and a = b there exactly when aP = bP, so each
+    map is first read as aP (Substructure.restrict, composed once per map).
+    This agrees with comparing the maps on the unit interval whenever the
     interval spans the (sub)group: on a model that passes
     validate_unital_group (interval_generates_group), and on the image or
     commutant of a base of retractions, whose P maps the parent's interval
@@ -801,28 +757,15 @@ def endo_equal(structure, a: Endomorphism, b: Endomorphism) -> bool:
     a v = -b v.  Every v of Q^n thus lies in ker(a - b) or in ker(a + b),
     and Q^n is not the union of two proper subspaces, so one of them is
     all of Q^n.  _canonical_frame picks one of a and -a, so framed maps
-    are equal exactly when their frames are, and map_key reads the frame
-    of a matrix map that is a conjugation off its matrix.
+    are equal exactly when their frames are.  A pair with a map that has
+    no frame compares the matrices, a framed map's built on first read.
     """
-    return map_key(structure, a) == map_key(structure, b)
-
-
-def map_key(structure, a: Endomorphism) -> tuple:
-    """The key of a read as a map of `structure` (of a itself on a model,
-    of aP on a substructure with projector P, which the substructure keys
-    once per map and keeps: Substructure.key): two keys are equal exactly
-    when endo_equal holds.  A matrix map with a frame, or whose matrix is a
-    conjugation (_frame_of, tried once per map), is keyed by its
-    canonical frame, tagged so that no matrix key meets it; any other map
-    by its matrix and den."""
-    key = getattr(structure, "key", None)
-    if key is not None:
-        return key(a)
-    frame = a._frame
-    if frame is None:
-        frame = _frame_of(a.carrier, a.matrix, a.den)
-        object.__setattr__(a, "_frame", frame)
-    return ("frame", *frame) if frame else (a.matrix, a.den)
+    restrict = getattr(structure, "restrict", None)
+    if restrict is not None:
+        a, b = restrict(a), restrict(b)
+    if a._frame and b._frame:
+        return a._frame == b._frame
+    return a.den == b.den and a.matrix == b.matrix
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from compbase import cli, jsonable, load_model, render_json
 from compbase.cli import main
 from conftest import BUNDLED, FIXTURES_DIR, MODELS_DIR, REPO
+from test_model_files import MALFORMED, write_malformed
 
 FAST = ["--samples", "30"]
 
@@ -98,6 +99,31 @@ def test_height_bound_is_an_unknown_option(capsys):
         main(["validate", str(MODELS_DIR / "m1.json"), "--height-bound", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --height-bound 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_an_unreadable_model_file_exits_2(capsys, tmp_path, name):
+    """A file that is not UTF-8, JSON nested past the recursion limit, and
+    an integer literal past the digit limit each exit 2 with one error
+    line.  Where the digit limit is lifted the long integer loads, and its
+    interval is too large to enumerate, which exits 2 as well."""
+
+    path = write_malformed(tmp_path, name)
+
+    def check():
+        code = main(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    check()
+    if name == "long_integer" and hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            check()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def z2_model(tmp_path, cone_rows, unit):

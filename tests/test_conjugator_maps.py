@@ -11,6 +11,7 @@ at dims 2-4, each map framed and as its bare matrix.
 import pickle
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compbase import (
@@ -24,13 +25,14 @@ from compbase import (
     endo_equal,
     identity_endo,
     image_substructure,
+    load_model,
     matrix_model,
     models,
     zero_endo,
 )
 from compbase.compression import _conjugator_clauses
 from compbase.reporting import jsonable, render_json
-from conftest import checked_compose, vectorized_apply, vectorized_equal
+from conftest import MODELS_DIR, checked_compose, vectorized_apply, vectorized_equal
 
 # one factor of a map: a projection drawn from a seed, negated or not, the
 # zero map, or an integer frame over a denominator, symmetric or not
@@ -102,9 +104,7 @@ def test_framed_maps_agree_with_their_vectorized_matrices(dim, first, second, re
             composite, oracle = compose(a, b), checked_compose(a, b)
             assert composite == oracle and hash(composite) == hash(oracle)
             assert composite.apply(g) == vectorized_apply(oracle, g)
-            equal = endo_equal(model, a, b)
-            assert equal == vectorized_equal(model, a, b)
-            assert (models.map_key(model, a) == models.map_key(model, b)) == equal
+            assert endo_equal(model, a, b) == vectorized_equal(model, a, b)
     if relation != "other":
         assert endo_equal(model, x, y)
 
@@ -112,8 +112,8 @@ def test_framed_maps_agree_with_their_vectorized_matrices(dim, first, second, re
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 10**6), maps, maps)
 def test_framed_maps_agree_on_substructures(dim, seed, first, second):
-    """endo_equal and map_key read on an image and a commutant
-    substructure, whose projectors are a frame and a sum of two."""
+    """endo_equal read on an image and a commutant substructure, whose
+    projectors are a frame and a sum of two."""
     model = MatrixModel(dim)
     p = matrix_model.draw_projection(dim, random.Random(seed))
     base = base_from_projections(model, {model.zero, p, model.unit - p, model.unit})
@@ -121,9 +121,7 @@ def test_framed_maps_agree_on_substructures(dim, seed, first, second):
     for sub in (image_substructure(base, p), commutant_substructure(base, p)):
         for a in (x, _bare(x), y):
             for b in (y, _bare(y), x):
-                equal = endo_equal(sub, a, b)
-                assert equal == vectorized_equal(sub, a, b)
-                assert (models.map_key(sub, a) == models.map_key(sub, b)) == equal
+                assert endo_equal(sub, a, b) == vectorized_equal(sub, a, b)
 
 
 def test_frames_are_canonical():
@@ -138,18 +136,17 @@ def test_frames_are_canonical():
     assert framed._frame == (((0, 1, 0), (-2, 0, 0), (0, 0, -1)), 3)
 
 
-def test_frame_of_recovers_conjugations_only():
-    """_frame_of finds the frame of a bare conjugation matrix and refuses
-    the commutant's projector J_p + J_{u-p}, which is none."""
-    model = MatrixModel(3)
-    for seed in range(20):
-        x = _product(model, [("projection", seed, False), ("projection", seed + 1, False)])
-        assert models._frame_of(model, x.matrix, x.den) == x._frame
-    p = matrix_model.draw_projection(3, random.Random(0), rank=1)
-    base = base_from_projections(model, {model.zero, p, model.unit - p, model.unit})
-    projector = commutant_substructure(base, p).projector
+@pytest.mark.parametrize("name", ("m3", "m4"))
+def test_the_commutant_of_zero_is_the_identity(name):
+    """The commutant of 0 is cut out by J_0 + J_u, a sum with no frame
+    whose matrix is the identity's; endo_equal holds it equal to the
+    framed identity_endo, in either order."""
+    model, base = load_model(MODELS_DIR / f"{name}.json")
+    projector = commutant_substructure(base, model.zero).projector
     assert projector._frame is None
-    assert models._frame_of(model, projector.matrix, projector.den) is False
+    assert endo_equal(model, projector, identity_endo(model))
+    assert endo_equal(model, identity_endo(model), projector)
+    assert not endo_equal(model, projector, zero_endo(model))
 
 
 def test_equality_hash_pickle_and_json_see_the_matrix():
@@ -185,8 +182,8 @@ def test_a_hand_built_map_keeps_its_matrix_and_its_mismatch():
         assert endo._frame is None
         match = _conjugator_clauses(model, endo)[1]
         assert match.name == "matrix_matches_conjugator" and not match.ok
-        models.map_key(model, endo)  # recovers the frame of `other`
-        assert endo.matrix is given_matrix
+        assert endo_equal(model, endo, conjugation_endo(model, other))
+        assert endo._frame is None and endo.matrix is given_matrix
         assert not _conjugator_clauses(model, endo)[1].ok
         own = conjugation_endo(model, p)
         assert _conjugator_clauses(model, Endomorphism(model, own.matrix, own.den, p))[1].ok

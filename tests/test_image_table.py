@@ -62,7 +62,7 @@ def _base(source):
 
 def _maps(base):
     """Every declared map, substructure projector, composed map and map
-    composed with a substructure's projector, as Substructure.key reads it."""
+    composed with a substructure's projector, as Substructure.restrict reads it."""
 
     maps = list(base.family.values())
     maps += [base.composed(p, q) for p in base.foci for q in base.foci]

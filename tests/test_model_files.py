@@ -1,11 +1,26 @@
 """Model file parsing: accepted schema and every rejection path."""
 
 import json
+import sys
 
 import pytest
 
 from compbase import LatticeConeModel, MatrixModel, ModelFormatError, load_model
 from conftest import BUNDLED, FIXTURES_DIR, LATTICE, MATRIX, MODELS_DIR
+
+
+M1_TEXT = (MODELS_DIR / "m1.json").read_text()
+
+# the bytes of model files that cannot be read as UTF-8 JSON
+MALFORMED = {
+    # m1 with a byte that starts no UTF-8 sequence
+    "not_utf8": M1_TEXT.replace('"lattice_cone"', '"lattice_cone\xff"').encode("latin-1"),
+    # arrays nested deeper than the recursion limit
+    "too_deep": b"[" * 100_000 + b"]" * 100_000,
+    # m1 with a unit entry of 5000 digits, past the interpreter's default
+    # limit of 4300 digits for converting a decimal string to an int
+    "long_integer": M1_TEXT.replace('"unit": [1, 1]', '"unit": [' + "1" * 5000 + ", 1]").encode(),
+}
 
 
 def write(tmp_path, doc):
@@ -50,6 +65,34 @@ def test_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def write_malformed(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(MALFORMED[name])
+    return path
+
+
+def test_file_that_is_not_utf8(tmp_path):
+    with pytest.raises(ModelFormatError, match="utf-8"):
+        load_model(write_malformed(tmp_path, "not_utf8"))
+
+
+def test_json_nested_past_the_recursion_limit(tmp_path):
+    with pytest.raises(ModelFormatError, match="invalid JSON"):
+        load_model(write_malformed(tmp_path, "too_deep"))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_integer_literal_past_the_digit_limit(tmp_path):
+    path = write_malformed(tmp_path, "long_integer")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
+            load_model(path)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_unknown_kind(tmp_path, m1_doc):

@@ -36,6 +36,7 @@ from compbase import (
 from compbase import cli, compatibility, compression, linalg, matrix_model, models
 from compbase.compression import base_from_family
 from conftest import BUNDLED, FIXTURES_DIR, MATRIX, MODELS_DIR, full_composition_clause
+from test_compatibility import _planted_complement_base
 from test_golden import MATRIX_SEED1_SHA256
 
 CFG = CheckConfig(samples=8, seed=1)
@@ -148,7 +149,6 @@ def test_pair_table_fills_each_pair_once(monkeypatch):
         "sum",
         "compose",
         "battery",
-        "focus_maps",
     }
 
 
@@ -305,31 +305,37 @@ def test_declared_base_opens_no_stream(monkeypatch, name):
     assert opened == []
 
 
-@pytest.mark.parametrize("name", MATRIX)
+@pytest.mark.parametrize("name", (*MATRIX, "planted"))
 def test_common_focus_lookup_matches_map_comparison(name):
-    """exists_common_focus on a restricted base is one lookup of the
-    restricted J_p J_q among the restricted J_s; compare it with composing
-    both maps with the projector and comparing matrices."""
+    """exists_common_focus on a declared base, and on each of its
+    restricted bases, against composing every map with the projector (on
+    a restricted base) and comparing matrices.  "planted" is a base with
+    one map built by hand, so framed and bare maps meet."""
 
-    _, base = _fresh(name)
-    for rb in _restricted(base):
-        sub = rb.structure
-        restricted = [compose(rb.j(s), sub.projector) for s in rb.foci]
-        keys = {(m.matrix, m.den) for m in restricted}
-        for p in rb.foci:
-            for q in rb.foci:
-                pq = compose(compose(rb.j(p), rb.j(q)), sub.projector)
-                want = (pq.matrix, pq.den) in keys
-                assert compat_battery(rb, p, q).values["exists_common_focus"] == want
+    base = _planted_complement_base() if name == "planted" else _fresh(name)[1]
+    for b in (base, *_restricted(base)):
+        projector = getattr(b.structure, "projector", None)
+
+        def read(m):
+            if projector is not None:
+                m = compose(m, projector)
+            return m.matrix, m.den
+
+        keys = {read(b.j(s)) for s in b.foci}
+        for p in b.foci:
+            for q in b.foci:
+                want = read(compose(b.j(p), b.j(q))) in keys
+                assert compat_battery(b, p, q).values["exists_common_focus"] == want
 
 
-def test_substructure_keys_each_map_once(monkeypatch):
-    """Substructure.key composes a map with the projector once, keeps the
-    key, and that key is the carrier's map_key of the composite."""
+def test_substructure_restricts_each_map_once(monkeypatch):
+    """Substructure.restrict composes a map with the projector once and
+    returns the kept composite again, endo_equal included; on an image a
+    framed map stays framed, and on a commutant, whose projector is a sum,
+    the composite is a matrix."""
 
     _, base = _fresh("m3")
     v = base.foci[1]
-    sub = compatibility.image_substructure(base, v)
     a = base.j(base.foci[2])
     composed = []
 
@@ -338,15 +344,15 @@ def test_substructure_keys_each_map_once(monkeypatch):
         return models.compose(x, y)
 
     monkeypatch.setattr(compatibility, "compose", counted_compose)
-    key = sub.key(a)
-    assert sub.key(a) is key and models.map_key(sub, a) is key
-    assert models.endo_equal(sub, a, a)
-    assert len(composed) == 1 and composed[0][0] is a and composed[0][1] is sub.projector
-    assert key == models.map_key(base.structure, models.compose(a, sub.projector))
-    # a framed map is keyed by its canonical frame, and so is its bare matrix
-    assert models.map_key(base.structure, a) == ("frame", *a._frame)
-    bare = models.Endomorphism(a.carrier, a.matrix, a.den)
-    assert models.map_key(base.structure, bare) == models.map_key(base.structure, a)
+    for build in (compatibility.image_substructure, compatibility.commutant_substructure):
+        sub = build(base, v)
+        composed.clear()
+        out = sub.restrict(a)
+        assert sub.restrict(a) is out and models.endo_equal(sub, a, a)
+        assert len(composed) == 1 and composed[0][0] is a and composed[0][1] is sub.projector
+        assert out == models.compose(a, sub.projector)
+        assert (out._frame is not None) == (sub.projector._frame is not None)
+    assert a._frame is not None
 
 
 def test_matrix_unit_is_built_once_per_dim():
